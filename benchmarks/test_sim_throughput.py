@@ -12,7 +12,7 @@ import pytest
 from repro import Chare, Kernel, entry, make_machine
 from repro.apps.nqueens import run_nqueens
 from repro.queueing.strategies import make_strategy
-from repro.sim.backend import make_backend
+from repro.sim.backend import HeapBackend
 from repro.sim.engine import Engine
 from repro.util.priority import BitVectorPriority
 
@@ -28,16 +28,12 @@ def test_engine_event_throughput(benchmark):
     assert benchmark(run_10k) == 10_000
 
 
-@pytest.mark.parametrize("backend", ["heap", "batch"])
-def test_backend_event_throughput(benchmark, backend):
-    """Engine backends head to head on the timestamp-cohort workload.
-
-    97 distinct timestamps x ~103 events each: the batch backend drains
-    whole cohorts per bucket while the heap pays a log-P pop per event.
-    """
+def test_backend_event_throughput(benchmark):
+    """The kernel's engine on its closure-free ``schedule_call`` path
+    (97 distinct timestamps x ~103 events each)."""
 
     def run_10k():
-        eng = make_backend(backend)
+        eng = HeapBackend()
         fn = (lambda _: None)
         for i in range(10_000):
             eng.schedule_call(float(i % 97), fn, None)
@@ -101,18 +97,6 @@ def test_kernel_seed_fanout_throughput_scaling(benchmark, pes):
 
     def run_fanout():
         kernel = Kernel(make_machine("ideal", pes), balancer="random")
-        return kernel.run(_Fanout, 1_000).result
-
-    assert benchmark(run_fanout) == 1_000
-
-
-@pytest.mark.parametrize("backend", ["heap", "batch"])
-def test_kernel_seed_fanout_backend(benchmark, backend):
-    """Fanout through each engine backend (batch takes the burst lane)."""
-
-    def run_fanout():
-        kernel = Kernel(make_machine("ideal", 8), balancer="random",
-                        backend=backend)
         return kernel.run(_Fanout, 1_000).result
 
     assert benchmark(run_fanout) == 1_000

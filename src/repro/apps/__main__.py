@@ -42,8 +42,6 @@ def main(argv=None) -> int:
     parser.add_argument("--queueing", default=None)
     parser.add_argument("--balancer", default="random")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--backend", default="",
-                        help="engine backend: heap (default) or batch")
     parser.add_argument("--sparse", action="store_true",
                         help="sparse-PE mode: skip the init broadcast and "
                              "materialize only touched ranks (large P)")
@@ -64,8 +62,7 @@ def main(argv=None) -> int:
         params["queueing"] = args.queueing
     params.setdefault("balancer", args.balancer)
 
-    machine = make_machine(args.machine, args.pes, backend=args.backend,
-                           sparse=args.sparse)
+    machine = make_machine(args.machine, args.pes, sparse=args.sparse)
     answer, result = spec.runner(
         machine, seed=args.seed, timeline=args.timeline, **params
     )

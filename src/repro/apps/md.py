@@ -139,7 +139,7 @@ class MdCell(Chare):
         self.step = 0
         self.neighbors: List = []       # 8 handles
         self._pops: Dict[int, list] = {}      # step -> received populations
-        self._handoffs: Dict[int, list] = {}  # step -> received migrations
+        self._inbound: Dict[int, list] = {}  # step -> received migrations
         self._wired = False
 
     @entry
@@ -169,7 +169,7 @@ class MdCell(Chare):
 
     @entry
     def handoff(self, step, snap):
-        self._handoffs.setdefault(step, []).append(snap)
+        self._inbound.setdefault(step, []).append(snap)
         self._try_compute()
 
     def _try_compute(self):
@@ -181,27 +181,27 @@ class MdCell(Chare):
             progressed = False
             if (
                 self.step < params.steps
-                and not self._awaiting_handoffs()
+                and not self._awaiting_inbound()
                 and len(self._pops.get(self.step, [])) == len(self.neighbors)
             ):
                 self._compute_step()
                 progressed = True
             # After integrating step k we must collect 8 handoffs before
             # the step-(k+1) population is final.
-            elif self._awaiting_handoffs():
-                arrivals = self._handoffs.get(self.step - 1, [])
+            elif self._awaiting_inbound():
+                arrivals = self._inbound.get(self.step - 1, [])
                 if len(arrivals) == len(self.neighbors):
                     for snap in arrivals:
                         for i, p, v in snap:
                             self.park[int(i)] = (np.asarray(p), np.asarray(v))
-                    del self._handoffs[self.step - 1]
-                    self._pending_handoffs = False
+                    del self._inbound[self.step - 1]
+                    self._inbound_pending = False
                     if self.step < params.steps:
                         self._send_population()
                     progressed = True
 
-    def _awaiting_handoffs(self) -> bool:
-        return getattr(self, "_pending_handoffs", False)
+    def _awaiting_inbound(self) -> bool:
+        return getattr(self, "_inbound_pending", False)
 
     def _compute_step(self):
         from repro.apps.md import _min_image, _pair_force  # self-import ok
@@ -246,7 +246,7 @@ class MdCell(Chare):
         for idx, h in enumerate(self.neighbors):
             self.send(h, "handoff", self.step, tuple(outbound[idx]))
         self.step += 1
-        self._pending_handoffs = True
+        self._inbound_pending = True
 
     @entry
     def report(self, main):

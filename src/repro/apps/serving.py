@@ -12,7 +12,7 @@ Structure:
   precomputed arrival-time list with timed self-messages
   (:meth:`repro.core.chare.Chare.send_at` — one ``tick`` per request, each
   scheduling the next), so generation costs one small execution per
-  arrival and the stream is identical on every backend and job count.
+  arrival and the stream is identical on every job count.
 * Each ``tick`` creates a ``Request`` chare **seed with no fixed PE** —
   placement goes through whichever load balancer the kernel was built
   with (random / central manager / ACWN / token), which is exactly the

@@ -103,13 +103,6 @@ def main(argv=None) -> int:
         help="telemetry snapshot period in virtual seconds (default: final "
         "snapshot only); implies telemetry even without --metrics-out",
     )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=["heap", "batch"],
-        help="engine backend for every run (default: heap); non-default "
-        "backends become part of each run's cache key",
-    )
     args = parser.parse_args(argv)
     ids = sorted(EXPERIMENTS) if args.exp == "all" else [args.exp]
     jobs = args.jobs if args.jobs is not None else default_jobs()
@@ -127,7 +120,7 @@ def main(argv=None) -> int:
                              metrics_out=args.metrics_out)
     from contextlib import ExitStack
 
-    from repro.bench.harness import use_backend, use_telemetry, use_tracing
+    from repro.bench.harness import use_telemetry, use_tracing
 
     with ExitStack() as stack:
         stack.enter_context(executor)
@@ -136,8 +129,6 @@ def main(argv=None) -> int:
             stack.enter_context(use_tracing(trace_kinds))
         if metrics:
             stack.enter_context(use_telemetry(metrics_interval))
-        if args.backend is not None:
-            stack.enter_context(use_backend(args.backend))
         for exp_id in ids:
             result = run_experiment(exp_id, scale=args.scale)
             print(f"\n== {result.exp_id}: {result.title} ==")

@@ -15,13 +15,6 @@ the executor:
   :func:`repro.balance.make_balancer` at execution time.
 * ``machine_scaled={"link_bandwidth": 2.8e6}`` — applied to the machine's
   cost model via ``MachineParams.scaled`` at execution time.
-
-The engine backend rides in ``params`` as a plain ``("backend", name)``
-entry, but only when it differs from the default heap path — untraced
-default-backend descriptors keep the historical "run-v1" canonical shape,
-so the existing cache population stays valid while batch-backed rows get
-distinct keys (the two backends produce bit-identical virtual time, but a
-cache must never conflate configurations).
 """
 
 from __future__ import annotations

@@ -49,7 +49,6 @@ from repro.util.errors import ConfigurationError
 __all__ = ["AppSpec", "APPS", "describe", "measure", "measure_many",
            "execute_descriptor", "speedup_sweep", "sweep_from_rows",
            "SweepResult", "use_tracing", "current_tracing",
-           "use_backend", "current_backend",
            "use_telemetry", "current_telemetry"]
 
 
@@ -152,41 +151,6 @@ def use_tracing(kinds: Any):
         _tracing = previous
 
 
-# ------------------------------------------------------- ambient backend
-#: Engine backend every subsequently-described run should use, installed
-#: by the bench CLI's ``--backend`` flag; "" means the default heap path.
-_backend: str = ""
-
-
-def current_backend() -> str:
-    """Backend ambient ``describe()`` calls will request ("" = default)."""
-    return _backend
-
-
-@contextmanager
-def use_backend(name: str):
-    """Run every descriptor described in this block on the given backend.
-
-    ``name`` is an engine backend (``"heap"`` or ``"batch"``); ``""``
-    restores the default.  The backend becomes part of each run's
-    descriptor (and therefore its cache key) whenever it differs from the
-    default, so heap- and batch-backed rows never replay each other.
-    """
-    from repro.sim.backend import BACKENDS
-
-    if name and name not in BACKENDS:
-        raise ConfigurationError(
-            f"unknown engine backend {name!r}; options: {sorted(BACKENDS)}"
-        )
-    global _backend
-    previous = _backend
-    _backend = name
-    try:
-        yield _backend
-    finally:
-        _backend = previous
-
-
 # ----------------------------------------------------- ambient telemetry
 #: Snapshot interval (virtual seconds) every subsequently-described run
 #: should attach a telemetry plane with, installed by the bench CLI's
@@ -275,7 +239,6 @@ def describe(
     seed: int = 0,
     machine_scaled: Optional[Dict[str, Any]] = None,
     trace: Any = None,
-    backend: Optional[str] = None,
     metrics: Any = None,
     **overrides: Any,
 ) -> RunDescriptor:
@@ -285,17 +248,11 @@ def describe(
     as ``Kernel(trace_events=...)``); ``None`` inherits the ambient
     :func:`use_tracing` setting, ``()``/``""`` forces tracing off.
 
-    ``backend`` selects the engine backend; ``None`` inherits the ambient
-    :func:`use_backend` setting, ``""`` forces the default heap path.
-    Non-default backends join ``params`` (hence the cache key); default
-    descriptors keep the historical shape so existing cache entries and
-    fixtures stay valid.
-
     ``metrics`` attaches a telemetry plane: a snapshot interval in virtual
     seconds (``0.0`` = final snapshot only).  ``None`` inherits the
     ambient :func:`use_telemetry` setting, ``False`` forces telemetry off.
-    Like non-default backends, telemetry joins ``params`` only when
-    enabled, preserving historical cache keys.
+    Telemetry joins ``params`` only when enabled, preserving historical
+    cache keys.
     """
     try:
         spec = APPS[app]
@@ -309,11 +266,6 @@ def describe(
         params["queueing"] = queueing
     params.setdefault("queueing", "fifo")
     params.setdefault("balancer", balancer)
-    backend_name = _backend if backend is None else backend
-    if backend_name and backend_name != "heap":
-        params["backend"] = backend_name
-    else:
-        params.pop("backend", None)
     if metrics is None:
         metrics_interval = _telemetry
     elif metrics is False:

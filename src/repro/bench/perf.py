@@ -10,16 +10,12 @@ Usage::
 
     python -m repro.bench.perf --label after-hot-path   # record an entry
     python -m repro.bench.perf --check                  # regression guard
-    python -m repro.bench.perf --backend batch ...      # batch-lane pass
     python -m repro.bench.perf --profile                # cProfile hot paths
 
 ``--check`` re-measures and fails (exit 1) if events/s or messages/s fall
 more than ``--tolerance`` (default 30%) below the most recent recorded
 entry carrying those metrics — the cheap CI guard against accidentally
-re-introducing per-event allocation in the hot path.  ``--backend batch``
-measures the batch engine backend instead (``*_batch_*`` metric names);
-each entry records its backend in ``host`` and ``--check`` only baselines
-against same-backend entries.
+re-introducing per-event allocation in the hot path.
 
 ``--exp-wall`` records the experiment-suite wall-clock family instead:
 ``exp_all_wall_s_serial`` (the historical one-process outer loop),
@@ -47,17 +43,13 @@ DEFAULT_PATH = "BENCH_sim_throughput.json"
 
 #: Metrics the --check guard enforces (others are informational).  The pool
 #: and search metrics guard the prioritized-execution hot path (packed keys,
-#: send-time normalization, lane-split pools); the ``*_batch_*`` metrics
-#: guard the batch-backend fast lane (timestamp-cohort draining) and only
-#: appear in entries recorded with ``--backend batch``.
+#: send-time normalization, lane-split pools).
 #: ``engine_events_per_s_p100k`` guards the sparse-PE plane: a full
 #: kernel run on a 100,000-PE machine, impossible before per-PE state
 #: became O(active) — any O(P) term creeping back into startup, delivery
 #: or teardown shows up here first.  ``serving_requests_per_s`` guards the
 #: S-series serving stack (open-loop arrivals, per-request tracing, the
-#: latency analyzer): the turn/bundling lanes bail out of exactly these
-#: shapes, so a botched bail-out condition shows up here, not in the
-#: kernel microbenchmarks.
+#: latency analyzer) end to end on a real preset.
 #: ``kernel_telemetry_msgs_per_s`` guards the telemetry plane's hot-path
 #: overhead: the same PingPong chain as ``kernel_msgs_per_s`` but with a
 #: live metric plane attached — the execution hook, histogram observe, and
@@ -67,10 +59,8 @@ DEFAULT_PATH = "BENCH_sim_throughput.json"
 GUARDED_METRICS = ("engine_events_per_s", "kernel_msgs_per_s",
                    "kernel_seeds_per_s", "pool_prio_ops_per_s",
                    "pool_bitprio_ops_per_s", "search_bitprio_nodes_per_s",
-                   "engine_batch_events_per_s", "kernel_batch_seeds_per_s",
                    "engine_events_per_s_p100k", "serving_requests_per_s",
-                   "kernel_telemetry_msgs_per_s",
-                   "kernel_batch_telemetry_msgs_per_s")
+                   "kernel_telemetry_msgs_per_s")
 
 
 # --------------------------------------------------------------- measurement
@@ -94,18 +84,15 @@ def _best_rate(fn: Callable[[], int], repeats: int = 5) -> float:
     return best
 
 
-def _engine_events(backend: str = "heap") -> Callable[[], int]:
-    def run() -> int:
-        from repro.sim.backend import make_backend
+def _engine_events() -> int:
+    from repro.sim.backend import HeapBackend
 
-        eng = make_backend(backend)
-        schedule_call = eng.schedule_call
-        for i in range(10_000):
-            schedule_call(float(i % 97), _noop1, None)
-        eng.run()
-        return eng.events_fired
-
-    return run
+    eng = HeapBackend()
+    schedule_call = eng.schedule_call
+    for i in range(10_000):
+        schedule_call(float(i % 97), _noop1, None)
+    eng.run()
+    return eng.events_fired
 
 
 def _noop0() -> None:
@@ -116,48 +103,39 @@ def _noop1(_arg) -> None:
     return None
 
 
-def _kernel_messages(backend: str = "heap") -> Callable[[], int]:
-    def run() -> int:
-        from repro import Kernel, make_machine
-        from repro.bench._workloads import PingPong
+def _kernel_messages() -> int:
+    from repro import Kernel, make_machine
+    from repro.bench._workloads import PingPong
 
-        kernel = Kernel(make_machine("ideal", 1), backend=backend)
-        rounds = 2_000
-        assert kernel.run(PingPong, rounds).result == rounds
-        return rounds
-
-    return run
+    kernel = Kernel(make_machine("ideal", 1))
+    rounds = 2_000
+    assert kernel.run(PingPong, rounds).result == rounds
+    return rounds
 
 
-def _kernel_telemetry_messages(backend: str = "heap") -> Callable[[], int]:
+def _kernel_telemetry_messages() -> int:
     """The ``_kernel_messages`` chain with a telemetry plane attached.
 
     Interval 0.0 (final snapshot only), so the measured delta over
     ``kernel_msgs_per_s`` is purely the per-execution hook cost — the
     overhead figure the telemetry plane's ≥0.85x contract is stated over.
     """
+    from repro import Kernel, make_machine
+    from repro.bench._workloads import PingPong
+    from repro.obs import Telemetry
 
-    def run() -> int:
-        from repro import Kernel, make_machine
-        from repro.bench._workloads import PingPong
-        from repro.obs import Telemetry
-
-        kernel = Kernel(make_machine("ideal", 1), backend=backend,
-                        telemetry=Telemetry())
-        rounds = 2_000
-        assert kernel.run(PingPong, rounds).result == rounds
-        return rounds
-
-    return run
+    kernel = Kernel(make_machine("ideal", 1), telemetry=Telemetry())
+    rounds = 2_000
+    assert kernel.run(PingPong, rounds).result == rounds
+    return rounds
 
 
-def _seed_fanout(num_pes: int, backend: str = "heap") -> Callable[[], int]:
+def _seed_fanout(num_pes: int) -> Callable[[], int]:
     def run() -> int:
         from repro import Kernel, make_machine
         from repro.bench._workloads import Fanout
 
-        kernel = Kernel(make_machine("ideal", num_pes), balancer="random",
-                        backend=backend)
+        kernel = Kernel(make_machine("ideal", num_pes), balancer="random")
         seeds = 1_000
         assert kernel.run(Fanout, seeds).result == seeds
         return seeds
@@ -165,7 +143,7 @@ def _seed_fanout(num_pes: int, backend: str = "heap") -> Callable[[], int]:
     return run
 
 
-def _sparse_fanout(num_pes: int, backend: str = "heap") -> Callable[[], int]:
+def _sparse_fanout(num_pes: int) -> Callable[[], int]:
     """Full kernel run on a sparse large-P machine; returns events fired.
 
     The rate is engine events per host second *including* kernel
@@ -178,10 +156,8 @@ def _sparse_fanout(num_pes: int, backend: str = "heap") -> Callable[[], int]:
         from repro import Kernel, make_machine
         from repro.bench._workloads import Fanout
 
-        kernel = Kernel(
-            make_machine("cluster", num_pes, backend=backend, sparse=True),
-            balancer="random",
-        )
+        kernel = Kernel(make_machine("cluster", num_pes, sparse=True),
+                        balancer="random")
         result = kernel.run(Fanout, 1_000)
         assert result.result == 1_000
         return result.events
@@ -343,11 +319,9 @@ def _serving_requests() -> int:
 
     Exercises the open-loop arrival path (timed sends), per-request
     tracing with the minimal serving kind set, and the trace-walking
-    latency analyzer — the full S-series stack.  Guarded: the serving
-    shape is exactly what the turn/bundling fast lanes must *bail out*
-    of (timed sends, tracing), so this is the regression tripwire for
-    the bail-out conditions; the noisier trace-analysis share is why
-    its --check tolerance is the shared 30%, not tighter.
+    latency analyzer — the full S-series stack.  Guarded; the noisier
+    trace-analysis share is why its --check tolerance is the shared 30%,
+    not tighter.
     """
     from repro import make_machine
     from repro.apps.serving import run_serving
@@ -361,41 +335,13 @@ def _serving_requests() -> int:
     return ans["completed"]
 
 
-def measure_throughput(repeats: int = 5, backend: str = "heap") -> Dict[str, float]:
-    """Run every microbenchmark; returns {metric: ops_per_second}.
-
-    ``backend="batch"`` re-measures the engine/kernel family on the batch
-    backend under ``*_batch_*`` metric names (the pool and search metrics
-    are backend-independent and only measured on the default pass).
-    """
-    if backend == "batch":
-        metrics = {
-            "engine_batch_events_per_s": _best_rate(
-                _engine_events("batch"), repeats
-            ),
-            "kernel_batch_msgs_per_s": _best_rate(
-                _kernel_messages("batch"), repeats
-            ),
-            "kernel_batch_seeds_per_s": _best_rate(
-                _seed_fanout(8, "batch"), repeats
-            ),
-            "kernel_batch_telemetry_msgs_per_s": _best_rate(
-                _kernel_telemetry_messages("batch"), repeats
-            ),
-        }
-        for pes in (1, 4, 32):
-            metrics[f"kernel_batch_seeds_per_s_p{pes}"] = _best_rate(
-                _seed_fanout(pes, "batch"), repeats
-            )
-        metrics["engine_batch_events_per_s_p100k"] = _best_rate(
-            _sparse_fanout(100_000, "batch"), repeats
-        )
-        return metrics
+def measure_throughput(repeats: int = 5) -> Dict[str, float]:
+    """Run every microbenchmark; returns {metric: ops_per_second}."""
     metrics = {
-        "engine_events_per_s": _best_rate(_engine_events(), repeats),
-        "kernel_msgs_per_s": _best_rate(_kernel_messages(), repeats),
+        "engine_events_per_s": _best_rate(_engine_events, repeats),
+        "kernel_msgs_per_s": _best_rate(_kernel_messages, repeats),
         "kernel_telemetry_msgs_per_s": _best_rate(
-            _kernel_telemetry_messages(), repeats
+            _kernel_telemetry_messages, repeats
         ),
         "kernel_seeds_per_s": _best_rate(_seed_fanout(8), repeats),
     }
@@ -434,28 +380,24 @@ def measure_throughput(repeats: int = 5, backend: str = "heap") -> Dict[str, flo
     return metrics
 
 
-def host_context(backend: str = "heap") -> Dict[str, object]:
-    """CPU count, load average and engine backend, recorded per entry.
+def host_context() -> Dict[str, object]:
+    """CPU count and load average, recorded per entry.
 
     Wall-clock and throughput numbers are only comparable across entries
     when the host context is known — a 2x ``exp_all_wall_s`` swing between
     a 4-core laptop and a 64-core runner is machine skew, not a
     regression.  ``load_avg_1m`` is ``None`` where the platform has no
-    ``os.getloadavg`` (Windows).  ``backend`` names the engine backend the
-    entry measured so ``--check``'s backward-scanning baseline never
-    compares heap numbers against batch numbers (entries predating the
-    field are heap by construction).
+    ``os.getloadavg`` (Windows).
     """
     try:
         load_1m = round(os.getloadavg()[0], 3)
     except (AttributeError, OSError):
         load_1m = None
-    return {"cpu_count": os.cpu_count(), "load_avg_1m": load_1m,
-            "backend": backend}
+    return {"cpu_count": os.cpu_count(), "load_avg_1m": load_1m}
 
 
 # ---------------------------------------------------------------- profiling
-def profile_hot_paths(backend: str = "heap", sort: str = "tottime",
+def profile_hot_paths(sort: str = "tottime",
                       limit: int = 25, rounds: int = 3,
                       out: "str | None" = None) -> None:
     """cProfile the tracked kernel cohort workloads; print a pstats table.
@@ -473,16 +415,15 @@ def profile_hot_paths(backend: str = "heap", sort: str = "tottime",
     import cProfile
     import pstats
 
-    msgs = _kernel_messages(backend)
-    seeds = _seed_fanout(8, backend)
+    seeds = _seed_fanout(8)
     # Warm-up pass outside the profile: import cost and bytecode caches
     # would otherwise dominate the table.
-    msgs()
+    _kernel_messages()
     seeds()
     prof = cProfile.Profile()
     prof.enable()
     for _ in range(rounds):
-        msgs()
+        _kernel_messages()
         seeds()
     prof.disable()
     stats = pstats.Stats(prof, stream=sys.stdout)
@@ -549,15 +490,14 @@ def _load(path: str) -> dict:
 
 
 def record(path: str = DEFAULT_PATH, label: str = "", repeats: int = 5,
-           metrics: Dict[str, float] | None = None,
-           backend: str = "heap") -> dict:
+           metrics: Dict[str, float] | None = None) -> dict:
     """Measure (or take ``metrics``) and append one entry; returns the entry."""
     entry = {
         "label": label or "unlabelled",
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "python": sys.version.split()[0],
-        "host": host_context(backend),
-        "metrics": (measure_throughput(repeats, backend)
+        "host": host_context(),
+        "metrics": (measure_throughput(repeats)
                     if metrics is None else metrics),
     }
     data = _load(path)
@@ -568,41 +508,32 @@ def record(path: str = DEFAULT_PATH, label: str = "", repeats: int = 5,
     return entry
 
 
-def _entry_backend(entry: dict) -> str:
-    """Engine backend an entry measured (pre-backend entries are heap)."""
-    return entry.get("host", {}).get("backend") or "heap"
+def _guard_baseline(entries: list) -> dict | None:
+    """Latest entry carrying any guarded metric.
 
-
-def _guard_baseline(entries: list, backend: str = "heap") -> dict | None:
-    """Latest *same-backend* entry carrying any guarded metric.
-
-    Entries recorded by ``--exp-wall`` (wall-clock family only) and
-    pre-PR-3 entries missing ``host`` context must not silently disable
-    the hot-path guard, so the scan walks backwards to the newest entry
-    that actually measured a guarded metric.  Entries from a different
-    engine backend are skipped — a batch entry's 3x events/s must never
-    become the bar the heap path is judged against (or vice versa).
+    Entries recorded by ``--exp-wall`` (wall-clock family only), pre-PR-3
+    entries missing ``host`` context and the historical batch-backend
+    entries (``*_batch_*`` names only) must not silently disable the
+    hot-path guard, so the scan walks backwards to the newest entry that
+    actually measured a guarded metric.
     """
     for entry in reversed(entries):
-        if _entry_backend(entry) != backend:
-            continue
         if any(name in entry.get("metrics", {}) for name in GUARDED_METRICS):
             return entry
     return None
 
 
 def check(path: str = DEFAULT_PATH, tolerance: float = 0.30,
-          repeats: int = 3, backend: str = "heap") -> bool:
+          repeats: int = 3) -> bool:
     """Re-measure the guarded metrics; True iff none regressed past tolerance."""
     data = _load(path)
-    baseline = _guard_baseline(data["entries"], backend)
+    baseline = _guard_baseline(data["entries"])
     if baseline is None:
-        print(f"no guarded {backend}-backend baseline entries in {path}; "
-              "nothing to check")
+        print(f"no guarded baseline entries in {path}; nothing to check")
         return True
-    current = measure_throughput(repeats, backend)
+    current = measure_throughput(repeats)
     ok = True
-    print(f"perf guard ({backend}) vs {baseline['label']!r} "
+    print(f"perf guard vs {baseline['label']!r} "
           f"({baseline['timestamp']}):")
     for name in GUARDED_METRICS:
         base = baseline["metrics"].get(name)
@@ -650,18 +581,13 @@ def main(argv=None) -> int:
     ap.add_argument("--exp-jobs", type=int, default=None,
                     help="worker count for the parallel --exp-wall pass "
                     "(default: os.cpu_count())")
-    ap.add_argument("--backend", default="heap", choices=["heap", "batch"],
-                    help="engine backend to measure/check (default: heap); "
-                    "batch entries use *_batch_* metric names and are "
-                    "baselined only against other batch entries")
     args = ap.parse_args(argv)
     if args.profile:
-        profile_hot_paths(args.backend, args.profile_sort,
-                          args.profile_limit, out=args.profile_out)
+        profile_hot_paths(args.profile_sort, args.profile_limit,
+                          out=args.profile_out)
         return 0
     if args.check:
-        return 0 if check(args.output, args.tolerance,
-                          backend=args.backend) else 1
+        return 0 if check(args.output, args.tolerance) else 1
     if args.exp_wall:
         metrics = measure_exp_wall(scale=args.exp_scale, jobs=args.exp_jobs)
         label = args.label or f"exp-wall ({args.exp_scale})"
@@ -671,8 +597,7 @@ def main(argv=None) -> int:
             unit = "" if name.endswith(("_rate", "_jobs")) else "s"
             print(f"  {name}: {value:,.2f}{unit}")
         return 0
-    entry = record(args.output, args.label, args.repeats,
-                   backend=args.backend)
+    entry = record(args.output, args.label, args.repeats)
     print(f"recorded {entry['label']!r} -> {args.output}")
     for name, value in entry["metrics"].items():
         print(f"  {name}: {value:,.0f}/s")

@@ -37,8 +37,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.chare import BranchOfficeChare, Chare, is_entry
 from repro.core.handles import BocHandle, ChareHandle, mint_chare_handle
-from repro.core.messages import _FREE_CAP as _ENV_FREE_CAP
-from repro.core.messages import _free as _env_free
 from repro.core.messages import Envelope, Kind
 from repro.core.pe import PEPlane, PEState
 from repro.core.services import Service
@@ -69,7 +67,7 @@ _SVC = Kind.SVC
 class ExecContext:
     """State of one in-progress entry-method execution."""
 
-    __slots__ = ("pe", "start", "charged", "outbox", "system", "direct")
+    __slots__ = ("pe", "start", "charged", "outbox", "system")
 
     def __init__(self, pe: int, start: float, system: bool) -> None:
         self.pe = pe
@@ -78,10 +76,6 @@ class ExecContext:
         # (charged_units_at_send, envelope) pairs; offsets resolved at end.
         self.outbox: List[Tuple[float, Envelope]] = []
         self.system = system
-        # Set when this execution scheduled an engine event directly
-        # (api_send_at, cross-PE service sends): per-event scheduling is
-        # then observable, so the turn lane must not elide the completion.
-        self.direct = False
 
 
 @dataclass
@@ -115,12 +109,10 @@ class Kernel:
         faults: Any = None,
         trace_events: Any = None,
         telemetry: Any = None,
-        backend: Optional[str] = None,
         sparse: Optional[bool] = None,
         dense_pes: bool = False,
-        turn_loop: Optional[bool] = None,
     ) -> None:
-        from repro.sim.backend import make_backend  # local: keep core light
+        from repro.sim.backend import HeapBackend  # local: keep core light
         from repro.balance import make_balancer
         from repro.balance.base import Balancer
         from repro.sharing.manager import SharingService
@@ -145,17 +137,13 @@ class Kernel:
         # is the topology's closed form where one exists (no O(P²) memo).
         self._hops = machine.hops_fn
         self._transit_time = machine.transit_time
-        # Engine backend: explicit argument wins, then the machine's pinned
-        # preference, then the default heap path.
-        self.backend_name = backend or machine.backend or "heap"
-        self.engine = make_backend(self.backend_name)
+        self.engine = HeapBackend()
         # Per-kernel envelope uid allocation (reproducible run-to-run and
         # unaffected by other kernels in the same process).
         self._next_uid = 1
         # Pre-bound hot-path callbacks: schedule_call takes fn+payload, and
         # binding these once means no per-event bound-method allocation.
         self._arrive_cb = self._arrive
-        self._arrive_many_cb = self._arrive_many
         self._finish_cb = self._finish
         self._schedule_call = self.engine.schedule_call
         # class -> {entry_name -> validated plain function}; _invoke calls
@@ -235,10 +223,9 @@ class Kernel:
         # TelemetryConfig, or True; None keeps the unobserved fast path
         # (one `is None` check per execution, same inert-when-off pattern
         # as faults/tracing).  Unlike tracing, telemetry never joins the
-        # turn/burst gates below: it aggregates at execution granularity
-        # and scrapes the PEState counters every send lane maintains
-        # identically, so the fast lanes stay armed and schedules are
-        # unperturbed.
+        # burst gate below: it aggregates at execution granularity and
+        # scrapes the PEState counters both flush paths maintain
+        # identically, so schedules are unperturbed.
         if telemetry is None:
             self.telemetry = None
         else:
@@ -258,15 +245,10 @@ class Kernel:
             telemetry.bind(self)
             self.telemetry = telemetry
         self._telemetry = self.telemetry
-        # Outbox burst lane: grouped bulk scheduling of a flush.  The fault
-        # and tracing hooks need per-envelope control, so the lane is
-        # enabled once per run, not per flush.  (Originally batch-only; the
-        # heap backend's schedule_calls pushes the same (time, seq) order a
-        # per-envelope loop would, so both backends profit bit-identically.)
-        self._burst_ok = (
-            self._faults is None
-            and self._events is None
-        )
+        # Outbox burst flush: grouped bulk scheduling of a flush.  The fault
+        # and tracing hooks need per-envelope control, so the gate is
+        # decided once per run, not per flush.
+        self._burst_ok = self._faults is None and self._events is None
         # Quiescence accounting lives on the PEStates (counted_sent /
         # counted_processed slots); the list-shaped compat properties below
         # rebuild the historical O(P) views on demand for reports and tests.
@@ -335,61 +317,6 @@ class Kernel:
         self._note_cross = (
             self._note_load_is_base and balancer_cls.uses_known_table
         )
-
-        # Run-to-completion turn lane (docs/architecture.md "Execution turn
-        # loop"): when an execution ends with a zero-length busy window and
-        # its PE's queue is non-empty at that instant, the next envelope is
-        # executed inline instead of bouncing through a separate _finish
-        # event.  The lane is enabled once per run; it stays off whenever
-        # per-event scheduling is observable (faults, tracing, timelines,
-        # shared-media contention) so those paths are bit-identical to the
-        # historical event-per-completion schedule.
-        # A turn reorders same-timestamp work relative to the scalar
-        # event-per-completion schedule, so it is only armed when nothing
-        # can observe that interleaving: no faults/tracing/timelines, no
-        # shared-media contention, zero local enqueue latency, and a
-        # balancer whose interleave-sensitive hooks (note_load, seed
-        # arrival, idle notification) are all the base no-ops.  Central /
-        # ACWN / token / steal balancers therefore run the unchanged
-        # scalar path — which is what keeps their golden traces
-        # bit-identical.
-        params = machine.params
-        self._turn_ok = (
-            turn_loop is not False
-            and self._faults is None
-            and self._events is None
-            and self.timeline is None
-            and params.bus_bandwidth == 0.0
-            and params.link_bandwidth == 0.0
-            and self._local_alpha == 0.0
-            and self._note_load_is_base
-            and self._seed_hook_is_base
-            and balancer_cls.on_idle is Balancer.on_idle
-        )
-        # Inline self-arrivals (skipping the engine round-trip entirely)
-        # are provably scalar-identical only on a single-PE machine, where
-        # send order == arrival order == FIFO pop order and there is no
-        # cross-PE observer of queue depth.
-        self._elide_ok = self._turn_ok and machine.num_pes == 1
-        # On a zero-latency network every transit_time call returns 0.0;
-        # the flush loops skip the call (value-identical: t + 0.0 == t for
-        # the non-negative times the engine deals in).
-        self._transit_zero = (
-            params.alpha == 0.0
-            and params.beta == 0.0
-            and params.per_hop == 0.0
-            and params.bus_bandwidth == 0.0
-            and params.link_bandwidth == 0.0
-        )
-        # Single-envelope hand-off: a turn execution whose only send was an
-        # elided self-arrival onto an empty queue passes it straight to the
-        # next loop iteration, skipping the enqueue/select round-trip.
-        self._handoff: Optional[Envelope] = None
-        self._turn_enabled = False      # armed per run()
-        self._bundle_ok = False         # cohort bundling, armed per run()
-        self._turn_cap = 0.0            # max elided events per run
-        self._turn_fired = 0            # elided events (compensated in engine)
-        self._turn_buf: List[Tuple[float, Envelope]] = []
 
         # Run state ------------------------------------------------------------
         self._current: Optional[ExecContext] = None
@@ -465,39 +392,10 @@ class Kernel:
         t0 = _host_time.perf_counter()
         self.engine.schedule_call(0.0, self._bootstrap, (main_cls, args))
 
-        # Arm the turn lane.  Horizon runs step per event (the loop below)
-        # and must observe the clock between completions, so the lane stays
-        # off there.  The cap bounds how many completions a single engine
-        # callback may absorb: an endless zero-cost self-send chain would
-        # otherwise never return control to drive()'s budget check.
-        self._turn_enabled = self._turn_ok and until is None
-        # Cohort bundling shares the turn lane's preconditions but not its
-        # parking: the main ctor and the exiting execution may not *start*
-        # turns, yet their outboxes still bundle (arrival order is
-        # unaffected; _arrive_many honors the stop flag).
-        self._bundle_ok = self._turn_enabled
-        self._turn_cap = (
-            float("inf") if max_events is None else max_events
-        )
-        self._turn_fired = 0
-        self._handoff = None
-        self._turn_buf.clear()
-
         if until is None:
-            # Common case: the backend's bulk drive() loop owns the
-            # budget/stop checks (one compare each, and the batch backend
-            # drains whole timestamp cohorts without surfacing per event).
+            # Common case: the engine's bulk drive() loop owns the
+            # budget/stop checks (one compare each).
             _, truncated = self.engine.drive(max_events)
-            if (
-                not truncated
-                and not self._exited
-                and max_events is not None
-                and self.engine.events_fired >= max_events
-            ):
-                # Turn-lane completions count toward the event total via
-                # the compensation counter but not toward drive()'s local
-                # budget; flag the truncation it could not see.
-                truncated = True
         else:
             truncated = False
             fired = 0
@@ -552,15 +450,9 @@ class Kernel:
             counted=False,
         )
         self._in_main_ctor = True
-        # The main ctor must not start a turn (its completion event is the
-        # anchor the startup gates key off), so the lane is parked for the
-        # duration instead of checking _in_main_ctor on every execution.
-        turn_armed = self._turn_enabled
-        self._turn_enabled = False
         pe = self.pes[0]
         pe.busy = True
         self._execute(pe, env)
-        self._turn_enabled = turn_armed and not self._exit_requested
         self._in_main_ctor = False
         if self.sparse:
             # Sparse startup: no init broadcast (an O(P) message wave is
@@ -594,12 +486,6 @@ class Kernel:
     # ================================================================= delivery
     def _deliver(self, env: Envelope, departure: float) -> None:
         """Hand an envelope to the network; schedule its arrival."""
-        ctx = self._current
-        if ctx is not None:
-            # A mid-execution direct send (timed sends, cross-PE service
-            # traffic, placement flushes) makes this execution's engine
-            # footprint observable; the turn lane checks the flag.
-            ctx.direct = True
         src_pe = env.src_pe
         src = self.pes[src_pe]
         # PEState.load, inlined (the property descriptor costs a Python call
@@ -645,15 +531,15 @@ class Kernel:
         base: float,
         wut: float,
     ) -> None:
-        """Batch-lane outbox flush: one pass, grouped bulk scheduling.
+        """Burst outbox flush: one pass, grouped bulk scheduling.
 
         Semantics are exactly :meth:`_deliver` per envelope in outbox
         order — same float expressions, same counter updates, same uid
         sequence, same bus/link mutation order — with the per-envelope
         call frames and attribute walks hoisted out of the loop, and
         *consecutive* equal arrival times handed to the engine as a single
-        ``schedule_calls`` cohort extend (consecutive-only grouping keeps
-        bucket append order identical to the scalar path's, which is what
+        ``schedule_calls`` push (consecutive-only grouping keeps the
+        (time, seq) order identical to the scalar path's, which is what
         the bit-identity guarantee rests on).  The scalar loop remains the
         fallback whenever fault injection or event tracing needs
         per-envelope control, or the machine is heterogeneous.
@@ -661,29 +547,20 @@ class Kernel:
         pes = self.pes
         next_uid = self._next_uid
         hops = self._hops
-        transit_zero = self._transit_zero
         transit_time = self._transit_time
         local_alpha = self._local_alpha
         engine = self.engine
         schedule_calls = engine.schedule_calls
         schedule_call = engine.schedule_call
         arrive = self._arrive_cb
-        arrive_many = self._arrive_many_cb
-        bundle = self._bundle_ok and self._turn_fired < self._turn_cap
         hops_total = 0
         last_src = -1
         src = None
         carried = 0
         group: List[Envelope] = []
         group_time = -1.0
-        # With no per-message overhead and free work units every departure
-        # collapses to start; min()/mul per envelope drop out.
-        flat_departure = base == 0.0 and wut == 0.0
         for charged_at_send, env in outbox:
-            if flat_departure:
-                departure = start
-            else:
-                departure = start + min(base + charged_at_send * wut, duration)
+            departure = start + min(base + charged_at_send * wut, duration)
             src_pe = env.src_pe
             if src_pe != last_src:
                 src = pes[src_pe]
@@ -703,20 +580,15 @@ class Kernel:
                 arrival = departure + local_alpha
             else:
                 hops_total += hops(src_pe, dst_pe)
-                if transit_zero:
-                    arrival = departure
-                else:
-                    arrival = departure + transit_time(
-                        src_pe, dst_pe, nbytes, departure
-                    )
+                arrival = departure + transit_time(
+                    src_pe, dst_pe, nbytes, departure
+                )
             if arrival == group_time:
                 group.append(env)
             else:
                 if group:
                     if len(group) == 1:
                         schedule_call(group_time, arrive, group[0])
-                    elif bundle:
-                        schedule_call(group_time, arrive_many, group)
                     else:
                         schedule_calls(group_time, arrive, group)
                 group = [env]
@@ -724,8 +596,6 @@ class Kernel:
         if group:
             if len(group) == 1:
                 schedule_call(group_time, arrive, group[0])
-            elif bundle:
-                schedule_call(group_time, arrive_many, group)
             else:
                 schedule_calls(group_time, arrive, group)
         self._next_uid = next_uid
@@ -770,7 +640,7 @@ class Kernel:
             # work-stealing balancer may still extract the queued seed.
         if not pe.busy and not pe.gated and pe._queued == 0:
             # Idle-PE fast path: the envelope would be enqueued and popped
-            # right back by _start_service; execute it directly.  Only for
+            # right back by _finish; execute it directly.  Only for
             # kinds that are servable on the spot (a seed always is; an APP
             # message only if its target already exists) — everything else
             # takes the full selection loop.  The high-water mark still
@@ -782,11 +652,12 @@ class Kernel:
                 if pe.max_queued == 0:
                     pe.max_queued = 1
                 pe.busy = True
-                self._execute_turn(pe, env)
+                self._execute(pe, env)
                 return
         pe.enqueue(env)
         if not pe.busy:
-            self._start_service(pe)
+            # An idle PE drains exactly as one whose execution just ended.
+            self._finish(pe)
 
     def _place(self, gid: int, pe: int) -> None:
         """Fix a chare's location; flush sends buffered against its handle."""
@@ -816,22 +687,17 @@ class Kernel:
                     events.ctx = saved
 
     # ================================================================ scheduler
-    def _select(self, pe: PEState, notify: bool) -> Optional[Envelope]:
+    def _select(self, pe: PEState) -> Optional[Envelope]:
         """Pick the next servable envelope, or None when the PE drains.
 
-        The one shared selection drain (historically duplicated across
-        ``_start_service`` and ``_finish``): holds premature APP/BOC
-        messages until their target exists and, when ``notify`` and the PE
-        has truly run dry, tells the balancer.  The turn lane selects with
-        ``notify=False`` — its trailing real completion event owns the idle
-        notification, in scalar event order.
+        Holds premature APP/BOC messages until their target exists and,
+        when the PE has truly run dry, tells the balancer.
         """
         while True:
             env = pe.next_envelope()
             if env is None:
                 if (
-                    notify
-                    and not pe.gated
+                    not pe.gated
                     and not pe.has_work()
                     and not pe.idle_notified
                 ):
@@ -859,261 +725,12 @@ class Kernel:
                 continue
             return env
 
-    def _start_service(self, pe: PEState) -> None:
-        """If idle, pick the next message and execute it."""
-        if self._exited or pe.busy:
-            return
-        env = self._select(pe, True)
-        if env is None:
-            return
-        pe.busy = True
-        self._execute_turn(pe, env)
-
-    def _execute_turn(self, pe: PEState, env: Envelope) -> None:
-        """Run an execution and, inline, its zero-window successors.
-
-        While :meth:`_execute` keeps eliding its completion event (zero
-        busy window, turn lane armed) and the PE's queue is non-empty *at
-        this instant*, the next envelope is selected and executed in the
-        same engine callback — the run-to-completion turn.  Each inlined
-        completion is compensated in the engine's fired counter, so
-        ``RunResult.events`` is conserved exactly.  The turn ends with one
-        real completion event: it fires after any same-timestamp arrivals
-        still in the engine, which keeps late-cohort selection and idle
-        notification in scalar order.
-        """
-        execute = self._execute
-        select = self._select
-        free = _env_free
-        fired = 0
-        while True:
-            if not execute(pe, env):
-                if fired:
-                    self.engine.bump_fired(fired)
-                return
-            # An elided completion means the turn gate held for this
-            # execution: no event log, fault layer or timeline exists to
-            # retain the envelope, so it is dead and can be recycled.
-            if len(free) < _ENV_FREE_CAP:
-                free.append(env)
-            env = self._handoff
-            if env is None:
-                if not pe._queued:
-                    break
-                env = select(pe, False)
-                if env is None:
-                    # Only premature-held work was queued.
-                    break
-            else:
-                self._handoff = None
-            fired += 1
-            self._turn_fired += 1
-        if fired:
-            self.engine.bump_fired(fired)
-        if self._turn_buf:
-            self._flush_turn_buf()
-        self._schedule_call(pe.busy_until, self._finish_cb, pe)
-
-    def _flush_outbox_turn(
-        self, outbox: List[Tuple[float, Envelope]], pe: PEState, start: float
-    ) -> None:
-        """Outbox flush for a zero-window turn execution.
-
-        With ``duration == 0`` every departure collapses to ``start``, so
-        the per-envelope offset arithmetic drops out.  Self-sends whose
-        arrival would be a pure enqueue are put on the PE's queue on the
-        spot (the elided arrival event is compensated); everything else is
-        deferred to the turn buffer and bulk-scheduled when the turn hands
-        control back to the engine.  Send-side accounting matches
-        :meth:`_deliver` field for field, and the carried load is computed
-        once before any enqueue so piggybacked values equal the scalar
-        path's.
-        """
-        src_pe = pe.index
-        carried = pe._app_queued + 1 if pe.busy else pe._app_queued
-        next_uid = self._next_uid
-        early = self._elide_ok
-        if early and len(outbox) == 1:
-            # Single self-send on a 1-PE machine — the zero-cost chain
-            # shape (PingPong, self-driving actors).  One envelope, no
-            # deferral buffer, no topology locals: accounting matches the
-            # loop below field for field.
-            env = outbox[0][1]
-            env.carried_load = carried
-            pe.msgs_sent += 1
-            pe.bytes_sent += env.nbytes
-            if env.uid is None:
-                env.uid = next_uid
-                self._next_uid = next_uid + 1
-            if env.counted and not env.suppress_sent_count:
-                pe.counted_sent += 1
-            kind = env.kind
-            if (
-                pe._queued == 0
-                and not pe.gated
-                and (kind == _SEED or env.system or kind == _SVC
-                     or (kind == _APP and env.handle.gid in self.chares))
-            ):
-                if pe.max_queued == 0:
-                    pe.max_queued = 1
-                self._handoff = env
-            else:
-                pe.enqueue(env)
-            self.engine._events_fired += 1
-            self._turn_fired += 1
-            return
-        buf = self._turn_buf
-        local_alpha = self._local_alpha
-        hops = self._hops
-        transit_zero = self._transit_zero
-        transit_time = self._transit_time
-        chares = self.chares
-        hops_total = 0
-        elided = 0
-        for _charged, env in outbox:
-            env.carried_load = carried
-            pe.msgs_sent += 1
-            nbytes = env.nbytes
-            pe.bytes_sent += nbytes
-            if env.uid is None:
-                env.uid = next_uid
-                next_uid += 1
-            if env.counted and not env.suppress_sent_count:
-                pe.counted_sent += 1
-            dst_pe = env.dst_pe
-            if dst_pe == src_pe:
-                if early:
-                    # Inline arrival: exactly what _arrive would do for a
-                    # same-instant local message on a busy, ungated PE with
-                    # base hooks — one engine round-trip elided.
-                    elided += 1
-                    kind = env.kind
-                    if (
-                        len(outbox) == 1
-                        and pe._queued == 0
-                        and not pe.gated
-                        and (kind == _SEED or env.system or kind == _SVC
-                             or (kind == _APP and env.handle.gid in chares))
-                    ):
-                        # Enqueue-then-pop collapses to a direct hand-off;
-                        # the momentary depth of 1 still hits the mark.
-                        if pe.max_queued == 0:
-                            pe.max_queued = 1
-                        self._handoff = env
-                        continue
-                    pe.enqueue(env)
-                    continue
-                buf.append((start + local_alpha, env))
-                continue
-            hops_total += hops(src_pe, dst_pe)
-            if transit_zero:
-                buf.append((start, env))
-            else:
-                buf.append(
-                    (start + transit_time(src_pe, dst_pe, nbytes, start), env)
-                )
-        self._next_uid = next_uid
-        self.total_message_hops += hops_total
-        if elided:
-            # Same contract as engine.bump_fired, open-coded: this runs
-            # once per turn execution with an outbox.
-            self.engine._events_fired += elided
-            self._turn_fired += elided
-
-    def _arrive_many(self, envs: List[Envelope]) -> None:
-        """Deliver a same-time arrival cohort inside one engine event.
-
-        ``schedule_calls`` gives a cohort contiguous sequence numbers, so
-        in the scalar schedule its arrivals fire back to back with nothing
-        interleaved: same-time work scheduled before the cohort has a
-        smaller seq (fires earlier), work scheduled after — including by
-        a callback running mid-cohort — has a larger one (fires later).
-        Folding the cohort into a single engine entry therefore preserves
-        arrival order exactly while paying one heap push/pop for the lot.
-        The folded entries are compensated via :meth:`bump_fired` and
-        count toward the turn cap, and the engine's stop flag is honored
-        between arrivals exactly as the scalar drive loop honors it.
-        """
-        engine = self.engine
-        arrive = self._arrive
-        n = 0
-        if self._bundle_ok and not self._note_cross:
-            # All per-arrival hooks are provably no-ops here (bundling
-            # implies base balancer hooks, no tracing/faults, and the
-            # note_load table is dead), so a busy destination's arrival is
-            # exactly one enqueue — skip the _arrive frame for it.  A
-            # non-busy destination takes the full path (idle fast lane,
-            # gated service start), which may stop the engine.
-            pes = self.pes
-            try:
-                for env in envs:
-                    n += 1
-                    pe = pes[env.dst_pe]
-                    if pe.busy:
-                        pe.enqueue(env)
-                    else:
-                        arrive(env)
-                        if engine._stop:
-                            break
-            finally:
-                n -= 1
-                if n > 0:
-                    self._turn_fired += n
-                    engine.bump_fired(n)
-            return
-        try:
-            for env in envs:
-                n += 1
-                arrive(env)
-                if engine._stop:
-                    break
-        finally:
-            n -= 1
-            if n > 0:
-                self._turn_fired += n
-                engine.bump_fired(n)
-
-    def _flush_turn_buf(self) -> None:
-        """Bulk-schedule the sends deferred across a turn, in send order,
-        grouping consecutive equal arrival times into one cohort.  While
-        the turn cap has headroom, a multi-envelope cohort is bundled
-        into one engine entry (:meth:`_arrive_many`)."""
-        engine = self.engine
-        schedule_call = engine.schedule_call
-        arrive = self._arrive_cb
-        arrive_many = self._arrive_many_cb
-        bundle = self._turn_fired < self._turn_cap
-        group: List[Envelope] = []
-        group_time = -1.0
-        for arrival, env in self._turn_buf:
-            if arrival == group_time:
-                group.append(env)
-            else:
-                if group:
-                    if len(group) == 1:
-                        schedule_call(group_time, arrive, group[0])
-                    elif bundle:
-                        schedule_call(group_time, arrive_many, group)
-                    else:
-                        engine.schedule_calls(group_time, arrive, group)
-                group = [env]
-                group_time = arrival
-        if group:
-            if len(group) == 1:
-                schedule_call(group_time, arrive, group[0])
-            elif bundle:
-                schedule_call(group_time, arrive_many, group)
-            else:
-                engine.schedule_calls(group_time, arrive, group)
-        self._turn_buf.clear()
-
-    def _execute(self, pe: PEState, env: Envelope) -> bool:
+    def _execute(self, pe: PEState, env: Envelope) -> None:
         """Run one entry method; occupy the PE; emit its sends.
 
-        Returns True when the completion event was elided (zero busy
-        window, turn lane armed) and the caller — :meth:`_execute_turn` —
-        should continue the turn inline; False when the completion was
-        scheduled as a real event (or the program exited).
+        Always ends by scheduling the execution's one :meth:`_finish`
+        completion event (or, for the exiting execution, by requesting the
+        engine to stop).
         """
         kind = env.kind
         ctx = self._ctx
@@ -1121,7 +738,6 @@ class Kernel:
         ctx.pe = pe.index
         ctx.charged = 0.0
         ctx.system = env.system or kind == _SVC
-        ctx.direct = False
         outbox = ctx.outbox
         outbox.clear()
         # busy_until still holds the previous execution's end: the window
@@ -1137,8 +753,8 @@ class Kernel:
             begin_eid = events.exec_begin(start, pe.index, env, prev_end)
         self._current = ctx
         try:
-            # Inlined _dispatch for the two per-message kinds; SVC/BOC (and
-            # the unknown-kind error) go through the full router.
+            # The two per-message kinds are handled inline; SVC/BOC (and
+            # the unknown-kind error) go through the _dispatch router.
             if kind == _APP:
                 chare = self.chares.get(env.handle.gid)
                 if chare is None:
@@ -1150,7 +766,6 @@ class Kernel:
                 else:
                     self._invoke(chare, env.entry, env.args)
             elif kind == _SEED:
-                # _construct_chare, inlined: one frame per created chare.
                 handle = env.handle
                 gid = handle.gid
                 placement = self.placement
@@ -1171,7 +786,7 @@ class Kernel:
                     for held in self._premature.pop(gid, ()):
                         pe.enqueue(held)
             else:
-                self._dispatch(pe, env)
+                self._dispatch(env)
         finally:
             self._current = None
         base = self._overhead_base
@@ -1204,31 +819,7 @@ class Kernel:
             self.timeline.record(pe.index, start, duration, env)
         telemetry = self._telemetry
         if telemetry is not None:
-            # Above the turn bail-out on purpose: elided completions are
-            # observed too, which is what makes turn-mode and scalar-mode
-            # telemetry counters equal.
             telemetry.on_execute(pe, env, start, duration, charged)
-        if (
-            duration == 0.0
-            and self._turn_enabled
-            and not pe.gated
-            and not ctx.direct
-            and self._turn_fired < self._turn_cap
-        ):
-            # _turn_enabled subsumes the exit-requested and main-ctor
-            # checks: api_exit disarms the lane and _bootstrap parks it.
-            # Zero busy window and nothing observes per-event scheduling:
-            # elide the completion event and let the caller continue the
-            # turn.  busy_until collapses to start (duration is zero).
-            if outbox:
-                self._flush_outbox_turn(outbox, pe, start)
-                outbox.clear()
-            pe.busy_until = start
-            return True
-        if self._turn_buf:
-            # Sends deferred by earlier turn executions must reach the
-            # engine before this execution's own outbox does.
-            self._flush_turn_buf()
         if outbox:
             if len(outbox) >= 4 and self._burst_ok and wut is not None:
                 self._flush_outbox_burst(outbox, start, duration, base, wut)
@@ -1253,21 +844,17 @@ class Kernel:
             self._exited = True
             self._final_time = busy_until
             self.engine.request_stop()
-            return False
+            return
         self._schedule_call(busy_until, self._finish_cb, pe)
-        return False
 
-    def _dispatch(self, pe: PEState, env: Envelope) -> None:
-        """Route an envelope to its handler (chare entry, BOC entry, service)."""
+    def _dispatch(self, env: Envelope) -> None:
+        """Route a SVC or BOC envelope to its handler.
+
+        APP and SEED envelopes never reach here: :meth:`_execute` handles
+        both inline.
+        """
         kind = env.kind
-        if kind == _APP:
-            chare = self.chares.get(env.handle.gid)
-            if chare is None:
-                raise RoutingError(f"message to unknown chare {env.handle}")
-            self._invoke(chare, env.entry, env.args)
-        elif kind == _SEED:
-            self._construct_chare(pe, env)
-        elif kind == _SVC:
+        if kind == _SVC:
             self.services[env.service].handle(env.dst_pe, env.entry, env.args)
         elif kind == _BOC:
             branch = self.bocs[env.boc.boc_id].get(env.dst_pe)
@@ -1307,41 +894,17 @@ class Kernel:
             fns[entry_name] = fn
         fn(obj, *args)
 
-    def _construct_chare(self, pe: PEState, env: Envelope) -> None:
-        gid = env.handle.gid
-        placement = self.placement
-        if placement.get(gid) is None:
-            # _place, inlined for the common no-buffered-sends case (one
-            # construction per chare, so the extra frame is per-seed cost).
-            placement[gid] = pe.index
-            if gid in self._pending_sends:
-                self._place(gid, pe.index)
-        obj = env.chare_cls.__new__(env.chare_cls)
-        obj._kernel = self
-        obj._handle = env.handle
-        obj._pe = pe.index
-        self.chares[gid] = obj
-        obj.__init__(*env.args)
-        # Anything that raced ahead of construction is now runnable.
-        for held in self._premature.pop(gid, ()):  # already paid transit
-            pe.enqueue(held)
-
     def _finish(self, pe: PEState) -> None:
-        """An execution completed; serve the PE's next message.
-
-        One real completion event per turn (a turn of length one is the
-        scalar case): selection goes through the shared :meth:`_select`
-        drain, and any zero-window successors are absorbed inline by
-        :meth:`_execute_turn`.
-        """
+        """The PE is idle — its execution completed, or an arrival found it
+        idle but not servable on the spot: serve its next message."""
         pe.busy = False
         if self._exited:
             return
-        env = self._select(pe, True)
+        env = self._select(pe)
         if env is None:
             return
         pe.busy = True
-        self._execute_turn(pe, env)
+        self._execute(pe, env)
 
     # ================================================================== chare API
     def api_charge(self, units: float) -> None:
@@ -1508,10 +1071,6 @@ class Kernel:
         # The run ends when the *exiting execution* completes, so the final
         # virtual time includes the work charged by the exiting entry.
         self._exit_requested = True
-        # Disarm the turn lane for good (a Kernel runs one program): the
-        # exiting execution must end its turn through the scalar tail so
-        # the stop request reaches the engine.
-        self._turn_enabled = False
         self._exit_result = result
 
     # ----------------------------------------------------------------- BOC API

@@ -36,16 +36,6 @@ __all__ = ["Kind", "Envelope", "HEADER_BYTES"]
 
 HEADER_BYTES = 32
 
-# Free list for envelope recycling.  The kernel's turn loop returns
-# envelopes here once they are provably dead (executed with an elided
-# completion, which the turn gate only allows when no event log, fault
-# layer or timeline could still reference them), and the hot factories
-# below reuse them instead of allocating.  Every factory assigns every
-# slot, so a recycled envelope is indistinguishable from a fresh one;
-# the cap bounds idle memory.
-_free: list = []
-_FREE_CAP = 256
-
 
 class Kind:
     """Envelope kind tags (class-as-namespace; values are small ints)."""
@@ -106,7 +96,7 @@ class Envelope:
     @classmethod
     def make_app(cls, src_pe, dst_pe, entry, args, handle,
                  priority=None, prio_key=None) -> "Envelope":
-        env = _free.pop() if _free and cls is Envelope else cls.__new__(cls)
+        env = cls.__new__(cls)
         env.kind = Kind.APP
         env.src_pe = src_pe
         env.dst_pe = dst_pe
@@ -131,7 +121,7 @@ class Envelope:
     @classmethod
     def make_seed(cls, src_pe, dst_pe, args, handle, chare_cls,
                   fixed=False, priority=None, prio_key=None) -> "Envelope":
-        env = _free.pop() if _free and cls is Envelope else cls.__new__(cls)
+        env = cls.__new__(cls)
         env.kind = Kind.SEED
         env.src_pe = src_pe
         env.dst_pe = dst_pe

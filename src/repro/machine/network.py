@@ -93,13 +93,10 @@ class Machine:
     topology: Topology
     params: MachineParams = field(default_factory=MachineParams)
     pe_speeds: tuple = ()
-    #: Preferred engine backend ("" = caller's default).  Carried on the
-    #: machine so presets/descriptors can pin a backend and the kernel
-    #: resolves it without extra plumbing.
-    backend: str = ""
     #: Sparse-startup preference: when True the kernel skips the O(P) init
-    #: broadcast and keeps all per-PE state O(active).  Same plumbing
-    #: pattern as ``backend`` (explicit Kernel argument wins).
+    #: broadcast and keeps all per-PE state O(active).  Carried on the
+    #: machine so presets/descriptors can pin it and the kernel resolves it
+    #: without extra plumbing (an explicit Kernel argument wins).
     sparse: bool = False
 
     # Mutable per-run state: shared-bus occupancy and per-link occupancy.

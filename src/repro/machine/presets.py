@@ -204,16 +204,12 @@ MACHINE_PRESETS: Dict[str, Callable[[int], Machine]] = {
 }
 
 
-def make_machine(
-    name: str, num_pes: int, backend: str = "", sparse: bool = False
-) -> Machine:
+def make_machine(name: str, num_pes: int, sparse: bool = False) -> Machine:
     """Build a preset machine by name.
 
-    ``backend`` optionally pins an engine backend (``"heap"`` or
-    ``"batch"``) on the machine; the kernel picks it up unless the caller
-    passes an explicit ``backend=`` of its own.  Empty string (default)
-    leaves the choice to the kernel.  ``sparse`` pins sparse startup the
-    same way — the O(active) mode that makes P=10⁵–10⁶ machines practical.
+    ``sparse`` pins sparse startup on the machine (the kernel picks it up
+    unless the caller passes an explicit ``sparse=`` of its own) — the
+    O(active) mode that makes P=10⁵–10⁶ machines practical.
     """
     try:
         factory = MACHINE_PRESETS[name]
@@ -222,8 +218,6 @@ def make_machine(
             f"unknown machine preset {name!r}; options: {sorted(MACHINE_PRESETS)}"
         ) from None
     machine = factory(num_pes)
-    if backend:
-        machine.backend = backend
     if sparse:
         machine.sparse = True
     return machine

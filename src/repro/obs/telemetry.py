@@ -19,16 +19,10 @@ Design constraints, in order:
    run.  Periodic snapshots piggyback on the execution hook (a lazy
    "has the clock crossed the next boundary?" compare) instead of engine
    timers, which is what keeps the schedule unperturbed.
-3. **Turn-loop compatible.**  Unlike tracing, telemetry does NOT join the
-   kernel's ``_turn_ok``/``_burst_ok`` gates.  The execution hook fires
-   for elided completions too (it sits above the turn bail-out), and all
-   per-message metrics are derived from the PEState send/execute counters
-   that every flush lane (scalar ``_deliver``, burst, turn) maintains
-   identically — so turn-mode and scalar-mode runs produce equal final
-   counters and histograms (order-independent sums), proven by test.
-   Only transient gauge values *within* a same-timestamp cohort may
-   differ between the two schedules; snapshot timestamps and counts do
-   not.
+3. **Burst-flush compatible.**  Unlike tracing, telemetry does NOT join
+   the kernel's ``_burst_ok`` gate.  All per-message metrics are derived
+   from the PEState send/execute counters that both outbox flush paths
+   (scalar ``_deliver`` and the burst flush) maintain identically.
 
 The per-execution hook is the only hot-path cost; everything label-shaped
 it needs is cached in plain dicts keyed by envelope fields, so the steady
@@ -135,8 +129,8 @@ class Telemetry:
     # --------------------------------------------------------------- hot path
     def on_execute(self, pe: Any, env: Any, start: float, duration: float,
                    charged: float) -> None:
-        """Per-execution hook (called by ``Kernel._execute`` after accounting,
-        *before* the turn-loop bail-out, so elided completions count too)."""
+        """Per-execution hook (called by ``Kernel._execute`` after
+        accounting)."""
         kind = env.kind
         name = env.chare_cls.__name__ if kind == _SEED else env.entry
         key = (kind, name)
@@ -248,10 +242,10 @@ class Telemetry:
                  label: str = "") -> Dict[str, Any]:
         """Scrape the kernel into one snapshot row (O(touched ranks)).
 
-        Per-message and per-PE figures come from the PEState accounting all
-        three kernel send lanes maintain identically — aggregating at turn
-        boundaries rather than hooking ``_deliver`` per envelope is what
-        lets the turn/burst fast lanes stay armed under telemetry.
+        Per-message and per-PE figures come from the PEState accounting both
+        outbox flush paths maintain identically — scraping those rather
+        than hooking ``_deliver`` per envelope is what lets the burst flush
+        stay armed under telemetry.
         """
         k = self._kernel
         if k is None:
@@ -343,7 +337,6 @@ class Telemetry:
         if k is not None:
             base_meta.update(
                 num_pes=k.num_pes,
-                backend=k.backend_name,
                 balancer=type(k.balancer).__name__,
                 sparse=k.sparse,
             )

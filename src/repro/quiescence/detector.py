@@ -199,15 +199,21 @@ class QuiescenceService(Service):
     def _root_decide(self, sent: int, processed: int, idle: bool) -> None:
         kernel = self.kernel
         if sent < processed:
-            if not kernel.sparse:
+            # The wave samples each PE at a different instant: a PE sampled
+            # early can send afterwards to a PE that processes the message
+            # before *its* sample (and a sparse wave misses sends from a PE
+            # touched mid-wave).  That is the sampling skew the two-wave
+            # rule exists for, not an accounting violation — retry.  What
+            # can never happen is more processing than sending at one
+            # instant, so that is what the safety check reads.
+            states = kernel.pes.states()
+            now_sent = sum(s.counted_sent for s in states)
+            now_processed = sum(s.counted_processed for s in states)
+            if now_processed > now_sent:
                 raise QuiescenceError(
-                    f"QD accounting violated: processed {processed} > sent "
-                    f"{sent}"
+                    f"QD accounting violated: processed {now_processed} > "
+                    f"sent {now_sent}"
                 )
-            # Sparse waves sample only the snapshot: a PE touched mid-wave
-            # can leave its sends out of the totals while a snapshot PE
-            # already processed them.  That is sampling skew, not an
-            # accounting violation — retry on the next (wider) snapshot.
             stable = False
         else:
             stable = idle and sent == processed

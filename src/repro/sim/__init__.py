@@ -4,14 +4,12 @@ The engine is deliberately tiny and generic: a binary heap of timestamped
 callbacks with deterministic tie-breaking.  Everything Charm-specific lives
 above it in :mod:`repro.core`.
 
-:mod:`repro.sim.backend` provides the pluggable event-loop backends the
-kernel selects between: the default :class:`HeapBackend` and the
-timestamp-cohort :class:`BatchBackend` fast lane.
+:mod:`repro.sim.backend` provides :class:`HeapBackend`, the engine the
+kernel runs on, and the standalone timestamp-cohort :class:`BatchBackend`.
 """
 
 from repro.sim.backend import (
     BACKENDS,
-    DEFAULT_BACKEND,
     BatchBackend,
     BatchEvent,
     HeapBackend,
@@ -23,7 +21,6 @@ __all__ = [
     "Engine",
     "Event",
     "BACKENDS",
-    "DEFAULT_BACKEND",
     "BatchBackend",
     "BatchEvent",
     "HeapBackend",

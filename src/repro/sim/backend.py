@@ -1,16 +1,18 @@
-"""Pluggable event-loop backends for the discrete-event engine.
+"""Event-loop backends for the discrete-event engine.
 
 The kernel's hot loop talks to its engine through a small duck-typed
-surface (the informal ``EngineBackend`` protocol below).  Two
-implementations are provided:
+surface (the informal ``EngineBackend`` protocol below).  The kernel
+always runs on :class:`HeapBackend`; :class:`BatchBackend` is kept as a
+standalone engine because the performance ledger's frozen
+``sim.batch_events_per_s`` probe constructs it through
+:func:`make_backend` (it goes when a benchmark change retires the probe).
 
-* :class:`HeapBackend` — the historical binary-heap path (a subclass of
+* :class:`HeapBackend` — the binary-heap path (a subclass of
   :class:`~repro.sim.engine.Engine` that adds the kernel-facing bulk
-  entry points).  Bit-identical to the pre-backend engine, zero new
-  per-event overhead; the default.
-* :class:`BatchBackend` — the batch-stepping fast lane: a calendar
-  (bucket) queue keyed by timestamp.  All events at the same virtual
-  time form one *cohort* drained in a single tight loop, so the common
+  entry points).
+* :class:`BatchBackend` — a calendar (bucket) queue keyed by timestamp.
+  All events at the same virtual time form one *cohort* drained in a
+  single tight loop, so the common
   schedule/fire pair costs a dict probe plus a list append instead of
   two O(log n) heap operations with Python-level list comparisons.
   Homogeneous bursts (seed fanout, same-entry delivery) land in one
@@ -35,8 +37,8 @@ Events fire in nondecreasing time order; equal-time events fire in
 schedule order.  The heap orders entries by a ``(time, seq)`` key; the
 calendar queue gets the same order structurally (bucket append order *is*
 schedule order, buckets drain in time order via a small heap of distinct
-timestamps), so the two backends produce bit-identical simulations — the
-golden-trace suite pins this for the full app×machine×strategy matrix.
+timestamps), so the two backends fire any schedule in the same order —
+``tests/test_engine.py`` pins this on randomized schedules.
 
 Cohort-batching invariants (the reasons the bucket drain is safe):
 
@@ -63,14 +65,11 @@ from repro.util.errors import ConfigurationError, SchedulingError
 
 __all__ = [
     "BACKENDS",
-    "DEFAULT_BACKEND",
     "HeapBackend",
     "BatchBackend",
     "BatchEvent",
     "make_backend",
 ]
-
-DEFAULT_BACKEND = "heap"
 
 
 class HeapBackend(Engine):
@@ -84,8 +83,6 @@ class HeapBackend(Engine):
     event.
     """
 
-    backend_name = "heap"
-
     def __init__(self) -> None:
         super().__init__()
         self._stop = False
@@ -94,26 +91,13 @@ class HeapBackend(Engine):
         """Make an in-progress :meth:`drive` return before the next event."""
         self._stop = True
 
-    def bump_fired(self, n: int) -> None:
-        """Fold ``n`` logical events into the fired-event counter.
-
-        The kernel's fused fast paths (turn-loop completion elisions,
-        bundled same-time arrival cohorts) absorb work the scalar
-        schedule surfaces as individual engine callbacks; they report the
-        absorbed count here so ``events_fired`` — and every fingerprint,
-        report and truncation check derived from it — stays identical to
-        the event-per-callback schedule.  Part of the backend protocol:
-        both backends implement it identically.
-        """
-        self._events_fired += n
-
     def schedule_calls(
         self, time: float, fn: Callable[[Any], None], args: Iterable[Any]
     ) -> None:
         """Bulk delivery: schedule ``fn(arg)`` at ``time`` for each arg.
 
-        On the heap this is just a push loop (no cohort structure to
-        exploit); it exists so kernel burst code is backend-agnostic.
+        On the heap this is just a push loop; the kernel's burst outbox
+        flush hands it each run of equal arrival times.
         """
         if time < self._now:
             raise SchedulingError(
@@ -232,8 +216,6 @@ class BatchBackend:
     bookkeeping.
     """
 
-    backend_name = "batch"
-
     def __init__(self) -> None:
         self._buckets: dict = {}
         self._times: list = []
@@ -268,13 +250,6 @@ class BatchBackend:
     def request_stop(self) -> None:
         """Make an in-progress :meth:`drive` return before the next event."""
         self._stop = True
-
-    def bump_fired(self, n: int) -> None:
-        """Fold ``n`` logical events into the fired-event counter.
-
-        See :meth:`HeapBackend.bump_fired` — same contract, same reason.
-        """
-        self._events_fired += n
 
     # -------------------------------------------------------------- scheduling
     def schedule(self, time: float, fn: Callable[[], None]) -> BatchEvent:

@@ -5,8 +5,7 @@ all their work up front and run to completion.  This package holds the
 *open-loop* side: frozen-dataclass specs (picklable, canonicalisable into
 :class:`repro.bench.descriptors.RunDescriptor` params) plus pure
 ``(spec, seed) -> samples`` generator functions, so the same spec always
-yields the same stream regardless of backend, ``--jobs`` sharding, or
-cache state.
+yields the same stream regardless of ``--jobs`` sharding or cache state.
 """
 
 from repro.workloads.arrivals import (

@@ -18,8 +18,8 @@ serving regimes:
 Specs are frozen dataclasses so they canonicalise directly into run
 descriptors (:func:`repro.bench.descriptors.canonical_value`), and every
 generator is a pure function of ``(spec, seed)`` via
-:class:`repro.util.rng.RngStream` — byte-identical across backends,
-``--jobs`` sharding, and cache replay.
+:class:`repro.util.rng.RngStream` — byte-identical across ``--jobs``
+sharding and cache replay.
 
 Service demands are expressed in *work units* (converted to seconds by the
 machine's ``work_unit_time``), drawn per request per pipeline stage from a

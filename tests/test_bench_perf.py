@@ -88,6 +88,10 @@ def test_guard_baseline_skips_exp_wall_entries():
         guarded,
         {"label": "wall", "metrics": {"exp_all_wall_s_serial": 12.0}},
         {"label": "wall-2", "metrics": {"exp_all_cache_hit_rate": 1.0}},
+        # Historical batch-backend entries carry only *_batch_* names, none
+        # of them guarded: they must not become the bar either.
+        {"label": "batch", "host": {"backend": "batch"},
+         "metrics": {"engine_batch_events_per_s": 300.0}},
     ]
     assert _guard_baseline(entries) is guarded
 
@@ -121,73 +125,47 @@ def test_check_uses_last_guarded_entry(tmp_path, monkeypatch, capsys):
         json.dump(data, fh)
     monkeypatch.setattr(
         perf, "measure_throughput",
-        lambda repeats=3, backend="heap": {"engine_events_per_s": 95.0,
-                                           "kernel_msgs_per_s": 95.0,
-                                           "kernel_seeds_per_s": 95.0})
+        lambda repeats=3: {"engine_events_per_s": 95.0,
+                           "kernel_msgs_per_s": 95.0,
+                           "kernel_seeds_per_s": 95.0})
     assert perf.check(path) is True
     out = capsys.readouterr().out
     assert "'seed'" in out
 
     monkeypatch.setattr(
         perf, "measure_throughput",
-        lambda repeats=3, backend="heap": {"engine_events_per_s": 10.0,
-                                           "kernel_msgs_per_s": 95.0,
-                                           "kernel_seeds_per_s": 95.0})
+        lambda repeats=3: {"engine_events_per_s": 10.0,
+                           "kernel_msgs_per_s": 95.0,
+                           "kernel_seeds_per_s": 95.0})
     assert perf.check(path) is False
     assert "REGRESSION" in capsys.readouterr().out
 
 
-def test_host_context_records_backend():
-    from repro.bench.perf import host_context
-
-    assert host_context()["backend"] == "heap"
-    assert host_context(backend="batch")["backend"] == "batch"
-
-
-def test_guard_baseline_never_crosses_backends():
-    """A batch entry's 3x rate must not become the heap path's bar."""
-    from repro.bench.perf import _guard_baseline
-
-    heap_entry = {"label": "heap", "timestamp": "t0",
-                  "host": {"backend": "heap"},
-                  "metrics": {"engine_events_per_s": 100.0}}
-    legacy_entry = {"label": "pre-backend", "timestamp": "t0",
-                    "metrics": {"engine_events_per_s": 90.0}}
-    batch_entry = {"label": "batch", "timestamp": "t1",
-                   "host": {"backend": "batch"},
-                   "metrics": {"engine_batch_events_per_s": 300.0}}
-    entries = [legacy_entry, heap_entry, batch_entry]
-    assert _guard_baseline(entries, "heap") is heap_entry
-    assert _guard_baseline(entries, "batch") is batch_entry
-    # Entries predating host.backend count as heap.
-    assert _guard_baseline([legacy_entry, batch_entry], "heap") is legacy_entry
-    assert _guard_baseline([heap_entry], "batch") is None
-
-
 def test_check_skips_metrics_missing_on_either_side(tmp_path, monkeypatch,
                                                     capsys):
-    """Batch-mode check guards only the batch metric family."""
+    """A guarded metric is compared only when both sides measured it."""
     from repro.bench import perf
 
     path = str(tmp_path / "bench.json")
     data = {"entries": [
-        {"label": "batch-base", "timestamp": "t0", "python": "3",
-         "host": {"cpu_count": 1, "load_avg_1m": None, "backend": "batch"},
-         "metrics": {"engine_batch_events_per_s": 300.0,
-                     "kernel_batch_seeds_per_s": 300.0}},
+        {"label": "old-base", "timestamp": "t0", "python": "3",
+         "host": {"cpu_count": 1, "load_avg_1m": None},
+         "metrics": {"engine_events_per_s": 300.0,
+                     "kernel_seeds_per_s": 300.0}},
     ]}
     with open(path, "w") as fh:
         json.dump(data, fh)
     monkeypatch.setattr(
         perf, "measure_throughput",
-        lambda repeats=3, backend="heap": {
-            "engine_batch_events_per_s": 290.0,
-            "kernel_batch_seeds_per_s": 290.0})
-    assert perf.check(path, backend="batch") is True
+        lambda repeats=3: {"engine_events_per_s": 290.0,
+                           "serving_requests_per_s": 1.0})
+    assert perf.check(path) is True
     out = capsys.readouterr().out
-    assert "'batch-base'" in out
-    # Heap-family metrics are absent on both sides: no spurious comparison.
-    assert "engine_events_per_s:" not in out
+    assert "'old-base'" in out
+    assert "engine_events_per_s:" in out
+    # Missing from the baseline / from the current pass: no comparison.
+    assert "serving_requests_per_s:" not in out
+    assert "kernel_seeds_per_s:" not in out
 
 
 def test_measure_exp_wall_records_all_passes(tmp_path, monkeypatch):

@@ -30,8 +30,11 @@ from repro.apps.tree import TreeParams, run_tree
 from repro.apps.tsp import TspInstance, run_tsp
 from repro.machine.presets import make_machine
 
-FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "fixtures",
-                            "golden_traces.json")
+FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
+FIXTURE_PATH = os.path.join(FIXTURE_DIR, "golden_traces.json")
+# The P=1 case lives in its own file so golden_traces.json (captured from
+# the pre-optimization kernel) stays byte-identical.
+P1_FIXTURE_PATH = os.path.join(FIXTURE_DIR, "golden_traces_p1.json")
 
 # One entry per {app x machine preset x balancer x queueing} combination.
 # Small problem sizes keep the whole matrix under a few seconds while still
@@ -85,9 +88,22 @@ CASES = [
                        queueing="fifo", seed=2)),
 ]
 
+# Single-PE zero-cost machine: every send is a self-send and most busy
+# windows are zero-length — the one shape the (since deleted) turn lane
+# special-cased with inline arrivals and hand-off; captured with that lane
+# armed (202 of 795 events inlined), so scalar execution must reproduce it.
+P1_CASES = [
+    ("histogram-ideal-p1-random-fifo",
+     "histogram", dict(machine="ideal", pes=1, balancer="random",
+                       queueing="fifo", seed=0)),
+]
 
-def _run_case(runner: str, spec: dict, backend: str = "heap", **extra):
-    machine = make_machine(spec["machine"], spec["pes"], backend=backend)
+ALL_CASES = CASES + P1_CASES
+FIXTURE_FILES = ((FIXTURE_PATH, CASES), (P1_FIXTURE_PATH, P1_CASES))
+
+
+def _run_case(runner: str, spec: dict, **extra):
+    machine = make_machine(spec["machine"], spec["pes"])
     common = dict(balancer=spec["balancer"], queueing=spec["queueing"],
                   seed=spec["seed"], **extra)
     if runner == "queens":
@@ -133,37 +149,54 @@ def _fingerprint(answer, result) -> dict:
 
 
 def _load_fixtures() -> dict:
-    with open(FIXTURE_PATH, encoding="utf-8") as fh:
-        return json.load(fh)
+    fixtures = {}
+    for path, _cases in FIXTURE_FILES:
+        with open(path, encoding="utf-8") as fh:
+            fixtures.update(json.load(fh))
+    return fixtures
 
 
-@pytest.mark.parametrize("backend", ["heap", "batch"])
-@pytest.mark.parametrize("case_id,runner,spec",
-                         CASES, ids=[c[0] for c in CASES])
-def test_golden_trace(case_id, runner, spec, backend):
-    # Both engine backends are pinned against the SAME fixtures: the batch
-    # backend's cohort draining must reproduce the heap's (time, seq) order
-    # bit for bit, so there is exactly one golden truth per case.
+@pytest.mark.parametrize("case_id,runner,spec", ALL_CASES,
+                         ids=[c[0] for c in ALL_CASES])
+def test_golden_trace(case_id, runner, spec):
     fixtures = _load_fixtures()
     assert case_id in fixtures, (
         f"no golden fixture for {case_id}; regenerate with "
         f"PYTHONPATH=src python tests/test_golden_trace.py --regen"
     )
-    answer, result = _run_case(runner, spec, backend)
+    answer, result = _run_case(runner, spec)
     assert _fingerprint(answer, result) == fixtures[case_id]
 
 
+def test_burst_flush_matches_scalar_flush():
+    """The burst outbox flush equals the per-envelope scalar flush.
+
+    Tracing needs per-envelope control and so forces the scalar flush;
+    untraced runs of these fanout-heavy shapes (outboxes well past the
+    burst threshold) take the burst flush.  Tracing is non-perturbing, so
+    the full fingerprints must match.
+    """
+    for runner, machine in (("histogram", "ideal"), ("tree", "ncube2")):
+        spec = dict(machine=machine, pes=16, balancer="random",
+                    queueing="fifo", seed=2)
+        burst = _fingerprint(*_run_case(runner, spec))
+        scalar = _fingerprint(*_run_case(runner, spec, trace_events="all"))
+        assert burst == scalar
+
+
 def regenerate() -> None:
-    os.makedirs(os.path.dirname(FIXTURE_PATH), exist_ok=True)
-    fixtures = {}
-    for case_id, runner, spec in CASES:
-        answer, result = _run_case(runner, spec)
-        fixtures[case_id] = _fingerprint(answer, result)
-        print(f"  {case_id}: time={result.time:.6f}s events={result.events}")
-    with open(FIXTURE_PATH, "w", encoding="utf-8") as fh:
-        json.dump(fixtures, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {len(fixtures)} fixtures to {FIXTURE_PATH}")
+    os.makedirs(FIXTURE_DIR, exist_ok=True)
+    for path, cases in FIXTURE_FILES:
+        fixtures = {}
+        for case_id, runner, spec in cases:
+            answer, result = _run_case(runner, spec)
+            fixtures[case_id] = _fingerprint(answer, result)
+            print(f"  {case_id}: time={result.time:.6f}s "
+                  f"events={result.events}")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(fixtures, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {len(fixtures)} fixtures to {path}")
 
 
 if __name__ == "__main__":

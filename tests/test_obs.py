@@ -6,10 +6,8 @@ Four contracts, in the order the module docstring states them:
    nearest-rank quantiles (within one bucket of the exact trace-walked
    percentile), record round-trips, registry semantics.
 2. **Invisible when on** — a telemetry-on run reproduces the telemetry-off
-   run's answer, virtual time, and event count bit for bit, on both
-   backends, including against the golden-trace fixtures; and the turn
-   loop stays armed: turn-mode and scalar-mode runs yield equal final
-   metrics.
+   run's answer, virtual time, and event count bit for bit, including
+   against the golden-trace fixtures.
 3. **Online serving latency** — the in-app histogram's p50/p95/p99 land in
    (or adjacent to) the bucket of the exact trace-walked percentile, and
    the digest survives with tracing disabled entirely.
@@ -43,8 +41,6 @@ from repro.obs import (
     to_prometheus,
 )
 from repro.util.errors import ConfigurationError
-
-BACKENDS = ["heap", "batch"]
 
 
 class _NoopMain(Chare):
@@ -185,29 +181,27 @@ class TestRegistry:
 
 
 # ===================================================== invisible-when-on
-def _fib_fingerprint(backend, telemetry=None, **kwargs):
+def _fib_fingerprint(telemetry=None, **kwargs):
     from repro.apps.fib import run_fib
 
-    answer, result = run_fib(make_machine("ipsc2", 8, backend=backend),
+    answer, result = run_fib(make_machine("ipsc2", 8),
                              n=12, threshold=6, balancer="random", seed=2,
                              telemetry=telemetry, **kwargs)
     return answer, float(result.time).hex(), result.events
 
 
 class TestNonPerturbation:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_identical_run_with_telemetry(self, backend):
-        base = _fib_fingerprint(backend)
+    def test_identical_run_with_telemetry(self):
+        base = _fib_fingerprint()
         tel = Telemetry(TelemetryConfig(interval=1e-3))
-        assert _fib_fingerprint(backend, telemetry=tel) == base
+        assert _fib_fingerprint(telemetry=tel) == base
         assert tel.snapshots, "periodic snapshots never flushed"
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("case_id", [
         "queens-ipsc2-central-fifo", "fib-ideal-random-fifo",
         "tree-ncube2-acwn-fifo",
     ])
-    def test_golden_fixture_identity_with_telemetry(self, case_id, backend):
+    def test_golden_fixture_identity_with_telemetry(self, case_id):
         # Telemetry-on runs must reproduce the golden fixtures captured
         # with no telemetry plane at all — the strongest inertness claim.
         from tests.test_golden_trace import (
@@ -219,28 +213,10 @@ class TestNonPerturbation:
 
         runner, spec = next((r, s) for cid, r, s in CASES if cid == case_id)
         answer, result = _run_case(
-            runner, spec, backend,
+            runner, spec,
             telemetry=Telemetry(TelemetryConfig(interval=1e-4)),
         )
         assert _fingerprint(answer, result) == _load_fixtures()[case_id]
-
-    def test_turn_vs_scalar_equal_metrics(self):
-        # The turn loop stays armed under telemetry; its elided executions
-        # still hit the hook, so final counters/histograms/snapshots match
-        # the scalar path exactly (only host wall time may differ).
-        def run(turn_loop):
-            from repro.apps.fib import run_fib
-
-            tel = Telemetry()
-            run_fib(make_machine("ideal", 1), n=12, threshold=6, seed=2,
-                    telemetry=tel, turn_loop=turn_loop)
-            payload = tel.payload()
-            for snap in payload["snapshots"]:
-                snap.pop("wall")
-            payload["meta"].pop("backend", None)
-            return payload
-
-        assert run(None) == run(False)
 
     def test_exec_counters_match_snapshot_totals(self):
         from repro.apps.fib import run_fib
@@ -288,21 +264,20 @@ class TestNonPerturbation:
 
 
 # ======================================================== serving online
-def _serve(pes=16, count=200, backend="heap", **kwargs):
+def _serve(pes=16, count=200, **kwargs):
     from repro.apps.serving import run_serving
     from repro.workloads.arrivals import Poisson
 
     return run_serving(
-        make_machine("ipsc2", pes, backend=backend),
+        make_machine("ipsc2", pes),
         arrivals=Poisson(rate=2000.0, count=count), hops=2, seed=3,
         balancer="central", **kwargs)
 
 
 class TestServingOnline:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_head_to_head_within_one_bucket(self, backend):
+    def test_head_to_head_within_one_bucket(self):
         tel = Telemetry()
-        summary, result = _serve(backend=backend, telemetry=tel)
+        summary, result = _serve(telemetry=tel)
         online = summary["online"]
         assert online["count"] == summary["completed"]
         h = tel.registry.get("serving_latency_seconds", kind="done")
@@ -437,7 +412,7 @@ class TestRunHealth:
 class TestBenchTelemetry:
     def test_describe_default_has_no_metrics_param(self):
         # Historical "run-v1" cache keys must not move when telemetry is
-        # off — the same guarantee the backend/tracing knobs give.
+        # off — the same guarantee the tracing knob gives.
         from repro.bench.harness import describe
 
         desc = describe("fib", "ipsc2", 8)
@@ -509,8 +484,7 @@ class TestBenchTelemetry:
         )
 
         assert "kernel_telemetry_msgs_per_s" in GUARDED_METRICS
-        assert "kernel_batch_telemetry_msgs_per_s" in GUARDED_METRICS
-        assert _best_rate(_kernel_telemetry_messages(), repeats=1) > 0
+        assert _best_rate(_kernel_telemetry_messages, repeats=1) > 0
 
     def test_profile_out_writes_pstats_dump(self, tmp_path, capsys):
         import pstats

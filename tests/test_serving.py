@@ -2,8 +2,8 @@
 
 Covers the latency-percentile aggregation satellite: exact nearest-rank
 percentiles on hand-computed samples, synthetic causal chains, empty and
-one-request runs, and byte-identical S1 tables across ``--jobs`` sharding,
-engine backends, and cache replay.
+one-request runs, and byte-identical S1 tables across ``--jobs`` sharding
+and cache replay.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import pytest
 from repro.apps.serving import run_serving
 from repro.bench.experiments import run_experiment
 from repro.bench.parallel import SweepExecutor, use_executor
-from repro.bench.harness import use_backend
 from repro.machine.presets import make_machine
 from repro.metrics.latency import latency_summary, percentile, request_latencies
 from repro.util.errors import ConfigurationError
@@ -232,16 +231,6 @@ def test_every_balancer_serves_the_stream(balancer):
     assert ans["completed"] == 80
 
 
-def test_backends_bit_identical_summary():
-    kwargs = dict(arrivals=Poisson(rate=4000.0, count=150),
-                  service=ServiceSpec("exp", 400.0), seed=6)
-    heap_ans, heap_res = run_serving(make_machine("ncube2", 8), **kwargs)
-    batch_ans, batch_res = run_serving(make_machine("ncube2", 8),
-                                       backend="batch", **kwargs)
-    assert heap_ans == batch_ans
-    assert float(heap_res.time).hex() == float(batch_res.time).hex()
-
-
 # --------------------------------------------------- S1 table byte-identity
 def _s1(**executor_kwargs):
     with SweepExecutor(**executor_kwargs) as ex, use_executor(ex):
@@ -256,13 +245,6 @@ def test_s1_jobs4_byte_identical_to_serial():
     serial = _s1(jobs=1)
     parallel = _s1(jobs=4)
     assert _payload(parallel) == _payload(serial)
-
-
-def test_s1_batch_backend_byte_identical_to_heap():
-    heap = _s1(jobs=1)
-    with use_backend("batch"):
-        batch = _s1(jobs=1)
-    assert _payload(batch) == _payload(heap)
 
 
 def test_s1_cache_replay_byte_identical(tmp_path):
