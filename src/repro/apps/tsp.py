@@ -18,14 +18,15 @@ Structure:
 
 The lower bound is the classic cheap one: cost so far + for every
 unvisited city (and the current city) half the sum of its two cheapest
-edges to other still-relevant cities, rounded down — admissible and
-O(n²) per node; the same bound is used by the sequential reference so node
-counts are comparable.
+edges to other still-relevant cities, rounded down — admissible, and a
+few probes per city into neighbour rows the instance sorts once; the same
+bound is used by the sequential reference so node counts are comparable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -33,6 +34,7 @@ import numpy as np
 from repro.core.chare import Chare, entry
 from repro.core.kernel import Kernel, RunResult
 from repro.machine.network import Machine
+from repro.util.errors import ConfigurationError
 from repro.util.rng import RngStream
 
 __all__ = ["TspInstance", "tsp_seq", "TspMain", "run_tsp", "NODE_WORK_PER_CITY"]
@@ -47,9 +49,44 @@ class TspInstance:
 
     dist: tuple  # tuple of tuples (hashable, message-friendly)
 
+    def __post_init__(self) -> None:
+        dist = self.dist
+        n = len(dist)
+        if n < 1 or any(len(row) != n for row in dist):
+            raise ConfigurationError(
+                "TspInstance.dist must be a non-empty square matrix (n >= 1)"
+            )
+        for i, row in enumerate(dist):
+            if row[i] != 0:
+                raise ConfigurationError(
+                    f"TspInstance.dist must have a zero diagonal, "
+                    f"got dist[{i}][{i}] = {row[i]}"
+                )
+            for j in range(i):
+                if row[j] < 0 or row[j] != dist[j][i]:
+                    raise ConfigurationError(
+                        f"TspInstance.dist must be symmetric and non-negative, "
+                        f"got dist[{i}][{j}] = {row[j]}, "
+                        f"dist[{j}][{i}] = {dist[j][i]}"
+                    )
+
     @property
     def n(self) -> int:
         return len(self.dist)
+
+    @cached_property
+    def neighbour_rows(self) -> tuple:
+        """Per city, its ``(distance, other)`` pairs in ascending order.
+
+        Sorted once per instance so neither the bound nor the depth-first
+        child ordering sorts per node.  Not a dataclass field: equality,
+        hashing and the wire size see ``dist`` only.
+        """
+        n = self.n
+        return tuple(
+            tuple(sorted((row[other], other) for other in range(n) if other != city))
+            for city, row in enumerate(self.dist)
+        )
 
     def __wire_size__(self) -> int:
         # Dense int32 distance matrix on the wire (init broadcast cost).
@@ -57,6 +94,8 @@ class TspInstance:
 
     @classmethod
     def random(cls, n: int, seed: int = 0, lo: int = 10, hi: int = 100) -> "TspInstance":
+        if n < 1:
+            raise ConfigurationError(f"TspInstance.random: n must be >= 1, got {n}")
         rng = RngStream(seed, "tsp", n)
         m = rng.generator.integers(lo, hi, size=(n, n))
         m = np.triu(m, 1)
@@ -64,51 +103,43 @@ class TspInstance:
         return cls(tuple(tuple(int(x) for x in row) for row in m))
 
 
-def _lower_bound(inst: TspInstance, path: Tuple[int, ...], cost: int) -> int:
-    """Admissible bound: path cost + half-sum of two cheapest useful edges."""
-    n = inst.n
-    visited = set(path)
-    frontier = {path[-1], path[0]}
+def _lower_bound(
+    inst: TspInstance, interior: int, first: int, last: int, cost: int
+) -> int:
+    """Admissible bound: path cost + half-sum of two cheapest useful edges.
+
+    ``interior`` is the bitmask of visited cities other than the two path
+    ends; an edge is useful when neither end is interior.  A path end adds
+    its cheapest useful edge, any other live city its cheapest two, read
+    off the presorted neighbour rows.
+    """
     est = 2 * cost
-    for city in range(n):
-        if city in visited and city not in frontier:
+    for city, row in enumerate(inst.neighbour_rows):
+        if interior >> city & 1:
             continue
-        edges = sorted(
-            inst.dist[city][other]
-            for other in range(n)
-            if other != city and (other not in visited or other in frontier)
-        )
-        if city in frontier:
-            est += edges[0] if edges else 0
-        else:
-            est += sum(edges[:2])
+        need = 1 if city == first or city == last else 2
+        for d, other in row:
+            if not interior >> other & 1:
+                est += d
+                need -= 1
+                if not need:
+                    break
     return est // 2
+
+
+def _visited_mask(path: Tuple[int, ...]) -> int:
+    """Bitmask with bit ``c`` set for every city ``c`` on ``path``."""
+    visited = 0
+    for city in path:
+        visited |= 1 << city
+    return visited
 
 
 def tsp_seq(inst: TspInstance) -> Tuple[int, int]:
     """Best tour cost and nodes expanded (sequential depth-first B&B)."""
-    n = inst.n
-    best = [_greedy_tour(inst)]
-    nodes = [0]
-
-    def dfs(path: Tuple[int, ...], cost: int) -> None:
-        nodes[0] += 1
-        if len(path) == n:
-            total = cost + inst.dist[path[-1]][path[0]]
-            if total < best[0]:
-                best[0] = total
-            return
-        if _lower_bound(inst, path, cost) >= best[0]:
-            return
-        last = path[-1]
-        children = sorted(
-            (inst.dist[last][city], city) for city in range(n) if city not in path
-        )
-        for d, city in children:
-            dfs(path + (city,), cost + d)
-
-    dfs((0,), 0)
-    return best[0], nodes[0]
+    greedy = _greedy_tour(inst)
+    best, nodes = _solve_subtree(inst, (0,), 0, greedy)
+    return (greedy if best is None else best), nodes
 
 
 def _solve_subtree(
@@ -119,30 +150,33 @@ def _solve_subtree(
     Returns ``(best_or_None, nodes_visited)``; ``None`` means nothing in
     this subtree beat the incumbent.
     """
-    n = inst.n
-    best = [incumbent]
-    found = [False]
-    nodes = [0]
+    rows = inst.neighbour_rows
+    first = path[0]
+    first_bit = 1 << first
+    home = inst.dist[first]
+    best = incumbent
+    found = False
+    nodes = 0
 
-    def dfs(p: Tuple[int, ...], c: int) -> None:
-        nodes[0] += 1
-        if len(p) == n:
-            total = c + inst.dist[p[-1]][p[0]]
-            if total < best[0]:
-                best[0] = total
-                found[0] = True
+    def dfs(visited: int, last: int, c: int, remaining: int) -> None:
+        nonlocal best, found, nodes
+        nodes += 1
+        if not remaining:
+            total = c + home[last]
+            if total < best:
+                best = total
+                found = True
             return
-        if _lower_bound(inst, p, c) >= best[0]:
+        interior = visited & ~(first_bit | 1 << last)
+        if _lower_bound(inst, interior, first, last, c) >= best:
             return
-        last = p[-1]
-        children = sorted(
-            (inst.dist[last][city], city) for city in range(n) if city not in p
-        )
-        for d, city in children:
-            dfs(p + (city,), c + d)
+        # The row is presorted by (distance, city): nearest child first.
+        for d, city in rows[last]:
+            if not visited >> city & 1:
+                dfs(visited | 1 << city, city, c + d, remaining - 1)
 
-    dfs(path, cost)
-    return (best[0] if found[0] else None), nodes[0]
+    dfs(_visited_mask(path), path[-1], cost, inst.n - len(path))
+    return (best if found else None), nodes
 
 
 def _greedy_tour(inst: TspInstance) -> int:
@@ -169,36 +203,40 @@ class TspNode(Chare):
         remaining = n - len(path)
         self.charge(NODE_WORK_PER_CITY * max(1, remaining + 1))
         self.accumulate("nodes", 1)
+        first, last = path[0], path[-1]
         if len(path) == n:
-            total = cost + inst.dist[path[-1]][path[0]]
+            total = cost + inst.dist[last][first]
             self.update_monotonic("bound", total)
             self.accumulate("best", total)
             return
-        bound = _lower_bound(inst, path, cost)
-        if bound >= self.read_monotonic("bound"):
+        # One read per node: an entry execution is atomic, so this PE's
+        # view of the bound cannot change before the constructor returns.
+        incumbent = self.read_monotonic("bound")
+        visited = _visited_mask(path)
+        interior = visited & ~(1 << first | 1 << last)
+        if _lower_bound(inst, interior, first, last, cost) >= incumbent:
             return
         if remaining <= grain:
             # Sequential tail: solve this subtree inside one chare.
-            best, nodes = _solve_subtree(
-                inst, path, cost, self.read_monotonic("bound")
-            )
+            best, nodes = _solve_subtree(inst, path, cost, incumbent)
             self.charge(NODE_WORK_PER_CITY * (remaining + 1) * nodes)
             self.accumulate("nodes", nodes)
             if best is not None:
                 self.update_monotonic("bound", best)
                 self.accumulate("best", best)
             return
-        last = path[-1]
+        # Every child shares one interior mask: this path minus its start.
+        interior = visited & ~(1 << first)
+        row = inst.dist[last]
         for city in range(n):
-            if city in path:
+            if visited >> city & 1:
                 continue
-            child_cost = cost + inst.dist[last][city]
-            child = path + (city,)
-            child_bound = _lower_bound(inst, child, child_cost)
-            if child_bound >= self.read_monotonic("bound"):
+            child_cost = cost + row[city]
+            child_bound = _lower_bound(inst, interior, first, city, child_cost)
+            if child_bound >= incumbent:
                 self.accumulate("pruned", 1)
                 continue
-            self.create(TspNode, child, child_cost, priority=child_bound)
+            self.create(TspNode, path + (city,), child_cost, priority=child_bound)
 
 
 class TspMain(Chare):
@@ -247,8 +285,15 @@ def run_tsp(
 
     Returns ``((best_cost, nodes_expanded, children_pruned), RunResult)``.
     ``grain`` is the sequential-tail depth: subtrees with at most that many
-    unvisited cities are solved inside one chare.
+    unvisited cities are solved inside one chare.  ``bound_slack`` scales
+    the greedy starting incumbent and must be >= 1: the exact-answer
+    accumulator is seeded with it, so anything below the optimum would be
+    reported as the answer.
     """
+    if not bound_slack >= 1:
+        raise ConfigurationError(f"bound_slack must be >= 1, got {bound_slack}")
+    if grain < 0:
+        raise ConfigurationError(f"grain must be >= 0, got {grain}")
     if inst is None:
         inst = TspInstance.random(n, instance_seed)
     kernel = Kernel(machine, queueing=queueing, balancer=balancer, seed=seed,

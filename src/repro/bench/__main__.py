@@ -1,4 +1,4 @@
-"""CLI: ``python -m repro.bench --exp t2 [--scale quick] [--jobs N]``.
+"""CLI: ``python -m repro.bench --exp t2[,t6,...] [--scale quick] [--jobs N]``.
 
 Regenerates the paper's tables/figures through the parallel sweep
 executor: independent runs are sharded across ``--jobs`` warm worker
@@ -28,7 +28,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--exp",
         default="all",
-        help=f"experiment id or 'all'; options: {', '.join(sorted(EXPERIMENTS))}",
+        help="experiment id, comma-separated ids (run in the order given) or "
+        f"'all'; options: {', '.join(sorted(EXPERIMENTS))}",
     )
     parser.add_argument(
         "--scale",
@@ -104,7 +105,15 @@ def main(argv=None) -> int:
         "snapshot only); implies telemetry even without --metrics-out",
     )
     args = parser.parse_args(argv)
-    ids = sorted(EXPERIMENTS) if args.exp == "all" else [args.exp]
+    if args.exp == "all":
+        ids = sorted(EXPERIMENTS)
+    else:
+        ids = list(dict.fromkeys(part.strip().lower()
+                                 for part in args.exp.split(",")))
+        for exp_id in ids:
+            if exp_id not in EXPERIMENTS:
+                parser.error(f"unknown experiment {exp_id!r}; options: "
+                             f"{', '.join(sorted(EXPERIMENTS))}")
     jobs = args.jobs if args.jobs is not None else default_jobs()
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     progress = None if args.no_progress else _progress_printer()

@@ -43,7 +43,8 @@ DEFAULT_PATH = "BENCH_sim_throughput.json"
 
 #: Metrics the --check guard enforces (others are informational).  The pool
 #: and search metrics guard the prioritized-execution hot path (packed keys,
-#: send-time normalization, lane-split pools).
+#: send-time normalization, lane-split pools); ``search_tsp_prio_nodes_per_s``
+#: also guards the TSP app body (the row/mask bound).
 #: ``engine_events_per_s_p100k`` guards the sparse-PE plane: a full
 #: kernel run on a 100,000-PE machine, impossible before per-PE state
 #: became O(active) — any O(P) term creeping back into startup, delivery
@@ -59,6 +60,7 @@ DEFAULT_PATH = "BENCH_sim_throughput.json"
 GUARDED_METRICS = ("engine_events_per_s", "kernel_msgs_per_s",
                    "kernel_seeds_per_s", "pool_prio_ops_per_s",
                    "pool_bitprio_ops_per_s", "search_bitprio_nodes_per_s",
+                   "search_tsp_prio_nodes_per_s",
                    "engine_events_per_s_p100k", "serving_requests_per_s",
                    "kernel_telemetry_msgs_per_s")
 

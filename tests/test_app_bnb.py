@@ -1,10 +1,49 @@
 """TSP and knapsack branch-and-bound application tests."""
 
+import itertools
+import pickle
+
 import pytest
 
 from repro import make_machine
 from repro.apps.knapsack import KnapsackInstance, knapsack_seq, run_knapsack
-from repro.apps.tsp import TspInstance, _greedy_tour, _lower_bound, tsp_seq, run_tsp
+from repro.apps.tsp import (
+    TspInstance,
+    _greedy_tour,
+    _lower_bound,
+    _visited_mask,
+    tsp_seq,
+    run_tsp,
+)
+from repro.util.errors import ConfigurationError
+from repro.util.rng import RngStream
+
+
+def _oracle_bound(inst, path, cost):
+    """The O(n^2 log n) bound the row/mask version replaced, kept verbatim."""
+    n = inst.n
+    visited = set(path)
+    frontier = {path[-1], path[0]}
+    est = 2 * cost
+    for city in range(n):
+        if city in visited and city not in frontier:
+            continue
+        edges = sorted(
+            inst.dist[city][other]
+            for other in range(n)
+            if other != city and (other not in visited or other in frontier)
+        )
+        if city in frontier:
+            est += edges[0] if edges else 0
+        else:
+            est += sum(edges[:2])
+    return est // 2
+
+
+def _bound(inst, path, cost):
+    first, last = path[0], path[-1]
+    interior = _visited_mask(path) & ~(1 << first | 1 << last)
+    return _lower_bound(inst, interior, first, last, cost)
 
 
 # ------------------------------------------------------------------ instances
@@ -21,8 +60,97 @@ def test_tsp_instance_symmetric_and_deterministic():
 def test_tsp_lower_bound_admissible():
     inst = TspInstance.random(7, seed=2)
     best, _ = tsp_seq(inst)
-    assert _lower_bound(inst, (0,), 0) <= best
+    assert _bound(inst, (0,), 0) <= best
     assert _greedy_tour(inst) >= best
+
+
+def test_tsp_bound_equals_sorting_oracle():
+    draws = 0
+    for n in (1, 2, 3, 4, 5, 8, 10, 12):
+        rng = RngStream(11, "bound-oracle", n).generator
+        for _ in range(30):
+            inst = TspInstance.random(n, int(rng.integers(1 << 30)))
+            cities = list(range(n))
+            for _ in range(100):
+                rng.shuffle(cities)
+                # Any start city; lengths 1 (first == last) .. n - 1.
+                path = tuple(cities[: int(rng.integers(1, max(2, n)))])
+                cost = int(rng.integers(0, 500))
+                assert _bound(inst, path, cost) == _oracle_bound(inst, path, cost)
+                draws += 1
+            for path in ((0,), tuple(cities[: max(1, n - 1)])):
+                assert _bound(inst, path, 7) == _oracle_bound(inst, path, 7)
+    assert draws >= 20_000
+    assert _bound(TspInstance(((0,),)), (0,), 5) == 5  # n = 1: empty row
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_tsp_bound_admissible_against_brute_force(n):
+    rng = RngStream(12, "bound-brute", n).generator
+    for seed in range(3):
+        inst = TspInstance.random(n, seed)
+        for _ in range(20):
+            k = int(rng.integers(1, n))
+            path = tuple(int(c) for c in rng.permutation(n)[:k])
+            cost = sum(inst.dist[a][b] for a, b in zip(path, path[1:]))
+            rest = [c for c in range(n) if c not in path]
+            best = min(
+                sum(inst.dist[a][b] for a, b in zip(tour, tour[1:] + tour[:1]))
+                for tour in (path + perm for perm in itertools.permutations(rest))
+            )
+            assert _bound(inst, path, cost) <= best
+
+
+def test_tsp_neighbour_rows_do_not_leak_into_identity():
+    inst = TspInstance.random(9, seed=3)
+    twin = TspInstance.random(9, seed=3)
+    paths = [(0,), (0, 4), (2, 7, 1), (0, 1, 2, 3, 4, 5, 6, 7)]
+    bounds = [_bound(inst, p, 10) for p in paths]  # fills inst's rows only
+    assert "neighbour_rows" in vars(inst) and "neighbour_rows" not in vars(twin)
+    assert inst == twin and hash(inst) == hash(twin)
+    assert inst.__wire_size__() == twin.__wire_size__() == 4 * 9 * 9
+    copy = pickle.loads(pickle.dumps(inst))
+    assert copy == inst
+    assert [_bound(twin, p, 10) for p in paths] == bounds
+    assert [_bound(copy, p, 10) for p in paths] == bounds
+
+
+def test_tsp_seq_node_counts_pinned():
+    """Search order is part of the contract: the one DFS must not drift."""
+    assert tsp_seq(TspInstance.random(10, 0)) == (223, 382)
+    assert tsp_seq(TspInstance.random(8, 0)) == (299, 209)
+    assert tsp_seq(TspInstance(((0,),))) == (0, 1)
+
+
+# ----------------------------------------------------------------- validation
+def test_tsp_rejects_bound_slack_below_one():
+    # 0.5 would seed the exact-answer accumulator below every tour: the run
+    # reports 150 on this instance, whose optimum is 299.
+    with pytest.raises(ConfigurationError, match="bound_slack"):
+        run_tsp(make_machine("ideal", 1), TspInstance.random(8, 0), bound_slack=0.5)
+
+
+def test_tsp_rejects_negative_grain():
+    with pytest.raises(ConfigurationError, match="grain"):
+        run_tsp(make_machine("ideal", 1), n=6, grain=-1)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_tsp_rejects_empty_instance(n):
+    with pytest.raises(ConfigurationError, match="n must be >= 1"):
+        run_tsp(make_machine("ideal", 1), n=n)
+
+
+@pytest.mark.parametrize("dist", [
+    (),                                  # empty
+    ((0, 1, 2), (5, 0, 3)),              # not square
+    ((0, 1), (2, 0)),                    # asymmetric
+    ((1, 2), (2, 0)),                    # non-zero diagonal
+    ((0, -4), (-4, 0)),                  # negative entry
+])
+def test_tsp_rejects_malformed_dist(dist):
+    with pytest.raises(ConfigurationError, match="dist"):
+        TspInstance(dist)
 
 
 def test_knapsack_instance_sorted_by_density():

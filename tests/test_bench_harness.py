@@ -85,10 +85,24 @@ def test_bench_cli_single_experiment(capsys):
 
 def test_bench_cli_rejects_unknown(capsys):
     from repro.bench.__main__ import main
-    from repro.util.errors import ConfigurationError
 
-    with pytest.raises(ConfigurationError):
-        main(["--exp", "t99"])
+    for exp in ("t99", "t9,nope"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--exp", exp])
+        assert exit_info.value.code == 2  # argparse usage error, no traceback
+        err = capsys.readouterr().err
+        assert "unknown experiment" in err and "options:" in err and "t9" in err
+
+
+def test_bench_cli_comma_separated_list(capsys):
+    from repro.bench.__main__ import main
+
+    assert main(["--exp", "t9,A5,t9", "--scale", "quick", "--jobs", "1",
+                 "--no-cache", "--no-progress"]) == 0
+    out = capsys.readouterr().out
+    # Order given, case-insensitive, duplicates run once.
+    assert out.count("== T9:") == 1 and out.count("== A5:") == 1
+    assert out.index("== T9:") < out.index("== A5:")
 
 
 def test_apps_cli_runs_app(capsys):
