@@ -43,6 +43,7 @@ from repro.core.chare import Chare, entry
 from repro.core.kernel import Kernel, RunResult
 from repro.machine.network import Machine
 from repro.metrics.latency import latency_summary
+from repro.util.errors import ConfigurationError
 from repro.workloads.arrivals import (
     ArrivalSpec,
     Poisson,
@@ -158,7 +159,9 @@ def run_serving(
     event log.  All values are plain scalars, so the answer is picklable
     and cache-stable.  If the caller overrides ``trace_events`` with kinds
     the analyzer cannot use, the latency fields degrade to ``None`` while
-    the counts (tracked in-app) stay exact.
+    the counts (tracked in-app) stay exact.  A bounded log that overflowed
+    (``dropped > 0``) raises :class:`ConfigurationError` instead of
+    digesting the prefix of requests it kept.
     """
     times = arrival_times(arrivals, seed)
     demands = service_demands(service, len(times), hops, seed)
@@ -170,8 +173,17 @@ def run_serving(
     result = kernel.run(ServingMain, tuple(times), tuple(demands), shed_above)
     n_done, n_shed = result.result
     log = kernel.events
-    digest = latency_summary(log.as_records()) if log is not None else \
-        latency_summary(())
+    if log is not None and log.dropped:
+        # A full log keeps a prefix of the stream: percentiles over it
+        # would read as complete while describing the early requests only.
+        raise ConfigurationError(
+            f"the event log overflowed max_events={log.max_events} "
+            f"({log.dropped} events dropped), so trace-derived latencies "
+            "would cover only a prefix of the requests; raise max_events, "
+            "or pass trace_events=None with telemetry= and read "
+            "summary['online'] (the S6 lens)"
+        )
+    digest = latency_summary(log if log is not None else ())
     if default_trace and (digest["completed"], digest["shed"]) != (n_done, n_shed):
         raise AssertionError(
             "latency analyzer disagrees with the collector: "

@@ -25,7 +25,7 @@ process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
 from repro.core.handles import BocHandle, ChareHandle
@@ -89,10 +89,11 @@ class Envelope:
     # Envelopes are the most-allocated object in the simulator, and the
     # generated dataclass __init__ (17 parameters, kwargs at every call
     # site) costs ~3x a bare allocation plus direct slot stores.  The
-    # kind-specialized factories below are used on the kernel's hot send
-    # paths; cold paths (forwarding, BOC plumbing) keep the dataclass
-    # constructor.  Every slot is assigned — slots=True means a missed
-    # field is an AttributeError, not a silent default.
+    # kind-specialized factories below and ``forwarded`` (balancers that
+    # override ``on_seed_arrival`` forward a fifth of a serving run's
+    # messages) are the kernel's hot send paths; cold paths (BOC plumbing)
+    # keep the dataclass constructor.  Every slot is assigned — slots=True
+    # means a missed field is an AttributeError, not a silent default.
     @classmethod
     def make_app(cls, src_pe, dst_pe, entry, args, handle,
                  priority=None, prio_key=None) -> "Envelope":
@@ -184,15 +185,27 @@ class Envelope:
         The copy's ``uid`` resets to None: the kernel stamps each delivery
         leg with a fresh uid from its own sequence.
         """
-        return replace(
-            self,
-            src_pe=self.dst_pe,
-            dst_pe=new_dst,
-            hops=self.hops + 1,
-            suppress_sent_count=True,
-            uid=None,
-            _size=self._size,
-        )
+        env = Envelope.__new__(Envelope)
+        env.kind = self.kind
+        env.src_pe = self.dst_pe
+        env.dst_pe = new_dst
+        env.entry = self.entry
+        env.args = self.args
+        env.handle = self.handle
+        env.chare_cls = self.chare_cls
+        env.hops = self.hops + 1
+        env.boc = self.boc
+        env.service = self.service
+        env.priority = self.priority
+        env.prio_key = self.prio_key
+        env.system = self.system
+        env.counted = self.counted
+        env.fixed = self.fixed
+        env.suppress_sent_count = True
+        env.carried_load = self.carried_load
+        env.uid = None
+        env._size = self._size
+        return env
 
     def kind_name(self) -> str:
         return Kind.NAMES.get(self.kind, "?")

@@ -33,15 +33,16 @@ match exactly, with no interpolation ambiguity.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.trace.events import Event, EventLog, event_rows
 from repro.util.errors import ConfigurationError
 
 __all__ = ["percentile", "request_latencies", "latency_summary"]
 
-
-def _as_dict(record: Any) -> Dict[str, Any]:
-    return record if isinstance(record, dict) else record.as_dict()
+# Row positions the walk reads (rows are tuples in Event field order).
+_EID, _KIND, _T, _PARENT, _NAME, _DUR = (
+    Event._fields.index(f) for f in ("eid", "kind", "t", "parent", "name", "dur"))
 
 
 # ================================================================ percentiles
@@ -62,11 +63,11 @@ def percentile(values: Sequence[float], q: float) -> float:
 
 # ========================================================= chain reconstruction
 def _walk_to_origin(
-    deliver: Dict[str, Any], by_eid: Dict[int, Dict[str, Any]]
-) -> Tuple[Optional[Dict[str, Any]], Optional[float]]:
+    deliver: tuple, by_eid: Dict[int, tuple]
+) -> Tuple[Optional[tuple], Optional[float]]:
     """Walk a delivery's parent chain to the execution that originated it.
 
-    Returns ``(origin exec_begin or None, original send timestamp)``.
+    Returns ``(origin exec_begin row or None, original send timestamp)``.
     Crosses balancer forwarding legs (``send -> lb -> deliver -> send ...``)
     and fault retransmissions, keeping the *earliest* send seen — that is
     the injection point.  A parent cycle (impossible in a kernel-produced
@@ -75,23 +76,23 @@ def _walk_to_origin(
     """
     origin_send_t: Optional[float] = None
     cur = deliver
-    seen = {cur["eid"]}
+    seen = {cur[_EID]}
     while True:
-        parent_eid = cur.get("parent")
+        parent_eid = cur[_PARENT]
         parent = by_eid.get(parent_eid) if parent_eid is not None else None
-        if parent is None or parent["eid"] in seen:
+        if parent is None or parent[_EID] in seen:
             return None, origin_send_t
-        seen.add(parent["eid"])
-        kind = parent["kind"]
+        seen.add(parent[_EID])
+        kind = parent[_KIND]
         if kind == "exec_begin":
             return parent, origin_send_t
         if kind == "send":
-            origin_send_t = parent["t"]
+            origin_send_t = parent[_T]
         cur = parent
 
 
 def request_latencies(
-    records: Sequence[Any],
+    records: Union[EventLog, Iterable[Any]],
     *,
     request_name: str = "Request",
     done_entry: str = "done",
@@ -99,64 +100,72 @@ def request_latencies(
 ) -> List[Dict[str, Any]]:
     """Reconstruct one record per finished request from the event log.
 
-    Each record has ``kind`` ("done" for served, "shed" for requests the
-    admission controller turned away), ``inject_t``, ``complete_t``,
+    ``records`` is an :class:`~repro.trace.events.EventLog` (its rows are
+    read in place) or a sequence of event dicts / :class:`Event` views.
+    Each output record has ``kind`` ("done" for served, "shed" for requests
+    the admission controller turned away), ``inject_t``, ``complete_t``,
     ``latency``, ``queue_wait``, ``service`` and ``stages``.  Output is
     sorted by injection time, so it is deterministic for a deterministic
     run regardless of log interleaving.
     """
-    events = [_as_dict(r) for r in records]
-    by_eid = {e["eid"]: e for e in events}
-    end_of: Dict[int, Dict[str, Any]] = {}
-    for e in events:
-        if e["kind"] == "exec_end" and e.get("parent") is not None:
-            end_of[e["parent"]] = e
+    # One pass: the eid index, each execution's exec_end, and the
+    # completion sends the walks start from.
+    by_eid: Dict[int, tuple] = {}
+    end_of: Dict[int, tuple] = {}
+    finals: List[tuple] = []
+    final_names = (done_entry, shed_entry)
+    for row in event_rows(records):
+        by_eid[row[_EID]] = row
+        kind = row[_KIND]
+        if kind == "exec_end":
+            if row[_PARENT] is not None:
+                end_of[row[_PARENT]] = row
+        elif kind == "send" and row[_NAME] in final_names:
+            finals.append(row)
 
     out: List[Dict[str, Any]] = []
-    for e in events:
-        if e["kind"] != "send" or e.get("name") not in (done_entry, shed_entry):
-            continue
-        begin = by_eid.get(e.get("parent"))
-        if begin is None or begin["kind"] != "exec_begin":
+    for e in finals:
+        begin = by_eid.get(e[_PARENT])
+        if begin is None or begin[_KIND] != "exec_begin":
             continue
         # Walk the pipeline backwards from the final stage's execution.
         stages = 0
         queue_wait = 0.0
         service = 0.0
         inject_t: Optional[float] = None
-        final_end = end_of.get(begin["eid"])
-        complete_t = final_end["t"] if final_end is not None else e["t"]
+        final_end = end_of.get(begin[_EID])
+        complete_t = final_end[_T] if final_end is not None else e[_T]
         cur = begin
         valid = True
         visited = set()
         while True:
-            if cur.get("name") != request_name:
+            if cur[_NAME] != request_name:
                 valid = False  # a completion sent by a non-request execution
                 break
-            if cur["eid"] in visited:
+            if cur[_EID] in visited:
                 valid = False  # parent cycle in a hand-built/corrupted log
                 break
-            visited.add(cur["eid"])
+            visited.add(cur[_EID])
             stages += 1
-            stage_end = end_of.get(cur["eid"])
-            if stage_end is not None and stage_end.get("dur") is not None:
-                service += stage_end["dur"]
-            deliver = by_eid.get(cur.get("parent"))
-            if deliver is None or deliver["kind"] != "deliver":
+            stage_end = end_of.get(cur[_EID])
+            if stage_end is not None and stage_end[_DUR] is not None:
+                service += stage_end[_DUR]
+            deliver = by_eid.get(cur[_PARENT])
+            if deliver is None or deliver[_KIND] != "deliver":
                 valid = False  # truncated log
                 break
-            queue_wait += cur["t"] - deliver["t"]
+            queue_wait += cur[_T] - deliver[_T]
             origin, send_t = _walk_to_origin(deliver, by_eid)
             if send_t is not None:
                 inject_t = send_t
-            if origin is not None and origin.get("name") == request_name:
+            if origin is not None and origin[_NAME] == request_name:
                 cur = origin  # previous pipeline stage
                 continue
             break
         if not valid or inject_t is None:
             continue
         out.append({
-            "kind": "shed" if e["name"] == shed_entry else "done",
+            "kind": "shed" if e[_NAME] == shed_entry else "done",
             "inject_t": inject_t,
             "complete_t": complete_t,
             "latency": complete_t - inject_t,
@@ -170,7 +179,7 @@ def request_latencies(
 
 # ===================================================================== summary
 def latency_summary(
-    records: Sequence[Any],
+    records: Union[EventLog, Iterable[Any]],
     *,
     request_name: str = "Request",
     done_entry: str = "done",

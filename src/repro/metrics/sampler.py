@@ -20,11 +20,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.trace.events import event_records
+
 __all__ = ["sample_metrics", "metrics_summary"]
-
-
-def _as_dict(record: Any) -> Dict[str, Any]:
-    return record if isinstance(record, dict) else record.as_dict()
 
 
 def _bucket_of(t: float, lo: float, width: float, buckets: int) -> int:
@@ -72,7 +70,7 @@ def sample_metrics(
         # util divides by num_pes; 0 would raise ZeroDivisionError deep in
         # the row loop and a negative count would yield negative utilization.
         raise ValueError("num_pes must be >= 1 when given")
-    events = [_as_dict(r) for r in records]
+    events = event_records(records)
     if not events:
         return []
     by_eid = {e["eid"]: e for e in events}

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.trace.events import event_records
+
 __all__ = ["PathStep", "CriticalPath", "critical_path"]
 
 
@@ -89,10 +91,6 @@ class CriticalPath:
         return "\n".join(lines)
 
 
-def _as_dict(record: Any) -> Dict[str, Any]:
-    return record if isinstance(record, dict) else record.as_dict()
-
-
 def critical_path(records: Sequence[Any]) -> Optional[CriticalPath]:
     """Walk parent links from the exit event back to bootstrap.
 
@@ -100,7 +98,7 @@ def critical_path(records: Sequence[Any]) -> Optional[CriticalPath]:
     Returns ``None`` when the log holds no completed execution to anchor
     the walk (e.g. a send/deliver-only filtered trace).
     """
-    events = [_as_dict(r) for r in records]
+    events = event_records(records)
     by_eid: Dict[int, Dict[str, Any]] = {e["eid"]: e for e in events}
 
     # Terminal: the exec_end flagged as the exit, else the latest one.

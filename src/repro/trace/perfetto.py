@@ -24,6 +24,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
+from repro.trace.events import event_records
+
 __all__ = ["to_perfetto", "write_perfetto"]
 
 _US = 1e6  # virtual seconds -> trace microseconds
@@ -34,17 +36,13 @@ TID_IDLE = 1
 TID_EVENTS = 2
 
 
-def _as_dict(record: Any) -> Dict[str, Any]:
-    return record if isinstance(record, dict) else record.as_dict()
-
-
 def to_perfetto(
     records: Sequence[Any],
     meta: Optional[Dict[str, Any]] = None,
     metrics: Optional[Iterable[Dict[str, Any]]] = None,
 ) -> Dict[str, Any]:
     """Build the trace-event JSON document for one run's records."""
-    events = [_as_dict(r) for r in records]
+    events = event_records(records)
     by_eid = {e["eid"]: e for e in events}
     trace: List[Dict[str, Any]] = []
     pids = set()

@@ -42,6 +42,54 @@ def test_forwarded_seed_bumps_hops_and_suppresses_count():
     assert not env.suppress_sent_count
 
 
+def test_forwarded_slot_copy_equals_dataclass_replace():
+    """``forwarded`` writes every slot by hand; ``dataclasses.replace`` is
+    the reference it must match on all 19, for envelopes of every kind."""
+    import dataclasses
+
+    from repro.util.rng import RngStream
+
+    class Worker:
+        pass
+
+    slots = [f.name for f in dataclasses.fields(Envelope)]
+    assert len(slots) == 19 and set(slots) == set(Envelope.__slots__)
+    rng = RngStream(15, "forwarded")
+    for kind in (Kind.APP, Kind.SEED, Kind.BOC, Kind.SVC):
+        for _ in range(25):
+            prio = rng.choice((None, rng.randint(0, 99)))
+            env = Envelope(
+                kind=kind,
+                src_pe=rng.randint(0, 63),
+                dst_pe=rng.randint(0, 63),
+                entry=rng.choice(("__init__", "go", "reply")),
+                args=tuple(rng.randint(0, 9) for _ in range(rng.randint(0, 4))),
+                handle=rng.choice((None, ChareHandle(rng.randint(0, 99)))),
+                chare_cls=rng.choice((None, Worker)),
+                hops=rng.randint(0, 5),
+                boc=rng.choice((None, BocHandle(rng.randint(0, 9)))),
+                service=rng.choice((None, "qd", "lb")),
+                priority=prio,
+                prio_key=None if prio is None else (prio,),
+                system=rng.choice((False, True)),
+                counted=rng.choice((False, True)),
+                fixed=rng.choice((False, True)),
+                suppress_sent_count=rng.choice((False, True)),
+                carried_load=rng.randint(0, 7),
+                uid=rng.choice((None, rng.randint(0, 10 ** 6))),
+            )
+            if rng.random() < 0.5:
+                env.nbytes  # populate the cached wire size
+            new_dst = rng.randint(0, 63)
+            expected = dataclasses.replace(
+                env, src_pe=env.dst_pe, dst_pe=new_dst, hops=env.hops + 1,
+                suppress_sent_count=True, uid=None, _size=env._size)
+            fwd = env.forwarded(new_dst)
+            for name in slots:
+                assert getattr(fwd, name) == getattr(expected, name), name
+            assert fwd.args is env.args and fwd is not env
+
+
 def test_envelope_uid_is_kernel_assigned_not_global():
     """Construction must not draw from any global counter; the owning
     kernel allocates uids, so uid streams are reproducible run-to-run and
