@@ -25,9 +25,17 @@ Model (kept deliberately small but real):
   step, possibly empty, so population is known deterministically).
 
 Validation: :func:`md_seq` computes the same trajectories with an O(n²)
-minimum-image loop; tests require exact equality of every position and
-velocity after every step.  Work model: ``PAIR_WORK`` per pair examined
-plus ``PART_WORK`` per particle per step.
+minimum-image loop over the scalar helpers :func:`_min_image` and
+:func:`_pair_force`; it is the reference the vectorised cell step
+(:meth:`MdCell._compute_step`) is tested against, and tests require exact
+equality of every position and velocity.  The cell step applies the same
+elementwise operations in the same order to whole ``(own, candidates)``
+arrays, which IEEE arithmetic makes bit-equal per element; the one thing
+vectorising could change is the *sum* over candidates — ``np.sum`` adds
+pairwise, and floating-point addition is not associative — so the row sum
+stays a sequential ``np.add.accumulate`` in ascending particle id, the
+order ``md_seq`` adds in.  Work model: ``PAIR_WORK`` per pair examined plus
+``PART_WORK`` per particle per step.
 """
 
 from __future__ import annotations
@@ -204,8 +212,6 @@ class MdCell(Chare):
         return getattr(self, "_inbound_pending", False)
 
     def _compute_step(self):
-        from repro.apps.md import _min_image, _pair_force  # self-import ok
-
         params: MdParams = self.readonly("md_params")
         neighbors_parts = []
         for snap in self._pops.pop(self.step):
@@ -214,19 +220,33 @@ class MdCell(Chare):
         candidates = sorted(
             list(own) + neighbors_parts, key=lambda t: t[0]
         )
-        pairs = 0
+        # Every candidate but the particle itself is a pair examined.
+        pairs = len(own) * (len(candidates) - 1)
         new_state: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        for i, pi, vi in own:
-            force = np.zeros(2)
-            for j, pj, _vj in candidates:
-                if j == i:
-                    continue
-                pairs += 1
-                delta = _min_image(np.asarray(pi) - np.asarray(pj), params.box)
-                force += _pair_force(delta, params)
-            v_new = np.asarray(vi) + force * params.dt
-            p_new = (np.asarray(pi) + v_new * params.dt) % params.box
-            new_state[int(i)] = (p_new, v_new)
+        if own:
+            box, cutoff = params.box, params.cutoff
+            own_pos = np.array([p for _i, p, _v in own])
+            own_vel = np.array([v for _i, _p, v in own])
+            cand_pos = np.array([p for _j, p, _v in candidates])
+            # (own, candidate, xy): _min_image and _pair_force, elementwise.
+            delta = own_pos[:, None, :] - cand_pos[None, :, :]
+            delta = delta - box * np.round(delta / box)
+            r = np.hypot(delta[..., 0], delta[..., 1])
+            # No force beyond the cutoff, between coincident particles, or
+            # of a particle on itself (its own row entry has r == 0).
+            dead = (r >= cutoff) | (r == 0.0)
+            r[dead] = 1.0
+            mag = params.k * (1.0 - r / cutoff)
+            # Column 0 stays zero: the sum's starting value.
+            terms = np.zeros((len(own), len(candidates) + 1, 2))
+            terms[:, 1:] = (delta / r[..., None]) * mag[..., None]
+            terms[:, 1:][dead] = 0.0
+            # Sequential in ascending id, never the pairwise np.sum.
+            force = np.add.accumulate(terms, axis=1)[:, -1]
+            vel_new = own_vel + force * params.dt
+            pos_new = (own_pos + vel_new * params.dt) % box
+            for a, (i, _p, _v) in enumerate(own):
+                new_state[int(i)] = (pos_new[a], vel_new[a])
         self.charge(PAIR_WORK * pairs + PART_WORK * len(own))
         # Partition into stay / migrate-per-neighbor-cell.
         stay: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}

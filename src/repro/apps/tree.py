@@ -15,12 +15,16 @@ the same tree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
+from numbers import Integral
 from typing import Tuple
 
 from repro.core.chare import Chare, entry
 from repro.core.kernel import Kernel, RunResult
 from repro.machine.network import Machine
+from repro.util.errors import ConfigurationError
 from repro.util.rng import derive_seed
 
 __all__ = ["TreeParams", "tree_seq", "TreeMain", "run_tree"]
@@ -36,10 +40,36 @@ class TreeParams:
     branch_bias: float = 0.92   # probability mass pushed toward branching
     node_work: float = 150.0
 
+    def __post_init__(self) -> None:
+        for name in ("seed", "max_depth", "max_fanout"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ConfigurationError(
+                    f"TreeParams.{name} must be an integer, "
+                    f"got {getattr(self, name)!r}")
+        if self.max_depth < 0:
+            raise ConfigurationError(
+                f"TreeParams.max_depth must be >= 0, got {self.max_depth}")
+        if self.max_fanout < 1:
+            raise ConfigurationError(
+                f"TreeParams.max_fanout must be >= 1, got {self.max_fanout}")
+        if not 0.0 <= self.branch_bias <= 1.0:   # also rejects nan
+            raise ConfigurationError(
+                "TreeParams.branch_bias must be in [0, 1], "
+                f"got {self.branch_bias}")
+        if not (self.node_work >= 0 and math.isfinite(self.node_work)):
+            raise ConfigurationError(
+                "TreeParams.node_work must be finite and >= 0, "
+                f"got {self.node_work}")
+
     def __wire_size__(self) -> int:
         return 32
 
 
+# A pure function of its arguments, asked once per node by every run that
+# explores the same tree (a sweep walks one tree dozens of times), so the
+# BLAKE2b derivation is memoised.  The memo lives here, not on the params
+# object, which is pickled into run descriptors and hashed into cache keys.
+@lru_cache(maxsize=1 << 14)
 def _fanout(params: TreeParams, node_id: int, depth: int) -> int:
     """Deterministic fanout of a node (independent of execution order)."""
     if depth >= params.max_depth:

@@ -244,7 +244,7 @@ class Chare:
 
     def accumulate(self, name: str, value: Any) -> None:
         """Fold ``value`` into accumulator ``name`` (purely local; no messages)."""
-        self._kernel.api_accumulate(name, value, self._pe)
+        self._kernel.sharing.accumulate(name, value, self._pe)
 
     def collect_accumulator(
         self, name: str, target: ChareHandle, entry_name: str

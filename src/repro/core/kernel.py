@@ -492,7 +492,9 @@ class Kernel:
         # per message).
         env.carried_load = src._app_queued + 1 if src.busy else src._app_queued
         src.msgs_sent += 1
-        nbytes = env.nbytes
+        nbytes = env._size
+        if nbytes is None:      # dataclass-built (cold path): size lazily
+            nbytes = env.nbytes
         src.bytes_sent += nbytes
         if env.uid is None:
             env.uid = self._next_uid
@@ -568,7 +570,9 @@ class Kernel:
                 last_src = src_pe
             env.carried_load = carried
             src.msgs_sent += 1
-            nbytes = env.nbytes
+            nbytes = env._size
+            if nbytes is None:
+                nbytes = env.nbytes
             src.bytes_sent += nbytes
             if env.uid is None:
                 env.uid = next_uid
@@ -1356,9 +1360,6 @@ class Kernel:
     def api_new_accumulator(self, name: str, initial: Any, op) -> None:
         self._require_main_ctor("accumulators")
         self.sharing.declare_accumulator(name, initial, op)
-
-    def api_accumulate(self, name: str, value: Any, pe: int) -> None:
-        self.sharing.accumulate(name, value, pe)
 
     def api_collect_accumulator(
         self, name: str, target: ChareHandle, entry_name: str

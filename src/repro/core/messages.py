@@ -16,10 +16,12 @@ the paper's system design where quiescence means "no user computation and
 no user messages in flight".
 
 Envelopes are the most-allocated object in the simulator, so the dataclass
-is ``slots=True``, the wire size is computed once and cached, and ``uid``
-is *not* drawn from a module-global counter at construction — the owning
-kernel assigns uids at first delivery from its own sequence, so uid values
-are reproducible run-to-run and unaffected by other kernels in the same
+is ``slots=True``, the factories size the payload when the envelope is
+built (a payload is marshalled when it is sent; mutating it afterwards
+does not change what the network is charged), and ``uid`` is *not* drawn
+from a module-global counter at construction — the owning kernel assigns
+uids at first delivery from its own sequence, so uid values are
+reproducible run-to-run and unaffected by other kernels in the same
 process.
 """
 
@@ -92,8 +94,10 @@ class Envelope:
     # kind-specialized factories below and ``forwarded`` (balancers that
     # override ``on_seed_arrival`` forward a fifth of a serving run's
     # messages) are the kernel's hot send paths; cold paths (BOC plumbing)
-    # keep the dataclass constructor.  Every slot is assigned — slots=True
-    # means a missed field is an AttributeError, not a silent default.
+    # keep the dataclass constructor and the lazy ``nbytes`` property.
+    # Every slot is assigned — slots=True means a missed field is an
+    # AttributeError, not a silent default — and ``_size`` is filled here,
+    # so the flush sites read the slot without a property frame.
     @classmethod
     def make_app(cls, src_pe, dst_pe, entry, args, handle,
                  priority=None, prio_key=None) -> "Envelope":
@@ -116,7 +120,7 @@ class Envelope:
         env.suppress_sent_count = False
         env.carried_load = 0
         env.uid = None
-        env._size = None
+        env._size = HEADER_BYTES + payload_nbytes(args)
         return env
 
     @classmethod
@@ -141,7 +145,8 @@ class Envelope:
         env.suppress_sent_count = False
         env.carried_load = 0
         env.uid = None
-        env._size = None
+        env._size = (HEADER_BYTES + payload_nbytes(args)
+                     + len(chare_cls.__name__))
         return env
 
     @classmethod
@@ -166,7 +171,7 @@ class Envelope:
         env.suppress_sent_count = False
         env.carried_load = 0
         env.uid = None
-        env._size = None
+        env._size = HEADER_BYTES + payload_nbytes(args)
         return env
 
     @property

@@ -27,7 +27,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.core.handles import ChareHandle
 from repro.core.services import Service
-from repro.sharing.ops import combine, improves
+from repro.sharing.ops import check_better, combiner, improves
 from repro.util.errors import SharingError
 from repro.util.hashing import stable_hash
 
@@ -39,17 +39,21 @@ __all__ = ["SharingService"]
 _EMPTY = object()
 
 
-def _acc_fold(op):
-    """Combiner lifted over the _EMPTY sentinel."""
+def _skip_empty(fn):
+    """``fn`` lifted over the _EMPTY sentinel (a collect's tree fold).
+
+    Built once per declaration; ``accumulate`` folds without it.
+    """
 
     def fold(a, b):
         if a is _EMPTY:
             return b
         if b is _EMPTY:
             return a
-        return combine(op, a, b)
+        return fn(a, b)
 
     return fold
+
 
 # Work units charged by service handlers (bookkeeping costs, roughly a few
 # dozen instructions each on the reference node).
@@ -69,6 +73,10 @@ class SharingService(Service):
         self._acc_spec: Dict[str, Tuple[Any, Any]] = {}          # name -> (initial, op)
         self._mono_spec: Dict[str, Tuple[Any, Any, str]] = {}    # name -> (initial, better, prop)
         self._tables: set[str] = set()
+        # name -> (combiner, combiner lifted over _EMPTY), resolved once at
+        # declaration.  Kept apart from _acc_spec, which is what the init
+        # broadcast carries (and is sized by).
+        self._acc_fn: Dict[str, Tuple[Any, Any]] = {}
         # Per-PE state.
         self._acc: Dict[Tuple[str, int], Any] = {}
         self._mono: Dict[Tuple[str, int], Any] = {}
@@ -90,6 +98,8 @@ class SharingService(Service):
     def declare_accumulator(self, name: str, initial: Any, op) -> None:
         if name in self._acc_spec:
             raise SharingError(f"accumulator {name!r} already declared")
+        fn = combiner(op)
+        self._acc_fn[name] = (fn, _skip_empty(fn))
         self._acc_spec[name] = (initial, op)
         # Per-PE partials materialize on first touch (_acc_get); the
         # declared initial lives on PE 0 only, exactly once.
@@ -102,6 +112,7 @@ class SharingService(Service):
             raise SharingError(
                 f"propagation must be eager/lazy/off, got {propagation!r}"
             )
+        check_better(better)
         # Untouched PEs read the spec initial via _mono_get — no O(P) fill.
         self._mono_spec[name] = (initial, better, propagation)
 
@@ -126,12 +137,17 @@ class SharingService(Service):
 
     # ------------------------------------------------------------- accumulator
     def accumulate(self, name: str, value: Any, pe: int) -> None:
-        spec = self._acc_spec.get(name)
-        if spec is None:
+        # One frame per fold: this runs once or twice per entry method in
+        # the tree and search apps.  A PE's first contribution replaces
+        # _EMPTY; PE 0 is never _EMPTY (its slot holds the declared initial
+        # from declaration on), so the initial is folded in exactly once.
+        fns = self._acc_fn.get(name)
+        if fns is None:
             raise SharingError(f"unknown accumulator {name!r}")
-        self._acc[(name, pe)] = _acc_fold(spec[1])(
-            self._acc_get(name, pe), value
-        )
+        key = (name, pe)
+        acc = self._acc
+        partial = acc.get(key, _EMPTY)
+        acc[key] = value if partial is _EMPTY else fns[0](partial, value)
 
     def accumulator_partial(self, name: str, pe: int) -> Any:
         """This PE's partial, or the declared initial if it has none."""
@@ -327,10 +343,9 @@ class SharingService(Service):
             else:
                 for child in kernel.tree.children(pe):
                     self.send(pe, child, "acc_req", args, counted=True)
-            _initial, aop = self._acc_spec[name]
             done = kernel._reduce_fold(
                 -1, tag, pe, self._acc_get(name, pe),
-                _acc_fold(aop), target, entry, own=True, span=span,
+                self._acc_fn[name][1], target, entry, own=True, span=span,
             )
             if done and span is not None:
                 self._collect_snap.pop(tag, None)

@@ -34,10 +34,10 @@ def payload_nbytes(obj: Any) -> int:
     a flat 64-byte estimate (e.g. chare handles, small records), which keeps
     the model total and deterministic.
 
-    Every envelope is sized exactly once, so this sits on the kernel's
-    per-message hot path: exact builtin types dispatch on ``type(obj)``
-    (no subclass ambiguity — ``type(True) is int`` is False) and only
-    subclasses, numpy values and containers of them pay the full
+    Every envelope is sized exactly once, when it is built, so this sits
+    on the kernel's per-message hot path: exact builtin types dispatch on
+    ``type(obj)`` (no subclass ambiguity — ``type(True) is int`` is False)
+    and only subclasses, numpy values and containers of them pay the full
     isinstance chain in :func:`_general_nbytes`, which returns identical
     values for the fast-pathed types.
     """
@@ -59,13 +59,22 @@ def payload_nbytes(obj: Any) -> int:
                 total += w if w > _INT_BYTES else _INT_BYTES
             elif tx is float:
                 total += _FLOAT_BYTES
+            elif tx is str:
+                # Entry names, tags and op names: ASCII is its own UTF-8.
+                total += _FRAME_BYTES + (
+                    len(x) if x.isascii() else len(x.encode("utf-8")))
+            elif x is None:
+                total += _NONE_BYTES
+            elif tx is bool:
+                total += _BOOL_BYTES
             else:
                 # Fixed-wire-size elements (handles) skip the recursion.
                 w = getattr(x, "__wire_bytes__", None)
                 total += w if w is not None else payload_nbytes(x)
         return total
     if t is str:
-        return _FRAME_BYTES + len(obj.encode("utf-8"))
+        return _FRAME_BYTES + (
+            len(obj) if obj.isascii() else len(obj.encode("utf-8")))
     if t is bool:
         return _BOOL_BYTES
     if obj is None:

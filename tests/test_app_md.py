@@ -109,3 +109,60 @@ def test_zero_steps_returns_initial_state():
     (pos, vel), _ = run_md(make_machine("ideal", 2), params)
     assert np.array_equal(pos, pos0)
     assert np.array_equal(vel, vel0)
+
+
+# ------------------------------------------- vectorised cell step (PR 16)
+def _assert_bitwise_equal_to_reference(params):
+    ref_pos, ref_vel = md_seq(params)
+    for machine_name, pes in (("ideal", 1), ("ipsc2", 16)):
+        # Division by a zero distance must never be attempted, not merely
+        # masked afterwards: numpy raises here instead of warning.
+        with np.errstate(all="raise"):
+            (pos, vel), _ = run_md(make_machine(machine_name, pes), params)
+        assert np.array_equal(pos, ref_pos), (params, machine_name)
+        assert np.array_equal(vel, ref_vel), (params, machine_name)
+
+
+def test_vectorised_step_bitwise_equal_on_drawn_params():
+    """The cell step works on whole arrays; ``md_seq`` with the scalar
+    ``_min_image`` / ``_pair_force`` stays the oracle, compared with ``==``
+    on every float (never ``allclose``)."""
+    from repro.util.rng import RngStream
+
+    rng = RngStream(16, "md-vectorised")
+    for _ in range(24):
+        params = MdParams(
+            cells=rng.randint(3, 6),
+            cell_size=rng.choice((0.5, 1.0, 1.25)),
+            n_particles=rng.randint(1, 41),
+            dt=rng.choice((0.01, 0.02, 0.03)),
+            steps=rng.randint(1, 5),
+            k=rng.choice((5.0, 20.0, 60.0)),
+            seed=rng.randint(0, 10 ** 6),
+        )
+        _assert_bitwise_equal_to_reference(params)
+
+
+def test_vectorised_step_edge_cells(monkeypatch):
+    """Hand-built populations: coincident particles (r == 0 between
+    different ids), a pair exactly at the cutoff, a crowded cell, a
+    single-particle cell and eleven empty cells."""
+    pos = np.array([
+        [0.25, 2.0], [0.25, 2.0],       # coincident, same cell
+        [1.5, 2.5], [2.5, 2.5],         # exactly cutoff apart, adjacent cells
+        [3.1, 0.2], [3.4, 0.3], [3.2, 0.6], [3.7, 0.7],   # crowded, moving
+        [2.5, 0.5],                     # alone in its cell
+    ])
+    vel = np.zeros_like(pos)
+    vel[4:8] = [[0.9, -0.4], [-0.7, 0.2], [0.3, 0.8], [-0.2, -0.9]]
+    monkeypatch.setattr("repro.apps.md.make_particles",
+                        lambda params: (pos.copy(), vel.copy()))
+    params = MdParams(cells=4, cell_size=1.0, n_particles=len(pos), steps=6)
+    delta = _min_image(pos[2] - pos[3], params.box)
+    assert float(np.hypot(delta[0], delta[1])) == params.cutoff
+    _assert_bitwise_equal_to_reference(params)
+    # The still particles really were still (no force at r == 0 or at the
+    # cutoff), the crowded ones really did interact.
+    ref_pos, ref_vel = md_seq(params)
+    assert np.array_equal(ref_pos[:4], pos[:4]) and not ref_vel[:4].any()
+    assert not np.array_equal(ref_vel[4:8], vel[4:8])

@@ -44,6 +44,67 @@ def test_tree_balancing_beats_local_on_time():
     assert acwn.time < local.time
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("max_fanout", 0), ("max_fanout", -2), ("max_fanout", 2.5),
+    ("max_depth", -1), ("max_depth", 3.0),
+    ("branch_bias", float("nan")), ("branch_bias", -0.1), ("branch_bias", 1.5),
+    ("node_work", -1.0), ("node_work", float("nan")),
+    ("seed", 1.5), ("seed", "7"),
+])
+def test_tree_params_validated_by_field(field, bad):
+    from repro.util.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match=rf"TreeParams\.{field}\b"):
+        TreeParams(**{field: bad})
+
+
+def test_paper_scale_tree_shapes_pinned():
+    """The three parameter sets the harness ships still construct under
+    validation and still describe the same trees."""
+    from repro.bench.experiments import _sizes
+    from repro.bench.harness import APPS
+
+    assert tree_seq(APPS["tree"].defaults["params"]) == (3636, 2616)
+    assert tree_seq(_sizes("quick")["tree"]["params"]) == (257, 173)
+    t4 = TreeParams(seed=42, max_depth=14, max_fanout=5, branch_bias=0.99,
+                    node_work=200.0)
+    assert tree_seq(t4) == (9418, 6242)
+    # A1/A4 rebuild the first two by hand; equal params, equal cache key.
+    assert TreeParams(seed=7, max_depth=12, max_fanout=6,
+                      branch_bias=0.98) == APPS["tree"].defaults["params"]
+
+
+def test_memoised_fanout_equals_recomputation():
+    """``_fanout`` is memoised; over a whole tree it must answer exactly
+    what the undecorated function computes, and ``==``-equal parameter
+    twins share entries (the memo is keyed by value, not identity)."""
+    from repro.apps.tree import _child_id, _fanout
+
+    raw = _fanout.__wrapped__
+    params = TreeParams(seed=9, max_depth=9, max_fanout=5, branch_bias=0.97)
+    twin = TreeParams(seed=9, max_depth=9, max_fanout=5, branch_bias=0.97)
+    assert twin is not params and twin == params
+    visited = 0
+    stack = [(0, 0)]
+    while stack:
+        node_id, depth = stack.pop()
+        visited += 1
+        k = _fanout(params, node_id, depth)
+        assert k == raw(params, node_id, depth)
+        stack.extend((_child_id(node_id, i), depth + 1) for i in range(k))
+    assert visited == tree_seq(params)[0] > 100
+    before = _fanout.cache_info()
+    assert tree_seq(twin) == tree_seq(params)
+    after = _fanout.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 2 * visited
+    # The memo is bounded and lives on the function, not on the params
+    # object (which is pickled into descriptors and hashed into keys).
+    assert before.maxsize is not None
+    assert vars(params) == vars(TreeParams(seed=9, max_depth=9, max_fanout=5,
+                                           branch_bias=0.97))
+
+
 # ------------------------------------------------------------------ histogram
 @pytest.mark.parametrize("machine_name,pes", [
     ("ideal", 1), ("symmetry", 4), ("ipsc2", 8),

@@ -42,6 +42,17 @@ def test_r1_jobs4_byte_identical_to_serial():
     assert _payload(parallel) == _payload(serial)
 
 
+@pytest.mark.parametrize("exp_id", ["f1", "t5"])
+def test_jobs2_byte_identical_with_memoised_tree_shape(exp_id):
+    """The tree app memoises its shape function per process: serial runs
+    share one memo, pool workers each fill their own (T5 quick walks the
+    tree in every run; F1 is the figure the ledger's sweep is mostly made
+    of).  Rows must not depend on which."""
+    serial = _run(exp_id, jobs=1)
+    parallel = _run(exp_id, jobs=2)
+    assert _payload(parallel) == _payload(serial)
+
+
 def test_cache_hit_replays_identical_row(tmp_path):
     cache = ResultCache(str(tmp_path), fingerprint="pinned")
     with SweepExecutor(jobs=1, cache=cache) as ex, use_executor(ex):

@@ -221,3 +221,119 @@ def test_pe_load_counts_queues_and_busy():
     pe.busy = True
     assert pe.load == 3
     assert pe.has_work()
+
+
+# ------------------------------------------------- sized when built (PR 16)
+class _Record:
+    def __wire_size__(self):
+        return 40
+
+
+def _draw_payload(rng, depth=0):
+    """One drawn value from the payload vocabulary the runtime allows."""
+    import numpy as np
+
+    kinds = ["int", "bigint", "float", "ascii", "text", "none", "bool",
+             "handle", "array", "npscalar", "record"]
+    if depth < 3:
+        kinds += ["tuple", "list", "dict", "tuple", "list"]
+    kind = rng.choice(kinds)
+    if kind == "int":
+        return rng.randint(-10 ** 6, 10 ** 6)
+    if kind == "bigint":
+        return (1 << rng.randint(64, 200)) + rng.randint(0, 99)
+    if kind == "float":
+        return rng.uniform(-1e6, 1e6)
+    if kind == "ascii":
+        return "".join(rng.choice("abc:_09 ") for _ in range(rng.randint(0, 12)))
+    if kind == "text":
+        return "".join(rng.choice("aé∑𝄞z") for _ in range(rng.randint(1, 8)))
+    if kind == "none":
+        return None
+    if kind == "bool":
+        return rng.choice((False, True))
+    if kind == "handle":
+        return rng.choice((ChareHandle(rng.randint(0, 99)),
+                           BocHandle(rng.randint(0, 9))))
+    if kind == "array":
+        return np.zeros(rng.randint(0, 9), dtype=rng.choice((np.float64, np.int32)))
+    if kind == "npscalar":
+        return rng.choice((np.float32(1.5), np.int64(7), np.bool_(True)))
+    if kind == "record":
+        return _Record()
+    items = [_draw_payload(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    if kind == "tuple":
+        return tuple(items)
+    if kind == "list":
+        return items
+    return {f"k{i}": v for i, v in enumerate(items)}
+
+
+def test_factory_envelopes_are_sized_when_built():
+    """Every factory fills ``_size`` with exactly what the dataclass
+    constructor's lazy ``nbytes`` computes, and the fast paths of
+    ``payload_nbytes`` agree with the full isinstance chain."""
+    from repro.util.rng import RngStream
+    from repro.util.sizing import _general_nbytes, payload_nbytes
+
+    class Worker:
+        pass
+
+    rng = RngStream(16, "sized-when-built")
+    h = ChareHandle(3)
+    for _ in range(240):
+        args = tuple(_draw_payload(rng) for _ in range(rng.randint(0, 5)))
+        for x in args + (args, list(args)):
+            assert payload_nbytes(x) == _general_nbytes(x)
+        size = HEADER_BYTES + payload_nbytes(args)
+        app = Envelope.make_app(0, 1, "go", args, h)
+        seed = Envelope.make_seed(0, 1, args, h, Worker)
+        svc = Envelope.make_svc(0, 1, "op", args, "share", counted=True)
+        assert app._size == svc._size == size
+        assert seed._size == size + len("Worker")
+        assert seed.forwarded(2)._size == seed._size
+        lazy = [
+            Envelope(kind=Kind.APP, src_pe=0, dst_pe=1, entry="go", args=args,
+                     handle=h),
+            Envelope(kind=Kind.SEED, src_pe=0, dst_pe=1, entry="__init__",
+                     args=args, handle=h, chare_cls=Worker),
+            Envelope(kind=Kind.SVC, src_pe=0, dst_pe=1, entry="op", args=args,
+                     service="share", system=True),
+        ]
+        assert all(env._size is None for env in lazy)
+        assert [env.nbytes for env in lazy] == [app._size, seed._size, svc._size]
+        assert [env.nbytes for env in (app, seed, svc)] == [
+            app._size, seed._size, svc._size]
+
+
+def test_payload_is_charged_at_its_size_when_sent():
+    """The contract: a payload is marshalled when it is sent.  Growing a
+    list after ``send`` (still inside the sending entry) does not change
+    what the network is charged; growing it before does."""
+    from repro import Chare, Kernel, entry, make_machine
+
+    class Main(Chare):
+        def __init__(self, grow):
+            buf = [1, 2, 3]
+            if grow == "before":
+                buf.extend(range(100))
+            self.send(self.thishandle, "got", buf)
+            if grow == "after":
+                buf.extend(range(100))
+
+        @entry
+        def got(self, buf):
+            self.exit(len(buf))
+
+    def run(grow):
+        result = Kernel(make_machine("ipsc2", 2)).run(Main, grow)
+        return result.result, result.stats.total_bytes_sent
+
+    n_never, bytes_never = run("never")
+    n_after, bytes_after = run("after")
+    n_before, bytes_before = run("before")
+    # The simulation shares host memory, so the receiver sees the grown
+    # list either way; only the charge is fixed at send time.
+    assert (n_never, n_after, n_before) == (3, 103, 103)
+    assert bytes_after == bytes_never
+    assert bytes_before == bytes_never + 100 * 8

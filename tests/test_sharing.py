@@ -216,6 +216,35 @@ def test_unknown_accumulator_raises(ideal4):
         Kernel(ideal4).run(Main)
 
 
+def test_bad_accumulator_op_fails_at_declaration(ideal4):
+    """A bad combiner is a declaration error naming ``op`` — not a
+    SharingError from whichever later fold first has two operands."""
+
+    class Main(Chare):
+        def __init__(self, op):
+            self.new_accumulator("n", 0, op)
+            self.exit("declared")
+
+    for bad in ("avg", None, 3, ["sum"]):
+        with pytest.raises(SharingError, match=r"op=.*options.*'sum'"):
+            Kernel(ideal4).run(Main, bad)
+    for good in ("sum", "prod", "max", "min", lambda a, b: a | b):
+        assert Kernel(ideal4).run(Main, good).result == "declared"
+
+
+def test_bad_monotonic_order_fails_at_declaration(ideal4):
+    class Main(Chare):
+        def __init__(self, better):
+            self.new_monotonic("m", 0, better)
+            self.exit("declared")
+
+    for bad in ("smallest", None, 1):
+        with pytest.raises(SharingError, match=r"better=.*options.*'max', 'min'"):
+            Kernel(ideal4).run(Main, bad)
+    for good in ("min", "max", lambda new, old: new > old):
+        assert Kernel(ideal4).run(Main, good).result == "declared"
+
+
 def test_double_collect_allowed(ideal4):
     """Collection is non-destructive and repeatable."""
 

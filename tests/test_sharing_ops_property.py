@@ -60,6 +60,59 @@ def test_accumulator_equals_fold_any_distribution(values, seed):
     assert kernel.run(Main, tuple(values)).result == sum(values)
 
 
+def _xor(a, b):
+    return a ^ b
+
+
+@given(
+    st.sampled_from(["sum", "prod", "max", "min", _xor]),
+    small_ints,
+    st.lists(st.tuples(st.integers(0, 5), small_ints), min_size=1, max_size=30),
+)
+def test_flat_accumulate_equals_fold_through_combine(op, initial, contributions):
+    """``accumulate`` folds in one frame; the reference is the same fold
+    spelled through ``combine``: per PE over that PE's contributions, and
+    collected over all of them with the declared initial counted once."""
+    from functools import reduce
+
+    from repro import Chare, Kernel, entry, make_machine
+
+    class Worker(Chare):
+        def __init__(self, v):
+            self.accumulate("acc", v)
+
+    class Main(Chare):
+        def __init__(self, contribs):
+            self.new_accumulator("acc", initial, op)
+            for pe, v in contribs:
+                self.create(Worker, v, pe=pe)
+            self.start_quiescence(self.thishandle, "quiet")
+
+        @entry
+        def quiet(self):
+            self.collect_accumulator("acc", self.thishandle, "got")
+
+        @entry
+        def got(self, tag, total):
+            self.exit(total)
+
+    def fold(values, start):
+        return reduce(lambda a, b: combine(op, a, b), values, start)
+
+    result = Kernel(make_machine("symmetry", 6)).run(Main, tuple(contributions))
+    assert result.result == fold([v for _pe, v in contributions], initial)
+    sharing = result.kernel.sharing
+    for pe in range(6):
+        mine = [v for p, v in contributions if p == pe]
+        if pe == 0:
+            expected = fold(mine, initial)
+        else:
+            # Untouched PEs hold no partial of their own; the accessor
+            # then answers with the declared initial.
+            expected = fold(mine[1:], mine[0]) if mine else initial
+        assert sharing.accumulator_partial("acc", pe) == expected
+
+
 @given(st.lists(ints, min_size=1, max_size=25), st.integers(0, 3))
 def test_monotonic_converges_to_global_min(values, seed):
     from repro import Chare, Kernel, entry, make_machine
