@@ -98,6 +98,7 @@ def knapsack_seq(inst: KnapsackInstance) -> Tuple[int, int]:
         dfs(index + 1, weight, value)
 
     dfs(0, 0, 0)
+    dfs = None  # break the function <-> cell cycle (see tsp._solve_subtree)
     return best[0], nodes[0]
 
 
@@ -151,6 +152,7 @@ class KnapsackNode(Chare):
             dfs(i + 1, wt, val)
 
         dfs(index, weight, value)
+        dfs = None  # break the function <-> cell cycle (see tsp._solve_subtree)
         return best[0], nodes[0]
 
 

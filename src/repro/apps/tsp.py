@@ -176,6 +176,9 @@ def _solve_subtree(
                 dfs(visited | 1 << city, city, c + d, remaining - 1)
 
     dfs(_visited_mask(path), path[-1], cost, inst.n - len(path))
+    # dfs closes over itself; unbind it or every call leaves a function <->
+    # cell cycle (holding ``inst``) that only the collector can free.
+    dfs = None
     return (best if found else None), nodes
 
 

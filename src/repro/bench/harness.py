@@ -47,7 +47,8 @@ from repro.machine.presets import make_machine
 from repro.util.errors import ConfigurationError
 
 __all__ = ["AppSpec", "APPS", "describe", "measure", "measure_many",
-           "execute_descriptor", "speedup_sweep", "sweep_from_rows",
+           "execute_descriptor", "run_descriptor", "speedup_sweep",
+           "sweep_from_rows",
            "SweepResult", "use_tracing", "current_tracing",
            "use_telemetry", "current_telemetry"]
 
@@ -196,10 +197,15 @@ class MeasureRow:
 
     The row is a *picklable projection* of the run: everything the
     experiment tables consume (virtual time, answer, aggregated stats,
-    quiescence timings) travels across worker-process and cache
-    boundaries.  ``result`` — the live :class:`RunResult` with the full
-    kernel graph — is only populated for runs executed inline and is
-    ``None`` for rows that came back from a pool worker or the cache.
+    quiescence timings, the engine's event count) travels across
+    worker-process and cache boundaries, and rows of one descriptor are
+    equal field for field — ``host_seconds`` aside — whether they were
+    executed inline, by a pool worker, or replayed from the cache.
+
+    ``result`` is ``None`` on every row the sweep executor returns.  Only
+    :func:`execute_descriptor`, called directly, attaches the live
+    :class:`RunResult` with its kernel graph there, for callers that
+    inspect a finished run (tests, the performance ledger's probes).
     """
 
     app: str
@@ -215,6 +221,8 @@ class MeasureRow:
     qd_work_end: Optional[float] = None
     last_counted_exec_time: float = 0.0
     result: Optional[RunResult] = field(default=None, repr=False)
+    #: Engine callbacks the run fired (``RunResult.events``).
+    events: int = 0
     #: Structured-event payload ("repro-trace-v1" dict) when the run was
     #: described with tracing on; plain data, so it survives pool workers
     #: and the result cache.
@@ -302,7 +310,11 @@ def describe(
 
 
 def execute_descriptor(desc: RunDescriptor) -> MeasureRow:
-    """Actually simulate one descriptor (worker-side; no cache, no pool)."""
+    """Simulate one descriptor and project it into a row (no cache, no pool).
+
+    The returned row still carries the live run in ``result``; the sweep
+    executor goes through :func:`run_descriptor`, which lets it go.
+    """
     spec = APPS[desc.app]
     params = dict(desc.params)
     balancer = params.get("balancer")
@@ -375,9 +387,24 @@ def execute_descriptor(desc: RunDescriptor) -> MeasureRow:
         last_counted_exec_time=(0.0 if kernel is None
                                 else kernel.last_counted_exec_time),
         result=result,
+        events=result.events,
         trace=trace_payload,
         telemetry=telemetry_payload,
     )
+
+
+def run_descriptor(desc: RunDescriptor) -> MeasureRow:
+    """Execute one descriptor and keep the row only.
+
+    What the sweep executor runs, inline and in its pool workers alike:
+    once the row is projected the run is detached from it and its kernel
+    closed, so no kernel outlives the call that simulated it.
+    """
+    row = execute_descriptor(desc)
+    result, row.result = row.result, None
+    if result.kernel is not None:
+        result.kernel.close()
+    return row
 
 
 def measure_many(descs: Sequence[RunDescriptor], label: str = "") -> List[MeasureRow]:
@@ -428,17 +455,8 @@ class SweepResult:
 
     def consistent(self) -> bool:
         """True if every P produced the same answer (determinism check)."""
-        import numpy as np
-
-        def canon(a):
-            if isinstance(a, tuple):
-                return tuple(canon(x) for x in a)
-            if isinstance(a, np.ndarray):
-                return a.tobytes()
-            return a
-
-        first = canon(self.answers[0])
-        return all(canon(a) == first for a in self.answers[1:])
+        first = _comparable(self.answers[0])
+        return all(_comparable(a) == first for a in self.answers[1:])
 
 
 def sweep_from_rows(
@@ -488,6 +506,17 @@ def speedup_sweep(
     ]
     rows = measure_many(descs, label=f"{app}@{machine_name}")
     return sweep_from_rows(app, machine_name, pes, rows)
+
+
+def _comparable(answer: Any) -> Any:
+    """Answers compare with ``==`` (ndarray -> its bytes)."""
+    import numpy as np
+
+    if isinstance(answer, tuple):
+        return tuple(_comparable(a) for a in answer)
+    if isinstance(answer, np.ndarray):
+        return answer.tobytes()
+    return answer
 
 
 def _strip_arrays(answer: Any) -> Any:

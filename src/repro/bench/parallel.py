@@ -26,6 +26,8 @@ today's behaviour unless a CLI (or test) installs a parallel one.
 
 from __future__ import annotations
 
+import gc
+import math
 import os
 import time
 import traceback
@@ -34,6 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.bench.cache import ResultCache
 from repro.bench.descriptors import RunDescriptor
+from repro.util.errors import ConfigurationError
 
 __all__ = ["SweepExecutor", "SweepRunError", "current_executor",
            "use_executor", "default_jobs"]
@@ -61,17 +64,14 @@ class SweepRunError(RuntimeError):
 def _run_descriptor_guarded(desc: RunDescriptor):
     """Worker-side entry point: execute one descriptor, never raise.
 
-    Returns ``("ok", row)`` with the picklable projection (the live kernel
-    is stripped), or ``("err", message, traceback)`` so the parent can
-    report the failing descriptor without losing the rest of the batch.
+    Returns ``("ok", row)``, or ``("err", message, traceback)`` so the
+    parent can report the failing descriptor without losing the rest of
+    the batch.
     """
     try:
-        from dataclasses import replace
+        from repro.bench.harness import run_descriptor
 
-        from repro.bench.harness import execute_descriptor
-
-        row = execute_descriptor(desc)
-        return ("ok", replace(row, result=None))
+        return ("ok", run_descriptor(desc))
     except Exception as exc:
         return ("err", f"{type(exc).__name__}: {exc}", traceback.format_exc())
 
@@ -96,6 +96,12 @@ class SweepExecutor:
     ) -> None:
         self.jobs = max(1, int(jobs if jobs is not None else default_jobs()))
         self.cache = cache
+        if not (math.isfinite(timeout) and timeout > 0):
+            # Zero or less would report every pooled run as stuck, far from
+            # here; NaN and inf are not budgets.
+            raise ConfigurationError(
+                f"timeout must be a positive number of seconds, got {timeout}"
+            )
         self.timeout = timeout
         self.progress = progress
         #: Directory for structured-event exports: every completed row that
@@ -115,6 +121,10 @@ class SweepExecutor:
         self.wall_s = 0.0
         self.traces_written = 0
         self.metrics_written = 0
+        # The collector's counters when the sweep began; summary() reports
+        # what it did since (reading them costs nothing per collection,
+        # which a gc.callbacks hook would).
+        self._gc_before = gc.get_stats()
 
     # -------------------------------------------------------------- lifecycle
     def _ensure_pool(self):
@@ -242,13 +252,13 @@ class SweepExecutor:
 
     def _run_inline(self, descs, rows, pending, label, cached) -> None:
         """The historical serial path: same process, same submission order."""
-        from repro.bench.harness import execute_descriptor
+        from repro.bench.harness import run_descriptor
 
         started = time.perf_counter()
         failures = []
         for n, i in enumerate(pending, start=1):
             try:
-                row = execute_descriptor(descs[i])
+                row = run_descriptor(descs[i])
             except Exception as exc:
                 failures.append((descs[i], f"{type(exc).__name__}: {exc}"))
                 continue
@@ -327,12 +337,29 @@ class SweepExecutor:
                            "cached": cached, "eta_s": eta_s, "final": final})
 
     def summary(self) -> Dict[str, Any]:
+        import resource
+
+        # Peak resident set of this process or any reaped pool worker
+        # (ru_maxrss is KB on Linux), as the performance ledger takes it.
+        peak_kb = max(resource.getrusage(who).ru_maxrss
+                      for who in (resource.RUSAGE_SELF,
+                                  resource.RUSAGE_CHILDREN))
         out = {
             "jobs": self.jobs,
             "batches": self.batches,
             "runs_executed": self.runs_executed,
             "runs_cached": self.runs_cached,
             "wall_s": round(self.wall_s, 3),
+            "peak_rss_mb": round(peak_kb / 1024.0, 1),
+            # Per generation, since this executor was built.  ``collected``
+            # is what only the cycle collector could free: finished runs
+            # die by reference count, so it stays near zero however many
+            # runs the sweep executes.
+            "gc": {
+                key: [now[key] - before[key] for before, now
+                      in zip(self._gc_before, gc.get_stats())]
+                for key in ("collections", "collected")
+            },
         }
         if self.trace_out is not None:
             out["traces_written"] = self.traces_written

@@ -48,6 +48,14 @@ def is_entry(fn: Callable) -> bool:
     return bool(getattr(fn, "_charm_entry", False))
 
 
+def declares_entry(cls: type) -> bool:
+    """Whether ``cls`` (or a base) has any attribute marked :func:`entry`."""
+    for name in dir(cls):
+        if getattr(getattr(cls, name, None), "_charm_entry", False):
+            return True
+    return False
+
+
 class Chare:
     """Base class for concurrent objects.
 

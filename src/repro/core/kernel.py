@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from types import FunctionType as _FunctionType
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.chare import BranchOfficeChare, Chare, is_entry
+from repro.core.chare import BranchOfficeChare, Chare, declares_entry, is_entry
 from repro.core.handles import BocHandle, ChareHandle, mint_chare_handle
 from repro.core.messages import Envelope, Kind
 from repro.core.pe import PEPlane, PEState
@@ -259,6 +259,11 @@ class Kernel:
         # Chare classes already vetted by api_create (skips two issubclass
         # walks per creation).
         self._validated_chare_classes: set = set()
+        # class -> True when its instances retire as their constructor
+        # returns: under strict_entries a class that declares no @entry
+        # method can never be sent a message, so nothing can reach the
+        # object again (the 1991 programs end such chares with ChareExit).
+        self._retires: Dict[type, bool] = {}
         # Object tables -----------------------------------------------------
         self.chares: Dict[int, Chare] = {}
         self.destroyed: set = set()
@@ -430,6 +435,31 @@ class Kernel:
             stats=TraceReport.from_kernel(self),
             kernel=self,
         )
+
+    def close(self) -> None:
+        """Let go of everything this kernel holds; it is unusable afterwards.
+
+        The run's object graph is cyclic (the kernel holds its pre-bound
+        callbacks, services, chares and the engine whose heap holds those
+        callbacks; each of them holds the kernel), so a finished kernel
+        that is merely dropped waits for a generation-2 collection.
+        Emptying the kernel — plus the two members that reach themselves
+        without it: timer events still on the engine's heap and the fault
+        layer's own callbacks — leaves nothing cyclic, and the whole graph
+        is freed by reference count as the last outside reference goes.
+
+        Idempotent.  :meth:`run` never calls it (``RunResult.kernel`` stays
+        live for whoever ran the program); a caller that has projected what
+        it needs from the run does — see
+        :func:`repro.bench.harness.run_descriptor`.
+        """
+        state = vars(self)
+        if not state:
+            return
+        self.engine.clear()
+        if self.faults is not None:
+            self.faults.close()
+        state.clear()
 
     def _bootstrap(self, payload: tuple) -> None:
         """Construct the main chare on PE 0 and open the startup gates."""
@@ -782,8 +812,17 @@ class Kernel:
                 obj._kernel = self
                 obj._handle = handle
                 obj._pe = pe.index
-                self.chares[gid] = obj
+                chares = self.chares
+                chares[gid] = obj
                 obj.__init__(*env.args)
+                retires = self._retires.get(cls)
+                if retires is None:
+                    retires = self._retires[cls] = (
+                        self.strict_entries and not declares_entry(cls)
+                    )
+                if retires and gid in chares:   # not already destroy()ed
+                    del chares[gid]
+                    self.destroyed.add(gid)
                 if self._premature:
                     # Anything that raced ahead of construction is now
                     # runnable (transit already paid).

@@ -45,6 +45,7 @@ fully determines the run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from math import isfinite
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.util.errors import FaultError
@@ -95,6 +96,12 @@ class FaultConfig:
     seed: Optional[int] = None   # fault RNG root; defaults to the kernel seed
 
     def __post_init__(self) -> None:
+        # NaN is neither < 0 nor >= 1, so it would pass every range check
+        # below; an infinite time or factor is no fault model either.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not isfinite(value):
+                raise FaultError(f"{f.name} must be finite, got {value}")
         for name in ("jitter", "delay_prob", "delay_spike", "drop_prob",
                      "ack_timeout", "dup_prob", "dup_lag", "stall_prob",
                      "stall_time"):
@@ -173,6 +180,18 @@ class FaultLayer:
         self._arrive_checked_cb = self._arrive_checked
         self._on_timeout_cb = self._on_timeout
         self._on_ack_cb = self._on_ack
+
+    def close(self) -> None:
+        """Undo :meth:`bind`'s wiring (called from ``Kernel.close``).
+
+        The pre-bound callbacks make the layer reach itself; with them,
+        the kernel and the scheduler gone it is freed by reference count.
+        Config and counters stay readable.
+        """
+        self.kernel = None  # type: ignore[assignment]
+        self._schedule = self._arrive = None
+        self._arrive_checked_cb = self._on_timeout_cb = self._on_ack_cb = None
+        self._pending.clear()
 
     # --------------------------------------------------------------- transmit
     def transmit(self, env: "Envelope", departure: float, arrival: float) -> None:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time as _host_time
 from dataclasses import dataclass
-from math import frexp as _frexp
+from math import frexp as _frexp, isfinite as _isfinite
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.messages import Kind
@@ -73,9 +73,10 @@ class TelemetryConfig:
     max_snapshots: int = 4096
 
     def __post_init__(self) -> None:
-        if self.interval < 0.0:
+        if not (_isfinite(self.interval) and self.interval >= 0.0):
             raise ConfigurationError(
-                f"telemetry interval must be >= 0, got {self.interval}"
+                "telemetry interval must be finite and >= 0, "
+                f"got {self.interval}"
             )
         if self.max_snapshots < 1:
             raise ConfigurationError("telemetry max_snapshots must be >= 1")

@@ -108,6 +108,16 @@ class Engine:
         if time > self._now:
             self._now = time
 
+    def clear(self) -> None:
+        """Drop every pending event (the clock and counters stay).
+
+        Cancellable :class:`Event` entries point back at the engine, so a
+        heap that still holds one keeps the engine — and every callback's
+        owner — reachable from itself.
+        """
+        self._heap.clear()
+        self._live = 0
+
     # -------------------------------------------------------------- scheduling
     def schedule(self, time: float, fn: Callable[[], None]) -> Event:
         """Schedule ``fn`` at absolute virtual time ``time``.

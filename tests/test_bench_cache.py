@@ -152,7 +152,7 @@ def test_put_never_pickles_live_kernel(tmp_path):
     cache = ResultCache(str(tmp_path), fingerprint="fp")
     desc = describe("fib", "ideal", 1, n=10, threshold=5)
     row = execute_descriptor(desc)
-    assert row.result is not None  # inline rows carry the live run
+    assert row.result is not None  # execute_descriptor attaches the live run
     cache.put(desc, row)
     cached = cache.get(desc)
     assert cached.result is None

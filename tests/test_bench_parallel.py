@@ -17,6 +17,7 @@ from repro.bench.descriptors import RunDescriptor
 from repro.bench.experiments import run_experiment
 from repro.bench.harness import APPS, AppSpec, describe, measure, measure_many
 from repro.bench.parallel import SweepExecutor, SweepRunError, use_executor
+from repro.util.errors import ConfigurationError
 
 
 def _run(exp_id, **executor_kwargs):
@@ -128,6 +129,14 @@ def test_jobs1_never_creates_pool():
         assert ex._pool is None
 
 
+@pytest.mark.parametrize("timeout",
+                         [0, -1, 0.0, float("nan"), float("inf")])
+def test_executor_rejects_unusable_timeout(timeout):
+    """0 used to be accepted, then every pooled run was 'stuck after 0s'."""
+    with pytest.raises(ConfigurationError, match="timeout"):
+        SweepExecutor(jobs=2, timeout=timeout)
+
+
 def test_executor_summary_counts(tmp_path):
     cache = ResultCache(str(tmp_path), fingerprint="pinned")
     descs = [describe("fib", "ideal", p, n=10, threshold=5) for p in (1, 2)]
@@ -138,6 +147,13 @@ def test_executor_summary_counts(tmp_path):
     assert summary["runs_executed"] == 2
     assert summary["runs_cached"] == 2
     assert summary["cache"]["hit_rate"] == pytest.approx(0.5)
+    # What the ledger reports, from an ordinary run: peak memory and what
+    # the cycle collector did during the sweep, per generation.
+    assert summary["peak_rss_mb"] > 0
+    assert set(summary["gc"]) == {"collections", "collected"}
+    assert all(len(per_gen) == 3 and min(per_gen) >= 0
+               for per_gen in summary["gc"].values())
+    json.dumps(summary)
 
 
 # ------------------------------------------------------------- descriptors

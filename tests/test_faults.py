@@ -48,6 +48,18 @@ def test_config_validation():
         FaultConfig(drop_prob=0.1, max_backoff=0.0)
 
 
+@pytest.mark.parametrize("name", [
+    "jitter", "delay_prob", "delay_spike", "drop_prob", "ack_timeout",
+    "retry_backoff", "max_backoff", "dup_prob", "dup_lag", "slow_factor",
+    "stall_prob", "stall_time",
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_floats(name, value):
+    """NaN is neither < 0 nor >= 1: it used to pass every range check."""
+    with pytest.raises(FaultError, match=name):
+        FaultConfig(**{name: value})
+
+
 def test_config_describe():
     assert FaultConfig().describe() == "inert"
     desc = FaultConfig(drop_prob=0.1, jitter=1e-6).describe()

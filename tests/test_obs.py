@@ -250,6 +250,12 @@ class TestNonPerturbation:
         with pytest.raises(ConfigurationError):
             Kernel(make_machine("ideal", 1), telemetry=42)
 
+    @pytest.mark.parametrize("interval",
+                             [float("nan"), float("inf"), -1e-3])
+    def test_config_rejects_bad_interval(self, interval):
+        with pytest.raises(ConfigurationError, match="interval"):
+            TelemetryConfig(interval=interval)
+
     def test_max_snapshots_counts_overflow(self):
         from repro.apps.fib import run_fib
 

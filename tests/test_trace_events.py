@@ -6,7 +6,8 @@ from collections import Counter
 import pytest
 
 from repro.bench.descriptors import RunDescriptor
-from repro.bench.harness import describe, measure_many, use_tracing
+from repro.bench.harness import (describe, execute_descriptor, measure_many,
+                                 use_tracing)
 from repro.bench.parallel import SweepExecutor, use_executor
 from repro.faults import FaultConfig
 from repro.machine.presets import make_machine
@@ -426,7 +427,9 @@ def test_untraced_rows_have_no_payload():
     with SweepExecutor(jobs=1) as ex, use_executor(ex):
         (row,) = measure_many([desc])
     assert row.trace is None
-    assert row.result.kernel.events is None
+    live = execute_descriptor(desc)
+    assert live.trace is None
+    assert live.result.kernel.events is None
 
 
 # -------------------------------------------------------------------- CLI
