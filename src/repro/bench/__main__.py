@@ -12,6 +12,7 @@ at any job count — the simulator is deterministic virtual time.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -114,6 +115,11 @@ def main(argv=None) -> int:
             if exp_id not in EXPERIMENTS:
                 parser.error(f"unknown experiment {exp_id!r}; options: "
                              f"{', '.join(sorted(EXPERIMENTS))}")
+    interval = args.metrics_interval
+    if interval is not None and not (math.isfinite(interval)
+                                     and interval >= 0.0):
+        parser.error("--metrics-interval must be a finite number of virtual "
+                     f"seconds >= 0, got {interval}")
     jobs = args.jobs if args.jobs is not None else default_jobs()
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     progress = None if args.no_progress else _progress_printer()

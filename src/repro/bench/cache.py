@@ -10,8 +10,9 @@ is the only safe failure mode for a results cache.
 
 Entries are pickle files written atomically (temp file + ``os.replace``)
 into two-level fan-out directories.  A corrupt, truncated or
-version-skewed file is treated as a miss and overwritten on the next
-store; it can never crash a sweep or leak a wrong row.
+version-skewed file is treated as a miss (counted as ``corrupt`` beside
+the total), and overwritten on the next store; it can never crash a
+sweep or leak a wrong row.
 """
 
 from __future__ import annotations
@@ -44,7 +45,11 @@ class ResultCache:
         self.fingerprint = (source_fingerprint() if fingerprint is None
                             else fingerprint)
         self.hits = 0
+        #: Every lookup that returned nothing, whatever the reason.
         self.misses = 0
+        #: The misses whose file was there but unusable: unreadable,
+        #: truncated, not a pickle, wrong ``format`` or someone else's key.
+        self.corrupt = 0
         self.stores = 0
 
     # ------------------------------------------------------------------ paths
@@ -61,8 +66,10 @@ class ResultCache:
         key = self.key(desc)
         path = os.path.join(self.root, key[:2], key + ".pkl")
         try:
-            with open(path, "rb") as fh:
-                payload = pickle.load(fh)
+            # One unbuffered read of the whole file: entries are a few KB,
+            # and a BufferedReader per file costs more than it saves.
+            with open(path, "rb", buffering=0) as fh:
+                payload = pickle.loads(fh.read())
             if payload.get("format") != _FORMAT or payload.get("key") != key:
                 raise ValueError("cache payload mismatch")
             row = payload["row"]
@@ -73,6 +80,7 @@ class ResultCache:
             # Corrupt/truncated/stale-format files are misses, not crashes;
             # the next put() overwrites them.
             self.misses += 1
+            self.corrupt += 1
             return None
         self.hits += 1
         return row
@@ -113,6 +121,7 @@ class ResultCache:
             "fingerprint": self.fingerprint,
             "hits": self.hits,
             "misses": self.misses,
+            "corrupt": self.corrupt,
             "stores": self.stores,
             "hit_rate": round(self.hit_rate, 4),
         }

@@ -17,6 +17,7 @@ through :func:`measure_many` so independent runs can overlap.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -178,9 +179,9 @@ def use_telemetry(interval: float = 0.0):
     with it on or off.
     """
     interval = float(interval)
-    if interval < 0.0:
+    if not (math.isfinite(interval) and interval >= 0.0):
         raise ConfigurationError(
-            f"telemetry interval must be >= 0, got {interval}"
+            f"telemetry interval must be finite and >= 0, got {interval}"
         )
     global _telemetry
     previous = _telemetry
@@ -280,9 +281,12 @@ def describe(
         metrics_interval = None
     else:
         metrics_interval = float(metrics)
-        if metrics_interval < 0.0:
+        # Here, not in the run: the interval goes into the descriptor and
+        # its cache key, and a pool worker would report it as a failed run.
+        if not (math.isfinite(metrics_interval) and metrics_interval >= 0.0):
             raise ConfigurationError(
-                f"telemetry interval must be >= 0, got {metrics_interval}"
+                "metrics: telemetry interval must be finite and >= 0, "
+                f"got {metrics_interval}"
             )
     if metrics_interval is not None:
         params["metrics"] = metrics_interval

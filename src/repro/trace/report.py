@@ -8,14 +8,18 @@ a run into a plain-data structure the benchmark harness and tests consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, NamedTuple
 
 __all__ = ["PERow", "TraceReport"]
 
 
-@dataclass(frozen=True)
-class PERow:
-    """Counters for one PE."""
+class PERow(NamedTuple):
+    """Counters for one PE: a tuple with names.
+
+    A run leaves P of these in every row it returns, so they are what a
+    cached or pooled row mostly consists of; as a tuple one pickles as a
+    class reference plus its 22 values and loads without a state dict.
+    """
 
     pe: int
     busy_time: float

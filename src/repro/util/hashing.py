@@ -23,7 +23,27 @@ __all__ = ["stable_hash", "stable_digest", "source_fingerprint"]
 
 
 def _feed(h, obj: Any) -> None:
-    if obj is None:
+    # The exact builtin types first: a run descriptor is some 35 strs,
+    # tuples and numbers, and table keys are mostly ints.  Everything else
+    # (None, bools, bytes, subclasses) takes the chain below, which encodes
+    # the four types above identically.
+    kind = type(obj)
+    if kind is str:
+        h.update(b"S")
+        h.update(obj.encode("utf-8"))
+    elif kind is tuple:
+        h.update(b"T(")
+        for x in obj:
+            _feed(h, x)
+            h.update(b",")
+        h.update(b")")
+    elif kind is int:
+        h.update(b"I")
+        h.update(str(obj).encode())
+    elif kind is float:
+        h.update(b"F")
+        h.update(obj.hex().encode())
+    elif obj is None:
         h.update(b"N")
     elif isinstance(obj, bool):
         h.update(b"B1" if obj else b"B0")

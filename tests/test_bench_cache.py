@@ -101,7 +101,7 @@ def test_corrupt_cache_file_is_miss_not_crash(tmp_path):
         fh.write(b"\x00garbage not a pickle")
     fresh = ResultCache(str(tmp_path), fingerprint="fp")
     assert fresh.get(desc) is None
-    assert fresh.misses == 1
+    assert fresh.misses == 1 and fresh.corrupt == 1
 
     # The next store overwrites the corpse and restores service.
     fresh.put(desc, row)
@@ -118,6 +118,37 @@ def test_truncated_cache_file_is_miss(tmp_path):
     with open(path, "wb") as fh:
         fh.write(blob[: len(blob) // 2])
     assert ResultCache(str(tmp_path), fingerprint="fp").get(desc) is None
+
+
+def test_file_truncated_between_write_and_read_is_counted_corrupt(tmp_path):
+    """ROADMAP's named harness failure mode, end to end: the sweep around
+    the damaged entry completes, the cache says why it missed, the re-run
+    row overwrites the corpse and the next lookup is a hit again."""
+    descs = [describe("fib", "ideal", 2, n=10, threshold=5, seed=s)
+             for s in (0, 1, 2)]
+    cold = ResultCache(str(tmp_path), fingerprint="fp")
+    with SweepExecutor(jobs=1, cache=cold) as ex:
+        first = ex.run_many(descs)
+    assert (cold.misses, cold.corrupt, cold.stores) == (3, 0, 3)
+    assert cold.stats()["corrupt"] == 0
+
+    path = cold.path(descs[1])
+    os.truncate(path, os.path.getsize(path) // 2)
+    warm = ResultCache(str(tmp_path), fingerprint="fp")
+    with SweepExecutor(jobs=1, cache=warm) as ex:
+        again = ex.run_many(descs)
+        summary = ex.summary()
+    assert [row.vtime for row in again] == [row.vtime for row in first]
+    assert (warm.hits, warm.misses, warm.corrupt, warm.stores) == (2, 1, 1, 1)
+    assert ex.runs_executed == 1 and ex.runs_cached == 2
+    # ``misses`` stays the total, so the hit rate keeps its meaning; the
+    # reason travels to --stats-json with the other cache statistics.
+    assert summary["cache"]["corrupt"] == 1
+    assert summary["cache"]["hit_rate"] == round(2 / 3, 4)
+
+    healed = ResultCache(str(tmp_path), fingerprint="fp")
+    assert healed.get(descs[1]) is not None
+    assert (healed.hits, healed.misses, healed.corrupt) == (1, 0, 0)
 
 
 def test_empty_cache_file_is_miss(tmp_path):
@@ -143,7 +174,7 @@ def test_format_or_key_skew_is_miss(tmp_path):
         pickle.dump({"format": 1, "key": "someone-elses-key", "row": "bogus"},
                     fh)
     assert cache.get(desc) is None
-    assert cache.misses == 2
+    assert cache.misses == 2 and cache.corrupt == 2
 
 
 def test_put_never_pickles_live_kernel(tmp_path):
@@ -163,10 +194,11 @@ def test_hit_rate_accounting(tmp_path):
     cache = ResultCache(str(tmp_path), fingerprint="fp")
     desc = describe("fib", "ideal", 1, n=10, threshold=5)
     assert cache.hit_rate == 0.0
-    assert cache.get(desc) is None
+    assert cache.get(desc) is None          # no such file: not "corrupt"
     with SweepExecutor(jobs=1, cache=cache) as ex, use_executor(ex):
         ex.run_one(desc)
     assert cache.get(desc) is not None
     stats = cache.stats()
     assert stats["hits"] == 1 and stats["misses"] == 2 and stats["stores"] == 1
+    assert stats["corrupt"] == 0
     assert stats["hit_rate"] == round(1 / 3, 4)

@@ -1,17 +1,60 @@
 """Integration tests: every experiment runs (quick scale) and its claim
 shape — the thing the reproduction is *for* — holds."""
 
+import hashlib
+
 import pytest
 
 from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.bench.harness import measure, speedup_sweep
+from repro.bench.parallel import SweepExecutor, use_executor
 from repro.util.errors import ConfigurationError
+from repro.util.hashing import stable_digest
+
+
+class Recording(SweepExecutor):
+    """The serial executor, remembering every descriptor submitted to it."""
+
+    def __init__(self):
+        super().__init__(jobs=1)
+        self.descs = []
+
+    def run_many(self, descs, label=""):
+        self.descs.extend(descs)
+        return super().run_many(descs, label=label)
 
 
 @pytest.fixture(scope="module")
-def results():
+def sweep():
     """Run every experiment once at quick scale; share across tests."""
-    return {exp_id: run_experiment(exp_id, scale="quick") for exp_id in EXPERIMENTS}
+    with Recording() as ex, use_executor(ex):
+        results = {exp_id: run_experiment(exp_id, scale="quick")
+                   for exp_id in EXPERIMENTS}
+    return results, ex.descs
+
+
+@pytest.fixture(scope="module")
+def results(sweep):
+    return sweep[0]
+
+
+def test_cache_keys_of_the_quick_sweep_equal_the_parents(sweep):
+    """What ``--exp all --scale quick`` looks up in the result cache.
+
+    The digest is of the sorted keys as the parent commit computed them
+    (``fingerprint="x"``): a cheaper ``_feed`` or ``canonical()`` must not
+    move one, or every cached row is silently re-executed.
+    """
+    descs = sweep[1]
+    assert len(descs) == 182
+    for fingerprint in ("", "x", "5f0c" * 8):
+        for desc in descs:
+            assert desc.key(fingerprint) == stable_digest(
+                (fingerprint, desc.canonical()))
+    keys = sorted({desc.key("x") for desc in descs})
+    assert len(keys) == 154         # 28 rows repeat an earlier descriptor
+    assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == (
+        "a2600754de7e9d3ce61737877f6fd814d5db37a117de5b715cb9c1f643ffda6d")
 
 
 def test_all_experiments_produce_tables(results):

@@ -31,6 +31,7 @@ from repro.bench.experiments import run_experiment
 from repro.bench.harness import describe, execute_descriptor
 from repro.bench.parallel import SweepExecutor, use_executor
 from repro.faults import FaultConfig
+from repro.trace import PERow
 from repro.util.errors import RoutingError
 
 
@@ -133,6 +134,29 @@ def test_inline_pooled_cached_and_single_miss_rows_are_equal(tmp_path):
                 if f.name != "host_seconds":
                     assert getattr(row, f.name) == getattr(ref, f.name), f.name
             assert _wire(row) == _wire(ref)
+
+
+@pytest.mark.parametrize("kind", ["faults", "sparse"])
+def test_row_read_back_by_get_equals_the_row_put_stored(tmp_path, kind):
+    if kind == "faults":
+        desc = describe("queens", "ncube2", 8, n=6, grainsize=2,
+                        faults=FaultConfig(drop_prob=0.05, stall_prob=0.02))
+    else:
+        desc = describe("tree", "cluster", 10_000, sparse=True)
+    row = harness.run_descriptor(desc)
+    ResultCache(str(tmp_path), fingerprint="pinned").put(desc, row)
+    back = ResultCache(str(tmp_path), fingerprint="pinned").get(desc)
+    assert back is not row and back == row
+    assert back.stats.pe_rows == row.stats.pe_rows
+    assert [type(r) for r in back.stats.pe_rows] == (
+        [PERow] * len(row.stats.pe_rows))
+    assert _wire(back) == _wire(row)
+    if kind == "faults":
+        # The defaulted fault fields carry values here, not their defaults.
+        assert sum(r.retries for r in back.stats.pe_rows) > 0
+        assert sum(r.stall_time for r in back.stats.pe_rows) > 0.0
+    else:
+        assert 0 < len(back.stats.pe_rows) < 10_000   # touched ranks only
 
 
 def test_row_events_equal_the_live_runs_event_counts():

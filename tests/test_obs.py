@@ -450,6 +450,39 @@ class TestBenchTelemetry:
             with use_telemetry(-1.0):
                 pass
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1.0"])
+    @pytest.mark.parametrize("entry", ["describe", "use_telemetry", "cli"])
+    def test_bad_interval_fails_at_the_call_naming_the_field(
+            self, entry, value, capsys):
+        # Not later, inside the run's TelemetryConfig: by then the value is
+        # in a descriptor and its cache key, possibly in a pool worker.
+        from repro.bench.__main__ import main
+        from repro.bench.harness import describe, use_telemetry
+
+        if entry == "describe":
+            with pytest.raises(ConfigurationError, match="metrics"):
+                describe("fib", "ipsc2", 8, metrics=float(value))
+        elif entry == "use_telemetry":
+            with pytest.raises(ConfigurationError, match="interval"):
+                with use_telemetry(float(value)):
+                    pass
+        else:
+            with pytest.raises(SystemExit) as exit_info:
+                main(["--exp", "t9", "--scale", "quick", "--no-cache",
+                      f"--metrics-interval={value}"])
+            assert exit_info.value.code == 2
+            assert "--metrics-interval" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [0.0, 0.005])
+    def test_zero_and_positive_intervals_still_pass(self, value):
+        from repro.bench.harness import describe, use_telemetry
+
+        explicit = describe("fib", "ipsc2", 8, metrics=value)
+        with use_telemetry(value):
+            ambient = describe("fib", "ipsc2", 8)
+        assert dict(explicit.params)["metrics"] == value
+        assert ambient == explicit
+
     def test_execute_descriptor_attaches_payload(self):
         from repro.bench.harness import describe, execute_descriptor
 
