@@ -329,7 +329,9 @@ def execute_descriptor(desc: RunDescriptor) -> MeasureRow:
         params["balancer"] = make_balancer(
             balancer_spec.pop("name"), **balancer_spec
         )
-    machine = make_machine(desc.machine, desc.num_pes)
+    # Sparse startup is a property of the machine, not a kernel keyword.
+    machine = make_machine(desc.machine, desc.num_pes,
+                           sparse=params.pop("sparse", False))
     if desc.machine_scaled:
         machine.params = machine.params.scaled(**dict(desc.machine_scaled))
     if desc.trace:

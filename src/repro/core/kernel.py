@@ -29,9 +29,10 @@ Execution model (normative — see DESIGN.md §5):
 
 from __future__ import annotations
 
+import math
 import time as _host_time
-from bisect import bisect_left
 from dataclasses import dataclass, field
+from numbers import Real
 from types import FunctionType as _FunctionType
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -40,7 +41,7 @@ from repro.core.handles import BocHandle, ChareHandle, mint_chare_handle
 from repro.core.messages import Envelope, Kind
 from repro.core.pe import PEPlane, PEState
 from repro.core.services import Service
-from repro.core.tree import make_tree
+from repro.core.tree import Span, make_tree
 from repro.machine.network import Machine
 from repro.util.errors import (
     ConfigurationError,
@@ -109,8 +110,6 @@ class Kernel:
         faults: Any = None,
         trace_events: Any = None,
         telemetry: Any = None,
-        sparse: Optional[bool] = None,
-        dense_pes: bool = False,
     ) -> None:
         from repro.sim.backend import HeapBackend  # local: keep core light
         from repro.balance import make_balancer
@@ -155,6 +154,16 @@ class Kernel:
         self.seed = seed
         self.queueing = queueing
         self.strict_entries = strict_entries
+        for keyword, value in (("qd_interval", qd_interval),
+                               ("lazy_interval", lazy_interval)):
+            # Both become engine delays: NaN ends the run at time nan, a
+            # negative one fails inside the engine many events later.
+            if not (isinstance(value, Real) and math.isfinite(value)
+                    and value >= 0):
+                raise ConfigurationError(
+                    f"{keyword} must be a finite real number >= 0, "
+                    f"got {value!r}"
+                )
         self.qd_interval = qd_interval
         self.lazy_interval = lazy_interval
         # Runtime collective tree: binomial on hypercubes (every tree edge is
@@ -181,24 +190,18 @@ class Kernel:
                 self.events = EventLog(kinds=trace_events)
         self._events = self.events
 
-        # Sparse-startup mode: explicit argument wins, then the machine's
-        # preference.  When on, the init broadcast is skipped (replication
-        # is modeled free), PEs are born ungated, and global operations
-        # (quiescence waves, accumulator collects, monotonic floods,
-        # reports) enumerate only the *touched* set — the O(active) regime
-        # that makes P=10⁵–10⁶ machines practical.  BOC collectives run
-        # over a write-once span of the ranks touched at creation time
-        # (see boc_spans below), so create/broadcast/reduce are O(active)
-        # too.
-        self.sparse = machine.sparse if sparse is None else sparse
+        # Sparse startup is a property of the machine.  When on, the init
+        # broadcast is skipped (replication is modeled free), PEs are born
+        # ungated, and span() hands every collective (quiescence waves,
+        # accumulator collects, monotonic floods, BOC and write-once
+        # broadcasts, reports) the *touched* ranks instead of all P — the
+        # O(active) regime that makes P=10⁵–10⁶ machines practical.
+        self.sparse = machine.sparse
+        self._all_ranks = Span(range(machine.num_pes), self.tree)
         # The PE plane materializes a PEState on first delivery; untouched
-        # ranks cost nothing.  dense_pes pre-materializes all P (the
-        # historical memory profile, used by the equivalence tests).
+        # ranks cost nothing.
         self.pes: PEPlane = PEPlane(
-            machine.num_pes,
-            queueing,
-            gated=not self.sparse,
-            dense=dense_pes,
+            machine.num_pes, queueing, gated=not self.sparse
         )
 
         # Fault injection (repro.faults): accepts a FaultConfig or an
@@ -222,10 +225,8 @@ class Kernel:
         # Online telemetry (repro.obs): accepts a Telemetry, a
         # TelemetryConfig, or True; None keeps the unobserved fast path
         # (one `is None` check per execution, same inert-when-off pattern
-        # as faults/tracing).  Unlike tracing, telemetry never joins the
-        # burst gate below: it aggregates at execution granularity and
-        # scrapes the PEState counters both flush paths maintain
-        # identically, so schedules are unperturbed.
+        # as faults/tracing).  It aggregates at execution granularity and
+        # scrapes the PEState counters, so schedules are unperturbed.
         if telemetry is None:
             self.telemetry = None
         else:
@@ -245,13 +246,8 @@ class Kernel:
             telemetry.bind(self)
             self.telemetry = telemetry
         self._telemetry = self.telemetry
-        # Outbox burst flush: grouped bulk scheduling of a flush.  The fault
-        # and tracing hooks need per-envelope control, so the gate is
-        # decided once per run, not per flush.
-        self._burst_ok = self._faults is None and self._events is None
         # Quiescence accounting lives on the PEStates (counted_sent /
-        # counted_processed slots); the list-shaped compat properties below
-        # rebuild the historical O(P) views on demand for reports and tests.
+        # counted_processed slots), not here.
         # Network-load accounting: sum over messages of hop count — the
         # link-occupancy metric the topology-aware collectives reduce (A1).
         self.total_message_hops = 0
@@ -280,11 +276,10 @@ class Kernel:
         self._premature: Dict[int, List[Envelope]] = {}
 
         self.bocs: Dict[int, Dict[int, BranchOfficeChare]] = {}
-        # Sparse BOC plane: boc_id -> (sorted_ranks, rank_set, virtual_tree)
-        # snapshotted once when the create message reaches the tree root —
-        # the write-once span every later broadcast/reduction for that BOC
-        # walks instead of all P ranks.  Always empty in dense mode.
-        self.boc_spans: Dict[int, Tuple[List[int], frozenset, Any]] = {}
+        # boc_id -> the write-once span of ranks its branches live on, taken
+        # at the BOC's first collective (its create reaching the tree root);
+        # every later broadcast/reduction for that BOC walks it.
+        self.boc_spans: Dict[int, Span] = {}
         self._next_boc = 0
         self._boc_premature: Dict[Tuple[int, int], List[Envelope]] = {}
         self._reductions: Dict[Tuple[int, str, int], dict] = {}
@@ -342,6 +337,8 @@ class Kernel:
         self.readonly_vars: Dict[str, Any] = {}
         self.writeonce_vars: Dict[str, Any] = {}
         self._writeonce_avail: Dict[Tuple[str, int], bool] = {}
+        # name -> the span its one broadcast runs over (taken at the root).
+        self._writeonce_spans: Dict[str, Span] = {}
 
     # ====================================================================== run
     @property
@@ -349,31 +346,27 @@ class Kernel:
         return self.machine.num_pes
 
     @property
-    def counted_sent(self) -> List[int]:
-        """Full-length per-PE counted-send view (compat; O(P) to build).
-
-        The counters themselves live on the touched PEStates; untouched
-        ranks report 0, exactly as the eager lists did.  Hot paths read
-        ``self.pes[pe].counted_sent`` directly.
-        """
-        pes = self.pes
-        return [
-            0 if (s := pes.get(i)) is None else s.counted_sent
-            for i in range(self.machine.num_pes)
-        ]
-
-    @property
-    def counted_processed(self) -> List[int]:
-        """Full-length per-PE counted-processed view (compat; O(P))."""
-        pes = self.pes
-        return [
-            0 if (s := pes.get(i)) is None else s.counted_processed
-            for i in range(self.machine.num_pes)
-        ]
-
-    @property
     def now(self) -> float:
         return self.engine.now
+
+    def span(self) -> Span:
+        """The ranks a collective starting now runs over, as a tree.
+
+        Every rank over the machine's own tree — or, under sparse startup,
+        a snapshot of the ranks touched so far under a same-shape tree of
+        that size.  PE 0 is always touched (bootstrap), so the root holds.
+        """
+        if self.sparse:
+            ranks = self.pes.ranks()
+            return Span(ranks, type(self.tree)(len(ranks)))
+        return self._all_ranks
+
+    def boc_span(self, boc_id: int) -> Span:
+        """A BOC's write-once span, taken at its first collective."""
+        span = self.boc_spans.get(boc_id)
+        if span is None:
+            span = self.boc_spans[boc_id] = self.span()
+        return span
 
     def run(
         self,
@@ -554,86 +547,6 @@ class Kernel:
             self._schedule_call(departure + transit, self._arrive_cb, env)
         else:
             faults.transmit(env, departure, departure + transit)
-
-    def _flush_outbox_burst(
-        self,
-        outbox: List[Tuple[float, Envelope]],
-        start: float,
-        duration: float,
-        base: float,
-        wut: float,
-    ) -> None:
-        """Burst outbox flush: one pass, grouped bulk scheduling.
-
-        Semantics are exactly :meth:`_deliver` per envelope in outbox
-        order — same float expressions, same counter updates, same uid
-        sequence, same bus/link mutation order — with the per-envelope
-        call frames and attribute walks hoisted out of the loop, and
-        *consecutive* equal arrival times handed to the engine as a single
-        ``schedule_calls`` push (consecutive-only grouping keeps the
-        (time, seq) order identical to the scalar path's, which is what
-        the bit-identity guarantee rests on).  The scalar loop remains the
-        fallback whenever fault injection or event tracing needs
-        per-envelope control, or the machine is heterogeneous.
-        """
-        pes = self.pes
-        next_uid = self._next_uid
-        hops = self._hops
-        transit_time = self._transit_time
-        local_alpha = self._local_alpha
-        engine = self.engine
-        schedule_calls = engine.schedule_calls
-        schedule_call = engine.schedule_call
-        arrive = self._arrive_cb
-        hops_total = 0
-        last_src = -1
-        src = None
-        carried = 0
-        group: List[Envelope] = []
-        group_time = -1.0
-        for charged_at_send, env in outbox:
-            departure = start + min(base + charged_at_send * wut, duration)
-            src_pe = env.src_pe
-            if src_pe != last_src:
-                src = pes[src_pe]
-                carried = src._app_queued + 1 if src.busy else src._app_queued
-                last_src = src_pe
-            env.carried_load = carried
-            src.msgs_sent += 1
-            nbytes = env._size
-            if nbytes is None:
-                nbytes = env.nbytes
-            src.bytes_sent += nbytes
-            if env.uid is None:
-                env.uid = next_uid
-                next_uid += 1
-            if env.counted and not env.suppress_sent_count:
-                src.counted_sent += 1
-            dst_pe = env.dst_pe
-            if src_pe == dst_pe:
-                arrival = departure + local_alpha
-            else:
-                hops_total += hops(src_pe, dst_pe)
-                arrival = departure + transit_time(
-                    src_pe, dst_pe, nbytes, departure
-                )
-            if arrival == group_time:
-                group.append(env)
-            else:
-                if group:
-                    if len(group) == 1:
-                        schedule_call(group_time, arrive, group[0])
-                    else:
-                        schedule_calls(group_time, arrive, group)
-                group = [env]
-                group_time = arrival
-        if group:
-            if len(group) == 1:
-                schedule_call(group_time, arrive, group[0])
-            else:
-                schedule_calls(group_time, arrive, group)
-        self._next_uid = next_uid
-        self.total_message_hops += hops_total
 
     def _arrive(self, env: Envelope) -> None:
         """An envelope reached its destination PE's pool."""
@@ -864,17 +777,14 @@ class Kernel:
         if telemetry is not None:
             telemetry.on_execute(pe, env, start, duration, charged)
         if outbox:
-            if len(outbox) >= 4 and self._burst_ok and wut is not None:
-                self._flush_outbox_burst(outbox, start, duration, base, wut)
-            else:
-                for charged_at_send, out in outbox:
-                    if wut is not None:
-                        offset = base + charged_at_send * wut
-                    else:
-                        offset = base + self.machine.compute_time(
-                            charged_at_send, pe.index
-                        )
-                    self._deliver(out, start + min(offset, duration))
+            for charged_at_send, out in outbox:
+                if wut is not None:
+                    offset = base + charged_at_send * wut
+                else:
+                    offset = base + self.machine.compute_time(
+                        charged_at_send, pe.index
+                    )
+                self._deliver(out, start + min(offset, duration))
             outbox.clear()
         pe.busy_until = busy_until = start + duration
         if events is not None:
@@ -1158,14 +1068,14 @@ class Kernel:
         if not 0 <= pe < self.num_pes:
             raise RoutingError(f"branch send to invalid PE {pe}")
         span = self.boc_spans.get(boc.boc_id)
-        if span is not None and pe not in span[1]:
-            # Sparse kernels materialize branches on the ranks that were
-            # touched when the BOC was created (the write-once span); a
+        if span is not None and pe not in span:
+            # Branches materialize on the ranks of the BOC's write-once
+            # span (under sparse startup, those touched at creation); a
             # send outside it would wait forever for a branch that will
             # never be constructed, so fail it loudly instead.
             raise RoutingError(
                 f"branch send to PE {pe}: {boc} spans "
-                f"{len(span[0])} touched ranks and PE {pe} is not one "
+                f"{len(span)} touched ranks and PE {pe} is not one "
                 "(sparse BOCs cover the ranks active at creation)"
             )
         env = Envelope(
@@ -1227,7 +1137,7 @@ class Kernel:
     ) -> None:
         ctx = self.current
         self._reduce_fold(boc.boc_id, tag, ctx.pe, value, op, target, entry_name,
-                          own=True, span=self.boc_spans.get(boc.boc_id))
+                          span=self.boc_span(boc.boc_id))
 
     def api_barrier(self, boc: BocHandle, tag: str, entry_name: str) -> None:
         """Join a barrier over all branches of ``boc``.
@@ -1239,28 +1149,16 @@ class Kernel:
         """
         ctx = self.current
         self._reduce_fold(boc.boc_id, tag, ctx.pe, 1, "sum", None, entry_name,
-                          own=True, mode="barrier",
-                          span=self.boc_spans.get(boc.boc_id))
+                          mode="barrier", span=self.boc_span(boc.boc_id))
 
-    def _red_state(self, boc_id: int, tag: str, pe: int,
-                   span: Optional[tuple] = None) -> dict:
+    def _red_state(self, boc_id: int, tag: str, pe: int, span: Span) -> dict:
         key = (boc_id, tag, pe)
         st = self._reductions.get(key)
         if st is None:
-            if span is not None:
-                # Sparse collect/BOC: fold over the snapshot's virtual
-                # tree.  Accumulator snapshots are (ranks, tree) pairs,
-                # BOC spans are (ranks, rank_set, tree) triples; both put
-                # the ranks first and the tree last.
-                ranks = span[0]
-                wtree = span[-1]
-                need = 1 + len(wtree.children(bisect_left(ranks, pe)))
-            else:
-                need = 1 + len(self.tree.children(pe))
             st = {
                 "value": None,
                 "have": 0,
-                "need": need,
+                "need": 1 + len(span.children(pe)),
                 "op": None,
                 "target": None,
                 "entry": None,
@@ -1278,15 +1176,14 @@ class Kernel:
         op,
         target: Optional[ChareHandle],
         entry_name: str,
-        own: bool,
         mode: str = "deliver",
-        span: Optional[tuple] = None,
+        *,
+        span: Span,
     ) -> bool:
-        """Fold one contribution; returns True when the root completed.
+        """Fold one contribution up ``span``; True when its root completed.
 
-        ``span`` — a ``(sorted_ranks, virtual_tree)`` snapshot — reshapes
-        the fold over the touched set for sparse accumulator collects;
-        ``None`` folds over the machine's full spanning tree as always.
+        ``span`` is the BOC's write-once span, or the per-collect snapshot
+        of an accumulator gather.
         """
         from repro.sharing.ops import combine  # avoid import cycle at module load
 
@@ -1305,13 +1202,7 @@ class Kernel:
             return False
         # Subtree complete: push up, or complete at the root.
         del self._reductions[(boc_id, tag, pe)]
-        if span is not None:
-            ranks = span[0]
-            wtree = span[-1]
-            vparent = wtree.parent(bisect_left(ranks, pe))
-            parent = None if vparent is None else ranks[vparent]
-        else:
-            parent = self.tree.parent(pe)
+        parent = span.parent(pe)
         if parent is not None:
             self.svc_send(
                 "share",
@@ -1391,9 +1282,14 @@ class Kernel:
 
     def api_get_writeonce(self, name: str, pe: int) -> Any:
         if not self._writeonce_avail.get((name, pe)):
-            raise SharingError(
-                f"write-once variable {name!r} not yet replicated to PE {pe}"
-            )
+            # A rank outside the broadcast's span holds the value as it
+            # does read-only variables: replication is modeled free there.
+            span = self._writeonce_spans.get(name)
+            if span is None or pe in span:
+                raise SharingError(
+                    f"write-once variable {name!r} not yet replicated to "
+                    f"PE {pe}"
+                )
         return self.writeonce_vars[name]
 
     def api_new_accumulator(self, name: str, initial: Any, op) -> None:

@@ -257,7 +257,6 @@ class PEPlane(dict):
         strategy_name: str = "fifo",
         *,
         gated: bool = True,
-        dense: bool = False,
     ) -> None:
         super().__init__()
         self.num_pes = num_pes
@@ -265,9 +264,6 @@ class PEPlane(dict):
         # Sparse-startup kernels skip the init broadcast, so their PEs are
         # born with the startup gate already open.
         self.default_gated = gated
-        if dense:
-            for index in range(num_pes):
-                self[index]
 
     def __missing__(self, index: int) -> PEState:
         if not 0 <= index < self.num_pes:

@@ -14,11 +14,15 @@ tree rooted at rank 0.  Two shapes are provided:
 
 :func:`make_tree` picks by name; ``"auto"`` selects binomial on hypercube
 machines and the rank tree elsewhere.
+
+A collective does not walk a tree directly but a :class:`Span`: the ranks it
+runs over, in a tree of that many nodes.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from bisect import bisect_left
+from typing import List, Optional, Sequence
 
 __all__ = [
     "tree_parent",
@@ -27,6 +31,7 @@ __all__ = [
     "SpanningTree",
     "RankTree",
     "BinomialTree",
+    "Span",
     "make_tree",
 ]
 
@@ -114,6 +119,42 @@ class BinomialTree(SpanningTree):
                 out.append(bit)
                 bit <<= 1
         return out
+
+
+class Span:
+    """The ranks one collective runs over, and its tree shape over them.
+
+    ``ranks`` is an index-sorted sequence of PE ranks and ``tree`` a
+    spanning tree of ``len(ranks)`` nodes whose node *i* stands for
+    ``ranks[i]``; ``children``/``parent`` take and return real ranks.  Over
+    ``range(P)`` and the machine's own tree the mapping is the identity, so
+    a collective over every rank and one over the touched ranks of a sparse
+    machine are the same code.  ``ranks[0]`` is the root.
+    """
+
+    __slots__ = ("ranks", "tree")
+
+    def __init__(self, ranks: Sequence[int], tree: SpanningTree) -> None:
+        self.ranks = ranks
+        self.tree = tree
+
+    def __len__(self) -> int:
+        return len(self.ranks)
+
+    def __contains__(self, pe: int) -> bool:
+        ranks = self.ranks
+        i = bisect_left(ranks, pe)
+        return i < len(ranks) and ranks[i] == pe
+
+    def children(self, pe: int) -> List[int]:
+        """Children of rank ``pe`` (a member) as a fresh list of ranks."""
+        ranks = self.ranks
+        return [ranks[c] for c in self.tree.children(bisect_left(ranks, pe))]
+
+    def parent(self, pe: int) -> Optional[int]:
+        ranks = self.ranks
+        vparent = self.tree.parent(bisect_left(ranks, pe))
+        return None if vparent is None else ranks[vparent]
 
 
 def make_tree(name: str, num_pes: int, topology_name: str = "") -> SpanningTree:

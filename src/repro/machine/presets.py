@@ -207,9 +207,9 @@ MACHINE_PRESETS: Dict[str, Callable[[int], Machine]] = {
 def make_machine(name: str, num_pes: int, sparse: bool = False) -> Machine:
     """Build a preset machine by name.
 
-    ``sparse`` pins sparse startup on the machine (the kernel picks it up
-    unless the caller passes an explicit ``sparse=`` of its own) — the
-    O(active) mode that makes P=10⁵–10⁶ machines practical.
+    ``sparse`` pins sparse startup on the machine, where the kernel reads
+    it: no init broadcast, and collectives over the touched ranks only —
+    the O(active) mode that makes P=10⁵–10⁶ machines practical.
     """
     try:
         factory = MACHINE_PRESETS[name]

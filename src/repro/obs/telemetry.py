@@ -19,10 +19,9 @@ Design constraints, in order:
    run.  Periodic snapshots piggyback on the execution hook (a lazy
    "has the clock crossed the next boundary?" compare) instead of engine
    timers, which is what keeps the schedule unperturbed.
-3. **Burst-flush compatible.**  Unlike tracing, telemetry does NOT join
-   the kernel's ``_burst_ok`` gate.  All per-message metrics are derived
-   from the PEState send/execute counters that both outbox flush paths
-   (scalar ``_deliver`` and the burst flush) maintain identically.
+3. **Off the send path.**  All per-message metrics are derived from the
+   PEState send/execute counters ``_deliver`` maintains anyway; telemetry
+   has no per-envelope hook.
 
 The per-execution hook is the only hot-path cost; everything label-shaped
 it needs is cached in plain dicts keyed by envelope fields, so the steady
@@ -243,10 +242,9 @@ class Telemetry:
                  label: str = "") -> Dict[str, Any]:
         """Scrape the kernel into one snapshot row (O(touched ranks)).
 
-        Per-message and per-PE figures come from the PEState accounting both
-        outbox flush paths maintain identically — scraping those rather
-        than hooking ``_deliver`` per envelope is what lets the burst flush
-        stay armed under telemetry.
+        Per-message and per-PE figures come from the PEState accounting
+        ``_deliver`` maintains anyway, scraped here rather than hooked per
+        envelope.
         """
         k = self._kernel
         if k is None:

@@ -9,9 +9,10 @@ terminate.
 Algorithm — the tree-based, two-phase message-counting scheme of the Charm
 lineage (Sinha & Kalé):
 
-1. The root (PE 0) starts a **wave**: a request flows down the PE spanning
-   tree; every PE replies with its (counted-sent, counted-processed,
-   locally-idle) triple; replies combine on the way up.
+1. The root (PE 0) starts a **wave**: a request flows down the wave's span
+   (``kernel.span()``, taken as the wave starts); every PE on it replies
+   with its (counted-sent, counted-processed, locally-idle) triple; replies
+   combine on the way up.
 2. The root declares quiescence only after **two consecutive waves** return
    identical totals with ``sent == processed`` and every PE idle.  One wave
    is not enough: the counts are sampled at different times on different
@@ -24,22 +25,20 @@ lineage (Sinha & Kalé):
 QD wave messages are *uncounted* system traffic — the detector must not see
 its own probes.
 
-Sparse kernels (``kernel.sparse``) run each wave over a snapshot of the
-*touched* PE set only: the wave tree is rebuilt per wave over the k
-materialized ranks (virtual rank = position in the sorted snapshot), so a
-wave costs O(k) messages on a P=10⁶ machine with k active PEs.  A message
-in flight toward a not-yet-touched PE keeps the totals unbalanced (its
-send is counted, its processing is not), so the wave correctly retries;
-the next wave's snapshot includes the newly materialized rank.
+On a sparse-startup machine the span is the *touched* ranks only, so a wave
+costs O(k) messages on a P=10⁶ machine with k active PEs.  A message in
+flight toward a not-yet-touched PE keeps the totals unbalanced (its send is
+counted, its processing is not), so the wave correctly retries; the next
+wave's span includes the newly materialized rank.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.handles import ChareHandle
 from repro.core.services import Service
+from repro.core.tree import Span
 from repro.util.errors import QuiescenceError
 
 __all__ = ["QuiescenceService"]
@@ -59,9 +58,8 @@ class QuiescenceService(Service):
         self._prev_totals: Optional[Tuple[int, int]] = None
         # (wave, pe) -> partial aggregation state
         self._agg: Dict[Tuple[int, int], dict] = {}
-        # Sparse mode: (sorted touched ranks, wave tree over them) snapshot
-        # for the *current* wave; rebuilt at each wave start.
-        self._wave_snap: Optional[Tuple[list, Any]] = None
+        # The span the *current* wave runs over; taken at each wave start.
+        self._wave_span: Optional[Span] = None
         self.waves_run = 0
         self.detected_at: Optional[float] = None
         # Event id of the execution that scheduled the next wave timer;
@@ -96,12 +94,7 @@ class QuiescenceService(Service):
                 del self._agg[key]
         self.waves_run += 1
         kernel = self.kernel
-        if kernel.sparse:
-            # Snapshot the touched set: this wave enumerates exactly these
-            # k ranks via a same-shape tree of size k.  PE 0 is always
-            # touched (bootstrap), so ranks[0] == 0 and the root holds.
-            ranks = kernel.pes.ranks()
-            self._wave_snap = (ranks, type(kernel.tree)(len(ranks)))
+        self._wave_span = kernel.span()
         events = kernel._events
         if events is None:
             self.send(0, 0, "req", (self._wave,))
@@ -131,18 +124,11 @@ class QuiescenceService(Service):
 
         elif op == "req":
             (wave,) = args
-            if kernel.sparse:
-                # Stale reqs from superseded waves must not fan out over
-                # the *current* snapshot (their folds are dropped anyway).
-                if wave != self._wave or self._wave_snap is None:
-                    return
-                ranks, wtree = self._wave_snap
-                children = [
-                    ranks[c] for c in wtree.children(bisect_left(ranks, pe))
-                ]
-            else:
-                children = kernel.tree.children(pe)
-            for child in children:
+            # Stale reqs from superseded waves must not fan out over the
+            # *current* span (their folds are dropped anyway).
+            if wave != self._wave or self._wave_span is None:
+                return
+            for child in self._wave_span.children(pe):
                 self.send(pe, child, "req", (wave,))
             state = kernel.pes[pe]
             self._fold(
@@ -163,16 +149,7 @@ class QuiescenceService(Service):
     def _fold(self, wave: int, pe: int, sent: int, processed: int, idle: bool) -> None:
         if wave != self._wave:
             return  # straggler from a superseded wave: never mix totals
-        kernel = self.kernel
-        if kernel.sparse:
-            ranks, wtree = self._wave_snap  # type: ignore[misc]
-            vrank = bisect_left(ranks, pe)
-            need = 1 + len(wtree.children(vrank))
-            vparent = wtree.parent(vrank)
-            parent = None if vparent is None else ranks[vparent]
-        else:
-            need = 1 + len(kernel.tree.children(pe))
-            parent = kernel.tree.parent(pe)
+        span = self._wave_span
         key = (wave, pe)
         st = self._agg.get(key)
         if st is None:
@@ -181,7 +158,7 @@ class QuiescenceService(Service):
                 "processed": 0,
                 "idle": True,
                 "have": 0,
-                "need": need,
+                "need": 1 + len(span.children(pe)),
             }
             self._agg[key] = st
         st["sent"] += sent
@@ -191,6 +168,7 @@ class QuiescenceService(Service):
         if st["have"] < st["need"]:
             return
         del self._agg[key]
+        parent = span.parent(pe)
         if parent is not None:
             self.send(pe, parent, "up", (wave, st["sent"], st["processed"], st["idle"]))
             return
@@ -223,7 +201,7 @@ class QuiescenceService(Service):
             self._callback = None
             self._prev_totals = None
             self._agg.clear()
-            self._wave_snap = None
+            self._wave_span = None
             self.detected_at = kernel.now
             self.work_end_at_detection = kernel.last_counted_exec_time
             if events is not None:

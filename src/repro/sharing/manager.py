@@ -22,11 +22,11 @@ Naming: all ops are small strings routed via SVC envelopes; see
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.handles import ChareHandle
 from repro.core.services import Service
+from repro.core.tree import Span
 from repro.sharing.ops import check_better, combiner, improves
 from repro.util.errors import SharingError
 from repro.util.hashing import stable_hash
@@ -83,10 +83,10 @@ class SharingService(Service):
         self._mono_dirty: Dict[Tuple[str, int], bool] = {}
         self._shards: Dict[Tuple[str, int], dict] = {}
         self._collect_id = 0
-        # Sparse accumulator collects: per-collect (ranks, virtual tree)
-        # snapshot of the touched set, keyed by the reduction tag.  Created
-        # when the request reaches PE 0, dropped when the fold completes.
-        self._collect_snap: Dict[str, Tuple[list, Any]] = {}
+        # Accumulator collects: the span each gather runs over, keyed by
+        # its reduction tag.  Taken when the request reaches PE 0, dropped
+        # when the fold completes.
+        self._collect_snap: Dict[str, Span] = {}
         self.mono_updates_sent = 0
         self.mono_updates_applied = 0
 
@@ -186,23 +186,14 @@ class SharingService(Service):
         return self._mono_get(name, pe)
 
     def _neighbors_in_tree(self, pe: int):
-        kernel = self.kernel
-        if kernel.sparse:
-            # Flood over the currently-touched set only: a virtual tree of
-            # the k active ranks.  The improves() guard makes relaying
-            # idempotent, so floods terminate even as the set grows; PEs
-            # materialized after a flood pick the value up from later
-            # improvements (same sampling caveat as sparse quiescence).
-            ranks = kernel.pes.ranks()
-            wtree = type(kernel.tree)(len(ranks))
-            vrank = bisect_left(ranks, pe)
-            out = [ranks[c] for c in wtree.children(vrank)]
-            vparent = wtree.parent(vrank)
-            if vparent is not None:
-                out.append(ranks[vparent])
-            return out
-        out = list(self.kernel.tree.children(pe))
-        parent = self.kernel.tree.parent(pe)
+        # Each hop floods over the span as it is *now*.  The improves()
+        # guard makes relaying idempotent, so floods terminate even as a
+        # sparse machine's touched set grows; PEs materialized after a
+        # flood pick the value up from later improvements (same sampling
+        # caveat as sparse quiescence).
+        span = self.kernel.span()
+        out = span.children(pe)
+        parent = span.parent(pe)
         if parent is not None:
             out.append(parent)
         return out
@@ -272,83 +263,60 @@ class SharingService(Service):
 
         elif op == "boc_create":
             boc_id, boc_cls, cargs = args
-            span = kernel.boc_spans.get(boc_id)
-            if span is None and kernel.sparse:
-                # First arrival is at the tree root (PE 0): snapshot the
-                # touched ranks as this BOC's write-once span.  Branches
-                # materialize on exactly these ranks, and every later
-                # broadcast/reduction for the BOC walks this virtual tree
-                # instead of all P ranks.
-                ranks = kernel.pes.ranks()
-                span = kernel.boc_spans[boc_id] = (
-                    ranks, frozenset(ranks), type(kernel.tree)(len(ranks)))
-            if span is not None:
-                ranks, _, wtree = span
-                for child in wtree.children(bisect_left(ranks, pe)):
-                    self.send(pe, ranks[child], "boc_create", args,
-                              counted=True)
-            else:
-                for child in kernel.tree.children(pe):
-                    self.send(pe, child, "boc_create", args, counted=True)
+            # First arrival is at the tree root (PE 0), which takes the
+            # BOC's write-once span: branches materialize on exactly these
+            # ranks, and every later broadcast/reduction for the BOC walks
+            # the same tree.
+            for child in kernel.boc_span(boc_id).children(pe):
+                self.send(pe, child, "boc_create", args, counted=True)
             kernel.construct_branch(boc_id, boc_cls, cargs, pe)
 
         elif op in ("boc_bcast", "bcast_down"):
             boc_id, entry, bargs = args
-            span = kernel.boc_spans.get(boc_id)
-            if span is not None:
-                ranks, _, wtree = span
-                for child in wtree.children(bisect_left(ranks, pe)):
-                    self.send(pe, ranks[child], "bcast_down", args,
-                              counted=True)
-            else:
-                for child in kernel.tree.children(pe):
-                    self.send(pe, child, "bcast_down", args, counted=True)
+            for child in kernel.boc_span(boc_id).children(pe):
+                self.send(pe, child, "bcast_down", args, counted=True)
             kernel.deliver_local_boc(boc_id, pe, entry, bargs)
 
         elif op == "red_up":
             boc_id, tag, value, rop, target, entry, mode = args
-            # boc_id -1 marks accumulator collects (per-collect snapshot);
-            # real BOC reductions fold over the BOC's write-once span when
-            # one exists (sparse kernels), else over all P branches.
-            span = (self._collect_snap.get(tag) if boc_id == -1
-                    else kernel.boc_spans.get(boc_id))
+            # boc_id -1 marks accumulator collects (per-collect span);
+            # real BOC reductions fold over the BOC's write-once span.
+            span = (self._collect_snap[tag] if boc_id == -1
+                    else kernel.boc_span(boc_id))
             done = kernel._reduce_fold(boc_id, tag, pe, value, rop, target,
-                                       entry, own=False, mode=mode, span=span)
-            if done and span is not None:
-                self._collect_snap.pop(tag, None)
+                                       entry, mode=mode, span=span)
+            if done and boc_id == -1:
+                del self._collect_snap[tag]
 
         elif op == "wonce_bcast":
             name, value = args
+            # One broadcast per name (it is write-once), over the span
+            # taken as the message reaches the root.
+            span = kernel._writeonce_spans.get(name)
+            if span is None:
+                span = kernel._writeonce_spans[name] = kernel.span()
             kernel.writeonce_vars.setdefault(name, value)
             kernel._writeonce_avail[(name, pe)] = True
-            for child in kernel.tree.children(pe):
+            for child in span.children(pe):
                 self.send(pe, child, "wonce_bcast", args, counted=True)
 
         elif op == "acc_req":
             name, cid, target, entry = args
             tag = f"acc:{name}:{cid}"
-            span = None
-            if kernel.sparse:
-                # Gather over the touched set only.  The request reaches
-                # PE 0 first, which snapshots the k active ranks; untouched
-                # PEs hold _EMPTY and contribute nothing by construction.
-                span = self._collect_snap.get(tag)
-                if span is None:
-                    ranks = kernel.pes.ranks()
-                    span = self._collect_snap[tag] = (
-                        ranks, type(kernel.tree)(len(ranks)))
-                ranks, wtree = span
-                for child in wtree.children(bisect_left(ranks, pe)):
-                    self.send(pe, ranks[child], "acc_req", args, counted=True)
-            else:
-                for child in kernel.tree.children(pe):
-                    self.send(pe, child, "acc_req", args, counted=True)
+            # The request reaches PE 0 first, which takes the gather's
+            # span; ranks outside it (untouched, on a sparse machine) hold
+            # _EMPTY and contribute nothing by construction.
+            span = self._collect_snap.get(tag)
+            if span is None:
+                span = self._collect_snap[tag] = kernel.span()
+            for child in span.children(pe):
+                self.send(pe, child, "acc_req", args, counted=True)
             done = kernel._reduce_fold(
                 -1, tag, pe, self._acc_get(name, pe),
-                self._acc_fn[name][1], target, entry, own=True, span=span,
+                self._acc_fn[name][1], target, entry, span=span,
             )
-            if done and span is not None:
-                self._collect_snap.pop(tag, None)
+            if done:
+                del self._collect_snap[tag]
 
         elif op == "mono_update":
             name, value, src = args

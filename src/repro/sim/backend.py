@@ -8,15 +8,15 @@ standalone engine because the performance ledger's frozen
 :func:`make_backend` (it goes when a benchmark change retires the probe).
 
 * :class:`HeapBackend` — the binary-heap path (a subclass of
-  :class:`~repro.sim.engine.Engine` that adds the kernel-facing bulk
-  entry points).
+  :class:`~repro.sim.engine.Engine` that adds the kernel-facing
+  ``drive`` loop).
 * :class:`BatchBackend` — a calendar (bucket) queue keyed by timestamp.
   All events at the same virtual time form one *cohort* drained in a
   single tight loop, so the common
   schedule/fire pair costs a dict probe plus a list append instead of
   two O(log n) heap operations with Python-level list comparisons.
   Homogeneous bursts (seed fanout, same-entry delivery) land in one
-  bucket via :meth:`schedule_calls`, the bulk-delivery entry point.
+  bucket via its own bulk-delivery entry point.
 
 Protocol (duck-typed; both classes implement all of it)::
 
@@ -25,7 +25,6 @@ Protocol (duck-typed; both classes implement all of it)::
     schedule(time, fn) -> event           # cancellable handle
     schedule_after(delay, fn) -> event
     schedule_call(time, fn, arg)          # closure-free per-message path
-    schedule_calls(time, fn, args)        # bulk delivery: many fn(arg) at t
     step() -> bool                        # fire the single next event
     run(until=None, max_events=None)      # engine-driven drain
     drive(max_events=None) -> (fired, truncated)   # kernel-facing bulk loop
@@ -90,29 +89,6 @@ class HeapBackend(Engine):
     def request_stop(self) -> None:
         """Make an in-progress :meth:`drive` return before the next event."""
         self._stop = True
-
-    def schedule_calls(
-        self, time: float, fn: Callable[[Any], None], args: Iterable[Any]
-    ) -> None:
-        """Bulk delivery: schedule ``fn(arg)`` at ``time`` for each arg.
-
-        On the heap this is just a push loop; the kernel's burst outbox
-        flush hands it each run of equal arrival times.
-        """
-        if time < self._now:
-            raise SchedulingError(
-                f"cannot schedule event at t={time} before now={self._now}"
-            )
-        heap = self._heap
-        push = heapq.heappush
-        seq = self._seq
-        n = 0
-        for arg in args:
-            push(heap, [time, seq, fn, arg])
-            seq += 1
-            n += 1
-        self._seq = seq
-        self._live += n
 
     def drive(self, max_events: Optional[int] = None) -> Tuple[int, bool]:
         """Fire events until drained, stopped, or ``max_events`` fired.

@@ -89,17 +89,13 @@ class TraceReport:
         t = kernel.now
         rows = []
         plane = kernel.pes
-        if kernel.sparse:
-            # Sparse kernels report the *touched* PEs only: a P=10⁶ run
-            # with k active PEs emits k rows, and the per-row aggregates
-            # below (mean utilization, imbalance, idle) are over the
-            # active set — the meaningful denominator at that scale.
-            pe_states = plane.states()
-        else:
-            # Dense view: materializing any never-touched stragglers (an
-            # early-exit run can leave some) yields all-zero counters,
-            # byte-identical to the historical eager rows.
-            pe_states = [plane[i] for i in range(kernel.num_pes)]
+        # One row per rank of the span: every rank (materializing any
+        # never-touched stragglers an early exit left yields all-zero
+        # counters), or on a sparse machine the *touched* ranks only — a
+        # P=10⁶ run with k active PEs emits k rows, and the per-row
+        # aggregates below (mean utilization, imbalance, idle) are over
+        # the active set, the meaningful denominator at that scale.
+        pe_states = [plane[i] for i in kernel.span().ranks]
         for pe in pe_states:
             rows.append(
                 PERow(

@@ -155,7 +155,7 @@ def test_drop_retry_converges_and_answer_survives():
     assert not result.truncated
     assert result.time > base.time           # loss costs latency...
     assert k.qd.detected_at is not None      # ...but QD still terminates
-    assert sum(k.counted_sent) == sum(k.counted_processed)
+    assert result.stats.counted_sent == result.stats.counted_processed
     assert k.faults.msgs_dropped > 0 and k.faults.retries > 0
     assert k.faults.acks_sent > 0
     assert k.qd._agg == {}                   # no stale wave state leaked
@@ -171,7 +171,7 @@ def test_duplicates_are_suppressed():
     # executed twice (the answer and counted totals would diverge).
     assert f.dups_suppressed <= f.msgs_duplicated
     k = result.kernel
-    assert sum(k.counted_sent) == sum(k.counted_processed)
+    assert result.stats.counted_sent == result.stats.counted_processed
 
 
 def test_drop_plus_dup_combined():

@@ -106,7 +106,7 @@ def test_fuzz_schedule_independence(shape_seed, kernel_seed, queueing,
     )
     result = kernel.run(FuzzMain, shape_seed)
     assert result.result == _expected(shape_seed)
-    assert sum(kernel.counted_sent) == sum(kernel.counted_processed)
+    assert result.stats.counted_sent == result.stats.counted_processed
     assert kernel.qd.detected_at is not None
     assert kernel.qd.detected_at >= kernel.qd.work_end_at_detection
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro import Chare, Kernel, entry, make_machine
 from repro.core.handles import ChareHandle
+from repro.core.pe import PEPlane
 from repro.util.errors import RoutingError
 
 
@@ -152,6 +153,43 @@ def test_spanning_tree_param_validated(ideal4):
 
     with pytest.raises(ConfigurationError):
         Kernel(ideal4, spanning_tree="moebius")
+
+
+@pytest.mark.parametrize("keyword", ["qd_interval", "lazy_interval"])
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf"), -1e-3, "x"])
+def test_bad_interval_rejected_at_construction(ideal4, keyword, value):
+    from repro.util.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match=keyword):
+        Kernel(ideal4, **{keyword: value})
+
+
+@pytest.mark.parametrize("keyword", ["qd_interval", "lazy_interval"])
+@pytest.mark.parametrize("value", [0.0, 1e-4])
+def test_zero_and_small_intervals_still_run(keyword, value):
+    from repro.apps.tsp import TspInstance, run_tsp
+
+    # Lazy tsp uses both: a batched monotonic bound and quiescence detection.
+    inst = TspInstance.random(6, seed=3)
+    (best, _, _), result = run_tsp(make_machine("ipsc2", 4), inst, grain=3,
+                                   propagation="lazy", **{keyword: value})
+    assert best == run_tsp(make_machine("ipsc2", 4), inst, grain=3)[0][0]
+    assert result.kernel.qd.detected_at is not None and not result.truncated
+
+
+def test_kernel_constructor_keywords_are_pinned():
+    """The next knob is a visible diff here."""
+    import inspect
+
+    assert [p.name for p in inspect.signature(Kernel).parameters.values()
+            if p.kind is p.KEYWORD_ONLY] == [
+        "queueing", "balancer", "seed", "qd_interval", "lazy_interval",
+        "strict_entries", "spanning_tree", "timeline", "faults",
+        "trace_events", "telemetry",
+    ]
+    assert list(inspect.signature(PEPlane).parameters) == [
+        "num_pes", "strategy_name", "gated"]
 
 
 def test_timeline_kind_filter(ipsc8):

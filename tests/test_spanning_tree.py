@@ -1,10 +1,13 @@
-"""Spanning-tree shapes: rank binary tree vs hypercube binomial tree."""
+"""Spanning-tree shapes: rank binary tree vs hypercube binomial tree, and
+the :class:`Span` that maps either onto the ranks a collective runs over."""
+
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro import Chare, Kernel, entry, make_machine
-from repro.core.tree import BinomialTree, RankTree, make_tree
+from repro.core.tree import BinomialTree, RankTree, Span, make_tree
 from repro.util.errors import ConfigurationError
 
 
@@ -105,3 +108,47 @@ def test_binomial_collectives_cut_network_load():
         times[tree_name] = result.result
     assert hops["binomial"] < hops["rank"]
     assert times["binomial"] <= times["rank"] + 1e-12
+
+
+# ------------------------------------------------------------------------ Span
+@pytest.mark.parametrize("cls", [RankTree, BinomialTree])
+def test_span_over_every_rank_is_the_tree_itself(cls):
+    """The dense case: over ``range(P)`` the rank mapping is the identity."""
+    for n in range(1, 71):
+        tree = cls(n)
+        span = Span(range(n), tree)
+        assert len(span) == n and -1 not in span and n not in span
+        for pe in range(n):
+            assert pe in span
+            assert span.children(pe) == tree.children(pe)
+            assert span.parent(pe) == tree.parent(pe)
+
+
+def _mapped(ranks, tree, pe):
+    """(children, parent) as the collectives spelled them before Span."""
+    vrank = bisect_left(ranks, pe)
+    vparent = tree.parent(vrank)
+    return ([ranks[c] for c in tree.children(vrank)],
+            None if vparent is None else ranks[vparent])
+
+
+@given(st.sampled_from([RankTree, BinomialTree]),
+       st.sets(st.integers(0, 100_000), min_size=1, max_size=60))
+def test_property_span_over_a_rank_subset(cls, members):
+    ranks = sorted(members)
+    tree = cls(len(ranks))
+    span = Span(ranks, tree)
+    assert len(span) == len(ranks)
+    assert ranks[0] - 1 not in span and ranks[-1] + 1 not in span
+    reached = {ranks[0]}
+    frontier = [ranks[0]]
+    while frontier:
+        pe = frontier.pop()
+        assert pe in span
+        assert (span.children(pe), span.parent(pe)) == _mapped(ranks, tree, pe)
+        for child in span.children(pe):
+            assert span.parent(child) == pe
+            assert child not in reached, "cycle or double-parent"
+            reached.add(child)
+            frontier.append(child)
+    assert reached == members and span.parent(ranks[0]) is None

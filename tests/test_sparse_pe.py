@@ -6,9 +6,10 @@ global structure (quiescence counters, balancer tables, sharing state)
 to default-on-touch form.  These tests pin the two claims that make
 that refactor safe and worthwhile:
 
-* **equivalence** — a lazy plane is observationally identical to a dense
-  one (randomized app x preset x balancer x queueing x faults x tracing
-  draws, full fingerprints including event records);
+* **one collective path** — a dense run *is* the span path over every
+  rank: with ``Kernel.span`` returning a fresh all-ranks snapshot per call
+  (the sparse shape) randomized app x preset x balancer x queueing x
+  faults x tracing draws and the 16 golden cases do not move;
 * **O(active) scale** — a P=10⁵–10⁶ machine touches only the active
   ranks: resident state, wall time and memory all scale with k, not P.
 
@@ -33,12 +34,14 @@ from repro.apps.tsp import TspInstance, run_tsp
 from repro.core.chare import BranchOfficeChare, Chare, entry
 from repro.core.kernel import Kernel
 from repro.core.pe import PEPlane, PEState
+from repro.core.tree import Span
 from repro.faults import FaultConfig
 from repro.machine.presets import make_machine
 from repro.metrics import sample_metrics
 from repro.trace.report import TraceReport
-from repro.util.errors import RoutingError
+from repro.util.errors import RoutingError, SharingError
 from repro.util.rng import RngStream
+from tests import test_golden_trace as golden
 
 
 # ---------------------------------------------------------------- PEPlane unit
@@ -73,41 +76,23 @@ def test_peplane_out_of_range_raises_indexerror():
 
 
 def test_peplane_dense_prefill_and_gating():
-    dense = PEPlane(16, "fifo", dense=True)
-    assert len(dense) == 16
-    assert dense.ranks() == list(range(16))
+    assert PEPlane(16, "fifo")[3].gated  # (prefill went with dense=)
     sparse = PEPlane(16, "fifo", gated=False)
     assert not sparse[3].gated  # sparse kernels birth PEs ungated
 
 
-# ------------------------------------------------------- dense/lazy equivalence
+# ------------------------------------------------ dense is the all-ranks span
 def _fingerprint(answer, result) -> dict:
-    """Everything observable: result, times, events, per-PE counters."""
+    """Everything observable: the golden fingerprint (result, times, events,
+    per-PE counters) plus per-PE quiescence counts and the event records."""
     k = result.kernel
-    return {
-        "result": repr(answer),
-        "time": float(result.time).hex(),
-        "events": result.events,
-        "truncated": result.truncated,
-        "counted_sent": tuple(k.counted_sent),
-        "counted_processed": tuple(k.counted_processed),
-        "total_message_hops": k.total_message_hops,
-        "pes": tuple(
-            (
-                float(pe.busy_time).hex(),
-                pe.msgs_executed,
-                pe.seeds_executed,
-                pe.system_executed,
-                pe.msgs_sent,
-                pe.bytes_sent,
-                pe.seeds_created,
-                pe.max_queued,
-            )
-            for pe in (k.pes[i] for i in range(k.num_pes))
-        ),
-        "trace": (None if k.events is None
-                  else tuple(map(repr, k.events.as_records()))),
-    }
+    return dict(
+        golden._fingerprint(answer, result),
+        truncated=result.truncated,
+        counted=[(k.pes[i].counted_sent, k.pes[i].counted_processed)
+                 for i in range(k.num_pes)],
+        trace=None if k.events is None else list(map(repr, k.events.as_records())),
+    )
 
 
 _RUNNERS = {
@@ -132,11 +117,17 @@ def _run(app, machine_name, pes, common, **kernel_kwargs):
     return _fingerprint(answer, result)
 
 
+def _fresh_all_ranks_span(kernel):
+    """``Kernel.span`` in the sparse shape: a new list and tree per call."""
+    return Span(list(range(kernel.num_pes)),
+                type(kernel.tree)(kernel.num_pes))
+
+
 def test_randomized_dense_vs_lazy_equivalence():
-    """A lazily-materialized plane must be invisible: random draws over
-    app x preset x balancer x queueing x faults x tracing compare a
-    ``dense_pes=True`` run (the historical eager memory profile) against
-    the default lazy plane, bit for bit."""
+    """A dense run is the span path over every rank: random draws over
+    app x preset x balancer x queueing x faults x tracing compare a run
+    whose every collective gets a fresh all-ranks snapshot (a sparse
+    machine with every rank touched) against the default run, bit for bit."""
     rng = RngStream(1991, "sparse-equiv")
     apps = sorted(_RUNNERS)
     machines = ["symmetry", "multimax", "ipsc2", "ncube2", "cluster",
@@ -159,11 +150,22 @@ def test_randomized_dense_vs_lazy_equivalence():
             kw["faults"] = faults
         if rng.randint(0, 1):
             kw["trace_events"] = "all"
-        dense_fp = _run(app, machine_name, 8, common, dense_pes=True, **kw)
-        lazy_fp = _run(app, machine_name, 8, common, **kw)
-        assert dense_fp == lazy_fp, (
+        default_fp = _run(app, machine_name, 8, common, **kw)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Kernel, "span", _fresh_all_ranks_span)
+            snapshot_fp = _run(app, machine_name, 8, common, **kw)
+        assert snapshot_fp == default_fp, (
             f"draw {draw}: {app}@{machine_name} {common} {sorted(kw)} diverged"
         )
+
+
+@pytest.mark.parametrize("case_id,runner,spec", golden.ALL_CASES,
+                         ids=[c[0] for c in golden.ALL_CASES])
+def test_golden_fixtures_hold_under_fresh_span_snapshots(
+        monkeypatch, case_id, runner, spec):
+    monkeypatch.setattr(Kernel, "span", _fresh_all_ranks_span)
+    fingerprint = golden._fingerprint(*golden._run_case(runner, spec))
+    assert fingerprint == golden._load_fixtures()[case_id]
 
 
 def test_sparse_p100k_touches_only_active_ranks():
@@ -174,7 +176,6 @@ def test_sparse_p100k_touches_only_active_ranks():
     touched = len(k.pes)
     assert touched < 1_000, f"sparse fib touched {touched} of 100k PEs"
     # Global structures scale with the touched set, not with P.
-    assert len(k.counted_sent) == 100_000  # compat property is still dense
     assert sum(len(row) for row in k.balancer.known.values()) < 10_000
     report = TraceReport.from_kernel(k)
     assert len(report.pe_rows) == touched
@@ -297,8 +298,9 @@ def test_sparse_boc_span_is_o_active():
     assert barrier_count == len(span_ranks)
     # ...branches were constructed on exactly the span ranks...
     boc_id = next(iter(k.boc_spans))
-    srs, rank_set, _wtree = k.boc_spans[boc_id]
-    assert srs == span_ranks and rank_set == frozenset(span_ranks)
+    span = k.boc_spans[boc_id]
+    assert span.ranks == span_ranks and all(pe in span for pe in span_ranks)
+    assert 1 not in span and P - 1 not in span
     assert sorted(k.bocs[boc_id]) == span_ranks
     # ...and nothing was O(P): event and touched-rank counts stay ~k.
     assert len(k.pes) < 200, f"touched {len(k.pes)} of {P} PEs"
@@ -326,8 +328,8 @@ def test_sparse_boc_send_outside_span_raises():
 
 
 def test_dense_kernels_have_no_boc_spans():
-    """Dense mode must keep the span table empty (full-P collectives),
-    so golden traces and dense semantics are untouched."""
+    """A dense BOC's span is every rank (so golden traces and dense
+    semantics are untouched) and its broadcast still reaches 0…7."""
 
     class Main(Chare):
         def __init__(self):
@@ -340,7 +342,55 @@ def test_dense_kernels_have_no_boc_spans():
 
     res = Kernel(make_machine("ideal", 8)).run(Main)
     assert list(res.result) == list(range(8))
-    assert res.kernel.boc_spans == {}
+    assert list(res.kernel.boc_spans[0].ranks) == list(range(8))
+    assert sorted(res.kernel.bocs[0]) == list(range(8))
+
+
+# ------------------------------------------------------- sparse write-once
+class _WonceReader(Chare):
+    def __init__(self, parent):
+        self.send(parent, "read_back", self.get_writeonce("x"))
+
+
+def test_sparse_write_once_is_o_active():
+    """A write-once broadcast runs over the ranks touched as it reaches the
+    root, not all P; a rank touched later holds the value for free."""
+
+    class Main(Chare):
+        def __init__(self):
+            self.write_once("x", 42)
+            self.start_quiescence(self.thishandle, "settled")
+
+        @entry
+        def settled(self):
+            self.create(_WonceReader, self.thishandle, pe=77_777)
+
+        @entry
+        def read_back(self, value):
+            self.exit(value)
+
+    res = Kernel(make_machine("cluster", 100_000, sparse=True)).run(Main)
+    assert res.result == 42
+    assert res.events < 100, f"{res.events} events for one write_once"
+    assert len(res.kernel.pes) < 10
+
+
+def test_sparse_write_once_span_rank_still_waits_for_its_broadcast():
+    class Main(Chare):
+        def __init__(self):
+            self.create(_Toucher, self.thishandle, pe=5)
+
+        @entry
+        def touched(self):
+            # Rank 5 is touched, so it is on the broadcast's span; the seed
+            # goes there directly and overtakes the copy relayed by PE 0.
+            self.write_once("x", 1)
+            self.create(_WonceReader, self.thishandle, pe=5)
+
+    k = Kernel(make_machine("cluster", 100_000, sparse=True))
+    with pytest.raises(SharingError, match="not yet replicated to PE 5"):
+        k.run(Main)
+    assert k._writeonce_spans["x"].ranks == [0, 5]
 
 
 # -------------------------------------------------- CentralBalancer heap oracle
