@@ -18,6 +18,7 @@ from typing import Optional, Tuple
 from repro.core.chare import Chare, entry
 from repro.core.kernel import Kernel, RunResult
 from repro.machine.network import Machine
+from repro.util.errors import ConfigurationError
 from repro.util.rng import RngStream
 
 __all__ = [
@@ -193,6 +194,8 @@ def run_knapsack(
     **kernel_kwargs,
 ) -> Tuple[Tuple[int, int], RunResult]:
     """Run parallel knapsack B&B; returns ``((best, nodes), RunResult)``."""
+    if grain < 0:
+        raise ConfigurationError(f"grain must be >= 0, got {grain}")
     if inst is None:
         inst = KnapsackInstance.random(n, instance_seed)
     kernel = Kernel(machine, queueing=queueing, balancer=balancer, seed=seed,

@@ -25,6 +25,7 @@ bound is used by the sequential reference so node counts are comparable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
@@ -127,6 +128,35 @@ def _lower_bound(
     return est // 2
 
 
+def _child_probe(inst: TspInstance, interior: int, first: int) -> Tuple[int, list]:
+    """One pass of :func:`_lower_bound`'s probe for all children of a node.
+
+    Every child of a node shares ``interior`` (the node's path minus its
+    start) and differs only in which live city becomes the new path end.
+    Returns ``(total, second)``: the sum of cheapest useful edges with
+    ``first`` as the only path end, and per live city its second-cheapest
+    useful edge (0 if it has none).  The child ending at ``city`` then has
+    ``_lower_bound(inst, interior, first, city, c) ==
+    (2 * c + total - second[city]) // 2``.
+    """
+    rows = inst.neighbour_rows
+    total = 0
+    second = [0] * len(rows)
+    for city, row in enumerate(rows):
+        if interior >> city & 1:
+            continue
+        need = 1 if city == first else 2
+        for d, other in row:
+            if not interior >> other & 1:
+                total += d
+                need -= 1
+                if not need:
+                    if city != first:
+                        second[city] = d
+                    break
+    return total, second
+
+
 def _visited_mask(path: Tuple[int, ...]) -> int:
     """Bitmask with bit ``c`` set for every city ``c`` on ``path``."""
     visited = 0
@@ -203,11 +233,12 @@ class TspNode(Chare):
         inst: TspInstance = self.readonly("tsp_instance")
         grain = self.readonly("tsp_grain")
         n = inst.n
-        remaining = n - len(path)
+        depth = len(path)
+        remaining = n - depth
         self.charge(NODE_WORK_PER_CITY * max(1, remaining + 1))
         self.accumulate("nodes", 1)
         first, last = path[0], path[-1]
-        if len(path) == n:
+        if not remaining:
             total = cost + inst.dist[last][first]
             self.update_monotonic("bound", total)
             self.accumulate("best", total)
@@ -215,9 +246,13 @@ class TspNode(Chare):
         # One read per node: an entry execution is atomic, so this PE's
         # view of the bound cannot change before the constructor returns.
         incumbent = self.read_monotonic("bound")
-        visited = _visited_mask(path)
-        interior = visited & ~(1 << first | 1 << last)
-        if _lower_bound(inst, interior, first, last, cost) >= incumbent:
+        # The parent already paid for this node's bound: it is the priority
+        # the seed carried.  Only the root (priority 0) computes its own.
+        if depth == 1:
+            bound = _lower_bound(inst, 0, first, first, cost)
+        else:
+            bound = self.my_priority
+        if bound >= incumbent:
             return
         if remaining <= grain:
             # Sequential tail: solve this subtree inside one chare.
@@ -228,14 +263,16 @@ class TspNode(Chare):
                 self.update_monotonic("bound", best)
                 self.accumulate("best", best)
             return
-        # Every child shares one interior mask: this path minus its start.
-        interior = visited & ~(1 << first)
+        visited = _visited_mask(path)
+        total, second = _child_probe(inst, visited & ~(1 << first), first)
         row = inst.dist[last]
         for city in range(n):
             if visited >> city & 1:
                 continue
             child_cost = cost + row[city]
-            child_bound = _lower_bound(inst, interior, first, city, child_cost)
+            # == _lower_bound(inst, interior, first, city, child_cost): as a
+            # path end the child gives up its second-cheapest edge.
+            child_bound = (2 * child_cost + total - second[city]) // 2
             if child_bound >= incumbent:
                 self.accumulate("pruned", 1)
                 continue
@@ -293,8 +330,10 @@ def run_tsp(
     accumulator is seeded with it, so anything below the optimum would be
     reported as the answer.
     """
-    if not bound_slack >= 1:
-        raise ConfigurationError(f"bound_slack must be >= 1, got {bound_slack}")
+    if not 1 <= bound_slack < math.inf:
+        raise ConfigurationError(
+            f"bound_slack must be finite and >= 1, got {bound_slack}"
+        )
     if grain < 0:
         raise ConfigurationError(f"grain must be >= 0, got {grain}")
     if inst is None:

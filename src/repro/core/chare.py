@@ -90,6 +90,20 @@ class Chare:
         return self._kernel.now
 
     @property
+    def my_priority(self) -> PriorityLike:
+        """Priority of the seed or message this execution is serving.
+
+        Exactly the ``priority=`` its sender passed to :meth:`create` or
+        :meth:`send` (``None`` when unprioritised), so a branch-and-bound
+        child reads the bound its parent already computed instead of
+        evaluating it again.
+        """
+        kernel = self._kernel
+        # kernel.current, inlined (one frame per read); it raises when unset.
+        ctx = kernel._current or kernel.current
+        return ctx.priority
+
+    @property
     def mainhandle(self) -> ChareHandle:
         """Handle of the main chare."""
         return self._kernel.main_handle

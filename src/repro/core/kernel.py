@@ -68,12 +68,14 @@ _SVC = Kind.SVC
 class ExecContext:
     """State of one in-progress entry-method execution."""
 
-    __slots__ = ("pe", "start", "charged", "outbox", "system")
+    __slots__ = ("pe", "start", "charged", "outbox", "system", "priority")
 
     def __init__(self, pe: int, start: float, system: bool) -> None:
         self.pe = pe
         self.start = start
         self.charged = 0.0
+        # Priority of the seed or message being served (Chare.my_priority).
+        self.priority: PriorityLike = None
         # (charged_units_at_send, envelope) pairs; offsets resolved at end.
         self.outbox: List[Tuple[float, Envelope]] = []
         self.system = system
@@ -685,6 +687,7 @@ class Kernel:
         ctx.pe = pe.index
         ctx.charged = 0.0
         ctx.system = env.system or kind == _SVC
+        ctx.priority = env.priority
         outbox = ctx.outbox
         outbox.clear()
         # busy_until still holds the previous execution's end: the window

@@ -171,10 +171,10 @@ def hetero(num_pes: int) -> Machine:
         per_hop=0.0,
         local_alpha=10e-6,
     )
+    topology = FullyConnectedTopology(num_pes)   # validates num_pes
     pattern = (1.0, 2.0, 1.5, 4.0)
-    speeds = tuple(pattern[i % len(pattern)] for i in range(num_pes))
-    return Machine("hetero", FullyConnectedTopology(num_pes), params,
-                   pe_speeds=speeds)
+    speeds = tuple(pattern[i % len(pattern)] for i in range(topology.num_pes))
+    return Machine("hetero", topology, params, pe_speeds=speeds)
 
 
 def ideal(num_pes: int) -> Machine:

@@ -19,6 +19,7 @@ Implemented families (the 1991 machines plus standard extras):
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -43,9 +44,16 @@ class Topology(ABC):
     name: str = "abstract"
 
     def __init__(self, num_pes: int) -> None:
+        try:
+            # Not int(): 2.5 must not truncate to 2 PEs, nor "4" parse.
+            num_pes = operator.index(num_pes)
+        except TypeError:
+            raise TopologyError(
+                f"num_pes must be an integer, got {num_pes!r}"
+            ) from None
         if num_pes < 1:
-            raise TopologyError(f"need at least one PE, got {num_pes}")
-        self.num_pes = int(num_pes)
+            raise TopologyError(f"num_pes must be >= 1, got {num_pes}")
+        self.num_pes = num_pes
 
     def _check(self, pe: int) -> None:
         if not 0 <= pe < self.num_pes:

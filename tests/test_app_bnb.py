@@ -2,20 +2,24 @@
 
 import itertools
 import pickle
+import sys
 
 import pytest
 
 from repro import make_machine
+from repro.apps import tsp
 from repro.apps.knapsack import KnapsackInstance, knapsack_seq, run_knapsack
 from repro.apps.tsp import (
     TspInstance,
+    _child_probe,
     _greedy_tour,
     _lower_bound,
     _visited_mask,
     tsp_seq,
     run_tsp,
 )
-from repro.util.errors import ConfigurationError
+from repro.faults import FaultConfig
+from repro.util.errors import ConfigurationError, TopologyError
 from repro.util.rng import RngStream
 
 
@@ -84,6 +88,33 @@ def test_tsp_bound_equals_sorting_oracle():
     assert _bound(TspInstance(((0,),)), (0,), 5) == 5  # n = 1: empty row
 
 
+def test_tsp_child_probe_equals_lower_bound():
+    """One probe per expanding node gives every child's bound in O(1)."""
+    draws = lone_edge = start_is_end = 0
+    for n in (2, 3, 4, 5, 8, 10, 12):
+        rng = RngStream(13, "child-probe", n).generator
+        for _ in range(40):
+            inst = TspInstance.random(n, int(rng.integers(1 << 30)))
+            cities = list(range(n))
+            for _ in range(25):
+                rng.shuffle(cities)
+                # Any start city; lengths 1 (first == last) .. n - 1.
+                path = tuple(cities[: int(rng.integers(1, n))])
+                cost = int(rng.integers(0, 500))
+                first, last = path[0], path[-1]
+                interior = _visited_mask(path) & ~(1 << first)
+                total, second = _child_probe(inst, interior, first)
+                start_is_end += first == last
+                for city in cities[len(path):]:
+                    child_cost = cost + inst.dist[last][city]
+                    fast = (2 * child_cost + total - second[city]) // 2
+                    assert fast == _lower_bound(inst, interior, first, city, child_cost)
+                    assert fast == _oracle_bound(inst, path + (city,), child_cost)
+                    lone_edge += not second[city]   # only `first` left to reach
+                    draws += 1
+    assert draws >= 20_000 and lone_edge and start_is_end
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_tsp_bound_admissible_against_brute_force(n):
     rng = RngStream(12, "bound-brute", n).generator
@@ -133,6 +164,24 @@ def test_tsp_rejects_bound_slack_below_one():
 def test_tsp_rejects_negative_grain():
     with pytest.raises(ConfigurationError, match="grain"):
         run_tsp(make_machine("ideal", 1), n=6, grain=-1)
+
+
+@pytest.mark.parametrize("call,error,field", [
+    # int(greedy * inf) died inside TspMain as a bare OverflowError.
+    (lambda: run_tsp(make_machine("ideal", 1), n=6, bound_slack=float("inf")),
+     ConfigurationError, "bound_slack"),
+    # Ran (never reaching a sequential tail) where run_tsp already refused.
+    (lambda: run_knapsack(make_machine("ideal", 1), n=8, grain=-1),
+     ConfigurationError, "grain"),
+    # Silently built 2 PEs.
+    (lambda: make_machine("symmetry", 2.5), TopologyError, "num_pes"),
+    # TypeError: '<' not supported between instances of 'str' and 'int'.
+    (lambda: make_machine("ncube2", "4"), TopologyError, "num_pes"),
+    (lambda: make_machine("hetero", 2.5), TopologyError, "num_pes"),
+], ids=["tsp-inf-slack", "knapsack-grain", "float-pes", "str-pes", "hetero-pes"])
+def test_bad_input_fails_early_and_names_the_field(call, error, field):
+    with pytest.raises(error, match=field):
+        call()
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -204,6 +253,58 @@ def test_tsp_grain_invariant(grain):
     best_ref, _ = tsp_seq(inst)
     (best, _, _), _ = run_tsp(make_machine("ipsc2", 4), inst, grain=grain)
     assert best == best_ref
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"queueing": "fifo"},
+    {"queueing": "lifo"},
+    {"queueing": "prio"},
+    {"queueing": "bitprio"},
+    {"balancer": "acwn"},                # forwarded legs (Envelope.forwarded)
+    {"faults": FaultConfig(drop_prob=0.05, dup_prob=0.05)},   # retransmissions
+], ids=["fifo", "lifo", "prio", "bitprio", "acwn", "faults"])
+def test_tsp_seed_priority_is_the_nodes_bound(monkeypatch, kwargs):
+    """Whatever route a seed takes, it arrives carrying its own bound."""
+    inst = TspInstance.random(9, 3)
+    checked = []
+
+    class CheckedNode(tsp.TspNode):
+        def __init__(self, path, cost):
+            if len(path) > 1:
+                assert self.my_priority == _bound(inst, path, cost)
+                checked.append(path)
+            super().__init__(path, cost)
+
+    # TspMain and TspNode both look the class up in the module at call time.
+    monkeypatch.setattr(tsp, "TspNode", CheckedNode)
+    (best, _, _), result = run_tsp(
+        make_machine("ipsc2", 8), inst, grain=2, seed=3, **kwargs)
+    assert best == tsp_seq(inst)[0]
+    assert len(checked) == len(set(checked)) > 100   # each node exactly once
+    if "balancer" in kwargs:
+        assert sum(result.kernel.pes[pe].seeds_forwarded_in for pe in range(8))
+    if "faults" in kwargs:
+        assert result.stats.retries and result.stats.dups_suppressed
+
+
+def test_tsp_bound_call_count_is_the_contract(monkeypatch):
+    """A bound is evaluated once per tree edge, by the parent: the nodes of a
+    run call ``_lower_bound`` once (the root); the rest is the sequential
+    tail.  Simulated results are the parent commit's, pinned as literals."""
+    calls = {}
+    lower_bound = tsp._lower_bound
+
+    def counted(*args):
+        caller = sys._getframe(1).f_code.co_name
+        calls[caller] = calls.get(caller, 0) + 1
+        return lower_bound(*args)
+
+    monkeypatch.setattr(tsp, "_lower_bound", counted)
+    answer, result = run_tsp(make_machine("ipsc2", 8), n=10, grain=4)
+    assert calls == {"__init__": 1, "dfs": 194}      # was 1005 + 194
+    assert answer == (223, 555, 310)
+    assert result.time.hex() == "0x1.285d414ea9dbfp-6"
+    assert result.stats.counted_sent == 420
 
 
 def test_tsp_loose_incumbent_still_exact():

@@ -114,6 +114,40 @@ def test_api_outside_execution_raises(ideal4):
         kernel.api_charge(10)
 
 
+@pytest.mark.parametrize("queueing", ["fifo", "prio", "bitprio"])
+def test_my_priority_is_what_the_sender_passed(ideal4, queueing):
+    seen = {}
+    chares = []
+
+    class Child(Chare):
+        def __init__(self, tag, parent):
+            seen[tag] = self.my_priority
+            self.send(parent, "reply", tag + "-plain")
+            self.send(parent, "reply", tag + "-vector", priority=(1, 0))
+
+    class Main(Chare):
+        def __init__(self):
+            chares.append(self)
+            seen["main"] = self.my_priority
+            self.create(Child, "seed7", self.thishandle, priority=7)
+            self.create(Child, "seed", self.thishandle)
+
+        @entry
+        def reply(self, tag):
+            seen[tag] = self.my_priority
+            if len(seen) == 7:
+                self.exit()
+
+    Kernel(ideal4, queueing=queueing).run(Main)
+    assert seen == {
+        "main": None, "seed7": 7, "seed": None,
+        "seed7-plain": None, "seed7-vector": (1, 0),
+        "seed-plain": None, "seed-vector": (1, 0),
+    }
+    with pytest.raises(SchedulingError, match="outside an entry-method"):
+        chares[0].my_priority
+
+
 def test_negative_charge_rejected(ideal4):
     class BadMain(Chare):
         def __init__(self):
