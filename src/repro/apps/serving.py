@@ -23,9 +23,15 @@ Structure:
   stage-0 request landing on a PE whose load exceeds the bound is *shed*:
   it pays a small triage cost and reports ``shed`` instead of serving.
 * The run exits when every offered request is accounted for — no
-  quiescence detection needed, and per-request latency is reconstructed
-  afterwards from the causal event log by
-  :mod:`repro.metrics.latency` (no kernel-side latency hooks).
+  quiescence detection needed.  Per-request latency comes off the
+  kernel's recorder seam (``trace_events=``), with no latency hooks of
+  its own, through :mod:`repro.metrics.latency`: by default the runner
+  installs an event log of the four kinds the *walk* needs and
+  reconstructs every request from its causal chains afterwards; handed a
+  :class:`~repro.metrics.latency.LatencyFold` (what a sweep's
+  ``run_descriptor`` does, since nobody reads a log off a kernel it
+  closes) the same chains are linked as the run goes and no row is kept.
+  The two give the same records float for float.
 * With a telemetry plane attached (``telemetry=`` kernel kwarg,
   :mod:`repro.obs`), the app additionally streams each request's latency
   into an online log-bucketed histogram as it completes — injection is
@@ -42,19 +48,21 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from repro.core.chare import Chare, entry
 from repro.core.kernel import Kernel, RunResult
 from repro.machine.network import Machine
-from repro.metrics.latency import latency_summary
+from repro.metrics.latency import LatencyFold, latency_summary
+from repro.trace.events import EventLog
 from repro.util.errors import ConfigurationError
 from repro.workloads.arrivals import (
     ArrivalSpec,
     Poisson,
     ServiceSpec,
+    _need_real,
     arrival_times,
     service_demands,
 )
 
 __all__ = ["run_serving", "SERVING_TRACE_KINDS", "TRIAGE_WORK"]
 
-#: Event kinds the latency analyzer needs; installed by default on every
+#: Event kinds the latency walk needs; installed by default on every
 #: serving run (callers may override via ``trace_events=``).
 SERVING_TRACE_KINDS = ("deliver", "exec_begin", "exec_end", "send")
 
@@ -155,14 +163,24 @@ def run_serving(
 
     The summary dict carries the offered/completed/shed counts plus the
     end-to-end latency digest (nearest-rank p50/p95/p99, mean/min/max, and
-    the queue-wait / service / transit split) reconstructed from the run's
-    event log.  All values are plain scalars, so the answer is picklable
-    and cache-stable.  If the caller overrides ``trace_events`` with kinds
-    the analyzer cannot use, the latency fields degrade to ``None`` while
-    the counts (tracked in-app) stay exact.  A bounded log that overflowed
-    (``dropped > 0``) raises :class:`ConfigurationError` instead of
-    digesting the prefix of requests it kept.
+    the queue-wait / service / transit split) digested from whichever
+    recorder the kernel ran with: the default event log (walked), a
+    :class:`~repro.metrics.latency.LatencyFold` passed as ``trace_events``
+    (folded; the same numbers), or a log of the caller's choosing.  All
+    values are plain scalars, so the answer is picklable and cache-stable.
+    If the caller overrides ``trace_events`` with kinds the analyzer
+    cannot use, the latency fields degrade to ``None`` while the counts
+    (tracked in-app) stay exact; under the default log or a fold, a digest
+    that disagrees with those counts is an ``AssertionError``.  A bounded
+    log that overflowed (``dropped > 0``) raises
+    :class:`ConfigurationError` instead of digesting the prefix of
+    requests it kept.  ``shed_above`` / ``hops`` and the arrival and
+    service specs are validated before anything is simulated.
     """
+    if shed_above is not None:
+        # Compared with a queue depth in every stage-0 request: NaN never
+        # sheds, a negative bound sheds everything, a string dies mid-run.
+        _need_real("shed_above", shed_above, strict=False)
     times = arrival_times(arrivals, seed)
     demands = service_demands(service, len(times), hops, seed)
     default_trace = "trace_events" not in kernel_kwargs
@@ -172,19 +190,20 @@ def run_serving(
                     **kernel_kwargs)
     result = kernel.run(ServingMain, tuple(times), tuple(demands), shed_above)
     n_done, n_shed = result.result
-    log = kernel.events
-    if log is not None and log.dropped:
+    recorder = kernel.events
+    if isinstance(recorder, EventLog) and recorder.dropped:
         # A full log keeps a prefix of the stream: percentiles over it
         # would read as complete while describing the early requests only.
         raise ConfigurationError(
-            f"the event log overflowed max_events={log.max_events} "
-            f"({log.dropped} events dropped), so trace-derived latencies "
+            f"the event log overflowed max_events={recorder.max_events} "
+            f"({recorder.dropped} events dropped), so trace-derived latencies "
             "would cover only a prefix of the requests; raise max_events, "
             "or pass trace_events=None with telemetry= and read "
             "summary['online'] (the S6 lens)"
         )
-    digest = latency_summary(log if log is not None else ())
-    if default_trace and (digest["completed"], digest["shed"]) != (n_done, n_shed):
+    digest = latency_summary(recorder if recorder is not None else ())
+    if ((default_trace or isinstance(recorder, LatencyFold))
+            and (digest["completed"], digest["shed"]) != (n_done, n_shed)):
         raise AssertionError(
             "latency analyzer disagrees with the collector: "
             f"trace saw {digest['completed']}/{digest['shed']} "

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+import tempfile
 import time
 
 from repro.bench.cache import DEFAULT_CACHE_DIR, ResultCache
@@ -120,6 +122,16 @@ def main(argv=None) -> int:
                                      and interval >= 0.0):
         parser.error("--metrics-interval must be a finite number of virtual "
                      f"seconds >= 0, got {interval}")
+    if args.output is not None:
+        # Here, not in _write: an unwritable directory should cost a usage
+        # error, not a finished sweep and then a traceback.
+        try:
+            os.makedirs(args.output, exist_ok=True)
+            with tempfile.TemporaryFile(dir=args.output):
+                pass
+        except OSError as exc:
+            parser.error(f"--output {args.output!r} is not a writable "
+                         f"directory: {exc}")
     jobs = args.jobs if args.jobs is not None else default_jobs()
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     progress = None if args.no_progress else _progress_printer()
@@ -190,7 +202,6 @@ def _summarize(executor, wall: float, stats_json) -> None:
     print(line, file=sys.stderr)
     if stats_json:
         import json
-        import os
 
         directory = os.path.dirname(stats_json)
         if directory:
@@ -202,9 +213,7 @@ def _summarize(executor, wall: float, stats_json) -> None:
 
 def _write(directory: str, result, scale: str) -> None:
     import json
-    import os
 
-    os.makedirs(directory, exist_ok=True)
     base = os.path.join(directory, result.exp_id.lower())
     with open(base + ".txt", "w", encoding="utf-8") as fh:
         fh.write(f"== {result.exp_id}: {result.title} (scale={scale}) ==\n")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps import (
@@ -45,6 +45,7 @@ from repro.bench.descriptors import RunDescriptor
 from repro.workloads.arrivals import Poisson, ServiceSpec
 from repro.core.kernel import RunResult
 from repro.machine.presets import make_machine
+from repro.metrics.latency import LatencyFold
 from repro.util.errors import ConfigurationError
 
 __all__ = ["AppSpec", "APPS", "describe", "measure", "measure_many",
@@ -67,6 +68,11 @@ class AppSpec:
     #: Speculative searches (B&B) legitimately expand different node counts
     #: in different schedules; only the optimum is checked.
     canon: Optional[Callable[[Any], Any]] = None
+    #: Builds the recorder :func:`run_descriptor` gives an untraced run of
+    #: this app in place of the runner's own default event log, when the
+    #: app's answer is digested from one (serving's latencies); ``None``
+    #: for an app whose answer needs no recorder.
+    fold: Optional[Callable[[], Any]] = None
 
 
 APPS: Dict[str, AppSpec] = {
@@ -118,6 +124,7 @@ APPS: Dict[str, AppSpec] = {
         # Latency depends on P and placement by design; only the offered
         # count is configuration-invariant.
         canon=lambda a: (a["offered"],),
+        fold=LatencyFold,
     ),
 }
 
@@ -316,8 +323,9 @@ def describe(
 def execute_descriptor(desc: RunDescriptor) -> MeasureRow:
     """Simulate one descriptor and project it into a row (no cache, no pool).
 
-    The returned row still carries the live run in ``result``; the sweep
-    executor goes through :func:`run_descriptor`, which lets it go.
+    The returned row still carries the live run in ``result`` — the kernel,
+    and on it the event log a serving run's latencies were walked from;
+    the sweep executor goes through :func:`run_descriptor`, which lets it go.
     """
     spec = APPS[desc.app]
     params = dict(desc.params)
@@ -404,8 +412,19 @@ def run_descriptor(desc: RunDescriptor) -> MeasureRow:
 
     What the sweep executor runs, inline and in its pool workers alike:
     once the row is projected the run is detached from it and its kernel
-    closed, so no kernel outlives the call that simulated it.
+    closed, so no kernel outlives the call that simulated it — and nobody
+    can read an event log off it.  So where the app digests its answer
+    from a recorder (``AppSpec.fold``) and the descriptor neither exports
+    a trace nor sets ``trace_events`` itself (S6's ``None``), the run
+    records into a fresh fold instead of the runner's default log; the
+    answer is the same float for float (``tests/test_event_rows.py``).
+    The fold rides in a private copy of the descriptor, through the
+    ``**kernel_kwargs`` passthrough every ``trace_events`` setting takes.
     """
+    fold = APPS[desc.app].fold
+    if (fold is not None and not desc.trace
+            and "trace_events" not in dict(desc.params)):
+        desc = replace(desc, params=desc.params + (("trace_events", fold()),))
     row = execute_descriptor(desc)
     result, row.result = row.result, None
     if result.kernel is not None:

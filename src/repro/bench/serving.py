@@ -4,7 +4,9 @@ Where the T-series reproduces the paper's closed-world batch tables, the
 S-series measures the runtime as a *service*: seeded arrival streams
 (:mod:`repro.workloads.arrivals`) inject balancer-placed request chares
 into the farm (:mod:`repro.apps.serving`) and per-request tail latency is
-reconstructed from the causal event log (:mod:`repro.metrics.latency`).
+read off the kernel's recorder seam (:mod:`repro.metrics.latency`): folded
+as the run goes when the sweep executes the descriptor, walked from the
+causal event log when a trace is exported — the same numbers either way.
 
 * **S1** — arrival-rate sweep to saturation: p50/p95/p99 vs offered
   utilization; the tail should grow super-linearly past the ~80% knee.
@@ -360,10 +362,11 @@ def exp_s6(scale: str = "paper") -> ExperimentResult:  # noqa: F821
     """Trace-free tail latency from the online telemetry plane.
 
     Two claims in one table.  **Validation** (P ≤ 10⁴): runs carrying both
-    the event log *and* the telemetry plane show the online histogram's
-    p50/p95/p99 landing in (or adjacent to) the bucket of the exact
-    trace-walked value — the histogram's ≤1/subbuckets relative-width
-    guarantee made empirical.  **Scale** (the largest farm): the same
+    the exact per-request recorder (the latency fold under a sweep, the
+    event log and its walk when traced — equal float for float) *and* the
+    telemetry plane show the online histogram's p50/p95/p99 landing in (or
+    adjacent to) the bucket of the exact value — the histogram's
+    ≤1/subbuckets relative-width guarantee made empirical.  **Scale** (the largest farm): the same
     stream with tracing disabled entirely — the regime where an O(events)
     log is off the table — still yields the full latency digest, because
     the online histogram is O(buckets) regardless of request count or
@@ -389,13 +392,13 @@ def exp_s6(scale: str = "paper") -> ExperimentResult:  # noqa: F821
         arrivals=Poisson(rate=rate, count=count),
     )
     descs = [
-        # Validation arms: event log AND telemetry on the same run.
+        # Validation arms: exact recorder AND telemetry on the same run.
         describe("serving", machine, pes, metrics=interval, **common)
         for pes in pes_list
     ] + [
         # Scale arm: telemetry only.  ``trace_events=None`` reaches
-        # run_serving through the descriptor params and suppresses its
-        # default analyzer kinds — no event log exists anywhere.
+        # run_serving through the descriptor params and suppresses both
+        # its default log and the sweep's fold — no recorder exists anywhere.
         describe("serving", machine, demo_pes, metrics=interval,
                  trace_events=None, **common)
     ]

@@ -178,18 +178,17 @@ class Kernel:
         self.timeline: Optional[Timeline] = Timeline() if timeline else None
 
         # Structured event tracing (repro.trace.events): accepts True/"all",
-        # an iterable of event kinds, or a pre-built EventLog; None keeps
-        # the untraced fast path (the hooks below cost one `is None` check
-        # per site, the same inert-when-off pattern as the fault layer).
-        if trace_events is None:
-            self.events = None
+        # an iterable of event kinds, or a pre-built recorder — an EventLog,
+        # or anything else with its hook surface (repro.metrics.latency's
+        # LatencyFold); None keeps the untraced fast path (the hooks below
+        # cost one `is None` check per site, the same inert-when-off
+        # pattern as the fault layer).
+        if trace_events is None or hasattr(trace_events, "msg_send"):
+            self.events = trace_events
         else:
             from repro.trace.events import EventLog
 
-            if isinstance(trace_events, EventLog):
-                self.events = trace_events
-            else:
-                self.events = EventLog(kinds=trace_events)
+            self.events = EventLog(kinds=trace_events)
         self._events = self.events
 
         # Sparse startup is a property of the machine.  When on, the init

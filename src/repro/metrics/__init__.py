@@ -1,7 +1,9 @@
 """Metrics over structured event logs: time series (sampler) and
-per-request latency reconstruction (latency)."""
+per-request latency (latency: the walk over a log, the fold that is the
+recorder)."""
 
-from repro.metrics.latency import latency_summary, percentile, request_latencies
+from repro.metrics.latency import (LatencyFold, latency_summary, percentile,
+                                   request_latencies)
 from repro.metrics.sampler import sample_metrics, metrics_summary
 
 __all__ = [
@@ -10,4 +12,5 @@ __all__ = [
     "percentile",
     "request_latencies",
     "latency_summary",
+    "LatencyFold",
 ]

@@ -30,7 +30,9 @@ Pareto — the heavy-tailed one is where p99 stories live).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from numbers import Real
 from typing import List, Sequence, Tuple, Union
 
 from repro.util.errors import ConfigurationError
@@ -48,6 +50,35 @@ __all__ = [
 ]
 
 
+# ================================================================= validation
+def _need_real(what: str, value, low: float = 0.0, *, strict: bool = True) -> None:
+    """``value`` must be a finite real above ``low`` (or at it, non-strict).
+
+    Written as what must hold, not as what must not: NaN fails every
+    comparison, so ``if value <= 0: raise`` lets it through — and a NaN
+    rate or mean reaches the run as a NaN virtual time.
+    """
+    if not (isinstance(value, Real) and math.isfinite(value)
+            and (value > low if strict else value >= low)):
+        raise ConfigurationError(
+            f"{what} must be a finite real number "
+            f"{'>' if strict else '>='} {low:g}, got {value!r}"
+        )
+
+
+def _need_int(what: str, value, low: int = 0) -> int:
+    """``value`` as an integer >= ``low``; 2.5 must not reach ``range``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigurationError(
+            f"{what} must be an integer, got {value!r}"
+        ) from None
+    if value < low:
+        raise ConfigurationError(f"{what} must be >= {low}, got {value}")
+    return value
+
+
 # =============================================================== arrival specs
 @dataclass(frozen=True)
 class Poisson:
@@ -58,12 +89,9 @@ class Poisson:
     start: float = 0.0
 
     def validate(self) -> None:
-        if self.rate <= 0.0:
-            raise ConfigurationError(f"Poisson rate must be > 0, got {self.rate}")
-        if self.count < 0:
-            raise ConfigurationError(f"Poisson count must be >= 0, got {self.count}")
-        if self.start < 0.0:
-            raise ConfigurationError(f"Poisson start must be >= 0, got {self.start}")
+        _need_real("Poisson rate", self.rate)
+        _need_int("Poisson count", self.count)
+        _need_real("Poisson start", self.start, strict=False)
 
 
 @dataclass(frozen=True)
@@ -83,19 +111,10 @@ class Bursty:
     start: float = 0.0
 
     def validate(self) -> None:
-        if self.rate_low <= 0.0 or self.rate_high <= 0.0:
-            raise ConfigurationError(
-                f"Bursty rates must be > 0, got {self.rate_low}/{self.rate_high}"
-            )
-        if self.dwell_low <= 0.0 or self.dwell_high <= 0.0:
-            raise ConfigurationError(
-                f"Bursty dwell times must be > 0, got "
-                f"{self.dwell_low}/{self.dwell_high}"
-            )
-        if self.count < 0:
-            raise ConfigurationError(f"Bursty count must be >= 0, got {self.count}")
-        if self.start < 0.0:
-            raise ConfigurationError(f"Bursty start must be >= 0, got {self.start}")
+        for name in ("rate_low", "rate_high", "dwell_low", "dwell_high"):
+            _need_real(f"Bursty {name}", getattr(self, name))
+        _need_int("Bursty count", self.count)
+        _need_real("Bursty start", self.start, strict=False)
 
     def mean_rate(self) -> float:
         """Long-run offered rate (dwell-time-weighted average)."""
@@ -120,22 +139,15 @@ class Diurnal:
     start: float = 0.0
 
     def validate(self) -> None:
-        if self.rate_mean <= 0.0:
+        _need_real("Diurnal rate_mean", self.rate_mean)
+        if not (isinstance(self.amplitude, Real)
+                and 0.0 <= self.amplitude < 1.0):
             raise ConfigurationError(
-                f"Diurnal rate_mean must be > 0, got {self.rate_mean}"
+                f"Diurnal amplitude must be in [0, 1), got {self.amplitude!r}"
             )
-        if not 0.0 <= self.amplitude < 1.0:
-            raise ConfigurationError(
-                f"Diurnal amplitude must be in [0, 1), got {self.amplitude}"
-            )
-        if self.period <= 0.0:
-            raise ConfigurationError(
-                f"Diurnal period must be > 0, got {self.period}"
-            )
-        if self.count < 0:
-            raise ConfigurationError(f"Diurnal count must be >= 0, got {self.count}")
-        if self.start < 0.0:
-            raise ConfigurationError(f"Diurnal start must be >= 0, got {self.start}")
+        _need_real("Diurnal period", self.period)
+        _need_int("Diurnal count", self.count)
+        _need_real("Diurnal start", self.start, strict=False)
 
 
 ArrivalSpec = Union[Poisson, Bursty, Diurnal]
@@ -214,18 +226,12 @@ class ServiceSpec:
                 f"unknown service distribution {self.dist!r}; "
                 "expected fixed/exp/lognormal/pareto"
             )
-        if self.mean <= 0.0:
-            raise ConfigurationError(
-                f"service mean must be > 0, got {self.mean}"
-            )
-        if self.dist == "lognormal" and self.shape < 0.0:
-            raise ConfigurationError(
-                f"lognormal sigma must be >= 0, got {self.shape}"
-            )
-        if self.dist == "pareto" and self.shape <= 1.0:
-            raise ConfigurationError(
-                f"pareto alpha must be > 1 (finite mean), got {self.shape}"
-            )
+        _need_real("service mean", self.mean)
+        if self.dist == "lognormal":
+            _need_real("lognormal sigma (shape)", self.shape, strict=False)
+        if self.dist == "pareto":
+            # alpha <= 1 has no finite mean.
+            _need_real("pareto alpha (shape)", self.shape, 1.0)
 
     def sample(self, rng: RngStream) -> float:
         if self.dist == "fixed":
@@ -260,10 +266,8 @@ def service_demands(
     hops, seed)``.
     """
     spec.validate()
-    if hops < 1:
-        raise ConfigurationError(f"pipeline needs >= 1 hop, got {hops}")
-    if count < 0:
-        raise ConfigurationError(f"request count must be >= 0, got {count}")
+    hops = _need_int("hops (pipeline stages per request)", hops, 1)
+    count = _need_int("request count", count)
     rng = RngStream(seed, "service", 0)
     return [
         tuple(spec.sample(rng) for _ in range(hops)) for _ in range(count)

@@ -94,6 +94,29 @@ def test_bench_cli_rejects_unknown(capsys):
         assert "unknown experiment" in err and "options:" in err and "t9" in err
 
 
+def test_bench_cli_checks_output_before_the_sweep(capsys, tmp_path, monkeypatch):
+    import repro.bench.__main__ as cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep started before --output was checked")
+
+    monkeypatch.setattr(cli, "run_experiment", no_sweep)
+    occupied = tmp_path / "a-file"
+    occupied.write_text("")
+    for bad in ("/proc/nope/x", str(occupied), str(occupied / "below")):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["--exp", "t9", "--scale", "quick", "--output", bad])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--output" in err and bad in err and "Traceback" not in err
+    monkeypatch.undo()
+    out_dir = tmp_path / "made" / "for-you"
+    assert cli.main(["--exp", "t9", "--scale", "quick", "--jobs", "1",
+                     "--no-cache", "--no-progress",
+                     "--output", str(out_dir)]) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == ["t9.json", "t9.txt"]
+
+
 def test_bench_cli_comma_separated_list(capsys):
     from repro.bench.__main__ import main
 

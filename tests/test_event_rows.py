@@ -11,7 +11,10 @@ Pins the row representation of :class:`repro.trace.events.EventLog`:
 * bounding (``max_events``), kind filtering and parent telescoping hold
   on the rows themselves;
 * :class:`~repro.trace.events.Event` is a faithful view of a row;
-* a serving run whose bounded log overflowed refuses to report a digest.
+* a serving run whose bounded log overflowed refuses to report a digest;
+* :class:`~repro.metrics.latency.LatencyFold`, the recorder a sweep's
+  serving runs use in place of the log, gives the walk's per-request
+  records float for float, and ``run_descriptor`` the pinned answers.
 
 ``python tests/test_event_rows.py`` regenerates the fixture; run it only
 against a commit whose records are known-good (it was written by the
@@ -24,15 +27,18 @@ import hashlib
 import json
 import os
 import pickle
+from dataclasses import replace
 
 import pytest
 
 from repro.apps.serving import SERVING_TRACE_KINDS, run_serving
-from repro.bench.harness import describe, execute_descriptor, measure_many
+from repro.bench.harness import (describe, execute_descriptor, measure_many,
+                                 run_descriptor)
 from repro.bench.parallel import SweepExecutor, use_executor
 from repro.faults import FaultConfig
 from repro.machine.presets import make_machine
-from repro.metrics.latency import latency_summary, request_latencies
+from repro.metrics.latency import (LatencyFold, latency_summary,
+                                   request_latencies)
 from repro.trace import Event, EventLog
 from repro.util.errors import ConfigurationError
 from repro.util.rng import RngStream
@@ -64,10 +70,10 @@ def _parent_cases():
     }
 
 
-def _capture():
+def _capture(run=execute_descriptor):
     out = {}
     for name, desc in _parent_cases().items():
-        row = execute_descriptor(desc)
+        row = run(desc)
         blob = json.dumps(row.trace["events"], sort_keys=True)
         out[name] = {
             "events": len(row.trace["events"]),
@@ -81,6 +87,13 @@ def test_records_and_answers_equal_parent_commit():
     with open(FIXTURE) as fh:
         expected = json.load(fh)
     assert _capture() == expected
+    # The sweep's path: the same rows when a trace is exported, and the
+    # same answers from the fold when none is.
+    assert _capture(run_descriptor) == expected
+    for name, desc in _parent_cases().items():
+        if desc.app == "serving":
+            untraced = replace(desc, trace=())
+            assert repr(run_descriptor(untraced).answer) == expected[name]["answer"]
 
 
 # ------------------------------------------ one walk, three input shapes
@@ -147,6 +160,76 @@ def test_sparse_hand_built_dicts_are_legal_input():
     assert (req["inject_t"], req["complete_t"], req["stages"]) == (0.001, 0.004, 1)
     assert request_latencies(full) == [req]
     assert request_latencies(full[:2] + log[2:]) == [req]  # mixed shapes
+
+
+# ------------------------------------------------ the fold equals the walk
+FOLD_FAULTS = (
+    None, None,
+    FaultConfig(drop_prob=0.05),
+    FaultConfig(dup_prob=0.1),
+    FaultConfig(stall_prob=0.1, stall_time=2e-3),
+    FaultConfig(jitter=1e-4),
+    FaultConfig(drop_prob=0.1, dup_prob=0.1, delay_prob=0.1),
+)
+
+
+def _fold_draw(i):
+    """``_draw``'s axes without the kind filter (the fold is a log of the
+    four serving kinds), plus hops = 2, dup / jitter faults and P."""
+    rng = RngStream(20261003, "latency-fold", i)
+    kwargs = dict(
+        arrivals=Poisson(rate=rng.choice((1500.0, 4000.0, 9000.0)),
+                         count=rng.randint(15, 50)),
+        service=ServiceSpec("exp", 300.0),
+        hops=rng.choice((1, 2, 3)),
+        shed_above=rng.choice((None, 1, 4)),
+        balancer=BALANCERS[i % len(BALANCERS)],
+        seed=rng.randint(0, 999),
+    )
+    faults = rng.choice(FOLD_FAULTS)
+    if faults is not None:
+        kwargs["faults"] = faults
+    return rng.choice((1, 4, 8, 16)), kwargs
+
+
+@pytest.mark.parametrize("i", range(120))
+def test_fold_equals_walk_float_for_float(i):
+    num_pes, kwargs = _fold_draw(i)
+    walked, logged = run_serving(make_machine("ncube2", num_pes), **kwargs)
+    fold = LatencyFold()
+    folded, result = run_serving(make_machine("ncube2", num_pes),
+                                 trace_events=fold, **kwargs)
+    assert result.kernel.events is fold
+    # == on dicts of floats: every float equal, no tolerance.
+    assert fold.requests() == request_latencies(logged.kernel.events)
+    assert latency_summary(fold) == latency_summary(logged.kernel.events)
+    assert folded == walked
+    assert result.time.hex() == logged.time.hex()
+    assert result.events == logged.events
+
+
+def test_fold_tells_stages_by_class_and_finals_by_entry():
+    """The hand-built chain of the sparse-dict test above, as hook calls."""
+    class Env:
+        def __init__(self, kind, uid, entry=None, chare_cls=None):
+            self.kind, self.uid, self.entry = kind, uid, entry
+            self.chare_cls = chare_cls
+
+    Request = type("Request", (), {})
+    fold = LatencyFold()
+    tick, seed, done = Env(2, 1, "tick"), Env(1, 2, chare_cls=Request), \
+        Env(2, 3, "done")
+    begin = fold.exec_begin(0.0, 0, tick, 0.0)
+    fold.msg_send(0.001, seed)
+    fold.exec_end(0.001, 0, tick, 0.001, begin, False)
+    fold.msg_deliver(0.002, seed)
+    begin = fold.exec_begin(0.003, 1, seed, 0.0)
+    fold.msg_send(0.004, done)
+    fold.exec_end(0.004, 1, seed, 0.001, begin, False)
+    (req,) = fold.requests()
+    assert (req["inject_t"], req["complete_t"], req["stages"]) == (0.001, 0.004, 1)
+    assert (req["queue_wait"], req["service"]) == (0.003 - 0.002, 0.001)
+    assert not fold._sent and not fold._delivered and fold.ctx is None
 
 
 # -------------------------------------------------- bounds and filtering

@@ -6,6 +6,8 @@
   run is freed by reference count, not by a later cycle collection.
 * The sweep executor returns rows only: no kernel survives ``run_many``,
   and inline, pooled and cached rows are equal field for field.
+* The recorder a sweep's serving runs fold their latencies into is
+  acyclic and ends a run holding its finals only.
 
 The garbage clauses run with the cycle collector *disabled*: whatever
 ``gc.collect()`` then finds is something only the collector could have
@@ -25,12 +27,14 @@ import repro.bench.harness as harness
 from repro import Chare, Kernel, entry, make_machine
 from repro.apps.knapsack import KnapsackInstance, KnapsackNode, knapsack_seq
 from repro.apps.nqueens import run_nqueens
+from repro.apps.serving import run_serving
 from repro.apps.tsp import TspInstance, tsp_seq
 from repro.bench.cache import ResultCache
 from repro.bench.experiments import run_experiment
 from repro.bench.harness import describe, execute_descriptor
 from repro.bench.parallel import SweepExecutor, use_executor
 from repro.faults import FaultConfig
+from repro.metrics.latency import LatencyFold
 from repro.trace import PERow
 from repro.util.errors import RoutingError
 
@@ -88,6 +92,65 @@ def test_executor_batch_leaves_no_kernel_and_no_garbage(monkeypatch):
     assert all(row.result is None and row.events > 0 for row in rows)
 
 
+def test_serving_sweep_folds_leave_no_garbage_and_only_their_finals(monkeypatch):
+    """The S-series through ``run_descriptor``: every untraced serving run
+    records into a fresh ``LatencyFold``, which is acyclic and ends the
+    run holding one final per offered request and nothing in flight."""
+    seen = []
+    real = execute_descriptor
+
+    def spy(desc):
+        row = real(desc)
+        seen.append((desc, dict(desc.params).get("trace_events"), row))
+        return row
+
+    monkeypatch.setattr(harness, "execute_descriptor", spy)
+    series = ("s1", "s2", "s3", "s4", "s5", "s6")
+
+    def sweep():
+        with SweepExecutor(jobs=1) as ex, use_executor(ex):
+            for exp_id in series:
+                run_experiment(exp_id, scale="quick")
+
+    sweep()                         # warm imports, memos and lazy properties
+    seen.clear()
+    with collector_disabled():
+        sweep()
+        assert gc.collect() == 0
+    folds = [(d, f, row) for d, f, row in seen if isinstance(f, LatencyFold)]
+    assert len(folds) >= 20 and len({id(f) for _, f, _ in folds}) == len(folds)
+    # S6's scale arm sets trace_events=None itself and keeps it.
+    assert any(f is None and "trace_events" in dict(d.params)
+               for d, f, _ in seen)
+    stolen = 0
+    for desc, fold, row in folds:
+        assert fold.ctx is None and not fold._sent
+        assert len(fold._finals) == row.answer["offered"]
+        # Kept on purpose: the delivery of a seed a work-stealing balancer
+        # then took out of the pool (it runs under the fresh uid of the
+        # steal's re-send) — O(steals), token only.
+        if desc.balancer_label != "token":
+            assert not fold._delivered, desc.label()
+        stolen += len(fold._delivered)
+    assert stolen > 0
+
+
+class DropsAFinal(LatencyFold):
+    def requests(self):
+        return super().requests()[1:]
+
+
+def test_fold_that_disagrees_with_the_collector_is_an_error():
+    machine = make_machine("ncube2", 8)
+    with pytest.raises(AssertionError,
+                       match="latency analyzer disagrees with the collector"):
+        run_serving(machine, trace_events=DropsAFinal())
+    # The same check the default log gets; a log the caller chose does not.
+    summary, _ = run_serving(make_machine("ncube2", 8),
+                             trace_events=("exec_begin", "exec_end"))
+    assert summary["completed"] == 200 and summary["p99"] is None
+
+
 # ------------------------------------------- (b) one row shape, everywhere
 def _wire(row):
     """The row's pickle with ``host_seconds`` masked and the memo off.
@@ -109,6 +172,8 @@ def test_inline_pooled_cached_and_single_miss_rows_are_equal(tmp_path):
     descs = [describe("queens", "ipsc2", 4, n=6, grainsize=2, seed=s)
              for s in (1, 2, 3)]
     descs.append(describe("serving", "ncube2", 8, trace="all"))
+    # Untraced: the sweep records it into a LatencyFold, not an event log.
+    descs.append(describe("serving", "ncube2", 8, balancer="token", hops=2))
     cache = ResultCache(str(tmp_path / "all"), fingerprint="pinned")
     with SweepExecutor(jobs=1, cache=cache) as ex:
         inline = ex.run_many(descs)

@@ -18,7 +18,7 @@ from repro.bench.parallel import SweepExecutor, use_executor
 from repro.machine.presets import make_machine
 from repro.metrics.latency import latency_summary, percentile, request_latencies
 from repro.util.errors import ConfigurationError
-from repro.workloads.arrivals import Poisson, ServiceSpec
+from repro.workloads.arrivals import Bursty, Diurnal, Poisson, ServiceSpec
 
 
 # ------------------------------------------------------------- percentile
@@ -229,6 +229,52 @@ def test_every_balancer_serves_the_stream(balancer):
         seed=2,
     )
     assert ans["completed"] == 80
+
+
+# --------------------------------------------------------- input validation
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    # Measured at the parent: NaN / inf rates ran and reported percentiles,
+    # a NaN / inf mean finished at time nan / inf, a NaN bound never shed,
+    # -1 shed everything, the rest died mid-run as bare TypeErrors.
+    ("rate", dict(arrivals=Poisson(rate=NAN, count=5))),
+    ("rate", dict(arrivals=Poisson(rate=INF, count=5))),
+    ("rate", dict(arrivals=Poisson(rate="2000", count=5))),
+    ("count", dict(arrivals=Poisson(rate=2000.0, count=2.5))),
+    ("start", dict(arrivals=Poisson(rate=2000.0, count=5, start=NAN))),
+    ("mean", dict(service=ServiceSpec("exp", NAN))),
+    ("mean", dict(service=ServiceSpec("exp", INF))),
+    ("shape", dict(service=ServiceSpec("pareto", 400.0, NAN))),
+    ("shape", dict(service=ServiceSpec("lognormal", 400.0, INF))),
+    ("shed_above", dict(shed_above=NAN)),
+    ("shed_above", dict(shed_above=-1)),
+    ("shed_above", dict(shed_above="x")),
+    ("hops", dict(hops=2.5)),
+    ("hops", dict(hops=0)),
+    ("rate_low", dict(arrivals=Bursty(rate_low=NAN, rate_high=9e3, count=5))),
+    ("rate_high", dict(arrivals=Bursty(rate_low=1e3, rate_high=INF, count=5))),
+    ("dwell_high", dict(arrivals=Bursty(1e3, 9e3, 5, dwell_high=NAN))),
+    ("count", dict(arrivals=Bursty(1e3, 9e3, count=2.5))),
+    ("rate_mean", dict(arrivals=Diurnal(rate_mean=NAN, count=5))),
+    ("amplitude", dict(arrivals=Diurnal(2e3, 5, amplitude=NAN))),
+    ("period", dict(arrivals=Diurnal(2e3, 5, period=INF))),
+    ("count", dict(arrivals=Diurnal(2e3, count="5"))),
+])
+def test_bad_serving_input_fails_early_and_names_the_field(field, kwargs):
+    with pytest.raises(ConfigurationError, match=field):
+        run_serving(make_machine("ncube2", 4), **kwargs)
+
+
+def test_boundary_serving_inputs_still_run():
+    summary, _ = run_serving(make_machine("ncube2", 4),
+                             Poisson(rate=9000.0, count=40), shed_above=0)
+    assert summary["shed"] > 0 and summary["completed"] + summary["shed"] == 40
+    summary, _ = run_serving(make_machine("ncube2", 4),
+                             Poisson(rate=2000.0, count=True), hops=True,
+                             shed_above=2.5)
+    assert summary["offered"] == 1
 
 
 # --------------------------------------------------- S1 table byte-identity
