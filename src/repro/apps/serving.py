@@ -50,12 +50,11 @@ from repro.core.kernel import Kernel, RunResult
 from repro.machine.network import Machine
 from repro.metrics.latency import LatencyFold, latency_summary
 from repro.trace.events import EventLog
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, need_real
 from repro.workloads.arrivals import (
     ArrivalSpec,
     Poisson,
     ServiceSpec,
-    _need_real,
     arrival_times,
     service_demands,
 )
@@ -180,7 +179,7 @@ def run_serving(
     if shed_above is not None:
         # Compared with a queue depth in every stage-0 request: NaN never
         # sheds, a negative bound sheds everything, a string dies mid-run.
-        _need_real("shed_above", shed_above, strict=False)
+        need_real("shed_above", shed_above, strict=False)
     times = arrival_times(arrivals, seed)
     demands = service_demands(service, len(times), hops, seed)
     default_trace = "trace_events" not in kernel_kwargs

@@ -122,6 +122,8 @@ def main(argv=None) -> int:
                                      and interval >= 0.0):
         parser.error("--metrics-interval must be a finite number of virtual "
                      f"seconds >= 0, got {interval}")
+    if args.jobs is not None and args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.output is not None:
         # Here, not in _write: an unwritable directory should cost a usage
         # error, not a finished sweep and then a traceback.

@@ -44,9 +44,9 @@ from repro.apps import (
 from repro.bench.descriptors import RunDescriptor
 from repro.workloads.arrivals import Poisson, ServiceSpec
 from repro.core.kernel import RunResult
-from repro.machine.presets import make_machine
+from repro.machine.presets import MACHINE_PRESETS, make_machine
 from repro.metrics.latency import LatencyFold
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, need_int
 
 __all__ = ["AppSpec", "APPS", "describe", "measure", "measure_many",
            "execute_descriptor", "run_descriptor", "speedup_sweep",
@@ -276,6 +276,16 @@ def describe(
         raise ConfigurationError(
             f"unknown app {app!r}; options: {sorted(APPS)}"
         ) from None
+    # Here, not in the run: a pool worker would report each of these as a
+    # failed run, and canonical() coerces with int(), so num_pes=4.0 and
+    # seed=1.5 would share the cache keys of 4 and 1.
+    if machine_name not in MACHINE_PRESETS:
+        raise ConfigurationError(
+            f"unknown machine preset {machine_name!r}; "
+            f"options: {sorted(MACHINE_PRESETS)}"
+        )
+    num_pes = need_int("num_pes", num_pes, 1)
+    seed = need_int("seed", seed, None)
     params = dict(spec.defaults)
     params.update(overrides)
     if queueing is not None:

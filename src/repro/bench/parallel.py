@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.bench.cache import ResultCache
 from repro.bench.descriptors import RunDescriptor
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, need_int
 
 __all__ = ["SweepExecutor", "SweepRunError", "current_executor",
            "use_executor", "default_jobs"]
@@ -94,7 +94,10 @@ class SweepExecutor:
         trace_out: Optional[str] = None,
         metrics_out: Optional[str] = None,
     ) -> None:
-        self.jobs = max(1, int(jobs if jobs is not None else default_jobs()))
+        # Not max(1, int(jobs)): 0 or 2.7 workers is a mistake to report,
+        # not a number to round.
+        self.jobs = (default_jobs() if jobs is None
+                     else need_int("jobs", jobs, 1))
         self.cache = cache
         if not (math.isfinite(timeout) and timeout > 0):
             # Zero or less would report every pooled run as stuck, far from

@@ -29,10 +29,8 @@ Execution model (normative — see DESIGN.md §5):
 
 from __future__ import annotations
 
-import math
 import time as _host_time
 from dataclasses import dataclass, field
-from numbers import Real
 from types import FunctionType as _FunctionType
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -43,11 +41,14 @@ from repro.core.pe import PEPlane, PEState
 from repro.core.services import Service
 from repro.core.tree import Span, make_tree
 from repro.machine.network import Machine
+from repro.queueing.strategies import make_strategy
 from repro.util.errors import (
     ConfigurationError,
     RoutingError,
     SchedulingError,
     SharingError,
+    need_int,
+    need_real,
 )
 from repro.util.priority import PriorityLike, normalize_priority
 from repro.util.rng import RngStream
@@ -152,20 +153,19 @@ class Kernel:
         # message.  Nested (not (class, name)-keyed): the per-message
         # lookup is then two pointer-hash probes with no tuple allocation.
         self._entry_cache: Dict[type, Dict[str, Callable]] = {}
+        # int(seed) downstream would truncate 1.5 and parse "7".
+        seed = need_int("seed", seed, None)
         self.rng = RngStream(seed, "kernel")
         self.seed = seed
+        # Built and dropped: an unknown name fails here, not when the first
+        # PE materialises inside run().
+        make_strategy(queueing)
         self.queueing = queueing
         self.strict_entries = strict_entries
-        for keyword, value in (("qd_interval", qd_interval),
-                               ("lazy_interval", lazy_interval)):
-            # Both become engine delays: NaN ends the run at time nan, a
-            # negative one fails inside the engine many events later.
-            if not (isinstance(value, Real) and math.isfinite(value)
-                    and value >= 0):
-                raise ConfigurationError(
-                    f"{keyword} must be a finite real number >= 0, "
-                    f"got {value!r}"
-                )
+        # Both become engine delays: NaN ends the run at time nan, a
+        # negative one fails inside the engine many events later.
+        need_real("qd_interval", qd_interval, strict=False)
+        need_real("lazy_interval", lazy_interval, strict=False)
         self.qd_interval = qd_interval
         self.lazy_interval = lazy_interval
         # Runtime collective tree: binomial on hypercubes (every tree edge is
@@ -941,16 +941,8 @@ class Kernel:
                 "must already be placed (self, main, or a fixed-PE chare)"
             )
         key = None if priority is None else normalize_priority(priority)
-        env = Envelope(
-            kind=Kind.APP,
-            src_pe=ctx.pe,
-            dst_pe=dst,
-            entry=entry_name,
-            args=args,
-            handle=target,
-            priority=priority,
-            prio_key=key,
-        )
+        env = Envelope.make_app(ctx.pe, dst, entry_name, args, target,
+                                priority, key)
         now = self.engine._now
         self._deliver(env, when if when > now else now)
 

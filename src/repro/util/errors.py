@@ -1,10 +1,17 @@
 """Exception hierarchy for the Chare Kernel reproduction.
 
 All library errors derive from :class:`CharmError` so callers can catch one
-type.  Subclasses mark which subsystem raised.
+type.  Subclasses mark which subsystem raised.  :func:`need_real` and
+:func:`need_int` are the two checks public constructors share; each raises
+:class:`ConfigurationError` naming the field.
 """
 
 from __future__ import annotations
+
+import math
+import operator
+from numbers import Real
+from typing import Optional
 
 
 class CharmError(Exception):
@@ -37,3 +44,35 @@ class SharingError(CharmError):
 
 class FaultError(CharmError):
     """Fault-injection misconfiguration, or the retry safety valve tripped."""
+
+
+def need_real(what: str, value, low: float = 0.0, *, strict: bool = True) -> None:
+    """``value`` must be a finite real above ``low`` (or at it, non-strict).
+
+    Written as what must hold, not as what must not: NaN fails every
+    comparison, so ``if value <= 0: raise`` lets it through — and a NaN
+    rate, mean or interval reaches the run as a NaN virtual time.
+    """
+    if not (isinstance(value, Real) and math.isfinite(value)
+            and (value > low if strict else value >= low)):
+        raise ConfigurationError(
+            f"{what} must be a finite real number "
+            f"{'>' if strict else '>='} {low:g}, got {value!r}"
+        )
+
+
+def need_int(what: str, value, low: Optional[int] = 0) -> int:
+    """``value`` as an integer >= ``low`` (``None``: any integer).
+
+    ``operator.index``, not ``int()``: 2.5 must not truncate and "4" must
+    not parse.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigurationError(
+            f"{what} must be an integer, got {value!r}"
+        ) from None
+    if low is not None and value < low:
+        raise ConfigurationError(f"{what} must be >= {low}, got {value}")
+    return value

@@ -30,12 +30,11 @@ Pareto — the heavy-tailed one is where p99 stories live).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from numbers import Real
 from typing import List, Sequence, Tuple, Union
 
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, need_int, need_real
 from repro.util.rng import RngStream
 
 __all__ = [
@@ -50,35 +49,6 @@ __all__ = [
 ]
 
 
-# ================================================================= validation
-def _need_real(what: str, value, low: float = 0.0, *, strict: bool = True) -> None:
-    """``value`` must be a finite real above ``low`` (or at it, non-strict).
-
-    Written as what must hold, not as what must not: NaN fails every
-    comparison, so ``if value <= 0: raise`` lets it through — and a NaN
-    rate or mean reaches the run as a NaN virtual time.
-    """
-    if not (isinstance(value, Real) and math.isfinite(value)
-            and (value > low if strict else value >= low)):
-        raise ConfigurationError(
-            f"{what} must be a finite real number "
-            f"{'>' if strict else '>='} {low:g}, got {value!r}"
-        )
-
-
-def _need_int(what: str, value, low: int = 0) -> int:
-    """``value`` as an integer >= ``low``; 2.5 must not reach ``range``."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ConfigurationError(
-            f"{what} must be an integer, got {value!r}"
-        ) from None
-    if value < low:
-        raise ConfigurationError(f"{what} must be >= {low}, got {value}")
-    return value
-
-
 # =============================================================== arrival specs
 @dataclass(frozen=True)
 class Poisson:
@@ -89,9 +59,9 @@ class Poisson:
     start: float = 0.0
 
     def validate(self) -> None:
-        _need_real("Poisson rate", self.rate)
-        _need_int("Poisson count", self.count)
-        _need_real("Poisson start", self.start, strict=False)
+        need_real("Poisson rate", self.rate)
+        need_int("Poisson count", self.count)
+        need_real("Poisson start", self.start, strict=False)
 
 
 @dataclass(frozen=True)
@@ -112,9 +82,9 @@ class Bursty:
 
     def validate(self) -> None:
         for name in ("rate_low", "rate_high", "dwell_low", "dwell_high"):
-            _need_real(f"Bursty {name}", getattr(self, name))
-        _need_int("Bursty count", self.count)
-        _need_real("Bursty start", self.start, strict=False)
+            need_real(f"Bursty {name}", getattr(self, name))
+        need_int("Bursty count", self.count)
+        need_real("Bursty start", self.start, strict=False)
 
     def mean_rate(self) -> float:
         """Long-run offered rate (dwell-time-weighted average)."""
@@ -139,15 +109,15 @@ class Diurnal:
     start: float = 0.0
 
     def validate(self) -> None:
-        _need_real("Diurnal rate_mean", self.rate_mean)
+        need_real("Diurnal rate_mean", self.rate_mean)
         if not (isinstance(self.amplitude, Real)
                 and 0.0 <= self.amplitude < 1.0):
             raise ConfigurationError(
                 f"Diurnal amplitude must be in [0, 1), got {self.amplitude!r}"
             )
-        _need_real("Diurnal period", self.period)
-        _need_int("Diurnal count", self.count)
-        _need_real("Diurnal start", self.start, strict=False)
+        need_real("Diurnal period", self.period)
+        need_int("Diurnal count", self.count)
+        need_real("Diurnal start", self.start, strict=False)
 
 
 ArrivalSpec = Union[Poisson, Bursty, Diurnal]
@@ -226,12 +196,12 @@ class ServiceSpec:
                 f"unknown service distribution {self.dist!r}; "
                 "expected fixed/exp/lognormal/pareto"
             )
-        _need_real("service mean", self.mean)
+        need_real("service mean", self.mean)
         if self.dist == "lognormal":
-            _need_real("lognormal sigma (shape)", self.shape, strict=False)
+            need_real("lognormal sigma (shape)", self.shape, strict=False)
         if self.dist == "pareto":
             # alpha <= 1 has no finite mean.
-            _need_real("pareto alpha (shape)", self.shape, 1.0)
+            need_real("pareto alpha (shape)", self.shape, 1.0)
 
     def sample(self, rng: RngStream) -> float:
         if self.dist == "fixed":
@@ -266,8 +236,8 @@ def service_demands(
     hops, seed)``.
     """
     spec.validate()
-    hops = _need_int("hops (pipeline stages per request)", hops, 1)
-    count = _need_int("request count", count)
+    hops = need_int("hops (pipeline stages per request)", hops, 1)
+    count = need_int("request count", count)
     rng = RngStream(seed, "service", 0)
     return [
         tuple(spec.sample(rng) for _ in range(hops)) for _ in range(count)

@@ -94,6 +94,17 @@ def test_bench_cli_rejects_unknown(capsys):
         assert "unknown experiment" in err and "options:" in err and "t9" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bench_cli_rejects_jobs_below_one(capsys, jobs):
+    """--jobs 0 used to run serially without saying so."""
+    from repro.bench.__main__ import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--exp", "t9", "--scale", "quick", "--jobs", jobs])
+    assert exit_info.value.code == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+
+
 def test_bench_cli_checks_output_before_the_sweep(capsys, tmp_path, monkeypatch):
     import repro.bench.__main__ as cli
 

@@ -137,6 +137,20 @@ def test_executor_rejects_unusable_timeout(timeout):
         SweepExecutor(jobs=2, timeout=timeout)
 
 
+@pytest.mark.parametrize("jobs", [0, -3, 2.7, "x"])
+def test_executor_rejects_unusable_jobs(jobs):
+    """0 and -3 used to become 1 and 2.7 became 2, all without a word."""
+    with pytest.raises(ConfigurationError, match="jobs"):
+        SweepExecutor(jobs=jobs)
+
+
+def test_executor_jobs_none_still_means_all_cores():
+    from repro.bench.parallel import default_jobs
+
+    with SweepExecutor(jobs=None) as ex:
+        assert ex.jobs == default_jobs() >= 1
+
+
 def test_executor_summary_counts(tmp_path):
     cache = ResultCache(str(tmp_path), fingerprint="pinned")
     descs = [describe("fib", "ideal", p, n=10, threshold=5) for p in (1, 2)]
@@ -183,3 +197,34 @@ def test_describe_unknown_app_rejected():
 
     with pytest.raises(ConfigurationError):
         describe("doom", "ideal", 2)
+
+
+@pytest.mark.parametrize("field, args, kwargs", [
+    ("machine", ("fib", "nope", 4), {}),
+    ("num_pes", ("fib", "ipsc2", 4.0), {}),   # shared num_pes=4's cache key
+    ("num_pes", ("fib", "ipsc2", 2.5), {}),
+    ("num_pes", ("fib", "ipsc2", "4"), {}),
+    ("num_pes", ("fib", "ipsc2", 0), {}),
+    ("seed", ("fib", "ipsc2", 4), {"seed": 1.5}),  # ran as seed 1, same key
+    ("seed", ("fib", "ipsc2", 4), {"seed": "a"}),
+], ids=["machine", "pes-4.0", "pes-2.5", "pes-str", "pes-0",
+        "seed-1.5", "seed-str"])
+def test_describe_fails_early_and_names_the_field(field, args, kwargs):
+    """Each used to return a descriptor that died inside the run (in a pool
+    worker, as a failed run) or, for seed=1.5, ran as somebody else."""
+    with pytest.raises(ConfigurationError, match=field):
+        describe(*args, **kwargs)
+
+
+def test_describe_takes_any_integer_type_and_keeps_the_key():
+    import numpy as np
+
+    from repro.bench.harness import execute_descriptor
+
+    plain = describe("fib", "ipsc2", 4, seed=1, n=12, threshold=6)
+    numpy = describe("fib", "ipsc2", np.int64(4), seed=np.int64(1),
+                     n=12, threshold=6)
+    assert numpy == plain and numpy.key("fp") == plain.key("fp")
+    assert describe("fib", "ipsc2", 4, seed=-1).seed == -1
+    row = execute_descriptor(numpy)
+    assert (row.answer, row.vtime) == (144, 0.0073360799999999966)

@@ -178,6 +178,31 @@ def test_zero_and_small_intervals_still_run(keyword, value):
     assert result.kernel.qd.detected_at is not None and not result.truncated
 
 
+@pytest.mark.parametrize("keyword, value", [
+    ("queueing", "bogus"),  # used to fail when the first PE materialised
+    ("seed", "x"),          # a bare ValueError
+    ("seed", 1.5),          # ran as seed 1
+], ids=["queueing", "seed-str", "seed-1.5"])
+def test_bad_queueing_or_seed_rejected_at_construction(ideal4, keyword, value):
+    from repro.util.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match=keyword):
+        Kernel(ideal4, **{keyword: value})
+
+
+def test_nearest_valid_queueing_and_seed_still_run(ipsc8):
+    import numpy as np
+
+    from tests.conftest import run_echo
+
+    plain = run_echo(ipsc8, n=16, queueing="lifo", seed=1)
+    numpy = run_echo(ipsc8, n=16, queueing="lifo", seed=np.int64(1))
+    assert plain.result == numpy.result
+    assert [pe for _, pe in plain.result] == [
+        6, 4, 2, 2, 7, 0, 7, 5, 4, 7, 5, 4, 4, 6, 5, 4]
+    assert plain.time == numpy.time == 0.0019141999999999998
+
+
 def test_kernel_constructor_keywords_are_pinned():
     """The next knob is a visible diff here."""
     import inspect
@@ -238,3 +263,77 @@ def test_two_kernels_are_isolated(ideal4):
     k2.run(Main)
     assert k1.sharing.accumulator_partial("x", 0) == 1
     assert k2.sharing.accumulator_partial("x", 0) == 1
+
+
+# ------------------------------------------------------------------ send_at
+class _TimedPeer(Chare):
+    def __init__(self, main):
+        self.send(main, "peer_ready")
+
+    @entry
+    def poke(self, main, payload):
+        self.send(main, "poked", self.now)
+
+
+class _TimedMain(Chare):
+    """One timed self-send in the future, then one to an idle PE in the past."""
+
+    PAYLOAD = (1, 2.5, "abc", (7, 8))
+
+    def __init__(self):
+        self.stamps = {}
+        self.peer = self.create(_TimedPeer, self.thishandle, pe=1)
+
+    @entry
+    def peer_ready(self):
+        self.charge(100)
+        self.stamps["start"] = self.now
+        self.send_at(self.now + 2e-3, self.thishandle, "tick")
+
+    @entry
+    def tick(self):
+        self.stamps["future"] = self.now
+        self.charge(50)
+        # Before this execution began: departs at its start — not at 0, and
+        # not after the 50 charged units as a plain send would.
+        self.send_at(0.0, self.peer, "poke", self.thishandle, self.PAYLOAD)
+
+    @entry
+    def poked(self, at):
+        self.stamps["past"] = at
+        self.exit(self.stamps)
+
+
+def test_send_at_departure_arrival_and_bytes(ipsc8):
+    """Values taken with the envelope built by the dataclass ``__init__``
+    and sized by the lazy ``nbytes`` property: the factory changes none."""
+    res = Kernel(ipsc8, seed=3).run(_TimedMain)
+    start, future = 0.0008931200000000001, 0.00290112
+    assert res.result == {"start": start, "future": future,
+                          "past": 0.00328532}
+    assert future == start + 2e-3 + ipsc8.params.local_alpha
+    assert res.time == 0.00372116
+    assert [row.bytes_sent for row in res.stats.pe_rows] == [
+        413, 80, 56, 0, 112, 0, 56, 0]
+
+
+def test_send_at_unplaced_target_raises(ipsc8):
+    class Idle(Chare):
+        def __init__(self):
+            pass
+
+    class Main(Chare):
+        def __init__(self):
+            # Balancer-routed: the seed is still in flight, so there is no
+            # PE to deliver a timed message to.
+            self.send_at(1e-3, self.create(Idle), "anything")
+
+    with pytest.raises(RoutingError, match="before placement"):
+        Kernel(ipsc8).run(Main)
+
+    class Stray(Chare):
+        def __init__(self):
+            self.send_at(1e-3, ChareHandle(12345), "anything")
+
+    with pytest.raises(RoutingError, match="unknown handle"):
+        Kernel(ipsc8).run(Stray)

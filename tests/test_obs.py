@@ -514,25 +514,3 @@ class TestBenchTelemetry:
         assert to_prometheus(parsed).startswith("# TYPE")
         assert "health: final" in capsys.readouterr().err
         assert ex.summary()["metrics_written"] == 1
-
-    def test_perf_telemetry_metric_guarded(self):
-        from repro.bench.perf import (
-            GUARDED_METRICS,
-            _best_rate,
-            _kernel_telemetry_messages,
-        )
-
-        assert "kernel_telemetry_msgs_per_s" in GUARDED_METRICS
-        assert _best_rate(_kernel_telemetry_messages, repeats=1) > 0
-
-    def test_profile_out_writes_pstats_dump(self, tmp_path, capsys):
-        import pstats
-
-        from repro.bench.perf import profile_hot_paths
-
-        out = tmp_path / "prof" / "hot.pstats"
-        profile_hot_paths(rounds=1, limit=5, out=str(out))
-        assert out.exists()
-        stats = pstats.Stats(str(out))
-        assert stats.total_calls > 0
-        assert "hot.pstats" in capsys.readouterr().out
