@@ -13,7 +13,7 @@ from repro.queueing.strategies import (
     LifoStrategy,
     IntPriorityStrategy,
     BitvectorPriorityStrategy,
-    MessagePool,
+    LifoPriorityStrategy,
     make_strategy,
     STRATEGIES,
 )
@@ -24,7 +24,7 @@ __all__ = [
     "LifoStrategy",
     "IntPriorityStrategy",
     "BitvectorPriorityStrategy",
-    "MessagePool",
+    "LifoPriorityStrategy",
     "make_strategy",
     "STRATEGIES",
 ]

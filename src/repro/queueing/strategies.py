@@ -1,51 +1,19 @@
-"""Queueing strategies and the two-lane message pool.
+"""Queueing strategies: the order in which a PE serves application work.
 
-The pool a PE's scheduler draws from has two lanes:
-
-* a **system lane** (always FIFO, always drained first) for runtime
-  traffic: quiescence waves, load-balance tokens, distributed-table and
-  monotonic-variable messages.  Keeping these ahead of application work
-  reproduces Charm's "system messages are handled promptly" behavior and
-  keeps the shared abstractions responsive even when the app floods the
-  pool;
-* an **application lane** whose order is the pluggable
-  :class:`QueueStrategy` — the subject of experiment T6.
+A PE (:class:`repro.core.pe.PEState`) keeps a system FIFO lane, always
+drained first, for runtime traffic — quiescence waves, load-balance tokens,
+distributed-table and monotonic-variable messages — so the shared
+abstractions stay responsive even when the app floods the pool.  Its
+application messages and its seeds each go to a pluggable
+:class:`QueueStrategy`, the subject of experiment T6.
 
 Strategies see opaque items plus an optional priority; they never inspect
-message contents.  Prioritized strategies accept a pre-normalized ``key``
-(the kernel computes it once per envelope at send time — see
+message contents.  The three prioritized strategies are one stable binary
+heap of ``(key, seq, item)``: they accept a pre-normalized ``key`` (the
+kernel computes it once per envelope at send time — see
 ``Envelope.prio_key``) and fall back to :func:`normalize_priority`
-otherwise, so integer and bitvector priorities coexist, with FIFO
-tie-breaking (stable).
-
-The prioritized pools are themselves lane-split (the priority hot path):
-
-* a plain deque/list **fast lane** for unprioritized items — the common
-  case even under a prio strategy, since runtime traffic and most app
-  messages carry no priority.  Unprioritized work sorts after every
-  prioritized class, so a dedicated last-served lane is order-identical
-  to heaping it with the maximal key;
-* **small-int buckets** (integral ``0 <= p < _BUCKET_LIMIT``) — a dict of
-  per-value deques plus a mini-heap of active bucket values.  B&B bounds
-  and IDA* f-values are small clustered ints, so most prioritized pushes
-  become a deque append; the bucket mini-heap is touched only when a
-  bucket turns empty/nonempty.  *Every* integral numeric in range buckets
-  (``5.0`` and ``True`` land with ``5`` and ``1`` — numerically equal
-  priorities were already tie-broken purely by arrival order), so the
-  heap can never hold a key equal to a bucket value: cross-lane ties are
-  impossible, buckets store bare items with no per-item sequence numbers,
-  and an in-range ``int`` priority skips :func:`normalize_priority`
-  entirely;
-* a binary **heap fallback** holding everything else (negative/huge/
-  non-integral numerics and bitvector keys), with plain-int sequence
-  counters replacing ``itertools.count``.
-
-Cross-lane order is preserved exactly: bucket values compare against the
-heap's top key (numeric ``(0, v)`` vs bucket value ``b``, strict since
-equality cannot occur), buckets sort below every bitvector and
-unprioritized item, so the pop sequence is bit-identical to the
-historical single-heap implementation (asserted by the randomized
-equivalence tests in ``tests/test_queueing.py``).
+otherwise, so integer, bitvector and absent priorities coexist in one
+total order, with ties broken by arrival (``priolifo``: newest first).
 """
 
 from __future__ import annotations
@@ -65,16 +33,9 @@ __all__ = [
     "IntPriorityStrategy",
     "BitvectorPriorityStrategy",
     "LifoPriorityStrategy",
-    "MessagePool",
     "make_strategy",
     "STRATEGIES",
 ]
-
-#: Non-negative int priorities below this take the bucket fast path.
-_BUCKET_LIMIT = 4096
-
-#: Class tag of unprioritized keys (mirrors repro.util.priority._DEFAULT).
-_DEFAULT_CLASS = 2
 
 
 class QueueStrategy(ABC):
@@ -157,120 +118,48 @@ class LifoStrategy(QueueStrategy):
         return bool(self._q)
 
 
-class _LaneSplitPool(QueueStrategy):
-    """Shared machinery for prioritized strategies with FIFO tie-breaking.
+class _PriorityHeap(QueueStrategy):
+    """Stable binary heap of ``(key, seq, item)`` — every prioritized pool.
 
-    Lanes (see module docstring): unprioritized deque, small-int buckets
-    with an active-value mini-heap, stable binary heap for everything
-    else.  :class:`LifoPriorityStrategy` mirrors this push/pop pair with
-    LIFO tie-breaking — keep the two in sync.
+    ``seq`` steps by ``_step`` per push, so equal keys pop in arrival order
+    (``+1``) or newest first (``-1``).  A push without a pre-normalized
+    ``key`` normalizes ``priority`` itself.
     """
 
-    __slots__ = ("_default", "_heap", "_buckets", "_active", "_seq", "_size")
+    _step = 1
+    __slots__ = ("_heap", "_seq")
 
     def __init__(self) -> None:
-        self._default: deque = deque()   # unprioritized fast lane (FIFO)
-        self._heap: list = []            # (key, seq, item) fallback
-        # Bucket value -> deque[item], indexed directly (list indexing
-        # beats dict hashing on the hot path; 4096 slots is 32 KiB).
-        self._buckets: list = [None] * _BUCKET_LIMIT
-        self._active: list = []          # mini-heap of nonempty bucket values
+        self._heap: list = []
         self._seq = 0
-        self._size = 0
 
     def push(self, item: Any, priority: PriorityLike = None,
              key: Optional[tuple] = None) -> None:
-        self._size += 1
         if key is None:
-            if priority is None:
-                self._default.append(item)
-                return
-            if type(priority) is int and 0 <= priority < _BUCKET_LIMIT:
-                # In-range int: straight to its bucket, no key built at
-                # all.  A nonempty bucket — the common case once bounds
-                # cluster — is one truth test and an append.
-                bucket = self._buckets[priority]
-                if bucket:
-                    bucket.append(item)
-                    return
-                if bucket is None:
-                    bucket = self._buckets[priority] = deque()
-                heapq.heappush(self._active, priority)
-                bucket.append(item)
-                return
             key = normalize_priority(priority)
-        klass = key[0]
-        if klass == 0:
-            v = key[1]
-            if type(v) is int:
-                if 0 <= v < _BUCKET_LIMIT:
-                    bucket = self._buckets[v]
-                    if bucket:
-                        bucket.append(item)
-                        return
-                    if bucket is None:
-                        bucket = self._buckets[v] = deque()
-                    heapq.heappush(self._active, v)
-                    bucket.append(item)
-                    return
-            elif 0 <= v < _BUCKET_LIMIT and v == (iv := int(v)):
-                # Integral float/bool: numerically equal priorities were
-                # always pure arrival-order ties, so share the int bucket.
-                bucket = self._buckets[iv]
-                if bucket is None:
-                    bucket = self._buckets[iv] = deque()
-                if not bucket:
-                    heapq.heappush(self._active, iv)
-                bucket.append(item)
-                return
-        elif klass == _DEFAULT_CLASS:
-            self._default.append(item)
-            return
-        seq = self._seq = self._seq + 1
+        seq = self._seq = self._seq + self._step
         heapq.heappush(self._heap, (key, seq, item))
 
     def pop(self) -> Any:
-        active = self._active
-        heap = self._heap
-        if active:
-            b = active[0]
-            if heap:
-                tk = heap[0][0]
-                # Heap first iff its key < (0, b) — strict, because every
-                # integral in-range numeric buckets, so the heap never
-                # holds a key equal to a bucket value; bitvector keys are
-                # class 1 > 0 and never outrank a bucket.
-                if tk[0] == 0 and tk[1] < b:
-                    self._size -= 1
-                    return heapq.heappop(heap)[2]
-            bucket = self._buckets[b]
-            item = bucket.popleft()
-            if not bucket:
-                heapq.heappop(active)
-            self._size -= 1
-            return item
-        if heap:
-            self._size -= 1
-            return heapq.heappop(heap)[2]
-        if self._default:
-            self._size -= 1
-            return self._default.popleft()
-        raise SchedulingError("pop from empty priority pool")
+        if not self._heap:
+            raise SchedulingError(f"pop from empty {self.name} pool")
+        return heapq.heappop(self._heap)[2]
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._heap)
 
     def __bool__(self) -> bool:
-        return self._size > 0
+        return bool(self._heap)
 
 
-class IntPriorityStrategy(_LaneSplitPool):
+class IntPriorityStrategy(_PriorityHeap):
     """Smaller integer priority first; unprioritized items run last, FIFO."""
 
     name = "prio"
+    __slots__ = ()
 
 
-class BitvectorPriorityStrategy(_LaneSplitPool):
+class BitvectorPriorityStrategy(_PriorityHeap):
     """Lexicographic bitvector priorities (Charm's B-prioritized queue).
 
     Implementation-wise identical to :class:`IntPriorityStrategy` because
@@ -279,108 +168,20 @@ class BitvectorPriorityStrategy(_LaneSplitPool):
     """
 
     name = "bitprio"
+    __slots__ = ()
 
 
-class LifoPriorityStrategy(QueueStrategy):
+class LifoPriorityStrategy(_PriorityHeap):
     """Priorities first, ties broken LIFO (Charm's stack-flavored queue).
 
     Depth-first within a priority class: useful for searches where equal
     bounds should be pursued depth-first to bound memory, while better
-    bounds still preempt.
-
-    Body mirrors :class:`_LaneSplitPool` with negated sequence numbers
-    (most recent wins within an equal priority), bucket deques popped from
-    the right, and a list (stack) for the unprioritized lane — keep the
-    two in sync.
+    bounds still preempt.  Unprioritized items pop last, newest first.
     """
 
     name = "priolifo"
-    __slots__ = ("_default", "_heap", "_buckets", "_active", "_seq", "_size")
-
-    def __init__(self) -> None:
-        self._default: list = []         # unprioritized fast lane (LIFO)
-        self._heap: list = []
-        self._buckets: list = [None] * _BUCKET_LIMIT  # value -> deque[item]
-        self._active: list = []
-        self._seq = 0
-        self._size = 0
-
-    def push(self, item: Any, priority: PriorityLike = None,
-             key: Optional[tuple] = None) -> None:
-        self._size += 1
-        if key is None:
-            if priority is None:
-                self._default.append(item)
-                return
-            if type(priority) is int and 0 <= priority < _BUCKET_LIMIT:
-                bucket = self._buckets[priority]
-                if bucket:
-                    bucket.append(item)
-                    return
-                if bucket is None:
-                    bucket = self._buckets[priority] = deque()
-                heapq.heappush(self._active, priority)
-                bucket.append(item)
-                return
-            key = normalize_priority(priority)
-        klass = key[0]
-        if klass == 0:
-            v = key[1]
-            if type(v) is int:
-                if 0 <= v < _BUCKET_LIMIT:
-                    bucket = self._buckets[v]
-                    if bucket:
-                        bucket.append(item)
-                        return
-                    if bucket is None:
-                        bucket = self._buckets[v] = deque()
-                    heapq.heappush(self._active, v)
-                    bucket.append(item)
-                    return
-            elif 0 <= v < _BUCKET_LIMIT and v == (iv := int(v)):
-                bucket = self._buckets[iv]
-                if bucket is None:
-                    bucket = self._buckets[iv] = deque()
-                if not bucket:
-                    heapq.heappush(self._active, iv)
-                bucket.append(item)
-                return
-        elif klass == _DEFAULT_CLASS:
-            self._default.append(item)
-            return
-        # Negated sequence -> most recent wins within an equal priority.
-        seq = self._seq = self._seq - 1
-        heapq.heappush(self._heap, (key, seq, item))
-
-    def pop(self) -> Any:
-        active = self._active
-        heap = self._heap
-        if active:
-            b = active[0]
-            if heap:
-                tk = heap[0][0]
-                if tk[0] == 0 and tk[1] < b:
-                    self._size -= 1
-                    return heapq.heappop(heap)[2]
-            bucket = self._buckets[b]
-            item = bucket.pop()   # LIFO within the bucket
-            if not bucket:
-                heapq.heappop(active)
-            self._size -= 1
-            return item
-        if heap:
-            self._size -= 1
-            return heapq.heappop(heap)[2]
-        if self._default:
-            self._size -= 1
-            return self._default.pop()
-        raise SchedulingError("pop from empty priolifo pool")
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __bool__(self) -> bool:
-        return self._size > 0
+    _step = -1
+    __slots__ = ()
 
 
 STRATEGIES: Dict[str, Type[QueueStrategy]] = {
@@ -394,71 +195,9 @@ STRATEGIES: Dict[str, Type[QueueStrategy]] = {
 
 def make_strategy(name: str) -> QueueStrategy:
     """Instantiate a fresh strategy by name."""
-    try:
-        return STRATEGIES[name]()
-    except KeyError:
+    cls = STRATEGIES.get(name) if isinstance(name, str) else None
+    if cls is None:
         raise ConfigurationError(
             f"unknown queueing strategy {name!r}; options: {sorted(STRATEGIES)}"
-        ) from None
-
-
-class MessagePool:
-    """Two-lane pool: system FIFO lane + pluggable application lane.
-
-    The pool keeps a live item count so ``len``/``bool``/``app_len`` — all
-    on the scheduler's per-message path — are attribute reads rather than
-    recomputed sums over both lanes.
-    """
-
-    __slots__ = ("_system", "_app", "_count", "max_len")
-
-    def __init__(self, strategy: QueueStrategy | None = None) -> None:
-        self._system: deque = deque()
-        self._app = strategy if strategy is not None else FifoStrategy()
-        self._count = 0
-        self.max_len = 0  # high-water mark, reported by the trace layer
-
-    @property
-    def strategy_name(self) -> str:
-        return self._app.name
-
-    def push(self, item: Any, priority: PriorityLike = None,
-             system: bool = False, key: Optional[tuple] = None) -> None:
-        if system:
-            self._system.append(item)
-        else:
-            self._app.push(item, priority, key)
-        n = self._count = self._count + 1
-        if n > self.max_len:
-            self.max_len = n
-
-    def pop(self) -> Any:
-        if self._system:
-            self._count -= 1
-            return self._system.popleft()
-        item = self._app.pop()
-        self._count -= 1
-        return item
-
-    def pop_system(self) -> Optional[Any]:
-        """Pop from the system lane only (startup gating); None if empty."""
-        if self._system:
-            self._count -= 1
-            return self._system.popleft()
-        return None
-
-    def pop_app(self) -> Any:
-        """Pop from the application lane only; raises if empty."""
-        item = self._app.pop()
-        self._count -= 1
-        return item
-
-    def app_len(self) -> int:
-        """Application-lane length — the load metric balancers use."""
-        return self._count - len(self._system)
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __bool__(self) -> bool:
-        return self._count > 0
+        )
+    return cls()

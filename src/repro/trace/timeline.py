@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.util.errors import need_int
+
 __all__ = ["Interval", "Timeline"]
 
 
@@ -87,6 +89,7 @@ class Timeline:
         self, buckets: int = 20, kinds: Optional[set] = None
     ) -> List[float]:
         """Fraction of PE-time busy in each of ``buckets`` equal windows."""
+        buckets = need_int("buckets", buckets, 1)
         lo, hi = self.span()
         if hi <= lo:
             return [0.0] * buckets
@@ -143,6 +146,7 @@ class Timeline:
         A cell is busy if any execution overlaps it.  System-only cells
         render as '+', mixed cells as '#'.
         """
+        width = need_int("width", width, 1)
         if not self._intervals:
             return "(empty timeline)"
         lo, hi = self.span()

@@ -16,65 +16,31 @@ first.  Two kinds are supported, exactly as in Charm:
 
 :func:`normalize_priority` maps any user-supplied priority (``None``, int,
 ``BitVectorPriority``, tuple of bits) onto a key that sorts correctly with
-Python tuple comparison, so queue implementations never special-case.
-
-Packed keys
------------
-
-Bit strings are held and compared as **packed integers**, not per-bit
-tuples.  A :class:`BitVectorPriority` stores ``(value, length)`` where
-``value`` is the bits read MSB-first (``101`` → ``0b101``), so ``extend``/
-``child`` are O(appended bits) shift arithmetic, however deep the search
-tree.
-
-A normalized bitvector key is ``(_BITVEC, e0, e1, ...)`` where each
-element packs one ``_CHUNK``-bit slice of the string:
-
-    elem = (chunk_bits << (_CHUNK - bits_in_chunk)) << _LEN_BITS | bits_in_chunk
-
-i.e. the slice left-aligned (zero-padded) in ``_CHUNK`` bits, followed by
-the slice's true length.  Integer comparison of two elements then matches
-bit-string comparison of the slices: if the padded values differ, the
-first differing bit decides (the value fields differ by at least
-``1 << _LEN_BITS``, which dominates any length difference); if the padded
-values tie, the strings agree on their common prefix and the shorter —
-the prefix — wins via the length field.  Across elements, plain tuple
-comparison finishes the job: a string ending exactly on a chunk boundary
-yields a strict tuple prefix, and shorter tuples sort first.  Strings up
-to ``_CHUNK`` bits (every practical search tree) therefore compare as a
-*single* C-level int compare instead of a per-bit tuple walk; the
-equivalence with the historical tuple-of-bits keys is property-tested in
-``tests/test_priority_packed.py``.
+Python tuple comparison, so queue implementations never special-case.  A
+bitvector's key is its class tag followed by its bits, so plain tuple
+comparison is the prefix-first lexicographic order.
 """
 
 from __future__ import annotations
 
+from functools import total_ordering
 from typing import Iterable, Sequence, Union
 
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, need_int
 
 __all__ = ["BitVectorPriority", "normalize_priority", "PriorityLike"]
 
-#: Bits of bit-string payload packed per key element.
-_CHUNK = 63
-#: Low bits of each key element holding the slice's true length (0..63).
-_LEN_BITS = 7
+
+def _bit(b) -> int:
+    """``b`` as 0 or 1; it must *equal* one of them (0.5 is not 0)."""
+    if b == 0:
+        return 0
+    if b == 1:
+        return 1
+    raise ConfigurationError(f"bitvector priority bits must be 0 or 1, got {b!r}")
 
 
-def _pack_elems(value: int, length: int) -> tuple:
-    """Pack an MSB-first bit string ``(value, length)`` into key elements."""
-    if length <= _CHUNK:
-        return ((value << (_CHUNK - length) << _LEN_BITS) | length,)
-    elems = []
-    rem = length
-    while rem > _CHUNK:
-        rem -= _CHUNK
-        elems.append(((value >> rem) << _LEN_BITS) | _CHUNK)
-        value &= (1 << rem) - 1
-    elems.append((value << (_CHUNK - rem) << _LEN_BITS) | rem)
-    return tuple(elems)
-
-
+@total_ordering
 class BitVectorPriority:
     """An immutable bit-string priority with lexicographic order.
 
@@ -83,55 +49,18 @@ class BitVectorPriority:
     position.  The all-empty priority is the highest possible.
     """
 
-    __slots__ = ("_value", "_length", "_key")
+    __slots__ = ("_bits",)
 
     def __init__(self, bits: Iterable[int] = ()) -> None:
-        value = 0
-        length = 0
-        for b in bits:
-            b = int(b)
-            if b != 0 and b != 1:
-                raise ConfigurationError(
-                    f"bitvector priority bits must be 0/1, got {b}"
-                )
-            value = (value << 1) | b
-            length += 1
-        self._value = value
-        self._length = length
-        self._key = None
-
-    @classmethod
-    def _trusted(cls, value: int, length: int) -> "BitVectorPriority":
-        """Construct from an already-validated packed ``(value, length)``.
-
-        Used by :meth:`extend`/:meth:`child` so a validated prefix is never
-        re-checked — deep search trees pay O(appended bits), not O(depth).
-        """
-        p = cls.__new__(cls)
-        p._value = value
-        p._length = length
-        p._key = None
-        return p
+        self._bits = tuple(_bit(b) for b in bits)
 
     @property
     def bits(self) -> tuple:
-        length = self._length
-        value = self._value
-        return tuple((value >> (length - 1 - i)) & 1 for i in range(length))
+        return self._bits
 
     def extend(self, *bits: int) -> "BitVectorPriority":
         """Return a child priority: this priority with ``bits`` appended."""
-        value = self._value
-        length = self._length
-        for b in bits:
-            b = int(b)
-            if b != 0 and b != 1:
-                raise ConfigurationError(
-                    f"bitvector priority bits must be 0/1, got {b}"
-                )
-            value = (value << 1) | b
-            length += 1
-        return BitVectorPriority._trusted(value, length)
+        return BitVectorPriority(self._bits + bits)
 
     def child(self, index: int, fanout: int) -> "BitVectorPriority":
         """Priority for the ``index``-th of ``fanout`` children.
@@ -140,56 +69,33 @@ class BitVectorPriority:
         earlier siblings sort ahead of later ones and every child sorts
         after its parent.
         """
-        if fanout < 1:
-            raise ConfigurationError("fanout must be >= 1")
-        if not 0 <= index < fanout:
-            raise ConfigurationError(f"child index {index} out of range for fanout {fanout}")
+        fanout = need_int("fanout", fanout, 1)
+        index = need_int("index", index)
+        if index >= fanout:
+            raise ConfigurationError(
+                f"child index {index} out of range for fanout {fanout}")
         width = max(1, (fanout - 1).bit_length())
-        return BitVectorPriority._trusted(
-            (self._value << width) | index, self._length + width
-        )
+        return BitVectorPriority(self._bits + tuple(
+            (index >> (width - 1 - i)) & 1 for i in range(width)))
 
     def __len__(self) -> int:
-        return self._length
+        return len(self._bits)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitVectorPriority):
             return NotImplemented
-        return self._value == other._value and self._length == other._length
+        return self._bits == other._bits
 
     def __lt__(self, other: "BitVectorPriority") -> bool:
         if not isinstance(other, BitVectorPriority):
             return NotImplemented
-        # Compare as binary fractions value/2**length (exact integer
-        # cross-shift); equal fractions means one string is the other plus
-        # trailing zeros, and the shorter — the prefix — is higher priority.
-        a = self._value << other._length
-        b = other._value << self._length
-        if a != b:
-            return a < b
-        return self._length < other._length
-
-    def __le__(self, other: "BitVectorPriority") -> bool:
-        if not isinstance(other, BitVectorPriority):
-            return NotImplemented
-        return not other.__lt__(self)
-
-    def __gt__(self, other: "BitVectorPriority") -> bool:
-        if not isinstance(other, BitVectorPriority):
-            return NotImplemented
-        return other.__lt__(self)
-
-    def __ge__(self, other: "BitVectorPriority") -> bool:
-        if not isinstance(other, BitVectorPriority):
-            return NotImplemented
-        return not self.__lt__(other)
+        return self._bits < other._bits
 
     def __hash__(self) -> int:
-        return hash((self._value, self._length))
+        return hash(self._bits)
 
     def __repr__(self) -> str:
-        bit_str = format(self._value, f"0{self._length}b") if self._length else ""
-        return "BitVectorPriority(%s)" % (bit_str or "''")
+        return "BitVectorPriority(%s)" % ("".join(map(str, self._bits)) or "''")
 
 
 PriorityLike = Union[None, int, float, Sequence[int], BitVectorPriority]
@@ -209,21 +115,18 @@ def normalize_priority(priority: PriorityLike) -> tuple:
 
     Smaller keys are served first.  ``None`` maps to the lowest class so
     unprioritized messages never starve prioritized ones under a
-    priority-queue strategy.  Bitvector keys are packed-int tuples (see
-    the module docstring); the key of a :class:`BitVectorPriority` is
-    computed once and cached on the instance.
+    priority-queue strategy.  A bitvector's key is ``(1, *bits)``.  NaN is
+    rejected: it compares false with everything, so one NaN key would break
+    a pool's heap order for every other message.
     """
     if priority is None:
         return _DEFAULT_KEY
-    if isinstance(priority, BitVectorPriority):
-        key = priority._key
-        if key is None:
-            key = priority._key = (_BITVEC,) + _pack_elems(
-                priority._value, priority._length
-            )
-        return key
     if isinstance(priority, (int, float)):
+        if priority != priority:
+            raise ConfigurationError(f"priority must not be NaN, got {priority!r}")
         return (_NUMERIC, priority)
+    if isinstance(priority, BitVectorPriority):
+        return (_BITVEC,) + priority._bits
     if isinstance(priority, (tuple, list)):
         return normalize_priority(BitVectorPriority(priority))
     raise ConfigurationError(f"unsupported priority type: {type(priority).__name__}")

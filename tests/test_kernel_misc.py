@@ -132,6 +132,38 @@ def test_priolifo_end_to_end(ideal4):
     assert result.result == ("b1", "a1", "b5", "a5")
 
 
+@pytest.mark.parametrize("via", ["create", "send"])
+@pytest.mark.parametrize("prio", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_nan_priority_rejected_at_the_call(ipsc8, via, prio):
+    """A NaN priority used to run to completion, misordering the pool."""
+    from repro.util.errors import ConfigurationError
+
+    class Child(Chare):
+        def __init__(self, main):
+            self.send(main, "done", "child")
+
+    class Main(Chare):
+        def __init__(self):
+            if via == "create":
+                self.create(Child, self.thishandle, priority=prio)
+            else:
+                self.send(self.thishandle, "done", "self", priority=prio)
+
+        @entry
+        def done(self, who):
+            self.exit(who)
+
+    kernel = Kernel(ipsc8, queueing="prio")
+    if prio != prio:
+        with pytest.raises(ConfigurationError, match="priority"):
+            kernel.run(Main)
+        return
+    result = kernel.run(Main)
+    assert (result.result, result.time) == {
+        "create": ("child", 0.00093136), "send": ("self", 0.000115)}[via]
+
+
 def test_main_ctor_charge_occupies_pe0(ideal4):
     class Busy(Chare):
         def __init__(self):
@@ -182,7 +214,8 @@ def test_zero_and_small_intervals_still_run(keyword, value):
     ("queueing", "bogus"),  # used to fail when the first PE materialised
     ("seed", "x"),          # a bare ValueError
     ("seed", 1.5),          # ran as seed 1
-], ids=["queueing", "seed-str", "seed-1.5"])
+    ("queueing", ["prio"]),  # a bare TypeError: unhashable type
+], ids=["queueing", "seed-str", "seed-1.5", "queueing-list"])
 def test_bad_queueing_or_seed_rejected_at_construction(ideal4, keyword, value):
     from repro.util.errors import ConfigurationError
 

@@ -1,5 +1,6 @@
 """Unit tests for bitvector priorities and priority normalization."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -110,3 +111,56 @@ def test_property_normalize_is_total_order(a, b, c):
     # transitivity spot-check on normalized keys
     if ka <= kb and kb <= kc:
         assert ka <= kc
+
+
+# ---------------------------------------------------------------- bad inputs
+@pytest.mark.parametrize("bad", [
+    (1.0, 0.5),            # used to truncate to BitVectorPriority(10)
+    (0.5,),
+    (1, float("nan")),     # a bare ValueError
+    ("1",),                # used to parse
+])
+def test_non_binary_bit_rejected(bad):
+    with pytest.raises(ConfigurationError, match="0 or 1"):
+        BitVectorPriority(bad)
+    with pytest.raises(ConfigurationError, match="0 or 1"):
+        BitVectorPriority().extend(*bad)
+
+
+@pytest.mark.parametrize("bits, expected", [
+    ((1.0, 0.0), (1, 0)),
+    ((True, False, 1), (1, 0, 1)),
+    ((np.int64(1), np.int8(0)), (1, 0)),
+])
+def test_bits_equal_to_zero_or_one_accepted(bits, expected):
+    p = BitVectorPriority(bits)
+    assert p.bits == expected and p == BitVectorPriority(expected)
+    assert repr(p) == "BitVectorPriority(%s)" % "".join(map(str, expected))
+
+
+@pytest.mark.parametrize("index, fanout, field", [
+    (1.5, 4, "index"),     # a bare TypeError
+    (1, 4.0, "fanout"),    # a bare AttributeError
+    ("1", 4, "index"),
+])
+def test_child_rejects_non_integral_index_and_fanout(index, fanout, field):
+    with pytest.raises(ConfigurationError, match=field):
+        BitVectorPriority((1,)).child(index, fanout)
+
+
+def test_child_nearest_valid_inputs_keep_parent_answers():
+    root = BitVectorPriority((1,))
+    assert repr(root.child(1, 4)) == "BitVectorPriority(101)"
+    assert repr(root.child(3, 5)) == "BitVectorPriority(1011)"
+    assert repr(root.child(np.int64(0), True)) == "BitVectorPriority(10)"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -float("nan"), np.float64("nan")])
+def test_normalize_rejects_nan(bad):
+    with pytest.raises(ConfigurationError, match="priority"):
+        normalize_priority(bad)
+
+
+@pytest.mark.parametrize("good", [float("inf"), -float("inf"), 3, 3.0, True])
+def test_normalize_keeps_infinities_ints_and_bools(good):
+    assert normalize_priority(good) == (0, good)

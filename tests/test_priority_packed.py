@@ -1,14 +1,12 @@
-"""Packed priority keys vs the historical tuple-of-bits reference.
+"""Normalized priority keys vs the historical tuple-of-bits reference.
 
-PR 4 replaced the per-bit tuple keys that ``normalize_priority`` used to
-emit — ``(1, (b0, b1, ...))`` for bitvectors, ``(0, v)`` for numerics,
-``(2, 0)`` for None — with packed-integer keys (see
-``repro.util.priority``'s module docstring).  These tests pin the
-refactor's contract: the packed keys induce *exactly* the ordering the
-tuple keys did, on ~10k randomized pairs and on the adversarial shapes
-(prefixes, chunk boundaries, trailing zeros) where a packing bug would
-hide.  Randomness comes from :class:`repro.util.rng.RngStream`, never the
-wall clock, so a failure reproduces bit-for-bit.
+The reference keys are ``(1, (b0, b1, ...))`` for bitvectors, ``(0, v)``
+for numerics and ``(2, 0)`` for None; ``normalize_priority`` emits the
+flat ``(1, b0, b1, ...)`` for bitvectors.  These tests pin that both
+induce *exactly* the same ordering, on ~10k randomized pairs and on the
+adversarial shapes (prefixes, long strings, trailing zeros) where a key
+bug would hide.  Randomness comes from :class:`repro.util.rng.RngStream`,
+never the wall clock, so a failure reproduces bit-for-bit.
 """
 
 import pytest
@@ -22,7 +20,7 @@ from repro.util.rng import RngStream
 
 
 def _reference_key(priority):
-    """The pre-PR-4 tuple-of-bits normalized key, re-implemented verbatim."""
+    """The historical tuple-of-bits normalized key."""
     if priority is None:
         return (2, 0)
     if isinstance(priority, BitVectorPriority):
@@ -106,14 +104,6 @@ def test_chunk_boundary_lengths_round_trip():
         for b in prios[i + 1:]:
             assert ((normalize_priority(a) < normalize_priority(b))
                     == (_reference_key(a) < _reference_key(b)))
-
-
-def test_key_cached_on_instance():
-    """normalize_priority computes a bitvector's key once and caches it."""
-    p = BitVectorPriority((1, 0, 1))
-    k1 = normalize_priority(p)
-    k2 = normalize_priority(p)
-    assert k1 is k2
 
 
 def test_trusted_children_normalize_like_fresh_instances():

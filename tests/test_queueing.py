@@ -1,4 +1,4 @@
-"""Unit tests for queueing strategies and the two-lane message pool."""
+"""Unit tests for the queueing strategies."""
 
 import heapq
 
@@ -11,7 +11,6 @@ from repro.queueing.strategies import (
     IntPriorityStrategy,
     LifoPriorityStrategy,
     LifoStrategy,
-    MessagePool,
     make_strategy,
 )
 from repro.util.errors import ConfigurationError, SchedulingError
@@ -79,50 +78,6 @@ def test_pop_empty_raises():
 def test_make_strategy_unknown():
     with pytest.raises(ConfigurationError):
         make_strategy("sjf")
-
-
-def test_pool_system_lane_first():
-    pool = MessagePool(LifoStrategy())
-    pool.push("app1")
-    pool.push("sys1", system=True)
-    pool.push("app2")
-    pool.push("sys2", system=True)
-    assert pool.pop() == "sys1"
-    assert pool.pop() == "sys2"
-    assert pool.pop() == "app2"  # LIFO app lane
-    assert pool.pop() == "app1"
-
-
-def test_pool_pop_system_only():
-    pool = MessagePool()
-    pool.push("app")
-    assert pool.pop_system() is None
-    pool.push("sys", system=True)
-    assert pool.pop_system() == "sys"
-    assert pool.pop_system() is None
-    assert len(pool) == 1
-
-
-def test_pool_app_len_excludes_system():
-    pool = MessagePool()
-    pool.push("a")
-    pool.push("s", system=True)
-    assert pool.app_len() == 1
-    assert len(pool) == 2
-
-
-def test_pool_high_water_mark():
-    pool = MessagePool()
-    for i in range(5):
-        pool.push(i)
-    pool.pop()
-    pool.push("x")
-    assert pool.max_len == 5
-
-
-def test_pool_default_strategy_is_fifo():
-    pool = MessagePool()
-    assert pool.strategy_name == "fifo"
 
 
 @given(st.lists(st.tuples(st.integers(), st.integers(min_value=-100, max_value=100))))
@@ -266,19 +221,26 @@ def test_mixed_priorities_fifo_lifo_ignore_them():
 
 
 def _random_mixed_priority(rng):
-    kind = rng.randint(0, 8)
+    kind = rng.randint(0, 11)
     if kind == 0:
         return None
     if kind == 1:
         return rng.randint(-10, 10)
     if kind == 2:
-        return rng.choice([4094, 4095, 4096, 4097])  # bucket-limit edges
+        return rng.choice([4094, 4095, 4096, 4097])  # old bucket-limit edges
     if kind == 3:
         return float(rng.randint(0, 20))              # integral floats
     if kind == 4:
         return bool(rng.randint(0, 2))
     if kind == 5:
         return rng.uniform(-5.0, 5.0)
+    if kind == 6:                                     # negative and huge ints
+        return rng.randint(-(10**9), 10**9) * 10**12
+    if kind == 7:
+        return rng.choice([-(2**70), -(2**63), 2**63, 10**30])
+    if kind == 8:                                     # past the old 63-bit chunk
+        return BitVectorPriority(rng.randint(0, 2)
+                                 for _ in range(rng.randint(60, 140)))
     return BitVectorPriority(rng.randint(0, 2)
                              for _ in range(rng.randint(0, 8)))
 
@@ -324,3 +286,38 @@ def test_lane_split_pool_matches_single_heap_oracle(name):
     while len(oracle):
         assert pool.pop() == oracle.pop()
     assert not pool
+
+
+# --------------------------------------------------------------- bad inputs
+
+
+_NAN = float("nan")
+_INF = float("inf")
+
+
+@pytest.mark.parametrize("name", ["prio", "bitprio", "priolifo"])
+@pytest.mark.parametrize("prios, order", [
+    # One NaN key broke the heap invariant: the -2 popped sixth.
+    ([5, _NAN, 3, 7000.5, 1, _NAN, -2, 9000.0], None),
+    ([5, -_NAN, 3], None),
+    # Nearest valid inputs keep the parent's order.
+    ([5, _INF, 3, 7000.5, 1, -_INF, -2, 9000.0], [5, 6, 4, 2, 0, 3, 7, 1]),
+    ([5, 4096.0, 3, 7000.5, True, 4095, -2, 9000.0], [6, 4, 2, 0, 5, 1, 3, 7]),
+], ids=["nan", "neg-nan", "inf", "integral-float-bool"])
+def test_nan_priority_rejected_neighbours_keep_order(name, prios, order):
+    q = make_strategy(name)
+    if order is None:
+        with pytest.raises(ConfigurationError, match="priority"):
+            for i, prio in enumerate(prios):
+                q.push(i, prio)
+        return
+    for i, prio in enumerate(prios):
+        q.push(i, prio)
+    assert drain(q) == order
+
+
+@pytest.mark.parametrize("name", [["prio"], {"prio": 1}, {"prio"}])
+def test_make_strategy_rejects_unhashable_names(name):
+    with pytest.raises(ConfigurationError, match="queueing strategy"):
+        make_strategy(name)
+    assert make_strategy("prio").name == "prio"

@@ -150,3 +150,32 @@ def test_zero_duration_interval_at_span_end_not_dropped():
     pe1 = next(line for line in lines if line.startswith("PE  1"))
     body = pe1.split("|")[1]
     assert body[-1] == "+", f"zero-duration boundary mark lost: {pe1!r}"
+
+
+def _two_pe_timeline():
+    tl = Timeline()
+    tl._intervals.append(Interval(0, 0.0, 0.5, "app", "a"))
+    tl._intervals.append(Interval(1, 0.75, 0.25, "svc", "b"))
+    return tl
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda tl: tl.utilization_profile(buckets=0), "buckets"),   # ZeroDivisionError
+    (lambda tl: tl.utilization_profile(buckets=-2), "buckets"),  # IndexError
+    (lambda tl: tl.utilization_profile(buckets=2.5), "buckets"),
+    (lambda tl: tl.render(width=0), "width"),                    # ZeroDivisionError
+    (lambda tl: tl.render(width=-1), "width"),
+], ids=["buckets-0", "buckets-neg", "buckets-float", "width-0", "width-neg"])
+def test_bad_sizes_rejected(call, field):
+    from repro.util.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match=field):
+        call(_two_pe_timeline())
+
+
+def test_smallest_sizes_keep_parent_answers():
+    tl = _two_pe_timeline()
+    assert tl.utilization_profile(buckets=1) == [0.375]
+    assert tl.utilization_profile(buckets=2) == [0.5, 0.25]
+    assert tl.render(width=1) == (
+        "timeline 0.000..1000.000 ms\nPE  0 |#|\nPE  1 |+|")
