@@ -15,6 +15,7 @@ import numpy as np
 
 from repro import Kernel, make_machine
 from repro.apps.samplesort import SampleSortMain
+from repro.trace.timeline import Timeline
 from repro.util.rng import RngStream
 
 
@@ -24,7 +25,7 @@ def main():
 
     for machine_name in ("symmetry", "ipsc2"):
         machine = make_machine(machine_name, workers)
-        kernel = Kernel(machine, timeline=True, seed=2)
+        kernel = Kernel(machine, trace_events="exec_begin,exec_end", seed=2)
         result = kernel.run(SampleSortMain, data, workers, 16)
         assert np.array_equal(result.result, np.sort(data)), "sort is wrong!"
         st = result.stats
@@ -32,7 +33,7 @@ def main():
               f"{result.time * 1e3:.2f} virtual ms "
               f"({st.total_bytes_sent} bytes moved, "
               f"util {st.mean_utilization * 100:.0f}%)")
-        print(kernel.timeline.render(width=64))
+        print(Timeline(kernel.events).render(width=64))
         print()
 
     print("Scaling (ipsc2, virtual time):")

@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.apps.serving import SERVING_TRACE_KINDS
 from repro.bench.harness import APPS
 from repro.machine.presets import MACHINE_PRESETS, make_machine
+from repro.trace.timeline import Timeline
 
 
 def _parse_value(text: str):
@@ -61,11 +63,13 @@ def main(argv=None) -> int:
     if args.queueing:
         params["queueing"] = args.queueing
     params.setdefault("balancer", args.balancer)
+    if args.timeline:
+        # exec_begin/exec_end rows for the timeline view, plus the sends
+        # and deliveries serving's latency digest reads.
+        params["trace_events"] = SERVING_TRACE_KINDS
 
     machine = make_machine(args.machine, args.pes, sparse=args.sparse)
-    answer, result = spec.runner(
-        machine, seed=args.seed, timeline=args.timeline, **params
-    )
+    answer, result = spec.runner(machine, seed=args.seed, **params)
 
     print(f"app={args.app} machine={args.machine} P={args.pes} "
           f"queueing={params.get('queueing', 'fifo')} "
@@ -75,8 +79,8 @@ def main(argv=None) -> int:
     print(f"host      : {result.host_seconds:.3f} s "
           f"({result.events} events)")
     print(result.stats.summary())
-    if args.timeline and result.kernel.timeline is not None:
-        print(result.kernel.timeline.render())
+    if args.timeline:
+        print(Timeline(result.kernel.events).render())
     return 0
 
 

@@ -165,13 +165,13 @@ def use_tracing(kinds: Any):
 #: should attach a telemetry plane with, installed by the bench CLI's
 #: ``--metrics-*`` flags; ``None`` means telemetry off, ``0.0`` means a
 #: final snapshot only.
-_telemetry: Optional[float] = None
+_ambient_metrics: Optional[float] = None
 
 
 def current_telemetry() -> Optional[float]:
     """Telemetry interval ambient ``describe()`` calls will request
     (``None`` = off)."""
-    return _telemetry
+    return _ambient_metrics
 
 
 @contextmanager
@@ -190,13 +190,13 @@ def use_telemetry(interval: float = 0.0):
         raise ConfigurationError(
             f"telemetry interval must be finite and >= 0, got {interval}"
         )
-    global _telemetry
-    previous = _telemetry
-    _telemetry = interval
+    global _ambient_metrics
+    previous = _ambient_metrics
+    _ambient_metrics = interval
     try:
-        yield _telemetry
+        yield _ambient_metrics
     finally:
-        _telemetry = previous
+        _ambient_metrics = previous
 
 
 @dataclass
@@ -293,7 +293,7 @@ def describe(
     params.setdefault("queueing", "fifo")
     params.setdefault("balancer", balancer)
     if metrics is None:
-        metrics_interval = _telemetry
+        metrics_interval = _ambient_metrics
     elif metrics is False:
         metrics_interval = None
     else:

@@ -30,6 +30,7 @@ Execution model (normative — see DESIGN.md §5):
 from __future__ import annotations
 
 import time as _host_time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from types import FunctionType as _FunctionType
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -109,7 +110,6 @@ class Kernel:
         lazy_interval: float = 0.5e-3,
         strict_entries: bool = True,
         spanning_tree: str = "auto",
-        timeline: bool = False,
         faults: Any = None,
         trace_events: Any = None,
         telemetry: Any = None,
@@ -173,23 +173,19 @@ class Kernel:
         # ablation.
         self.tree = make_tree(spanning_tree, machine.num_pes,
                               machine.topology.name)
-        from repro.trace.timeline import Timeline
-
-        self.timeline: Optional[Timeline] = Timeline() if timeline else None
-
         # Structured event tracing (repro.trace.events): accepts True/"all",
-        # an iterable of event kinds, or a pre-built recorder — an EventLog,
-        # or anything else with its hook surface (repro.metrics.latency's
-        # LatencyFold); None keeps the untraced fast path (the hooks below
-        # cost one `is None` check per site, the same inert-when-off
-        # pattern as the fault layer).
+        # a string or iterable of event kinds, or a pre-built recorder (an
+        # EventLog, a LatencyFold: anything with the hook surface).
         if trace_events is None or hasattr(trace_events, "msg_send"):
             self.events = trace_events
-        else:
+        elif trace_events is True or isinstance(trace_events, Iterable):
             from repro.trace.events import EventLog
 
             self.events = EventLog(kinds=trace_events)
-        self._events = self.events
+        else:
+            raise ConfigurationError(
+                "trace_events must be a recorder, True, or event kinds, "
+                f"not {type(trace_events).__name__}")
 
         # Sparse startup is a property of the machine.  When on, the init
         # broadcast is skipped (replication is modeled free), PEs are born
@@ -224,10 +220,8 @@ class Kernel:
             self.faults = faults
         self._faults = self.faults
         # Online telemetry (repro.obs): accepts a Telemetry, a
-        # TelemetryConfig, or True; None keeps the unobserved fast path
-        # (one `is None` check per execution, same inert-when-off pattern
-        # as faults/tracing).  It aggregates at execution granularity and
-        # scrapes the PEState counters, so schedules are unperturbed.
+        # TelemetryConfig, or True.  It aggregates at execution granularity
+        # and scrapes the PEState counters, so schedules are unperturbed.
         if telemetry is None:
             self.telemetry = None
         else:
@@ -246,7 +240,17 @@ class Kernel:
                 )
             telemetry.bind(self)
             self.telemetry = telemetry
-        self._telemetry = self.telemetry
+        # The one observer slot every hook site tests: the recorder,
+        # telemetry, or the pair of them; None keeps the unobserved fast
+        # path (one `is None` check per site, as for the fault layer).
+        if self.telemetry is None:
+            self._events = self.events
+        elif self.events is None:
+            self._events = self.telemetry
+        else:
+            from repro.trace.events import RecorderPair
+
+            self._events = RecorderPair(self.events, self.telemetry)
         # Quiescence accounting lives on the PEStates (counted_sent /
         # counted_processed slots), not here.
         # Network-load accounting: sum over messages of hop count — the
@@ -773,11 +777,6 @@ class Kernel:
         if env.counted:
             pe.counted_processed += 1
             self.last_counted_exec_time = start + duration
-        if self.timeline is not None:
-            self.timeline.record(pe.index, start, duration, env)
-        telemetry = self._telemetry
-        if telemetry is not None:
-            telemetry.on_execute(pe, env, start, duration, charged)
         if outbox:
             for charged_at_send, out in outbox:
                 if wut is not None:

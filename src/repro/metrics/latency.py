@@ -47,7 +47,8 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.trace.events import _SEED_KIND, Event, EventLog, event_rows
+from repro.trace.events import (_SEED_KIND, Event, EventLog, Recorder,
+                                event_rows)
 from repro.util.errors import ConfigurationError
 
 __all__ = ["percentile", "request_latencies", "latency_summary",
@@ -205,7 +206,7 @@ _OTHER: list = [None, 0.0, None, None, None]
 _CLS, _START, _DELIVERY, _END, _EXEC_DUR = range(5)
 
 
-class LatencyFold:
+class LatencyFold(Recorder):
     """A recorder that keeps per-request stage records instead of rows.
 
     It has the surface the kernel and its services call on an
@@ -277,14 +278,6 @@ class LatencyFold:
             begin[_END] = end
             begin[_EXEC_DUR] = duration
         self.ctx = None
-
-    def record(self, kind, t, pe, name=None, uid=None, parent=None,
-               dur=None, info=None):
-        return parent
-
-    def send_parent(self, uid: int):
-        """Only fault records ask, and those are not kept."""
-        return None
 
     def deliver_parent(self, uid: int):
         """The delivery a forwarding leg continues; the leg ends this uid

@@ -21,13 +21,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.trace.events import event_records
+from repro.trace.timeline import bucket_of, busy_fractions
+from repro.util.errors import need_int
 
 __all__ = ["sample_metrics", "metrics_summary"]
-
-
-def _bucket_of(t: float, lo: float, width: float, buckets: int) -> int:
-    b = int((t - lo) / width)
-    return buckets - 1 if b >= buckets else (0 if b < 0 else b)
 
 
 def _peaks(
@@ -64,12 +61,11 @@ def sample_metrics(
     t_end: Optional[float] = None,
 ) -> List[Dict[str, Any]]:
     """Bucket a run's event records into time-series metric rows."""
-    if buckets < 1:
-        raise ValueError("buckets must be >= 1")
-    if num_pes is not None and num_pes < 1:
+    buckets = need_int("buckets", buckets, 1)
+    if num_pes is not None:
         # util divides by num_pes; 0 would raise ZeroDivisionError deep in
         # the row loop and a negative count would yield negative utilization.
-        raise ValueError("num_pes must be >= 1 when given")
+        num_pes = need_int("num_pes", num_pes, 1)
     events = event_records(records)
     if not events:
         return []
@@ -96,7 +92,7 @@ def sample_metrics(
         t_end = lo + span
     width = span / buckets
 
-    busy = [0.0] * buckets
+    busy_spans: List[Tuple[float, float]] = []
     msgs_sent = [0] * buckets
     msgs_executed = [0] * buckets
     flight_edges: List[Tuple[float, float]] = []
@@ -110,7 +106,7 @@ def sample_metrics(
         kind = e["kind"]
         t = e["t"]
         if kind == "send":
-            msgs_sent[_bucket_of(t, lo, width, buckets)] += 1
+            msgs_sent[bucket_of(t, lo, width, buckets)] += 1
             # Undelivered sends (dropped without retry success) simply
             # never close: for per-bucket peaks that is the same as
             # closing at t_end.
@@ -131,15 +127,8 @@ def sample_metrics(
             if uid is not None and uid not in begun:
                 begun[uid] = t
         elif kind == "exec_end":
-            dur = e.get("dur") or 0.0
-            start = t - dur
-            msgs_executed[_bucket_of(t, lo, width, buckets)] += 1
-            if dur > 0.0:
-                b0 = _bucket_of(start, lo, width, buckets)
-                b1 = _bucket_of(t, lo, width, buckets)
-                for b in range(b0, b1 + 1):
-                    w_lo = lo + b * width
-                    busy[b] += max(0.0, min(t, w_lo + width) - max(start, w_lo))
+            msgs_executed[bucket_of(t, lo, width, buckets)] += 1
+            busy_spans.append((t - (e.get("dur") or 0.0), t))
 
     # Pool occupancy: delivery opens, first execution closes (or t_end).
     for uid, (t_del, pe) in delivered_t.items():
@@ -147,6 +136,7 @@ def sample_metrics(
         edges.append((t_del, 1.0))
         edges.append((begun.get(uid, t_end), -1.0))
 
+    util = busy_fractions(busy_spans, lo, width, buckets, num_pes)
     in_flight = _peaks(flight_edges, lo, width, buckets)
     on_wire = _peaks(wire_edges, lo, width, buckets)
     pool_peaks = {pe: _peaks(edges, lo, width, buckets)
@@ -162,7 +152,7 @@ def sample_metrics(
             "bucket": b,
             "t0": lo + b * width,
             "t1": lo + (b + 1) * width,
-            "util": min(1.0, busy[b] / (width * num_pes)),
+            "util": util[b],
             "msgs_sent": msgs_sent[b],
             "msgs_executed": msgs_executed[b],
             "in_flight_max": int(in_flight[b]),

@@ -1,8 +1,8 @@
 """repro.obs — the online telemetry plane.
 
 Low-overhead runtime observability for runs the event log cannot afford to
-watch: streaming counters/gauges/log-bucketed histograms aggregated inside
-the kernel's execution hook, periodic virtual-time snapshots, JSONL and
+watch: streaming counters/gauges/log-bucketed histograms aggregated on
+the kernel's observer slot, periodic virtual-time snapshots, JSONL and
 Prometheus exporters, and a run-health reporter.  Enable per run with::
 
     from repro.obs import Telemetry, TelemetryConfig

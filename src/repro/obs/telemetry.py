@@ -10,39 +10,39 @@ the kernel's own accounting.
 
 Design constraints, in order:
 
-1. **Inert when off.**  ``Kernel(telemetry=None)`` costs one ``is None``
-   check per execution — the same contract as the fault layer and the
-   event log.  Golden traces stay bit-identical.
+1. **Inert when off.**  Telemetry is a recorder on the kernel's one
+   observer slot; with it and the event log off, that costs one ``is
+   None`` check per hook site.  Golden traces stay bit-identical.
 2. **Invisible when on.**  Telemetry schedules no engine events, sends no
    messages, and never touches an envelope: a telemetry-on run produces
    exactly the virtual time, event count, and answer of the telemetry-off
-   run.  Periodic snapshots piggyback on the execution hook (a lazy
+   run.  Periodic snapshots piggyback on the ``exec_end`` hook (a lazy
    "has the clock crossed the next boundary?" compare) instead of engine
    timers, which is what keeps the schedule unperturbed.
 3. **Off the send path.**  All per-message metrics are derived from the
    PEState send/execute counters ``_deliver`` maintains anyway; telemetry
-   has no per-envelope hook.
+   keeps the per-message hooks as no-ops.
 
-The per-execution hook is the only hot-path cost; everything label-shaped
-it needs is cached in plain dicts keyed by envelope fields, so the steady
-state is a few dict hits, one ``frexp``, and an int add per execution.
+``exec_end`` is the only hot-path cost; everything label-shaped it needs
+is cached in plain dicts keyed by envelope fields, so the steady state is
+a few dict hits, one ``frexp``, and an int add per execution.
 """
 
 from __future__ import annotations
 
 import time as _host_time
 from dataclasses import dataclass
-from math import frexp as _frexp, isfinite as _isfinite
+from math import frexp as _frexp
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.messages import Kind
 from repro.obs.registry import Histogram, MetricRegistry
-from repro.util.errors import ConfigurationError
+from repro.trace.events import Recorder
+from repro.util.errors import ConfigurationError, need_int, need_real
 
 __all__ = ["TelemetryConfig", "Telemetry"]
 
 _SEED = Kind.SEED
-_SVC = Kind.SVC
 
 #: Kind tag -> label value used on ``exec_total`` series.
 _KIND_LABEL = {
@@ -72,16 +72,13 @@ class TelemetryConfig:
     max_snapshots: int = 4096
 
     def __post_init__(self) -> None:
-        if not (_isfinite(self.interval) and self.interval >= 0.0):
-            raise ConfigurationError(
-                "telemetry interval must be finite and >= 0, "
-                f"got {self.interval}"
-            )
-        if self.max_snapshots < 1:
-            raise ConfigurationError("telemetry max_snapshots must be >= 1")
+        need_real("telemetry interval", self.interval, strict=False)
+        # 2.5 subbuckets give float bucket indices .prom cannot print.
+        need_int("telemetry subbuckets", self.subbuckets, 1)
+        need_int("telemetry max_snapshots", self.max_snapshots, 1)
 
 
-class Telemetry:
+class Telemetry(Recorder):
     """One kernel's online metric plane (pass as ``Kernel(telemetry=...)``)."""
 
     def __init__(self, config: Optional[TelemetryConfig] = None) -> None:
@@ -94,6 +91,7 @@ class Telemetry:
         self._kernel: Any = None
         self._wall0: Optional[float] = None
         self._next_flush: Optional[float] = None
+        self._start = 0.0     # the current execution's start
         # Hot-path caches -------------------------------------------------
         # (kind, name) -> Counter for exec_total series.
         self._exec_counters: Dict[Tuple[int, str], Any] = {}
@@ -122,15 +120,17 @@ class Telemetry:
         if self.config.interval > 0.0:
             self._next_flush = self.config.interval
 
-    @property
-    def kernel(self) -> Any:
-        return self._kernel
-
     # --------------------------------------------------------------- hot path
-    def on_execute(self, pe: Any, env: Any, start: float, duration: float,
-                   charged: float) -> None:
-        """Per-execution hook (called by ``Kernel._execute`` after
-        accounting)."""
+    def exec_begin(self, start: float, pe: int, env: Any,
+                   prev_end: float) -> None:
+        # Executions never nest (the kernel reuses one ExecContext for the
+        # same reason): this start is the one the next exec_end closes.
+        self._start = start
+
+    def exec_end(self, end: float, pe: int, env: Any, duration: float,
+                 begin: Any, exited: bool) -> None:
+        """Per-execution aggregation, after the execution's outbox flush
+        (so a snapshot it takes counts that execution's sends)."""
         kind = env.kind
         name = env.chare_cls.__name__ if kind == _SEED else env.entry
         key = (kind, name)
@@ -142,8 +142,7 @@ class Telemetry:
             self._exec_counters[key] = c
         c.value += 1
         # Histogram.observe inlined: this is the one per-execution call
-        # site, and the extra method dispatch is measurable against the
-        # kernel_telemetry_msgs_per_s overhead budget.
+        # site, and the extra method dispatch is measurable.
         h = self._exec_hist
         h.count += 1
         h.total += duration
@@ -160,13 +159,12 @@ class Telemetry:
         else:
             h.zero += 1
         if self._pending:
-            end = start + duration
             for hist, t0 in self._pending:
                 hist.observe(end - t0)
             self._pending.clear()
         nf = self._next_flush
-        if nf is not None and start >= nf:
-            self._flush_due(start)
+        if nf is not None and self._start >= nf:
+            self._flush_due(self._start)
 
     # -------------------------------------------------- deferred observations
     def observe_at_exec_end(self, name: str, t0: float, /,
@@ -176,7 +174,7 @@ class Telemetry:
 
         Entry bodies run before the kernel prices their charged work, so an
         in-body ``now`` is the execution's *start*.  Deferring the
-        observation to the execution hook yields the same end timestamp the
+        observation to ``exec_end`` yields the same end timestamp the
         event log's ``exec_end`` carries — which is why online latencies
         reproduce the trace-walked ones exactly (up to bucketing).
         """

@@ -4,12 +4,11 @@ from repro.trace.critical_path import CriticalPath, PathStep, critical_path
 from repro.trace.events import EVENT_KINDS, Event, EventLog, normalize_kinds
 from repro.trace.perfetto import to_perfetto, write_perfetto
 from repro.trace.report import PERow, TraceReport
-from repro.trace.timeline import Interval, Timeline
+from repro.trace.timeline import Timeline
 
 __all__ = [
     "PERow",
     "TraceReport",
-    "Interval",
     "Timeline",
     "Event",
     "EventLog",

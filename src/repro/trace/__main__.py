@@ -51,6 +51,10 @@ def main(argv=None) -> int:
         help="entry methods to show in the attribution table (default: 8)",
     )
     args = parser.parse_args(argv)
+    if args.buckets < 1:
+        parser.error(f"--buckets must be >= 1, got {args.buckets}")
+    if args.top < 0:
+        parser.error(f"--top must be >= 0, got {args.top}")
 
     doc = load_run(args.run)
     events = doc["events"]

@@ -39,10 +39,11 @@ propagated in their place so surviving chains telescope through the
 dropped tail instead of breaking.  Kind filtering degrades the same way:
 a filtered-out kind still forwards its parent through the causal maps.
 
-Recording is inert-when-off: the kernel pays exactly one ``is None``
-check per hook site when no log is installed (the same pattern the fault
-layer uses), which is what keeps the tracing-off golden traces
-bit-identical and the throughput guards green.
+Recording is inert-when-off: the kernel has one observer slot and pays
+exactly one ``is None`` check per hook site when nothing fills it, which
+is what keeps the unobserved golden traces bit-identical.  The slot holds
+one :class:`Recorder`, or a :class:`RecorderPair` of a causal recorder
+and telemetry.
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ from operator import itemgetter
 from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
                     Sequence, Union)
 
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, need_int
 
-__all__ = ["EVENT_KINDS", "Event", "EventLog", "normalize_kinds",
-           "event_rows", "event_records"]
+__all__ = ["EVENT_KINDS", "Event", "EventLog", "Recorder", "RecorderPair",
+           "normalize_kinds", "event_rows", "event_records"]
 
 #: Every recordable event kind, in schema order.
 EVENT_KINDS = (
@@ -118,7 +119,37 @@ def normalize_kinds(kinds: Union[bool, str, Iterable[str], None]) -> tuple:
     return tuple(sorted(selected))
 
 
-class EventLog:
+class Recorder:
+    """The hook surface the kernel calls on its observer slot, as no-ops;
+    a recorder overrides what it keeps (:class:`EventLog`: everything)."""
+
+    ctx: Any = None
+
+    def msg_send(self, t: float, env) -> None:
+        pass
+
+    def msg_deliver(self, t: float, env) -> None:
+        pass
+
+    def exec_begin(self, start: float, pe: int, env, prev_end: float):
+        return None
+
+    def exec_end(self, end: float, pe: int, env, duration: float,
+                 begin, exited: bool) -> None:
+        pass
+
+    def record(self, kind, t, pe, name=None, uid=None, parent=None,
+               dur=None, info=None):
+        return parent
+
+    def send_parent(self, uid: int) -> Optional[int]:
+        return None
+
+    def deliver_parent(self, uid: int) -> Optional[int]:
+        return None
+
+
+class EventLog(Recorder):
     """Bounded, kind-filtered recorder of one kernel run's events.
 
     The kernel (and the services riding on it) call the ``msg_send`` /
@@ -139,10 +170,11 @@ class EventLog:
         kinds: Union[bool, str, Iterable[str], None] = True,
         max_events: int = DEFAULT_MAX_EVENTS,
     ) -> None:
-        if max_events < 1:
-            raise ConfigurationError("max_events must be >= 1")
+        if isinstance(max_events, bool):  # need_int counts True as 1
+            raise ConfigurationError(f"max_events must be an integer, "
+                                     f"got {max_events!r}")
+        self.max_events = need_int("max_events", max_events, 1)
         self.kinds = normalize_kinds(kinds)
-        self.max_events = max_events
         #: One plain tuple per event, in :class:`Event` field order.
         self.rows: List[tuple] = []
         self.dropped = 0
@@ -291,6 +323,43 @@ class EventLog:
              "parent": parent, "name": name, "dur": dur, "info": info}
             for eid, kind, t, pe, uid, parent, name, dur, info in self.rows
         ]
+
+
+class RecorderPair:
+    """A causal recorder and telemetry sharing the kernel's observer slot:
+    the execution hooks reach both; ``ctx``, ``record``, the chain maps
+    and the per-message hooks are the recorder's alone, so its rows do
+    not depend on telemetry being there."""
+
+    __slots__ = ("recorder", "telemetry", "record", "send_parent",
+                 "deliver_parent", "msg_send", "msg_deliver")
+
+    def __init__(self, recorder, telemetry) -> None:
+        self.recorder = recorder
+        self.telemetry = telemetry
+        self.record = recorder.record
+        self.send_parent = recorder.send_parent
+        self.deliver_parent = recorder.deliver_parent
+        # Telemetry's per-message hooks are no-ops (it scrapes the PEState
+        # counters instead): not worth a call per message.
+        self.msg_send = recorder.msg_send
+        self.msg_deliver = recorder.msg_deliver
+
+    @property
+    def ctx(self):
+        return self.recorder.ctx
+
+    @ctx.setter
+    def ctx(self, value) -> None:
+        self.recorder.ctx = value
+
+    def exec_begin(self, start: float, pe: int, env, prev_end: float):
+        self.telemetry.exec_begin(start, pe, env, prev_end)
+        return self.recorder.exec_begin(start, pe, env, prev_end)
+
+    def exec_end(self, end, pe, env, duration, begin, exited) -> None:
+        self.recorder.exec_end(end, pe, env, duration, begin, exited)
+        self.telemetry.exec_end(end, pe, env, duration, None, exited)
 
 
 # ------------------------------------------------------------ normalisers

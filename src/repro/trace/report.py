@@ -44,9 +44,8 @@ class PERow(NamedTuple):
     retries: int = 0
     stalls: int = 0
     stall_time: float = 0.0
-    # Idle-structure aggregates (derived from the always-on counters; no
-    # timeline required): total idle time over the run and the longest
-    # contiguous idle window between two executions.
+    # Idle-structure aggregates from the always-on counters: total idle
+    # time over the run and the longest idle window between two executions.
     idle_time: float = 0.0
     largest_idle_gap: float = 0.0
 

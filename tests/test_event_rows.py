@@ -96,6 +96,26 @@ def test_records_and_answers_equal_parent_commit():
             assert repr(run_descriptor(untraced).answer) == expected[name]["answer"]
 
 
+@pytest.mark.parametrize("name", ["serving-acwn", "serving-central-drop",
+                                  "serving-token-hops-shed"])
+def test_latency_fold_with_telemetry_keeps_the_pinned_answer(name):
+    """S6's validation arms: a fold and telemetry share the observer slot
+    through the pair; the answer (less the online digest) and the run are
+    those of the fold alone."""
+    with open(FIXTURE) as fh:
+        expected = json.load(fh)[name]["answer"]
+    desc = replace(_parent_cases()[name], trace=())
+    folded = run_descriptor(desc)
+    assert repr(folded.answer) == expected
+    observed = run_descriptor(replace(
+        desc, params=tuple(sorted(desc.params + (("metrics", 1e-4),)))))
+    answer = dict(observed.answer)
+    assert answer.pop("online")["count"] == answer["completed"]
+    assert repr(answer) == expected
+    assert (observed.vtime, observed.events) == (folded.vtime, folded.events)
+    assert observed.telemetry["snapshots"]
+
+
 # ------------------------------------------ one walk, three input shapes
 BALANCERS = ("random", "central", "token", "acwn", "gradient")
 KIND_FILTERS = (

@@ -169,6 +169,37 @@ def test_golden_trace(case_id, runner, spec):
     assert _fingerprint(answer, result) == fixtures[case_id]
 
 
+def _observers(names: str) -> dict:
+    """Kernel keywords attaching the named observers to a fresh run."""
+    from repro.obs import Telemetry, TelemetryConfig
+    from repro.trace import EventLog
+
+    kwargs = {}
+    if "log" in names:
+        kwargs["trace_events"] = EventLog()
+    if "telemetry" in names:
+        kwargs["telemetry"] = Telemetry(TelemetryConfig(interval=1e-4))
+    return kwargs
+
+
+@pytest.mark.parametrize("case_id,runner,spec", ALL_CASES,
+                         ids=[c[0] for c in ALL_CASES])
+def test_observers_keep_the_golden_fingerprint(case_id, runner, spec):
+    """Every observer the kernel's one slot holds — an event log,
+    telemetry, or both through the pair — leaves the run unobserved-
+    identical, and telemetry leaves the log's rows untouched."""
+    expected = _load_fixtures()[case_id]
+    rows = {}
+    for names in ("log", "telemetry", "log+telemetry"):
+        kwargs = _observers(names)
+        answer, result = _run_case(runner, spec, **kwargs)
+        assert _fingerprint(answer, result) == expected, names
+        if "log" in names:
+            assert result.kernel.events is kwargs["trace_events"]
+            rows[names] = kwargs["trace_events"].rows
+    assert rows["log"] == rows["log+telemetry"]
+
+
 # sha256 of the sorted-key JSON fingerprint, taken from the commit before the
 # burst outbox flush was deleted (untraced runs took it there).  Its
 # consecutive-only grouping guaranteed the per-envelope (time, seq) order;

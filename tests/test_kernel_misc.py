@@ -243,34 +243,27 @@ def test_kernel_constructor_keywords_are_pinned():
     assert [p.name for p in inspect.signature(Kernel).parameters.values()
             if p.kind is p.KEYWORD_ONLY] == [
         "queueing", "balancer", "seed", "qd_interval", "lazy_interval",
-        "strict_entries", "spanning_tree", "timeline", "faults",
+        "strict_entries", "spanning_tree", "faults",
         "trace_events", "telemetry",
     ]
     assert list(inspect.signature(PEPlane).parameters) == [
         "num_pes", "strategy_name", "gated"]
 
 
-def test_timeline_kind_filter(ipsc8):
-    from tests.conftest import run_echo
-
-    result = run_echo(ipsc8, n=16, seed=1, timeline=True)
-    tl = result.kernel.timeline
-    app_only = tl.utilization_profile(buckets=8, kinds={"app", "seed"})
-    everything = tl.utilization_profile(buckets=8)
-    assert all(a <= e + 1e-12 for a, e in zip(app_only, everything))
-
-
 def test_timeline_json_roundtrip(tmp_path, ipsc8):
     import json
 
+    from repro.trace.timeline import Timeline
     from tests.conftest import run_echo
 
-    result = run_echo(ipsc8, n=8, seed=1, timeline=True)
-    path = tmp_path / "tl.json"
-    count = result.kernel.timeline.dump_json(str(path))
+    result = run_echo(ipsc8, n=8, seed=1, trace_events="exec_begin,exec_end")
+    path = tmp_path / "events.json"
+    path.write_text(json.dumps(result.kernel.events.as_records()))
     records = json.loads(path.read_text())
-    assert len(records) == count > 0
-    assert {"pe", "start", "duration", "kind", "label"} <= set(records[0])
+    live = Timeline(result.kernel.events)
+    assert Timeline(records).render() == live.render()
+    assert Timeline(records).utilization_profile(8) == \
+        live.utilization_profile(8)
 
 
 def test_bus_saturation_flattens_speedup():

@@ -343,11 +343,10 @@ def test_duplicated_seed_of_a_retired_chare_runs_once():
 
 # -------------------------------------------------------------- (d) close()
 def test_kernel_run_keeps_the_kernel_live_and_close_is_idempotent(ideal4):
-    kernel = Kernel(ideal4, trace_events="all", timeline=True)
+    kernel = Kernel(ideal4, trace_events="all")
     result = kernel.run(Spawner, Listener, True)
     assert result.kernel is kernel
     assert len(kernel.events) > 0
-    assert kernel.timeline is not None
     assert kernel.sharing.mono_updates_sent == 0
     kernel.close()
     assert vars(kernel) == {}

@@ -18,6 +18,7 @@ Four contracts, in the order the module docstring states them:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -256,6 +257,30 @@ class TestNonPerturbation:
         with pytest.raises(ConfigurationError, match="interval"):
             TelemetryConfig(interval=interval)
 
+    @pytest.mark.parametrize("field, value", [
+        ("subbuckets", 2.5),       # float bucket indices break to_prometheus
+        ("subbuckets", 0),         # used to fail only at Kernel bind
+        ("max_snapshots", 2.5),
+        ("interval", "1"),         # used to be a bare TypeError
+    ], ids=["subbuckets-float", "subbuckets-0", "max_snapshots-float",
+            "interval-str"])
+    def test_config_rejects_values_its_exporters_cannot_take(self, field,
+                                                              value):
+        with pytest.raises(ConfigurationError, match=field):
+            TelemetryConfig(**{field: value})
+
+    def test_smallest_config_values_export(self):
+        from repro.apps.fib import run_fib
+
+        tel = Telemetry(TelemetryConfig(interval=1e-3, subbuckets=1,
+                                        max_snapshots=1))
+        run_fib(make_machine("ipsc2", 8), n=12, threshold=6, seed=2,
+                telemetry=tel)
+        assert len(tel.snapshots) == 2 and tel.snapshots_dropped > 0
+        assert "exec_duration_seconds_bucket" in to_prometheus(tel.payload())
+        hist = tel.registry.get("exec_duration_seconds")
+        assert all(type(i) is int for i in hist.buckets)
+
     def test_max_snapshots_counts_overflow(self):
         from repro.apps.fib import run_fib
 
@@ -328,6 +353,36 @@ def _sample_payload():
     run_fib(make_machine("ipsc2", 8), n=12, threshold=6, seed=2,
             telemetry=tel)
     return tel.payload(meta={"app": "fib"})
+
+
+class TestSnapshotTiming:
+    """Telemetry rides the kernel's recorder slot: a periodic snapshot is
+    taken at the crossing execution's ``exec_end``, after its outbox
+    flush.  Counts and the final scrape are those of the interval-hook
+    plane it replaced."""
+
+    def test_final_snapshot_and_series_equal_the_execution_hook(self):
+        payload = _sample_payload()
+        snaps = payload["snapshots"]
+        final = {k: v for k, v in snaps[-1].items() if k != "wall"}
+        assert len(snaps) == 7
+        assert final == {
+            "t": 0.006266919999999999, "vtime": 0.006266919999999999,
+            "events": 285, "executions": 143, "msgs_executed": 67,
+            "seeds_executed": 68, "system_executed": 8, "msgs_sent": 142,
+            "bytes_sent": 7817, "in_flight": 0, "queued": 0, "busy_pes": 1,
+            "touched_pes": 8, "qd_waves": 0, "qd_detected_at": None,
+            "label": "final", "truncated": False,
+        }
+        blob = json.dumps(payload["series"], sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest()[:16] == "c0c924ce8b2986a3"
+
+    def test_periodic_snapshots_include_the_crossing_sends(self):
+        snaps = _sample_payload()["snapshots"]
+        assert [(s["msgs_sent"], s["in_flight"], s["bytes_sent"])
+                for s in snaps] == [
+            (23, 8, 1593), (72, 25, 4433), (114, 16, 6547), (130, 3, 7289),
+            (139, 2, 7685), (142, 1, 7817), (142, 0, 7817)]
 
 
 class TestExporters:

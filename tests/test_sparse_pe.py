@@ -39,7 +39,7 @@ from repro.faults import FaultConfig
 from repro.machine.presets import make_machine
 from repro.metrics import sample_metrics
 from repro.trace.report import TraceReport
-from repro.util.errors import RoutingError, SharingError
+from repro.util.errors import ConfigurationError, RoutingError, SharingError
 from repro.util.rng import RngStream
 from tests import test_golden_trace as golden
 
@@ -484,5 +484,5 @@ def test_sampler_num_pes_inferred_vs_explicit():
     assert inferred[0]["util"] == pytest.approx(2.0 / 4.0)  # max_pe+1 == 4
     assert explicit[0]["util"] == pytest.approx(2.0 / 100.0)
     assert explicit[0]["util"] < inferred[0]["util"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="num_pes"):
         sample_metrics(records, buckets=1, num_pes=0)

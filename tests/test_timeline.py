@@ -1,82 +1,101 @@
-"""Timeline tracer tests."""
+"""Timeline tests: the Projections-style view of a run's event log."""
+
+import json
 
 import pytest
 
-from repro import Chare, Kernel, entry, make_machine
-from repro.trace.timeline import Interval, Timeline
+from repro.trace import EventLog
+from repro.trace.timeline import Timeline
 from tests.conftest import run_echo
+
+TIMELINE_KINDS = "exec_begin,exec_end"
 
 
 @pytest.fixture
 def traced_run(ipsc8):
-    return run_echo(ipsc8, n=16, seed=1, timeline=True)
+    return run_echo(ipsc8, n=16, seed=1, trace_events=TIMELINE_KINDS)
+
+
+def _timeline(result):
+    return Timeline(result.kernel.events)
+
+
+def _rows(*execs):
+    """Begin/end row pairs for ``(pe, start, duration, name)`` executions;
+    a ``service:entry`` name marks a service execution."""
+    rows = []
+    for pe, start, dur, name in execs:
+        eid = len(rows)
+        rows.append((eid, "exec_begin", start, pe, None, None, name, None,
+                     None))
+        rows.append((eid + 1, "exec_end", start + dur, pe, None, eid, name,
+                     dur, None))
+    return rows
 
 
 def test_disabled_by_default(ipsc8):
     result = run_echo(ipsc8, n=4)
-    assert result.kernel.timeline is None
+    assert result.kernel.events is None
+    assert Timeline([]).render() == "(empty timeline)"
 
 
 def test_records_every_execution(traced_run):
-    tl = traced_run.kernel.timeline
+    tl = _timeline(traced_run)
     stats = traced_run.stats
     total_execs = sum(
         r.msgs_executed + r.seeds_executed + r.system_executed
         for r in stats.pe_rows
     )
-    assert len(tl.intervals) == total_execs
+    assert len(tl._spans) == total_execs
 
 
 def test_intervals_have_labels_and_kinds(traced_run):
-    tl = traced_run.kernel.timeline
-    kinds = {iv.kind for iv in tl.intervals}
-    labels = {iv.label for iv in tl.intervals}
-    assert "seed" in kinds and "svc" in kinds and "app" in kinds
-    assert "EchoWorker" in labels   # seeds are labeled by chare class
-    assert "reply" in labels        # app messages by entry name
+    tl = _timeline(traced_run)
+    services = [s for s in tl._spans if s[3]]
+    assert services and len(services) < len(tl._spans)
+    # The service flag is the begin row's ``service:entry`` name.
+    names = {r[6] for r in traced_run.kernel.events.rows
+             if r[1] == "exec_begin"}
+    assert "EchoWorker" in names and "reply" in names
+    assert sum(":" in n for n in names) > 0
 
 
 def test_intervals_nonoverlapping_per_pe(traced_run):
-    tl = traced_run.kernel.timeline
+    tl = _timeline(traced_run)
     for pe in range(8):
-        ivs = sorted(tl.for_pe(pe), key=lambda iv: iv.start)
+        ivs = sorted((s for s in tl._spans if s[0] == pe),
+                     key=lambda s: s[1])
         for a, b in zip(ivs, ivs[1:]):
-            assert b.start >= a.end - 1e-12, f"overlap on PE {pe}"
+            assert b[1] >= a[2] - 1e-12, f"overlap on PE {pe}"
 
 
 def test_busy_time_matches_counters(traced_run):
-    tl = traced_run.kernel.timeline
+    tl = _timeline(traced_run)
     for row in traced_run.stats.pe_rows:
-        recorded = sum(iv.duration for iv in tl.for_pe(row.pe))
+        recorded = sum(s[2] - s[1] for s in tl._spans if s[0] == row.pe)
         assert recorded == pytest.approx(row.busy_time)
 
 
 def test_span_and_gaps(traced_run):
-    tl = traced_run.kernel.timeline
+    tl = _timeline(traced_run)
     lo, hi = tl.span()
     assert 0.0 <= lo < hi <= traced_run.time + 1e-12
-    for pe in range(8):
-        for a, b in tl.idle_gaps(pe):
-            assert b > a
-        assert tl.largest_idle_gap(pe) >= 0.0
+    for row in traced_run.stats.pe_rows:
+        ivs = sorted((s for s in tl._spans if s[0] == row.pe),
+                     key=lambda s: s[1])
+        gaps = [b[1] - a[2] for a, b in zip(ivs, ivs[1:])]
+        assert max(gaps, default=0.0) <= row.largest_idle_gap + 1e-15
 
 
 def test_utilization_profile_bounds(traced_run):
-    profile = traced_run.kernel.timeline.utilization_profile(buckets=10)
+    profile = _timeline(traced_run).utilization_profile(buckets=10)
     assert len(profile) == 10
     assert all(0.0 <= u <= 1.0 for u in profile)
     assert any(u > 0 for u in profile)
 
 
-def test_by_label_accounts_all_time(traced_run):
-    tl = traced_run.kernel.timeline
-    assert sum(tl.by_label().values()) == pytest.approx(
-        sum(iv.duration for iv in tl.intervals)
-    )
-
-
 def test_render_ascii(traced_run):
-    text = traced_run.kernel.timeline.render(width=40)
+    text = _timeline(traced_run).render(width=40)
     lines = text.splitlines()
     assert lines[0].startswith("timeline")
     assert len(lines) == 1 + 8
@@ -84,24 +103,66 @@ def test_render_ascii(traced_run):
     assert "#" in text
 
 
+def test_render_and_profile_equal_the_interval_recorder():
+    """Captured from the kernel's former per-execution interval recorder
+    on the same run: the view reproduces it character for character and
+    float for float."""
+    from repro.machine.presets import make_machine
+
+    tl = _timeline(run_echo(make_machine("ipsc2", 8), n=16, seed=1,
+                            trace_events=TIMELINE_KINDS))
+    assert tl.render(width=40) == (
+        "timeline 0.000..1.914 ms\n"
+        "PE  0 |####...............######...####....####|\n"
+        "PE  1 |.........++.............................|\n"
+        "PE  2 |.........+###...........................|\n"
+        "PE  3 |..................++....................|\n"
+        "PE  4 |.........+#######.......................|\n"
+        "PE  5 |..................+####.................|\n"
+        "PE  6 |..................+###..................|\n"
+        "PE  7 |..........................+#####........|")
+    assert tl.utilization_profile(buckets=10) == [
+        0.11101243339253998, 0.0, 0.19146379688642767, 0.14517814230487944,
+        0.17713666283564927, 0.23695277400480672, 0.055388674119736844,
+        0.21258227980357347, 0.0, 0.06856650297774532]
+
+
+def test_view_reads_log_records_and_json(traced_run):
+    log = traced_run.kernel.events
+    records = json.loads(json.dumps(log.as_records()))
+    live = _timeline(traced_run)
+    for source in (log.as_records(), records, log.events):
+        tl = Timeline(source)
+        assert tl.render(width=40) == live.render(width=40)
+        assert tl.utilization_profile(7) == live.utilization_profile(7)
+
+
+def test_superset_log_gives_the_same_view(ipsc8, traced_run):
+    full = run_echo(ipsc8, n=16, seed=1, trace_events="all")
+    assert (Timeline(full.kernel.events).render()
+            == _timeline(traced_run).render())
+
+
+def test_unpaired_rows_are_skipped():
+    # exec_end only (its begin was filtered out): nothing to show.
+    log = EventLog(kinds="exec_end")
+    assert Timeline(log).render() == "(empty timeline)"
+    rows = _rows((0, 0.0, 1.0, "a"))
+    assert Timeline(rows[1:]).render() == "(empty timeline)"
+
+
 def test_empty_timeline():
-    tl = Timeline()
+    tl = Timeline([])
     assert tl.span() == (0.0, 0.0)
     assert tl.render() == "(empty timeline)"
     assert tl.utilization_profile(5) == [0.0] * 5
-
-
-def test_interval_end_property():
-    iv = Interval(0, 1.0, 0.5, "app", "x")
-    assert iv.end == 1.5
 
 
 def test_zero_span_single_event_render():
     """Regression: a non-empty timeline whose only execution has zero
     duration (span hi == lo) rendered as "(empty timeline)", hiding a
     recorded run.  It must render an instantaneous mark instead."""
-    tl = Timeline()
-    tl._intervals.append(Interval(0, 2.5e-3, 0.0, "app", "tick"))
+    tl = Timeline(_rows((0, 2.5e-3, 0.0, "tick")))
     text = tl.render(width=40)
     assert text != "(empty timeline)"
     lines = text.splitlines()
@@ -112,25 +173,20 @@ def test_zero_span_single_event_render():
 
 
 def test_zero_span_multi_pe_render_marks_each_pe():
-    tl = Timeline()
-    tl._intervals.append(Interval(0, 1.0, 0.0, "svc", "probe"))
-    tl._intervals.append(Interval(2, 1.0, 0.0, "app", "work"))
+    tl = Timeline(_rows((0, 1.0, 0.0, "qd:probe"), (2, 1.0, 0.0, "work")))
     lines = tl.render().splitlines()
     assert len(lines) == 1 + 3  # header + PE0..PE2
     marks = {line[:5].strip(): line.split("|")[1] for line in lines[1:]}
     assert marks["PE  0"] == "+"   # svc-only cell
     assert marks["PE  1"] == "."   # no activity
     assert marks["PE  2"] == "#"   # app execution
-    # Analyses still behave on the degenerate span.
+    # The profile still behaves on the degenerate span.
     assert tl.utilization_profile(4) == [0.0] * 4
-    assert tl.largest_idle_gap(0) == 0.0
 
 
 def test_interval_ending_exactly_on_span_boundary():
     """An interval closing the span lands in the last bucket, fully counted."""
-    tl = Timeline()
-    tl._intervals.append(Interval(0, 0.0, 0.5, "app", "a"))
-    tl._intervals.append(Interval(0, 0.75, 0.25, "app", "b"))  # ends at hi
+    tl = Timeline(_rows((0, 0.0, 0.5, "a"), (0, 0.75, 0.25, "b")))
     profile = tl.utilization_profile(buckets=4)
     assert profile == pytest.approx([1.0, 1.0, 0.0, 1.0])
 
@@ -139,9 +195,8 @@ def test_zero_duration_interval_at_span_end_not_dropped():
     """Regression: a zero-duration execution sitting exactly at ``hi``
     computed bucket/cell == count and fell off the grid entirely.  The PE
     whose only activity is that execution must still show a mark."""
-    tl = Timeline()
-    tl._intervals.append(Interval(0, 0.0, 1.0, "app", "work"))   # defines span
-    tl._intervals.append(Interval(1, 1.0, 0.0, "svc", "tick"))   # at hi, PE 1
+    tl = Timeline(_rows((0, 0.0, 1.0, "work"),     # defines span
+                        (1, 1.0, 0.0, "qd:tick")))  # at hi, PE 1
     # Profile: must index the last bucket (adds 0 width), not drop or crash.
     profile = tl.utilization_profile(buckets=5)
     assert len(profile) == 5
@@ -153,10 +208,7 @@ def test_zero_duration_interval_at_span_end_not_dropped():
 
 
 def _two_pe_timeline():
-    tl = Timeline()
-    tl._intervals.append(Interval(0, 0.0, 0.5, "app", "a"))
-    tl._intervals.append(Interval(1, 0.75, 0.25, "svc", "b"))
-    return tl
+    return Timeline(_rows((0, 0.0, 0.5, "a"), (1, 0.75, 0.25, "svc:b")))
 
 
 @pytest.mark.parametrize("call, field", [

@@ -309,11 +309,11 @@ def _rec(eid, kind, t, pe=0, uid=None, parent=None, dur=None, info=None):
 
 def test_sample_metrics_rejects_bad_num_pes():
     recs = [_rec(0, "send", 0.0)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="num_pes"):
         sample_metrics(recs, num_pes=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="num_pes"):
         sample_metrics(recs, num_pes=-4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="buckets"):
         sample_metrics(recs, buckets=0)
 
 
@@ -495,3 +495,92 @@ def test_idle_aggregates_present_without_tracing(ipsc8):
     # largest_idle_gap is an always-on counter: no tracing required.
     stats = run_echo(ipsc8, n=16, seed=1).stats
     assert stats.max_idle_gap > 0.0
+
+
+# ------------------------------------------------- sizes and recorder types
+@pytest.mark.parametrize("value", [42, 1.5, object(), False],
+                         ids=["int", "float", "object", "false"])
+def test_non_recorder_trace_events_rejected(ipsc8, value):
+    from repro.core.kernel import Kernel
+
+    with pytest.raises(ConfigurationError, match="trace_events"):
+        Kernel(ipsc8, trace_events=value)
+
+
+@pytest.mark.parametrize("value", [True, "all", "send", ("send",),
+                                   EventLog])
+def test_recorder_spellings_keep_the_untraced_run(ipsc8, value):
+    base = run_echo(ipsc8, n=16, seed=1)
+    spec = value() if value is EventLog else value
+    traced = run_echo(ipsc8, n=16, seed=1, trace_events=spec)
+    assert (traced.result, traced.time, traced.events) == \
+        (base.result, base.time, base.events)
+    assert len(traced.kernel.events) > 0
+
+
+@pytest.mark.parametrize("value", [2.5, True, "9"])
+def test_event_log_max_events_must_be_an_int(value):
+    with pytest.raises(ConfigurationError, match="max_events"):
+        EventLog(max_events=value)
+
+
+def test_event_log_smallest_bound_still_records(ipsc8):
+    log = EventLog(max_events=1)
+    run_echo(ipsc8, n=4, seed=1, trace_events=log)
+    assert len(log) == 1 and log.dropped > 0
+
+
+def test_sample_metrics_rejects_fractional_buckets():
+    recs = [_rec(0, "send", 0.5), _rec(1, "send", 1.0)]
+    with pytest.raises(ConfigurationError, match="buckets"):
+        sample_metrics(recs, buckets=2.5)
+    rows = sample_metrics(recs, buckets=2, num_pes=1, t_end=1.0)
+    assert [r["msgs_sent"] for r in rows] == [0, 2]
+
+
+def _cli_run(tmp_path, records, traced_run):
+    run_path = tmp_path / "echo.run.json"
+    run_path.write_text(json.dumps({
+        "format": "repro-trace-v1",
+        "meta": {"num_pes": 8, "total_time": traced_run.time},
+        "events": records, "dropped": 0,
+    }))
+    return str(run_path)
+
+
+@pytest.mark.parametrize("flags", [["--buckets", "0"], ["--buckets", "-3"],
+                                   ["--top", "-2"]],
+                         ids=["buckets-0", "buckets-neg", "top-neg"])
+def test_trace_cli_rejects_bad_sizes(tmp_path, capsys, records, traced_run,
+                                     flags):
+    from repro.trace.__main__ import main
+
+    with pytest.raises(SystemExit):
+        main([_cli_run(tmp_path, records, traced_run)] + flags)
+    assert flags[0] in capsys.readouterr().err
+
+
+def test_trace_cli_smallest_sizes(tmp_path, capsys, records, traced_run):
+    from repro.trace.__main__ import main
+
+    path = _cli_run(tmp_path, records, traced_run)
+    assert main([path, "--buckets", "1", "--top", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "metrics: 1 buckets" in out
+    attributed = critical_path(records).summary(top=0).splitlines()[-1]
+    assert attributed.strip().startswith("... and ") and attributed in out
+
+
+def test_recorder_pair_answers_causal_calls_from_the_recorder():
+    from repro.obs import Telemetry
+    from repro.trace.events import RecorderPair
+
+    log = EventLog()
+    pair = RecorderPair(log, Telemetry())
+    # Telemetry's per-message hooks are no-ops: the log's are bound as is.
+    assert pair.msg_send == log.msg_send
+    assert pair.msg_deliver == log.msg_deliver
+    pair.ctx = 7
+    assert log.ctx == 7
+    eid = pair.record("qd", 0.0, 0, parent=3)
+    assert log.rows[eid][1:6] == ("qd", 0.0, 0, None, 3)
