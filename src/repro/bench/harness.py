@@ -17,7 +17,6 @@ through :func:`measure_many` so independent runs can overlap.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -46,7 +45,7 @@ from repro.workloads.arrivals import Poisson, ServiceSpec
 from repro.core.kernel import RunResult
 from repro.machine.presets import MACHINE_PRESETS, make_machine
 from repro.metrics.latency import LatencyFold
-from repro.util.errors import ConfigurationError, need_int
+from repro.util.errors import ConfigurationError, need_int, need_interval
 
 __all__ = ["AppSpec", "APPS", "describe", "measure", "measure_many",
            "execute_descriptor", "run_descriptor", "speedup_sweep",
@@ -185,11 +184,7 @@ def use_telemetry(interval: float = 0.0):
     simulated run: answers, virtual times and event counts are identical
     with it on or off.
     """
-    interval = float(interval)
-    if not (math.isfinite(interval) and interval >= 0.0):
-        raise ConfigurationError(
-            f"telemetry interval must be finite and >= 0, got {interval}"
-        )
+    interval = need_interval("telemetry interval", interval)
     global _ambient_metrics
     previous = _ambient_metrics
     _ambient_metrics = interval
@@ -297,14 +292,9 @@ def describe(
     elif metrics is False:
         metrics_interval = None
     else:
-        metrics_interval = float(metrics)
         # Here, not in the run: the interval goes into the descriptor and
         # its cache key, and a pool worker would report it as a failed run.
-        if not (math.isfinite(metrics_interval) and metrics_interval >= 0.0):
-            raise ConfigurationError(
-                "metrics: telemetry interval must be finite and >= 0, "
-                f"got {metrics_interval}"
-            )
+        metrics_interval = need_interval("metrics", metrics)
     if metrics_interval is not None:
         params["metrics"] = metrics_interval
     else:
@@ -359,9 +349,9 @@ def execute_descriptor(desc: RunDescriptor) -> MeasureRow:
     metrics_interval = params.pop("metrics", None)
     tel = None
     if metrics_interval is not None:
-        from repro.obs import Telemetry, TelemetryConfig
+        from repro.obs import Telemetry
 
-        tel = Telemetry(TelemetryConfig(interval=metrics_interval))
+        tel = Telemetry(interval=metrics_interval)
         # Same **kernel_kwargs passthrough as tracing: Kernel(telemetry=...).
         params["telemetry"] = tel
     answer, result = spec.runner(machine, seed=desc.seed, **params)

@@ -385,7 +385,7 @@ def exp_s6(scale: str = "paper") -> ExperimentResult:  # noqa: F821
     # Snapshot every eighth of the arrival span.  The run's virtual time is
     # drain-dominated (in-flight requests outlive the stream), so the
     # stream itself gets ~8 snapshots and the drain tail streams more —
-    # bounded by TelemetryConfig.max_snapshots, never by guesswork here.
+    # bounded by repro.obs.telemetry.MAX_SNAPSHOTS, never by guesswork here.
     interval = count / rate / 8.0
     common: Dict[str, Any] = dict(
         sparse=True, balancer="central", service=SERVICE,

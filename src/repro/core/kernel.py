@@ -219,23 +219,17 @@ class Kernel:
             faults.bind(self)
             self.faults = faults
         self._faults = self.faults
-        # Online telemetry (repro.obs): accepts a Telemetry, a
-        # TelemetryConfig, or True.  It aggregates at execution granularity
-        # and scrapes the PEState counters, so schedules are unperturbed.
+        # Online telemetry (repro.obs): a Telemetry plane.  It aggregates at
+        # execution granularity and scrapes the PEState counters, so
+        # schedules are unperturbed.
         if telemetry is None:
             self.telemetry = None
         else:
-            from repro.obs import Telemetry, TelemetryConfig
+            from repro.obs import Telemetry
 
-            if isinstance(telemetry, Telemetry):
-                pass
-            elif isinstance(telemetry, TelemetryConfig):
-                telemetry = Telemetry(telemetry)
-            elif telemetry is True:
-                telemetry = Telemetry()
-            else:
+            if not isinstance(telemetry, Telemetry):
                 raise ConfigurationError(
-                    "telemetry must be a Telemetry, TelemetryConfig or True, "
+                    "telemetry must be a Telemetry, "
                     f"not {type(telemetry).__name__}"
                 )
             telemetry.bind(self)

@@ -60,6 +60,9 @@ REQUEST_NAME = "Request"
 DONE_ENTRY = "done"
 SHED_ENTRY = "shed"
 
+#: The percentiles a latency digest reports (p50 / p95 / p99).
+_QUANTILES = (50.0, 95.0, 99.0)
+
 # Row positions the walk reads (rows are tuples in Event field order).
 _EID, _KIND, _T, _PARENT, _NAME, _DUR = (
     Event._fields.index(f) for f in ("eid", "kind", "t", "parent", "name", "dur"))
@@ -113,10 +116,6 @@ def _walk_to_origin(
 
 def request_latencies(
     records: Union[EventLog, Iterable[Any]],
-    *,
-    request_name: str = REQUEST_NAME,
-    done_entry: str = DONE_ENTRY,
-    shed_entry: str = SHED_ENTRY,
 ) -> List[Dict[str, Any]]:
     """Reconstruct one record per finished request from the event log.
 
@@ -133,7 +132,7 @@ def request_latencies(
     by_eid: Dict[int, tuple] = {}
     end_of: Dict[int, tuple] = {}
     finals: List[tuple] = []
-    final_names = (done_entry, shed_entry)
+    final_names = (DONE_ENTRY, SHED_ENTRY)
     for row in event_rows(records):
         by_eid[row[_EID]] = row
         kind = row[_KIND]
@@ -159,7 +158,7 @@ def request_latencies(
         valid = True
         visited = set()
         while True:
-            if cur[_NAME] != request_name:
+            if cur[_NAME] != REQUEST_NAME:
                 valid = False  # a completion sent by a non-request execution
                 break
             if cur[_EID] in visited:
@@ -178,14 +177,14 @@ def request_latencies(
             origin, send_t = _walk_to_origin(deliver, by_eid)
             if send_t is not None:
                 inject_t = send_t
-            if origin is not None and origin[_NAME] == request_name:
+            if origin is not None and origin[_NAME] == REQUEST_NAME:
                 cur = origin  # previous pipeline stage
                 continue
             break
         if not valid or inject_t is None:
             continue
         out.append({
-            "kind": "shed" if e[_NAME] == shed_entry else "done",
+            "kind": "shed" if e[_NAME] == SHED_ENTRY else "done",
             "inject_t": inject_t,
             "complete_t": complete_t,
             "latency": complete_t - inject_t,
@@ -343,30 +342,20 @@ def _is_request(rec: Any) -> bool:
 # ===================================================================== summary
 def latency_summary(
     records: Union[EventLog, "LatencyFold", Iterable[Any]],
-    *,
-    request_name: str = REQUEST_NAME,
-    done_entry: str = DONE_ENTRY,
-    shed_entry: str = SHED_ENTRY,
-    quantiles: Tuple[float, ...] = (50.0, 95.0, 99.0),
 ) -> Dict[str, Any]:
     """Scalar latency digest of a serving run's event log or fold.
 
     ``records`` is anything :func:`request_latencies` walks, or the
-    :class:`LatencyFold` a run recorded into (which knows requests by the
-    default names only).  Counts plus nearest-rank percentiles over *served* requests, and the
-    queue-wait / service / transit decomposition of the mean.  Percentile
-    fields are ``None`` when no request completed (an empty summary must
-    stay visibly empty, not read as a zero-latency system).
+    :class:`LatencyFold` a run recorded into.  Counts plus nearest-rank
+    p50/p95/p99 over *served* requests, and the queue-wait / service /
+    transit decomposition of the mean.  Percentile fields are ``None``
+    when no request completed (an empty summary must stay visibly empty,
+    not read as a zero-latency system).
     """
     if isinstance(records, LatencyFold):
         reqs = records.requests()
     else:
-        reqs = request_latencies(
-            records,
-            request_name=request_name,
-            done_entry=done_entry,
-            shed_entry=shed_entry,
-        )
+        reqs = request_latencies(records)
     served = [r for r in reqs if r["kind"] == "done"]
     shed = [r for r in reqs if r["kind"] == "shed"]
     summary: Dict[str, Any] = {
@@ -377,9 +366,8 @@ def latency_summary(
     latencies = sorted(r["latency"] for r in served)
     if latencies:
         n = len(latencies)
-        for q in quantiles:
-            label = f"p{q:g}"
-            summary[label] = latencies[max(1, math.ceil(q / 100.0 * n)) - 1]
+        for q in _QUANTILES:
+            summary[f"p{q:g}"] = latencies[max(1, math.ceil(q / 100.0 * n)) - 1]
         summary["mean"] = sum(latencies) / n
         summary["min"] = latencies[0]
         summary["max"] = latencies[-1]
@@ -389,7 +377,7 @@ def latency_summary(
             summary["mean"] - summary["mean_queue_wait"] - summary["mean_service"]
         )
     else:
-        for q in quantiles:
+        for q in _QUANTILES:
             summary[f"p{q:g}"] = None
         summary["mean"] = summary["min"] = summary["max"] = None
         summary["mean_queue_wait"] = None

@@ -18,13 +18,33 @@ half-open ``[t0, t1)`` except the last, which closes at ``t_end``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.trace.events import event_records
-from repro.trace.timeline import bucket_of, busy_fractions
 from repro.util.errors import need_int
 
 __all__ = ["sample_metrics", "metrics_summary"]
+
+
+def bucket_of(t: float, lo: float, width: float, buckets: int) -> int:
+    """The bucket holding time ``t``, clamped into ``[0, buckets)``."""
+    b = int((t - lo) / width)
+    return buckets - 1 if b >= buckets else (0 if b < 0 else b)
+
+
+def busy_fractions(spans: Iterable[Tuple[float, float]], lo: float,
+                   width: float, buckets: int, num_pes: int) -> List[float]:
+    """Fraction of ``num_pes`` PEs' time busy in each of ``buckets``
+    windows of ``width`` from ``lo``, over ``(start, end)`` spans; a span
+    ending exactly at the last window's end lands in that window."""
+    busy = [0.0] * buckets
+    for start, end in spans:
+        b0 = bucket_of(start, lo, width, buckets)
+        b1 = bucket_of(end, lo, width, buckets)
+        for b in range(b0, b1 + 1):
+            w_lo = lo + b * width
+            busy[b] += max(0.0, min(end, w_lo + width) - max(start, w_lo))
+    return [min(1.0, x / (width * num_pes)) for x in busy]
 
 
 def _peaks(

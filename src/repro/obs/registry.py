@@ -1,74 +1,35 @@
-"""Metric primitives: counters, gauges, and log-bucketed histograms.
+"""The telemetry plane's one metric primitive: a log-bucketed histogram.
 
 The telemetry plane (:mod:`repro.obs.telemetry`) needs summary statistics
 that stay cheap at any scale: a P=10\N{SUPERSCRIPT FIVE} serving run pushes
 millions of request latencies through the runtime, and PR 5's EventLog —
-which records every event — cannot watch it.  The primitives here are the
+which records every event — cannot watch it.  :class:`Histogram` is the
 opposite trade: constant space per series, O(1) per observation, and no
 per-event allocation.
 
-* :class:`Counter` / :class:`Gauge` — one float/int slot each.
-* :class:`Histogram` — HDR-style log-bucketed distribution: the positive
-  reals are split into octaves (powers of two) and each octave into
-  ``subbuckets`` equal linear sub-buckets, so every bucket's relative width
-  is at most ``1/subbuckets`` of its value.  One :func:`math.frexp` call
-  and two dict operations per observation; buckets materialize sparsely
-  (only octaves that receive samples occupy memory).  Quantiles use the
-  same *nearest-rank* convention as :func:`repro.metrics.latency.percentile`
-  — the bucket containing the ``ceil(q/100 * n)``-th smallest sample — and
-  return that bucket's midpoint, so a histogram quantile is always within
-  one bucket of the exact trace-walked value (the S6 head-to-head contract).
-* :class:`MetricRegistry` — get-or-create keyed by (name, label set).
-  Labeled per-PE series materialize only for ranks that are actually
-  touched, mirroring the sparse PE plane.
+It is HDR-style: the positive reals are split into octaves (powers of two)
+and each octave into ``subbuckets`` equal linear sub-buckets, so every
+bucket's relative width is at most ``1/subbuckets`` of its value.  One
+:func:`math.frexp` call and two dict operations per observation; buckets
+materialize sparsely (only octaves that receive samples occupy memory).
+Quantiles use the same *nearest-rank* convention as
+:func:`repro.metrics.latency.percentile` — the bucket containing the
+``ceil(q/100 * n)``-th smallest sample — and return that bucket's
+midpoint, so a histogram quantile is always within one bucket of the
+exact trace-walked value (the S6 head-to-head contract).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.util.errors import ConfigurationError
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricRegistry",
-    "quantile_from_record",
-]
+__all__ = ["Histogram", "SUBBUCKETS"]
 
-
-class Counter:
-    """A monotonically increasing count (hot paths bump ``value`` directly)."""
-
-    __slots__ = ("value",)
-    kind = "counter"
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
-
-    def as_record(self) -> Any:
-        return self.value
-
-
-class Gauge:
-    """A point-in-time value (queue depth, in-flight, vtime rate)."""
-
-    __slots__ = ("value",)
-    kind = "gauge"
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, v: float) -> None:
-        self.value = v
-
-    def as_record(self) -> Any:
-        return self.value
+#: Sub-buckets per octave: relative bucket width at most 1/32 (~3%).
+SUBBUCKETS = 32
 
 
 class Histogram:
@@ -85,9 +46,8 @@ class Histogram:
 
     __slots__ = ("subbuckets", "buckets", "zero", "count", "total",
                  "_vmin", "_vmax")
-    kind = "histogram"
 
-    def __init__(self, subbuckets: int = 32) -> None:
+    def __init__(self, subbuckets: int = SUBBUCKETS) -> None:
         if subbuckets < 1:
             raise ConfigurationError(
                 f"histogram subbuckets must be >= 1, got {subbuckets}"
@@ -113,20 +73,25 @@ class Histogram:
 
     # ------------------------------------------------------------ observation
     def observe(self, v: float) -> None:
+        if v <= 0.0:
+            self.zero += 1
+        else:
+            m, e = math.frexp(v)
+            s = self.subbuckets
+            try:
+                idx = e * s + int((m - 0.5) * 2.0 * s)
+            except (ValueError, OverflowError):  # NaN, +inf
+                raise ConfigurationError(
+                    f"histogram observations must be finite, got {v!r}"
+                ) from None
+            b = self.buckets
+            b[idx] = b.get(idx, 0) + 1
         self.count += 1
         self.total += v
         if v < self._vmin:
             self._vmin = v
         if v > self._vmax:
             self._vmax = v
-        if v <= 0.0:
-            self.zero += 1
-            return
-        m, e = math.frexp(v)
-        s = self.subbuckets
-        idx = e * s + int((m - 0.5) * 2.0 * s)
-        b = self.buckets
-        b[idx] = b.get(idx, 0) + 1
 
     def bucket_index(self, v: float) -> Optional[int]:
         """Index of the bucket ``v`` would land in (None = zero bucket)."""
@@ -193,82 +158,3 @@ class Histogram:
         h.zero = record["zero"]
         h.buckets = {int(k): v for k, v in record["buckets"].items()}
         return h
-
-
-def quantile_from_record(record: Dict[str, Any], q: float) -> Optional[float]:
-    """Nearest-rank quantile straight from a histogram's plain-data record
-    (what travels through pool workers, the result cache, and JSONL)."""
-    return Histogram.from_record(record).quantile(q)
-
-
-class MetricRegistry:
-    """Get-or-create store of labeled metric series.
-
-    Series are keyed by ``(name, sorted label items)``; a per-PE series
-    only exists once its rank is first observed — the registry is sparse
-    exactly where the PE plane is.  One metric name maps to one metric
-    type; mixing types under a name is a configuration error.
-    """
-
-    def __init__(self, subbuckets: int = 32) -> None:
-        self.subbuckets = subbuckets
-        self._metrics: Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], Any] = {}
-        self._types: Dict[str, str] = {}
-
-    # ----------------------------------------------------------------- access
-    def _get(self, name: str, kind: str, labels: Dict[str, Any],
-             factory) -> Any:
-        seen = self._types.get(name)
-        if seen is None:
-            self._types[name] = kind
-        elif seen != kind:
-            raise ConfigurationError(
-                f"metric {name!r} already registered as a {seen}, not a {kind}"
-            )
-        key = (name, tuple(sorted(labels.items())))
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = self._metrics[key] = factory()
-        return metric
-
-    def counter(self, name: str, /, **labels: Any) -> Counter:
-        return self._get(name, "counter", labels, Counter)
-
-    def gauge(self, name: str, /, **labels: Any) -> Gauge:
-        return self._get(name, "gauge", labels, Gauge)
-
-    def histogram(self, name: str, /, **labels: Any) -> Histogram:
-        return self._get(
-            name, "histogram", labels,
-            lambda: Histogram(subbuckets=self.subbuckets),
-        )
-
-    def get(self, name: str, /, **labels: Any) -> Optional[Any]:
-        """Peek at a series without creating it."""
-        return self._metrics.get((name, tuple(sorted(labels.items()))))
-
-    # -------------------------------------------------------------- iteration
-    def series(self) -> Iterator[Tuple[str, Dict[str, Any], Any]]:
-        """Yield ``(name, labels, metric)`` sorted by name then labels."""
-        for (name, labels), metric in sorted(
-            self._metrics.items(),
-            key=lambda kv: (kv[0][0], tuple(
-                (k, repr(v)) for k, v in kv[0][1]
-            )),
-        ):
-            yield name, dict(labels), metric
-
-    def as_records(self) -> List[Dict[str, Any]]:
-        """Plain-data projection of every series (pickle/JSON-safe)."""
-        return [
-            {
-                "name": name,
-                "type": metric.kind,
-                "labels": labels,
-                "value": metric.as_record(),
-            }
-            for name, labels, metric in self.series()
-        ]
-
-    def __len__(self) -> int:
-        return len(self._metrics)

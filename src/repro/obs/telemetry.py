@@ -4,9 +4,9 @@ PR 5's EventLog records *every* event — perfect fidelity, O(events) memory,
 and therefore unusable on the P=10\N{SUPERSCRIPT FIVE}–10\N{SUPERSCRIPT SIX}
 sparse machines or million-request serving streams.  :class:`Telemetry` is
 the complementary lens (the Projections lineage pairs the two the same
-way): constant-size counters, gauges, and log-bucketed histograms
-aggregated *as the run executes*, plus periodic virtual-time snapshots of
-the kernel's own accounting.
+way): constant-size counts and log-bucketed histograms aggregated *as the
+run executes*, plus periodic virtual-time snapshots of the kernel's own
+accounting.
 
 Design constraints, in order:
 
@@ -23,89 +23,70 @@ Design constraints, in order:
    PEState send/execute counters ``_deliver`` maintains anyway; telemetry
    keeps the per-message hooks as no-ops.
 
-``exec_end`` is the only hot-path cost; everything label-shaped it needs
-is cached in plain dicts keyed by envelope fields, so the steady state is
-a few dict hits, one ``frexp``, and an int add per execution.
+The plane keeps fixed fields, not a metric registry: a ``(kind, name)``
+execution count, the execution-duration histogram, one serving-latency
+histogram per completion kind, and the snapshot rows.  Every gauge of the
+exported ``series`` (in-flight, touched PEs, virtual time, fault events,
+per-PE busy time / executions / queue depth) is rendered once, by
+:meth:`Telemetry.payload`, from the final snapshot row and the final
+PEStates.
 """
 
 from __future__ import annotations
 
 import time as _host_time
-from dataclasses import dataclass
 from math import frexp as _frexp
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.messages import Kind
-from repro.obs.registry import Histogram, MetricRegistry
+from repro.obs.registry import SUBBUCKETS, Histogram
 from repro.trace.events import Recorder
-from repro.util.errors import ConfigurationError, need_int, need_real
+from repro.util.errors import ConfigurationError, need_interval
 
-__all__ = ["TelemetryConfig", "Telemetry"]
+__all__ = ["Telemetry", "MAX_SNAPSHOTS"]
+
+#: Bound on periodic snapshots; once hit, periodic flushing stops (the
+#: final snapshot still lands) and the overflow is counted, never silent.
+MAX_SNAPSHOTS = 4096
 
 _SEED = Kind.SEED
 
-#: Kind tag -> label value used on ``exec_total`` series.
-_KIND_LABEL = {
-    Kind.APP: "app",
-    Kind.SEED: "seed",
-    Kind.BOC: "boc",
-    Kind.SVC: "svc",
-}
 
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Knobs of one telemetry plane.
-
-    ``interval`` is the virtual-time snapshot period; ``0.0`` records only
-    the final snapshot (cheapest).  ``per_pe`` controls whether snapshots
-    refresh per-rank gauge series (sparse: touched ranks only).
-    ``subbuckets`` sets histogram resolution — relative bucket width is at
-    most ``1/subbuckets`` (~3% at the default 32).  ``max_snapshots``
-    bounds snapshot memory; once hit, periodic flushing stops (the final
-    snapshot still lands) and the overflow is counted, never silent.
-    """
-
-    interval: float = 0.0
-    per_pe: bool = True
-    subbuckets: int = 32
-    max_snapshots: int = 4096
-
-    def __post_init__(self) -> None:
-        need_real("telemetry interval", self.interval, strict=False)
-        # 2.5 subbuckets give float bucket indices .prom cannot print.
-        need_int("telemetry subbuckets", self.subbuckets, 1)
-        need_int("telemetry max_snapshots", self.max_snapshots, 1)
+def _series_key(rec: Dict[str, Any]) -> Tuple[Any, ...]:
+    """Series order: name, then the ``repr`` of each label value."""
+    return rec["name"], tuple((k, repr(v)) for k, v in
+                              sorted(rec["labels"].items()))
 
 
 class Telemetry(Recorder):
-    """One kernel's online metric plane (pass as ``Kernel(telemetry=...)``)."""
+    """One kernel's online metric plane (pass as ``Kernel(telemetry=...)``).
 
-    def __init__(self, config: Optional[TelemetryConfig] = None) -> None:
-        self.config = config or TelemetryConfig()
-        self.registry = MetricRegistry(subbuckets=self.config.subbuckets)
+    ``interval`` is the virtual-time snapshot period; ``0.0`` records only
+    the final snapshot (cheapest).
+    """
+
+    def __init__(self, interval: float = 0.0) -> None:
+        self.interval = need_interval("telemetry interval", interval)
         #: Periodic + final scrapes of the kernel's own accounting (plain
         #: dicts, JSONL-ready).
         self.snapshots: List[Dict[str, Any]] = []
         self.snapshots_dropped = 0
+        #: ``(envelope kind, entry or seed class name) -> executions``.
+        self.exec_counts: Dict[Tuple[int, str], int] = {}
+        self.exec_hist = Histogram()
+        #: Request latency per completion kind ("done" / "shed"), created
+        #: on the first completion of that kind.
+        self.latency: Dict[str, Histogram] = {}
         self._kernel: Any = None
         self._wall0: Optional[float] = None
         self._next_flush: Optional[float] = None
         self._start = 0.0     # the current execution's start
-        # Hot-path caches -------------------------------------------------
-        # (kind, name) -> Counter for exec_total series.
-        self._exec_counters: Dict[Tuple[int, str], Any] = {}
-        self._exec_hist: Optional[Histogram] = None
         # Deferred end-of-execution observations: (histogram, t0) pairs
         # registered *during* an entry body and resolved with the
         # execution's true end time once its duration is known.
         self._pending: List[Tuple[Histogram, float]] = []
         # Serving side-channel: rid -> injection timestamp.
         self._inject: Dict[int, float] = {}
-        self._named_hists: Dict[Tuple[str, Tuple[Tuple[str, Any], ...]],
-                                Histogram] = {}
-        # rank -> (busy_time, msgs_executed, queue_depth) gauge triple.
-        self._pe_gauges: Dict[int, Tuple[Any, Any, Any]] = {}
 
     # ---------------------------------------------------------------- binding
     def bind(self, kernel: Any) -> None:
@@ -116,9 +97,8 @@ class Telemetry(Recorder):
             )
         self._kernel = kernel
         self._wall0 = _host_time.perf_counter()
-        self._exec_hist = self.registry.histogram("exec_duration_seconds")
-        if self.config.interval > 0.0:
-            self._next_flush = self.config.interval
+        if self.interval > 0.0:
+            self._next_flush = self.interval
 
     # --------------------------------------------------------------- hot path
     def exec_begin(self, start: float, pe: int, env: Any,
@@ -132,18 +112,13 @@ class Telemetry(Recorder):
         """Per-execution aggregation, after the execution's outbox flush
         (so a snapshot it takes counts that execution's sends)."""
         kind = env.kind
-        name = env.chare_cls.__name__ if kind == _SEED else env.entry
-        key = (kind, name)
-        c = self._exec_counters.get(key)
-        if c is None:
-            c = self.registry.counter(
-                "exec_total", kind=_KIND_LABEL.get(kind, "?"), name=name
-            )
-            self._exec_counters[key] = c
-        c.value += 1
+        key = (kind, env.chare_cls.__name__ if kind == _SEED else env.entry)
+        counts = self.exec_counts
+        counts[key] = counts.get(key, 0) + 1
         # Histogram.observe inlined: this is the one per-execution call
-        # site, and the extra method dispatch is measurable.
-        h = self._exec_hist
+        # site, and the extra method dispatch is measurable.  Durations
+        # are finite here, so the non-finite check is not needed.
+        h = self.exec_hist
         h.count += 1
         h.total += duration
         if duration < h._vmin:
@@ -166,25 +141,6 @@ class Telemetry(Recorder):
         if nf is not None and self._start >= nf:
             self._flush_due(self._start)
 
-    # -------------------------------------------------- deferred observations
-    def observe_at_exec_end(self, name: str, t0: float, /,
-                            **labels: Any) -> None:
-        """Record ``execution_end - t0`` into histogram ``name`` once the
-        *current* execution's duration is known.
-
-        Entry bodies run before the kernel prices their charged work, so an
-        in-body ``now`` is the execution's *start*.  Deferring the
-        observation to ``exec_end`` yields the same end timestamp the
-        event log's ``exec_end`` carries — which is why online latencies
-        reproduce the trace-walked ones exactly (up to bucketing).
-        """
-        key = (name, tuple(sorted(labels.items())))
-        h = self._named_hists.get(key)
-        if h is None:
-            h = self.registry.histogram(name, **labels)
-            self._named_hists[key] = h
-        self._pending.append((h, t0))
-
     # ------------------------------------------------------- serving adapters
     def serving_inject(self, rid: int) -> None:
         """Stamp request ``rid``'s injection time (call from the source tick).
@@ -198,41 +154,46 @@ class Telemetry(Recorder):
 
     def serving_complete(self, rid: int, kind: str) -> None:
         """Close request ``rid`` (call from the final pipeline stage; the
-        latency lands in ``serving_latency_seconds{kind=...}``)."""
+        latency lands in ``serving_latency_seconds{kind=...}``).
+
+        Entry bodies run before the kernel prices their charged work, so an
+        in-body ``now`` is the execution's *start*.  The observation is
+        deferred to ``exec_end``, which has the same end timestamp the
+        event log's ``exec_end`` carries — which is why online latencies
+        reproduce the trace-walked ones exactly (up to bucketing).
+        """
         t0 = self._inject.pop(rid, None)
         if t0 is not None:
-            self.observe_at_exec_end("serving_latency_seconds", t0, kind=kind)
+            h = self.latency.get(kind)
+            if h is None:
+                h = self.latency[kind] = Histogram()
+            self._pending.append((h, t0))
 
-    def serving_quantiles(
-        self, quantiles: Tuple[float, ...] = (50.0, 95.0, 99.0)
-    ) -> Dict[str, Any]:
+    def serving_quantiles(self) -> Dict[str, Any]:
         """Online latency digest over served requests (p50/p95/p99 …),
         the trace-free counterpart of ``repro.metrics.latency``'s summary."""
-        h = self.registry.get("serving_latency_seconds", kind="done")
-        out: Dict[str, Any] = {}
-        if h is None:
-            h = Histogram(self.config.subbuckets)
-        for q in quantiles:
-            out[f"p{q:g}"] = h.quantile(q)
-        out["count"] = h.count
-        out["mean"] = h.mean
-        out["min"] = h.vmin
-        out["max"] = h.vmax
-        shed = self.registry.get("serving_latency_seconds", kind="shed")
-        out["shed"] = 0 if shed is None else shed.count
-        return out
+        h = self.latency.get("done") or Histogram()
+        shed = self.latency.get("shed")
+        return {
+            "p50": h.quantile(50.0),
+            "p95": h.quantile(95.0),
+            "p99": h.quantile(99.0),
+            "count": h.count,
+            "mean": h.mean,
+            "min": h.vmin,
+            "max": h.vmax,
+            "shed": 0 if shed is None else shed.count,
+        }
 
     # -------------------------------------------------------------- snapshots
     def _flush_due(self, start: float) -> None:
-        interval = self.config.interval
+        interval = self.interval
         nf = self._next_flush
-        limit = self.config.max_snapshots
         while nf is not None and start >= nf:
-            if len(self.snapshots) >= limit:
+            if len(self.snapshots) >= MAX_SNAPSHOTS:
                 self.snapshots_dropped += 1
-                nf += interval
-                continue
-            self.snapshot(at=nf)
+            else:
+                self.snapshot(at=nf)
             nf += interval
         self._next_flush = nf
 
@@ -255,10 +216,7 @@ class Telemetry(Recorder):
         sent = processed = 0
         busy = 0
         queued = 0
-        per_pe = self.config.per_pe
-        pe_gauges = self._pe_gauges
-        reg = self.registry
-        for rank, st in k.pes.items():
+        for st in k.pes.values():
             msgs_executed += st.msgs_executed
             seeds += st.seeds_executed
             system += st.system_executed
@@ -269,20 +227,6 @@ class Telemetry(Recorder):
             queued += st._queued
             if st.busy:
                 busy += 1
-            if per_pe:
-                g = pe_gauges.get(rank)
-                if g is None:
-                    g = (
-                        reg.gauge("pe_busy_seconds", pe=rank),
-                        reg.gauge("pe_executions", pe=rank),
-                        reg.gauge("pe_queue_depth", pe=rank),
-                    )
-                    pe_gauges[rank] = g
-                g[0].value = st.busy_time
-                g[1].value = (st.msgs_executed + st.seeds_executed
-                              + st.system_executed)
-                g[2].value = st._queued
-        in_flight = sent - processed
         row: Dict[str, Any] = {
             "t": vtime if at is None else at,
             "vtime": vtime,
@@ -294,7 +238,7 @@ class Telemetry(Recorder):
             "system_executed": system,
             "msgs_sent": msgs_sent,
             "bytes_sent": bytes_sent,
-            "in_flight": in_flight,
+            "in_flight": sent - processed,
             "queued": queued,
             "busy_pes": busy,
             "touched_pes": len(k.pes),
@@ -303,15 +247,8 @@ class Telemetry(Recorder):
         }
         if label:
             row["label"] = label
-        faults = k.faults
-        if faults is not None:
-            fc = dict(faults.counters())
-            row["faults"] = fc
-            for fkind, n in fc.items():
-                reg.gauge("fault_events", fault=fkind).value = n
-        reg.gauge("in_flight").value = in_flight
-        reg.gauge("touched_pes").value = len(k.pes)
-        reg.gauge("vtime_seconds").value = vtime
+        if k.faults is not None:
+            row["faults"] = dict(k.faults.counters())
         self.snapshots.append(row)
         return row
 
@@ -321,14 +258,45 @@ class Telemetry(Recorder):
         row["truncated"] = truncated
 
     # ---------------------------------------------------------------- payload
+    def _series(self) -> List[Dict[str, Any]]:
+        """Every metric's final state, one record per labeled series."""
+        def rec(name, mtype, value, /, **labels):  # a label may be "name"
+            return {"name": name, "type": mtype, "labels": labels,
+                    "value": value}
+
+        out = [rec("exec_duration_seconds", "histogram",
+                   self.exec_hist.as_record())]
+        out += [rec("exec_total", "counter", n, kind=Kind.NAMES[kind],
+                    name=name)
+                for (kind, name), n in self.exec_counts.items()]
+        out += [rec("serving_latency_seconds", "histogram", h.as_record(),
+                    kind=kind) for kind, h in self.latency.items()]
+        if self.snapshots:
+            last = self.snapshots[-1]
+            out += [rec("in_flight", "gauge", last["in_flight"]),
+                    rec("touched_pes", "gauge", last["touched_pes"]),
+                    rec("vtime_seconds", "gauge", last["vtime"])]
+            out += [rec("fault_events", "gauge", n, fault=fault)
+                    for fault, n in last.get("faults", {}).items()]
+            for rank, st in self._kernel.pes.items():
+                out += [
+                    rec("pe_busy_seconds", "gauge", st.busy_time, pe=rank),
+                    rec("pe_executions", "gauge",
+                        st.msgs_executed + st.seeds_executed
+                        + st.system_executed, pe=rank),
+                    rec("pe_queue_depth", "gauge", st._queued, pe=rank),
+                ]
+        out.sort(key=_series_key)
+        return out
+
     def payload(self, meta: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         """Plain-data projection of the whole plane ("repro-metrics-v1"):
         safe to pickle through pool workers and the result cache, and the
         unit the JSONL exporter streams."""
         k = self._kernel
         base_meta: Dict[str, Any] = {
-            "interval": self.config.interval,
-            "subbuckets": self.config.subbuckets,
+            "interval": self.interval,
+            "subbuckets": SUBBUCKETS,
             "snapshots_dropped": self.snapshots_dropped,
         }
         if k is not None:
@@ -343,5 +311,5 @@ class Telemetry(Recorder):
             "format": "repro-metrics-v1",
             "meta": base_meta,
             "snapshots": list(self.snapshots),
-            "series": self.registry.as_records(),
+            "series": self._series(),
         }

@@ -4,45 +4,20 @@
 structured event log (:mod:`repro.trace.events`) into one interval per
 entry-method execution, so a run recorded with
 ``Kernel(trace_events="exec_begin,exec_end")`` (or any superset) has a
-timeline without a second recorder.  It offers the two views the Charm
-projections tool made famous at table scale:
-
-* a phase profile (time-bucketed utilization),
-* a coarse ASCII Gantt rendering for terminals.
-
-:func:`busy_fractions` is the one busy-time bucketing: the phase profile
-and the metrics sampler's ``util`` column both call it.
+timeline without a second recorder.  Its view is the coarse ASCII Gantt
+rendering the Charm projections tool made famous, for terminals; the
+time-bucketed utilization of the same rows is the metrics sampler's
+``util`` column (:func:`repro.metrics.sampler.sample_metrics`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.trace.events import event_rows
 from repro.util.errors import need_int
 
-__all__ = ["Timeline", "bucket_of", "busy_fractions"]
-
-
-def bucket_of(t: float, lo: float, width: float, buckets: int) -> int:
-    """The bucket holding time ``t``, clamped into ``[0, buckets)``."""
-    b = int((t - lo) / width)
-    return buckets - 1 if b >= buckets else (0 if b < 0 else b)
-
-
-def busy_fractions(spans: Iterable[Tuple[float, float]], lo: float,
-                   width: float, buckets: int, num_pes: int) -> List[float]:
-    """Fraction of ``num_pes`` PEs' time busy in each of ``buckets``
-    windows of ``width`` from ``lo``, over ``(start, end)`` spans; a span
-    ending exactly at the last window's end lands in that window."""
-    busy = [0.0] * buckets
-    for start, end in spans:
-        b0 = bucket_of(start, lo, width, buckets)
-        b1 = bucket_of(end, lo, width, buckets)
-        for b in range(b0, b1 + 1):
-            w_lo = lo + b * width
-            busy[b] += max(0.0, min(end, w_lo + width) - max(start, w_lo))
-    return [min(1.0, x / (width * num_pes)) for x in busy]
+__all__ = ["Timeline"]
 
 
 class Timeline:
@@ -76,15 +51,6 @@ class Timeline:
 
     def _num_pes(self) -> int:
         return max((s[0] for s in self._spans), default=0) + 1
-
-    def utilization_profile(self, buckets: int = 20) -> List[float]:
-        """Fraction of PE-time busy in each of ``buckets`` equal windows."""
-        buckets = need_int("buckets", buckets, 1)
-        lo, hi = self.span()
-        if hi <= lo:
-            return [0.0] * buckets
-        return busy_fractions(((s[1], s[2]) for s in self._spans), lo,
-                              (hi - lo) / buckets, buckets, self._num_pes())
 
     def render(self, width: int = 72, pes: Optional[List[int]] = None) -> str:
         """ASCII Gantt: one row per PE, '#' busy / '.' idle per time cell.

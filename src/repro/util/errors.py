@@ -1,9 +1,10 @@
 """Exception hierarchy for the Chare Kernel reproduction.
 
 All library errors derive from :class:`CharmError` so callers can catch one
-type.  Subclasses mark which subsystem raised.  :func:`need_real` and
-:func:`need_int` are the two checks public constructors share; each raises
-:class:`ConfigurationError` naming the field.
+type.  Subclasses mark which subsystem raised.  :func:`need_real`,
+:func:`need_interval` and :func:`need_int` are the checks public
+constructors share; each raises :class:`ConfigurationError` naming the
+field.
 """
 
 from __future__ import annotations
@@ -59,6 +60,20 @@ def need_real(what: str, value, low: float = 0.0, *, strict: bool = True) -> Non
             f"{what} must be a finite real number "
             f"{'>' if strict else '>='} {low:g}, got {value!r}"
         )
+
+
+def need_interval(what: str, value) -> float:
+    """``value`` as a virtual-time interval: a finite real >= 0, as a float.
+
+    ``bool`` is refused by name although it is an ``int``: ``True`` would
+    otherwise become a one-second interval.
+    """
+    if isinstance(value, bool):
+        raise ConfigurationError(
+            f"{what} must be a finite real number >= 0, not a bool: {value!r}"
+        )
+    need_real(what, value, strict=False)
+    return float(value)
 
 
 def need_int(what: str, value, low: Optional[int] = 0) -> int:

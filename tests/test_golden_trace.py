@@ -171,14 +171,14 @@ def test_golden_trace(case_id, runner, spec):
 
 def _observers(names: str) -> dict:
     """Kernel keywords attaching the named observers to a fresh run."""
-    from repro.obs import Telemetry, TelemetryConfig
+    from repro.obs import Telemetry
     from repro.trace import EventLog
 
     kwargs = {}
     if "log" in names:
         kwargs["trace_events"] = EventLog()
     if "telemetry" in names:
-        kwargs["telemetry"] = Telemetry(TelemetryConfig(interval=1e-4))
+        kwargs["telemetry"] = Telemetry(interval=1e-4)
     return kwargs
 
 

@@ -2,9 +2,9 @@
 
 Four contracts, in the order the module docstring states them:
 
-1. **Primitives** — counters/gauges/log-bucketed histograms: bucket math,
-   nearest-rank quantiles (within one bucket of the exact trace-walked
-   percentile), record round-trips, registry semantics.
+1. **Primitives** — the log-bucketed histogram: bucket math, nearest-rank
+   quantiles (within one bucket of the exact trace-walked percentile),
+   record round-trips.
 2. **Invisible when on** — a telemetry-on run reproduces the telemetry-off
    run's answer, virtual time, and event count bit for bit, including
    against the golden-trace fixtures.
@@ -29,15 +29,10 @@ from repro.core.chare import Chare
 from repro.core.kernel import Kernel
 from repro.machine.presets import make_machine
 from repro.obs import (
-    Counter,
-    Gauge,
     Histogram,
-    MetricRegistry,
     RunHealth,
     Telemetry,
-    TelemetryConfig,
     parse_jsonl,
-    quantile_from_record,
     to_jsonl,
     to_prometheus,
 )
@@ -122,7 +117,6 @@ class TestHistogram:
         assert h2.as_record() == rec
         for q in (1.0, 50.0, 99.0):
             assert h2.quantile(q) == h.quantile(q)
-            assert quantile_from_record(rec, q) == h.quantile(q)
 
     def test_empty_record_round_trip(self):
         rec = Histogram().as_record()
@@ -132,53 +126,6 @@ class TestHistogram:
     def test_subbuckets_validated(self):
         with pytest.raises(ConfigurationError):
             Histogram(subbuckets=0)
-
-
-class TestRegistry:
-    def test_get_or_create_identity(self):
-        reg = MetricRegistry()
-        c1 = reg.counter("sends", pe=3)
-        c1.inc(2)
-        assert reg.counter("sends", pe=3) is c1
-        assert reg.counter("sends", pe=4) is not c1
-        assert reg.get("sends", pe=3).value == 2
-        assert reg.get("sends", pe=99) is None
-        assert len(reg) == 2
-
-    def test_label_called_name(self):
-        # The metric-name parameter is positional-only, so a label may
-        # itself be called "name" (exec_total{kind=..., name=...} relies
-        # on this).
-        reg = MetricRegistry()
-        c = reg.counter("exec_total", kind="app", name="tick")
-        c.inc()
-        assert reg.get("exec_total", kind="app", name="tick").value == 1
-
-    def test_type_conflict_raises(self):
-        reg = MetricRegistry()
-        reg.counter("x")
-        with pytest.raises(ConfigurationError):
-            reg.gauge("x")
-
-    def test_series_sorted_and_records(self):
-        reg = MetricRegistry()
-        reg.gauge("b", pe=2).set(1.0)
-        reg.gauge("b", pe=1).set(2.0)
-        reg.counter("a").inc(5)
-        names = [(n, labels) for n, labels, _ in reg.series()]
-        assert names == [("a", {}), ("b", {"pe": 1}), ("b", {"pe": 2})]
-        recs = reg.as_records()
-        assert recs[0] == {"name": "a", "type": "counter", "labels": {},
-                           "value": 5}
-        json.dumps(recs)
-
-    def test_counter_gauge_basics(self):
-        c, g = Counter(), Gauge()
-        c.inc()
-        c.inc(4)
-        g.set(2.5)
-        assert c.value == 5 and c.as_record() == 5
-        assert g.value == 2.5 and g.as_record() == 2.5
 
 
 # ===================================================== invisible-when-on
@@ -194,7 +141,7 @@ def _fib_fingerprint(telemetry=None, **kwargs):
 class TestNonPerturbation:
     def test_identical_run_with_telemetry(self):
         base = _fib_fingerprint()
-        tel = Telemetry(TelemetryConfig(interval=1e-3))
+        tel = Telemetry(interval=1e-3)
         assert _fib_fingerprint(telemetry=tel) == base
         assert tel.snapshots, "periodic snapshots never flushed"
 
@@ -215,7 +162,7 @@ class TestNonPerturbation:
         runner, spec = next((r, s) for cid, r, s in CASES if cid == case_id)
         answer, result = _run_case(
             runner, spec,
-            telemetry=Telemetry(TelemetryConfig(interval=1e-4)),
+            telemetry=Telemetry(interval=1e-4),
         )
         assert _fingerprint(answer, result) == _load_fixtures()[case_id]
 
@@ -225,12 +172,11 @@ class TestNonPerturbation:
         tel = Telemetry()
         run_fib(make_machine("ipsc2", 8), n=12, threshold=6, seed=2,
                 telemetry=tel)
-        execs = sum(m.value for name, _, m in tel.registry.series()
-                    if name == "exec_total")
+        execs = sum(tel.exec_counts.values())
         final = tel.snapshots[-1]
         assert final["label"] == "final"
         assert execs == final["executions"]
-        assert tel.registry.get("exec_duration_seconds").count == execs
+        assert tel.exec_hist.count == execs
 
     def test_bind_is_once_only(self):
         tel = Telemetry()
@@ -242,49 +188,49 @@ class TestNonPerturbation:
         with pytest.raises(ConfigurationError):
             Telemetry().snapshot()
 
-    def test_kernel_accepts_config_and_true(self):
-        k = Kernel(make_machine("ideal", 1),
-                   telemetry=TelemetryConfig(interval=0.5))
-        assert k.telemetry.config.interval == 0.5
-        assert Kernel(make_machine("ideal", 1), telemetry=True).telemetry \
-            is not None
-        with pytest.raises(ConfigurationError):
-            Kernel(make_machine("ideal", 1), telemetry=42)
+    def test_kernel_rejects_config_and_true(self):
+        # Telemetry(...) is the one spelling; True and a config object
+        # used to build a default plane behind the caller's back.
+        from types import SimpleNamespace
+
+        for bad in (True, 42, 0.5, SimpleNamespace(interval=0.5)):
+            with pytest.raises(ConfigurationError, match="telemetry"):
+                Kernel(make_machine("ideal", 1), telemetry=bad)
+        k = Kernel(make_machine("ideal", 1), telemetry=Telemetry(interval=0.5))
+        assert k.telemetry.interval == 0.5
 
     @pytest.mark.parametrize("interval",
                              [float("nan"), float("inf"), -1e-3])
     def test_config_rejects_bad_interval(self, interval):
         with pytest.raises(ConfigurationError, match="interval"):
-            TelemetryConfig(interval=interval)
+            Telemetry(interval=interval)
 
     @pytest.mark.parametrize("field, value", [
-        ("subbuckets", 2.5),       # float bucket indices break to_prometheus
-        ("subbuckets", 0),         # used to fail only at Kernel bind
-        ("max_snapshots", 2.5),
         ("interval", "1"),         # used to be a bare TypeError
-    ], ids=["subbuckets-float", "subbuckets-0", "max_snapshots-float",
-            "interval-str"])
+    ], ids=["interval-str"])
     def test_config_rejects_values_its_exporters_cannot_take(self, field,
                                                               value):
         with pytest.raises(ConfigurationError, match=field):
-            TelemetryConfig(**{field: value})
+            Telemetry(**{field: value})
 
-    def test_smallest_config_values_export(self):
+    def test_smallest_config_values_export(self, monkeypatch):
         from repro.apps.fib import run_fib
+        from repro.obs import telemetry
 
-        tel = Telemetry(TelemetryConfig(interval=1e-3, subbuckets=1,
-                                        max_snapshots=1))
+        monkeypatch.setattr(telemetry, "MAX_SNAPSHOTS", 1)
+        tel = Telemetry(interval=1e-3)
         run_fib(make_machine("ipsc2", 8), n=12, threshold=6, seed=2,
                 telemetry=tel)
         assert len(tel.snapshots) == 2 and tel.snapshots_dropped > 0
         assert "exec_duration_seconds_bucket" in to_prometheus(tel.payload())
-        hist = tel.registry.get("exec_duration_seconds")
-        assert all(type(i) is int for i in hist.buckets)
+        assert all(type(i) is int for i in tel.exec_hist.buckets)
 
-    def test_max_snapshots_counts_overflow(self):
+    def test_max_snapshots_counts_overflow(self, monkeypatch):
         from repro.apps.fib import run_fib
+        from repro.obs import telemetry
 
-        tel = Telemetry(TelemetryConfig(interval=1e-6, max_snapshots=4))
+        monkeypatch.setattr(telemetry, "MAX_SNAPSHOTS", 4)
+        tel = Telemetry(interval=1e-6)
         run_fib(make_machine("ipsc2", 8), n=12, threshold=6, seed=2,
                 telemetry=tel)
         # 4 periodic + the final scrape (on_run_end bypasses the cap).
@@ -311,7 +257,7 @@ class TestServingOnline:
         summary, result = _serve(telemetry=tel)
         online = summary["online"]
         assert online["count"] == summary["completed"]
-        h = tel.registry.get("serving_latency_seconds", kind="done")
+        h = tel.latency["done"]
         for q in ("p50", "p95", "p99"):
             exact, est = summary[q], online[q]
             assert abs(h.bucket_index(exact) - h.bucket_index(est)) <= 1, q
@@ -349,7 +295,7 @@ class TestServingOnline:
 def _sample_payload():
     from repro.apps.fib import run_fib
 
-    tel = Telemetry(TelemetryConfig(interval=1e-3))
+    tel = Telemetry(interval=1e-3)
     run_fib(make_machine("ipsc2", 8), n=12, threshold=6, seed=2,
             telemetry=tel)
     return tel.payload(meta={"app": "fib"})
@@ -425,6 +371,83 @@ class TestExporters:
         assert to_prometheus(tel).startswith("# TYPE")
 
 
+def _s6_sparse_arm():
+    """S6's quick-scale scale arm: telemetry only, P = 10^4, sparse."""
+    from repro.bench.harness import describe
+    from repro.bench.serving import SERVICE
+    from repro.workloads.arrivals import Poisson
+
+    p = make_machine("cluster", 1_000).params
+    cost = SERVICE.mean * p.work_unit_time + p.sched_overhead + p.recv_overhead
+    rate = 0.3 * 1_000 / cost
+    return describe("serving", "cluster", 10_000, metrics=250 / rate / 8.0,
+                    trace_events=None, sparse=True, balancer="central",
+                    service=SERVICE, arrivals=Poisson(rate=rate, count=250))
+
+
+def _pinned_descriptor(name):
+    from repro.bench.harness import describe
+    from repro.bench.serving import MACHINE, SERVICE, _rate
+    from repro.faults import FaultConfig
+    from repro.workloads.arrivals import Poisson
+
+    if name == "s1-quick":
+        return describe("serving", MACHINE, 8, balancer="central",
+                        arrivals=Poisson(rate=_rate(0.9, 8), count=400),
+                        service=SERVICE, metrics=0.005)
+    if name == "s6-sparse":
+        return _s6_sparse_arm()
+    if name == "queens-faults":
+        return describe("queens", "ncube2", 8, metrics=1e-4,
+                        faults=FaultConfig(drop_prob=0.05, dup_prob=0.02))
+    return describe("fib", "ipsc2", 8, metrics=0.0)
+
+
+class TestPinnedPayloads:
+    """The exported telemetry of four runs, byte for byte: the JSONL stream
+    (host ``wall`` seconds removed from each snapshot) and the Prometheus
+    text.  Pinned on the labeled-registry plane; the fixed-field plane
+    that replaced it renders the same bytes."""
+
+    @pytest.mark.parametrize("name, jsonl_digest, prom_digest", [
+        ("s1-quick", "b375ab94c01236051f1563193dbc3e95",
+         "1d1593bce968c5d24785f3c68127b25a"),
+        ("s6-sparse", "ae7b79486f329345ce2b0d03e8297447",
+         "3f984094db1ed109bcc49010556dd8f1"),
+        ("queens-faults", "17d7827df81279defe782cccfef6352c",
+         "ef55d79066c6d402ab0c6adcf9fb0f19"),
+        ("fib", "d4b55b43360296539a920aebaeb239cd",
+         "c7c3af73e7a9c73bb77166883eb2e26e"),
+    ])
+    def test_exports_are_byte_identical(self, name, jsonl_digest,
+                                        prom_digest):
+        from repro.bench.harness import run_descriptor
+
+        payload = run_descriptor(_pinned_descriptor(name)).telemetry
+        payload = dict(payload, snapshots=[
+            {k: v for k, v in snap.items() if k != "wall"}
+            for snap in payload["snapshots"]])
+
+        def digest(text):
+            return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+
+        assert (digest(to_jsonl(payload)), digest(to_prometheus(payload))) \
+            == (jsonl_digest, prom_digest)
+
+    def test_series_order_is_name_then_label_repr(self):
+        from repro.bench.harness import describe, run_descriptor
+
+        series = run_descriptor(
+            describe("queens", "ncube2", 16, metrics=0.0)).telemetry["series"]
+        names = [rec["name"] for rec in series]
+        assert names == sorted(names)
+        pes = [rec["labels"]["pe"] for rec in series
+               if rec["name"] == "pe_busy_seconds"]
+        assert pes == sorted(range(16), key=repr) != sorted(pes)
+        assert {tuple(rec["labels"]) for rec in series
+                if rec["name"] == "exec_total"} == {("kind", "name")}
+
+
 # ================================================================= health
 def _snap(t, events, wall, in_flight=0, label=""):
     row = {"t": t, "vtime": t, "wall": wall, "events": events,
@@ -470,6 +493,33 @@ class TestRunHealth:
 
 
 # ============================================================ bench layer
+def np_float(value):
+    import numpy
+
+    return numpy.float64(value)
+
+
+def _described(metrics):
+    """The cache key of a fib run described with ``metrics``."""
+    from repro.bench.harness import describe
+
+    return describe("fib", "ipsc2", 8, metrics=metrics).key()
+
+
+def _ambient(interval):
+    """The interval ``use_telemetry(interval)`` installs."""
+    from repro.bench.harness import use_telemetry
+
+    with use_telemetry(interval) as installed:
+        return installed
+
+
+def _observed(value):
+    h = Histogram()
+    h.observe(value)
+    return h.as_record()["buckets"]
+
+
 class TestBenchTelemetry:
     def test_describe_default_has_no_metrics_param(self):
         # Historical "run-v1" cache keys must not move when telemetry is
@@ -509,7 +559,7 @@ class TestBenchTelemetry:
     @pytest.mark.parametrize("entry", ["describe", "use_telemetry", "cli"])
     def test_bad_interval_fails_at_the_call_naming_the_field(
             self, entry, value, capsys):
-        # Not later, inside the run's TelemetryConfig: by then the value is
+        # Not later, inside the run's Telemetry: by then the value is
         # in a descriptor and its cache key, possibly in a pool worker.
         from repro.bench.__main__ import main
         from repro.bench.harness import describe, use_telemetry
@@ -527,6 +577,34 @@ class TestBenchTelemetry:
                       f"--metrics-interval={value}"])
             assert exit_info.value.code == 2
             assert "--metrics-interval" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad, field, good, answer", [
+        # describe(metrics=True) was a 1-second interval sharing the key of
+        # metrics=1.0; a string was parsed.
+        (lambda: _described(True), "metrics",
+         lambda: _described(1), "ddf8be22b923c6ac2cebb22f92f6e35f"),
+        (lambda: _described("0.5"), "metrics",
+         lambda: _described(0.5), "58c0365afcba5ce0dec88abe78cde382"),
+        # A bare ValueError / TypeError, and True as 1.0.
+        (lambda: _ambient("abc"), "interval", lambda: _ambient(1.0), 1.0),
+        (lambda: _ambient(None), "interval", lambda: _ambient(0), 0.0),
+        (lambda: _ambient(True), "interval",
+         lambda: _described(np_float(1e-3)),
+         "26ebe3ff2d1f334ac99f35364f24b90b"),
+        (lambda: Telemetry(interval=True), "interval",
+         lambda: Telemetry(interval=np_float(1e-3)).interval, 1e-3),
+        # A bare ValueError / OverflowError from the bucket index.
+        (lambda: Histogram().observe(float("nan")), "finite",
+         lambda: _observed(1e300), {"31919": 1}),
+        (lambda: Histogram().observe(float("inf")), "finite",
+         lambda: _observed(1.7976931348623157e308), {"32799": 1}),
+    ], ids=["describe-true", "describe-str", "ambient-str", "ambient-none",
+            "ambient-true", "telemetry-true", "observe-nan", "observe-inf"])
+    def test_one_interval_check_names_the_field(self, bad, field, good,
+                                                answer):
+        with pytest.raises(ConfigurationError, match=field):
+            bad()
+        assert good() == answer
 
     @pytest.mark.parametrize("value", [0.0, 0.005])
     def test_zero_and_positive_intervals_still_pass(self, value):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.metrics.sampler import busy_fractions, sample_metrics
 from repro.trace import EventLog
 from repro.trace.timeline import Timeline
 from tests.conftest import run_echo
@@ -18,6 +19,11 @@ def traced_run(ipsc8):
 
 def _timeline(result):
     return Timeline(result.kernel.events)
+
+
+def _util(records, buckets):
+    """The one offline utilization series: the sampler's ``util`` column."""
+    return [row["util"] for row in sample_metrics(records, buckets=buckets)]
 
 
 def _rows(*execs):
@@ -88,7 +94,7 @@ def test_span_and_gaps(traced_run):
 
 
 def test_utilization_profile_bounds(traced_run):
-    profile = _timeline(traced_run).utilization_profile(buckets=10)
+    profile = _util(traced_run.kernel.events.as_records(), 10)
     assert len(profile) == 10
     assert all(0.0 <= u <= 1.0 for u in profile)
     assert any(u > 0 for u in profile)
@@ -109,8 +115,9 @@ def test_render_and_profile_equal_the_interval_recorder():
     float for float."""
     from repro.machine.presets import make_machine
 
-    tl = _timeline(run_echo(make_machine("ipsc2", 8), n=16, seed=1,
-                            trace_events=TIMELINE_KINDS))
+    tl_log = run_echo(make_machine("ipsc2", 8), n=16, seed=1,
+                      trace_events=TIMELINE_KINDS).kernel.events
+    tl = Timeline(tl_log)
     assert tl.render(width=40) == (
         "timeline 0.000..1.914 ms\n"
         "PE  0 |####...............######...####....####|\n"
@@ -121,10 +128,12 @@ def test_render_and_profile_equal_the_interval_recorder():
         "PE  5 |..................+####.................|\n"
         "PE  6 |..................+###..................|\n"
         "PE  7 |..........................+#####........|")
-    assert tl.utilization_profile(buckets=10) == [
+    # The sampler's util column pairs each exec_end with ``t - dur``, not
+    # with the begin row's ``t``: the same series to the last few ulps.
+    assert _util(tl_log.as_records(), 10) == pytest.approx([
         0.11101243339253998, 0.0, 0.19146379688642767, 0.14517814230487944,
         0.17713666283564927, 0.23695277400480672, 0.055388674119736844,
-        0.21258227980357347, 0.0, 0.06856650297774532]
+        0.21258227980357347, 0.0, 0.06856650297774532], rel=1e-12)
 
 
 def test_view_reads_log_records_and_json(traced_run):
@@ -134,7 +143,6 @@ def test_view_reads_log_records_and_json(traced_run):
     for source in (log.as_records(), records, log.events):
         tl = Timeline(source)
         assert tl.render(width=40) == live.render(width=40)
-        assert tl.utilization_profile(7) == live.utilization_profile(7)
 
 
 def test_superset_log_gives_the_same_view(ipsc8, traced_run):
@@ -155,7 +163,7 @@ def test_empty_timeline():
     tl = Timeline([])
     assert tl.span() == (0.0, 0.0)
     assert tl.render() == "(empty timeline)"
-    assert tl.utilization_profile(5) == [0.0] * 5
+    assert sample_metrics([], buckets=5) == []
 
 
 def test_zero_span_single_event_render():
@@ -180,15 +188,14 @@ def test_zero_span_multi_pe_render_marks_each_pe():
     assert marks["PE  0"] == "+"   # svc-only cell
     assert marks["PE  1"] == "."   # no activity
     assert marks["PE  2"] == "#"   # app execution
-    # The profile still behaves on the degenerate span.
-    assert tl.utilization_profile(4) == [0.0] * 4
 
 
 def test_interval_ending_exactly_on_span_boundary():
     """An interval closing the span lands in the last bucket, fully counted."""
-    tl = Timeline(_rows((0, 0.0, 0.5, "a"), (0, 0.75, 0.25, "b")))
-    profile = tl.utilization_profile(buckets=4)
+    profile = busy_fractions([(0.0, 0.5), (0.75, 1.0)], 0.0, 0.25, 4, 1)
     assert profile == pytest.approx([1.0, 1.0, 0.0, 1.0])
+    assert _util(_rows((0, 0.0, 0.5, "a"), (0, 0.75, 0.25, "b")), 4) \
+        == profile
 
 
 def test_zero_duration_interval_at_span_end_not_dropped():
@@ -197,9 +204,9 @@ def test_zero_duration_interval_at_span_end_not_dropped():
     whose only activity is that execution must still show a mark."""
     tl = Timeline(_rows((0, 0.0, 1.0, "work"),     # defines span
                         (1, 1.0, 0.0, "qd:tick")))  # at hi, PE 1
-    # Profile: must index the last bucket (adds 0 width), not drop or crash.
-    profile = tl.utilization_profile(buckets=5)
-    assert len(profile) == 5
+    # Utilization: must index the last bucket (adds 0 width), not drop or
+    # crash.
+    assert len(busy_fractions([(0.0, 1.0), (1.0, 1.0)], 0.0, 0.2, 5, 2)) == 5
     # Render: PE 1's row must carry the mark in the final cell.
     lines = tl.render(width=10).splitlines()
     pe1 = next(line for line in lines if line.startswith("PE  1"))
@@ -207,15 +214,18 @@ def test_zero_duration_interval_at_span_end_not_dropped():
     assert body[-1] == "+", f"zero-duration boundary mark lost: {pe1!r}"
 
 
+_TWO_PE_ROWS = _rows((0, 0.0, 0.5, "a"), (1, 0.75, 0.25, "svc:b"))
+
+
 def _two_pe_timeline():
-    return Timeline(_rows((0, 0.0, 0.5, "a"), (1, 0.75, 0.25, "svc:b")))
+    return Timeline(_TWO_PE_ROWS)
 
 
 @pytest.mark.parametrize("call, field", [
-    (lambda tl: tl.utilization_profile(buckets=0), "buckets"),   # ZeroDivisionError
-    (lambda tl: tl.utilization_profile(buckets=-2), "buckets"),  # IndexError
-    (lambda tl: tl.utilization_profile(buckets=2.5), "buckets"),
-    (lambda tl: tl.render(width=0), "width"),                    # ZeroDivisionError
+    (lambda tl: _util(_TWO_PE_ROWS, 0), "buckets"),     # ZeroDivisionError
+    (lambda tl: _util(_TWO_PE_ROWS, -2), "buckets"),    # IndexError
+    (lambda tl: _util(_TWO_PE_ROWS, 2.5), "buckets"),
+    (lambda tl: tl.render(width=0), "width"),           # ZeroDivisionError
     (lambda tl: tl.render(width=-1), "width"),
 ], ids=["buckets-0", "buckets-neg", "buckets-float", "width-0", "width-neg"])
 def test_bad_sizes_rejected(call, field):
@@ -227,7 +237,7 @@ def test_bad_sizes_rejected(call, field):
 
 def test_smallest_sizes_keep_parent_answers():
     tl = _two_pe_timeline()
-    assert tl.utilization_profile(buckets=1) == [0.375]
-    assert tl.utilization_profile(buckets=2) == [0.5, 0.25]
+    assert _util(_TWO_PE_ROWS, 1) == [0.375]
+    assert _util(_TWO_PE_ROWS, 2) == [0.5, 0.25]
     assert tl.render(width=1) == (
         "timeline 0.000..1000.000 ms\nPE  0 |#|\nPE  1 |+|")
