@@ -90,7 +90,7 @@ class RunResult:
     result: Any
     time: float                  # virtual seconds at completion
     events: int                  # engine callbacks fired
-    truncated: bool              # hit max_events / until horizon
+    truncated: bool              # hit max_events
     host_seconds: float          # wall-clock cost of the simulation itself
     stats: Any = None            # TraceReport (repro.trace)
     kernel: Any = field(default=None, repr=False)
@@ -108,13 +108,12 @@ class Kernel:
         seed: int = 0,
         qd_interval: float = 1e-3,
         lazy_interval: float = 0.5e-3,
-        strict_entries: bool = True,
         spanning_tree: str = "auto",
         faults: Any = None,
         trace_events: Any = None,
         telemetry: Any = None,
     ) -> None:
-        from repro.sim.backend import HeapBackend  # local: keep core light
+        from repro.sim.engine import Engine  # local: keep core light
         from repro.balance import make_balancer
         from repro.balance.base import Balancer
         from repro.sharing.manager import SharingService
@@ -139,7 +138,7 @@ class Kernel:
         # is the topology's closed form where one exists (no O(P²) memo).
         self._hops = machine.hops_fn
         self._transit_time = machine.transit_time
-        self.engine = HeapBackend()
+        self.engine = Engine()
         # Per-kernel envelope uid allocation (reproducible run-to-run and
         # unaffected by other kernels in the same process).
         self._next_uid = 1
@@ -161,7 +160,6 @@ class Kernel:
         # PE materialises inside run().
         make_strategy(queueing)
         self.queueing = queueing
-        self.strict_entries = strict_entries
         # Both become engine delays: NaN ends the run at time nan, a
         # negative one fails inside the engine many events later.
         need_real("qd_interval", qd_interval, strict=False)
@@ -255,9 +253,9 @@ class Kernel:
         # walks per creation).
         self._validated_chare_classes: set = set()
         # class -> True when its instances retire as their constructor
-        # returns: under strict_entries a class that declares no @entry
-        # method can never be sent a message, so nothing can reach the
-        # object again (the 1991 programs end such chares with ChareExit).
+        # returns: a class that declares no @entry method can never be sent
+        # a message, so nothing can reach the object again (the 1991
+        # programs end such chares with ChareExit).
         self._retires: Dict[type, bool] = {}
         # Object tables -----------------------------------------------------
         self.chares: Dict[int, Chare] = {}
@@ -372,41 +370,25 @@ class Kernel:
         main_cls: type,
         *args: Any,
         max_events: Optional[int] = DEFAULT_MAX_EVENTS,
-        until: Optional[float] = None,
     ) -> RunResult:
         """Execute a program from its main chare to completion.
 
         Completion is the first of: the main chare calls :meth:`Chare.exit`,
-        the event heap drains, the optional virtual-time horizon ``until``
-        passes, or ``max_events`` engine callbacks have fired (the run is
-        then flagged ``truncated``).
+        the event heap drains, or ``max_events`` engine callbacks have fired
+        (the run is then flagged ``truncated``; ``None`` sets no budget).
         """
         if self.main_handle is not None:
             raise SchedulingError("a Kernel instance can run only one program")
         if not issubclass(main_cls, Chare):
             raise ConfigurationError(f"{main_cls.__name__} is not a Chare subclass")
+        if max_events is not None:
+            # Here, not in the drain loop: "10" would fail there as a
+            # TypeError, and 2.5 or 0 would pass as a budget.
+            max_events = need_int("max_events", max_events, 1)
 
         t0 = _host_time.perf_counter()
         self.engine.schedule_call(0.0, self._bootstrap, (main_cls, args))
-
-        if until is None:
-            # Common case: the engine's bulk drive() loop owns the
-            # budget/stop checks (one compare each).
-            _, truncated = self.engine.drive(max_events)
-        else:
-            truncated = False
-            fired = 0
-            step = self.engine.step
-            while not self._exited:
-                if max_events is not None and fired >= max_events:
-                    truncated = True
-                    break
-                if self.now >= until:
-                    truncated = True
-                    break
-                if not step():
-                    break
-                fired += 1
+        _, truncated = self.engine.run(max_events)
 
         from repro.trace.report import TraceReport
 
@@ -435,10 +417,11 @@ class Kernel:
         callbacks, services, chares and the engine whose heap holds those
         callbacks; each of them holds the kernel), so a finished kernel
         that is merely dropped waits for a generation-2 collection.
-        Emptying the kernel — plus the two members that reach themselves
-        without it: timer events still on the engine's heap and the fault
-        layer's own callbacks — leaves nothing cyclic, and the whole graph
-        is freed by reference count as the last outside reference goes.
+        Emptying the kernel — plus the two members that can reach
+        themselves without it: the engine, whose pending heap entries hold
+        bound callbacks, and the fault layer's own callbacks — leaves
+        nothing cyclic, and the whole graph is freed by reference count as
+        the last outside reference goes.
 
         Idempotent.  :meth:`run` never calls it (``RunResult.kernel`` stays
         live for whoever ran the program); a caller that has projected what
@@ -730,9 +713,7 @@ class Kernel:
                 obj.__init__(*env.args)
                 retires = self._retires.get(cls)
                 if retires is None:
-                    retires = self._retires[cls] = (
-                        self.strict_entries and not declares_entry(cls)
-                    )
+                    retires = self._retires[cls] = not declares_entry(cls)
                 if retires and gid in chares:   # not already destroy()ed
                     del chares[gid]
                     self.destroyed.add(gid)
@@ -820,9 +801,7 @@ class Kernel:
         fn = None if fns is None else fns.get(entry_name)
         if fn is None:
             fn = getattr(cls, entry_name, None)
-            if not isinstance(fn, _FunctionType) or (
-                self.strict_entries and not is_entry(fn)
-            ):
+            if not isinstance(fn, _FunctionType) or not is_entry(fn):
                 # Rare/legacy shapes (instance-level attributes, missing or
                 # unmarked entries): resolve on the instance for the exact
                 # historical error behavior, and don't cache.
@@ -831,7 +810,7 @@ class Kernel:
                     raise RoutingError(
                         f"{cls.__name__} has no entry {entry_name!r}"
                     )
-                if self.strict_entries and not is_entry(method):
+                if not is_entry(method):
                     raise RoutingError(
                         f"{cls.__name__}.{entry_name} is not marked @entry"
                     )

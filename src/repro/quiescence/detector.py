@@ -79,7 +79,8 @@ class QuiescenceService(Service):
         self._callback = (target, entry)
         self.send(from_pe, 0, "begin", ())
 
-    def _start_wave(self) -> None:
+    def _start_wave(self, _: object = None) -> None:
+        # The argument is the engine's callback payload; the timer has none.
         if self._callback is None:  # detection already fired
             return
         self._wave += 1
@@ -218,4 +219,5 @@ class QuiescenceService(Service):
             # fires outside any execution, and the next wave's events must
             # still chain back through the decision that scheduled it.
             self._trace_parent = events.ctx
-        kernel.engine.schedule_after(kernel.qd_interval, self._start_wave)
+        kernel.engine.schedule_call(kernel.engine._now + kernel.qd_interval,
+                                    self._start_wave, None)

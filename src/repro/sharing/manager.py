@@ -210,12 +210,13 @@ class SharingService(Service):
         if self._mono_dirty.get(key):
             return
         self._mono_dirty[key] = True
-        self.kernel.engine.schedule_after(
-            self.kernel.lazy_interval, lambda: self._lazy_flush(name, pe)
-        )
+        engine = self.kernel.engine
+        engine.schedule_call(engine._now + self.kernel.lazy_interval,
+                             self._lazy_flush, key)
 
-    def _lazy_flush(self, name: str, pe: int) -> None:
-        self._mono_dirty[(name, pe)] = False
+    def _lazy_flush(self, key: Tuple[str, int]) -> None:
+        self._mono_dirty[key] = False
+        name, pe = key
         self._flood(name, pe, exclude=None)
 
     # ------------------------------------------------------------------ tables

@@ -1,28 +1,14 @@
 """Discrete-event simulation engine.
 
 The engine is deliberately tiny and generic: a binary heap of timestamped
-callbacks with deterministic tie-breaking.  Everything Charm-specific lives
-above it in :mod:`repro.core`.
+callbacks with deterministic tie-breaking and one drain loop.  Everything
+Charm-specific lives above it in :mod:`repro.core`.
 
-:mod:`repro.sim.backend` provides :class:`HeapBackend`, the engine the
-kernel runs on, and the standalone timestamp-cohort :class:`BatchBackend`.
+:mod:`repro.sim.backend` holds the calendar-queue ``BatchBackend``, which
+only the performance ledger's frozen probe builds (via :func:`make_backend`).
 """
 
-from repro.sim.backend import (
-    BACKENDS,
-    BatchBackend,
-    BatchEvent,
-    HeapBackend,
-    make_backend,
-)
-from repro.sim.engine import Engine, Event
+from repro.sim.backend import make_backend
+from repro.sim.engine import Engine
 
-__all__ = [
-    "Engine",
-    "Event",
-    "BACKENDS",
-    "BatchBackend",
-    "BatchEvent",
-    "HeapBackend",
-    "make_backend",
-]
+__all__ = ["Engine", "make_backend"]

@@ -170,9 +170,6 @@ class EventLog(Recorder):
         kinds: Union[bool, str, Iterable[str], None] = True,
         max_events: int = DEFAULT_MAX_EVENTS,
     ) -> None:
-        if isinstance(max_events, bool):  # need_int counts True as 1
-            raise ConfigurationError(f"max_events must be an integer, "
-                                     f"got {max_events!r}")
         self.max_events = need_int("max_events", max_events, 1)
         self.kinds = normalize_kinds(kinds)
         #: One plain tuple per event, in :class:`Event` field order.

@@ -4,7 +4,11 @@ All library errors derive from :class:`CharmError` so callers can catch one
 type.  Subclasses mark which subsystem raised.  :func:`need_real`,
 :func:`need_interval` and :func:`need_int` are the checks public
 constructors share; each raises :class:`ConfigurationError` naming the
-field.
+field.  ``need_real`` and ``need_int`` both refuse ``bool`` by name: it is
+an ``int`` to Python, but ``True`` is never one PE, seed 1 or a
+one-second interval.  (``type(value) is bool``, not ``isinstance``:
+``bool`` cannot be subclassed, and the test adds no function call to the
+paths the performance ledger counts.)
 """
 
 from __future__ import annotations
@@ -54,7 +58,8 @@ def need_real(what: str, value, low: float = 0.0, *, strict: bool = True) -> Non
     comparison, so ``if value <= 0: raise`` lets it through — and a NaN
     rate, mean or interval reaches the run as a NaN virtual time.
     """
-    if not (isinstance(value, Real) and math.isfinite(value)
+    if type(value) is bool or not (
+            isinstance(value, Real) and math.isfinite(value)
             and (value > low if strict else value >= low)):
         raise ConfigurationError(
             f"{what} must be a finite real number "
@@ -63,15 +68,7 @@ def need_real(what: str, value, low: float = 0.0, *, strict: bool = True) -> Non
 
 
 def need_interval(what: str, value) -> float:
-    """``value`` as a virtual-time interval: a finite real >= 0, as a float.
-
-    ``bool`` is refused by name although it is an ``int``: ``True`` would
-    otherwise become a one-second interval.
-    """
-    if isinstance(value, bool):
-        raise ConfigurationError(
-            f"{what} must be a finite real number >= 0, not a bool: {value!r}"
-        )
+    """``value`` as a virtual-time interval: a finite real >= 0, as a float."""
     need_real(what, value, strict=False)
     return float(value)
 
@@ -82,6 +79,8 @@ def need_int(what: str, value, low: Optional[int] = 0) -> int:
     ``operator.index``, not ``int()``: 2.5 must not truncate and "4" must
     not parse.
     """
+    if type(value) is bool:
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
     try:
         value = operator.index(value)
     except TypeError:

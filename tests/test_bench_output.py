@@ -35,7 +35,7 @@ def test_engine_advance_to_never_goes_backward():
     from repro.sim.engine import Engine
 
     eng = Engine()
-    eng.schedule(1.0, lambda: None)
+    eng.schedule_call(1.0, lambda _: None, None)
     eng.run()
     eng.advance_to(0.5)
     assert eng.now == 1.0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Chare, Kernel, entry, make_machine
+from repro import Chare, Kernel, entry
 from repro.util.errors import (
     ConfigurationError,
     RoutingError,
@@ -87,27 +87,6 @@ def test_unmarked_entry_rejected_when_strict(ideal4):
         Kernel(ideal4).run(BadMain)
 
 
-def test_unmarked_entry_allowed_when_lenient():
-    class Child(Chare):
-        def __init__(self, main):
-            self.main = main
-
-        def not_an_entry(self):
-            self.send(self.main, "done")
-
-    class Main(Chare):
-        def __init__(self):
-            h = self.create(Child, self.thishandle, pe=0)
-            self.send(h, "not_an_entry")
-
-        def done(self):
-            self.exit(True)
-
-    machine = make_machine("ideal", 2)
-    result = Kernel(machine, strict_entries=False).run(Main)
-    assert result.result is True
-
-
 def test_api_outside_execution_raises(ideal4):
     kernel = Kernel(ideal4)
     with pytest.raises(SchedulingError):
@@ -186,19 +165,13 @@ def test_max_events_truncates(ideal4):
     assert result.result is None
 
 
-def test_until_horizon_truncates(ipsc8):
-    class Forever(Chare):
-        def __init__(self):
-            self.send(self.thishandle, "again")
-
-        @entry
-        def again(self):
-            self.charge(1000)
-            self.send(self.thishandle, "again")
-
-    result = Kernel(ipsc8).run(Forever, until=0.01)
-    assert result.truncated
-    assert result.time >= 0.01
+@pytest.mark.parametrize("bad", [2.5, "10", 0, -5, True])
+def test_max_events_is_checked_at_the_call(ideal4, bad):
+    kernel = Kernel(ideal4)
+    with pytest.raises(ConfigurationError, match="max_events"):
+        kernel.run(Nop, max_events=bad)
+    assert kernel.engine.pending == 0
+    assert kernel.run(Nop, max_events=None).result == "done"
 
 
 def test_identity_properties(ideal4):

@@ -1,5 +1,6 @@
 """Miscellaneous kernel edge cases and cross-cutting behaviors."""
 
+import numpy as np
 import pytest
 
 from repro import Chare, Kernel, entry, make_machine
@@ -236,6 +237,56 @@ def test_nearest_valid_queueing_and_seed_still_run(ipsc8):
     assert plain.time == numpy.time == 0.0019141999999999998
 
 
+def _fib_key(*args, **kwargs):
+    from repro.bench.harness import describe
+
+    return describe("fib", "ipsc2", *args, **kwargs).key("fp")
+
+
+def _kernel(**kwargs):
+    return Kernel(make_machine("ideal", 4), **kwargs)
+
+
+def _poisson(rate, count):
+    from repro.workloads.arrivals import Poisson, arrival_times
+
+    return arrival_times(Poisson(rate=rate, count=count), 0)
+
+
+def _jobs(jobs):
+    from repro.bench.parallel import SweepExecutor
+
+    return SweepExecutor(jobs=jobs).jobs
+
+
+@pytest.mark.parametrize("bad, field, good, plain", [
+    # Each bool passed as 1 or 0: describe() shared the cache key of
+    # num_pes=1 / seed=1, the executor ran serially, the kernel seeded 0,
+    # QD waited one virtual second per wave, lazy flushes fired at once,
+    # and Poisson arrivals came at rate 1.
+    (lambda: _fib_key(True), "num_pes",
+     lambda: _fib_key(np.int64(1)), lambda: _fib_key(1)),
+    (lambda: _fib_key(4, seed=True), "seed",
+     lambda: _fib_key(4, seed=np.int64(1)), lambda: _fib_key(4, seed=1)),
+    (lambda: _jobs(True), "jobs", lambda: _jobs(np.int64(1)), lambda: 1),
+    (lambda: _kernel(seed=False), "seed",
+     lambda: _kernel(seed=np.int64(0)).seed, lambda: 0),
+    (lambda: _kernel(qd_interval=True), "qd_interval",
+     lambda: _kernel(qd_interval=np.float64(1.0)).qd_interval, lambda: 1.0),
+    (lambda: _kernel(lazy_interval=False), "lazy_interval",
+     lambda: _kernel(lazy_interval=np.int64(0)).lazy_interval, lambda: 0),
+    (lambda: _poisson(True, 3), "rate",
+     lambda: _poisson(np.float64(1.0), np.int64(3)), lambda: _poisson(1.0, 3)),
+], ids=["describe-pes", "describe-seed", "jobs", "kernel-seed",
+        "qd-interval", "lazy-interval", "poisson-rate"])
+def test_bool_is_refused_by_name(bad, field, good, plain):
+    from repro.util.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match=field):
+        bad()
+    assert good() == plain()
+
+
 def test_kernel_constructor_keywords_are_pinned():
     """The next knob is a visible diff here."""
     import inspect
@@ -243,8 +294,7 @@ def test_kernel_constructor_keywords_are_pinned():
     assert [p.name for p in inspect.signature(Kernel).parameters.values()
             if p.kind is p.KEYWORD_ONLY] == [
         "queueing", "balancer", "seed", "qd_interval", "lazy_interval",
-        "strict_entries", "spanning_tree", "faults",
-        "trace_events", "telemetry",
+        "spanning_tree", "faults", "trace_events", "telemetry",
     ]
     assert list(inspect.signature(PEPlane).parameters) == [
         "num_pes", "strategy_name", "gated"]

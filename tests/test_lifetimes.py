@@ -250,14 +250,6 @@ def test_entryless_node_chares_retire_at_constructor_return():
     assert len(kernel.destroyed) == seeds - 1
 
 
-def test_strict_entries_off_retires_nothing():
-    _, result = run_nqueens(make_machine("ncube2", 8), n=6, grainsize=2,
-                            strict_entries=False)
-    seeds = sum(pe.seeds_executed for pe in result.stats.pe_rows)
-    assert len(result.kernel.chares) == seeds
-    assert not result.kernel.destroyed
-
-
 class Leaf(Chare):
     """No entry method: all its work is its constructor."""
 
@@ -376,8 +368,8 @@ class ExitsUnderDetection(Chare):
 
 @pytest.mark.parametrize("faults", [None, FaultConfig(drop_prob=0.05)])
 def test_closed_kernel_dies_by_reference_count(faults):
-    """Pending timer events point back at the engine and a fault layer's
-    callbacks at itself; close() has to undo both."""
+    """Pending timer events hold bound callbacks and a fault layer's
+    callbacks point at itself; close() has to undo both."""
     with collector_disabled():
         kernel = Kernel(make_machine("ipsc2", 4), faults=faults)
         result = kernel.run(ExitsUnderDetection)

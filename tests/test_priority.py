@@ -142,6 +142,7 @@ def test_bits_equal_to_zero_or_one_accepted(bits, expected):
     (1.5, 4, "index"),     # a bare TypeError
     (1, 4.0, "fanout"),    # a bare AttributeError
     ("1", 4, "index"),
+    (0, True, "fanout"),   # passed as fanout 1
 ])
 def test_child_rejects_non_integral_index_and_fanout(index, fanout, field):
     with pytest.raises(ConfigurationError, match=field):
@@ -152,7 +153,7 @@ def test_child_nearest_valid_inputs_keep_parent_answers():
     root = BitVectorPriority((1,))
     assert repr(root.child(1, 4)) == "BitVectorPriority(101)"
     assert repr(root.child(3, 5)) == "BitVectorPriority(1011)"
-    assert repr(root.child(np.int64(0), True)) == "BitVectorPriority(10)"
+    assert repr(root.child(np.int64(0), np.int8(1))) == "BitVectorPriority(10)"
 
 
 @pytest.mark.parametrize("bad", [float("nan"), -float("nan"), np.float64("nan")])

@@ -272,7 +272,7 @@ def test_boundary_serving_inputs_still_run():
                              Poisson(rate=9000.0, count=40), shed_above=0)
     assert summary["shed"] > 0 and summary["completed"] + summary["shed"] == 40
     summary, _ = run_serving(make_machine("ncube2", 4),
-                             Poisson(rate=2000.0, count=True), hops=True,
+                             Poisson(rate=2000.0, count=1), hops=1,
                              shed_above=2.5)
     assert summary["offered"] == 1
 
