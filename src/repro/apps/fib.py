@@ -36,7 +36,11 @@ def fib_seq(n: int) -> Tuple[int, int]:
 
 
 class FibNode(Chare):
-    """Computes fib(n); replies to its parent's ``result`` entry."""
+    """Computes fib(n); replies to its parent's ``result`` entry.
+
+    A node destroys itself once it has replied (the 1991 ``ChareExit``
+    idiom), so a run holds only the nodes still waiting on children.
+    """
 
     def __init__(self, n, parent):
         self.parent = parent
@@ -47,6 +51,7 @@ class FibNode(Chare):
             value, calls = fib_seq(n)
             self.charge(CALL_WORK * max(0, calls - 1))
             self.send(parent, "result", value)
+            self.destroy()
             return
         self.create(FibNode, n - 1, self.thishandle)
         self.create(FibNode, n - 2, self.thishandle)
@@ -61,6 +66,7 @@ class FibNode(Chare):
         self.pending -= 1
         if self.pending == 0:
             self.send(self.parent, "result", self.total)
+            self.destroy()
 
 
 class FibMain(Chare):

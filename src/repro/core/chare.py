@@ -202,9 +202,11 @@ class Chare:
         """Destroy a chare — by default, this one (``delete this``).
 
         Destruction is immediate and local (the target must live on the
-        calling PE); a message that later reaches the destroyed chare is a
-        program error (:class:`~repro.util.errors.RoutingError`), matching
-        the paper's destructor semantics.
+        calling PE), and the kernel forgets the chare; a later send to it
+        raises at the send call, and a message already in flight raises
+        when it reaches the dead chare's PE
+        (:class:`~repro.util.errors.RoutingError`), matching the paper's
+        destructor semantics.
         """
         self._kernel.api_destroy(target if target is not None else self._handle)
 

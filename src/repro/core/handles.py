@@ -8,7 +8,9 @@ placement may happen after the handle is minted — the kernel buffers sends
 to not-yet-placed handles).
 
 Handles are small immutable values; their wire size is fixed so the network
-cost model charges them like the packed ids a compiler would emit.
+cost model charges them like the packed ids a compiler would emit.  They
+are ``slots=True``: one object per handle, no per-instance ``__dict__``
+(every queued seed carries its own handle).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ __all__ = ["ChareHandle", "BocHandle", "mint_chare_handle"]
 _HANDLE_WIRE_BYTES = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChareHandle:
     """Reference to a single chare instance (globally unique ``gid``)."""
 
@@ -56,7 +58,7 @@ def mint_chare_handle(gid: int) -> ChareHandle:
     return handle
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BocHandle:
     """Reference to a branch-office chare (one branch on every PE)."""
 

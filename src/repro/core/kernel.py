@@ -51,7 +51,7 @@ from repro.util.errors import (
     need_int,
     need_real,
 )
-from repro.util.priority import PriorityLike, normalize_priority
+from repro.util.priority import PriorityLike, check_priority
 from repro.util.rng import RngStream
 
 __all__ = ["Kernel", "RunResult", "ExecContext"]
@@ -65,6 +65,9 @@ _APP = Kind.APP
 _SEED = Kind.SEED
 _BOC = Kind.BOC
 _SVC = Kind.SVC
+
+# placement.get default: a gid with no entry (never allocated, or dead).
+_MISSING = object()
 
 
 class ExecContext:
@@ -258,17 +261,18 @@ class Kernel:
         # programs end such chares with ChareExit).
         self._retires: Dict[type, bool] = {}
         # Object tables -----------------------------------------------------
+        # Both hold live chares only (O(live), not O(ever created)): a gid
+        # in placement but not in chares is a seed not yet built (its PE is
+        # None until the balancer settles); a gid below _next_gid in
+        # neither was retired or destroyed (see _no_chare).
         self.chares: Dict[int, Chare] = {}
-        self.destroyed: set = set()
         self.placement: Dict[int, Optional[int]] = {}
         self._next_gid = 0
-        # gid -> [(src_pe, entry, args, priority, prio_key, trace_parent)]
-        # buffered sends; trace_parent is the sending execution's event id
-        # (None when tracing is off), restored around the flush in _place.
+        # gid -> [(src_pe, entry, args, priority, trace_parent)] buffered
+        # sends; trace_parent is the sending execution's event id (None
+        # when tracing is off), restored around the flush in _place.
         self._pending_sends: Dict[
-            int,
-            List[Tuple[int, str, tuple, PriorityLike, Optional[tuple],
-                       Optional[int]]],
+            int, List[Tuple[int, str, tuple, PriorityLike, Optional[int]]],
         ] = {}
         self._premature: Dict[int, List[Envelope]] = {}
 
@@ -314,6 +318,8 @@ class Kernel:
         self._note_cross = (
             self._note_load_is_base and balancer_cls.uses_known_table
         )
+        # Envelope.carried_load has no other reader: stamp it only then.
+        self._carry_load = self._note_always or self._note_cross
 
         # Run state ------------------------------------------------------------
         self._current: Optional[ExecContext] = None
@@ -493,24 +499,30 @@ class Kernel:
         """Hand an envelope to the network; schedule its arrival."""
         src_pe = env.src_pe
         src = self.pes[src_pe]
-        # PEState.load, inlined (the property descriptor costs a Python call
-        # per message).
-        env.carried_load = src._app_queued + 1 if src.busy else src._app_queued
+        if self._carry_load:
+            # PEState.load, inlined (the property descriptor costs a Python
+            # call per message).
+            env.carried_load = (src._app_queued + 1 if src.busy
+                                else src._app_queued)
         src.msgs_sent += 1
         nbytes = env._size
         if nbytes is None:      # dataclass-built (cold path): size lazily
             nbytes = env.nbytes
         src.bytes_sent += nbytes
-        if env.uid is None:
-            env.uid = self._next_uid
-            self._next_uid += 1
         events = self._events
-        if events is not None:
-            events.msg_send(departure, env)
+        faults = self._faults
+        if events is not None or faults is not None:
+            # uids key the recorders' causal chains and the fault layer's
+            # ack/retry/dedup tables; an unobserved, fault-free run has no
+            # reader and stamps none.
+            if env.uid is None:
+                env.uid = self._next_uid
+                self._next_uid += 1
+            if events is not None:
+                events.msg_send(departure, env)
         if env.counted and not env.suppress_sent_count:
             src.counted_sent += 1
         dst_pe = env.dst_pe
-        faults = self._faults
         if src_pe == dst_pe:
             # Local fast path: zero hops and a fixed enqueue latency — skip
             # the topology/hop accounting and the contention machinery
@@ -594,7 +606,7 @@ class Kernel:
         pending = self._pending_sends.pop(gid, None)
         if pending:
             events = self._events
-            for src_pe, entry_name, args, priority, prio_key, parent in pending:
+            for src_pe, entry_name, args, priority, parent in pending:
                 out = Envelope(
                     kind=Kind.APP,
                     src_pe=src_pe,
@@ -603,7 +615,6 @@ class Kernel:
                     args=args,
                     handle=ChareHandle(gid),
                     priority=priority,
-                    prio_key=prio_key,
                 )
                 if events is None:
                     self._deliver(out, self.now)
@@ -638,10 +649,8 @@ class Kernel:
                 gid = env.handle.gid
                 if gid in self.chares:
                     return env
-                if gid in self.destroyed:
-                    raise RoutingError(
-                        f"message {env.entry!r} to destroyed chare {env.handle}"
-                    )
+                if gid not in self.placement:
+                    raise self._no_chare(f"message {env.entry!r}", env.handle)
                 # Arrived before its target was constructed; hold until then.
                 self._premature.setdefault(gid, []).append(env)
                 continue
@@ -716,7 +725,7 @@ class Kernel:
                     retires = self._retires[cls] = not declares_entry(cls)
                 if retires and gid in chares:   # not already destroy()ed
                     del chares[gid]
-                    self.destroyed.add(gid)
+                    del placement[gid]
                 if self._premature:
                     # Anything that raced ahead of construction is now
                     # runnable (transit already paid).
@@ -858,24 +867,22 @@ class Kernel:
             raise SchedulingError(
                 "chare API used outside an entry-method execution"
             )
-        dst = self.placement.get(target.gid, "missing")
-        if dst == "missing":
-            raise RoutingError(f"send to unknown handle {target}")
-        # Normalize once at send time; every downstream enqueue (arrival,
-        # requeue, forwarding leg, fault retransmission) reuses the key.
-        key = None if priority is None else normalize_priority(priority)
+        dst = self.placement.get(target.gid, _MISSING)
+        if dst is _MISSING:
+            raise self._no_chare("send", target)
+        check_priority(priority)
         if dst is None:
             # Seed still being balanced: buffer; flushed (and counted) at
             # placement time.  Quiescence stays safe meanwhile because the
             # seed itself is in flight (sent > processed).
             events = self._events
             self._pending_sends.setdefault(target.gid, []).append(
-                (ctx.pe, entry_name, args, priority, key,
+                (ctx.pe, entry_name, args, priority,
                  None if events is None else events.ctx)
             )
             return
         env = Envelope.make_app(ctx.pe, dst, entry_name, args, target,
-                                priority, key)
+                                priority)
         ctx.outbox.append((ctx.charged, env))
 
     def api_send_at(
@@ -904,17 +911,17 @@ class Kernel:
             raise SchedulingError(
                 "chare API used outside an entry-method execution"
             )
-        dst = self.placement.get(target.gid, "missing")
-        if dst == "missing":
-            raise RoutingError(f"timed send to unknown handle {target}")
+        dst = self.placement.get(target.gid, _MISSING)
+        if dst is _MISSING:
+            raise self._no_chare("timed send", target)
         if dst is None:
             raise RoutingError(
                 f"timed send to {target} before placement; send_at targets "
                 "must already be placed (self, main, or a fixed-PE chare)"
             )
-        key = None if priority is None else normalize_priority(priority)
+        check_priority(priority)
         env = Envelope.make_app(ctx.pe, dst, entry_name, args, target,
-                                priority, key)
+                                priority)
         now = self.engine._now
         self._deliver(env, when if when > now else now)
 
@@ -943,14 +950,13 @@ class Kernel:
         handle = mint_chare_handle(gid)
         src = ctx.pe
         self.pes[src].seeds_created += 1
-        key = None if priority is None else normalize_priority(priority)
+        check_priority(priority)
         if pe is not None:
             if not 0 <= pe < self.num_pes:
                 raise RoutingError(f"create on invalid PE {pe}")
             self.placement[gid] = pe
             env = Envelope.make_seed(src, pe, args, handle, chare_cls,
-                                     fixed=True, priority=priority,
-                                     prio_key=key)
+                                     fixed=True, priority=priority)
         else:
             self.placement[gid] = None
             target = self.balancer.on_new_seed(src, chare_cls)
@@ -962,7 +968,7 @@ class Kernel:
                     info={"to": target, "chare": chare_cls.__name__},
                 )
             env = Envelope.make_seed(src, target, args, handle, chare_cls,
-                                     priority=priority, prio_key=key)
+                                     priority=priority)
         ctx.outbox.append((ctx.charged, env))
         return handle
 
@@ -970,8 +976,9 @@ class Kernel:
         """Destroy a chare (it must live on the calling PE).
 
         Mirrors C++ ``delete this`` / deleting a co-located object in the
-        paper's model: destruction is immediate and local; any message that
-        subsequently reaches the dead chare is a program error.
+        paper's model: destruction is immediate and local, and the kernel
+        keeps nothing of the chare; any later send to it, or message that
+        reaches it, is a program error (:meth:`_no_chare`).
         """
         ctx = self.current
         gid = handle.gid
@@ -984,7 +991,7 @@ class Kernel:
                 f"not PE {ctx.pe}"
             )
         del self.chares[gid]
-        self.destroyed.add(gid)
+        del self.placement[gid]
 
     def api_exit(self, result: Any) -> None:
         # The run ends when the *exiting execution* completes, so the final
@@ -1044,6 +1051,7 @@ class Kernel:
                 f"{len(span)} touched ranks and PE {pe} is not one "
                 "(sparse BOCs cover the ranks active at creation)"
             )
+        check_priority(priority)
         env = Envelope(
             kind=Kind.BOC,
             src_pe=ctx.pe,
@@ -1052,7 +1060,6 @@ class Kernel:
             args=args,
             boc=boc,
             priority=priority,
-            prio_key=None if priority is None else normalize_priority(priority),
         )
         ctx.outbox.append((ctx.charged, env))
 
@@ -1187,23 +1194,20 @@ class Kernel:
                 (boc_id, st["entry"], (tag, st["value"])), counted=True,
             )
             return True
-        env = Envelope(
-            kind=Kind.APP,
-            src_pe=pe,
-            dst_pe=self._require_placed(st["target"]),
-            entry=st["entry"],
-            args=(tag, st["value"]),
-            handle=st["target"],
-        )
-        ctx = self.current
-        ctx.outbox.append((ctx.charged, env))
+        self.send_app_from_service(pe, st["target"], st["entry"],
+                                   (tag, st["value"]))
         return True
 
-    def _require_placed(self, handle: ChareHandle) -> int:
-        dst = self.placement.get(handle.gid)
-        if dst is None:
-            raise RoutingError(f"reduction target {handle} not placed yet")
-        return dst
+    def _no_chare(self, what: str, handle: ChareHandle) -> RoutingError:
+        """The error for ``what`` addressed to a gid with no placement.
+
+        The kernel keeps no record of dead chares: a gid it has allocated
+        (``0 <= gid < _next_gid``) but no longer places was retired or
+        destroyed; any other gid was never allocated by this kernel.
+        """
+        if 0 <= handle.gid < self._next_gid:
+            return RoutingError(f"{what} to destroyed chare {handle}")
+        return RoutingError(f"{what} to unknown handle {handle}")
 
     # ------------------------------------------------------------- service send
     def svc_send(
@@ -1327,12 +1331,19 @@ class Kernel:
         entry_name: str,
         args: tuple,
     ) -> None:
-        """Service helper: deliver an application message to a chare handle."""
-        dst = self.placement.get(target.gid)
+        """Service helper: deliver an application message to a chare handle.
+
+        A table reply, the quiescence callback or a reduction result:
+        buffered only while its target is a seed still in flight; an
+        unknown or dead target raises, naming the handle.
+        """
+        dst = self.placement.get(target.gid, _MISSING)
+        if dst is _MISSING:
+            raise self._no_chare(f"service reply {entry_name!r}", target)
         if dst is None:
             events = self._events
             self._pending_sends.setdefault(target.gid, []).append(
-                (src_pe, entry_name, args, None, None,
+                (src_pe, entry_name, args, None,
                  None if events is None else events.ctx)
             )
             return

@@ -20,7 +20,8 @@ is ``slots=True``, the factories size the payload when the envelope is
 built (a payload is marshalled when it is sent; mutating it afterwards
 does not change what the network is charged), and ``uid`` is *not* drawn
 from a module-global counter at construction — the owning kernel assigns
-uids at first delivery from its own sequence, so uid values are
+uids at first delivery from its own sequence (and only when a recorder,
+telemetry or a fault layer will read them), so uid values are
 reproducible run-to-run and unaffected by other kernels in the same
 process.
 """
@@ -68,12 +69,9 @@ class Envelope:
     boc: Optional[BocHandle] = None
     # SVC: which runtime service ("qd", "share", "lb").
     service: Optional[str] = None
+    # Raw user priority; a prioritized pool normalizes it when it is pushed
+    # (FIFO/LIFO pools never look at it).
     priority: PriorityLike = None
-    # Normalized sort key of ``priority``, computed once by the kernel when
-    # the envelope is built (None for unprioritized messages).  Requeues,
-    # load-balancer forwarding legs, and fault-retry retransmissions all
-    # reuse it instead of re-normalizing per hop.
-    prio_key: Optional[Tuple] = field(default=None, repr=False)
     system: bool = False
     counted: bool = True
     # SEED with fixed placement (explicit pe=) — balancer hooks are skipped.
@@ -82,14 +80,16 @@ class Envelope:
     # send exactly once (at creation), however many hops it takes.
     suppress_sent_count: bool = False
     # Piggybacked sender load (application-lane queue length at send time);
-    # receivers feed this to the load balancer's neighbor-load table.
+    # receivers feed this to the load balancer's neighbor-load table.  Set
+    # only when the balancer reads it (0 otherwise).
     carried_load: int = 0
-    # Assigned by the owning kernel at first delivery; None until then.
+    # Assigned by the owning kernel at first delivery when an observer or a
+    # fault layer is attached (the only readers); None otherwise.
     uid: Optional[int] = None
     _size: Optional[int] = field(default=None, repr=False)
 
     # Envelopes are the most-allocated object in the simulator, and the
-    # generated dataclass __init__ (17 parameters, kwargs at every call
+    # generated dataclass __init__ (18 parameters, kwargs at every call
     # site) costs ~3x a bare allocation plus direct slot stores.  The
     # kind-specialized factories below and ``forwarded`` (balancers that
     # override ``on_seed_arrival`` forward a fifth of a serving run's
@@ -100,7 +100,7 @@ class Envelope:
     # so the flush sites read the slot without a property frame.
     @classmethod
     def make_app(cls, src_pe, dst_pe, entry, args, handle,
-                 priority=None, prio_key=None) -> "Envelope":
+                 priority=None) -> "Envelope":
         env = cls.__new__(cls)
         env.kind = Kind.APP
         env.src_pe = src_pe
@@ -113,7 +113,6 @@ class Envelope:
         env.boc = None
         env.service = None
         env.priority = priority
-        env.prio_key = prio_key
         env.system = False
         env.counted = True
         env.fixed = False
@@ -125,7 +124,7 @@ class Envelope:
 
     @classmethod
     def make_seed(cls, src_pe, dst_pe, args, handle, chare_cls,
-                  fixed=False, priority=None, prio_key=None) -> "Envelope":
+                  fixed=False, priority=None) -> "Envelope":
         env = cls.__new__(cls)
         env.kind = Kind.SEED
         env.src_pe = src_pe
@@ -138,7 +137,6 @@ class Envelope:
         env.boc = None
         env.service = None
         env.priority = priority
-        env.prio_key = prio_key
         env.system = False
         env.counted = True
         env.fixed = fixed
@@ -164,7 +162,6 @@ class Envelope:
         env.boc = None
         env.service = service
         env.priority = None
-        env.prio_key = None
         env.system = True
         env.counted = counted
         env.fixed = False
@@ -202,7 +199,6 @@ class Envelope:
         env.boc = self.boc
         env.service = self.service
         env.priority = self.priority
-        env.prio_key = self.prio_key
         env.system = self.system
         env.counted = self.counted
         env.fixed = self.fixed

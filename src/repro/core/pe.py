@@ -153,16 +153,12 @@ class PEState:
 
     # ------------------------------------------------------------------ queues
     def enqueue(self, env: Envelope) -> None:
-        """Queue an arrived envelope in the right lane.
-
-        ``env.prio_key`` (normalized once at send time by the kernel) rides
-        along so prioritized strategies never re-normalize per hop.
-        """
+        """Queue an arrived envelope in the right lane."""
         kind = env.kind
         if kind == _SEED:
             q = self._seed_fifo
             if q is None:
-                self.seed_pool.push(env, env.priority, env.prio_key)
+                self.seed_pool.push(env, env.priority)
             else:
                 q.append(env)
             self._app_queued += 1
@@ -171,7 +167,7 @@ class PEState:
         else:
             q = self._app_fifo
             if q is None:
-                self._app.push(env, env.priority, env.prio_key)
+                self._app.push(env, env.priority)
             else:
                 q.append(env)
             self._app_len += 1
@@ -216,7 +212,7 @@ class PEState:
 
     def requeue_seed(self, env: Envelope) -> None:
         """Put a stolen-but-unmigratable seed back (keeps counters true)."""
-        self.seed_pool.push(env, env.priority, env.prio_key)
+        self.seed_pool.push(env, env.priority)
         self._queued += 1
         self._app_queued += 1
 

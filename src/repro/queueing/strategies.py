@@ -9,11 +9,11 @@ application messages and its seeds each go to a pluggable
 
 Strategies see opaque items plus an optional priority; they never inspect
 message contents.  The three prioritized strategies are one stable binary
-heap of ``(key, seq, item)``: they accept a pre-normalized ``key`` (the
-kernel computes it once per envelope at send time — see
-``Envelope.prio_key``) and fall back to :func:`normalize_priority`
-otherwise, so integer, bitvector and absent priorities coexist in one
-total order, with ties broken by arrival (``priolifo``: newest first).
+heap of ``(key, seq, item)``: each push normalizes its priority with
+:func:`normalize_priority` (one normalization per push; FIFO and LIFO
+pools never pay one), so integer, bitvector and absent priorities coexist
+in one total order, with ties broken by arrival (``priolifo``: newest
+first).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Any, Dict, Optional, Type
+from typing import Any, Dict, Type
 
 from repro.util.errors import ConfigurationError, SchedulingError
 from repro.util.priority import PriorityLike, normalize_priority
@@ -52,9 +52,8 @@ class QueueStrategy(ABC):
     __slots__ = ()
 
     @abstractmethod
-    def push(self, item: Any, priority: PriorityLike = None,
-             key: Optional[tuple] = None) -> None:
-        """Insert an item; ``key`` is an optional pre-normalized sort key."""
+    def push(self, item: Any, priority: PriorityLike = None) -> None:
+        """Insert an item with its (raw, user-facing) priority."""
 
     @abstractmethod
     def pop(self) -> Any:
@@ -77,8 +76,7 @@ class FifoStrategy(QueueStrategy):
     def __init__(self) -> None:
         self._q: deque = deque()
 
-    def push(self, item: Any, priority: PriorityLike = None,
-             key: Optional[tuple] = None) -> None:
+    def push(self, item: Any, priority: PriorityLike = None) -> None:
         self._q.append(item)
 
     def pop(self) -> Any:
@@ -102,8 +100,7 @@ class LifoStrategy(QueueStrategy):
     def __init__(self) -> None:
         self._q: list = []
 
-    def push(self, item: Any, priority: PriorityLike = None,
-             key: Optional[tuple] = None) -> None:
+    def push(self, item: Any, priority: PriorityLike = None) -> None:
         self._q.append(item)
 
     def pop(self) -> Any:
@@ -122,8 +119,7 @@ class _PriorityHeap(QueueStrategy):
     """Stable binary heap of ``(key, seq, item)`` — every prioritized pool.
 
     ``seq`` steps by ``_step`` per push, so equal keys pop in arrival order
-    (``+1``) or newest first (``-1``).  A push without a pre-normalized
-    ``key`` normalizes ``priority`` itself.
+    (``+1``) or newest first (``-1``).
     """
 
     _step = 1
@@ -133,10 +129,8 @@ class _PriorityHeap(QueueStrategy):
         self._heap: list = []
         self._seq = 0
 
-    def push(self, item: Any, priority: PriorityLike = None,
-             key: Optional[tuple] = None) -> None:
-        if key is None:
-            key = normalize_priority(priority)
+    def push(self, item: Any, priority: PriorityLike = None) -> None:
+        key = normalize_priority(priority)
         seq = self._seq = self._seq + self._step
         heapq.heappush(self._heap, (key, seq, item))
 

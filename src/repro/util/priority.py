@@ -28,7 +28,8 @@ from typing import Iterable, Sequence, Union
 
 from repro.util.errors import ConfigurationError, need_int
 
-__all__ = ["BitVectorPriority", "normalize_priority", "PriorityLike"]
+__all__ = ["BitVectorPriority", "check_priority", "normalize_priority",
+           "PriorityLike"]
 
 
 def _bit(b) -> int:
@@ -130,3 +131,11 @@ def normalize_priority(priority: PriorityLike) -> tuple:
     if isinstance(priority, (tuple, list)):
         return normalize_priority(BitVectorPriority(priority))
     raise ConfigurationError(f"unsupported priority type: {type(priority).__name__}")
+
+
+def check_priority(priority: PriorityLike) -> None:
+    """Raise at a send or create what a prioritized pool would raise when
+    it pushes the message, many events later (NaN, non-binary bits,
+    unsupported types).  ``None`` and a plain ``int`` need no check."""
+    if priority is not None and type(priority) is not int:
+        normalize_priority(priority)

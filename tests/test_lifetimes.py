@@ -17,6 +17,8 @@ freed, i.e. a reference cycle a finished run left behind.
 import gc
 import io
 import pickle
+import re
+import tracemalloc
 import weakref
 from contextlib import contextmanager
 from dataclasses import fields, replace
@@ -25,6 +27,7 @@ import pytest
 
 import repro.bench.harness as harness
 from repro import Chare, Kernel, entry, make_machine
+from repro.apps.fib import FibNode, run_fib
 from repro.apps.knapsack import KnapsackInstance, KnapsackNode, knapsack_seq
 from repro.apps.nqueens import run_nqueens
 from repro.apps.serving import run_serving
@@ -33,6 +36,7 @@ from repro.bench.cache import ResultCache
 from repro.bench.experiments import run_experiment
 from repro.bench.harness import describe, execute_descriptor
 from repro.bench.parallel import SweepExecutor, use_executor
+from repro.core.handles import ChareHandle
 from repro.faults import FaultConfig
 from repro.metrics.latency import LatencyFold
 from repro.trace import PERow
@@ -246,8 +250,12 @@ def test_entryless_node_chares_retire_at_constructor_return():
     kernel = result.kernel
     seeds = sum(pe.seeds_executed for pe in result.stats.pe_rows)
     assert seeds > 100
-    assert list(kernel.chares) == [kernel.main_handle.gid]
-    assert len(kernel.destroyed) == seeds - 1
+    main = kernel.main_handle.gid
+    assert list(kernel.chares) == [main]
+    dead = [gid for gid in range(kernel._next_gid) if gid != main]
+    assert len(dead) == seeds - 1
+    assert all(gid not in kernel.placement and gid not in kernel.chares
+               for gid in dead)
 
 
 class Leaf(Chare):
@@ -310,14 +318,14 @@ def test_class_with_an_entry_is_kept(ideal4):
     result = Kernel(ideal4).run(Spawner, Listener, True)
     (gid,) = result.result
     assert gid in result.kernel.chares
-    assert gid not in result.kernel.destroyed
+    assert gid in result.kernel.placement
 
 
 def test_self_destroying_entryless_chare_is_not_destroyed_twice(ideal4):
     result = Kernel(ideal4).run(Spawner, SelfDestructing, False)
     (gid,) = result.result
+    assert gid not in result.kernel.placement
     assert gid not in result.kernel.chares
-    assert gid in result.kernel.destroyed
 
 
 def test_duplicated_seed_of_a_retired_chare_runs_once():
@@ -330,7 +338,177 @@ def test_duplicated_seed_of_a_retired_chare_runs_once():
     assert kernel.faults.dups_suppressed > 0
     assert kernel.faults.retries > 0
     assert list(kernel.chares) == [kernel.main_handle.gid]
-    assert set(result.result) == kernel.destroyed
+    assert all(gid not in kernel.placement and gid not in kernel.chares
+               for gid in result.result)
+    assert list(kernel.placement) == list(kernel.chares)
+
+
+def test_kernel_state_is_o_live_after_57k_destroyed_fib_nodes():
+    """A finished FibNode destroys itself (ChareExit): fib(22) at grain 2
+    creates 57,313 nodes and ends holding the main chare alone.  While
+    FibNode kept itself alive the run ended holding all 57,314 chares,
+    with a 20.7 MB traced peak (12.5 MB now; fib(20) below pins the
+    kept-to-destroyed ratio)."""
+    ans, result = run_fib(make_machine("ncube2", 64), n=22, threshold=2)
+    kernel = result.kernel
+    assert ans == 17711 and kernel._next_gid == 57_314
+    assert list(kernel.chares) == [kernel.main_handle.gid]
+    assert len(kernel.placement) == len(kernel.chares)
+
+
+def _traced_peak_mb(fn):
+    fn()                        # warm per-instance caches and code paths
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_fib_peak_memory_holds_the_waiting_nodes_only(monkeypatch):
+    """fib(20), grain 2 (21,891 nodes), both ways in one process so the
+    bound does not depend on the interpreter's object layouts: on CPython
+    3.11, 8.0 MB traced peak with every node kept and 4.5 MB (0.56 of it)
+    with every replied node destroyed."""
+    def fib20():
+        return run_fib(make_machine("ncube2", 64), n=20, threshold=2)
+
+    destroyed = _traced_peak_mb(fib20)
+    monkeypatch.setattr(FibNode, "destroy", lambda self: None)
+    kept = _traced_peak_mb(fib20)
+    assert len(fib20()[1].kernel.chares) == 1 + 21_891     # main + nodes
+    assert destroyed < 0.7 * kept
+
+
+def test_fifo_tsp_peak_memory_ceiling():
+    """A queued seed carries only what its run reads, and a retired chare
+    leaves no entry behind.  Quick A2-shaped run (TSP(9), FIFO, lazy
+    bound, ipsc2 P=8, 3,059 retired nodes): 1.20 MB traced peak while
+    seeds carried a priority key, a uid and a piggybacked load and the
+    kernel kept two ints per retired chare; 0.76 MB now (both on CPython
+    3.11).  The ceiling leaves room for other versions' object layouts;
+    those touch mostly the few live chares' instance dicts, since queued
+    seeds, handles and the placement map hold no instance dict."""
+    desc = describe("tsp", "ipsc2", 8, queueing="fifo", propagation="lazy",
+                    n=9, instance_seed=0, grain=2, bound_slack=1.6,
+                    lazy_interval=0.05e-3)
+    peak = _traced_peak_mb(lambda: harness.run_descriptor(desc))
+    assert peak < 0.9
+    kernel = execute_descriptor(desc).result.kernel
+    assert kernel._next_gid > 3_000
+    assert list(kernel.placement) == list(kernel.chares)
+
+
+# ------------------------------------------ dead and unknown targets raise
+class _Gone(Chare):
+    """Tells main its handle, then destroys itself."""
+
+    def __init__(self, main):
+        self.send(main, "gone", self.thishandle)
+        self.destroy()
+
+
+class _Answer(Chare):
+    def __init__(self, main):
+        self.main = main
+
+    @entry
+    def got(self, *args):
+        self.send(self.main, "done", args)
+
+
+class _AsksAService(Chare):
+    """Points a service's reply (table find, QD callback, accumulator
+    collect) at a never-allocated, a destroyed, or an in-flight handle."""
+
+    def __init__(self, path, target):
+        self.path = path
+        self.new_table("t")
+        self.new_accumulator("a")
+        if target == "unknown":
+            self._ask(ChareHandle(12345))
+        elif target == "destroyed":
+            self.create(_Gone, self.thishandle, pe=1)
+        else:       # a seed still being balanced: the one case that waits
+            self._ask(self.create(_Answer, self.thishandle))
+
+    def _ask(self, handle):
+        if self.path == "table":
+            self.table_find("t", "k", handle, "got")
+        elif self.path == "qd":
+            self.start_quiescence(handle, "got")
+        else:
+            self.collect_accumulator("a", handle, "got")
+
+    @entry
+    def gone(self, handle):
+        self._ask(handle)
+
+    @entry
+    def done(self, args):
+        self.exit(args)
+
+
+_ANSWERS = {"table": ("k", None), "qd": (), "collect": ("acc:a:1", 0)}
+_TARGETS = [("unknown", "to unknown handle ChareHandle(12345)"),
+            ("destroyed", "to destroyed chare ChareHandle(1)"),
+            ("in_flight", None)]
+_TARGET_IDS = [target for target, _ in _TARGETS]
+
+
+@pytest.mark.parametrize("target, error", _TARGETS, ids=_TARGET_IDS)
+@pytest.mark.parametrize("path", ["table", "qd"])
+def test_service_reply_to_unknown_or_dead_handle_raises(ideal4, path, target,
+                                                        error):
+    """The table-reply / QD-callback path used to park a reply to an
+    unknown or dead handle in the pending-send buffer forever, and the run
+    quiesced and returned as if nothing were wrong."""
+    if error is None:
+        assert Kernel(ideal4).run(_AsksAService, path, target).result == (
+            _ANSWERS[path])
+        return
+    with pytest.raises(RoutingError, match=re.escape(error)):
+        Kernel(ideal4).run(_AsksAService, path, target)
+
+
+@pytest.mark.parametrize("target, error", _TARGETS, ids=_TARGET_IDS)
+def test_accumulator_collect_into_unknown_or_dead_handle_raises(ideal4, target,
+                                                                error):
+    """A collect into a gid that never existed used to say "not placed
+    yet"."""
+    if error is None:
+        assert Kernel(ideal4).run(_AsksAService, "collect", target).result == (
+            _ANSWERS["collect"])
+        return
+    with pytest.raises(RoutingError, match=re.escape(error)):
+        Kernel(ideal4).run(_AsksAService, "collect", target)
+
+
+class _SendsToTheDead(Chare):
+    def __init__(self, timed):
+        self.timed = timed
+        self.create(_Gone, self.thishandle, pe=1)
+
+    @entry
+    def gone(self, handle):
+        try:
+            if self.timed:
+                self.send_at(self.now, handle, "anything")
+            else:
+                self.send(handle, "anything")
+        except RoutingError as exc:
+            self.exit(str(exc))
+
+
+@pytest.mark.parametrize("timed", [False, True], ids=["send", "send_at"])
+def test_send_to_a_destroyed_chare_raises_at_the_send(ideal4, timed):
+    """The kernel keeps no record of a dead chare, yet a send to one is
+    still an error naming it — raised in the sending entry method now, not
+    when the message reaches the dead chare's PE."""
+    result = Kernel(ideal4).run(_SendsToTheDead, timed)
+    what = "timed send" if timed else "send"
+    assert result.result == f"{what} to destroyed chare ChareHandle(1)"
 
 
 # -------------------------------------------------------------- (d) close()

@@ -44,7 +44,7 @@ def test_forwarded_seed_bumps_hops_and_suppresses_count():
 
 def test_forwarded_slot_copy_equals_dataclass_replace():
     """``forwarded`` writes every slot by hand; ``dataclasses.replace`` is
-    the reference it must match on all 19, for envelopes of every kind."""
+    the reference it must match on all 18, for envelopes of every kind."""
     import dataclasses
 
     from repro.util.rng import RngStream
@@ -53,7 +53,7 @@ def test_forwarded_slot_copy_equals_dataclass_replace():
         pass
 
     slots = [f.name for f in dataclasses.fields(Envelope)]
-    assert len(slots) == 19 and set(slots) == set(Envelope.__slots__)
+    assert len(slots) == 18 and set(slots) == set(Envelope.__slots__)
     rng = RngStream(15, "forwarded")
     for kind in (Kind.APP, Kind.SEED, Kind.BOC, Kind.SVC):
         for _ in range(25):
@@ -70,7 +70,6 @@ def test_forwarded_slot_copy_equals_dataclass_replace():
                 boc=rng.choice((None, BocHandle(rng.randint(0, 9)))),
                 service=rng.choice((None, "qd", "lb")),
                 priority=prio,
-                prio_key=None if prio is None else (prio,),
                 system=rng.choice((False, True)),
                 counted=rng.choice((False, True)),
                 fixed=rng.choice((False, True)),
@@ -111,13 +110,36 @@ def test_envelope_uid_is_kernel_assigned_not_global():
                 self.send(self.thishandle, "step", i + 1)
 
     def uid_high_water():
-        kernel = Kernel(make_machine("ideal", 2))
+        # Traced: uids are stamped only for an observer or a fault layer.
+        kernel = Kernel(make_machine("ideal", 2), trace_events="all")
         kernel.run(Main)
-        return kernel._next_uid
+        return kernel._next_uid, [row[4] for row in kernel.events.rows]
 
     first = uid_high_water()
+    assert first[0] > 1 and any(uid is not None for uid in first[1])
     # A second kernel in the same process sees the identical uid stream.
     assert uid_high_water() == first
+
+
+def test_untraced_fault_free_run_stamps_no_uid():
+    """With no observer and no fault layer nothing reads a uid or a
+    piggybacked load, so no envelope carries either."""
+    from repro import Kernel, make_machine
+    from repro.apps.fib import FibMain
+
+    seen = []
+    kernel = Kernel(make_machine("ipsc2", 8), balancer="random")
+    deliver = kernel._deliver
+
+    def spy(env, departure):
+        deliver(env, departure)
+        seen.append((env.uid, env.carried_load))
+
+    kernel._deliver = spy
+    result = kernel.run(FibMain, 12, 4)
+    assert result.result == 144 and len(seen) > 100
+    assert kernel._next_uid == 1
+    assert set(seen) == {(None, 0)}
 
 
 def test_envelope_repr_mentions_kind():
@@ -128,6 +150,19 @@ def test_envelope_repr_mentions_kind():
 def test_handles_have_fixed_wire_size():
     assert ChareHandle(1).__wire_size__() == 12
     assert BocHandle(1).__wire_size__() == 12
+
+
+def test_handles_are_slotted_and_pickle_round_trip():
+    import pickle
+
+    from repro.core.handles import mint_chare_handle
+
+    for handle in (ChareHandle(7), mint_chare_handle(7), BocHandle(3)):
+        assert not hasattr(handle, "__dict__")
+        back = pickle.loads(pickle.dumps(handle))
+        assert back == handle and hash(back) == hash(handle)
+        assert type(back) is type(handle) and back is not handle
+    assert mint_chare_handle(7) == ChareHandle(7)
 
 
 # ---------------------------------------------------------------- rank tree

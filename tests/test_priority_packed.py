@@ -9,6 +9,8 @@ bug would hide.  Randomness comes from :class:`repro.util.rng.RngStream`,
 never the wall clock, so a failure reproduces bit-for-bit.
 """
 
+import heapq
+
 import pytest
 
 from repro.core.messages import Envelope, Kind
@@ -122,44 +124,54 @@ def test_trusted_children_normalize_like_fresh_instances():
         assert normalize_priority(p) == normalize_priority(fresh)
 
 
-# -------------------------------------------------- envelope key round-trip
+# ------------------------------------------------ pools vs pre-normalized keys
 
 
-def _envelope(priority, prio_key):
-    return Envelope(kind=Kind.APP, src_pe=0, dst_pe=0, entry="e",
-                    priority=priority, prio_key=prio_key)
+def _pre_normalized_order(prios, step):
+    """The pop order of a pool fed keys normalized before the push (as the
+    kernel once did at send time): a heap of ``(key, seq, index)``."""
+    heap = [(normalize_priority(p), step * (i + 1), i)
+            for i, p in enumerate(prios)]
+    heapq.heapify(heap)
+    return [heapq.heappop(heap)[2] for _ in range(len(heap))]
 
 
 def test_envelope_cached_key_round_trips():
-    """A send-time cached prio_key equals a fresh normalization, and a
-    forwarded copy carries the same key object."""
+    """An envelope, and its forwarded copy, carry the raw priority object;
+    the key a pool computes from it at push equals the send-time key the
+    kernel once cached on the envelope."""
     rng = RngStream(20260805, "envelope-cache")
     for _ in range(200):
         prio = _random_priority(rng)
-        key = None if prio is None else normalize_priority(prio)
-        env = _envelope(prio, key)
-        if prio is not None:
-            assert env.prio_key == normalize_priority(env.priority)
-        fwd = Envelope(kind=Kind.SEED, src_pe=0, dst_pe=1, entry="e",
-                       priority=prio, prio_key=key).forwarded(2)
-        assert fwd.prio_key is key
+        sent_key = normalize_priority(prio)
+        env = Envelope(kind=Kind.SEED, src_pe=0, dst_pe=1, entry="e",
+                       priority=prio)
+        fwd = env.forwarded(2)
+        assert env.priority is prio and fwd.priority is prio
+        for name in ("prio", "bitprio", "priolifo"):
+            pool = make_strategy(name)
+            pool.push(fwd, fwd.priority)
+            assert pool._heap[0][0] == sent_key, name
+            assert pool.pop() is fwd
 
 
 def test_pool_order_identical_with_and_without_cached_key():
-    """Pushing (priority, cached key) pops in the same order as pushing
-    the raw priority alone — across all prioritized strategies."""
+    """Pools normalize at push; every prioritized strategy pops exactly as
+    the pre-normalized keys order, and so do envelopes re-pushed after a
+    seed forwarding leg (which carries only the raw priority)."""
     rng = RngStream(20260805, "pool-cached-key")
     prios = [_random_priority(rng) for _ in range(600)]
-    for name in ("prio", "bitprio", "priolifo"):
-        fresh = make_strategy(name)
-        cached = make_strategy(name)
+    for name, step in (("prio", 1), ("bitprio", 1), ("priolifo", -1)):
+        pool = make_strategy(name)
         for i, prio in enumerate(prios):
-            fresh.push(i, prio)
-            key = None if prio is None else normalize_priority(prio)
-            cached.push(i, prio, key)
-        order_fresh = [fresh.pop() for _ in range(len(prios))]
-        order_cached = [cached.pop() for _ in range(len(prios))]
-        assert order_fresh == order_cached, name
+            env = Envelope(kind=Kind.SEED, src_pe=0, dst_pe=1, entry=str(i),
+                           priority=prio)
+            if i % 3 == 0:
+                env = env.forwarded(2)
+            assert env.priority is prio
+            pool.push(env, env.priority)
+        got = [int(pool.pop().entry) for _ in range(len(prios))]
+        assert got == _pre_normalized_order(prios, step), name
 
 
 def test_normalize_rejects_garbage():
