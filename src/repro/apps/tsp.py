@@ -89,6 +89,17 @@ class TspInstance:
             for city, row in enumerate(self.dist)
         )
 
+    @cached_property
+    def child_probes(self) -> dict:
+        """Memo of :func:`_child_probe`, keyed by ``(interior, first)``.
+
+        Every run starts its tours at city 0, so an instance sees at most
+        2**(n-1) keys however many nodes share one visited set.  Not a
+        dataclass field either, so two equal instances keep separate
+        memos; it lives and dies with the instance.
+        """
+        return {}
+
     def __wire_size__(self) -> int:
         # Dense int32 distance matrix on the wire (init broadcast cost).
         return 4 * self.n * self.n
@@ -128,7 +139,7 @@ def _lower_bound(
     return est // 2
 
 
-def _child_probe(inst: TspInstance, interior: int, first: int) -> Tuple[int, list]:
+def _child_probe(inst: TspInstance, interior: int, first: int) -> Tuple[int, tuple]:
     """One pass of :func:`_lower_bound`'s probe for all children of a node.
 
     Every child of a node shares ``interior`` (the node's path minus its
@@ -154,7 +165,7 @@ def _child_probe(inst: TspInstance, interior: int, first: int) -> Tuple[int, lis
                     if city != first:
                         second[city] = d
                     break
-    return total, second
+    return total, tuple(second)
 
 
 def _visited_mask(path: Tuple[int, ...]) -> int:
@@ -264,7 +275,13 @@ class TspNode(Chare):
                 self.accumulate("best", best)
             return
         visited = _visited_mask(path)
-        total, second = _child_probe(inst, visited & ~(1 << first), first)
+        # Nodes that visited the same cities share one probe: computed once
+        # per visited set, however many paths through it the search opens.
+        key = (visited & ~(1 << first), first)
+        probe = inst.child_probes.get(key)
+        if probe is None:
+            probe = inst.child_probes[key] = _child_probe(inst, *key)
+        total, second = probe
         row = inst.dist[last]
         for city in range(n):
             if visited >> city & 1:

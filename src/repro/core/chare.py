@@ -93,10 +93,12 @@ class Chare:
     def my_priority(self) -> PriorityLike:
         """Priority of the seed or message this execution is serving.
 
-        Exactly the ``priority=`` its sender passed to :meth:`create` or
-        :meth:`send` (``None`` when unprioritised), so a branch-and-bound
-        child reads the bound its parent already computed instead of
-        evaluating it again.
+        The ``priority=`` its sender passed to :meth:`create` or
+        :meth:`send`, as it was at that call (``None`` when unprioritised;
+        a tuple or list of bits comes back as the equal
+        :class:`~repro.util.priority.BitVectorPriority` the send stored),
+        so a branch-and-bound child reads the bound its parent already
+        computed instead of evaluating it again.
         """
         kernel = self._kernel
         # kernel.current, inlined (one frame per read); it raises when unset.

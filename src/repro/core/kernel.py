@@ -870,7 +870,7 @@ class Kernel:
         dst = self.placement.get(target.gid, _MISSING)
         if dst is _MISSING:
             raise self._no_chare("send", target)
-        check_priority(priority)
+        priority = check_priority(priority)
         if dst is None:
             # Seed still being balanced: buffer; flushed (and counted) at
             # placement time.  Quiescence stays safe meanwhile because the
@@ -919,7 +919,7 @@ class Kernel:
                 f"timed send to {target} before placement; send_at targets "
                 "must already be placed (self, main, or a fixed-PE chare)"
             )
-        check_priority(priority)
+        priority = check_priority(priority)
         env = Envelope.make_app(ctx.pe, dst, entry_name, args, target,
                                 priority)
         now = self.engine._now
@@ -950,7 +950,7 @@ class Kernel:
         handle = mint_chare_handle(gid)
         src = ctx.pe
         self.pes[src].seeds_created += 1
-        check_priority(priority)
+        priority = check_priority(priority)
         if pe is not None:
             if not 0 <= pe < self.num_pes:
                 raise RoutingError(f"create on invalid PE {pe}")
@@ -1051,7 +1051,7 @@ class Kernel:
                 f"{len(span)} touched ranks and PE {pe} is not one "
                 "(sparse BOCs cover the ranks active at creation)"
             )
-        check_priority(priority)
+        priority = check_priority(priority)
         env = Envelope(
             kind=Kind.BOC,
             src_pe=ctx.pe,

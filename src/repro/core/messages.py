@@ -69,8 +69,9 @@ class Envelope:
     boc: Optional[BocHandle] = None
     # SVC: which runtime service ("qd", "share", "lb").
     service: Optional[str] = None
-    # Raw user priority; a prioritized pool normalizes it when it is pushed
-    # (FIFO/LIFO pools never look at it).
+    # The priority as captured at the send (``check_priority``: a tuple or
+    # list of bits is already a BitVectorPriority); a prioritized pool
+    # normalizes it when it is pushed (FIFO/LIFO pools never look at it).
     priority: PriorityLike = None
     system: bool = False
     counted: bool = True

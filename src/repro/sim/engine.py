@@ -16,11 +16,14 @@ Design notes
 
 Hot path
 --------
-Heap entries are plain 4-slot lists ``[time, seq, fn, arg]`` — ``heapq``
-compares them element-wise and the unique ``seq`` guarantees the comparison
-never reaches ``fn``.  The kernel passes a bound method plus its payload and
-the loop invokes ``fn(arg)`` directly, so per-message scheduling allocates
-one small list and nothing else (no event object, no lambda cell).
+Heap entries are 4-tuples ``(time, seq, fn, arg)`` — ``heapq`` compares
+them element-wise and the unique ``seq`` guarantees the comparison never
+reaches ``fn``.  Nothing mutates an entry once it is pushed (there is no
+cancellation), so a tuple serves: it is one allocation, where a list is
+two (the object and its item array).  The kernel passes a bound method
+plus its payload and the loop invokes ``fn(arg)`` directly, so scheduling
+allocates that one tuple and nothing else (no event object, no lambda
+cell).
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ class Engine:
             raise SchedulingError(
                 f"cannot schedule event at t={time} before now={self._now}"
             )
-        heapq.heappush(self._heap, [time, self._seq, fn, arg])
+        heapq.heappush(self._heap, (time, self._seq, fn, arg))
         self._seq += 1
 
     # --------------------------------------------------------------- execution

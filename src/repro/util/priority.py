@@ -83,6 +83,11 @@ class BitVectorPriority:
         return len(self._bits)
 
     def __eq__(self, other: object) -> bool:
+        # A tuple or list of the same bits is equal: a send stores a tuple
+        # or list priority as a BitVectorPriority, and ``my_priority`` still
+        # equals what the sender passed.
+        if isinstance(other, (tuple, list)):
+            return self._bits == tuple(other)
         if not isinstance(other, BitVectorPriority):
             return NotImplemented
         return self._bits == other._bits
@@ -133,9 +138,19 @@ def normalize_priority(priority: PriorityLike) -> tuple:
     raise ConfigurationError(f"unsupported priority type: {type(priority).__name__}")
 
 
-def check_priority(priority: PriorityLike) -> None:
-    """Raise at a send or create what a prioritized pool would raise when
-    it pushes the message, many events later (NaN, non-binary bits,
-    unsupported types).  ``None`` and a plain ``int`` need no check."""
-    if priority is not None and type(priority) is not int:
-        normalize_priority(priority)
+def check_priority(priority: PriorityLike) -> PriorityLike:
+    """The priority a send or create stores in its envelope.
+
+    Raises at the call what a prioritized pool would raise when it pushes
+    the message, many events later (NaN, non-binary bits, unsupported
+    types).  A tuple or list of bits becomes one
+    :class:`BitVectorPriority` here, so the message carries its bits as
+    they were at the send (mutating the caller's list afterwards changes
+    nothing) and no pool rebuilds them.  ``None`` and a plain ``int``
+    pass through unchecked."""
+    if priority is None or type(priority) is int:
+        return priority
+    if isinstance(priority, (tuple, list)):
+        return BitVectorPriority(priority)
+    normalize_priority(priority)
+    return priority

@@ -5,6 +5,7 @@ import pickle
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import make_machine
 from repro.apps import tsp
@@ -113,6 +114,38 @@ def test_tsp_child_probe_equals_lower_bound():
                     lone_edge += not second[city]   # only `first` left to reach
                     draws += 1
     assert draws >= 20_000 and lone_edge and start_is_end
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(3, 11), instance_seed=st.integers(0, 2**30),
+       depth=st.integers(1, 3), pes=st.sampled_from([1, 2, 8]),
+       queueing=st.sampled_from(["fifo", "prio"]), cost=st.integers(0, 500))
+def test_tsp_child_probe_memo_holds_fresh_probes(n, instance_seed, depth, pes,
+                                                 queueing, cost):
+    """Whatever visited sets a run expands (every one holds city 0, the
+    start), each memo entry is the probe a fresh call computes, every child
+    bound it gives is ``_lower_bound``'s, and an equal instance keeps its
+    own memo."""
+    inst = TspInstance.random(n, instance_seed)
+    twin = TspInstance(inst.dist)
+    (best, _, _), _ = run_tsp(make_machine("ideal", pes), inst,
+                              grain=max(0, n - 1 - depth), queueing=queueing)
+    assert best == tsp_seq(twin)[0]
+    memo = inst.child_probes
+    assert len(memo) <= 2 ** (n - 1)     # empty if the root was pruned
+    for (interior, first), probe in memo.items():
+        assert first == 0 and not interior & 1
+        assert probe == _child_probe(inst, interior, first)
+        total, second = probe
+        assert type(second) is tuple
+        for city in range(1, n):
+            if interior >> city & 1:
+                continue
+            assert (2 * cost + total - second[city]) // 2 == _lower_bound(
+                inst, interior, first, city, cost)
+    assert twin == inst and hash(twin) == hash(inst)
+    assert twin.__wire_size__() == inst.__wire_size__()
+    assert twin.child_probes == {} and twin.child_probes is not memo
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])

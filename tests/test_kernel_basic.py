@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Chare, Kernel, entry
+from repro import Chare, Kernel, entry, make_machine
 from repro.util.errors import (
     ConfigurationError,
     RoutingError,
@@ -125,6 +125,43 @@ def test_my_priority_is_what_the_sender_passed(ideal4, queueing):
     }
     with pytest.raises(SchedulingError, match="outside an entry-method"):
         chares[0].my_priority
+
+
+class _Sink(Chare):
+    def __init__(self):
+        self.order = []
+
+    @entry
+    def go(self, tag):
+        self.order.append(tag)
+        if len(self.order) == 2:
+            self.exit(self.order)
+
+
+class _SendsListPriorities(Chare):
+    """Sends ``a`` with priority [1, 1] and ``b`` with [1, 0], then maybe
+    mutates ``a``'s list while both messages are in flight."""
+
+    def __init__(self, mutate):
+        self.sink = self.create(_Sink, pe=1)
+        self.send(self.thishandle, "fire", mutate)
+
+    @entry
+    def fire(self, mutate):
+        a = [1, 1]
+        self.send(self.sink, "go", "a", priority=a)
+        self.send(self.sink, "go", "b", priority=[1, 0])
+        if mutate:
+            a[:] = [0]
+
+
+@pytest.mark.parametrize("mutate", [False, True], ids=["kept", "mutated"])
+def test_list_priority_is_taken_when_it_is_sent(mutate):
+    """The pool orders by the priorities as they were at the sends: ``b``
+    ([1, 0]) before ``a`` ([1, 1]), whatever the sender does to its list
+    afterwards (the mutated run used to deliver ``a`` first)."""
+    kernel = Kernel(make_machine("ncube2", 2), queueing="bitprio")
+    assert kernel.run(_SendsListPriorities, mutate).result == ["b", "a"]
 
 
 def test_negative_charge_rejected(ideal4):

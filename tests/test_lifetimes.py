@@ -26,6 +26,7 @@ from dataclasses import fields, replace
 import pytest
 
 import repro.bench.harness as harness
+import repro.core.kernel as kernel_module
 from repro import Chare, Kernel, entry, make_machine
 from repro.apps.fib import FibNode, run_fib
 from repro.apps.knapsack import KnapsackInstance, KnapsackNode, knapsack_seq
@@ -68,6 +69,14 @@ def _mixed_batch():
         describe("queens", "ncube2", 8, n=6, grainsize=2,
                  faults=FaultConfig(drop_prob=0.05)),
         describe("tree", "ncube2", 64, sparse=True),
+        # A2's shape (FIFO, lazy bound) and T7's ``off`` arm: the deepest
+        # FIFO frontiers of the paper runs.  The collector is paused for a
+        # run, so a cycle built in one would cost peak memory here.
+        describe("tsp", "ipsc2", 8, queueing="fifo", propagation="lazy",
+                 n=8, instance_seed=0, grain=2, bound_slack=1.6,
+                 lazy_interval=0.05e-3),
+        describe("tsp", "ipsc2", 8, queueing="fifo", propagation="off",
+                 n=8, grain=2, bound_slack=1.5),
     ]
 
 
@@ -94,6 +103,37 @@ def test_executor_batch_leaves_no_kernel_and_no_garbage(monkeypatch):
         assert alive == []
         assert gc.collect() == 0
     assert all(row.result is None and row.events > 0 for row in rows)
+
+
+@pytest.mark.parametrize("was_enabled", [True, False], ids=["on", "off"])
+def test_execute_descriptor_pauses_the_collector_and_restores_it(
+        monkeypatch, was_enabled):
+    """Off while the run executes, then as it was before the call, also
+    when the runner raises."""
+    seen = []
+
+    class Probe(Chare):
+        def __init__(self, fail):
+            seen.append(gc.isenabled())
+            if fail:
+                raise RuntimeError("the run fails")
+            self.exit(None)
+
+    def runner(machine, seed=0, fail=False, **params):
+        return None, Kernel(machine, seed=seed).run(Probe, fail)
+
+    monkeypatch.setitem(harness.APPS, "fib",
+                        replace(harness.APPS["fib"], runner=runner))
+    before = gc.isenabled()
+    (gc.enable if was_enabled else gc.disable)()
+    try:
+        execute_descriptor(describe("fib", "ideal", 2))
+        assert seen == [False] and gc.isenabled() is was_enabled
+        with pytest.raises(RuntimeError, match="the run fails"):
+            execute_descriptor(describe("fib", "ideal", 2, fail=True))
+        assert seen == [False, False] and gc.isenabled() is was_enabled
+    finally:
+        (gc.enable if before else gc.disable)()
 
 
 def test_serving_sweep_folds_leave_no_garbage_and_only_their_finals(monkeypatch):
@@ -367,37 +407,43 @@ def _traced_peak_mb(fn):
 
 
 def test_fib_peak_memory_holds_the_waiting_nodes_only(monkeypatch):
-    """fib(20), grain 2 (21,891 nodes), both ways in one process so the
-    bound does not depend on the interpreter's object layouts: on CPython
-    3.11, 8.0 MB traced peak with every node kept and 4.5 MB (0.56 of it)
-    with every replied node destroyed."""
-    def fib20():
-        return run_fib(make_machine("ncube2", 64), n=20, threshold=2)
+    """fib(16), grain 2 (3,193 nodes) under LIFO, so the nodes waiting for
+    replies at any moment are a path's worth, not a breadth-first level.
+    Both ways in one process, so the bound does not depend on the
+    interpreter's object layouts: on CPython 3.11, 0.95 MB traced peak
+    with every node kept and 0.20 MB (0.21 of it) with every replied node
+    destroyed.  (fib(20) under FIFO on 64 PEs read 8.0 and 4.5 MB, at ten
+    times the run time.)"""
+    def fib16():
+        return run_fib(make_machine("ncube2", 8), n=16, threshold=2,
+                       queueing="lifo")
 
-    destroyed = _traced_peak_mb(fib20)
+    destroyed = _traced_peak_mb(fib16)
     monkeypatch.setattr(FibNode, "destroy", lambda self: None)
-    kept = _traced_peak_mb(fib20)
-    assert len(fib20()[1].kernel.chares) == 1 + 21_891     # main + nodes
+    kept = _traced_peak_mb(fib16)
+    assert len(fib16()[1].kernel.chares) == 1 + 3_193      # main + nodes
     assert destroyed < 0.7 * kept
 
 
-def test_fifo_tsp_peak_memory_ceiling():
+def test_fifo_tsp_peak_memory_ceiling(monkeypatch):
     """A queued seed carries only what its run reads, and a retired chare
     leaves no entry behind.  Quick A2-shaped run (TSP(9), FIFO, lazy
-    bound, ipsc2 P=8, 3,059 retired nodes): 1.20 MB traced peak while
-    seeds carried a priority key, a uid and a piggybacked load and the
-    kernel kept two ints per retired chare; 0.76 MB now (both on CPython
-    3.11).  The ceiling leaves room for other versions' object layouts;
-    those touch mostly the few live chares' instance dicts, since queued
-    seeds, handles and the placement map hold no instance dict."""
+    bound, ipsc2 P=8, 3,059 retired nodes), measured against the same run
+    with retirement switched off, in one process so the bound holds on
+    every interpreter's object layouts: on CPython 3.11, 0.60 MB traced
+    peak (the child-probe memo included) against 0.99 MB with every node
+    kept.  A kernel entry kept per retired chare, or a fatter queued
+    seed, moves the ratio toward 1."""
     desc = describe("tsp", "ipsc2", 8, queueing="fifo", propagation="lazy",
                     n=9, instance_seed=0, grain=2, bound_slack=1.6,
                     lazy_interval=0.05e-3)
-    peak = _traced_peak_mb(lambda: harness.run_descriptor(desc))
-    assert peak < 0.9
+    retired = _traced_peak_mb(lambda: harness.run_descriptor(desc))
     kernel = execute_descriptor(desc).result.kernel
     assert kernel._next_gid > 3_000
     assert list(kernel.placement) == list(kernel.chares)
+    monkeypatch.setattr(kernel_module, "declares_entry", lambda cls: True)
+    kept = _traced_peak_mb(lambda: harness.run_descriptor(desc))
+    assert retired < 0.7 * kept
 
 
 # ------------------------------------------ dead and unknown targets raise

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.util.errors import ConfigurationError
-from repro.util.priority import BitVectorPriority, normalize_priority
+from repro.util.priority import (BitVectorPriority, check_priority,
+                                 normalize_priority)
 
 bits = st.lists(st.integers(min_value=0, max_value=1), max_size=12)
 
@@ -31,6 +32,27 @@ def test_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != BitVectorPriority((1, 0))
+
+
+def test_equal_to_a_sequence_of_the_same_bits():
+    p = BitVectorPriority((1, 0, 1))
+    assert p == (1, 0, 1) and p == [1, 0, 1] and (1, 0, 1) == p
+    assert p != (1, 0) and p != [1, 0, 1, 0] and p != 5
+    assert hash(p) == hash((1, 0, 1))
+
+
+def test_check_priority_returns_what_the_envelope_stores():
+    bits = [1, 0]
+    stored = check_priority(bits)
+    bits[:] = [0]
+    assert type(stored) is BitVectorPriority and stored.bits == (1, 0)
+    assert type(check_priority((0, 1))) is BitVectorPriority
+    vector = BitVectorPriority((1,))
+    for same in (None, 7, 2.5, vector):
+        assert check_priority(same) is same
+    for bad in (float("nan"), (0, 2), "high"):
+        with pytest.raises(ConfigurationError):
+            check_priority(bad)
 
 
 def test_invalid_bits_rejected():
