@@ -21,7 +21,9 @@ Entry methods are marked with :func:`entry`::
 
 All chare API calls (``send``, ``create``, ``charge`` …) are only legal
 while the runtime is executing one of the chare's entries — they delegate
-to the kernel's current execution context.
+to the kernel's current execution context, or, for the sharing modes and
+quiescence detection, straight to the kernel's sharing service
+(:mod:`repro.sharing.manager`) and quiescence detector.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ class Chare:
         application work plus one while executing); admission controllers
         use it to shed requests when the local queue is already deep.
         """
-        return self._kernel.pe_load(self._pe)
+        return self._kernel.pes[self._pe].load
 
     # -------------------------------------------------------------- compute
     def charge(self, work_units: float) -> None:
@@ -219,7 +221,8 @@ class Chare:
 
     def start_quiescence(self, target: ChareHandle, entry_name: str) -> None:
         """Ask for ``entry_name()`` on ``target`` once the system quiesces."""
-        self._kernel.api_start_quiescence(target, entry_name)
+        kernel = self._kernel
+        kernel.qd.start(target, entry_name, kernel.current.pe)
 
     # ------------------------------------------------- information sharing
     def new_accumulator(
@@ -231,7 +234,7 @@ class Chare:
         ``"min"``, ``"prod"``, or a callable); partials accumulate locally
         on each PE with **zero messages** until collected.
         """
-        self._kernel.api_new_accumulator(name, initial, op)
+        self._kernel.sharing.declare_accumulator(name, initial, op)
 
     def new_monotonic(
         self,
@@ -246,27 +249,29 @@ class Chare:
         improvement order.  ``propagation`` ∈ {``"eager"``, ``"lazy"``,
         ``"off"``} controls how updates spread between PEs (experiment T7).
         """
-        self._kernel.api_new_monotonic(name, initial, better, propagation)
+        self._kernel.sharing.declare_monotonic(name, initial, better,
+                                               propagation)
 
     def new_table(self, name: str) -> None:
         """Declare a distributed table (main-chare constructor only)."""
-        self._kernel.api_new_table(name)
+        self._kernel.sharing.declare_table(name)
 
     def set_readonly(self, name: str, value: Any) -> None:
         """Define a read-only variable (main-chare constructor only)."""
-        self._kernel.api_set_readonly(name, value)
+        self._kernel.sharing.set_readonly(name, value)
 
     def readonly(self, name: str) -> Any:
         """Read a read-only variable (available on every PE)."""
-        return self._kernel.api_readonly(name, self._pe)
+        return self._kernel.sharing.readonly(name, self._pe)
 
     def write_once(self, name: str, value: Any) -> None:
         """Create a write-once variable; it replicates to every PE."""
-        self._kernel.api_write_once(name, value)
+        kernel = self._kernel
+        kernel.sharing.write_once(name, value, kernel.current.pe)
 
     def get_writeonce(self, name: str) -> Any:
         """Read a write-once variable (raises if not yet replicated here)."""
-        return self._kernel.api_get_writeonce(name, self._pe)
+        return self._kernel.sharing.get_writeonce(name, self._pe)
 
     def accumulate(self, name: str, value: Any) -> None:
         """Fold ``value`` into accumulator ``name`` (purely local; no messages)."""
@@ -276,15 +281,17 @@ class Chare:
         self, name: str, target: ChareHandle, entry_name: str
     ) -> None:
         """Combine all PEs' partials of ``name``; deliver total to ``target``."""
-        self._kernel.api_collect_accumulator(name, target, entry_name)
+        kernel = self._kernel
+        kernel.sharing.collect_accumulator(name, target, entry_name,
+                                           kernel.current.pe)
 
     def update_monotonic(self, name: str, value: Any) -> None:
         """Offer a new value to monotonic variable ``name``."""
-        self._kernel.api_update_monotonic(name, value, self._pe)
+        self._kernel.sharing.update_monotonic(name, value, self._pe)
 
     def read_monotonic(self, name: str) -> Any:
         """This PE's current view of monotonic variable ``name``."""
-        return self._kernel.api_read_monotonic(name, self._pe)
+        return self._kernel.sharing.read_monotonic(name, self._pe)
 
     def table_insert(
         self,
@@ -295,17 +302,22 @@ class Chare:
         reply_entry: str = "",
     ) -> None:
         """Insert into a distributed table (hash-partitioned across PEs)."""
-        self._kernel.api_table_insert(table, key, value, reply_to, reply_entry)
+        kernel = self._kernel
+        kernel.sharing.table_insert(table, key, value, reply_to, reply_entry,
+                                    kernel.current.pe)
 
     def table_find(
         self, table: str, key: Any, reply_to: ChareHandle, reply_entry: str
     ) -> None:
         """Look up ``key``; the reply entry receives ``(key, value_or_None)``."""
-        self._kernel.api_table_find(table, key, reply_to, reply_entry)
+        kernel = self._kernel
+        kernel.sharing.table_find(table, key, reply_to, reply_entry,
+                                  kernel.current.pe)
 
     def table_delete(self, table: str, key: Any) -> None:
         """Delete ``key`` from a distributed table (no-op if absent)."""
-        self._kernel.api_table_delete(table, key)
+        kernel = self._kernel
+        kernel.sharing.table_delete(table, key, kernel.current.pe)
 
     def __repr__(self) -> str:
         h = getattr(self, "_handle", None)
@@ -347,16 +359,21 @@ class BranchOfficeChare(Chare):
     ) -> None:
         """Join a tree reduction over all branches.
 
-        Every branch must contribute exactly once per ``tag``; the combined
-        result is delivered as ``entry_name(tag, result)`` to ``target``
-        (which every contributor must name identically).
+        Every branch must contribute exactly once per ``tag`` (a second
+        contribution raises :class:`~repro.util.errors.SharingError`); the
+        combined result is delivered as ``entry_name(tag, result)`` to
+        ``target`` (which every contributor must name identically).
         """
         if target is None:
             raise RoutingError("contribute() requires a target handle")
-        self._kernel.api_contribute(self._boc, tag, value, op, target, entry_name)
+        kernel = self._kernel
+        kernel.sharing.contribute(self._boc, tag, value, op, target,
+                                  entry_name, kernel.current.pe)
 
     def barrier(self, tag: str, entry_name: str) -> None:
         """Synchronize all branches: once every branch has called
         ``barrier(tag, entry)``, each branch's ``entry_name(tag, count)``
         runs (the ``fft->barrier()`` pattern from the paper)."""
-        self._kernel.api_barrier(self._boc, tag, entry_name)
+        kernel = self._kernel
+        kernel.sharing.contribute(self._boc, tag, 1, "sum", None, entry_name,
+                                  kernel.current.pe, "barrier")

@@ -1,9 +1,14 @@
 """The Chare Kernel runtime.
 
 :class:`Kernel` binds a simulated :class:`~repro.machine.network.Machine`
-to the programming model: it owns the event engine, the per-PE schedulers,
-the chare/BOC tables, the load balancer, the quiescence detector, and the
-information-sharing service.  A program is run with::
+to the programming model: it owns the event engine, the per-PE schedulers
+and the chare/BOC tables, and it schedules, places and routes every
+message.  Beside it sit the runtime services it binds and routes service
+messages to: the load balancer, the quiescence detector and the sharing
+service, which owns every sharing mode (read-only, write-once,
+accumulators, monotonic variables, tables, BOC reductions and barriers).
+:class:`~repro.core.chare.Chare` calls the last two directly.  A program
+is run with::
 
     from repro import Kernel, make_machine
 
@@ -47,7 +52,6 @@ from repro.util.errors import (
     ConfigurationError,
     RoutingError,
     SchedulingError,
-    SharingError,
     need_int,
     need_real,
 )
@@ -283,7 +287,6 @@ class Kernel:
         self.boc_spans: Dict[int, Span] = {}
         self._next_boc = 0
         self._boc_premature: Dict[Tuple[int, int], List[Envelope]] = {}
-        self._reductions: Dict[Tuple[int, str, int], dict] = {}
 
         # Services ------------------------------------------------------------
         self.services: Dict[str, Service] = {}
@@ -335,13 +338,10 @@ class Kernel:
         self._exit_requested = False
         self._exit_result: Any = None
         self._final_time: Optional[float] = None
-        self._in_main_ctor = False
+        # True while the main chare's constructor runs: the sharing service
+        # accepts read-only values and declarations only then.
+        self.in_main_ctor = False
         self.main_handle: Optional[ChareHandle] = None
-        self.readonly_vars: Dict[str, Any] = {}
-        self.writeonce_vars: Dict[str, Any] = {}
-        self._writeonce_avail: Dict[Tuple[str, int], bool] = {}
-        # name -> the span its one broadcast runs over (taken at the root).
-        self._writeonce_spans: Dict[str, Span] = {}
 
     # ====================================================================== run
     @property
@@ -460,11 +460,11 @@ class Kernel:
             fixed=True,
             counted=False,
         )
-        self._in_main_ctor = True
+        self.in_main_ctor = True
         pe = self.pes[0]
         pe.busy = True
         self._execute(pe, env)
-        self._in_main_ctor = False
+        self.in_main_ctor = False
         if self.sparse:
             # Sparse startup: no init broadcast (an O(P) message wave is
             # exactly what this mode exists to avoid).  Replication is
@@ -473,8 +473,7 @@ class Kernel:
             return
         # Distribute init (read-only vars + declarations) down the rank tree.
         # Gates open as it arrives; PE 0's opens via a local message.
-        init_payload = (dict(self.readonly_vars), self.sharing.declarations())
-        self.svc_send("share", 0, 0, "init", init_payload, counted=False)
+        self.sharing.broadcast_init()
 
     # ============================================================== gid / utils
     def _alloc_gid(self) -> int:
@@ -489,10 +488,6 @@ class Kernel:
                 "chare API used outside an entry-method execution"
             )
         return self._current
-
-    def pe_load(self, pe: int) -> int:
-        """Instantaneous load metric of a PE (used via piggybacking only)."""
-        return self.pes[pe].load
 
     # ================================================================= delivery
     def _deliver(self, env: Envelope, departure: float) -> None:
@@ -952,6 +947,7 @@ class Kernel:
         self.pes[src].seeds_created += 1
         priority = check_priority(priority)
         if pe is not None:
+            pe = need_int("pe", pe, None)
             if not 0 <= pe < self.num_pes:
                 raise RoutingError(f"create on invalid PE {pe}")
             self.placement[gid] = pe
@@ -1038,6 +1034,7 @@ class Kernel:
         priority: PriorityLike,
     ) -> None:
         ctx = self.current
+        pe = need_int("pe", pe, None)
         if not 0 <= pe < self.num_pes:
             raise RoutingError(f"branch send to invalid PE {pe}")
         span = self.boc_spans.get(boc.boc_id)
@@ -1098,106 +1095,6 @@ class Kernel:
         ctx = self.current
         ctx.outbox.append((ctx.charged, env))
 
-    # -------------------------------------------------------------- reductions
-    def api_contribute(
-        self,
-        boc: BocHandle,
-        tag: str,
-        value: Any,
-        op: str | Callable[[Any, Any], Any],
-        target: ChareHandle,
-        entry_name: str,
-    ) -> None:
-        ctx = self.current
-        self._reduce_fold(boc.boc_id, tag, ctx.pe, value, op, target, entry_name,
-                          span=self.boc_span(boc.boc_id))
-
-    def api_barrier(self, boc: BocHandle, tag: str, entry_name: str) -> None:
-        """Join a barrier over all branches of ``boc``.
-
-        When every branch has called ``barrier(tag, entry)``, the runtime
-        broadcasts ``entry_name(tag, num_pes)`` to every branch — the
-        compiler-supported synchronization point the paper suggests for
-        arrays of cooperating processes.
-        """
-        ctx = self.current
-        self._reduce_fold(boc.boc_id, tag, ctx.pe, 1, "sum", None, entry_name,
-                          mode="barrier", span=self.boc_span(boc.boc_id))
-
-    def _red_state(self, boc_id: int, tag: str, pe: int, span: Span) -> dict:
-        key = (boc_id, tag, pe)
-        st = self._reductions.get(key)
-        if st is None:
-            st = {
-                "value": None,
-                "have": 0,
-                "need": 1 + len(span.children(pe)),
-                "op": None,
-                "target": None,
-                "entry": None,
-                "mode": "deliver",
-            }
-            self._reductions[key] = st
-        return st
-
-    def _reduce_fold(
-        self,
-        boc_id: int,
-        tag: str,
-        pe: int,
-        value: Any,
-        op,
-        target: Optional[ChareHandle],
-        entry_name: str,
-        mode: str = "deliver",
-        *,
-        span: Span,
-    ) -> bool:
-        """Fold one contribution up ``span``; True when its root completed.
-
-        ``span`` is the BOC's write-once span, or the per-collect snapshot
-        of an accumulator gather.
-        """
-        from repro.sharing.ops import combine  # avoid import cycle at module load
-
-        st = self._red_state(boc_id, tag, pe, span)
-        if op is not None:
-            st["op"] = op
-        if target is not None:
-            st["target"] = target
-        if entry_name:
-            st["entry"] = entry_name
-        if mode != "deliver":
-            st["mode"] = mode
-        st["value"] = value if st["have"] == 0 else combine(st["op"], st["value"], value)
-        st["have"] += 1
-        if st["have"] < st["need"]:
-            return False
-        # Subtree complete: push up, or complete at the root.
-        del self._reductions[(boc_id, tag, pe)]
-        parent = span.parent(pe)
-        if parent is not None:
-            self.svc_send(
-                "share",
-                pe,
-                parent,
-                "red_up",
-                (boc_id, tag, st["value"], st["op"], st["target"], st["entry"],
-                 st["mode"]),
-                counted=True,
-            )
-            return False
-        if st["mode"] == "barrier":
-            # Release: every branch gets entry(tag, count) via the tree.
-            self.svc_send(
-                "share", pe, 0, "boc_bcast",
-                (boc_id, st["entry"], (tag, st["value"])), counted=True,
-            )
-            return True
-        self.send_app_from_service(pe, st["target"], st["entry"],
-                                   (tag, st["value"]))
-        return True
-
     def _no_chare(self, what: str, handle: ChareHandle) -> RoutingError:
         """The error for ``what`` addressed to a gid with no placement.
 
@@ -1226,102 +1123,6 @@ class Kernel:
             ctx.outbox.append((ctx.charged, env))
         else:
             self._deliver(env, self.now)
-
-    # ------------------------------------------------------------ sharing API
-    # Thin delegation: all logic lives in repro.sharing.manager.
-    def api_set_readonly(self, name: str, value: Any) -> None:
-        if not self._in_main_ctor:
-            raise SharingError("read-only variables must be set in the main "
-                               "chare's constructor")
-        if name in self.readonly_vars:
-            raise SharingError(f"read-only variable {name!r} already set")
-        self.readonly_vars[name] = value
-
-    def api_readonly(self, name: str, pe: int) -> Any:
-        if name not in self.readonly_vars:
-            raise SharingError(f"unknown read-only variable {name!r}")
-        return self.readonly_vars[name]
-
-    def api_write_once(self, name: str, value: Any) -> None:
-        ctx = self.current
-        if name in self.writeonce_vars:
-            raise SharingError(f"write-once variable {name!r} written twice")
-        self.writeonce_vars[name] = value
-        self._writeonce_avail[(name, ctx.pe)] = True
-        self.svc_send("share", ctx.pe, 0, "wonce_bcast", (name, value), counted=True)
-
-    def api_get_writeonce(self, name: str, pe: int) -> Any:
-        if not self._writeonce_avail.get((name, pe)):
-            # A rank outside the broadcast's span holds the value as it
-            # does read-only variables: replication is modeled free there.
-            span = self._writeonce_spans.get(name)
-            if span is None or pe in span:
-                raise SharingError(
-                    f"write-once variable {name!r} not yet replicated to "
-                    f"PE {pe}"
-                )
-        return self.writeonce_vars[name]
-
-    def api_new_accumulator(self, name: str, initial: Any, op) -> None:
-        self._require_main_ctor("accumulators")
-        self.sharing.declare_accumulator(name, initial, op)
-
-    def api_collect_accumulator(
-        self, name: str, target: ChareHandle, entry_name: str
-    ) -> None:
-        self.sharing.collect_accumulator(name, target, entry_name, self.current.pe)
-
-    def api_new_monotonic(self, name: str, initial: Any, better, propagation: str) -> None:
-        self._require_main_ctor("monotonic variables")
-        self.sharing.declare_monotonic(name, initial, better, propagation)
-
-    def api_update_monotonic(self, name: str, value: Any, pe: int) -> None:
-        self.sharing.update_monotonic(name, value, pe)
-
-    def api_read_monotonic(self, name: str, pe: int) -> Any:
-        return self.sharing.read_monotonic(name, pe)
-
-    def api_new_table(self, name: str) -> None:
-        self._require_main_ctor("distributed tables")
-        self.sharing.declare_table(name)
-
-    def api_table_insert(
-        self,
-        table: str,
-        key: Any,
-        value: Any,
-        reply_to: Optional[ChareHandle],
-        reply_entry: str,
-    ) -> None:
-        self.sharing.table_insert(
-            table, key, value, reply_to, reply_entry, self.current.pe
-        )
-
-    def api_table_find(
-        self, table: str, key: Any, reply_to: ChareHandle, reply_entry: str
-    ) -> None:
-        self.sharing.table_find(table, key, reply_to, reply_entry, self.current.pe)
-
-    def api_table_delete(self, table: str, key: Any) -> None:
-        self.sharing.table_delete(table, key, self.current.pe)
-
-    def _require_main_ctor(self, what: str) -> None:
-        if not self._in_main_ctor:
-            raise SharingError(
-                f"{what} must be declared in the main chare's constructor"
-            )
-
-    # --------------------------------------------------------------- quiescence
-    def api_start_quiescence(self, target: ChareHandle, entry_name: str) -> None:
-        self.qd.start(target, entry_name, self.current.pe)
-
-    # -------------------------------------------------------------- gate control
-    def open_gate(self, pe: int) -> None:
-        """Called by the sharing service when the init broadcast lands."""
-        state = self.pes[pe]
-        state.gated = False
-        # Work may already be queued behind the gate; it becomes servable as
-        # soon as the current (system) execution finishes — _finish handles it.
 
     # ------------------------------------------------------------------ app send
     def send_app_from_service(

@@ -1,11 +1,13 @@
 """The sharing service: the paper's "specific modes of information sharing".
 
-One :class:`SharingService` per kernel implements, with real (cost-bearing,
+One :class:`SharingService` per kernel owns the state and the protocol of
+every sharing abstraction and implements them with real (cost-bearing,
 simulated) messages:
 
 * the **init broadcast** that replicates read-only variables and shared
   abstraction declarations and opens the per-PE startup gates,
-* **write-once** replication,
+* **read-only** variables (set in the main chare's constructor) and
+  **write-once** variables (one broadcast each),
 * **accumulators** — per-PE local partials (zero messages on update) with a
   tree gather on collection,
 * **monotonic variables** — per-PE cached best value, with *eager* (tree
@@ -13,21 +15,23 @@ simulated) messages:
   *off* propagation (experiment T7's knob),
 * **distributed tables** — hash-partitioned shards with insert/find/delete
   ops and reply-to-entry continuations,
-* BOC plumbing: branch construction, spanning-tree broadcast, and the
-  upward legs of BOC reductions (the fold itself lives in the kernel).
+* BOC **reductions and barriers** — the tree fold an accumulator collect
+  shares — and the BOC plumbing: branch construction and spanning-tree
+  broadcast.
 
-Naming: all ops are small strings routed via SVC envelopes; see
-:class:`repro.core.services.Service`.
+The kernel keeps scheduling, placement and routing; ``Chare`` calls this
+service directly.  Naming: all ops are small strings routed via SVC
+envelopes; see :class:`repro.core.services.Service`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-from repro.core.handles import ChareHandle
+from repro.core.handles import BocHandle, ChareHandle
 from repro.core.services import Service
 from repro.core.tree import Span
-from repro.sharing.ops import check_better, combiner, improves
+from repro.sharing.ops import check_better, combine, combiner, improves
 from repro.util.errors import SharingError
 from repro.util.hashing import stable_hash
 
@@ -68,7 +72,21 @@ class SharingService(Service):
 
     def bind(self, kernel) -> None:
         super().bind(kernel)
-        n = kernel.num_pes
+        # Read-only and write-once values: one host copy each (the
+        # simulation shares host memory); the broadcasts model the
+        # replication cost and sequencing.
+        self._readonly: Dict[str, Any] = {}
+        self._writeonce: Dict[str, Any] = {}
+        self._writeonce_avail: Dict[Tuple[str, int], bool] = {}
+        # name -> the span its one broadcast runs over (taken at the root).
+        self._writeonce_spans: Dict[str, Span] = {}
+        # (boc_id, tag, pe) -> the fold state of that PE's subtree, for BOC
+        # reductions and barriers (boc_id >= 0) and accumulator collects
+        # (boc_id -1); dropped as the subtree completes.
+        self._reductions: Dict[Tuple[int, str, int], dict] = {}
+        # (boc_id, tag, pe) of every branch contribution so far: a branch
+        # contributes once per tag.
+        self._contributed: set[Tuple[int, str, int]] = set()
         # Declarations (global specs, distributed by the init broadcast).
         self._acc_spec: Dict[str, Tuple[Any, Any]] = {}          # name -> (initial, op)
         self._mono_spec: Dict[str, Tuple[Any, Any, str]] = {}    # name -> (initial, better, prop)
@@ -91,11 +109,21 @@ class SharingService(Service):
         self.mono_updates_applied = 0
 
     # ------------------------------------------------------------ declarations
-    def declarations(self) -> tuple:
-        """Payload describing all declared abstractions (init broadcast)."""
-        return (dict(self._acc_spec), dict(self._mono_spec), tuple(self._tables))
+    def _require_main_ctor(self, what: str) -> None:
+        if not self.kernel.in_main_ctor:
+            raise SharingError(
+                f"{what} must be declared in the main chare's constructor"
+            )
+
+    def broadcast_init(self) -> None:
+        """Start the init broadcast at PE 0: every read-only value and
+        declaration, down the machine's tree (see ``handle("init")``)."""
+        decls = (dict(self._acc_spec), dict(self._mono_spec),
+                 tuple(self._tables))
+        self.send(0, 0, "init", (dict(self._readonly), decls))
 
     def declare_accumulator(self, name: str, initial: Any, op) -> None:
+        self._require_main_ctor("accumulators")
         if name in self._acc_spec:
             raise SharingError(f"accumulator {name!r} already declared")
         fn = combiner(op)
@@ -106,6 +134,7 @@ class SharingService(Service):
         self._acc[(name, 0)] = initial
 
     def declare_monotonic(self, name: str, initial: Any, better, propagation: str) -> None:
+        self._require_main_ctor("monotonic variables")
         if name in self._mono_spec:
             raise SharingError(f"monotonic variable {name!r} already declared")
         if propagation not in ("eager", "lazy", "off"):
@@ -117,9 +146,44 @@ class SharingService(Service):
         self._mono_spec[name] = (initial, better, propagation)
 
     def declare_table(self, name: str) -> None:
+        self._require_main_ctor("distributed tables")
         if name in self._tables:
             raise SharingError(f"table {name!r} already declared")
         self._tables.add(name)
+
+    # ----------------------------------------------------- read-only / write-once
+    def set_readonly(self, name: str, value: Any) -> None:
+        self._require_main_ctor("read-only variables")
+        if name in self._readonly:
+            raise SharingError(f"read-only variable {name!r} already set")
+        self._readonly[name] = value
+
+    def readonly(self, name: str, pe: int) -> Any:
+        # No per-PE availability check: the startup gate holds a PE's
+        # application work until the init broadcast has reached it.
+        try:
+            return self._readonly[name]
+        except KeyError:
+            raise SharingError(f"unknown read-only variable {name!r}") from None
+
+    def write_once(self, name: str, value: Any, pe: int) -> None:
+        if name in self._writeonce:
+            raise SharingError(f"write-once variable {name!r} written twice")
+        self._writeonce[name] = value
+        self._writeonce_avail[(name, pe)] = True
+        self.send(pe, 0, "wonce_bcast", (name, value), counted=True)
+
+    def get_writeonce(self, name: str, pe: int) -> Any:
+        if not self._writeonce_avail.get((name, pe)):
+            # A rank outside the broadcast's span holds the value as it
+            # does read-only variables: replication is modeled free there.
+            span = self._writeonce_spans.get(name)
+            if span is None or pe in span:
+                raise SharingError(
+                    f"write-once variable {name!r} not yet replicated to "
+                    f"PE {pe}"
+                )
+        return self._writeonce[name]
 
     # ------------------------------------------------------- lazy per-PE state
     def _acc_get(self, name: str, pe: int) -> Any:
@@ -181,9 +245,12 @@ class SharingService(Service):
         # "off": local only (the T7 ablation's broken-sharing arm).
 
     def read_monotonic(self, name: str, pe: int) -> Any:
+        # _mono_get, inlined: the search apps read the bound once or twice
+        # per entry method.
         if name not in self._mono_spec:
             raise SharingError(f"unknown monotonic variable {name!r}")
-        return self._mono_get(name, pe)
+        value = self._mono.get((name, pe), _EMPTY)
+        return self._mono_spec[name][0] if value is _EMPTY else value
 
     def _neighbors_in_tree(self, pe: int):
         # Each hop floods over the span as it is *now*.  The improves()
@@ -248,19 +315,111 @@ class SharingService(Service):
             raise KeyError((table, pe))
         return self._shards.setdefault((table, pe), {})
 
+    # -------------------------------------------------- reductions and barriers
+    def contribute(
+        self,
+        boc: BocHandle,
+        tag: str,
+        value: Any,
+        op,
+        target: Optional[ChareHandle],
+        entry: str,
+        pe: int,
+        mode: str = "deliver",
+    ) -> None:
+        """Fold the branch on ``pe``'s one contribution to reduction ``tag``.
+
+        The root delivers ``entry(tag, total)`` to ``target``; in
+        ``"barrier"`` mode it broadcasts ``entry(tag, count)`` to every
+        branch instead.
+        """
+        boc_id = boc.boc_id
+        key = (boc_id, tag, pe)
+        if key in self._contributed:
+            raise SharingError(
+                f"the branch of {boc} on PE {pe} contributed to {tag!r} twice"
+            )
+        self._contributed.add(key)
+        self._reduce_fold(boc_id, tag, pe, value, op, target, entry, mode,
+                          span=self.kernel.boc_span(boc_id))
+
+    def _reduce_fold(
+        self,
+        boc_id: int,
+        tag: str,
+        pe: int,
+        value: Any,
+        op,
+        target: Optional[ChareHandle],
+        entry: str,
+        mode: str = "deliver",
+        *,
+        span: Span,
+    ) -> bool:
+        """Fold one contribution up ``span``; True when its root completed.
+
+        ``span`` is the BOC's write-once span, or the per-collect snapshot
+        of an accumulator gather.  A PE's state wants its own contribution
+        plus one partial per span child.
+        """
+        key = (boc_id, tag, pe)
+        st = self._reductions.get(key)
+        if st is None:
+            st = self._reductions[key] = {
+                "value": None,
+                "have": 0,
+                "need": 1 + len(span.children(pe)),
+                "op": None,
+                "target": None,
+                "entry": None,
+                "mode": "deliver",
+            }
+        if op is not None:
+            st["op"] = op
+        if target is not None:
+            st["target"] = target
+        if entry:
+            st["entry"] = entry
+        if mode != "deliver":
+            st["mode"] = mode
+        st["value"] = value if st["have"] == 0 else combine(st["op"], st["value"], value)
+        st["have"] += 1
+        if st["have"] < st["need"]:
+            return False
+        # Subtree complete: push up, or complete at the root.
+        del self._reductions[key]
+        parent = span.parent(pe)
+        if parent is not None:
+            self.send(
+                pe, parent, "red_up",
+                (boc_id, tag, st["value"], st["op"], st["target"], st["entry"],
+                 st["mode"]),
+                counted=True,
+            )
+            return False
+        if st["mode"] == "barrier":
+            # Release: every branch gets entry(tag, count) via the tree.
+            self.send(pe, 0, "boc_bcast",
+                      (boc_id, st["entry"], (tag, st["value"])), counted=True)
+            return True
+        self.kernel.send_app_from_service(pe, st["target"], st["entry"],
+                                          (tag, st["value"]))
+        return True
+
     # ----------------------------------------------------------------- handlers
     def handle(self, pe: int, op: str, args: tuple) -> None:
         kernel = self.kernel
         kernel.api_charge(_HANDLER_WORK)
 
         if op == "init":
-            readonly, decls = args
-            # Values are already in kernel.readonly_vars / our spec dicts
-            # (the simulation shares host memory); the broadcast models the
-            # replication *cost* and sequencing.
+            # Values are already in our dicts (the simulation shares host
+            # memory); the broadcast models the replication *cost* and
+            # sequencing.
             for child in kernel.tree.children(pe):
                 self.send(pe, child, "init", args, counted=False)
-            kernel.open_gate(pe)
+            # Work queued behind the gate becomes servable as this (system)
+            # execution finishes: Kernel._finish serves it.
+            kernel.pes[pe].gated = False
 
         elif op == "boc_create":
             boc_id, boc_cls, cargs = args
@@ -284,8 +443,8 @@ class SharingService(Service):
             # real BOC reductions fold over the BOC's write-once span.
             span = (self._collect_snap[tag] if boc_id == -1
                     else kernel.boc_span(boc_id))
-            done = kernel._reduce_fold(boc_id, tag, pe, value, rop, target,
-                                       entry, mode=mode, span=span)
+            done = self._reduce_fold(boc_id, tag, pe, value, rop, target,
+                                     entry, mode, span=span)
             if done and boc_id == -1:
                 del self._collect_snap[tag]
 
@@ -293,11 +452,11 @@ class SharingService(Service):
             name, value = args
             # One broadcast per name (it is write-once), over the span
             # taken as the message reaches the root.
-            span = kernel._writeonce_spans.get(name)
+            span = self._writeonce_spans.get(name)
             if span is None:
-                span = kernel._writeonce_spans[name] = kernel.span()
-            kernel.writeonce_vars.setdefault(name, value)
-            kernel._writeonce_avail[(name, pe)] = True
+                span = self._writeonce_spans[name] = kernel.span()
+            self._writeonce.setdefault(name, value)
+            self._writeonce_avail[(name, pe)] = True
             for child in span.children(pe):
                 self.send(pe, child, "wonce_bcast", args, counted=True)
 
@@ -312,7 +471,7 @@ class SharingService(Service):
                 span = self._collect_snap[tag] = kernel.span()
             for child in span.children(pe):
                 self.send(pe, child, "acc_req", args, counted=True)
-            done = kernel._reduce_fold(
+            done = self._reduce_fold(
                 -1, tag, pe, self._acc_get(name, pe),
                 self._acc_fn[name][1], target, entry, span=span,
             )

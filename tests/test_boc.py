@@ -3,7 +3,7 @@
 import pytest
 
 from repro import BranchOfficeChare, Chare, Kernel, entry, make_machine
-from repro.util.errors import RoutingError
+from repro.util.errors import RoutingError, SharingError
 
 
 class CounterBoc(BranchOfficeChare):
@@ -144,6 +144,37 @@ def test_contribute_requires_target(ideal4):
 
     with pytest.raises(RoutingError):
         Kernel(ideal4).run(Main)
+
+
+class _ContributesTwice(BranchOfficeChare):
+    def __init__(self):
+        pass
+
+    @entry
+    def go(self, target):
+        self.contribute("t", 1, "sum", target, "done")
+        self.contribute("t", 1, "sum", target, "done")
+
+
+@pytest.mark.parametrize("P", [1, 4, 8])
+def test_second_contribution_under_a_tag_raises(P):
+    """A second contribution would fold into the total (3 at P=4, 4 at
+    P=8) and the run would end "ok"; it raises instead."""
+
+    class Main(Chare):
+        def __init__(self):
+            boc = self.create_boc(_ContributesTwice)
+            self.broadcast_branches(boc, "go", self.thishandle)
+
+        @entry
+        def done(self, tag, total):
+            self.exit(total)
+
+    with pytest.raises(
+        SharingError,
+        match=r"branch of BocHandle\(0\) on PE \d+ contributed to 't' twice",
+    ):
+        Kernel(make_machine("ipsc2", P)).run(Main)
 
 
 def test_messages_to_branches_before_construction_buffered():

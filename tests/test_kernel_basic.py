@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Chare, Kernel, entry, make_machine
+from repro import BranchOfficeChare, Chare, Kernel, entry, make_machine
 from repro.util.errors import (
     ConfigurationError,
     RoutingError,
@@ -56,6 +56,33 @@ def test_create_invalid_pe_raises(ideal4):
         Kernel(ideal4).run(BadMain)
 
 
+class _Branch(BranchOfficeChare):
+    def __init__(self):
+        pass
+
+    @entry
+    def ping(self, target):
+        self.send(target, "finish")
+
+
+@pytest.mark.parametrize("call", ["create", "send_branch"])
+@pytest.mark.parametrize("pe", [1.5, True])
+def test_non_integer_pe_is_a_configuration_error(call, pe):
+    """A pe that is not an int fails at the call, naming ``pe``, rather
+    than inside the topology's hop count (1.5) or as PE 1 (True)."""
+
+    class BadMain(Chare):
+        def __init__(self):
+            if call == "create":
+                self.create(Nop, pe=pe)
+            else:
+                self.send_branch(self.create_boc(_Branch), pe, "ping",
+                                 self.thishandle)
+
+    with pytest.raises(ConfigurationError, match="pe must be an integer"):
+        Kernel(make_machine("ipsc2", 4)).run(BadMain)
+
+
 def test_send_to_unknown_entry_raises(ideal4):
     class Child(Chare):
         def __init__(self):
@@ -91,6 +118,43 @@ def test_api_outside_execution_raises(ideal4):
     kernel = Kernel(ideal4)
     with pytest.raises(SchedulingError):
         kernel.api_charge(10)
+
+
+class _SharingMain(Chare):
+    def __init__(self):
+        self.new_accumulator("acc")
+        self.new_table("tbl")
+        boc = self.create_boc(_Branch)
+        self.send_branch(boc, 0, "ping", self.thishandle)
+
+    @entry
+    def finish(self):
+        self.exit()
+
+
+# Every Chare sharing or quiescence call that sends a message.
+_MESSAGE_CALLS = {
+    "collect_accumulator":
+        lambda c, b: c.collect_accumulator("acc", c.thishandle, "finish"),
+    "table_insert": lambda c, b: c.table_insert("tbl", 1, 2),
+    "table_find": lambda c, b: c.table_find("tbl", 1, c.thishandle, "finish"),
+    "table_delete": lambda c, b: c.table_delete("tbl", 1),
+    "write_once": lambda c, b: c.write_once("w", 1),
+    "contribute":
+        lambda c, b: b.contribute("t", 1, "sum", c.thishandle, "finish"),
+    "barrier": lambda c, b: b.barrier("t", "finish"),
+    "start_quiescence": lambda c, b: c.start_quiescence(c.thishandle, "finish"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_MESSAGE_CALLS))
+def test_sharing_call_outside_execution_raises(ideal4, call):
+    res = Kernel(ideal4).run(_SharingMain)
+    k = res.kernel
+    main = k.chares[k.main_handle.gid]
+    branch = k.bocs[0][0]
+    with pytest.raises(SchedulingError, match="outside an entry-method"):
+        _MESSAGE_CALLS[call](main, branch)
 
 
 @pytest.mark.parametrize("queueing", ["fifo", "prio", "bitprio"])
