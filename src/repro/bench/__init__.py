@@ -2,8 +2,8 @@
 
 The modules here regenerate the paper's tables and figures (see
 EXPERIMENTS.md).  ``python -m repro.bench --exp all`` prints everything;
-the files under ``benchmarks/`` drive the same registry via
-pytest-benchmark.
+``tests/test_experiments.py`` runs the same registry at quick scale and
+asserts each experiment's claim shape.
 """
 
 from repro.bench.harness import (

@@ -4,9 +4,9 @@ Experiment ids follow DESIGN.md §4 (T1–T9, F1–F3).  Every function returns
 an :class:`ExperimentResult` whose ``text`` is the printable table(s)/series
 and whose ``data`` holds the raw numbers for tests and EXPERIMENTS.md.
 
-Sizes here are the "paper scale" defaults; the pytest-benchmark drivers
-under ``benchmarks/`` run reduced sizes via the ``scale='quick'`` knob so
-the whole suite stays CI-friendly.
+Sizes here are the "paper scale" defaults; ``scale='quick'`` runs reduced
+sizes, which ``tests/test_experiments.py`` uses to assert every
+experiment's claim shape in the tier-1 suite.
 """
 
 from __future__ import annotations

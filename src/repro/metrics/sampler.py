@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.trace.events import event_records
-from repro.util.errors import need_int
+from repro.util.errors import need_int, need_real
 
 __all__ = ["sample_metrics", "metrics_summary"]
 
@@ -86,6 +86,9 @@ def sample_metrics(
         # util divides by num_pes; 0 would raise ZeroDivisionError deep in
         # the row loop and a negative count would yield negative utilization.
         num_pes = need_int("num_pes", num_pes, 1)
+    if t_end is not None:
+        # NaN would otherwise surface as a bare ValueError in bucket_of.
+        need_real("t_end", t_end, strict=False)
     events = event_records(records)
     if not events:
         return []

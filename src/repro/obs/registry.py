@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Optional, Tuple
 
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, need_int
 
 __all__ = ["Histogram", "SUBBUCKETS"]
 
@@ -48,11 +48,8 @@ class Histogram:
                  "_vmin", "_vmax")
 
     def __init__(self, subbuckets: int = SUBBUCKETS) -> None:
-        if subbuckets < 1:
-            raise ConfigurationError(
-                f"histogram subbuckets must be >= 1, got {subbuckets}"
-            )
-        self.subbuckets = subbuckets
+        # A float would index buckets by float keys and skew every quantile.
+        self.subbuckets = need_int("subbuckets", subbuckets, 1)
         self.buckets: Dict[int, int] = {}
         self.zero = 0
         self.count = 0

@@ -2,21 +2,28 @@
 shape — the thing the reproduction is *for* — holds."""
 
 import hashlib
+import json
+import os
 
 import pytest
 
+from repro.bench.cache import ResultCache
 from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.bench.harness import measure, speedup_sweep
 from repro.bench.parallel import SweepExecutor, use_executor
+from repro.metrics.latency import latency_summary
+from repro.obs import RunHealth, parse_jsonl
+from repro.trace import EVENT_KINDS, critical_path
 from repro.util.errors import ConfigurationError
 from repro.util.hashing import stable_digest
 
 
 class Recording(SweepExecutor):
-    """The serial executor, remembering every descriptor submitted to it."""
+    """The serial executor with a result cache, remembering every
+    descriptor submitted to it."""
 
-    def __init__(self):
-        super().__init__(jobs=1)
+    def __init__(self, cache):
+        super().__init__(jobs=1, cache=cache)
         self.descs = []
 
     def run_many(self, descs, label=""):
@@ -25,12 +32,14 @@ class Recording(SweepExecutor):
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    """Run every experiment once at quick scale; share across tests."""
-    with Recording() as ex, use_executor(ex):
+def sweep(tmp_path_factory):
+    """Run every experiment once at quick scale, storing every row in a
+    fresh result cache; share across tests."""
+    cache_dir = tmp_path_factory.mktemp("bench_cache")
+    with Recording(ResultCache(str(cache_dir))) as ex, use_executor(ex):
         results = {exp_id: run_experiment(exp_id, scale="quick")
                    for exp_id in EXPERIMENTS}
-    return results, ex.descs
+    return results, ex.descs, cache_dir
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +66,16 @@ def test_cache_keys_of_the_quick_sweep_equal_the_parents(sweep):
         "a2600754de7e9d3ce61737877f6fd814d5db37a117de5b715cb9c1f643ffda6d")
 
 
+def test_cached_rows_stay_small(sweep):
+    """The cold quick sweep stores 154 files under 700,000 B: 628,686 B
+    with per-PE rows pickled as tuples, 775,530 B when each carried a
+    22-entry state dict.  The total is deterministic to a few bytes, so a
+    fattened row trips this where a noisy clock never would."""
+    sizes = [os.path.getsize(path) for path in sweep[2].rglob("*.pkl")]
+    assert len(sizes) == 154
+    assert sum(sizes) < 700_000, f"what did a row gain? {sum(sizes)} B"
+
+
 def test_all_experiments_produce_tables(results):
     for exp_id, res in results.items():
         assert res.exp_id.lower() == exp_id
@@ -69,12 +88,19 @@ def test_unknown_experiment_rejected():
         run_experiment("t99")
 
 
+def test_t1_every_app_charges_work_and_sends_messages(results):
+    for app, row in results["t1"].data.items():
+        assert row["work"] > 0, f"{app} charged no work"
+        assert row["msgs"] > 0, f"{app} sent no message"
+
+
 def test_t2_shared_memory_speedup_shapes(results):
     apps = results["t2"].data["apps"]
     for name, d in apps.items():
         speedups = d["speedups"]
         assert speedups[0] == pytest.approx(1.0)
         assert speedups[1] > 1.2, f"{name} gained nothing from 2 PEs"
+        assert speedups[-1] > 1.0, f"{name} failed to speed up at all"
         # Coarse tree programs keep scaling; nothing exceeds linear by much.
         for p, s in zip(results["t2"].data["pes"], speedups):
             assert s <= p * 1.5
@@ -88,6 +114,8 @@ def test_t3_hypercube_latency_hurts_vs_bus(results):
     s_bus = t2["queens"]["speedups"][results["t2"].data["pes"].index(4)]
     s_cube = t3["queens"]["speedups"][results["t3"].data["pes"].index(4)]
     assert s_cube <= s_bus + 0.3
+    for name, d in t3.items():
+        assert d["speedups"][1] > 1.0, f"{name} lost time going parallel"
 
 
 def test_t4_tree_scales_to_large_p(results):
@@ -133,6 +161,15 @@ def test_t9_latency_nonnegative_and_bounded(results):
         assert row["waves"] >= 2
 
 
+def test_t10_adaptive_placement_beats_load_blind(results):
+    """Node speeds differ 4x: load-aware ACWN beats every load-blind
+    placement on time, and keeps the PEs busier than random does."""
+    d = results["t10"].data
+    assert d["acwn"]["time"] < d["roundrobin"]["time"]
+    assert d["acwn"]["time"] < d["random"]["time"]
+    assert d["acwn"]["util"] > d["random"]["util"]
+
+
 def test_t11_sparse_scale_curve_is_flat(results):
     d = results["t11"].data
     for app, series in d["apps"].items():
@@ -168,12 +205,100 @@ def test_f2_efficiency_decreases_with_tiny_grain(results):
     # Efficiency at the coarsest measured grain is lower than at the knee
     # (too few chares), and mid grains beat the extremes on this size.
     assert max(q.values()) <= 1.1
+    for app in ("queens", "fib"):
+        series = results["f2"].data[app]
+        assert all(0 < eff <= 1.2 for eff in series.values()), (app, series)
 
 
 def test_f3_balancers_flatten_utilization(results):
     d = results["f3"].data
     spread = lambda utils: max(utils) - min(utils)
     assert spread(d["acwn"]) < spread(d["local"])
+
+
+def test_a1_binomial_tree_cuts_collective_hops(results):
+    d = results["a1"].data
+    assert d["binomial"]["hops"] < d["rank"]["hops"]
+
+
+def test_a2_wider_batching_window_prunes_less_with_fewer_messages(results):
+    d = results["a2"].data
+    widest, narrowest = d[max(d)], d[min(d)]
+    # Staler bounds expand at least as many nodes, on no more messages.
+    assert widest["nodes"] >= narrowest["nodes"]
+    assert widest["msgs"] <= narrowest["msgs"]
+
+
+def test_a3_wider_qd_interval_trades_latency_for_waves(results):
+    d = results["a3"].data
+    widest, narrowest = d[max(d)], d[min(d)]
+    assert widest["latency"] > narrowest["latency"]
+    assert widest["waves"] <= narrowest["waves"]
+
+
+def test_a4_higher_acwn_threshold_moves_fewer_seeds(results):
+    d = results["a4"].data
+    assert d["(8, 4)"]["remote"] < d["(1, 4)"]["remote"]
+
+
+def test_a5_link_contention_hurts_all_to_all_most(results):
+    d = results["a5"].data
+    sort = d["samplesort"]["contended"] / d["samplesort"]["plain"]
+    jacobi = d["jacobi"]["contended"] / d["jacobi"]["plain"]
+    assert sort > 1.0, "contention must cost something all-to-all"
+    assert sort > jacobi, "all-to-all must suffer more than a stencil"
+
+
+def test_s1_cli_exports_parse_and_rederive_the_folded_digests(results,
+                                                               tmp_path):
+    """``python -m repro.bench --exp s1 --trace-out --metrics-out``: every
+    exported run analyzes, is causally ordered and bounded, every metric
+    stream and scrape parses, and the latency walk over the exported
+    events gives the untraced sweep's folded digests float for float, as
+    does the traced table the same command writes."""
+    from repro.bench.__main__ import main
+    from repro.trace.__main__ import load_run, main as trace_main
+
+    tables, traces, streams = (tmp_path / name
+                               for name in ("tables", "traces", "metrics"))
+    assert main(["--exp", "s1", "--scale", "quick", "--jobs", "1",
+                 "--no-cache", "--no-progress", "--output", str(tables),
+                 "--trace-out", str(traces),
+                 "--metrics-out", str(streams)]) == 0
+    keys = ("p50", "p95", "p99", "mean", "mean_queue_wait")
+
+    def digests(series):
+        return sorted(tuple(row[k] for k in keys) for row in series)
+
+    runs = sorted(traces.glob("*.run.json"))
+    walked = []
+    for path in runs:
+        assert trace_main([str(path)]) == 0
+        doc = load_run(str(path))
+        assert doc["format"] == "repro-trace-v1" and doc["dropped"] == 0
+        for e in doc["events"]:
+            assert e["kind"] in EVENT_KINDS, e
+            assert e["parent"] is None or e["parent"] < e["eid"], e
+        path_len = critical_path(doc["events"]).length
+        assert path_len <= doc["meta"]["total_time"] + 1e-12
+        walked.append(latency_summary(doc["events"]))
+    folded = digests(results["s1"].data["series"])
+    assert digests(walked) == folded
+    traced = json.loads((tables / "s1.json").read_text())["data"]["series"]
+    assert digests(traced) == folded
+
+    jsonl = sorted(streams.glob("*.metrics.jsonl"))
+    proms = sorted(streams.glob("*.prom"))
+    assert len(jsonl) == len(proms) == len(runs) > 0
+    for path in jsonl:
+        payload = parse_jsonl(path.read_text())
+        assert payload["snapshots"], path
+        assert RunHealth(payload).report()["status"] == "final", path
+    for path in proms:
+        text = path.read_text()
+        assert "# TYPE repro_exec_total counter" in text, path
+        assert "# TYPE repro_serving_latency_seconds histogram" in text, path
+        assert 'le="+Inf"' in text, path
 
 
 # --------------------------------------------------------------- harness unit

@@ -383,15 +383,14 @@ def test_duplicated_seed_of_a_retired_chare_runs_once():
     assert list(kernel.placement) == list(kernel.chares)
 
 
-def test_kernel_state_is_o_live_after_57k_destroyed_fib_nodes():
-    """A finished FibNode destroys itself (ChareExit): fib(22) at grain 2
-    creates 57,313 nodes and ends holding the main chare alone.  While
-    FibNode kept itself alive the run ended holding all 57,314 chares,
-    with a 20.7 MB traced peak (12.5 MB now; fib(20) below pins the
-    kept-to-destroyed ratio)."""
-    ans, result = run_fib(make_machine("ncube2", 64), n=22, threshold=2)
+def test_kernel_state_is_o_live_after_22k_destroyed_fib_nodes():
+    """A finished FibNode destroys itself (ChareExit): fib(20) at grain 2
+    creates 21,891 nodes and ends holding the main chare alone.  While
+    FibNode kept itself alive the run ended holding all 21,892 chares
+    (fib(16) below pins the kept-to-destroyed memory ratio)."""
+    ans, result = run_fib(make_machine("ncube2", 64), n=20, threshold=2)
     kernel = result.kernel
-    assert ans == 17711 and kernel._next_gid == 57_314
+    assert ans == 6765 and kernel._next_gid == 21_892
     assert list(kernel.chares) == [kernel.main_handle.gid]
     assert len(kernel.placement) == len(kernel.chares)
 

@@ -28,6 +28,7 @@ import pytest
 from repro.core.chare import Chare
 from repro.core.kernel import Kernel
 from repro.machine.presets import make_machine
+from repro.metrics import sample_metrics
 from repro.obs import (
     Histogram,
     RunHealth,
@@ -126,6 +127,23 @@ class TestHistogram:
     def test_subbuckets_validated(self):
         with pytest.raises(ConfigurationError):
             Histogram(subbuckets=0)
+
+
+@pytest.mark.parametrize("bad, field", [
+    # 2.5 gave float bucket keys {2.5, 6.0} over 1.0 and 3.0 and a median
+    # of 1.2; True was one sub-bucket; "32" died in a bare TypeError.
+    (lambda: Histogram(2.5), "subbuckets"),
+    (lambda: Histogram(True), "subbuckets"),
+    (lambda: Histogram("32"), "subbuckets"),
+    (lambda: Histogram.from_record(dict(Histogram().as_record(),
+                                        subbuckets="32")), "subbuckets"),
+    # A bare ValueError from int(NaN) in bucket_of.
+    (lambda: sample_metrics([{"eid": 0, "kind": "send", "t": 0.0, "pe": 0}],
+                            t_end=float("nan")), "t_end"),
+], ids=["float", "bool", "str", "record-str", "t_end-nan"])
+def test_bucket_geometry_input_names_the_field(bad, field):
+    with pytest.raises(ConfigurationError, match=field):
+        bad()
 
 
 # ===================================================== invisible-when-on

@@ -46,7 +46,7 @@ def _random_priority(rng):
     # Bitvectors with lengths clustered around the 63-bit chunk boundary
     # (0..2 chunks) so multi-element packed keys get real coverage.
     length = rng.randint(0, 140)
-    return BitVectorPriority(rng.randint(0, 2) for _ in range(length))
+    return BitVectorPriority(rng.generator.integers(0, 2, length).tolist())
 
 
 # ------------------------------------------------------------------ pairwise

@@ -308,6 +308,8 @@ def test_s1_cache_replay_byte_identical(tmp_path):
 
 def test_s1_shows_saturation_knee():
     res = _s1(jobs=1)
+    for column in ("p50 (ms)", "p95 (ms)", "p99 (ms)", "wait %"):
+        assert column in res.text, f"missing column: {column}"
     series = res.data["series"]
     by_util = {round(s["util"], 2): s for s in series}
     # Tail latency rises monotonically with utilization...

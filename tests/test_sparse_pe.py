@@ -184,13 +184,17 @@ def test_sparse_p100k_touches_only_active_ranks():
 
 def test_sparse_quiescence_and_collect_stay_sparse():
     """QD waves and accumulator gathers enumerate the touched set only —
-    the event count must be orders of magnitude below P."""
+    the event count must be orders of magnitude below P, and the run must
+    finish in seconds: an O(P) regression blows the wall budget."""
+    t0 = time.perf_counter()
     machine = make_machine("cluster", 100_000, sparse=True)
     ans, res = run_tree(machine, TreeParams(seed=7, max_depth=7),
                         balancer="random", seed=1)
+    wall = time.perf_counter() - t0
     k = res.kernel
     assert ans == (56, 31)  # structural answer: QD + collect completed
     assert len(k.pes) < 1_000
+    assert wall < 30.0, f"blew the wall budget: {wall:.1f}s"
     assert res.events < 10_000  # full-P collectives would exceed 100k
     # tsp adds monotonic floods (eager) on top of QD + collects.
     inst = TspInstance.random(7, seed=11)
