@@ -401,9 +401,9 @@ class GradientBalancer(Balancer):
         # Optimistically count the seed we are about to route there, so one
         # advertised-idle PE doesn't attract a herd of seeds from here.
         self.known[pe][best_origin] = self.known_load(pe, best_origin) + 1
-        topo = self.kernel.machine.topology
-        nbrs = self.kernel.machine.neighbors(pe)
-        return min(nbrs, key=lambda nb: topo.hops(nb, best_origin))
+        machine = self.kernel.machine
+        hops = machine.hops_fn
+        return min(machine.neighbors(pe), key=lambda nb: hops(nb, best_origin))
 
     def on_new_seed(self, src_pe: int, chare_cls: type) -> int:
         if self.local_load(src_pe) < self.threshold:

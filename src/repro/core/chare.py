@@ -21,9 +21,9 @@ Entry methods are marked with :func:`entry`::
 
 All chare API calls (``send``, ``create``, ``charge`` …) are only legal
 while the runtime is executing one of the chare's entries — they delegate
-to the kernel's current execution context, or, for the sharing modes and
-quiescence detection, straight to the kernel's sharing service
-(:mod:`repro.sharing.manager`) and quiescence detector.
+to the kernel's current execution context, or, for the sharing modes,
+branch-office chares and quiescence detection, straight to the kernel's
+sharing service (:mod:`repro.sharing.manager`) and quiescence detector.
 """
 
 from __future__ import annotations
@@ -175,7 +175,8 @@ class Chare:
 
     def create_boc(self, boc_cls: type, *args: Any) -> BocHandle:
         """Create a branch-office chare with one branch on every PE."""
-        return self._kernel.api_create_boc(boc_cls, args)
+        kernel = self._kernel
+        return kernel.sharing.create_boc(boc_cls, args, kernel.current.pe)
 
     def send_branch(
         self,
@@ -186,13 +187,16 @@ class Chare:
         priority: PriorityLike = None,
     ) -> None:
         """Invoke an entry on the branch of ``boc`` living on ``pe``."""
-        self._kernel.api_send_branch(boc, pe, entry_name, args, priority)
+        kernel = self._kernel
+        kernel.sharing.send_branch(boc, pe, entry_name, args, priority,
+                                   kernel.current.pe)
 
     def broadcast_branches(
         self, boc: BocHandle, entry_name: str, *args: Any
     ) -> None:
         """Invoke an entry on **every** branch of ``boc`` (spanning tree)."""
-        self._kernel.api_boc_broadcast(boc, entry_name, args)
+        kernel = self._kernel
+        kernel.sharing.broadcast(boc, entry_name, args, kernel.current.pe)
 
     def local_branch(self, boc: BocHandle) -> "BranchOfficeChare":
         """Direct (same-PE) reference to the local branch of ``boc``.
@@ -200,7 +204,8 @@ class Chare:
         This is Charm's ``BranchCall``: zero-message access to the branch
         co-located with the caller.
         """
-        return self._kernel.api_local_branch(boc)
+        kernel = self._kernel
+        return kernel.sharing.local_branch(boc, kernel.current.pe)
 
     def destroy(self, target: Optional[ChareHandle] = None) -> None:
         """Destroy a chare — by default, this one (``delete this``).
@@ -341,13 +346,13 @@ class BranchOfficeChare(Chare):
 
     def broadcast(self, entry_name: str, *args: Any) -> None:
         """Invoke ``entry_name`` on every branch of this BOC."""
-        self._kernel.api_boc_broadcast(self._boc, entry_name, args)
+        self.broadcast_branches(self._boc, entry_name, *args)
 
     def send_peer(
         self, pe: int, entry_name: str, *args: Any, priority: PriorityLike = None
     ) -> None:
         """Invoke an entry on this BOC's branch on another PE."""
-        self._kernel.api_send_branch(self._boc, pe, entry_name, args, priority)
+        self.send_branch(self._boc, pe, entry_name, *args, priority=priority)
 
     def contribute(
         self,

@@ -2,13 +2,16 @@
 
 :class:`Kernel` binds a simulated :class:`~repro.machine.network.Machine`
 to the programming model: it owns the event engine, the per-PE schedulers
-and the chare/BOC tables, and it schedules, places and routes every
-message.  Beside it sit the runtime services it binds and routes service
-messages to: the load balancer, the quiescence detector and the sharing
-service, which owns every sharing mode (read-only, write-once,
-accumulators, monotonic variables, tables, BOC reductions and barriers).
-:class:`~repro.core.chare.Chare` calls the last two directly.  A program
-is run with::
+and the chare tables, and it schedules, places and routes every message.
+Beside it sit the runtime services it binds and routes service messages
+to: the load balancer, the quiescence detector and the sharing service,
+which owns every sharing mode (read-only, write-once, accumulators,
+monotonic variables, tables) and the branch-office chares (branch
+tables, spans, held branch messages, broadcasts, reductions, barriers).
+The kernel routes BOC envelopes with one service call each: ``_select``
+asks the service to hold one whose branch is not built yet, ``_dispatch``
+asks it for the branch to run.  :class:`~repro.core.chare.Chare` calls
+the last two services directly.  A program is run with::
 
     from repro import Kernel, make_machine
 
@@ -41,7 +44,7 @@ from types import FunctionType as _FunctionType
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.chare import BranchOfficeChare, Chare, declares_entry, is_entry
-from repro.core.handles import BocHandle, ChareHandle, mint_chare_handle
+from repro.core.handles import ChareHandle, mint_chare_handle
 from repro.core.messages import Envelope, Kind
 from repro.core.pe import PEPlane, PEState
 from repro.core.services import Service
@@ -142,7 +145,7 @@ class Kernel:
             None if machine.pe_speeds else machine.params.work_unit_time
         )
         # Pre-bound machine methods used once per remote message.  hops_fn
-        # is the topology's closed form where one exists (no O(P²) memo).
+        # is the topology's unchecked arithmetic metric (no O(P²) memo).
         self._hops = machine.hops_fn
         self._transit_time = machine.transit_time
         self.engine = Engine()
@@ -280,14 +283,6 @@ class Kernel:
         ] = {}
         self._premature: Dict[int, List[Envelope]] = {}
 
-        self.bocs: Dict[int, Dict[int, BranchOfficeChare]] = {}
-        # boc_id -> the write-once span of ranks its branches live on, taken
-        # at the BOC's first collective (its create reaching the tree root);
-        # every later broadcast/reduction for that BOC walks it.
-        self.boc_spans: Dict[int, Span] = {}
-        self._next_boc = 0
-        self._boc_premature: Dict[Tuple[int, int], List[Envelope]] = {}
-
         # Services ------------------------------------------------------------
         self.services: Dict[str, Service] = {}
         self.sharing = SharingService()
@@ -363,13 +358,6 @@ class Kernel:
             ranks = self.pes.ranks()
             return Span(ranks, type(self.tree)(len(ranks)))
         return self._all_ranks
-
-    def boc_span(self, boc_id: int) -> Span:
-        """A BOC's write-once span, taken at its first collective."""
-        span = self.boc_spans.get(boc_id)
-        if span is None:
-            span = self.boc_spans[boc_id] = self.span()
-        return span
 
     def run(
         self,
@@ -625,7 +613,8 @@ class Kernel:
     def _select(self, pe: PEState) -> Optional[Envelope]:
         """Pick the next servable envelope, or None when the PE drains.
 
-        Holds premature APP/BOC messages until their target exists and,
+        Holds premature APP messages until their target exists (and has
+        the sharing service hold BOC ones until their branch does) and,
         when the PE has truly run dry, tells the balancer.
         """
         while True:
@@ -649,12 +638,7 @@ class Kernel:
                 # Arrived before its target was constructed; hold until then.
                 self._premature.setdefault(gid, []).append(env)
                 continue
-            if kind == _BOC and env.dst_pe not in self.bocs.get(
-                env.boc.boc_id, {}
-            ):
-                self._boc_premature.setdefault(
-                    (env.boc.boc_id, env.dst_pe), []
-                ).append(env)
+            if kind == _BOC and self.sharing.hold(env):
                 continue
             return env
 
@@ -790,12 +774,7 @@ class Kernel:
         if kind == _SVC:
             self.services[env.service].handle(env.dst_pe, env.entry, env.args)
         elif kind == _BOC:
-            branch = self.bocs[env.boc.boc_id].get(env.dst_pe)
-            if branch is None:
-                raise RoutingError(
-                    f"message to missing branch {env.boc} on PE {env.dst_pe}"
-                )
-            self._invoke(branch, env.entry, env.args)
+            self._invoke(self.sharing.branch(env), env.entry, env.args)
         else:  # pragma: no cover - exhaustive
             raise RoutingError(f"unknown envelope kind {env.kind}")
 
@@ -995,106 +974,6 @@ class Kernel:
         self._exit_requested = True
         self._exit_result = result
 
-    # ----------------------------------------------------------------- BOC API
-    def api_create_boc(self, boc_cls: type, args: tuple) -> BocHandle:
-        if not issubclass(boc_cls, BranchOfficeChare):
-            raise ConfigurationError(
-                f"{boc_cls.__name__} is not a BranchOfficeChare subclass"
-            )
-        ctx = self.current
-        boc_id = self._next_boc
-        self._next_boc += 1
-        self.bocs[boc_id] = {}
-        # Replicate via the spanning tree: construction cost is real messages.
-        self.svc_send(
-            "share", ctx.pe, 0, "boc_create", (boc_id, boc_cls, args), counted=True
-        )
-        return BocHandle(boc_id)
-
-    def construct_branch(
-        self, boc_id: int, boc_cls: type, args: tuple, pe: int
-    ) -> None:
-        """Instantiate one branch (called by the sharing service handler)."""
-        obj = boc_cls.__new__(boc_cls)
-        obj._kernel = self
-        obj._handle = ChareHandle(-1 - boc_id)  # branches are not chare-addressable
-        obj._pe = pe
-        obj._boc = BocHandle(boc_id)
-        self.bocs[boc_id][pe] = obj
-        obj.__init__(*args)
-        for held in self._boc_premature.pop((boc_id, pe), ()):
-            self.pes[pe].enqueue(held)
-
-    def api_send_branch(
-        self,
-        boc: BocHandle,
-        pe: int,
-        entry_name: str,
-        args: tuple,
-        priority: PriorityLike,
-    ) -> None:
-        ctx = self.current
-        pe = need_int("pe", pe, None)
-        if not 0 <= pe < self.num_pes:
-            raise RoutingError(f"branch send to invalid PE {pe}")
-        span = self.boc_spans.get(boc.boc_id)
-        if span is not None and pe not in span:
-            # Branches materialize on the ranks of the BOC's write-once
-            # span (under sparse startup, those touched at creation); a
-            # send outside it would wait forever for a branch that will
-            # never be constructed, so fail it loudly instead.
-            raise RoutingError(
-                f"branch send to PE {pe}: {boc} spans "
-                f"{len(span)} touched ranks and PE {pe} is not one "
-                "(sparse BOCs cover the ranks active at creation)"
-            )
-        priority = check_priority(priority)
-        env = Envelope(
-            kind=Kind.BOC,
-            src_pe=ctx.pe,
-            dst_pe=pe,
-            entry=entry_name,
-            args=args,
-            boc=boc,
-            priority=priority,
-        )
-        ctx.outbox.append((ctx.charged, env))
-
-    def api_boc_broadcast(self, boc: BocHandle, entry_name: str, args: tuple) -> None:
-        ctx = self.current
-        self.svc_send(
-            "share",
-            ctx.pe,
-            0,
-            "boc_bcast",
-            (boc.boc_id, entry_name, args),
-            counted=True,
-        )
-
-    def api_local_branch(self, boc: BocHandle) -> BranchOfficeChare:
-        ctx = self.current
-        branch = self.bocs.get(boc.boc_id, {}).get(ctx.pe)
-        if branch is None:
-            raise RoutingError(
-                f"no local branch of {boc} on PE {ctx.pe} (not yet constructed?)"
-            )
-        return branch
-
-    def deliver_local_boc(
-        self, boc_id: int, pe: int, entry_name: str, args: tuple
-    ) -> None:
-        """Queue a local BOC invocation (used by broadcast fan-out)."""
-        env = Envelope(
-            kind=Kind.BOC,
-            src_pe=pe,
-            dst_pe=pe,
-            entry=entry_name,
-            args=args,
-            boc=BocHandle(boc_id),
-        )
-        ctx = self.current
-        ctx.outbox.append((ctx.charged, env))
-
     def _no_chare(self, what: str, handle: ChareHandle) -> RoutingError:
         """The error for ``what`` addressed to a gid with no placement.
 
@@ -1106,23 +985,16 @@ class Kernel:
             return RoutingError(f"{what} to destroyed chare {handle}")
         return RoutingError(f"{what} to unknown handle {handle}")
 
-    # ------------------------------------------------------------- service send
-    def svc_send(
-        self,
-        service: str,
-        src_pe: int,
-        dst_pe: int,
-        op: str,
-        args: tuple,
-        counted: bool = False,
-    ) -> None:
-        """Send a runtime-service message (system lane on arrival)."""
-        env = Envelope.make_svc(src_pe, dst_pe, op, args, service, counted)
+    # ------------------------------------------------------------------- send
+    def post(self, env: Envelope) -> None:
+        """Send ``env`` from its source PE: onto the outbox of the execution
+        running there (departing at the work it has charged so far), else
+        to the network now.  Services send every message through here."""
         ctx = self._current
-        if ctx is not None and ctx.pe == src_pe:
+        if ctx is not None and ctx.pe == env.src_pe:
             ctx.outbox.append((ctx.charged, env))
         else:
-            self._deliver(env, self.now)
+            self._deliver(env, self.engine._now)
 
     # ------------------------------------------------------------------ app send
     def send_app_from_service(
@@ -1156,8 +1028,4 @@ class Kernel:
             args=args,
             handle=target,
         )
-        ctx = self._current
-        if ctx is not None and ctx.pe == src_pe:
-            ctx.outbox.append((ctx.charged, env))
-        else:
-            self._deliver(env, self.now)
+        self.post(env)

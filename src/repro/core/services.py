@@ -15,6 +15,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Tuple, TYPE_CHECKING
 
+from repro.core.messages import Envelope
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.kernel import Kernel
 
@@ -47,4 +49,6 @@ class Service(ABC):
         args: Tuple[Any, ...] = (),
         counted: bool = False,
     ) -> None:
-        self.kernel.svc_send(self.name, src_pe, dst_pe, op, args, counted=counted)
+        # System lane on arrival.
+        self.kernel.post(Envelope.make_svc(src_pe, dst_pe, op, args,
+                                           self.name, counted))

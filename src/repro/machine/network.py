@@ -102,23 +102,12 @@ class Machine:
     # Mutable per-run state: shared-bus occupancy and per-link occupancy.
     _bus_free_at: float = field(default=0.0, repr=False)
     _link_free_at: dict = field(default_factory=dict, repr=False)
-    # Memoized network costs for *table-free* topologies only (trees):
-    # hop counts per (src, dst) pair, and the uncontended
-    # ``max(0, hops-1) * per_hop`` latency term per pair.  Families with a
-    # closed-form metric (bus, ring, mesh, torus, hypercube) skip these
-    # dicts entirely — O(P²) tables are unusable at the roadmap's 10⁵-PE
-    # machines.
-    _hops_table: dict = field(default_factory=dict, repr=False)
-    _hop_extra: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         # hops_fn is the hot-path hop counter the kernel binds once per
-        # run: the topology's unchecked closed form where one exists, the
-        # per-pair memo otherwise.  Not a dataclass field (bound methods
-        # don't belong in repr/eq), but picklable either way.
-        cf = self.topology.closed_form_hops()
-        self._hops_closed = cf
-        self.hops_fn = cf if cf is not None else self._memo_hops
+        # run: the topology's unchecked metric.  Not a dataclass field
+        # (bound methods don't belong in repr/eq), but picklable.
+        self.hops_fn = self.topology.distance
 
     @property
     def num_pes(self) -> int:
@@ -128,18 +117,6 @@ class Machine:
         """Clear per-run mutable state (bus and link occupancy)."""
         self._bus_free_at = 0.0
         self._link_free_at = {}
-
-    def hops(self, src: int, dst: int) -> int:
-        """Hop count via the closed form, or the memo for table-free shapes."""
-        return self.hops_fn(src, dst)
-
-    def _memo_hops(self, src: int, dst: int) -> int:
-        """Memoized :meth:`Topology.hops` (built lazily, keyed per pair)."""
-        key = (src, dst)
-        cached = self._hops_table.get(key)
-        if cached is None:
-            cached = self._hops_table[key] = self.topology.hops(src, dst)
-        return cached
 
     # ------------------------------------------------------------------ compute
     def compute_time(self, work_units: float, pe: int = 0) -> float:
@@ -164,18 +141,7 @@ class Machine:
             route = self.topology.route(src, dst)
             if route is not None:
                 return self._contended_transit(route, nbytes, depart)
-        cf = self._hops_closed
-        if cf is not None:
-            # Same float expression as the memoized branch below, so
-            # switching a family to closed form never perturbs a bit.
-            hop_extra = max(0, cf(src, dst) - 1) * p.per_hop
-        else:
-            key = (src, dst)
-            hop_extra = self._hop_extra.get(key)
-            if hop_extra is None:
-                hop_extra = max(0, self.hops_fn(src, dst) - 1) * p.per_hop
-                self._hop_extra[key] = hop_extra
-        latency = p.alpha + nbytes * p.beta + hop_extra
+        latency = self.control_transit(src, dst, nbytes)
         if p.bus_bandwidth > 0.0:
             occupy = nbytes / p.bus_bandwidth
             start = max(depart, self._bus_free_at)
@@ -189,21 +155,14 @@ class Machine:
         Control echoes ride the network's flow-control channel: they pay
         the full alpha/beta/per-hop latency but never occupy the modeled
         bus or links (hardware-level acks do not queue behind data).  Used
-        by the fault layer's retry protocol (:mod:`repro.faults`).
+        by the fault layer's retry protocol (:mod:`repro.faults`); it is
+        also the uncontended part of every :meth:`transit_time`.
         """
         p = self.params
         if src == dst:
             return p.local_alpha
-        cf = self._hops_closed
-        if cf is not None:
-            hop_extra = max(0, cf(src, dst) - 1) * p.per_hop
-        else:
-            key = (src, dst)
-            hop_extra = self._hop_extra.get(key)
-            if hop_extra is None:
-                hop_extra = max(0, self.hops_fn(src, dst) - 1) * p.per_hop
-                self._hop_extra[key] = hop_extra
-        return p.alpha + nbytes * p.beta + hop_extra
+        return (p.alpha + nbytes * p.beta
+                + max(0, self.hops_fn(src, dst) - 1) * p.per_hop)
 
     def _contended_transit(self, route, nbytes: int, depart: float) -> float:
         """Store-and-forward traversal queuing on each directed link."""

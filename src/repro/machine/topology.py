@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import operator
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.util.errors import TopologyError
 
@@ -59,9 +59,20 @@ class Topology(ABC):
         if not 0 <= pe < self.num_pes:
             raise TopologyError(f"PE {pe} out of range [0, {self.num_pes})")
 
-    @abstractmethod
     def hops(self, src: int, dst: int) -> int:
         """Number of network hops from ``src`` to ``dst`` (0 if equal)."""
+        self._check(src)
+        self._check(dst)
+        return self.distance(src, dst)
+
+    @abstractmethod
+    def distance(self, src: int, dst: int) -> int:
+        """:meth:`hops` without the range checks: the per-message metric.
+
+        Arithmetic in every family (no per-pair table, which would be
+        O(P²) at the roadmap's 10⁵-PE machines).  A bound method, so a
+        machine holding it stays picklable for the parallel sweep.
+        """
 
     @abstractmethod
     def neighbors(self, pe: int) -> List[int]:
@@ -73,20 +84,6 @@ class Topology(ABC):
         ``None`` means the topology has no discrete links to contend for
         (bus/crossbar); the link-contention model then does not apply.
         Implementations must return exactly ``hops(src, dst)`` links.
-        """
-        return None
-
-    def closed_form_hops(self) -> Optional[Callable[[int, int], int]]:
-        """An O(1) *unchecked* hops function, or None.
-
-        When a family's metric reduces to arithmetic (popcount, coordinate
-        distance), this returns a bound method computing it with no range
-        checks and no memo table — the per-pair dict the cost model would
-        otherwise build is O(P²) and unusable at the roadmap's 10⁵-PE
-        machines.  A bound method (not a lambda/closure) so machines that
-        hold it stay picklable for the parallel sweep executor.  ``None``
-        means the metric genuinely needs a walk (trees); callers keep the
-        memoized table for those.
         """
         return None
 
@@ -110,16 +107,8 @@ class BusTopology(Topology):
 
     name = "bus"
 
-    def hops(self, src: int, dst: int) -> int:
-        self._check(src)
-        self._check(dst)
+    def distance(self, src: int, dst: int) -> int:
         return 0 if src == dst else 1
-
-    def _cf_hops(self, src: int, dst: int) -> int:
-        return 0 if src == dst else 1
-
-    def closed_form_hops(self) -> Callable[[int, int], int]:
-        return self._cf_hops
 
     def diameter(self) -> int:
         return 0 if self.num_pes == 1 else 1
@@ -155,18 +144,9 @@ class RingTopology(Topology):
             cur = nxt
         return links
 
-    def hops(self, src: int, dst: int) -> int:
-        self._check(src)
-        self._check(dst)
+    def distance(self, src: int, dst: int) -> int:
         d = abs(src - dst)
         return min(d, self.num_pes - d)
-
-    def _cf_hops(self, src: int, dst: int) -> int:
-        d = abs(src - dst)
-        return min(d, self.num_pes - d)
-
-    def closed_form_hops(self) -> Callable[[int, int], int]:
-        return self._cf_hops
 
     def diameter(self) -> int:
         return self.num_pes // 2
@@ -205,21 +185,11 @@ class Mesh2DTopology(Topology):
     def _rc(self, pe: int) -> Tuple[int, int]:
         return divmod(pe, self.cols)
 
-    def hops(self, src: int, dst: int) -> int:
-        self._check(src)
-        self._check(dst)
-        r1, c1 = self._rc(src)
-        r2, c2 = self._rc(dst)
-        return abs(r1 - r2) + abs(c1 - c2)
-
-    def _cf_hops(self, src: int, dst: int) -> int:
+    def distance(self, src: int, dst: int) -> int:
         cols = self.cols
         r1, c1 = divmod(src, cols)
         r2, c2 = divmod(dst, cols)
         return abs(r1 - r2) + abs(c1 - c2)
-
-    def closed_form_hops(self) -> Callable[[int, int], int]:
-        return self._cf_hops
 
     def diameter(self) -> int:
         return (self.rows - 1) + (self.cols - 1)
@@ -264,16 +234,7 @@ class Torus2DTopology(Mesh2DTopology):
 
     name = "torus2d"
 
-    def hops(self, src: int, dst: int) -> int:
-        self._check(src)
-        self._check(dst)
-        r1, c1 = self._rc(src)
-        r2, c2 = self._rc(dst)
-        dr = abs(r1 - r2)
-        dc = abs(c1 - c2)
-        return min(dr, self.rows - dr) + min(dc, self.cols - dc)
-
-    def _cf_hops(self, src: int, dst: int) -> int:
+    def distance(self, src: int, dst: int) -> int:
         cols = self.cols
         r1, c1 = divmod(src, cols)
         r2, c2 = divmod(dst, cols)
@@ -333,16 +294,8 @@ class HypercubeTopology(Topology):
             raise TopologyError(f"hypercube needs power-of-two PEs, got {num_pes}")
         self.dimension = num_pes.bit_length() - 1
 
-    def hops(self, src: int, dst: int) -> int:
-        self._check(src)
-        self._check(dst)
+    def distance(self, src: int, dst: int) -> int:
         return (src ^ dst).bit_count()
-
-    def _cf_hops(self, src: int, dst: int) -> int:
-        return (src ^ dst).bit_count()
-
-    def closed_form_hops(self) -> Callable[[int, int], int]:
-        return self._cf_hops
 
     def diameter(self) -> int:
         return self.dimension if self.num_pes > 1 else 0
@@ -396,17 +349,19 @@ class TreeTopology(Topology):
             path.append(pe)
         return path
 
-    def hops(self, src: int, dst: int) -> int:
-        self._check(src)
-        self._check(dst)
-        a = self._path_to_root(src)
-        b = set(self._path_to_root(dst))
-        # Depth of lowest common ancestor via first shared node on src's path.
-        for i, node in enumerate(a):
-            if node in b:
-                bpath = self._path_to_root(dst)
-                return i + bpath.index(node)
-        raise TopologyError("disconnected tree (unreachable)")  # pragma: no cover
+    def distance(self, src: int, dst: int) -> int:
+        """Climb to the lowest common ancestor.  In level order a larger
+        index is never shallower, so stepping the larger end up walks
+        both paths to the meeting node, one hop per step."""
+        arity = self.arity
+        hops = 0
+        while src != dst:
+            if src > dst:
+                src = (src - 1) // arity
+            else:
+                dst = (dst - 1) // arity
+            hops += 1
+        return hops
 
     def neighbors(self, pe: int) -> List[int]:
         self._check(pe)

@@ -15,25 +15,32 @@ simulated) messages:
   *off* propagation (experiment T7's knob),
 * **distributed tables** — hash-partitioned shards with insert/find/delete
   ops and reply-to-entry continuations,
-* BOC **reductions and barriers** — the tree fold an accumulator collect
-  shares — and the BOC plumbing: branch construction and spanning-tree
-  broadcast.
+* **branch-office chares** — the branch tables, each BOC's write-once
+  span, branch construction down that span, point-to-point branch sends,
+  spanning-tree broadcast, the branch messages held until their branch is
+  built, and BOC **reductions and barriers** (the tree fold an
+  accumulator collect shares).
 
-The kernel keeps scheduling, placement and routing; ``Chare`` calls this
-service directly.  Naming: all ops are small strings routed via SVC
-envelopes; see :class:`repro.core.services.Service`.
+The kernel keeps scheduling, placement and routing: its ``_select`` asks
+:meth:`SharingService.hold` about a BOC envelope and its ``_dispatch``
+asks :meth:`SharingService.branch` for the object to run it on.
+``Chare`` calls this service directly.  Naming: all ops are small strings
+routed via SVC envelopes; see :class:`repro.core.services.Service`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.chare import BranchOfficeChare
 from repro.core.handles import BocHandle, ChareHandle
+from repro.core.messages import Envelope, Kind
 from repro.core.services import Service
 from repro.core.tree import Span
 from repro.sharing.ops import check_better, combine, combiner, improves
-from repro.util.errors import SharingError
+from repro.util.errors import ConfigurationError, RoutingError, SharingError, need_int
 from repro.util.hashing import stable_hash
+from repro.util.priority import PriorityLike, check_priority
 
 __all__ = ["SharingService"]
 
@@ -105,6 +112,15 @@ class SharingService(Service):
         # its reduction tag.  Taken when the request reaches PE 0, dropped
         # when the fold completes.
         self._collect_snap: Dict[str, Span] = {}
+        # boc_id -> {pe -> branch}.  Ids are dense (the next one is the
+        # table's length), so an id at or past it was never created.
+        self.branches: Dict[int, Dict[int, BranchOfficeChare]] = {}
+        # boc_id -> the write-once span of ranks its branches live on, taken
+        # at the BOC's first collective (its create reaching the tree root);
+        # every later broadcast/reduction for that BOC walks it.
+        self.boc_spans: Dict[int, Span] = {}
+        # (boc_id, pe) -> branch messages that reached pe before its branch.
+        self._held: Dict[Tuple[int, int], List[Envelope]] = {}
         self.mono_updates_sent = 0
         self.mono_updates_applied = 0
 
@@ -315,6 +331,105 @@ class SharingService(Service):
             raise KeyError((table, pe))
         return self._shards.setdefault((table, pe), {})
 
+    # ------------------------------------------------------ branch-office chares
+    def create_boc(self, boc_cls: type, args: tuple, pe: int) -> BocHandle:
+        if not issubclass(boc_cls, BranchOfficeChare):
+            raise ConfigurationError(
+                f"{boc_cls.__name__} is not a BranchOfficeChare subclass"
+            )
+        boc_id = len(self.branches)
+        self.branches[boc_id] = {}
+        # Replicate via the spanning tree: construction cost is real messages.
+        self.send(pe, 0, "boc_create", (boc_id, boc_cls, args), counted=True)
+        return BocHandle(boc_id)
+
+    def _known(self, boc: BocHandle) -> int:
+        if boc.boc_id not in self.branches:
+            raise RoutingError(f"unknown BOC {boc}: this kernel never created it")
+        return boc.boc_id
+
+    def _boc_span(self, boc_id: int) -> Span:
+        """A BOC's write-once span, taken at its first collective."""
+        span = self.boc_spans.get(boc_id)
+        if span is None:
+            span = self.boc_spans[boc_id] = self.kernel.span()
+        return span
+
+    def send_branch(
+        self,
+        boc: BocHandle,
+        pe: int,
+        entry_name: str,
+        args: tuple,
+        priority: PriorityLike,
+        src_pe: int,
+    ) -> None:
+        boc_id = self._known(boc)
+        pe = need_int("pe", pe, None)
+        if not 0 <= pe < self.kernel.num_pes:
+            raise RoutingError(f"branch send to invalid PE {pe}")
+        span = self.boc_spans.get(boc_id)
+        if span is not None and pe not in span:
+            raise _outside_span(boc, pe, span)
+        env = Envelope(
+            kind=Kind.BOC,
+            src_pe=src_pe,
+            dst_pe=pe,
+            entry=entry_name,
+            args=args,
+            boc=boc,
+            priority=check_priority(priority),
+        )
+        self.kernel.post(env)
+
+    def broadcast(self, boc: BocHandle, entry_name: str, args: tuple,
+                  pe: int) -> None:
+        self.send(pe, 0, "boc_bcast", (self._known(boc), entry_name, args),
+                  counted=True)
+
+    def local_branch(self, boc: BocHandle, pe: int) -> BranchOfficeChare:
+        branch = self.branches.get(boc.boc_id, {}).get(pe)
+        if branch is None:
+            raise RoutingError(
+                f"no local branch of {boc} on PE {pe} (not yet constructed?)"
+            )
+        return branch
+
+    def hold(self, env: Envelope) -> bool:
+        """Hold a branch message whose branch is not built yet (True), or
+        leave it to run now (False)."""
+        boc_id = env.boc.boc_id
+        pe = env.dst_pe
+        if pe in self.branches[boc_id]:
+            return False
+        span = self.boc_spans.get(boc_id)
+        if span is not None and pe not in span:
+            # Sent before the root took the span, and pe was not touched
+            # by then: no branch will ever be built here.  (The other order
+            # cannot strand a message: reaching a rank touches it, so a
+            # span taken later covers it.)
+            raise _outside_span(env.boc, pe, span)
+        self._held.setdefault((boc_id, pe), []).append(env)
+        return True
+
+    def branch(self, env: Envelope) -> BranchOfficeChare:
+        """The branch a BOC envelope that :meth:`hold` let through runs on
+        (built: branches are never destroyed)."""
+        return self.branches[env.boc.boc_id][env.dst_pe]
+
+    def _construct_branch(self, boc_id: int, boc_cls: type, args: tuple,
+                          pe: int) -> None:
+        kernel = self.kernel
+        obj = boc_cls.__new__(boc_cls)
+        obj._kernel = kernel
+        obj._handle = ChareHandle(-1 - boc_id)  # branches are not chare-addressable
+        obj._pe = pe
+        obj._boc = BocHandle(boc_id)
+        self.branches[boc_id][pe] = obj
+        obj.__init__(*args)
+        for held in self._held.pop((boc_id, pe), ()):
+            kernel.pes[pe].enqueue(held)
+
     # -------------------------------------------------- reductions and barriers
     def contribute(
         self,
@@ -341,7 +456,7 @@ class SharingService(Service):
             )
         self._contributed.add(key)
         self._reduce_fold(boc_id, tag, pe, value, op, target, entry, mode,
-                          span=self.kernel.boc_span(boc_id))
+                          span=self._boc_span(boc_id))
 
     def _reduce_fold(
         self,
@@ -427,22 +542,25 @@ class SharingService(Service):
             # BOC's write-once span: branches materialize on exactly these
             # ranks, and every later broadcast/reduction for the BOC walks
             # the same tree.
-            for child in kernel.boc_span(boc_id).children(pe):
+            for child in self._boc_span(boc_id).children(pe):
                 self.send(pe, child, "boc_create", args, counted=True)
-            kernel.construct_branch(boc_id, boc_cls, cargs, pe)
+            self._construct_branch(boc_id, boc_cls, cargs, pe)
 
         elif op in ("boc_bcast", "bcast_down"):
             boc_id, entry, bargs = args
-            for child in kernel.boc_span(boc_id).children(pe):
+            for child in self._boc_span(boc_id).children(pe):
                 self.send(pe, child, "bcast_down", args, counted=True)
-            kernel.deliver_local_boc(boc_id, pe, entry, bargs)
+            # The local branch runs as a message of its own.
+            kernel.post(Envelope(kind=Kind.BOC, src_pe=pe, dst_pe=pe,
+                                 entry=entry, args=bargs,
+                                 boc=BocHandle(boc_id)))
 
         elif op == "red_up":
             boc_id, tag, value, rop, target, entry, mode = args
             # boc_id -1 marks accumulator collects (per-collect span);
             # real BOC reductions fold over the BOC's write-once span.
             span = (self._collect_snap[tag] if boc_id == -1
-                    else kernel.boc_span(boc_id))
+                    else self._boc_span(boc_id))
             done = self._reduce_fold(boc_id, tag, pe, value, rop, target,
                                      entry, mode, span=span)
             if done and boc_id == -1:
@@ -508,3 +626,13 @@ class SharingService(Service):
 
         else:  # pragma: no cover - defensive
             raise SharingError(f"unknown sharing op {op!r}")
+
+
+def _outside_span(boc: BocHandle, pe: int, span: Span) -> RoutingError:
+    # Branches materialize on the ranks of the BOC's write-once span (under
+    # sparse startup, those touched at creation).
+    return RoutingError(
+        f"branch send to PE {pe}: {boc} spans {len(span)} touched ranks "
+        f"and PE {pe} is not one (sparse BOCs cover the ranks active at "
+        "creation)"
+    )

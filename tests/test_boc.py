@@ -3,6 +3,7 @@
 import pytest
 
 from repro import BranchOfficeChare, Chare, Kernel, entry, make_machine
+from repro.core.handles import BocHandle
 from repro.util.errors import RoutingError, SharingError
 
 
@@ -232,3 +233,19 @@ def test_p1_boc_works():
     machine = make_machine("ideal", 1)
     result = Kernel(machine).run(BocMain, "broadcast")
     assert result.result == 11
+
+
+@pytest.mark.parametrize("call", [
+    lambda c: c.send_branch(BocHandle(7), 1, "ping"),
+    lambda c: c.broadcast_branches(BocHandle(7), "ping"),
+], ids=["send_branch", "broadcast_branches"])
+def test_branch_call_to_unknown_boc_raises(ideal4, call):
+    """BOC ids are allocated densely: a handle this kernel never created
+    is rejected at the call, not parked until the run ends."""
+
+    class Main(Chare):
+        def __init__(self):
+            call(self)
+
+    with pytest.raises(RoutingError, match=r"unknown BOC BocHandle\(7\)"):
+        Kernel(ideal4).run(Main)

@@ -24,6 +24,7 @@ import sys
 
 import pytest
 
+from repro import BranchOfficeChare, Chare, Kernel, entry
 from repro.apps.fib import run_fib
 from repro.apps.histogram import run_histogram
 from repro.apps.nqueens import run_nqueens
@@ -99,14 +100,125 @@ P1_CASES = [
                        queueing="fifo", seed=0)),
 ]
 
-ALL_CASES = CASES + P1_CASES
-FIXTURE_FILES = ((FIXTURE_PATH, CASES), (P1_FIXTURE_PATH, P1_CASES))
+# Branch-office chares: branch construction down the spanning tree,
+# broadcast fan-out, point-to-point branch sends, tree reductions and
+# barriers.  Their own file, captured before the BOC state moved from the
+# kernel into the sharing service; the sparse case pins a write-once span.
+BOC_FIXTURE_PATH = os.path.join(FIXTURE_DIR, "golden_traces_boc.json")
+BOC_CASES = [
+    (f"boc-{program}-{machine}", "boc",
+     dict(machine=machine, pes=8, balancer="random", queueing=queueing,
+          program=program, seed=seed))
+    for program, queueing, seed in (("bcast-reduce", "fifo", 0),
+                                    ("send-barrier", "prio", 1),
+                                    ("custom-op", "lifo", 2))
+    for machine in ("ipsc2", "symmetry", "ideal")
+] + [
+    ("boc-sparse-span-cluster", "boc",
+     dict(machine="cluster", pes=4096, balancer="random", queueing="fifo",
+          program="sparse-span", seed=0, sparse=True,
+          ranks=[577 * i for i in range(1, 7)])),
+]
+
+ALL_CASES = CASES + P1_CASES + BOC_CASES
+FIXTURE_FILES = ((FIXTURE_PATH, CASES), (P1_FIXTURE_PATH, P1_CASES),
+                 (BOC_FIXTURE_PATH, BOC_CASES))
+
+
+def _concat(a, b):
+    return tuple(sorted(a + b))
+
+
+class _CounterBoc(BranchOfficeChare):
+    def __init__(self, start):
+        self.charge(3 + self.my_pe)
+        self.count = start
+
+    @entry
+    def bump(self, by):
+        self.charge(5)
+        self.count += by
+
+    @entry
+    def report(self, target):
+        self.contribute("counts", self.count, "sum", target, "collected")
+
+    @entry
+    def who(self, target):
+        self.charge(2 * self.my_pe)
+        self.contribute("pes", (self.my_pe,), _concat, target, "collected")
+
+    @entry
+    def arrive(self, target):
+        self.charge(4 * self.my_pe + 1)
+        self.target = target
+        self.barrier("b", "released")
+
+    @entry
+    def released(self, tag, count):
+        self.contribute("done", count + self.count, "max", self.target,
+                        "collected")
+
+
+class _BocMain(Chare):
+    def __init__(self, program):
+        self.boc = self.create_boc(_CounterBoc, 10)
+        if program == "bcast-reduce":
+            self.broadcast_branches(self.boc, "bump", 1)
+            self.broadcast_branches(self.boc, "report", self.thishandle)
+        elif program == "send-barrier":
+            for pe in reversed(range(self.num_pes)):
+                self.send_branch(self.boc, pe, "arrive", self.thishandle,
+                                 priority=pe)
+        else:
+            self.broadcast_branches(self.boc, "who", self.thishandle)
+
+    @entry
+    def collected(self, tag, value):
+        self.exit((tag, value))
+
+
+class _Toucher(Chare):
+    def __init__(self, parent):
+        self.send(parent, "touched")
+
+
+class _SparseBocMain(Chare):
+    """Touch a few ranks, then run a BOC over the span taken at creation:
+    a custom-op reduction, a branch send to each branch, a barrier."""
+
+    def __init__(self, ranks):
+        self.pending = len(ranks)
+        for pe in ranks:
+            self.create(_Toucher, self.thishandle, pe=pe)
+
+    @entry
+    def touched(self):
+        self.pending -= 1
+        if not self.pending:
+            self.boc = self.create_boc(_CounterBoc, 10)
+            self.broadcast_branches(self.boc, "who", self.thishandle)
+
+    @entry
+    def collected(self, tag, value):
+        if tag == "pes":
+            self.who = value
+            for pe in value:
+                self.send_branch(self.boc, pe, "arrive", self.thishandle)
+        else:
+            self.exit((self.who, value))
 
 
 def _run_case(runner: str, spec: dict, **extra):
-    machine = make_machine(spec["machine"], spec["pes"])
+    machine = make_machine(spec["machine"], spec["pes"],
+                           sparse=spec.get("sparse", False))
     common = dict(balancer=spec["balancer"], queueing=spec["queueing"],
                   seed=spec["seed"], **extra)
+    if runner == "boc":
+        result = Kernel(machine, **common).run(
+            *((_SparseBocMain, spec["ranks"]) if spec.get("sparse")
+              else (_BocMain, spec["program"])))
+        return result.result, result
     if runner == "queens":
         return run_nqueens(machine, n=spec["n"], grainsize=2, **common)
     if runner == "tree":
@@ -124,7 +236,11 @@ def _run_case(runner: str, spec: dict, **extra):
 def _fingerprint(answer, result) -> dict:
     """Everything that must be bit-identical across the optimization."""
     k = result.kernel
-    return {
+    # A sparse run pins the ranks it touched; a dense one every rank (an
+    # untouched rank materializes with the all-zero counters the old eager
+    # list carried).
+    ranks = k.pes.ranks() if k.sparse else range(k.num_pes)
+    fingerprint = {
         "result": repr(answer),
         "time": float(result.time).hex(),
         "events": result.events,
@@ -142,11 +258,12 @@ def _fingerprint(answer, result) -> dict:
                 "seeds_created": pe.seeds_created,
                 "max_queued": pe.max_queued,
             }
-            # Dense iteration: materializing an untouched rank yields the
-            # same all-zero counters the old eager list carried.
-            for pe in (k.pes[i] for i in range(k.num_pes))
+            for pe in (k.pes[i] for i in ranks)
         ],
     }
+    if k.sparse:
+        fingerprint["ranks"] = ranks
+    return fingerprint
 
 
 def _load_fixtures() -> dict:

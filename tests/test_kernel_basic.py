@@ -152,7 +152,7 @@ def test_sharing_call_outside_execution_raises(ideal4, call):
     res = Kernel(ideal4).run(_SharingMain)
     k = res.kernel
     main = k.chares[k.main_handle.gid]
-    branch = k.bocs[0][0]
+    branch = k.sharing.branches[0][0]
     with pytest.raises(SchedulingError, match="outside an entry-method"):
         _MESSAGE_CALLS[call](main, branch)
 

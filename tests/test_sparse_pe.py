@@ -160,8 +160,12 @@ def test_randomized_dense_vs_lazy_equivalence():
         )
 
 
-@pytest.mark.parametrize("case_id,runner,spec", golden.ALL_CASES,
-                         ids=[c[0] for c in golden.ALL_CASES])
+# Dense cases only: a sparse case's span is its touched ranks by design.
+_DENSE_GOLDEN = [c for c in golden.ALL_CASES if not c[2].get("sparse")]
+
+
+@pytest.mark.parametrize("case_id,runner,spec", _DENSE_GOLDEN,
+                         ids=[c[0] for c in _DENSE_GOLDEN])
 def test_golden_fixtures_hold_under_fresh_span_snapshots(
         monkeypatch, case_id, runner, spec):
     monkeypatch.setattr(Kernel, "span", _fresh_all_ranks_span)
@@ -304,11 +308,11 @@ def test_sparse_boc_span_is_o_active():
     # ...the barrier released with the span's branch count...
     assert barrier_count == len(span_ranks)
     # ...branches were constructed on exactly the span ranks...
-    boc_id = next(iter(k.boc_spans))
-    span = k.boc_spans[boc_id]
+    boc_id = next(iter(k.sharing.boc_spans))
+    span = k.sharing.boc_spans[boc_id]
     assert span.ranks == span_ranks and all(pe in span for pe in span_ranks)
     assert 1 not in span and P - 1 not in span
-    assert sorted(k.bocs[boc_id]) == span_ranks
+    assert sorted(k.sharing.branches[boc_id]) == span_ranks
     # ...and nothing was O(P): event and touched-rank counts stay ~k.
     assert len(k.pes) < 200, f"touched {len(k.pes)} of {P} PEs"
     assert res.events < 5_000, f"{res.events} events for a 25-rank span"
@@ -335,6 +339,21 @@ def test_sparse_boc_send_outside_span_raises():
         Kernel(machine).run(Main)
 
 
+def test_sparse_boc_send_before_its_span_raises_on_arrival():
+    """A branch send made before the BOC's span exists passes the call-site
+    check; when it reaches a rank the span (taken at the root) left out,
+    it fails loudly instead of waiting for a branch never built there."""
+
+    class Main(Chare):
+        def __init__(self):
+            self.boc = self.create_boc(_SpanBoc)
+            self.send_branch(self.boc, 500, "ping", self.thishandle)
+
+    machine = make_machine("cluster", 100_000, sparse=True)
+    with pytest.raises(RoutingError, match=r"PE 500: BocHandle\(0\) spans"):
+        Kernel(machine).run(Main)
+
+
 def test_dense_kernels_have_no_boc_spans():
     """A dense BOC's span is every rank (so golden traces and dense
     semantics are untouched) and its broadcast still reaches 0…7."""
@@ -350,8 +369,8 @@ def test_dense_kernels_have_no_boc_spans():
 
     res = Kernel(make_machine("ideal", 8)).run(Main)
     assert list(res.result) == list(range(8))
-    assert list(res.kernel.boc_spans[0].ranks) == list(range(8))
-    assert sorted(res.kernel.bocs[0]) == list(range(8))
+    assert list(res.kernel.sharing.boc_spans[0].ranks) == list(range(8))
+    assert sorted(res.kernel.sharing.branches[0]) == list(range(8))
 
 
 # ------------------------------------------------------- sparse write-once

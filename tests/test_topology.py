@@ -149,19 +149,32 @@ def test_property_hypercube_triangle_inequality(dim, data):
 
 
 # ------------------------------------------------- closed forms (PR 6)
+def _bfs_hops(topo, src):
+    """Hop distances from ``src`` by breadth-first search over neighbors()."""
+    dist = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for pe in frontier:
+            for nb in topo.neighbors(pe):
+                if nb not in dist:
+                    dist[nb] = dist[pe] + 1
+                    nxt.append(nb)
+        frontier = nxt
+    return dist
+
+
 @pytest.mark.parametrize("name,kwargs", ALL)
 def test_closed_form_hops_match_checked_hops(name, kwargs):
-    """closed_form_hops (unchecked fast path) must equal Topology.hops."""
+    """Each family's unchecked distance is the graph metric of its links:
+    it equals a BFS over neighbors(), and hops() returns it."""
     for n in _sizes_for(name):
         topo = make_topology(name, n, **kwargs)
-        cf = topo.closed_form_hops()
-        if name == "tree":
-            assert cf is None  # trees keep the memoized table path
-            continue
-        assert cf is not None
         for i in range(n):
+            bfs = _bfs_hops(topo, i)
             for j in range(n):
-                assert cf(i, j) == topo.hops(i, j), (name, n, i, j)
+                assert topo.distance(i, j) == bfs[j], (name, n, i, j)
+                assert topo.hops(i, j) == bfs[j], (name, n, i, j)
 
 
 @pytest.mark.parametrize("name,kwargs", ALL)
@@ -211,9 +224,7 @@ def test_diameter_is_constant_time_at_100k_pes():
             assert d == expected[topo.name]
         else:  # tree of 100k nodes: 2*depth or 2*depth-1
             assert d in (2 * 16, 2 * 16 - 1)
-        cf = topo.closed_form_hops()
-        if cf is not None:
-            assert cf(0, topo.num_pes - 1) == topo.hops(0, topo.num_pes - 1)
+        assert topo.distance(0, big - 1) == topo.hops(0, big - 1)
 
 
 @given(st.integers(min_value=2, max_value=30), st.data())
