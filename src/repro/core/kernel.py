@@ -75,14 +75,15 @@ _SVC = Kind.SVC
 
 # placement.get default: a gid with no entry (never allocated, or dead).
 _MISSING = object()
+_INF = float("inf")
 
 
 class ExecContext:
     """State of one in-progress entry-method execution."""
 
-    __slots__ = ("pe", "start", "charged", "outbox", "system", "priority")
+    __slots__ = ("pe", "start", "charged", "outbox", "priority")
 
-    def __init__(self, pe: int, start: float, system: bool) -> None:
+    def __init__(self, pe: int, start: float) -> None:
         self.pe = pe
         self.start = start
         self.charged = 0.0
@@ -90,7 +91,6 @@ class ExecContext:
         self.priority: PriorityLike = None
         # (charged_units_at_send, envelope) pairs; offsets resolved at end.
         self.outbox: List[Tuple[float, Envelope]] = []
-        self.system = system
 
 
 @dataclass
@@ -275,12 +275,12 @@ class Kernel:
         self.chares: Dict[int, Chare] = {}
         self.placement: Dict[int, Optional[int]] = {}
         self._next_gid = 0
-        # gid -> [(src_pe, entry, args, priority, trace_parent)] buffered
-        # sends; trace_parent is the sending execution's event id (None
-        # when tracing is off), restored around the flush in _place.
+        # gid -> [(envelope, trace_parent)] sends buffered against a seed
+        # still being balanced, built (and sized) at the call with no
+        # dst_pe yet; trace_parent is the sending execution's event id
+        # (None when tracing is off), restored around the flush in _place.
         self._pending_sends: Dict[
-            int, List[Tuple[int, str, tuple, PriorityLike, Optional[int]]],
-        ] = {}
+            int, List[Tuple[Envelope, Optional[int]]]] = {}
         self._premature: Dict[int, List[Envelope]] = {}
 
         # Services ------------------------------------------------------------
@@ -324,7 +324,7 @@ class Kernel:
         # Entry executions never nest (message-driven, non-preemptive), so
         # one ExecContext is reset and reused per execution instead of
         # allocating a context + outbox list per message.
-        self._ctx = ExecContext(0, 0.0, False)
+        self._ctx = ExecContext(0, 0.0)
         #: Virtual time at which the last *counted* (application) message
         #: finished executing — the true end of useful work, used to measure
         #: quiescence-detection latency (experiment T9).
@@ -437,17 +437,8 @@ class Kernel:
         handle = ChareHandle(gid)
         self.main_handle = handle
         self.placement[gid] = 0
-        env = Envelope(
-            kind=Kind.SEED,
-            src_pe=0,
-            dst_pe=0,
-            entry="__init__",
-            args=args,
-            handle=handle,
-            chare_cls=main_cls,
-            fixed=True,
-            counted=False,
-        )
+        env = Envelope.make_seed(0, 0, args, handle, main_cls, fixed=True,
+                                 counted=False)
         self.in_main_ctor = True
         pe = self.pes[0]
         pe.busy = True
@@ -488,9 +479,7 @@ class Kernel:
             env.carried_load = (src._app_queued + 1 if src.busy
                                 else src._app_queued)
         src.msgs_sent += 1
-        nbytes = env._size
-        if nbytes is None:      # dataclass-built (cold path): size lazily
-            nbytes = env.nbytes
+        nbytes = env.nbytes
         src.bytes_sent += nbytes
         events = self._events
         faults = self._faults
@@ -572,7 +561,7 @@ class Kernel:
             kind = env.kind
             if kind == _SEED or (
                 kind == _APP and env.handle.gid in self.chares
-            ) or env.system or kind == _SVC:
+            ) or kind == _SVC:
                 if pe.max_queued == 0:
                     pe.max_queued = 1
                 pe.busy = True
@@ -589,16 +578,8 @@ class Kernel:
         pending = self._pending_sends.pop(gid, None)
         if pending:
             events = self._events
-            for src_pe, entry_name, args, priority, parent in pending:
-                out = Envelope(
-                    kind=Kind.APP,
-                    src_pe=src_pe,
-                    dst_pe=pe,
-                    entry=entry_name,
-                    args=args,
-                    handle=ChareHandle(gid),
-                    priority=priority,
-                )
+            for out, parent in pending:
+                out.dst_pe = pe
                 if events is None:
                     self._deliver(out, self.now)
                 else:
@@ -654,7 +635,6 @@ class Kernel:
         start = ctx.start = self.engine._now
         ctx.pe = pe.index
         ctx.charged = 0.0
-        ctx.system = env.system or kind == _SVC
         ctx.priority = env.priority
         outbox = ctx.outbox
         outbox.clear()
@@ -726,17 +706,14 @@ class Kernel:
             duration = faults.perturb_execution(pe.index, start, duration)
         pe.busy_time += duration
         pe.charged_units += charged
-        if kind == _APP and not env.system:
+        if kind == _APP or kind == _BOC:
             pe.msgs_executed += 1
             pe.idle_notified = False
-        elif kind == _SVC or env.system:
-            pe.system_executed += 1
         elif kind == _SEED:
             pe.seeds_executed += 1
             pe.idle_notified = False
         else:
-            pe.msgs_executed += 1
-            pe.idle_notified = False
+            pe.system_executed += 1
         if env.counted:
             pe.counted_processed += 1
             self.last_counted_exec_time = start + duration
@@ -818,8 +795,15 @@ class Kernel:
 
     # ================================================================== chare API
     def api_charge(self, units: float) -> None:
-        if units < 0:
-            raise ConfigurationError("cannot charge negative work")
+        # need_real's rule (finite, >= 0, not a bool) as one chained
+        # comparison, since charge is the hottest chare call: NaN and +inf
+        # fail it, and need_real then words the error.
+        try:
+            ok = 0.0 <= units < _INF and type(units) is not bool
+        except TypeError:       # not a number
+            ok = False
+        if not ok:
+            need_real("work_units", units, strict=False)
         ctx = self._current
         if ctx is None:
             raise SchedulingError(
@@ -844,19 +828,14 @@ class Kernel:
         dst = self.placement.get(target.gid, _MISSING)
         if dst is _MISSING:
             raise self._no_chare("send", target)
-        priority = check_priority(priority)
+        env = Envelope.make_app(ctx.pe, dst, entry_name, args, target,
+                                check_priority(priority))
         if dst is None:
             # Seed still being balanced: buffer; flushed (and counted) at
             # placement time.  Quiescence stays safe meanwhile because the
             # seed itself is in flight (sent > processed).
-            events = self._events
-            self._pending_sends.setdefault(target.gid, []).append(
-                (ctx.pe, entry_name, args, priority,
-                 None if events is None else events.ctx)
-            )
+            self._buffer(target, env)
             return
-        env = Envelope.make_app(ctx.pe, dst, entry_name, args, target,
-                                priority)
         ctx.outbox.append((ctx.charged, env))
 
     def api_send_at(
@@ -893,9 +872,10 @@ class Kernel:
                 f"timed send to {target} before placement; send_at targets "
                 "must already be placed (self, main, or a fixed-PE chare)"
             )
-        priority = check_priority(priority)
+        # A NaN would depart at the current time, +inf end the run there.
+        need_real("when", when, strict=False)
         env = Envelope.make_app(ctx.pe, dst, entry_name, args, target,
-                                priority)
+                                check_priority(priority))
         now = self.engine._now
         self._deliver(env, when if when > now else now)
 
@@ -1013,19 +993,15 @@ class Kernel:
         dst = self.placement.get(target.gid, _MISSING)
         if dst is _MISSING:
             raise self._no_chare(f"service reply {entry_name!r}", target)
+        env = Envelope.make_app(src_pe, dst, entry_name, args, target)
         if dst is None:
-            events = self._events
-            self._pending_sends.setdefault(target.gid, []).append(
-                (src_pe, entry_name, args, None,
-                 None if events is None else events.ctx)
-            )
-            return
-        env = Envelope(
-            kind=Kind.APP,
-            src_pe=src_pe,
-            dst_pe=dst,
-            entry=entry_name,
-            args=args,
-            handle=target,
-        )
-        self.post(env)
+            self._buffer(target, env)
+        else:
+            self.post(env)
+
+    def _buffer(self, target: ChareHandle, env: Envelope) -> None:
+        """Hold ``env`` (built with ``dst_pe=None``) until ``target``'s seed
+        is placed; :meth:`_place` fills in ``dst_pe`` and sends it."""
+        events = self._events
+        self._pending_sends.setdefault(target.gid, []).append(
+            (env, None if events is None else events.ctx))

@@ -7,7 +7,8 @@ envelope type with a ``kind`` discriminator:
 * ``SEED`` — a new-chare creation request, routed by the load balancer,
 * ``BOC``  — message to one branch of a branch-office chare,
 * ``SVC``  — internal runtime service traffic (quiescence waves, load
-  balance control, sharing-abstraction ops).
+  balance control, sharing-abstraction ops); the kind alone puts a
+  message in a PE's system lane.
 
 ``counted`` says whether the quiescence detector includes the message in
 its sent/processed accounting: application-visible traffic is counted,
@@ -15,10 +16,12 @@ runtime control traffic (QD waves, load-balancer control) is not, matching
 the paper's system design where quiescence means "no user computation and
 no user messages in flight".
 
-Envelopes are the most-allocated object in the simulator, so the dataclass
-is ``slots=True``, the factories size the payload when the envelope is
-built (a payload is marshalled when it is sent; mutating it afterwards
-does not change what the network is charged), and ``uid`` is *not* drawn
+Envelopes are the most-allocated object in the simulator, so the class
+is slotted and built only by its kind factories (``make_app``,
+``make_seed``, ``make_boc``, ``make_svc``, plus ``forwarded`` for a seed's
+next hop).  Each factory sizes the payload as it builds: a payload is
+marshalled when it is sent, so growing it afterwards does not change what
+the network is charged, whichever call sent it.  ``uid`` is *not* drawn
 from a module-global counter at construction — the owning kernel assigns
 uids at first delivery from its own sequence (and only when a recorder,
 telemetry or a fault layer will read them), so uid values are
@@ -28,11 +31,6 @@ process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
-
-from repro.core.handles import BocHandle, ChareHandle
-from repro.util.priority import PriorityLike
 from repro.util.sizing import payload_nbytes
 
 __all__ = ["Kind", "Envelope", "HEADER_BYTES"]
@@ -51,54 +49,47 @@ class Kind:
     NAMES = {APP: "app", SEED: "seed", BOC: "boc", SVC: "svc"}
 
 
-@dataclass(slots=True)
 class Envelope:
     """One message in flight (or queued in a PE's pool)."""
 
-    kind: int
-    src_pe: int
-    dst_pe: int
-    entry: str
-    args: Tuple[Any, ...] = ()
-    # APP: destination chare; SEED: the handle the new chare will own.
-    handle: Optional[ChareHandle] = None
-    # SEED: class of the chare to construct, and hops taken so far.
-    chare_cls: Optional[type] = None
-    hops: int = 0
-    # BOC: which branch-office chare.
-    boc: Optional[BocHandle] = None
-    # SVC: which runtime service ("qd", "share", "lb").
-    service: Optional[str] = None
-    # The priority as captured at the send (``check_priority``: a tuple or
-    # list of bits is already a BitVectorPriority); a prioritized pool
-    # normalizes it when it is pushed (FIFO/LIFO pools never look at it).
-    priority: PriorityLike = None
-    system: bool = False
-    counted: bool = True
-    # SEED with fixed placement (explicit pe=) — balancer hooks are skipped.
-    fixed: bool = False
-    # Set on forwarded seed legs so the quiescence counter counts the seed's
-    # send exactly once (at creation), however many hops it takes.
-    suppress_sent_count: bool = False
-    # Piggybacked sender load (application-lane queue length at send time);
-    # receivers feed this to the load balancer's neighbor-load table.  Set
-    # only when the balancer reads it (0 otherwise).
-    carried_load: int = 0
-    # Assigned by the owning kernel at first delivery when an observer or a
-    # fault layer is attached (the only readers); None otherwise.
-    uid: Optional[int] = None
-    _size: Optional[int] = field(default=None, repr=False)
+    __slots__ = (
+        "kind", "src_pe", "dst_pe", "entry", "args",
+        # APP: destination chare; SEED: the handle the new chare will own.
+        "handle",
+        # SEED: class of the chare to construct, and hops taken so far.
+        "chare_cls", "hops",
+        # BOC: which branch-office chare.
+        "boc",
+        # SVC: which runtime service ("qd", "share", "lb").
+        "service",
+        # The priority as captured at the send (``check_priority``: a tuple
+        # or list of bits is already a BitVectorPriority); a prioritized
+        # pool normalizes it when it is pushed (FIFO/LIFO pools never look
+        # at it).
+        "priority",
+        "counted",
+        # SEED with fixed placement (explicit pe=) — balancer hooks are
+        # skipped.
+        "fixed",
+        # Set on forwarded seed legs so the quiescence counter counts the
+        # seed's send exactly once (at creation), however many hops it takes.
+        "suppress_sent_count",
+        # Piggybacked sender load (application-lane queue length at send
+        # time); receivers feed this to the load balancer's neighbor-load
+        # table.  Set only when the balancer reads it (0 otherwise).
+        "carried_load",
+        # Assigned by the owning kernel at first delivery when an observer
+        # or a fault layer is attached (the only readers); None otherwise.
+        "uid",
+        # Wire size: header + payload (+ class name for seeds), fixed by the
+        # factory at the send.
+        "nbytes",
+    )
 
-    # Envelopes are the most-allocated object in the simulator, and the
-    # generated dataclass __init__ (18 parameters, kwargs at every call
-    # site) costs ~3x a bare allocation plus direct slot stores.  The
-    # kind-specialized factories below and ``forwarded`` (balancers that
-    # override ``on_seed_arrival`` forward a fifth of a serving run's
-    # messages) are the kernel's hot send paths; cold paths (BOC plumbing)
-    # keep the dataclass constructor and the lazy ``nbytes`` property.
-    # Every slot is assigned — slots=True means a missed field is an
-    # AttributeError, not a silent default — and ``_size`` is filled here,
-    # so the flush sites read the slot without a property frame.
+    # The factories are the only constructors.  Each stores every slot
+    # directly (a generated keyword __init__ costs ~3x a bare allocation
+    # plus slot stores, and envelopes are built once per message); a
+    # missed slot is an AttributeError at first read, not a silent default.
     @classmethod
     def make_app(cls, src_pe, dst_pe, entry, args, handle,
                  priority=None) -> "Envelope":
@@ -114,18 +105,17 @@ class Envelope:
         env.boc = None
         env.service = None
         env.priority = priority
-        env.system = False
         env.counted = True
         env.fixed = False
         env.suppress_sent_count = False
         env.carried_load = 0
         env.uid = None
-        env._size = HEADER_BYTES + payload_nbytes(args)
+        env.nbytes = HEADER_BYTES + payload_nbytes(args)
         return env
 
     @classmethod
     def make_seed(cls, src_pe, dst_pe, args, handle, chare_cls,
-                  fixed=False, priority=None) -> "Envelope":
+                  fixed=False, priority=None, counted=True) -> "Envelope":
         env = cls.__new__(cls)
         env.kind = Kind.SEED
         env.src_pe = src_pe
@@ -138,14 +128,36 @@ class Envelope:
         env.boc = None
         env.service = None
         env.priority = priority
-        env.system = False
-        env.counted = True
+        env.counted = counted
         env.fixed = fixed
         env.suppress_sent_count = False
         env.carried_load = 0
         env.uid = None
-        env._size = (HEADER_BYTES + payload_nbytes(args)
-                     + len(chare_cls.__name__))
+        env.nbytes = (HEADER_BYTES + payload_nbytes(args)
+                      + len(chare_cls.__name__))
+        return env
+
+    @classmethod
+    def make_boc(cls, src_pe, dst_pe, entry, args, boc,
+                 priority=None) -> "Envelope":
+        env = cls.__new__(cls)
+        env.kind = Kind.BOC
+        env.src_pe = src_pe
+        env.dst_pe = dst_pe
+        env.entry = entry
+        env.args = args
+        env.handle = None
+        env.chare_cls = None
+        env.hops = 0
+        env.boc = boc
+        env.service = None
+        env.priority = priority
+        env.counted = True
+        env.fixed = False
+        env.suppress_sent_count = False
+        env.carried_load = 0
+        env.uid = None
+        env.nbytes = HEADER_BYTES + payload_nbytes(args)
         return env
 
     @classmethod
@@ -163,24 +175,13 @@ class Envelope:
         env.boc = None
         env.service = service
         env.priority = None
-        env.system = True
         env.counted = counted
         env.fixed = False
         env.suppress_sent_count = False
         env.carried_load = 0
         env.uid = None
-        env._size = HEADER_BYTES + payload_nbytes(args)
+        env.nbytes = HEADER_BYTES + payload_nbytes(args)
         return env
-
-    @property
-    def nbytes(self) -> int:
-        """Wire size: header + payload (+ class name for seeds)."""
-        if self._size is None:
-            size = HEADER_BYTES + payload_nbytes(self.args)
-            if self.kind == Kind.SEED and self.chare_cls is not None:
-                size += len(self.chare_cls.__name__)
-            self._size = size
-        return self._size
 
     def forwarded(self, new_dst: int) -> "Envelope":
         """A copy of a seed envelope re-routed to ``new_dst`` (one more hop).
@@ -200,13 +201,12 @@ class Envelope:
         env.boc = self.boc
         env.service = self.service
         env.priority = self.priority
-        env.system = self.system
         env.counted = self.counted
         env.fixed = self.fixed
         env.suppress_sent_count = True
         env.carried_load = self.carried_load
         env.uid = None
-        env._size = self._size
+        env.nbytes = self.nbytes
         return env
 
     def kind_name(self) -> str:

@@ -162,7 +162,7 @@ class PEState:
             else:
                 q.append(env)
             self._app_queued += 1
-        elif env.system or kind == _SVC:
+        elif kind == _SVC:
             self._system.append(env)
         else:
             q = self._app_fifo

@@ -70,17 +70,10 @@ class Histogram:
 
     # ------------------------------------------------------------ observation
     def observe(self, v: float) -> None:
-        if v <= 0.0:
+        idx = self.bucket_index(v)
+        if idx is None:
             self.zero += 1
         else:
-            m, e = math.frexp(v)
-            s = self.subbuckets
-            try:
-                idx = e * s + int((m - 0.5) * 2.0 * s)
-            except (ValueError, OverflowError):  # NaN, +inf
-                raise ConfigurationError(
-                    f"histogram observations must be finite, got {v!r}"
-                ) from None
             b = self.buckets
             b[idx] = b.get(idx, 0) + 1
         self.count += 1
@@ -96,7 +89,12 @@ class Histogram:
             return None
         m, e = math.frexp(v)
         s = self.subbuckets
-        return e * s + int((m - 0.5) * 2.0 * s)
+        try:
+            return e * s + int((m - 0.5) * 2.0 * s)
+        except (ValueError, OverflowError):  # NaN, +inf
+            raise ConfigurationError(
+                f"histogram observations must be finite, got {v!r}"
+            ) from None
 
     def bucket_bounds(self, idx: int) -> Tuple[float, float]:
         """``[lower, upper)`` value range of bucket ``idx``."""

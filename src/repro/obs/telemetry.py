@@ -35,7 +35,6 @@ PEStates.
 from __future__ import annotations
 
 import time as _host_time
-from math import frexp as _frexp
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.messages import Kind
@@ -115,24 +114,7 @@ class Telemetry(Recorder):
         key = (kind, env.chare_cls.__name__ if kind == _SEED else env.entry)
         counts = self.exec_counts
         counts[key] = counts.get(key, 0) + 1
-        # Histogram.observe inlined: this is the one per-execution call
-        # site, and the extra method dispatch is measurable.  Durations
-        # are finite here, so the non-finite check is not needed.
-        h = self.exec_hist
-        h.count += 1
-        h.total += duration
-        if duration < h._vmin:
-            h._vmin = duration
-        if duration > h._vmax:
-            h._vmax = duration
-        if duration > 0.0:
-            m, e = _frexp(duration)
-            s = h.subbuckets
-            idx = e * s + int((m - 0.5) * 2.0 * s)
-            b = h.buckets
-            b[idx] = b.get(idx, 0) + 1
-        else:
-            h.zero += 1
+        self.exec_hist.observe(duration)
         if self._pending:
             for hist, t0 in self._pending:
                 hist.observe(end - t0)

@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.chare import BranchOfficeChare
 from repro.core.handles import BocHandle, ChareHandle
-from repro.core.messages import Envelope, Kind
+from repro.core.messages import Envelope
 from repro.core.services import Service
 from repro.core.tree import Span
 from repro.sharing.ops import check_better, combine, combiner, improves
@@ -371,16 +371,8 @@ class SharingService(Service):
         span = self.boc_spans.get(boc_id)
         if span is not None and pe not in span:
             raise _outside_span(boc, pe, span)
-        env = Envelope(
-            kind=Kind.BOC,
-            src_pe=src_pe,
-            dst_pe=pe,
-            entry=entry_name,
-            args=args,
-            boc=boc,
-            priority=check_priority(priority),
-        )
-        self.kernel.post(env)
+        self.kernel.post(Envelope.make_boc(src_pe, pe, entry_name, args, boc,
+                                           check_priority(priority)))
 
     def broadcast(self, boc: BocHandle, entry_name: str, args: tuple,
                   pe: int) -> None:
@@ -551,9 +543,8 @@ class SharingService(Service):
             for child in self._boc_span(boc_id).children(pe):
                 self.send(pe, child, "bcast_down", args, counted=True)
             # The local branch runs as a message of its own.
-            kernel.post(Envelope(kind=Kind.BOC, src_pe=pe, dst_pe=pe,
-                                 entry=entry, args=bargs,
-                                 boc=BocHandle(boc_id)))
+            kernel.post(Envelope.make_boc(pe, pe, entry, bargs,
+                                          BocHandle(boc_id)))
 
         elif op == "red_up":
             boc_id, tag, value, rop, target, entry, mode = args

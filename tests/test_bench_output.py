@@ -47,8 +47,8 @@ def test_envelope_kind_name_unknown():
     from repro.core.handles import ChareHandle
     from repro.core.messages import Envelope
 
-    env = Envelope(kind=99, src_pe=0, dst_pe=0, entry="x",
-                   handle=ChareHandle(0))
+    env = Envelope.make_app(0, 0, "x", (), ChareHandle(0))
+    env.kind = 99
     assert env.kind_name() == "?"
 
 

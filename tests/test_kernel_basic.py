@@ -237,6 +237,31 @@ def test_negative_charge_rejected(ideal4):
         Kernel(ideal4).run(BadMain)
 
 
+class _Charger(Chare):
+    def __init__(self, units):
+        self.charge(units)
+
+
+class _ChargeMain(Chare):
+    def __init__(self, units, where):
+        if where == "main":
+            self.charge(units)
+            self.exit()
+            return
+        for pe in range(self.num_pes):
+            self.create(_Charger, units, pe=pe)
+
+
+@pytest.mark.parametrize("where", ["main", "workers"])
+@pytest.mark.parametrize("units", [float("nan"), float("inf"), "5", True])
+def test_bad_charge_rejected(units, where):
+    """Four NaN-charging workers made the run's time nan (0.0 when the main
+    constructor charged it), +inf made it inf, a string raised a bare
+    TypeError and a bool charged one unit."""
+    with pytest.raises(ConfigurationError, match="work_units"):
+        Kernel(make_machine("ipsc2", 4)).run(_ChargeMain, units, where)
+
+
 def test_create_boc_via_create_rejected(ideal4):
     from repro import BranchOfficeChare
 

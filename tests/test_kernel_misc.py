@@ -6,7 +6,7 @@ import pytest
 from repro import Chare, Kernel, entry, make_machine
 from repro.core.handles import ChareHandle
 from repro.core.pe import PEPlane
-from repro.util.errors import RoutingError
+from repro.util.errors import ConfigurationError, RoutingError
 
 
 def test_send_to_never_created_handle_raises(ideal4):
@@ -379,8 +379,8 @@ class _TimedMain(Chare):
 
 
 def test_send_at_departure_arrival_and_bytes(ipsc8):
-    """Values taken with the envelope built by the dataclass ``__init__``
-    and sized by the lazy ``nbytes`` property: the factory changes none."""
+    """Values taken when this envelope was sized lazily at delivery;
+    sizing it at the send changes none."""
     res = Kernel(ipsc8, seed=3).run(_TimedMain)
     start, future = 0.0008931200000000001, 0.00290112
     assert res.result == {"start": start, "future": future,
@@ -389,6 +389,23 @@ def test_send_at_departure_arrival_and_bytes(ipsc8):
     assert res.time == 0.00372116
     assert [row.bytes_sent for row in res.stats.pe_rows] == [
         413, 80, 56, 0, 112, 0, 56, 0]
+
+
+@pytest.mark.parametrize("when", [float("nan"), float("inf"), "1", True,
+                                  -1e-3])
+def test_send_at_rejects_a_bad_time(ipsc8, when):
+    """A NaN departed at the current time, +inf ended the run at inf, a
+    string raised a bare TypeError and a negative time was clamped."""
+    class Main(Chare):
+        def __init__(self):
+            self.send_at(when, self.thishandle, "tick")
+
+        @entry
+        def tick(self):
+            self.exit(self.now)
+
+    with pytest.raises(ConfigurationError, match="when"):
+        Kernel(ipsc8).run(Main)
 
 
 def test_send_at_unplaced_target_raises(ipsc8):

@@ -8,31 +8,24 @@ from repro.core.tree import subtree_size, tree_children, tree_parent
 
 # ---------------------------------------------------------------- envelopes
 def test_envelope_size_includes_header_and_payload():
-    env = Envelope(kind=Kind.APP, src_pe=0, dst_pe=1, entry="go", args=(1, 2.0))
+    env = Envelope.make_app(0, 1, "go", (1, 2.0), ChareHandle(0))
     assert env.nbytes == HEADER_BYTES + 4 + 16
-
-
-def test_envelope_size_cached():
-    env = Envelope(kind=Kind.APP, src_pe=0, dst_pe=1, entry="go", args=("x",))
-    first = env.nbytes
-    assert env.nbytes == first
 
 
 def test_seed_size_includes_class_name():
     class Worker:
         pass
 
-    env = Envelope(
-        kind=Kind.SEED, src_pe=0, dst_pe=1, entry="__init__", chare_cls=Worker
-    )
+    env = Envelope.make_seed(0, 1, (), ChareHandle(0), Worker)
     assert env.nbytes == HEADER_BYTES + 4 + len("Worker")
 
 
 def test_forwarded_seed_bumps_hops_and_suppresses_count():
-    env = Envelope(
-        kind=Kind.SEED, src_pe=0, dst_pe=3, entry="__init__",
-        handle=ChareHandle(5), hops=1,
-    )
+    class Worker:
+        pass
+
+    env = Envelope.make_seed(0, 3, (), ChareHandle(5), Worker)
+    env.hops = 1
     env.uid = 7  # pretend a kernel already stamped the first leg
     fwd = env.forwarded(6)
     assert (fwd.src_pe, fwd.dst_pe, fwd.hops) == (3, 6, 2)
@@ -42,50 +35,60 @@ def test_forwarded_seed_bumps_hops_and_suppresses_count():
     assert not env.suppress_sent_count
 
 
-def test_forwarded_slot_copy_equals_dataclass_replace():
-    """``forwarded`` writes every slot by hand; ``dataclasses.replace`` is
-    the reference it must match on all 18, for envelopes of every kind."""
-    import dataclasses
-
+def test_forwarded_copies_every_slot():
+    """``forwarded`` writes every slot by hand: each of ``__slots__`` is
+    copied except the five a new hop changes, for envelopes of every kind
+    with every slot drawn at random."""
     from repro.util.rng import RngStream
 
     class Worker:
         pass
 
-    slots = [f.name for f in dataclasses.fields(Envelope)]
-    assert len(slots) == 18 and set(slots) == set(Envelope.__slots__)
+    hop = {"src_pe", "dst_pe", "hops", "suppress_sent_count", "uid"}
+    slots = Envelope.__slots__
+    assert len(slots) == 17 and hop <= set(slots)
+    h = ChareHandle(1)
+    builds = (
+        lambda: Envelope.make_app(0, 1, "go", (), h),
+        lambda: Envelope.make_seed(0, 1, (), h, Worker),
+        lambda: Envelope.make_boc(0, 1, "go", (), BocHandle(1)),
+        lambda: Envelope.make_svc(0, 1, "op", (), "qd"),
+    )
     rng = RngStream(15, "forwarded")
-    for kind in (Kind.APP, Kind.SEED, Kind.BOC, Kind.SVC):
+    for build in builds:
         for _ in range(25):
-            prio = rng.choice((None, rng.randint(0, 99)))
-            env = Envelope(
-                kind=kind,
-                src_pe=rng.randint(0, 63),
-                dst_pe=rng.randint(0, 63),
-                entry=rng.choice(("__init__", "go", "reply")),
-                args=tuple(rng.randint(0, 9) for _ in range(rng.randint(0, 4))),
-                handle=rng.choice((None, ChareHandle(rng.randint(0, 99)))),
-                chare_cls=rng.choice((None, Worker)),
-                hops=rng.randint(0, 5),
-                boc=rng.choice((None, BocHandle(rng.randint(0, 9)))),
-                service=rng.choice((None, "qd", "lb")),
-                priority=prio,
-                system=rng.choice((False, True)),
-                counted=rng.choice((False, True)),
-                fixed=rng.choice((False, True)),
-                suppress_sent_count=rng.choice((False, True)),
-                carried_load=rng.randint(0, 7),
-                uid=rng.choice((None, rng.randint(0, 10 ** 6))),
-            )
-            if rng.random() < 0.5:
-                env.nbytes  # populate the cached wire size
+            env = build()
+            drawn = {
+                "kind": rng.choice((Kind.APP, Kind.SEED, Kind.BOC, Kind.SVC)),
+                "src_pe": rng.randint(0, 63),
+                "dst_pe": rng.randint(0, 63),
+                "entry": rng.choice(("__init__", "go", "reply")),
+                "args": tuple(rng.randint(0, 9)
+                              for _ in range(rng.randint(0, 4))),
+                "handle": rng.choice((None, ChareHandle(rng.randint(0, 99)))),
+                "chare_cls": rng.choice((None, Worker)),
+                "hops": rng.randint(0, 5),
+                "boc": rng.choice((None, BocHandle(rng.randint(0, 9)))),
+                "service": rng.choice((None, "qd", "lb")),
+                "priority": rng.choice((None, rng.randint(0, 99))),
+                "counted": rng.choice((False, True)),
+                "fixed": rng.choice((False, True)),
+                "suppress_sent_count": rng.choice((False, True)),
+                "carried_load": rng.randint(0, 7),
+                "uid": rng.choice((None, rng.randint(0, 10 ** 6))),
+                "nbytes": rng.randint(32, 999),
+            }
+            assert set(drawn) == set(slots)
+            for name, value in drawn.items():
+                setattr(env, name, value)
             new_dst = rng.randint(0, 63)
-            expected = dataclasses.replace(
-                env, src_pe=env.dst_pe, dst_pe=new_dst, hops=env.hops + 1,
-                suppress_sent_count=True, uid=None, _size=env._size)
             fwd = env.forwarded(new_dst)
+            assert (fwd.src_pe, fwd.dst_pe, fwd.hops) == (
+                env.dst_pe, new_dst, env.hops + 1)
+            assert fwd.suppress_sent_count is True and fwd.uid is None
             for name in slots:
-                assert getattr(fwd, name) == getattr(expected, name), name
+                if name not in hop:
+                    assert getattr(fwd, name) == getattr(env, name), name
             assert fwd.args is env.args and fwd is not env
 
 
@@ -96,7 +99,7 @@ def test_envelope_uid_is_kernel_assigned_not_global():
     from repro import Kernel, entry, make_machine
     from repro.core.chare import Chare
 
-    assert Envelope(kind=Kind.APP, src_pe=0, dst_pe=1, entry="go").uid is None
+    assert Envelope.make_app(0, 1, "go", (), ChareHandle(0)).uid is None
 
     class Main(Chare):
         def __init__(self):
@@ -143,7 +146,7 @@ def test_untraced_fault_free_run_stamps_no_uid():
 
 
 def test_envelope_repr_mentions_kind():
-    env = Envelope(kind=Kind.BOC, src_pe=0, dst_pe=1, entry="e", boc=BocHandle(2))
+    env = Envelope.make_boc(0, 1, "e", (), BocHandle(2))
     assert "boc" in repr(env)
 
 
@@ -187,11 +190,17 @@ def test_subtree_sizes_sum():
 
 
 # ----------------------------------------------------------------- PE state
-def _env(kind=Kind.APP, system=False, priority=None, fixed=False):
-    return Envelope(
-        kind=kind, src_pe=0, dst_pe=0, entry="e",
-        handle=ChareHandle(0), system=system, priority=priority, fixed=fixed,
-    )
+class _Worker:
+    pass
+
+
+def _env(kind=Kind.APP, priority=None):
+    if kind == Kind.SEED:
+        return Envelope.make_seed(0, 0, (), ChareHandle(0), _Worker,
+                                  priority=priority)
+    if kind == Kind.SVC:
+        return Envelope.make_svc(0, 0, "e", (), "qd")
+    return Envelope.make_app(0, 0, "e", (), ChareHandle(0), priority)
 
 
 def test_pe_service_order_system_msgs_seeds():
@@ -199,7 +208,7 @@ def test_pe_service_order_system_msgs_seeds():
     pe.gated = False
     seed = _env(Kind.SEED)
     app = _env(Kind.APP)
-    svc = _env(Kind.SVC, system=True)
+    svc = _env(Kind.SVC)
     pe.enqueue(seed)
     pe.enqueue(app)
     pe.enqueue(svc)
@@ -214,7 +223,7 @@ def test_pe_gated_serves_only_system():
     assert pe.gated
     pe.enqueue(_env(Kind.APP))
     assert pe.next_envelope() is None
-    svc = _env(Kind.SVC, system=True)
+    svc = _env(Kind.SVC)
     pe.enqueue(svc)
     assert pe.next_envelope() is svc
     assert pe.next_envelope() is None
@@ -251,7 +260,7 @@ def test_pe_load_counts_queues_and_busy():
     assert pe.load == 0
     pe.enqueue(_env(Kind.APP))
     pe.enqueue(_env(Kind.SEED))
-    pe.enqueue(_env(Kind.SVC, system=True))  # system lane not load
+    pe.enqueue(_env(Kind.SVC))  # system lane not load
     assert pe.load == 2
     pe.busy = True
     assert pe.load == 3
@@ -305,9 +314,10 @@ def _draw_payload(rng, depth=0):
 
 
 def test_factory_envelopes_are_sized_when_built():
-    """Every factory fills ``_size`` with exactly what the dataclass
-    constructor's lazy ``nbytes`` computes, and the fast paths of
-    ``payload_nbytes`` agree with the full isinstance chain."""
+    """Every factory fills ``nbytes`` with the header plus the payload's
+    size (plus the class name for a seed), a forwarded leg keeps it, and
+    the fast paths of ``payload_nbytes`` agree with the full isinstance
+    chain."""
     from repro.util.rng import RngStream
     from repro.util.sizing import _general_nbytes, payload_nbytes
 
@@ -323,36 +333,49 @@ def test_factory_envelopes_are_sized_when_built():
         size = HEADER_BYTES + payload_nbytes(args)
         app = Envelope.make_app(0, 1, "go", args, h)
         seed = Envelope.make_seed(0, 1, args, h, Worker)
+        boc = Envelope.make_boc(0, 1, "go", args, BocHandle(1))
         svc = Envelope.make_svc(0, 1, "op", args, "share", counted=True)
-        assert app._size == svc._size == size
-        assert seed._size == size + len("Worker")
-        assert seed.forwarded(2)._size == seed._size
-        lazy = [
-            Envelope(kind=Kind.APP, src_pe=0, dst_pe=1, entry="go", args=args,
-                     handle=h),
-            Envelope(kind=Kind.SEED, src_pe=0, dst_pe=1, entry="__init__",
-                     args=args, handle=h, chare_cls=Worker),
-            Envelope(kind=Kind.SVC, src_pe=0, dst_pe=1, entry="op", args=args,
-                     service="share", system=True),
-        ]
-        assert all(env._size is None for env in lazy)
-        assert [env.nbytes for env in lazy] == [app._size, seed._size, svc._size]
-        assert [env.nbytes for env in (app, seed, svc)] == [
-            app._size, seed._size, svc._size]
+        assert app.nbytes == boc.nbytes == svc.nbytes == size
+        assert seed.nbytes == size + len("Worker")
+        assert seed.forwarded(2).nbytes == seed.nbytes
 
 
 def test_payload_is_charged_at_its_size_when_sent():
     """The contract: a payload is marshalled when it is sent.  Growing a
-    list after ``send`` (still inside the sending entry) does not change
-    what the network is charged; growing it before does."""
-    from repro import Chare, Kernel, entry, make_machine
+    list after the call (still inside the sending entry) does not change
+    what the network is charged; growing it before does.  The same holds
+    for a branch send and for a send to a chare whose seed the balancer
+    has not placed yet (both were once sized only at delivery)."""
+    from repro import BranchOfficeChare, Chare, Kernel, entry, make_machine
+
+    class Branch(BranchOfficeChare):
+        def __init__(self):
+            pass
+
+        @entry
+        def got(self, main, buf):
+            self.send(main, "done", len(buf))
+
+    class Sink(Chare):
+        def __init__(self):
+            pass
+
+        @entry
+        def got(self, main, buf):
+            self.send(main, "done", len(buf))
 
     class Main(Chare):
-        def __init__(self, grow):
+        def __init__(self, via, grow):
             buf = [1, 2, 3]
             if grow == "before":
                 buf.extend(range(100))
-            self.send(self.thishandle, "got", buf)
+            me = self.thishandle
+            if via == "send":
+                self.send(me, "got", buf)
+            elif via == "send_branch":
+                self.send_branch(self.create_boc(Branch), 1, "got", me, buf)
+            else:
+                self.send(self.create(Sink), "got", me, buf)
             if grow == "after":
                 buf.extend(range(100))
 
@@ -360,15 +383,20 @@ def test_payload_is_charged_at_its_size_when_sent():
         def got(self, buf):
             self.exit(len(buf))
 
-    def run(grow):
-        result = Kernel(make_machine("ipsc2", 2)).run(Main, grow)
+        @entry
+        def done(self, n):
+            self.exit(n)
+
+    def run(via, grow):
+        result = Kernel(make_machine("ipsc2", 2)).run(Main, via, grow)
         return result.result, result.stats.total_bytes_sent
 
-    n_never, bytes_never = run("never")
-    n_after, bytes_after = run("after")
-    n_before, bytes_before = run("before")
-    # The simulation shares host memory, so the receiver sees the grown
-    # list either way; only the charge is fixed at send time.
-    assert (n_never, n_after, n_before) == (3, 103, 103)
-    assert bytes_after == bytes_never
-    assert bytes_before == bytes_never + 100 * 8
+    for via in ("send", "send_branch", "unplaced"):
+        n_never, bytes_never = run(via, "never")
+        n_after, bytes_after = run(via, "after")
+        n_before, bytes_before = run(via, "before")
+        # The simulation shares host memory, so the receiver sees the grown
+        # list either way; only the charge is fixed at send time.
+        assert (n_never, n_after, n_before) == (3, 103, 103), via
+        assert bytes_after == bytes_never, via
+        assert bytes_before == bytes_never + 100 * 8, via

@@ -13,7 +13,7 @@ import heapq
 
 import pytest
 
-from repro.core.messages import Envelope, Kind
+from repro.core.messages import Envelope
 from repro.queueing.strategies import make_strategy
 from repro.util.priority import BitVectorPriority, normalize_priority
 from repro.util.rng import RngStream
@@ -127,6 +127,10 @@ def test_trusted_children_normalize_like_fresh_instances():
 # ------------------------------------------------ pools vs pre-normalized keys
 
 
+class _Worker:
+    pass
+
+
 def _pre_normalized_order(prios, step):
     """The pop order of a pool fed keys normalized before the push (as the
     kernel once did at send time): a heap of ``(key, seq, index)``."""
@@ -144,8 +148,7 @@ def test_envelope_cached_key_round_trips():
     for _ in range(200):
         prio = _random_priority(rng)
         sent_key = normalize_priority(prio)
-        env = Envelope(kind=Kind.SEED, src_pe=0, dst_pe=1, entry="e",
-                       priority=prio)
+        env = Envelope.make_seed(0, 1, (), None, _Worker, priority=prio)
         fwd = env.forwarded(2)
         assert env.priority is prio and fwd.priority is prio
         for name in ("prio", "bitprio", "priolifo"):
@@ -164,13 +167,13 @@ def test_pool_order_identical_with_and_without_cached_key():
     for name, step in (("prio", 1), ("bitprio", 1), ("priolifo", -1)):
         pool = make_strategy(name)
         for i, prio in enumerate(prios):
-            env = Envelope(kind=Kind.SEED, src_pe=0, dst_pe=1, entry=str(i),
-                           priority=prio)
+            env = Envelope.make_seed(0, 1, (i,), None, _Worker,
+                                     priority=prio)
             if i % 3 == 0:
                 env = env.forwarded(2)
             assert env.priority is prio
             pool.push(env, env.priority)
-        got = [int(pool.pop().entry) for _ in range(len(prios))]
+        got = [pool.pop().args[0] for _ in range(len(prios))]
         assert got == _pre_normalized_order(prios, step), name
 
 
