@@ -50,7 +50,6 @@ from repro.core import (
 )
 from repro.faults import FaultConfig, FaultLayer
 from repro.machine import Machine, MachineParams, MACHINE_PRESETS, make_machine
-from repro.machine.topology import make_topology
 from repro.balance import BALANCERS, make_balancer
 from repro.queueing import STRATEGIES, make_strategy
 from repro.util.priority import BitVectorPriority
@@ -72,7 +71,6 @@ __all__ = [
     "MachineParams",
     "MACHINE_PRESETS",
     "make_machine",
-    "make_topology",
     "BALANCERS",
     "make_balancer",
     "STRATEGIES",

@@ -58,13 +58,6 @@ def lu_seq(a: np.ndarray) -> np.ndarray:
     return lu
 
 
-def split_lu(lu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Separate a combined LU into (unit-lower L, upper U)."""
-    lower = np.tril(lu, -1) + np.eye(lu.shape[0])
-    upper = np.triu(lu)
-    return lower, upper
-
-
 class LuBlock(Chare):
     """Owns rows [lo, hi); eliminates below each received pivot row."""
 

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import inspect
 from collections import defaultdict
 from heapq import heappop, heappush
 from typing import Dict, Optional
 
 from repro.balance.base import Balancer
 from repro.core.messages import Envelope
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, need_int, need_real
 
 __all__ = [
     "LocalBalancer",
@@ -182,9 +183,10 @@ class TokenBalancer(Balancer):
         max_grab: int = 8,
     ) -> None:
         super().__init__()
-        self.max_attempts = max_attempts
+        self.max_attempts = need_int("token max_attempts", max_attempts)
+        need_real("token backoff", backoff, strict=False)
         self.backoff = backoff
-        self.max_grab = max_grab
+        self.max_grab = need_int("token max_grab", max_grab, 1)
 
     def bind(self, kernel) -> None:
         super().bind(kernel)
@@ -272,10 +274,9 @@ class AcwnBalancer(Balancer):
 
     def __init__(self, threshold: int = 2, max_hops: Optional[int] = None) -> None:
         super().__init__()
-        if threshold < 1:
-            raise ConfigurationError("acwn threshold must be >= 1")
-        self.threshold = threshold
-        self.max_hops = max_hops
+        self.threshold = need_int("acwn threshold", threshold, 1)
+        self.max_hops = (None if max_hops is None
+                         else need_int("acwn max_hops", max_hops))
 
     def bind(self, kernel) -> None:
         super().bind(kernel)
@@ -343,11 +344,10 @@ class GradientBalancer(Balancer):
     def __init__(self, radius: int = 2, threshold: int = 2,
                  max_hops: Optional[int] = None) -> None:
         super().__init__()
-        if radius < 1:
-            raise ConfigurationError("gradient radius must be >= 1")
-        self.radius = radius
-        self.threshold = threshold
-        self.max_hops = max_hops
+        self.radius = need_int("gradient radius", radius, 1)
+        self.threshold = need_int("gradient threshold", threshold)
+        self.max_hops = (None if max_hops is None
+                         else need_int("gradient max_hops", max_hops))
 
     def bind(self, kernel) -> None:
         super().bind(kernel)
@@ -440,8 +440,16 @@ BALANCERS = {
 def make_balancer(name: str, **kwargs) -> Balancer:
     """Instantiate a balancing strategy by name."""
     try:
-        return BALANCERS[name](**kwargs)
+        cls = BALANCERS[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown balancer {name!r}; options: {sorted(BALANCERS)}"
         ) from None
+    if kwargs:
+        accepted = inspect.signature(cls).parameters
+        for key in kwargs:
+            if key not in accepted:
+                raise ConfigurationError(
+                    f"balancer {name!r} takes no argument {key!r}; "
+                    f"it takes: {', '.join(accepted) or 'none'}")
+    return cls(**kwargs)

@@ -9,8 +9,6 @@ asserts each experiment's claim shape.
 from repro.bench.harness import (
     APPS,
     AppSpec,
-    measure,
-    speedup_sweep,
     SweepResult,
 )
 from repro.bench.tables import format_table
@@ -19,8 +17,6 @@ from repro.bench.experiments import EXPERIMENTS, run_experiment
 __all__ = [
     "APPS",
     "AppSpec",
-    "measure",
-    "speedup_sweep",
     "SweepResult",
     "format_table",
     "EXPERIMENTS",

@@ -56,10 +56,6 @@ class ResultCache:
     def key(self, desc: RunDescriptor) -> str:
         return desc.key(self.fingerprint)
 
-    def path(self, desc: RunDescriptor) -> str:
-        key = self.key(desc)
-        return os.path.join(self.root, key[:2], key + ".pkl")
-
     # ------------------------------------------------------------------- I/O
     def get(self, desc: RunDescriptor) -> Optional[Any]:
         """The cached row for ``desc``, or ``None`` (counted as a miss)."""

@@ -18,9 +18,7 @@ from repro.apps import TreeParams
 from repro.bench.harness import (
     APPS,
     describe,
-    measure,
     measure_many,
-    speedup_sweep,
     sweep_from_rows,
 )
 from repro.bench.tables import format_series, format_table
@@ -36,9 +34,6 @@ class ExperimentResult:
     title: str
     text: str
     data: Dict[str, Any] = field(default_factory=dict)
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return f"== {self.exp_id}: {self.title} ==\n{self.text}"
 
 
 # --------------------------------------------------------------------- scales

@@ -48,11 +48,9 @@ from repro.machine.presets import MACHINE_PRESETS, make_machine
 from repro.metrics.latency import LatencyFold
 from repro.util.errors import ConfigurationError, need_int, need_interval
 
-__all__ = ["AppSpec", "APPS", "describe", "measure", "measure_many",
-           "execute_descriptor", "run_descriptor", "speedup_sweep",
-           "sweep_from_rows",
-           "SweepResult", "use_tracing", "current_tracing",
-           "use_telemetry", "current_telemetry"]
+__all__ = ["AppSpec", "APPS", "describe", "measure_many",
+           "execute_descriptor", "run_descriptor", "sweep_from_rows",
+           "SweepResult", "use_tracing", "use_telemetry"]
 
 
 @dataclass(frozen=True)
@@ -135,11 +133,6 @@ APPS: Dict[str, AppSpec] = {
 _tracing: Tuple[str, ...] = ()
 
 
-def current_tracing() -> Tuple[str, ...]:
-    """Event kinds ambient ``describe()`` calls will request (() = off)."""
-    return _tracing
-
-
 @contextmanager
 def use_tracing(kinds: Any):
     """Trace every run described in this block with the given event kinds.
@@ -166,12 +159,6 @@ def use_tracing(kinds: Any):
 #: ``--metrics-*`` flags; ``None`` means telemetry off, ``0.0`` means a
 #: final snapshot only.
 _ambient_metrics: Optional[float] = None
-
-
-def current_telemetry() -> Optional[float]:
-    """Telemetry interval ambient ``describe()`` calls will request
-    (``None`` = off)."""
-    return _ambient_metrics
 
 
 @contextmanager
@@ -452,22 +439,6 @@ def measure_many(descs: Sequence[RunDescriptor], label: str = "") -> List[Measur
     return current_executor().run_many(descs, label=label)
 
 
-def measure(
-    app: str,
-    machine_name: str,
-    num_pes: int,
-    *,
-    queueing: Optional[str] = None,
-    balancer: Any = "random",
-    seed: int = 0,
-    **overrides: Any,
-) -> MeasureRow:
-    """Run one configuration and return its measurement row."""
-    desc = describe(app, machine_name, num_pes, queueing=queueing,
-                    balancer=balancer, seed=seed, **overrides)
-    return measure_many([desc])[0]
-
-
 @dataclass
 class SweepResult:
     """A PE sweep of one app on one machine: the unit of a speedup table."""
@@ -486,10 +457,6 @@ class SweepResult:
     @property
     def speedups(self) -> List[float]:
         return [self.t1 / t if t > 0 else float("nan") for t in self.times]
-
-    @property
-    def efficiencies(self) -> List[float]:
-        return [s / p for s, p in zip(self.speedups, self.pes)]
 
     def consistent(self) -> bool:
         """True if every P produced the same answer (determinism check)."""
@@ -510,40 +477,6 @@ def sweep_from_rows(
         answers=[_strip_arrays(canon(r.answer)) for r in rows],
         rows=list(rows),
     )
-
-
-def speedup_sweep(
-    app: str,
-    machine_name: str,
-    pes: Sequence[int],
-    *,
-    queueing: Optional[str] = None,
-    balancer: str = "random",
-    seed: int = 0,
-    **overrides: Any,
-) -> SweepResult:
-    """Measure an app across PE counts; first entry is the T1 baseline.
-
-    The per-P runs are submitted as one batch, so a parallel executor
-    overlaps them.  Note: speedups for speculative-search apps (tsp,
-    knapsack) compare the *same-strategy* one-PE run, as the paper does —
-    search anomalies (super- or sub-linear speedup) are part of the
-    phenomenon, not noise.
-    """
-    descs = [
-        describe(
-            app,
-            machine_name,
-            p,
-            queueing=queueing,
-            balancer=balancer,
-            seed=seed,
-            **overrides,
-        )
-        for p in pes
-    ]
-    rows = measure_many(descs, label=f"{app}@{machine_name}")
-    return sweep_from_rows(app, machine_name, pes, rows)
 
 
 def _comparable(answer: Any) -> Any:

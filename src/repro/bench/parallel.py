@@ -18,7 +18,7 @@ cannot change any result — the determinism-guard tests assert the
 ``--jobs N`` tables are byte-identical to serial.
 
 The module-level *current executor* (see :func:`use_executor`) is how the
-existing ``measure()``/``speedup_sweep()`` APIs route through the pool
+experiments' ``measure_many()`` calls route through the pool
 without threading an executor argument through every experiment: the
 default is a plain serial executor, so library users and tests keep
 today's behaviour unless a CLI (or test) installs a parallel one.
@@ -155,9 +155,6 @@ class SweepExecutor:
         self.close()
 
     # -------------------------------------------------------------- execution
-    def run_one(self, desc: RunDescriptor, label: str = ""):
-        return self.run_many([desc], label=label)[0]
-
     def run_many(self, descs: Sequence[RunDescriptor], label: str = "") -> List[Any]:
         """Execute a batch; results are returned in input order."""
         started = time.perf_counter()
@@ -376,8 +373,8 @@ class SweepExecutor:
 # -------------------------------------------------------- ambient executor
 #: Installed by the bench CLI (or tests); ``None`` means plain serial.
 _current: Optional[SweepExecutor] = None
-#: The fallback serial executor — measure()/speedup_sweep() outside any
-#: ``use_executor`` block behave exactly as before this module existed.
+#: The fallback serial executor: ``measure_many()`` outside any
+#: ``use_executor`` block runs its batch inline.
 _default = SweepExecutor(jobs=1)
 
 
@@ -387,7 +384,7 @@ def current_executor() -> SweepExecutor:
 
 @contextmanager
 def use_executor(executor: SweepExecutor):
-    """Route ``measure``/``measure_many`` through ``executor`` in this block."""
+    """Route ``measure_many`` through ``executor`` in this block."""
     global _current
     previous = _current
     _current = executor

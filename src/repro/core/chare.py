@@ -87,11 +87,6 @@ class Chare:
         return self._kernel.num_pes
 
     @property
-    def now(self) -> float:
-        """Current virtual time (seconds)."""
-        return self._kernel.now
-
-    @property
     def my_priority(self) -> PriorityLike:
         """Priority of the seed or message this execution is serving.
 
@@ -323,10 +318,6 @@ class Chare:
         """Delete ``key`` from a distributed table (no-op if absent)."""
         kernel = self._kernel
         kernel.sharing.table_delete(table, key, kernel.current.pe)
-
-    def __repr__(self) -> str:
-        h = getattr(self, "_handle", None)
-        return f"<{type(self).__name__} {h} on PE {getattr(self, '_pe', '?')}>"
 
 
 class BranchOfficeChare(Chare):

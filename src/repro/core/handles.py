@@ -30,12 +30,8 @@ class ChareHandle:
 
     # Constant wire size as a plain class attribute: the payload sizer
     # reads it without allocating a bound method (handles ride in nearly
-    # every seed payload).  ``__wire_size__`` stays for any sizer or
-    # subclass that still calls it.
+    # every seed payload).
     __wire_bytes__ = _HANDLE_WIRE_BYTES
-
-    def __wire_size__(self) -> int:
-        return _HANDLE_WIRE_BYTES
 
     def __repr__(self) -> str:
         return f"ChareHandle({self.gid})"
@@ -65,9 +61,6 @@ class BocHandle:
     boc_id: int
 
     __wire_bytes__ = _HANDLE_WIRE_BYTES
-
-    def __wire_size__(self) -> int:
-        return _HANDLE_WIRE_BYTES
 
     def __repr__(self) -> str:
         return f"BocHandle({self.boc_id})"

@@ -289,8 +289,11 @@ class Kernel:
         self.qd = QuiescenceService()
         if isinstance(balancer, str):
             self.balancer = make_balancer(balancer)
-        else:
+        elif isinstance(balancer, Balancer):
             self.balancer = balancer
+        else:
+            raise ConfigurationError(
+                f"balancer must be a strategy name or a Balancer, got {balancer!r}")
         for svc in (self.sharing, self.qd, self.balancer):
             svc.bind(self)
             self.services[svc.name] = svc

@@ -222,10 +222,6 @@ class PEState:
         """The balancer's load metric: queued app work + busy flag."""
         return self._app_queued + 1 if self.busy else self._app_queued
 
-    @property
-    def queued(self) -> int:
-        return self._queued
-
     def has_work(self) -> bool:
         return self._queued > 0
 

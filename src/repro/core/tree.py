@@ -27,7 +27,6 @@ from typing import List, Optional, Sequence
 __all__ = [
     "tree_parent",
     "tree_children",
-    "subtree_size",
     "SpanningTree",
     "RankTree",
     "BinomialTree",
@@ -49,18 +48,6 @@ def tree_children(rank: int, num_pes: int) -> List[int]:
     """Children of ``rank`` among ``num_pes`` ranks."""
     lo = rank * _ARITY + 1
     return [c for c in range(lo, min(lo + _ARITY, num_pes))]
-
-
-def subtree_size(rank: int, num_pes: int) -> int:
-    """Number of ranks in the subtree rooted at ``rank`` (incl. itself)."""
-    total = 0
-    stack = [rank]
-    while stack:
-        r = stack.pop()
-        if r < num_pes:
-            total += 1
-            stack.extend(tree_children(r, num_pes))
-    return total
 
 
 class SpanningTree:

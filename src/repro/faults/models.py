@@ -380,11 +380,6 @@ class FaultLayer:
         return duration
 
     # ------------------------------------------------------------ inspection
-    @property
-    def in_flight(self) -> int:
-        """Unacked protocol messages (0 once the run has drained)."""
-        return len(self._pending)
-
     def counters(self) -> Dict[str, int]:
         return {
             "msgs_dropped": self.msgs_dropped,
@@ -396,6 +391,3 @@ class FaultLayer:
             "acks_lost": self.acks_lost,
             "stalls": self.stalls,
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FaultLayer({self.config.describe()})"

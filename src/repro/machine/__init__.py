@@ -12,12 +12,9 @@ from repro.machine.topology import (
     Topology,
     BusTopology,
     FullyConnectedTopology,
-    RingTopology,
     Mesh2DTopology,
-    Torus2DTopology,
     HypercubeTopology,
     TreeTopology,
-    make_topology,
 )
 from repro.machine.network import Machine, MachineParams
 from repro.machine.presets import (
@@ -26,8 +23,6 @@ from repro.machine.presets import (
     symmetry,
     multimax,
     ipsc2,
-    ipsc860,
-    ncube1,
     ncube2,
     cluster,
     hetero,
@@ -38,12 +33,9 @@ __all__ = [
     "Topology",
     "BusTopology",
     "FullyConnectedTopology",
-    "RingTopology",
     "Mesh2DTopology",
-    "Torus2DTopology",
     "HypercubeTopology",
     "TreeTopology",
-    "make_topology",
     "Machine",
     "MachineParams",
     "MACHINE_PRESETS",
@@ -51,8 +43,6 @@ __all__ = [
     "symmetry",
     "multimax",
     "ipsc2",
-    "ipsc860",
-    "ncube1",
     "ncube2",
     "cluster",
     "hetero",

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.machine.topology import Topology
-from repro.util.errors import ConfigurationError
+from repro.util.errors import need_real
 
 __all__ = ["MachineParams", "Machine"]
 
@@ -68,8 +68,7 @@ class MachineParams:
             "bus_bandwidth",
             "link_bandwidth",
         ):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be nonnegative")
+            need_real(name, getattr(self, name), strict=False)
 
     def scaled(self, **changes) -> "MachineParams":
         """Return a copy with some constants replaced (for ablations)."""
@@ -177,6 +176,3 @@ class Machine:
 
     def neighbors(self, pe: int):
         return self.topology.neighbors(pe)
-
-    def __repr__(self) -> str:
-        return f"Machine({self.name!r}, {self.topology!r})"

@@ -39,8 +39,6 @@ __all__ = [
     "symmetry",
     "multimax",
     "ipsc2",
-    "ipsc860",
-    "ncube1",
     "ncube2",
     "cluster",
     "hetero",
@@ -108,39 +106,6 @@ def ncube2(num_pes: int) -> Machine:
     return Machine("ncube2", HypercubeTopology(num_pes), params)
 
 
-def ipsc860(num_pes: int) -> Machine:
-    """Intel iPSC/860 class: i860 nodes (much faster CPU, same network).
-
-    The interesting preset for grain studies: compute speeds up ~5x over
-    the iPSC/2 while the network barely moves, so the same program becomes
-    communication-bound at a much coarser grain.
-    """
-    params = MachineParams(
-        work_unit_time=0.4e-6,
-        sched_overhead=8e-6,
-        recv_overhead=6e-6,
-        alpha=160e-6,
-        beta=0.36e-6,
-        per_hop=10e-6,
-        local_alpha=3e-6,
-    )
-    return Machine("ipsc860", HypercubeTopology(num_pes), params)
-
-
-def ncube1(num_pes: int) -> Machine:
-    """NCUBE/1 class: the slowest nodes in the family, very large P."""
-    params = MachineParams(
-        work_unit_time=8e-6,
-        sched_overhead=40e-6,
-        recv_overhead=25e-6,
-        alpha=400e-6,
-        beta=1.1e-6,
-        per_hop=20e-6,
-        local_alpha=15e-6,
-    )
-    return Machine("ncube1", HypercubeTopology(num_pes), params)
-
-
 def cluster(num_pes: int) -> Machine:
     """Modern commodity cluster (extrapolation point, not a 1991 machine)."""
     params = MachineParams(
@@ -195,8 +160,6 @@ MACHINE_PRESETS: Dict[str, Callable[[int], Machine]] = {
     "symmetry": symmetry,
     "multimax": multimax,
     "ipsc2": ipsc2,
-    "ipsc860": ipsc860,
-    "ncube1": ncube1,
     "ncube2": ncube2,
     "cluster": cluster,
     "hetero": hetero,
@@ -217,6 +180,8 @@ def make_machine(name: str, num_pes: int, sparse: bool = False) -> Machine:
         raise ConfigurationError(
             f"unknown machine preset {name!r}; options: {sorted(MACHINE_PRESETS)}"
         ) from None
+    if type(sparse) is not bool:
+        raise ConfigurationError(f"sparse must be a bool, got {sparse!r}")
     machine = factory(num_pes)
     if sparse:
         machine.sparse = True

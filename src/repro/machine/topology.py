@@ -4,7 +4,7 @@ A topology answers two questions for the network model and the ACWN load
 balancer: *how many hops between PE i and PE j* and *who are PE i's
 neighbors*.  All topologies are static and deterministic.
 
-Implemented families (the 1991 machines plus standard extras):
+Every machine preset is built on one of the first three:
 
 * :class:`BusTopology` — shared-memory bus (Sequent Symmetry, Encore
   Multimax): every pair is one "hop" with no per-hop cost; "neighbors" is
@@ -12,29 +12,25 @@ Implemented families (the 1991 machines plus standard extras):
 * :class:`HypercubeTopology` — Intel iPSC/2, NCUBE/2: PE count must be a
   power of two, hops = popcount(i XOR j).
 * :class:`FullyConnectedTopology` — idealised crossbar.
-* :class:`RingTopology`, :class:`Mesh2DTopology`, :class:`Torus2DTopology`,
-  :class:`TreeTopology` — standard shapes used by the load-balancing and
-  scalability studies.
+
+:class:`Mesh2DTopology` (a ledger probe's machine) and
+:class:`TreeTopology` are not used by any preset.
 """
 
 from __future__ import annotations
 
-import operator
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.util.errors import TopologyError
+from repro.util.errors import ConfigurationError, TopologyError, need_int
 
 __all__ = [
     "Topology",
     "BusTopology",
     "FullyConnectedTopology",
-    "RingTopology",
     "Mesh2DTopology",
-    "Torus2DTopology",
     "HypercubeTopology",
     "TreeTopology",
-    "make_topology",
 ]
 
 
@@ -44,30 +40,16 @@ class Topology(ABC):
     name: str = "abstract"
 
     def __init__(self, num_pes: int) -> None:
-        try:
-            # Not int(): 2.5 must not truncate to 2 PEs, nor "4" parse.
-            num_pes = operator.index(num_pes)
-        except TypeError:
-            raise TopologyError(
-                f"num_pes must be an integer, got {num_pes!r}"
-            ) from None
-        if num_pes < 1:
-            raise TopologyError(f"num_pes must be >= 1, got {num_pes}")
-        self.num_pes = num_pes
+        self.num_pes = _count("num_pes", num_pes)
 
     def _check(self, pe: int) -> None:
         if not 0 <= pe < self.num_pes:
             raise TopologyError(f"PE {pe} out of range [0, {self.num_pes})")
 
-    def hops(self, src: int, dst: int) -> int:
-        """Number of network hops from ``src`` to ``dst`` (0 if equal)."""
-        self._check(src)
-        self._check(dst)
-        return self.distance(src, dst)
-
     @abstractmethod
     def distance(self, src: int, dst: int) -> int:
-        """:meth:`hops` without the range checks: the per-message metric.
+        """Hops from ``src`` to ``dst`` (0 if equal): the per-message
+        metric, with no range checks.
 
         Arithmetic in every family (no per-pair table, which would be
         O(P²) at the roadmap's 10⁵-PE machines).  A bound method, so a
@@ -78,28 +60,19 @@ class Topology(ABC):
     def neighbors(self, pe: int) -> List[int]:
         """Directly connected PEs (the ACWN neighborhood)."""
 
+    @abstractmethod
+    def diameter(self) -> int:
+        """Largest hop distance over all pairs, in closed form (the ACWN
+        and gradient balancers' default hop bound)."""
+
     def route(self, src: int, dst: int) -> Optional[List[Tuple[int, int]]]:
         """Deterministic path as directed links [(a,b), ...], or None.
 
         ``None`` means the topology has no discrete links to contend for
         (bus/crossbar); the link-contention model then does not apply.
-        Implementations must return exactly ``hops(src, dst)`` links.
+        Implementations must return exactly ``distance(src, dst)`` links.
         """
         return None
-
-    def diameter(self) -> int:
-        """Maximum hop distance over all pairs.
-
-        Base implementation is the O(P²) brute-force scan; every concrete
-        family overrides it with a closed form (tested equivalent at small
-        P) so it stays usable at P=100k.
-        """
-        return max(
-            self.hops(i, j) for i in range(self.num_pes) for j in range(self.num_pes)
-        )
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(num_pes={self.num_pes})"
 
 
 class BusTopology(Topology):
@@ -124,42 +97,6 @@ class FullyConnectedTopology(BusTopology):
     name = "full"
 
 
-class RingTopology(Topology):
-    """Bidirectional ring."""
-
-    name = "ring"
-
-    def route(self, src: int, dst: int) -> List[Tuple[int, int]]:
-        """Shortest-direction walk around the ring."""
-        self._check(src)
-        self._check(dst)
-        n = self.num_pes
-        forward = (dst - src) % n
-        step = 1 if forward <= n - forward else -1
-        links = []
-        cur = src
-        while cur != dst:
-            nxt = (cur + step) % n
-            links.append((cur, nxt))
-            cur = nxt
-        return links
-
-    def distance(self, src: int, dst: int) -> int:
-        d = abs(src - dst)
-        return min(d, self.num_pes - d)
-
-    def diameter(self) -> int:
-        return self.num_pes // 2
-
-    def neighbors(self, pe: int) -> List[int]:
-        self._check(pe)
-        if self.num_pes == 1:
-            return []
-        left = (pe - 1) % self.num_pes
-        right = (pe + 1) % self.num_pes
-        return [left] if left == right else [left, right]
-
-
 class Mesh2DTopology(Topology):
     """Open 2-D mesh of ``rows x cols`` PEs, row-major numbering."""
 
@@ -167,6 +104,11 @@ class Mesh2DTopology(Topology):
 
     def __init__(self, num_pes: int, rows: int | None = None, cols: int | None = None) -> None:
         super().__init__(num_pes)
+        num_pes = self.num_pes
+        if rows is not None:
+            rows = _count("rows", rows)
+        if cols is not None:
+            cols = _count("cols", cols)
         if rows is None and cols is None:
             rows = _near_square_rows(num_pes)
         if rows is None:
@@ -223,60 +165,6 @@ class Mesh2DTopology(Topology):
             cur = nxt
         while r1 != r2:
             r1 += 1 if r2 > r1 else -1
-            nxt = r1 * self.cols + c1
-            links.append((cur, nxt))
-            cur = nxt
-        return links
-
-
-class Torus2DTopology(Mesh2DTopology):
-    """2-D torus: mesh with wraparound links."""
-
-    name = "torus2d"
-
-    def distance(self, src: int, dst: int) -> int:
-        cols = self.cols
-        r1, c1 = divmod(src, cols)
-        r2, c2 = divmod(dst, cols)
-        dr = abs(r1 - r2)
-        dc = abs(c1 - c2)
-        return min(dr, self.rows - dr) + min(dc, cols - dc)
-
-    def diameter(self) -> int:
-        return self.rows // 2 + self.cols // 2
-
-    def neighbors(self, pe: int) -> List[int]:
-        self._check(pe)
-        r, c = self._rc(pe)
-        cand = {
-            ((r - 1) % self.rows) * self.cols + c,
-            ((r + 1) % self.rows) * self.cols + c,
-            r * self.cols + (c - 1) % self.cols,
-            r * self.cols + (c + 1) % self.cols,
-        }
-        cand.discard(pe)
-        return sorted(cand)
-
-    def route(self, src: int, dst: int) -> List[Tuple[int, int]]:
-        """XY routing with wraparound, shortest direction per axis."""
-        self._check(src)
-        self._check(dst)
-
-        def step_toward(cur: int, target: int, size: int) -> int:
-            fwd = (target - cur) % size
-            return 1 if fwd <= size - fwd else -1
-
-        links = []
-        r1, c1 = self._rc(src)
-        r2, c2 = self._rc(dst)
-        cur = src
-        while c1 != c2:
-            c1 = (c1 + step_toward(c1, c2, self.cols)) % self.cols
-            nxt = r1 * self.cols + c1
-            links.append((cur, nxt))
-            cur = nxt
-        while r1 != r2:
-            r1 = (r1 + step_toward(r1, r2, self.rows)) % self.rows
             nxt = r1 * self.cols + c1
             links.append((cur, nxt))
             cur = nxt
@@ -421,6 +309,15 @@ class TreeTopology(Topology):
         return links
 
 
+def _count(name: str, value) -> int:
+    """``value`` as an integer >= 1 (no bool, no float), or a
+    :class:`TopologyError` naming it."""
+    try:
+        return need_int(name, value, 1)
+    except ConfigurationError as exc:
+        raise TopologyError(str(exc)) from None
+
+
 def _near_square_rows(n: int) -> int:
     """Largest divisor of ``n`` not exceeding sqrt(n) — near-square meshes."""
     best = 1
@@ -431,24 +328,3 @@ def _near_square_rows(n: int) -> int:
         d += 1
     return best
 
-
-_FACTORIES: Dict[str, type] = {
-    "bus": BusTopology,
-    "full": FullyConnectedTopology,
-    "ring": RingTopology,
-    "mesh2d": Mesh2DTopology,
-    "torus2d": Torus2DTopology,
-    "hypercube": HypercubeTopology,
-    "tree": TreeTopology,
-}
-
-
-def make_topology(name: str, num_pes: int, **kwargs) -> Topology:
-    """Construct a topology by name (``bus``, ``hypercube``, ...)."""
-    try:
-        cls = _FACTORIES[name]
-    except KeyError:
-        raise TopologyError(
-            f"unknown topology {name!r}; options: {sorted(_FACTORIES)}"
-        ) from None
-    return cls(num_pes, **kwargs)

@@ -45,13 +45,12 @@ match exactly, with no interpolation ambiguity.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.trace.events import (_SEED_KIND, Event, EventLog, Recorder,
                                 event_rows)
-from repro.util.errors import ConfigurationError
 
-__all__ = ["percentile", "request_latencies", "latency_summary",
+__all__ = ["request_latencies", "latency_summary",
            "LatencyFold"]
 
 #: What a request is called in the serving app: the chare class whose
@@ -66,22 +65,6 @@ _QUANTILES = (50.0, 95.0, 99.0)
 # Row positions the walk reads (rows are tuples in Event field order).
 _EID, _KIND, _T, _PARENT, _NAME, _DUR = (
     Event._fields.index(f) for f in ("eid", "kind", "t", "parent", "name", "dur"))
-
-
-# ================================================================ percentiles
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile: the ``ceil(q/100 * n)``-th smallest value.
-
-    ``values`` need not be pre-sorted.  Raises on an empty sample — an
-    undefined percentile must never silently become a number.
-    """
-    if not 0.0 <= q <= 100.0:
-        raise ConfigurationError(f"percentile q must be in [0, 100], got {q}")
-    if not values:
-        raise ConfigurationError("percentile of an empty sample is undefined")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[rank - 1]
 
 
 # ========================================================= chain reconstruction

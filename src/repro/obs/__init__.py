@@ -21,7 +21,7 @@ built.  Enable per run with::
 bit-identical; see docs/architecture.md "Telemetry plane".
 """
 
-from repro.obs.exporters import parse_jsonl, to_jsonl, to_prometheus
+from repro.obs.exporters import to_jsonl, to_prometheus
 from repro.obs.health import RunHealth
 from repro.obs.registry import Histogram
 from repro.obs.telemetry import Telemetry
@@ -32,5 +32,4 @@ __all__ = [
     "RunHealth",
     "to_jsonl",
     "to_prometheus",
-    "parse_jsonl",
 ]

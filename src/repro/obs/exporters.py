@@ -5,8 +5,7 @@ Two formats, two audiences:
 * :func:`to_jsonl` — the archival/streaming form: line 1 is the
   ``repro-metrics-v1`` header (meta), then one line per snapshot, then one
   ``series`` line carrying every metric's final state.  One JSON object
-  per line, so a consumer can tail it mid-run and a test can parse any
-  prefix.  :func:`parse_jsonl` is the exact inverse.
+  per line, so a consumer can tail it mid-run and parse any prefix.
 * :func:`to_prometheus` — the scrape form (text exposition format 0.0.4):
   counters and gauges as labeled samples, histograms as cumulative
   ``_bucket{le=...}`` series plus ``_sum``/``_count``, each family with a
@@ -27,7 +26,7 @@ from typing import Any, Dict, List, Union
 from repro.obs.registry import Histogram
 from repro.util.errors import ConfigurationError
 
-__all__ = ["to_jsonl", "parse_jsonl", "to_prometheus"]
+__all__ = ["to_jsonl", "to_prometheus"]
 
 
 def _as_payload(source: Any) -> Dict[str, Any]:
@@ -52,35 +51,6 @@ def to_jsonl(source: Any) -> str:
     lines.append(json.dumps({"kind": "series",
                              "series": payload["series"]}, sort_keys=True))
     return "\n".join(lines) + "\n"
-
-
-def parse_jsonl(text: str) -> Dict[str, Any]:
-    """Parse :func:`to_jsonl` output back into a payload dict (validating)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ConfigurationError("empty metrics JSONL stream")
-    header = json.loads(lines[0])
-    if header.get("format") != "repro-metrics-v1":
-        raise ConfigurationError(
-            f"unknown metrics stream format {header.get('format')!r}"
-        )
-    snapshots: List[Dict[str, Any]] = []
-    series: List[Dict[str, Any]] = []
-    for ln in lines[1:]:
-        row = json.loads(ln)
-        kind = row.pop("kind", None)
-        if kind == "snapshot":
-            snapshots.append(row)
-        elif kind == "series":
-            series = row["series"]
-        else:
-            raise ConfigurationError(f"unknown metrics JSONL row kind {kind!r}")
-    return {
-        "format": "repro-metrics-v1",
-        "meta": header["meta"],
-        "snapshots": snapshots,
-        "series": series,
-    }
 
 
 # ================================================================ Prometheus

@@ -94,10 +94,6 @@ class RunHealth:
             "stalled": stalled,
         }
 
-    def check(self) -> bool:
-        """Watchdog predicate: True while the run looks healthy."""
-        return self.report()["status"] != "stalled"
-
     # ----------------------------------------------------------------- output
     def format(self) -> str:
         """One status line, the shape the bench CLI prints per run."""

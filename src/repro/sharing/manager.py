@@ -325,12 +325,6 @@ class SharingService(Service):
         home = self.table_home(table, key)
         self.send(pe, home, "tbl_delete", (table, key), counted=True)
 
-    def shard(self, table: str, pe: int) -> dict:
-        """Direct (test/diagnostic) view of a table shard."""
-        if table not in self._tables:
-            raise KeyError((table, pe))
-        return self._shards.setdefault((table, pe), {})
-
     # ------------------------------------------------------ branch-office chares
     def create_boc(self, boc_cls: type, args: tuple, pe: int) -> BocHandle:
         if not issubclass(boc_cls, BranchOfficeChare):

@@ -67,11 +67,6 @@ class Engine:
         """Total number of callbacks executed so far (current during a run)."""
         return self._events_fired
 
-    @property
-    def pending(self) -> int:
-        """Number of scheduled events not yet fired."""
-        return len(self._heap)
-
     def advance_to(self, time: float) -> None:
         """Move the clock forward without firing events (never backward)."""
         if time > self._now:

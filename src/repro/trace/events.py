@@ -95,9 +95,6 @@ class Event(NamedTuple):
     dur: Optional[float]
     info: Optional[Dict[str, Any]]
 
-    def as_dict(self) -> Dict[str, Any]:
-        return self._asdict()
-
 
 def normalize_kinds(kinds: Union[bool, str, Iterable[str], None]) -> tuple:
     """Canonicalise a kind selection to a sorted tuple of valid kinds."""
@@ -296,21 +293,6 @@ class EventLog(Recorder):
         return self._deliver_eid.get(uid)
 
     # -------------------------------------------------------------- accessors
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    @property
-    def events(self) -> List[Event]:
-        """The rows as :class:`Event` views (built on each access)."""
-        return list(map(Event._make, self.rows))
-
-    def counts(self) -> Dict[str, int]:
-        """Event counts by kind (every selected kind is present)."""
-        out = {kind: 0 for kind in self.kinds}
-        for row in self.rows:
-            out[row[1]] += 1
-        return out
-
     def as_records(self) -> List[Dict[str, Any]]:
         """Plain-dict projection (picklable, JSON-ready), in event order."""
         # A literal per row: this is the export path of every traced sweep,

@@ -79,23 +79,7 @@ class RngStream:
         """Uniform float in ``[0, 1)``."""
         return float(self._gen.random())
 
-    def uniform(self, low: float, high: float) -> float:
-        return float(self._gen.uniform(low, high))
-
-    def choice(self, seq):
-        """Pick one element of a non-empty sequence."""
-        return seq[int(self._gen.integers(0, len(seq)))]
-
-    def shuffle(self, seq: list) -> None:
-        """In-place Fisher–Yates shuffle of a Python list."""
-        for i in range(len(seq) - 1, 0, -1):
-            j = int(self._gen.integers(0, i + 1))
-            seq[i], seq[j] = seq[j], seq[i]
-
     @property
     def generator(self) -> np.random.Generator:
         """The underlying numpy generator, for vectorised draws."""
         return self._gen
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RngStream(root={self.root_seed}, purpose={self.purpose!r}, keys={self.keys})"

@@ -14,7 +14,6 @@ from repro.workloads.arrivals import (
     Poisson,
     ServiceSpec,
     arrival_times,
-    offered_rate,
     service_demands,
 )
 
@@ -25,5 +24,4 @@ __all__ = [
     "ServiceSpec",
     "arrival_times",
     "service_demands",
-    "offered_rate",
 ]

@@ -45,7 +45,6 @@ __all__ = [
     "ArrivalSpec",
     "arrival_times",
     "service_demands",
-    "offered_rate",
 ]
 
 
@@ -69,8 +68,7 @@ class Bursty:
     """Two-state MMPP: low/high rate phases with exponential dwell times.
 
     Mean offered rate is the dwell-weighted average of ``rate_low`` and
-    ``rate_high``; :meth:`mean_rate` reports it so experiments can hold the
-    mean fixed while varying burstiness.
+    ``rate_high``.
     """
 
     rate_low: float
@@ -85,12 +83,6 @@ class Bursty:
             need_real(f"Bursty {name}", getattr(self, name))
         need_int("Bursty count", self.count)
         need_real("Bursty start", self.start, strict=False)
-
-    def mean_rate(self) -> float:
-        """Long-run offered rate (dwell-time-weighted average)."""
-        total = self.dwell_low + self.dwell_high
-        return (self.rate_low * self.dwell_low
-                + self.rate_high * self.dwell_high) / total
 
 
 @dataclass(frozen=True)
@@ -242,14 +234,3 @@ def service_demands(
     return [
         tuple(spec.sample(rng) for _ in range(hops)) for _ in range(count)
     ]
-
-
-def offered_rate(spec: ArrivalSpec) -> float:
-    """Nominal long-run request rate of ``spec`` (requests/second)."""
-    if isinstance(spec, Poisson):
-        return spec.rate
-    if isinstance(spec, Bursty):
-        return spec.mean_rate()
-    if isinstance(spec, Diurnal):
-        return spec.rate_mean
-    raise ConfigurationError(f"unknown arrival spec {type(spec).__name__}")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import Chare, Kernel, entry
@@ -66,3 +68,49 @@ def run_echo(machine, n=8, pin=False, **kernel_kwargs):
 @pytest.fixture
 def echo_runner():
     return run_echo
+
+
+def read_metrics_jsonl(text):
+    """A ``to_jsonl`` stream back as the payload dict it was written from:
+    the header line, then ``snapshot`` lines, then one ``series`` line."""
+    header, *rows = (json.loads(line) for line in text.splitlines())
+    return {
+        "format": header["format"],
+        "meta": header["meta"],
+        "snapshots": [{k: v for k, v in row.items() if k != "kind"}
+                      for row in rows if row["kind"] == "snapshot"],
+        "series": next(row["series"] for row in rows if row["kind"] == "series"),
+    }
+
+
+def latency_summary_of(latencies):
+    """``latency_summary`` of a hand-built serving log: one single-stage
+    request per entry of ``latencies``, injected one time unit apart and
+    completed that long after injection."""
+    from repro.metrics.latency import latency_summary
+
+    def ev(kind, t, parent, name=None, dur=None):
+        events.append({"eid": len(events), "kind": kind, "t": t, "pe": 0,
+                       "uid": None, "parent": parent, "name": name,
+                       "dur": dur, "info": None})
+        return len(events) - 1
+
+    events = []
+    main = ev("exec_begin", 0.0, None, name="Main")
+    for i, latency in enumerate(latencies):
+        t0 = float(i + 1)
+        sent = ev("send", t0, main, name="__init__")
+        begin = ev("exec_begin", t0, ev("deliver", t0, sent), name="Request")
+        ev("exec_end", t0 + latency, begin, name="Request", dur=latency)
+        ev("send", t0 + latency, begin, name="done")
+    return latency_summary(events)
+
+
+def pick(rng, seq):
+    """One element of ``seq`` drawn from an :class:`RngStream`."""
+    return seq[rng.randint(0, len(seq))]
+
+
+def uniform(rng, low, high):
+    """A float in ``[low, high)`` drawn from an :class:`RngStream`."""
+    return float(rng.generator.uniform(low, high))

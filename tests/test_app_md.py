@@ -13,6 +13,7 @@ from repro.apps.md import (
     md_seq,
     run_md,
 )
+from tests.conftest import pick
 
 
 # ---------------------------------------------------------------- primitives
@@ -133,11 +134,11 @@ def test_vectorised_step_bitwise_equal_on_drawn_params():
     for _ in range(24):
         params = MdParams(
             cells=rng.randint(3, 6),
-            cell_size=rng.choice((0.5, 1.0, 1.25)),
+            cell_size=pick(rng, (0.5, 1.0, 1.25)),
             n_particles=rng.randint(1, 41),
-            dt=rng.choice((0.01, 0.02, 0.03)),
+            dt=pick(rng, (0.01, 0.02, 0.03)),
             steps=rng.randint(1, 5),
-            k=rng.choice((5.0, 20.0, 60.0)),
+            k=pick(rng, (5.0, 20.0, 60.0)),
             seed=rng.randint(0, 10 ** 6),
         )
         _assert_bitwise_equal_to_reference(params)

@@ -137,6 +137,6 @@ def test_histogram_shards_are_populated():
     )
     assert bad == 0
     kernel = result.kernel
-    sizes = [len(kernel.sharing.shard("hist", pe)) for pe in range(8)]
+    sizes = [len(kernel.sharing._shards.get(("hist", pe), {})) for pe in range(8)]
     assert sum(sizes) == 64
     assert sum(1 for s in sizes if s > 0) >= 3

@@ -13,7 +13,6 @@ from repro.workloads.arrivals import (
     Poisson,
     ServiceSpec,
     arrival_times,
-    offered_rate,
     service_demands,
 )
 
@@ -63,19 +62,15 @@ def test_bursty_mean_rate_and_burst_structure():
                   dwell_low=3e-3, dwell_high=1e-3)
     times = arrival_times(spec, seed=7)
     observed = spec.count / times[-1]
-    assert observed == pytest.approx(spec.mean_rate(), rel=0.10)
+    # The long-run rate is the dwell-weighted average of the two phases.
+    mean_rate = (1000.0 * 3e-3 + 9000.0 * 1e-3) / 4e-3
+    assert observed == pytest.approx(mean_rate, rel=0.10)
     # Burstiness: the squared coefficient of variation of inter-arrival
     # gaps must exceed a Poisson stream's (which has CV^2 == 1).
     gaps = [b - a for a, b in zip(times, times[1:])]
     mean = sum(gaps) / len(gaps)
     cv2 = sum((g - mean) ** 2 for g in gaps) / len(gaps) / mean**2
     assert cv2 > 1.3
-
-
-def test_bursty_mean_rate_weighting():
-    spec = Bursty(rate_low=1000.0, rate_high=5000.0, count=1,
-                  dwell_low=3e-3, dwell_high=1e-3)
-    assert spec.mean_rate() == pytest.approx((1000 * 3 + 5000 * 1) / 4)
 
 
 # ------------------------------------------------------------------ diurnal
@@ -105,13 +100,6 @@ def test_diurnal_rate_modulates_with_phase():
 def test_invalid_arrival_specs_rejected(bad):
     with pytest.raises(ConfigurationError):
         arrival_times(bad(), seed=0)
-
-
-def test_offered_rate():
-    assert offered_rate(Poisson(rate=123.0, count=1)) == 123.0
-    assert offered_rate(Diurnal(rate_mean=77.0, count=1)) == 77.0
-    b = Bursty(rate_low=100.0, rate_high=300.0, count=1)
-    assert offered_rate(b) == b.mean_rate()
 
 
 # ------------------------------------------------------------------- service

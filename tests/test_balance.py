@@ -87,6 +87,35 @@ def test_acwn_threshold_validation():
         make_balancer("acwn", threshold=0)
 
 
+@pytest.mark.parametrize("name,kwargs,field", [
+    ("token", {"backoff": float("nan")}, "backoff"),
+    ("token", {"backoff": -1e-6}, "backoff"),
+    ("token", {"max_grab": 0}, "max_grab"),
+    ("token", {"max_grab": 2.5}, "max_grab"),
+    ("token", {"max_attempts": -1}, "max_attempts"),
+    ("acwn", {"threshold": float("nan")}, "threshold"),
+    ("acwn", {"max_hops": -1}, "max_hops"),
+    ("gradient", {"threshold": float("nan")}, "threshold"),
+    ("gradient", {"radius": 1.5}, "radius"),
+    ("gradient", {"max_hops": -1}, "max_hops"),
+])
+def test_balancer_arguments_fail_where_given_naming_the_field(name, kwargs, field):
+    """A NaN backoff used to run a tree to time nan, and a NaN threshold
+    silently never moved a seed."""
+    with pytest.raises(ConfigurationError, match=field):
+        make_balancer(name, **kwargs)
+
+
+def test_unknown_balancer_argument_names_the_strategy_and_the_argument():
+    with pytest.raises(ConfigurationError, match="'random'.*'foo'"):
+        make_balancer("random", foo=1)
+
+
+def test_kernel_rejects_a_balancer_that_is_not_one():
+    with pytest.raises(ConfigurationError, match="balancer"):
+        Kernel(make_machine("ipsc2", 4), balancer=object())
+
+
 def test_answers_identical_across_balancers():
     answers = set()
     for strategy in ("local", "random", "roundrobin", "central", "token", "acwn"):

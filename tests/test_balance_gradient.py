@@ -79,23 +79,20 @@ def test_priolifo_runs_programs():
 
 
 # -------------------------------------------------------------------- presets
-def test_new_presets_exist_and_contrast():
-    i860 = make_machine("ipsc860", 8)
-    i2 = make_machine("ipsc2", 8)
-    n1 = make_machine("ncube1", 8)
-    assert i860.params.work_unit_time < i2.params.work_unit_time
-    assert n1.params.work_unit_time > i2.params.work_unit_time
-    assert n1.params.alpha > i2.params.alpha
-
-
 def test_faster_cpu_same_network_is_more_comm_bound():
-    """iPSC/860 vs iPSC/2: faster nodes => lower parallel efficiency at the
-    same fine grain (communication can't keep up) — the classic effect."""
+    """iPSC/2 with 5x faster nodes: lower parallel efficiency at the same
+    fine grain (communication can't keep up) — the classic effect."""
     from repro.apps.nqueens import run_nqueens
 
-    def eff(machine_name):
-        t1 = run_nqueens(make_machine(machine_name, 1), n=7, grainsize=2)[1].time
-        tp = run_nqueens(make_machine(machine_name, 8), n=7, grainsize=2)[1].time
+    def eff(work_unit_time):
+        def machine(pes):
+            m = make_machine("ipsc2", pes)
+            m.params = m.params.scaled(work_unit_time=work_unit_time)
+            return m
+
+        t1 = run_nqueens(machine(1), n=7, grainsize=2)[1].time
+        tp = run_nqueens(machine(8), n=7, grainsize=2)[1].time
         return t1 / tp / 8
 
-    assert eff("ipsc860") < eff("ipsc2")
+    ipsc2 = make_machine("ipsc2", 1).params.work_unit_time
+    assert eff(ipsc2 / 5) < eff(ipsc2)

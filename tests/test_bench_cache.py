@@ -15,6 +15,12 @@ from repro.bench.parallel import SweepExecutor, use_executor
 from repro.util.hashing import source_fingerprint
 
 
+def _path(cache, desc):
+    """Where ``cache`` stores ``desc``'s row: ``<root>/<key[:2]>/<key>.pkl``."""
+    key = cache.key(desc)
+    return os.path.join(cache.root, key[:2], key + ".pkl")
+
+
 def _tree(tmp_path, name="tree"):
     root = tmp_path / name
     (root / "pkg").mkdir(parents=True)
@@ -71,14 +77,14 @@ def test_source_edit_forces_reexecution(tmp_path):
 
     old = ResultCache(cache_dir, fingerprint=source_fingerprint(str(src)))
     with SweepExecutor(jobs=1, cache=old) as ex, use_executor(ex):
-        row = ex.run_one(desc)
+        row = ex.run_many([desc])[0]
     assert old.stores == 1
 
     (src / "mod.py").write_text("X = 99\n")
     edited = ResultCache(cache_dir, fingerprint=source_fingerprint(str(src)))
     assert edited.fingerprint != old.fingerprint
     with SweepExecutor(jobs=1, cache=edited) as ex, use_executor(ex):
-        rerun = ex.run_one(desc)
+        rerun = ex.run_many([desc])[0]
     assert edited.misses == 1 and edited.hits == 0 and edited.stores == 1
     assert rerun.vtime == row.vtime  # same config → same virtual time
 
@@ -94,8 +100,8 @@ def test_corrupt_cache_file_is_miss_not_crash(tmp_path):
     cache = ResultCache(str(tmp_path), fingerprint="fp")
     desc = describe("fib", "ideal", 1, n=10, threshold=5)
     with SweepExecutor(jobs=1, cache=cache) as ex, use_executor(ex):
-        row = ex.run_one(desc)
-    path = cache.path(desc)
+        row = ex.run_many([desc])[0]
+    path = _path(cache, desc)
 
     with open(path, "wb") as fh:
         fh.write(b"\x00garbage not a pickle")
@@ -112,8 +118,8 @@ def test_truncated_cache_file_is_miss(tmp_path):
     cache = ResultCache(str(tmp_path), fingerprint="fp")
     desc = describe("fib", "ideal", 1, n=10, threshold=5)
     with SweepExecutor(jobs=1, cache=cache) as ex, use_executor(ex):
-        ex.run_one(desc)
-    path = cache.path(desc)
+        ex.run_many([desc])[0]
+    path = _path(cache, desc)
     blob = open(path, "rb").read()
     with open(path, "wb") as fh:
         fh.write(blob[: len(blob) // 2])
@@ -132,7 +138,7 @@ def test_file_truncated_between_write_and_read_is_counted_corrupt(tmp_path):
     assert (cold.misses, cold.corrupt, cold.stores) == (3, 0, 3)
     assert cold.stats()["corrupt"] == 0
 
-    path = cold.path(descs[1])
+    path = _path(cold, descs[1])
     os.truncate(path, os.path.getsize(path) // 2)
     warm = ResultCache(str(tmp_path), fingerprint="fp")
     with SweepExecutor(jobs=1, cache=warm) as ex:
@@ -154,7 +160,7 @@ def test_file_truncated_between_write_and_read_is_counted_corrupt(tmp_path):
 def test_empty_cache_file_is_miss(tmp_path):
     cache = ResultCache(str(tmp_path), fingerprint="fp")
     desc = describe("fib", "ideal", 1, n=10, threshold=5)
-    path = cache.path(desc)
+    path = _path(cache, desc)
     os.makedirs(os.path.dirname(path))
     open(path, "wb").close()
     assert cache.get(desc) is None
@@ -164,7 +170,7 @@ def test_empty_cache_file_is_miss(tmp_path):
 def test_format_or_key_skew_is_miss(tmp_path):
     cache = ResultCache(str(tmp_path), fingerprint="fp")
     desc = describe("fib", "ideal", 1, n=10, threshold=5)
-    path = cache.path(desc)
+    path = _path(cache, desc)
     os.makedirs(os.path.dirname(path))
     with open(path, "wb") as fh:
         pickle.dump({"format": 999, "key": cache.key(desc), "row": "bogus"},
@@ -196,7 +202,7 @@ def test_hit_rate_accounting(tmp_path):
     assert cache.hit_rate == 0.0
     assert cache.get(desc) is None          # no such file: not "corrupt"
     with SweepExecutor(jobs=1, cache=cache) as ex, use_executor(ex):
-        ex.run_one(desc)
+        ex.run_many([desc])[0]
     assert cache.get(desc) is not None
     stats = cache.stats()
     assert stats["hits"] == 1 and stats["misses"] == 2 and stats["stores"] == 1

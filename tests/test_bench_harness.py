@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.bench.harness import APPS, MeasureRow, measure, speedup_sweep
+from repro.bench.harness import (APPS, MeasureRow, describe, measure_many,
+                                 sweep_from_rows)
 from repro.bench.tables import format_series, format_table
 from repro.util.errors import ConfigurationError
 
@@ -41,7 +42,7 @@ def test_all_app_specs_have_runners():
 
 
 def test_measure_returns_row():
-    row = measure("fib", "ideal", 2, n=12, threshold=6)
+    row = measure_many([describe("fib", "ideal", 2, n=12, threshold=6)])[0]
     assert isinstance(row, MeasureRow)
     assert row.answer == 144
     assert row.vtime_ms > 0
@@ -49,27 +50,31 @@ def test_measure_returns_row():
 
 
 def test_measure_override_wins_over_default():
-    row = measure("queens", "ideal", 1, n=5, grainsize=2)
+    row = measure_many([describe("queens", "ideal", 1, n=5, grainsize=2)])[0]
     assert row.answer[0] == 10  # 5-queens, not the default 8-queens (92)
 
 
 def test_measure_queueing_kwarg():
-    row = measure("fib", "ideal", 2, queueing="lifo", n=10, threshold=5)
+    row = measure_many([describe("fib", "ideal", 2, queueing="lifo", n=10,
+                                 threshold=5)])[0]
     assert row.queueing == "lifo"
 
 
 def test_speedup_sweep_shapes():
-    sweep = speedup_sweep("fib", "ipsc2", [1, 2, 4], n=14, threshold=7)
+    pes = [1, 2, 4]
+    rows = measure_many([describe("fib", "ipsc2", p, n=14, threshold=7)
+                         for p in pes])
+    sweep = sweep_from_rows("fib", "ipsc2", pes, rows)
     assert sweep.pes == [1, 2, 4]
     assert len(sweep.times) == 3
     assert sweep.speedups[0] == pytest.approx(1.0)
     assert sweep.consistent()
-    assert all(e > 0 for e in sweep.efficiencies)
+    assert all(s > 0 for s in sweep.speedups)
 
 
 def test_measure_unknown_app_rejected():
     with pytest.raises(ConfigurationError):
-        measure("quicksort3000", "ideal", 1)
+        describe("quicksort3000", "ideal", 1)
 
 
 # ------------------------------------------------------------------------ CLI

@@ -15,7 +15,7 @@ import pytest
 from repro.bench.cache import ResultCache
 from repro.bench.descriptors import RunDescriptor
 from repro.bench.experiments import run_experiment
-from repro.bench.harness import APPS, AppSpec, describe, measure, measure_many
+from repro.bench.harness import APPS, AppSpec, describe, measure_many
 from repro.bench.parallel import SweepExecutor, SweepRunError, use_executor
 from repro.util.errors import ConfigurationError
 
@@ -57,11 +57,11 @@ def test_jobs2_byte_identical_with_memoised_tree_shape(exp_id):
 def test_cache_hit_replays_identical_row(tmp_path):
     cache = ResultCache(str(tmp_path), fingerprint="pinned")
     with SweepExecutor(jobs=1, cache=cache) as ex, use_executor(ex):
-        first = measure("fib", "ipsc2", 4, n=12, threshold=6)
+        first = measure_many([describe("fib", "ipsc2", 4, n=12, threshold=6)])[0]
     assert cache.stores == 1 and cache.hits == 0
     replay_cache = ResultCache(str(tmp_path), fingerprint="pinned")
     with SweepExecutor(jobs=1, cache=replay_cache) as ex, use_executor(ex):
-        second = measure("fib", "ipsc2", 4, n=12, threshold=6)
+        second = measure_many([describe("fib", "ipsc2", 4, n=12, threshold=6)])[0]
     assert replay_cache.hits == 1 and replay_cache.stores == 0
     # The replayed row equals the executed one in every projected field
     # (the live RunResult is inline-only by design).
@@ -125,7 +125,7 @@ def test_pool_reused_warm_across_batches():
 
 def test_jobs1_never_creates_pool():
     with SweepExecutor(jobs=1) as ex, use_executor(ex):
-        measure("fib", "ideal", 1, n=10, threshold=5)
+        measure_many([describe("fib", "ideal", 1, n=10, threshold=5)])
         assert ex._pool is None
 
 

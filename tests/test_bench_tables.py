@@ -58,7 +58,6 @@ def test_single_p_sweep_is_well_defined():
     sweep = sweep_from_rows("fib", "ideal", [1], rows)
     assert sweep.pes == [1]
     assert sweep.speedups == [1.0]
-    assert sweep.efficiencies == [1.0]
     assert sweep.consistent()
     table = format_table(
         ["P", "speedup"], [[p, s] for p, s in zip(sweep.pes, sweep.speedups)]

@@ -127,12 +127,12 @@ def test_barrier_is_actually_synchronizing():
         @entry
         def go(self):
             self.charge(100 * (self.my_pe + 1))
-            entered.append(("arrive", self.my_pe, self.now))
+            entered.append(("arrive", self.my_pe, self._kernel.now))
             self.barrier("b", "released")
 
         @entry
         def released(self, tag, count):
-            entered.append(("release", self.my_pe, self.now))
+            entered.append(("release", self.my_pe, self._kernel.now))
             if self.my_pe == 0:
                 self.send(self.mainhandle, "finished", None)
 

@@ -53,7 +53,7 @@ def test_run_max_events_budget():
         eng.schedule_call(float(i), fired.append, i)
     assert eng.run(max_events=2) == (2, True)
     assert fired == [0, 1]
-    assert eng.pending == 3
+    assert len(eng._heap) == 3
     assert eng.run() == (3, False)
     assert fired == [0, 1, 2, 3, 4]
 
@@ -94,7 +94,7 @@ def test_drive_request_stop_wins_over_budget(backend):
     fired, truncated = eng.run(max_events=2)
     assert order == ["a", "stop"]
     assert (fired, truncated) == (2, False)  # stop, not truncation
-    assert eng.pending == 1
+    assert len(eng._heap) == 1
 
 
 @pytest.mark.parametrize("backend", ["heap"])
@@ -137,13 +137,13 @@ def test_request_stop_mid_cohort_preserves_remainder(backend):
     assert (fired, truncated) == (2, False)
     assert order == ["a", "stop"]
     assert eng.now == 1.0
-    assert eng.pending == 3
+    assert len(eng._heap) == 3
     # Resume: the remainder fires exactly once, in schedule order.
     fired, truncated = eng.run()
     assert (fired, truncated) == (3, False)
     assert order == ["a", "stop", "b", "c", "d"]
     assert eng.now == 2.0
-    assert eng.pending == 0
+    assert len(eng._heap) == 0
 
 
 @pytest.mark.parametrize("backend", ["heap"])

@@ -9,13 +9,14 @@ import pytest
 
 from repro.bench.cache import ResultCache
 from repro.bench.experiments import EXPERIMENTS, run_experiment
-from repro.bench.harness import measure, speedup_sweep
+from repro.bench.harness import describe, measure_many, sweep_from_rows
 from repro.bench.parallel import SweepExecutor, use_executor
 from repro.metrics.latency import latency_summary
-from repro.obs import RunHealth, parse_jsonl
+from repro.obs import RunHealth
 from repro.trace import EVENT_KINDS, critical_path
 from repro.util.errors import ConfigurationError
 from repro.util.hashing import stable_digest
+from tests.conftest import read_metrics_jsonl
 
 
 class Recording(SweepExecutor):
@@ -291,7 +292,7 @@ def test_s1_cli_exports_parse_and_rederive_the_folded_digests(results,
     proms = sorted(streams.glob("*.prom"))
     assert len(jsonl) == len(proms) == len(runs) > 0
     for path in jsonl:
-        payload = parse_jsonl(path.read_text())
+        payload = read_metrics_jsonl(path.read_text())
         assert payload["snapshots"], path
         assert RunHealth(payload).report()["status"] == "final", path
     for path in proms:
@@ -304,11 +305,13 @@ def test_s1_cli_exports_parse_and_rederive_the_folded_digests(results,
 # --------------------------------------------------------------- harness unit
 def test_measure_unknown_app():
     with pytest.raises(ConfigurationError):
-        measure("doom", "ideal", 2)
+        describe("doom", "ideal", 2)
 
 
 def test_sweep_consistency_flag():
-    sweep = speedup_sweep("queens", "ideal", [1, 2], n=6, grainsize=2)
+    rows = measure_many([describe("queens", "ideal", p, n=6, grainsize=2)
+                         for p in (1, 2)])
+    sweep = sweep_from_rows("queens", "ideal", [1, 2], rows)
     assert sweep.consistent()
     assert sweep.speedups[0] == pytest.approx(1.0)
-    assert len(sweep.efficiencies) == 2
+    assert len(sweep.speedups) == 2

@@ -31,7 +31,7 @@ def test_slow_pe_takes_proportionally_longer():
 
     class Timed(Chare):
         def __init__(self, main, label):
-            start = self.now
+            start = self._kernel.now
             self.charge(10_000)
             self.send(main, "done", label, start)
 
@@ -65,7 +65,7 @@ def test_send_offsets_scale_with_pe_speed():
 
         @entry
         def hit(self, who):
-            arrivals.append((who, self.now))
+            arrivals.append((who, self._kernel.now))
             if len(arrivals) == 2:
                 self.exit(None)
 

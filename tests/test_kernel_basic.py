@@ -296,7 +296,7 @@ def test_max_events_is_checked_at_the_call(ideal4, bad):
     kernel = Kernel(ideal4)
     with pytest.raises(ConfigurationError, match="max_events"):
         kernel.run(Nop, max_events=bad)
-    assert kernel.engine.pending == 0
+    assert len(kernel.engine._heap) == 0
     assert kernel.run(Nop, max_events=None).result == "done"
 
 
@@ -309,7 +309,7 @@ def test_identity_properties(ideal4):
             seen["num"] = self.num_pes
             seen["handle"] = self.thishandle
             seen["main"] = self.mainhandle
-            seen["now"] = self.now
+            seen["now"] = self._kernel.now
             self.exit(None)
 
     Kernel(ideal4).run(Probe)

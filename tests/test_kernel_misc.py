@@ -346,7 +346,7 @@ class _TimedPeer(Chare):
 
     @entry
     def poke(self, main, payload):
-        self.send(main, "poked", self.now)
+        self.send(main, "poked", self._kernel.now)
 
 
 class _TimedMain(Chare):
@@ -361,12 +361,12 @@ class _TimedMain(Chare):
     @entry
     def peer_ready(self):
         self.charge(100)
-        self.stamps["start"] = self.now
-        self.send_at(self.now + 2e-3, self.thishandle, "tick")
+        self.stamps["start"] = self._kernel.now
+        self.send_at(self._kernel.now + 2e-3, self.thishandle, "tick")
 
     @entry
     def tick(self):
-        self.stamps["future"] = self.now
+        self.stamps["future"] = self._kernel.now
         self.charge(50)
         # Before this execution began: departs at its start — not at 0, and
         # not after the 50 charged units as a plain send would.
@@ -402,7 +402,7 @@ def test_send_at_rejects_a_bad_time(ipsc8, when):
 
         @entry
         def tick(self):
-            self.exit(self.now)
+            self.exit(self._kernel.now)
 
     with pytest.raises(ConfigurationError, match="when"):
         Kernel(ipsc8).run(Main)

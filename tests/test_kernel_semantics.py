@@ -55,7 +55,7 @@ def test_remote_roundtrip_timing():
 
     class Child(Chare):
         def __init__(self, parent):
-            marks["ctor_start"] = self.now
+            marks["ctor_start"] = self._kernel.now
             self.charge(40)
             self.send(parent, "back")
 
@@ -65,7 +65,7 @@ def test_remote_roundtrip_timing():
 
         @entry
         def back(self):
-            marks["back_start"] = self.now
+            marks["back_start"] = self._kernel.now
             self.exit(None)
 
     Kernel(flat_machine()).run(Main)
@@ -86,7 +86,7 @@ def test_sends_depart_at_charge_offsets():
 
         @entry
         def hit(self, label):
-            arrivals.append((label, self.now))
+            arrivals.append((label, self._kernel.now))
             if len(arrivals) == 2:
                 self.exit(arrivals)
 
@@ -118,7 +118,7 @@ def test_pe_executes_one_message_at_a_time():
 
         @entry
         def work(self):
-            spans.append(self.now)
+            spans.append(self._kernel.now)
             self.charge(100)
             self.done += 1
             if self.done == self.n:

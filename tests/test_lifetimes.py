@@ -539,7 +539,7 @@ class _SendsToTheDead(Chare):
     def gone(self, handle):
         try:
             if self.timed:
-                self.send_at(self.now, handle, "anything")
+                self.send_at(self._kernel.now, handle, "anything")
             else:
                 self.send(handle, "anything")
         except RoutingError as exc:
@@ -561,7 +561,7 @@ def test_kernel_run_keeps_the_kernel_live_and_close_is_idempotent(ideal4):
     kernel = Kernel(ideal4, trace_events="all")
     result = kernel.run(Spawner, Listener, True)
     assert result.kernel is kernel
-    assert len(kernel.events) > 0
+    assert len(kernel.events.rows) > 0
     assert kernel.sharing.mono_updates_sent == 0
     kernel.close()
     assert vars(kernel) == {}
@@ -596,7 +596,7 @@ def test_closed_kernel_dies_by_reference_count(faults):
     with collector_disabled():
         kernel = Kernel(make_machine("ipsc2", 4), faults=faults)
         result = kernel.run(ExitsUnderDetection)
-        assert kernel.engine.pending > 0
+        assert len(kernel.engine._heap) > 0
         ref = weakref.ref(kernel)
         kernel.close()
         del kernel, result

@@ -3,7 +3,9 @@
 from repro.core.handles import BocHandle, ChareHandle
 from repro.core.messages import Envelope, HEADER_BYTES, Kind
 from repro.core.pe import PEState
-from repro.core.tree import subtree_size, tree_children, tree_parent
+from repro.core.tree import tree_children, tree_parent
+from repro.util.sizing import payload_nbytes
+from tests.conftest import pick, uniform
 
 
 # ---------------------------------------------------------------- envelopes
@@ -59,23 +61,23 @@ def test_forwarded_copies_every_slot():
         for _ in range(25):
             env = build()
             drawn = {
-                "kind": rng.choice((Kind.APP, Kind.SEED, Kind.BOC, Kind.SVC)),
+                "kind": pick(rng, (Kind.APP, Kind.SEED, Kind.BOC, Kind.SVC)),
                 "src_pe": rng.randint(0, 63),
                 "dst_pe": rng.randint(0, 63),
-                "entry": rng.choice(("__init__", "go", "reply")),
+                "entry": pick(rng, ("__init__", "go", "reply")),
                 "args": tuple(rng.randint(0, 9)
                               for _ in range(rng.randint(0, 4))),
-                "handle": rng.choice((None, ChareHandle(rng.randint(0, 99)))),
-                "chare_cls": rng.choice((None, Worker)),
+                "handle": pick(rng, (None, ChareHandle(rng.randint(0, 99)))),
+                "chare_cls": pick(rng, (None, Worker)),
                 "hops": rng.randint(0, 5),
-                "boc": rng.choice((None, BocHandle(rng.randint(0, 9)))),
-                "service": rng.choice((None, "qd", "lb")),
-                "priority": rng.choice((None, rng.randint(0, 99))),
-                "counted": rng.choice((False, True)),
-                "fixed": rng.choice((False, True)),
-                "suppress_sent_count": rng.choice((False, True)),
+                "boc": pick(rng, (None, BocHandle(rng.randint(0, 9)))),
+                "service": pick(rng, (None, "qd", "lb")),
+                "priority": pick(rng, (None, rng.randint(0, 99))),
+                "counted": pick(rng, (False, True)),
+                "fixed": pick(rng, (False, True)),
+                "suppress_sent_count": pick(rng, (False, True)),
                 "carried_load": rng.randint(0, 7),
-                "uid": rng.choice((None, rng.randint(0, 10 ** 6))),
+                "uid": pick(rng, (None, rng.randint(0, 10 ** 6))),
                 "nbytes": rng.randint(32, 999),
             }
             assert set(drawn) == set(slots)
@@ -151,8 +153,8 @@ def test_envelope_repr_mentions_kind():
 
 
 def test_handles_have_fixed_wire_size():
-    assert ChareHandle(1).__wire_size__() == 12
-    assert BocHandle(1).__wire_size__() == 12
+    assert payload_nbytes(ChareHandle(1)) == 12
+    assert payload_nbytes(BocHandle(1)) == 12
 
 
 def test_handles_are_slotted_and_pickle_round_trip():
@@ -183,6 +185,9 @@ def test_tree_root_has_no_parent():
 
 
 def test_subtree_sizes_sum():
+    def subtree_size(rank, n):
+        return 1 + sum(subtree_size(c, n) for c in tree_children(rank, n))
+
     n = 17
     kids = tree_children(0, n)
     assert 1 + sum(subtree_size(k, n) for k in kids) == n
@@ -281,28 +286,28 @@ def _draw_payload(rng, depth=0):
              "handle", "array", "npscalar", "record"]
     if depth < 3:
         kinds += ["tuple", "list", "dict", "tuple", "list"]
-    kind = rng.choice(kinds)
+    kind = pick(rng, kinds)
     if kind == "int":
         return rng.randint(-10 ** 6, 10 ** 6)
     if kind == "bigint":
         return (1 << rng.randint(64, 200)) + rng.randint(0, 99)
     if kind == "float":
-        return rng.uniform(-1e6, 1e6)
+        return uniform(rng, -1e6, 1e6)
     if kind == "ascii":
-        return "".join(rng.choice("abc:_09 ") for _ in range(rng.randint(0, 12)))
+        return "".join(pick(rng, "abc:_09 ") for _ in range(rng.randint(0, 12)))
     if kind == "text":
-        return "".join(rng.choice("aé∑𝄞z") for _ in range(rng.randint(1, 8)))
+        return "".join(pick(rng, "aé∑𝄞z") for _ in range(rng.randint(1, 8)))
     if kind == "none":
         return None
     if kind == "bool":
-        return rng.choice((False, True))
+        return pick(rng, (False, True))
     if kind == "handle":
-        return rng.choice((ChareHandle(rng.randint(0, 99)),
+        return pick(rng, (ChareHandle(rng.randint(0, 99)),
                            BocHandle(rng.randint(0, 9))))
     if kind == "array":
-        return np.zeros(rng.randint(0, 9), dtype=rng.choice((np.float64, np.int32)))
+        return np.zeros(rng.randint(0, 9), dtype=pick(rng, (np.float64, np.int32)))
     if kind == "npscalar":
-        return rng.choice((np.float32(1.5), np.int64(7), np.bool_(True)))
+        return pick(rng, (np.float32(1.5), np.int64(7), np.bool_(True)))
     if kind == "record":
         return _Record()
     items = [_draw_payload(rng, depth + 1) for _ in range(rng.randint(0, 4))]

@@ -18,13 +18,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.metrics.latency import (
-    latency_summary,
-    percentile,
-    request_latencies,
-)
+from repro.metrics.latency import latency_summary, request_latencies
 from repro.trace.critical_path import critical_path
-from repro.util.errors import ConfigurationError
+from tests.conftest import latency_summary_of
 
 
 def _ev(eid, kind, t, parent=None, name=None, dur=None, info=None, pe=0):
@@ -46,26 +42,15 @@ def _single_request_log():
 
 # ============================================================== percentile
 class TestPercentile:
-    def test_empty_sample_raises(self):
-        with pytest.raises(ConfigurationError):
-            percentile([], 50)
-
-    def test_out_of_range_q_raises(self):
-        with pytest.raises(ConfigurationError):
-            percentile([1.0], 101)
-        with pytest.raises(ConfigurationError):
-            percentile([1.0], -1)
-
     def test_single_sample_every_quantile(self):
-        for q in (0.0, 1.0, 50.0, 99.0, 100.0):
-            assert percentile([7.5], q) == 7.5
+        s = latency_summary_of([7.5])
+        assert s["p50"] == s["p95"] == s["p99"] == 7.5
 
     def test_nearest_rank_small_samples(self):
-        vals = [30.0, 10.0, 20.0]  # unsorted on purpose
-        assert percentile(vals, 0) == 10.0     # rank clamps to 1
-        assert percentile(vals, 50) == 20.0    # ceil(1.5) = 2nd
-        assert percentile(vals, 66.7) == 30.0  # ceil(2.001) = 3rd
-        assert percentile(vals, 100) == 30.0
+        s = latency_summary_of([30.0, 10.0, 20.0])  # unsorted on purpose
+        assert s["p50"] == 20.0    # ceil(1.5) = 2nd
+        assert s["p95"] == 30.0    # ceil(2.85) = 3rd
+        assert s["p99"] == 30.0
 
 
 # ====================================================== request_latencies

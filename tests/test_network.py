@@ -5,7 +5,7 @@ import pytest
 from repro.machine.network import Machine, MachineParams
 from repro.machine.presets import MACHINE_PRESETS, make_machine
 from repro.machine.topology import BusTopology, HypercubeTopology
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, TopologyError
 
 
 def test_params_reject_negative():
@@ -93,3 +93,31 @@ def test_hypercube_presets_require_power_of_two():
 
     with pytest.raises(TopologyError):
         make_machine("ipsc2", 12)
+
+
+PARAM_FIELDS = ("work_unit_time", "sched_overhead", "recv_overhead", "alpha",
+                "beta", "per_hop", "local_alpha", "bus_bandwidth",
+                "link_bandwidth")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "x", True],
+                         ids=["nan", "inf", "str", "bool"])
+@pytest.mark.parametrize("field", PARAM_FIELDS)
+def test_params_reject_non_finite_and_non_real_naming_the_field(field, bad):
+    """A NaN latency used to run a tree to virtual time nan, and a string
+    died as a TypeError that named no field."""
+    params = make_machine("ipsc2", 4).params
+    with pytest.raises(ConfigurationError, match=field):
+        params.scaled(**{field: bad})
+
+
+@pytest.mark.parametrize("name", sorted(MACHINE_PRESETS))
+def test_make_machine_rejects_a_bool_pe_count(name):
+    with pytest.raises(TopologyError, match="num_pes"):
+        make_machine(name, True)
+
+
+@pytest.mark.parametrize("sparse", ["no", 1, None])
+def test_make_machine_sparse_must_be_a_bool(sparse):
+    with pytest.raises(ConfigurationError, match="sparse"):
+        make_machine("ipsc2", 4, sparse=sparse)

@@ -17,6 +17,8 @@ from repro.core.messages import Envelope
 from repro.queueing.strategies import make_strategy
 from repro.util.priority import BitVectorPriority, normalize_priority
 from repro.util.rng import RngStream
+from tests.conftest import uniform
+
 
 # ---------------------------------------------------------------- reference
 
@@ -42,7 +44,7 @@ def _random_priority(rng):
     if kind <= 3:
         return rng.randint(-(10**6), 10**6)
     if kind == 4:
-        return rng.uniform(-1000.0, 1000.0)
+        return uniform(rng, -1000.0, 1000.0)
     # Bitvectors with lengths clustered around the 63-bit chunk boundary
     # (0..2 chunks) so multi-element packed keys get real coverage.
     length = rng.randint(0, 140)

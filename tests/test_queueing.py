@@ -16,6 +16,7 @@ from repro.queueing.strategies import (
 from repro.util.errors import ConfigurationError, SchedulingError
 from repro.util.priority import BitVectorPriority, normalize_priority
 from repro.util.rng import RngStream
+from tests.conftest import pick, uniform
 
 
 def drain(q):
@@ -227,17 +228,17 @@ def _random_mixed_priority(rng):
     if kind == 1:
         return rng.randint(-10, 10)
     if kind == 2:
-        return rng.choice([4094, 4095, 4096, 4097])  # old bucket-limit edges
+        return pick(rng, [4094, 4095, 4096, 4097])  # old bucket-limit edges
     if kind == 3:
         return float(rng.randint(0, 20))              # integral floats
     if kind == 4:
         return bool(rng.randint(0, 2))
     if kind == 5:
-        return rng.uniform(-5.0, 5.0)
+        return uniform(rng, -5.0, 5.0)
     if kind == 6:                                     # negative and huge ints
         return rng.randint(-(10**9), 10**9) * 10**12
     if kind == 7:
-        return rng.choice([-(2**70), -(2**63), 2**63, 10**30])
+        return pick(rng, [-(2**70), -(2**63), 2**63, 10**30])
     if kind == 8:                                     # past the old 63-bit chunk
         return BitVectorPriority(rng.randint(0, 2)
                                  for _ in range(rng.randint(60, 140)))

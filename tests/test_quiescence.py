@@ -24,7 +24,7 @@ class QdMain(Chare):
 
     @entry
     def quiet(self):
-        self.exit(self.now)
+        self.exit(self._kernel.now)
 
 
 @pytest.mark.parametrize("machine_name,pes", [
@@ -53,7 +53,7 @@ def test_callback_fires_exactly_once(ideal4):
 
         @entry
         def quiet(self):
-            hits.append(self.now)
+            hits.append(self._kernel.now)
             self.send(self.thishandle, "after")
 
         @entry

@@ -57,21 +57,6 @@ def test_random_unit_interval():
     assert all(0.0 <= v < 1.0 for v in vals)
 
 
-def test_choice_and_shuffle_are_permutations():
-    rng = RngStream(9, "s")
-    seq = list(range(20))
-    shuffled = list(seq)
-    rng.shuffle(shuffled)
-    assert sorted(shuffled) == seq
-    assert rng.choice(["a", "b", "c"]) in {"a", "b", "c"}
-
-
-def test_uniform_bounds():
-    rng = RngStream(11, "uni")
-    vals = [rng.uniform(-2.0, 3.0) for _ in range(50)]
-    assert all(-2.0 <= v <= 3.0 for v in vals)
-
-
 @given(st.integers(), st.text(max_size=20))
 def test_property_derive_seed_is_64bit(seed, purpose):
     value = derive_seed(seed, purpose)

@@ -16,45 +16,29 @@ from repro.apps.serving import run_serving
 from repro.bench.experiments import run_experiment
 from repro.bench.parallel import SweepExecutor, use_executor
 from repro.machine.presets import make_machine
-from repro.metrics.latency import latency_summary, percentile, request_latencies
+from repro.metrics.latency import latency_summary, request_latencies
 from repro.util.errors import ConfigurationError
+from tests.conftest import latency_summary_of
 from repro.workloads.arrivals import Bursty, Diurnal, Poisson, ServiceSpec
 
 
 # ------------------------------------------------------------- percentile
 def test_percentile_nearest_rank_hand_computed():
-    values = [15.0, 20.0, 35.0, 40.0, 50.0]
+    s = latency_summary_of([15.0, 20.0, 35.0, 40.0, 50.0])
     # ceil(q/100 * 5)-th smallest, 1-indexed.
-    assert percentile(values, 5) == 15.0
-    assert percentile(values, 30) == 20.0
-    assert percentile(values, 40) == 20.0
-    assert percentile(values, 50) == 35.0
-    assert percentile(values, 95) == 50.0
-    assert percentile(values, 100) == 50.0
-    assert percentile(values, 0) == 15.0
+    assert (s["p50"], s["p95"], s["p99"]) == (35.0, 50.0, 50.0)
+    assert (s["min"], s["max"]) == (15.0, 50.0)
 
 
 def test_percentile_unsorted_input_and_single_sample():
-    assert percentile([9.0, 1.0, 5.0], 50) == 5.0
-    assert percentile([42.0], 1) == 42.0
-    assert percentile([42.0], 99) == 42.0
+    assert latency_summary_of([9.0, 1.0, 5.0])["p50"] == 5.0
+    s = latency_summary_of([42.0])
+    assert s["p50"] == s["p95"] == s["p99"] == 42.0
 
 
 def test_percentile_ten_values():
-    values = list(range(1, 11))  # 1..10
-    assert percentile(values, 50) == 5
-    assert percentile(values, 90) == 9
-    assert percentile(values, 91) == 10
-    assert percentile(values, 99) == 10
-
-
-def test_percentile_rejects_empty_and_bad_q():
-    with pytest.raises(ConfigurationError):
-        percentile([], 50)
-    with pytest.raises(ConfigurationError):
-        percentile([1.0], 101)
-    with pytest.raises(ConfigurationError):
-        percentile([1.0], -1)
+    s = latency_summary_of([float(v) for v in range(1, 11)])  # 1..10
+    assert (s["p50"], s["p95"], s["p99"]) == (5.0, 10.0, 10.0)
 
 
 # ------------------------------------------------- synthetic causal chains

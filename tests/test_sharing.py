@@ -397,6 +397,6 @@ def test_table_keys_spread_across_shards(ipsc8):
 
     kernel = Kernel(ipsc8)
     assert kernel.run(Main, 64).result is True
-    sizes = [len(kernel.sharing.shard("t", pe)) for pe in range(8)]
+    sizes = [len(kernel.sharing._shards.get(("t", pe), {})) for pe in range(8)]
     assert sum(sizes) == 64
     assert max(sizes) < 64  # more than one shard used

@@ -37,7 +37,7 @@ def test_binomial_edges_are_one_hop_on_hypercube():
     topo = HypercubeTopology(n)
     tree = BinomialTree(n)
     for r in range(1, n):
-        assert topo.hops(r, tree.parent(r)) == 1
+        assert topo.distance(r, tree.parent(r)) == 1
 
 
 def test_rank_tree_edges_cost_multiple_hops_on_hypercube():
@@ -46,7 +46,7 @@ def test_rank_tree_edges_cost_multiple_hops_on_hypercube():
     n = 32
     topo = HypercubeTopology(n)
     tree = RankTree(n)
-    costs = [topo.hops(r, tree.parent(r)) for r in range(1, n)]
+    costs = [topo.distance(r, tree.parent(r)) for r in range(1, n)]
     assert max(costs) > 1  # the thing the binomial tree fixes
 
 
@@ -97,7 +97,7 @@ def test_binomial_collectives_cut_network_load():
 
         @entry
         def got(self, tag, total):
-            self.exit(self.now)
+            self.exit(self._kernel.now)
 
     hops = {}
     times = {}

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.metrics.sampler import busy_fractions, sample_metrics
-from repro.trace import EventLog
+from repro.trace import Event, EventLog
 from repro.trace.timeline import Timeline
 from tests.conftest import run_echo
 
@@ -140,7 +140,7 @@ def test_view_reads_log_records_and_json(traced_run):
     log = traced_run.kernel.events
     records = json.loads(json.dumps(log.as_records()))
     live = _timeline(traced_run)
-    for source in (log.as_records(), records, log.events):
+    for source in (log.as_records(), records, list(map(Event._make, log.rows))):
         tl = Timeline(source)
         assert tl.render(width=40) == live.render(width=40)
 
