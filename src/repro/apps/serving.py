@@ -30,8 +30,9 @@ Structure:
   reconstructs every request from its causal chains afterwards; handed a
   :class:`~repro.metrics.latency.LatencyFold` (what a sweep's
   ``run_descriptor`` does, since nobody reads a log off a kernel it
-  closes) the same chains are linked as the run goes and no row is kept.
-  The two give the same records float for float.
+  closes) each request is folded as its final is sent, from the stages
+  the kernel stamped on its seeds, and no row is kept.  The two give the
+  same records float for float.
 * With a telemetry plane attached (``telemetry=`` kernel kwarg,
   :mod:`repro.obs`), the app additionally streams each request's latency
   into an online log-bucketed histogram as it completes — injection is
@@ -200,7 +201,10 @@ def run_serving(
             "or pass trace_events=None with telemetry= and read "
             "summary['online'] (the S6 lens)"
         )
-    digest = latency_summary(recorder if recorder is not None else ())
+    # Only a log or a fold holds requests; any other recorder (or none)
+    # digests as a run that recorded none.
+    digest = latency_summary(
+        recorder if isinstance(recorder, (EventLog, LatencyFold)) else ())
     if ((default_trace or isinstance(recorder, LatencyFold))
             and (digest["completed"], digest["shed"]) != (n_done, n_shed)):
         raise AssertionError(

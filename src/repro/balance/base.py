@@ -73,18 +73,25 @@ class Balancer(Service):
         )
 
     # ----------------------------------------------------------------- helpers
+    @property
+    def traced(self) -> bool:
+        """Whether the kernel keeps a full trace: build a decision's
+        ``info`` for :meth:`trace_decision` only then."""
+        return self.kernel._trace is not None
+
     def trace_decision(self, pe: int, name: str, info=None) -> None:
-        """Record an ``lb`` event on the kernel's trace (no-op untraced).
+        """Record an ``lb`` event on the kernel's full trace (no-op without
+        one).
 
         Strategies call this at their decision points (steal requests,
         donations, probes); placement and seed-forwarding decisions are
         recorded by the kernel itself at its delivery hooks.
         """
         kernel = self.kernel
-        events = kernel._events
-        if events is not None:
-            events.record("lb", kernel.engine._now, pe, name=name,
-                          parent=events.ctx, info=info)
+        trace = kernel._trace
+        if trace is not None:
+            trace.record("lb", kernel.engine._now, pe, name=name,
+                         parent=trace.ctx, info=info)
 
     def local_load(self, pe: int) -> int:
         """A PE may always inspect its *own* queues."""

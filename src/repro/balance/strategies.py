@@ -209,7 +209,8 @@ class TokenBalancer(Balancer):
         self._attempts[pe] += 1
         self.control_msgs += 1
         self.kernel.pes[pe].steal_attempts += 1
-        self.trace_decision(pe, "steal_req", {"victim": victim})
+        if self.traced:
+            self.trace_decision(pe, "steal_req", {"victim": victim})
         self.send(pe, victim, "steal_req", (pe,))
 
     def handle(self, pe: int, op: str, args: tuple) -> None:
@@ -239,8 +240,9 @@ class TokenBalancer(Balancer):
                 self._attempts[thief] = 0
                 state.steals_satisfied += 1
                 self.seeds_placed_remote += donated
-                self.trace_decision(pe, "donate",
-                                    {"thief": thief, "count": donated})
+                if self.traced:
+                    self.trace_decision(pe, "donate",
+                                        {"thief": thief, "count": donated})
         elif op == "steal_none":
             if kernel.pes[pe].has_work() or self._attempts[pe] >= self.max_attempts:
                 return

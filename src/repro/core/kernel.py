@@ -45,7 +45,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.chare import BranchOfficeChare, Chare, declares_entry, is_entry
 from repro.core.handles import ChareHandle, mint_chare_handle
-from repro.core.messages import Envelope, Kind
+from repro.core.messages import Envelope, Kind, SeedNote
 from repro.core.pe import PEPlane, PEState
 from repro.core.services import Service
 from repro.core.tree import Span, make_tree
@@ -182,18 +182,22 @@ class Kernel:
         self.tree = make_tree(spanning_tree, machine.num_pes,
                               machine.topology.name)
         # Structured event tracing (repro.trace.events): accepts True/"all",
-        # a string or iterable of event kinds, or a pre-built recorder (an
-        # EventLog, a LatencyFold: anything with the hook surface).
-        if trace_events is None or hasattr(trace_events, "msg_send"):
-            self.events = trace_events
-        elif trace_events is True or isinstance(trace_events, Iterable):
-            from repro.trace.events import EventLog
+        # a string or iterable of event kinds, or a pre-built recorder (a
+        # Recorder: an EventLog, a LatencyFold; or any object with the
+        # hook surface).
+        self.events = trace_events
+        if trace_events is not None:
+            from repro.trace.events import EventLog, Recorder
 
-            self.events = EventLog(kinds=trace_events)
-        else:
-            raise ConfigurationError(
-                "trace_events must be a recorder, True, or event kinds, "
-                f"not {type(trace_events).__name__}")
+            if (isinstance(trace_events, Recorder)
+                    or hasattr(trace_events, "msg_send")):
+                pass
+            elif trace_events is True or isinstance(trace_events, Iterable):
+                self.events = EventLog(kinds=trace_events)
+            else:
+                raise ConfigurationError(
+                    "trace_events must be a recorder, True, or event kinds, "
+                    f"not {type(trace_events).__name__}")
 
         # Sparse startup is a property of the machine.  When on, the init
         # broadcast is skipped (replication is modeled free), PEs are born
@@ -253,6 +257,25 @@ class Kernel:
             from repro.trace.events import RecorderPair
 
             self._events = RecorderPair(self.events, self.telemetry)
+        # What the slot hears (Recorder.hears; a duck-typed recorder hears
+        # everything), resolved once: _trace is the slot when it takes every
+        # message and decision (a full trace); a seed-following summary
+        # names the chare classes whose seeds it follows (_follows) and
+        # the entries whose sends it takes (_finals), both None without
+        # one.  Uids key only a full trace's chains and the fault layer's
+        # ack/retry/dedup tables.
+        hears = (None if self._events is None
+                 else getattr(self._events, "hears", "all"))
+        if hears not in ("all", "seeds", None):
+            raise ConfigurationError(
+                f"a recorder hears 'all', 'seeds' or None, not {hears!r}")
+        self._trace = self._events if hears == "all" else None
+        self._finals = self._events.finals if hears == "seeds" else None
+        self._follows = self._events.follows if hears == "seeds" else None
+        self._stamp = self._trace is not None or self.faults is not None
+        # A summary hears no execution (the kernel stamps the notes of the
+        # seeds it follows instead); telemetry beside it hears them all.
+        self._every_exec = hears != "seeds" or self.telemetry is not None
         # Quiescence accounting lives on the PEStates (counted_sent /
         # counted_processed slots), not here.
         # Network-load accounting: sum over messages of hop count — the
@@ -487,13 +510,24 @@ class Kernel:
         events = self._events
         faults = self._faults
         if events is not None or faults is not None:
-            # uids key the recorders' causal chains and the fault layer's
-            # ack/retry/dedup tables; an unobserved, fault-free run has no
-            # reader and stamps none.
-            if env.uid is None:
+            if self._stamp and env.uid is None:
                 env.uid = self._next_uid
                 self._next_uid += 1
-            if events is not None:
+            finals = self._finals
+            if finals is not None:
+                # A summary: a seed of a class it follows gets its note at
+                # its first leg (later legs carry it), a final reports its
+                # send; nothing else reaches the recorder.
+                if env.kind == _SEED:
+                    if (env.note is None
+                            and env.chare_cls.__name__ in self._follows):
+                        note = env.note = SeedNote()
+                        note.origin = events.ctx
+                        note.sent = departure
+                        note.arrived = note.dur = None
+                elif env.entry in finals:
+                    events.msg_send(departure, env)
+            elif self._trace is not None:
                 events.msg_send(departure, env)
         if env.counted and not env.suppress_sent_count:
             src.counted_sent += 1
@@ -524,7 +558,10 @@ class Kernel:
         src_pe = env.src_pe
         events = self._events
         if events is not None:
-            events.msg_deliver(self.engine._now, env)
+            if self._trace is not None:
+                events.msg_deliver(self.engine._now, env)
+            elif env.note is not None:
+                env.note.arrived = self.engine._now
         if self._note_always or (self._note_cross and src_pe != dst_pe):
             # Base note_load ignores self-loads (skipped when not
             # overridden) and only feeds the ``known`` table (skipped when
@@ -534,23 +571,26 @@ class Kernel:
             fwd = self._on_seed_arrival(dst_pe, env)
             if fwd is not None and fwd != dst_pe:
                 pe.seeds_forwarded_in += 1
-                if events is None:
-                    self._deliver(env.forwarded(fwd),
-                                  self.now + self.params.recv_overhead)
+                leg = env.forwarded(fwd)
+                trace = self._trace
+                if trace is None:
+                    # The seed keeps its note: a summary follows the seed
+                    # from the execution that created it, not the leg.
+                    leg.note = env.note
+                    self._deliver(leg, self.now + self.params.recv_overhead)
                     return
                 # Chain the forwarding leg through an explicit LB decision
                 # event parented on this delivery, so multi-hop seeds stay
                 # one causal chain (each leg gets a fresh uid).
-                decision = events.record(
+                decision = trace.record(
                     "lb", self.engine._now, dst_pe, name="forward",
-                    uid=env.uid, parent=events.deliver_parent(env.uid),
+                    uid=env.uid, parent=trace.deliver_parent(env.uid),
                     info={"to": fwd, "hops": env.hops + 1},
                 )
-                saved = events.ctx
-                events.ctx = decision
-                self._deliver(env.forwarded(fwd),
-                              self.now + self.params.recv_overhead)
-                events.ctx = saved
+                saved = trace.ctx
+                trace.ctx = decision
+                self._deliver(leg, self.now + self.params.recv_overhead)
+                trace.ctx = saved
                 return
             # NOTE: placement is recorded at *construction*, not here, so a
             # work-stealing balancer may still extract the queued seed.
@@ -649,9 +689,19 @@ class Kernel:
             pe.largest_idle_gap = start - prev_end
         events = self._events
         if events is not None:
-            # Recorded before the body so sends made during it (outbox,
-            # buffered flushes, service traffic) parent on this execution.
-            begin_eid = events.exec_begin(start, pe.index, env, prev_end)
+            note = env.note
+            if note is not None:
+                # A seed a summary follows: its note is stamped here and
+                # is the recorder's cursor while the seed runs.
+                note.start = start
+                events.ctx = note
+            if self._every_exec:
+                # Recorded before the body so sends made during it (outbox,
+                # buffered flushes, service traffic) parent on this
+                # execution.
+                begin_eid = events.exec_begin(start, pe.index, env, prev_end)
+            elif note is None:
+                events = None   # a summary alone: nothing it follows
         self._current = ctx
         try:
             # The two per-message kinds are handled inline; SVC/BOC (and
@@ -720,6 +770,8 @@ class Kernel:
         if env.counted:
             pe.counted_processed += 1
             self.last_counted_exec_time = start + duration
+        if events is not None and note is not None:
+            note.dur = duration  # before the flush: a final finds it whole
         if outbox:
             for charged_at_send, out in outbox:
                 if wut is not None:
@@ -732,11 +784,14 @@ class Kernel:
             outbox.clear()
         pe.busy_until = busy_until = start + duration
         if events is not None:
-            # After the outbox flush so the sends fall inside this
-            # execution's causal window; exit-flagged ends anchor the
-            # critical-path walk.
-            events.exec_end(busy_until, pe.index, env, duration, begin_eid,
-                            self._exit_requested)
+            if self._every_exec:
+                # After the outbox flush so the sends fall inside this
+                # execution's causal window; exit-flagged ends anchor the
+                # critical-path walk.
+                events.exec_end(busy_until, pe.index, env, duration,
+                                begin_eid, self._exit_requested)
+            if note is not None:
+                events.ctx = None
         if self._exit_requested and not self._exited:
             self._exited = True
             self._final_time = busy_until
@@ -875,8 +930,12 @@ class Kernel:
                 f"timed send to {target} before placement; send_at targets "
                 "must already be placed (self, main, or a fixed-PE chare)"
             )
-        # A NaN would depart at the current time, +inf end the run there.
-        need_real("when", when, strict=False)
+        # need_real's rule (finite, >= 0, not a bool): a NaN would depart
+        # at the current time, +inf end the run there.  A float is checked
+        # in line (every request of a serving run is one timed send); any
+        # other type takes need_real's numbers.Real test and its message.
+        if not (type(when) is float and 0.0 <= when < _INF):
+            need_real("when", when, strict=False)
         env = Envelope.make_app(ctx.pe, dst, entry_name, args, target,
                                 check_priority(priority))
         now = self.engine._now
@@ -918,11 +977,11 @@ class Kernel:
         else:
             self.placement[gid] = None
             target = self.balancer.on_new_seed(src, chare_cls)
-            events = self._events
-            if events is not None and target != src:
-                events.record(
+            trace = self._trace
+            if trace is not None and target != src:
+                trace.record(
                     "lb", self.engine._now, src, name="place",
-                    parent=events.ctx,
+                    parent=trace.ctx,
                     info={"to": target, "chare": chare_cls.__name__},
                 )
             env = Envelope.make_seed(src, target, args, handle, chare_cls,

@@ -23,8 +23,8 @@ next hop).  Each factory sizes the payload as it builds: a payload is
 marshalled when it is sent, so growing it afterwards does not change what
 the network is charged, whichever call sent it.  ``uid`` is *not* drawn
 from a module-global counter at construction — the owning kernel assigns
-uids at first delivery from its own sequence (and only when a recorder,
-telemetry or a fault layer will read them), so uid values are
+uids at first delivery from its own sequence (and only when a full trace
+or a fault layer will read them), so uid values are
 reproducible run-to-run and unaffected by other kernels in the same
 process.
 """
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from repro.util.sizing import payload_nbytes
 
-__all__ = ["Kind", "Envelope", "HEADER_BYTES"]
+__all__ = ["Kind", "Envelope", "SeedNote", "HEADER_BYTES"]
 
 HEADER_BYTES = 32
 
@@ -78,9 +78,12 @@ class Envelope:
         # time); receivers feed this to the load balancer's neighbor-load
         # table.  Set only when the balancer reads it (0 otherwise).
         "carried_load",
-        # Assigned by the owning kernel at first delivery when an observer
+        # Assigned by the owning kernel at first delivery when a full trace
         # or a fault layer is attached (the only readers); None otherwise.
         "uid",
+        # SEED: the SeedNote the kernel keeps for a summary recorder that
+        # follows the seed's class; None otherwise.
+        "note",
         # Wire size: header + payload (+ class name for seeds), fixed by the
         # factory at the send.
         "nbytes",
@@ -110,6 +113,7 @@ class Envelope:
         env.suppress_sent_count = False
         env.carried_load = 0
         env.uid = None
+        env.note = None
         env.nbytes = HEADER_BYTES + payload_nbytes(args)
         return env
 
@@ -133,6 +137,7 @@ class Envelope:
         env.suppress_sent_count = False
         env.carried_load = 0
         env.uid = None
+        env.note = None
         env.nbytes = (HEADER_BYTES + payload_nbytes(args)
                       + len(chare_cls.__name__))
         return env
@@ -157,6 +162,7 @@ class Envelope:
         env.suppress_sent_count = False
         env.carried_load = 0
         env.uid = None
+        env.note = None
         env.nbytes = HEADER_BYTES + payload_nbytes(args)
         return env
 
@@ -180,14 +186,18 @@ class Envelope:
         env.suppress_sent_count = False
         env.carried_load = 0
         env.uid = None
+        env.note = None
         env.nbytes = HEADER_BYTES + payload_nbytes(args)
         return env
 
     def forwarded(self, new_dst: int) -> "Envelope":
         """A copy of a seed envelope re-routed to ``new_dst`` (one more hop).
 
-        The copy's ``uid`` resets to None: the kernel stamps each delivery
-        leg with a fresh uid from its own sequence.
+        The copy's ``uid`` and ``note`` reset to None: the kernel stamps
+        each delivery leg with a fresh uid from its own sequence, and
+        carries a summary recorder's note across the legs of one placement
+        itself (a token steal, which also sends a forwarded copy, starts a
+        new one).
         """
         env = Envelope.__new__(Envelope)
         env.kind = self.kind
@@ -206,6 +216,7 @@ class Envelope:
         env.suppress_sent_count = True
         env.carried_load = self.carried_load
         env.uid = None
+        env.note = None
         env.nbytes = self.nbytes
         return env
 
@@ -222,3 +233,19 @@ class Envelope:
             f"Envelope({self.kind_name()}, {self.src_pe}->{self.dst_pe}, "
             f"{target}, entry={self.entry!r})"
         )
+
+
+class SeedNote:
+    """What the kernel keeps on a seed a summary recorder follows
+    (``Recorder.hears = "seeds"``), as ``Envelope.note``.
+
+    ``origin`` is the recorder's cursor when the seed left the execution
+    that created it (the note of that execution's seed, or ``None``) and
+    ``sent`` the time it left.  Forwarding legs carry the note; ``arrived``
+    is the time the latest leg reached its PE, and ``start`` and ``dur``
+    describe the seed's execution.  ``dur`` is stamped before the
+    execution's outbox leaves; a send made during the body finds it
+    ``None``.
+    """
+
+    __slots__ = ("origin", "sent", "arrived", "start", "dur")

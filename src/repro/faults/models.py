@@ -209,7 +209,7 @@ class FaultLayer:
         rng = self._net_rng
         kernel = self.kernel
         pe = kernel.pes[env.dst_pe]
-        events = kernel._events
+        events = kernel._trace
         if cfg.jitter > 0.0:
             arrival += rng.random() * cfg.jitter
         if cfg.delay_prob > 0.0 and rng.random() < cfg.delay_prob:
@@ -260,7 +260,7 @@ class FaultLayer:
                 pe = kernel.pes[env.dst_pe]
                 pe.dups_suppressed += 1
                 self.dups_suppressed += 1
-                events = kernel._events
+                events = kernel._trace
                 if events is not None:
                     # The suppressed copy links to the uid's original send:
                     # the logical message stays a single causal chain.
@@ -319,7 +319,7 @@ class FaultLayer:
         kernel.pes[env.src_pe].retries += 1
         self.retries += 1
         now = kernel.engine._now
-        events = kernel._events
+        events = kernel._trace
         if events is not None:
             # Parent on the *original* send event: the retransmission stays
             # on the logical message's chain instead of rooting a fresh one.
@@ -371,7 +371,7 @@ class FaultLayer:
             pe.stalls += 1
             pe.stall_time += cfg.stall_time
             self.stalls += 1
-            events = kernel._events
+            events = kernel._trace
             if events is not None:
                 # ctx is the stalled execution's begin event (the kernel
                 # perturbs durations inside the exec window).

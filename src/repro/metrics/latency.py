@@ -9,9 +9,10 @@ give float-for-float the same per-request records:
   :class:`~repro.trace.events.EventLog` (or its exported records) and
   follows parent chains backwards.  The analysis tool for exported logs,
   and the fold's oracle;
-* :class:`LatencyFold` — the **fold**: is itself the recorder, keeps no
-  rows, and links each request's stages while the run goes.  What a sweep
-  uses, since nobody reads a log off a kernel the sweep closes.
+* :class:`LatencyFold` — the **fold**: is itself the recorder, a summary
+  that follows seeds (``hears = "seeds"``), keeps no rows, and folds each
+  request as its final is sent.  What a sweep uses, since nobody reads a
+  log off a kernel the sweep closes.
 
 A request's life looks like::
 
@@ -36,7 +37,9 @@ recovers, exactly and per request:
 
 The walk requires the ``send``/``deliver``/``exec_begin``/``exec_end`` kinds
 in the log (the serving runner records exactly those by default); the fold
-sees every hook call and behaves as a log of those four kinds.  Percentiles use
+gives what the walk gives on a log of those four kinds.  Both readers build
+one tuple of :data:`REQUEST_FIELDS` per request, and one digest serves
+both.  Percentiles use
 the *nearest-rank* method — the p-th percentile of n samples is the
 ``ceil(p/100 * n)``-th smallest — so small hand-computed samples in tests
 match exactly, with no interpolation ambiguity.
@@ -45,10 +48,12 @@ match exactly, with no interpolation ambiguity.
 from __future__ import annotations
 
 import math
+from itertools import compress
+from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.trace.events import (_SEED_KIND, Event, EventLog, Recorder,
-                                event_rows)
+from repro.core.messages import SeedNote
+from repro.trace.events import Event, EventLog, Recorder, event_rows
 
 __all__ = ["request_latencies", "latency_summary",
            "LatencyFold"]
@@ -61,6 +66,18 @@ SHED_ENTRY = "shed"
 
 #: The percentiles a latency digest reports (p50 / p95 / p99).
 _QUANTILES = (50.0, 95.0, 99.0)
+
+#: The fields of one request's record, in the order of the per-request
+#: tuples both readers build (:func:`request_latencies` names them).
+REQUEST_FIELDS = ("kind", "inject_t", "complete_t", "latency",
+                  "queue_wait", "service", "stages")
+_kind, _latency, _queue_wait, _service = (
+    itemgetter(REQUEST_FIELDS.index(f))
+    for f in ("kind", "latency", "queue_wait", "service"))
+
+#: Request order: by injection, then completion.  A stable sort, so ties
+#: keep the order their finals were sent in.
+_by_time = itemgetter(1, 2)
 
 # Row positions the walk reads (rows are tuples in Event field order).
 _EID, _KIND, _T, _PARENT, _NAME, _DUR = (
@@ -97,19 +114,9 @@ def _walk_to_origin(
         cur = parent
 
 
-def request_latencies(
-    records: Union[EventLog, Iterable[Any]],
-) -> List[Dict[str, Any]]:
-    """Reconstruct one record per finished request from the event log.
-
-    ``records`` is an :class:`~repro.trace.events.EventLog` (its rows are
-    read in place) or a sequence of event dicts / :class:`Event` views.
-    Each output record has ``kind`` ("done" for served, "shed" for requests
-    the admission controller turned away), ``inject_t``, ``complete_t``,
-    ``latency``, ``queue_wait``, ``service`` and ``stages``.  Output is
-    sorted by injection time, so it is deterministic for a deterministic
-    run regardless of log interleaving.
-    """
+def _walk(records: Union[EventLog, Iterable[Any]]) -> List[tuple]:
+    """One request tuple (:data:`REQUEST_FIELDS`) per finished request of
+    an event log, in the order its ``done``/``shed`` sends were logged."""
     # One pass: the eid index, each execution's exec_end, and the
     # completion sends the walks start from.
     by_eid: Dict[int, tuple] = {}
@@ -125,7 +132,7 @@ def request_latencies(
         elif kind == "send" and row[_NAME] in final_names:
             finals.append(row)
 
-    out: List[Dict[str, Any]] = []
+    out: List[tuple] = []
     for e in finals:
         begin = by_eid.get(e[_PARENT])
         if begin is None or begin[_KIND] != "exec_begin":
@@ -166,187 +173,145 @@ def request_latencies(
             break
         if not valid or inject_t is None:
             continue
-        out.append({
-            "kind": "shed" if e[_NAME] == SHED_ENTRY else "done",
-            "inject_t": inject_t,
-            "complete_t": complete_t,
-            "latency": complete_t - inject_t,
-            "queue_wait": queue_wait,
-            "service": service,
-            "stages": stages,
-        })
-    out.sort(key=lambda r: (r["inject_t"], r["complete_t"]))
+        out.append((SHED_ENTRY if e[_NAME] == SHED_ENTRY else DONE_ENTRY,
+                    inject_t, complete_t, complete_t - inject_t,
+                    queue_wait, service, stages))
     return out
 
 
-# ======================================================================== fold
-# What every non-seed execution (a ``tick``, a collector entry, a service
-# handler) is known by: the walk only asks such an execution for its name
-# and finds it is not a request, so one shared record answers for all.
-_OTHER: list = [None, 0.0, None, None, None]
+def _requests(records: Union[EventLog, "LatencyFold", Iterable[Any]]
+              ) -> List[tuple]:
+    """The request tuples of a fold (folded as the run went) or of a log
+    (walked now)."""
+    if isinstance(records, LatencyFold):
+        return records.requests
+    return _walk(records)
 
-_CLS, _START, _DELIVERY, _END, _EXEC_DUR = range(5)
+
+def request_latencies(
+    records: Union[EventLog, "LatencyFold", Iterable[Any]],
+) -> List[Dict[str, Any]]:
+    """One record per finished request, from an event log or a fold.
+
+    ``records`` is an :class:`~repro.trace.events.EventLog` (its rows are
+    read in place), a sequence of event dicts / :class:`Event` views, or
+    the :class:`LatencyFold` a run recorded into.  Each output record has
+    ``kind`` ("done" for served, "shed" for requests the admission
+    controller turned away), ``inject_t``, ``complete_t``, ``latency``,
+    ``queue_wait``, ``service`` and ``stages``.  Output is sorted by
+    injection time, then completion (ties keep the order their finals were
+    sent in), so it is deterministic for a deterministic run regardless of
+    log interleaving.
+    """
+    return [dict(zip(REQUEST_FIELDS, r))
+            for r in sorted(_requests(records), key=_by_time)]
+
+
+# ======================================================================== fold
+def _request(entry: str, stage: SeedNote) -> Optional[tuple]:
+    """The request tuple of a final sent by ``stage`` once it has ended:
+    its stages visited last first, the walk's order, because float
+    addition is not associative and the two must agree to the last bit.
+    ``None`` when a stage was never delivered (the walk keeps no record)."""
+    stages = 0
+    queue_wait = 0.0
+    service = 0.0
+    cur = stage
+    while True:
+        stages += 1
+        service += cur.dur
+        if cur.arrived is None:
+            return None
+        queue_wait += cur.start - cur.arrived
+        inject_t = cur.sent
+        cur = cur.origin
+        if cur is None:
+            complete_t = stage.start + stage.dur
+            return (entry, inject_t, complete_t, complete_t - inject_t,
+                    queue_wait, service, stages)
 
 
 class LatencyFold(Recorder):
-    """A recorder that keeps per-request stage records instead of rows.
+    """A summary recorder that folds each request as its final is sent.
 
-    It has the surface the kernel and its services call on an
-    :class:`~repro.trace.events.EventLog` — ``msg_send``, ``msg_deliver``,
-    ``exec_begin``, ``exec_end``, ``record``, ``send_parent``,
-    ``deliver_parent`` and the causal cursor ``ctx`` — and behaves as a log
-    of the four serving kinds: ``lb`` / ``qd`` / ``fault`` records pass their
-    parent through.  The tokens it hands out are not event ids:
+    It hears seeds (``hears = "seeds"``, see
+    :class:`~repro.trace.events.Recorder`) of the ``Request`` class: each
+    request stage's seed carries a :class:`~repro.core.messages.SeedNote`
+    the kernel fills in, and the note of the stage that sent it
+    (``origin``).  A ``done`` / ``shed`` send, the only traffic the kernel
+    reports, folds the request at once, from the chain of notes behind
+    it, into one tuple of :data:`REQUEST_FIELDS`.  A work-stealing
+    balancer's donation re-sends a seed from its own handler, which starts
+    a new chain there, as the walk does.
 
-    * an execution is a record ``[class, start, delivery, end, dur]``
-      (a seed's; every other execution is the shared :data:`_OTHER`);
-    * a seed's send carries its *chain* ``(origin record, first send
-      time)``: a send made inside an execution starts one, a forwarded leg
-      (``ctx`` is the delivery that caused it) inherits it, so the first
-      send stays the one closest to the origin — the injection point;
-    * a seed's delivery is ``(time, chain)``, and becomes the ``delivery``
-      of the record its execution opens;
-    * a ``done`` / ``shed`` send notes ``(entry, time, ctx)`` as a final.
-
-    Only seeds are followed: stages are seed executions, and a final is
-    recognised by its entry name alone.  The per-uid maps are popped at
-    delivery and at execution, so live state is the messages in flight plus
-    one record per request stage, each reachable from its final; nothing
-    points back, and the whole structure is freed by reference count.
-    What stays in the maps after a run: seeds still in flight when the run
-    exited, and deliveries of seeds a work-stealing balancer took out of
-    the pool (it re-sends them under a fresh uid from its handler, which
-    restarts the chain there — as the walk does).
+    No uid, map or row is kept: live state is one note per request stage
+    in flight, queued or running, and a request's notes are freed by
+    reference count once its final is folded.
     """
 
+    hears = "seeds"
+    follows = frozenset((REQUEST_NAME,))
+    finals = frozenset((DONE_ENTRY, SHED_ENTRY))
+
     def __init__(self) -> None:
-        self.ctx: Any = None
-        self._sent: Dict[int, tuple] = {}       # seed uid -> chain
-        self._delivered: Dict[int, tuple] = {}  # seed uid -> (time, chain)
-        self._finals: List[tuple] = []          # (entry, send time, ctx)
+        self.ctx: Optional[SeedNote] = None
+        self._requests: List[Optional[tuple]] = []
+        # (position, entry, stage) of finals sent before their stage's
+        # execution ended (a timed send from the stage): each holds its
+        # place in _requests as None and is folded when they are read.
+        self._early: List[tuple] = []
+
+    @property
+    def requests(self) -> List[tuple]:
+        """One tuple per finished request, in the order its final was
+        sent."""
+        if self._early:
+            for at, entry, stage in self._early:
+                self._requests[at] = _request(entry, stage)
+            self._early.clear()
+            self._requests = [r for r in self._requests if r is not None]
+        return self._requests
 
     # ------------------------------------------------------------------ hooks
     def msg_send(self, t: float, env) -> None:
-        if env.kind == _SEED_KIND:
-            ctx = self.ctx
-            if type(ctx) is tuple:
-                # A forwarded leg: ctx is the delivery it continues.
-                chain = ctx[1]
-                if chain[1] is None:
-                    chain = (chain[0], t)
-            else:
-                chain = (ctx, t)  # sent by an execution, or by nobody
-            self._sent[env.uid] = chain
-        elif env.entry == DONE_ENTRY or env.entry == SHED_ENTRY:
-            self._finals.append((env.entry, t, self.ctx))
-
-    def msg_deliver(self, t: float, env) -> None:
-        if env.kind == _SEED_KIND:
-            uid = env.uid
-            self._delivered[uid] = (t, self._sent.pop(uid, (None, None)))
-
-    def exec_begin(self, start: float, pe: int, env, prev_end: float):
-        if env.kind == _SEED_KIND:
-            rec = [env.chare_cls, start,
-                   self._delivered.pop(env.uid, None), None, None]
-        else:
-            rec = _OTHER
-        self.ctx = rec
-        return rec
-
-    def exec_end(self, end: float, pe: int, env, duration: float,
-                 begin, exited: bool) -> None:
-        if begin is not _OTHER:
-            begin[_END] = end
-            begin[_EXEC_DUR] = duration
-        self.ctx = None
-
-    def deliver_parent(self, uid: int):
-        """The delivery a forwarding leg continues; the leg ends this uid
-        (its envelope is re-sent under a fresh one, never executed)."""
-        return self._delivered.pop(uid, None)
-
-    # ---------------------------------------------------------------- results
-    def requests(self) -> List[Dict[str, Any]]:
-        """One record per finished request: :func:`request_latencies` of
-        the four-kind log this run would have left, float for float.
-
-        Each final's stages are visited last stage first and summed in
-        that order — the walk's order — because float addition is not
-        associative and the two must agree to the last bit.
-        """
-        out: List[Dict[str, Any]] = []
-        for entry, sent_t, rec in self._finals:
-            if not _is_request(rec):
-                continue  # a completion sent by a non-request execution
-            stages = 0
-            queue_wait = 0.0
-            service = 0.0
-            inject_t: Optional[float] = None
-            complete_t = rec[_END] if rec[_END] is not None else sent_t
-            cur = rec
-            while True:
-                stages += 1
-                if cur[_EXEC_DUR] is not None:
-                    service += cur[_EXEC_DUR]
-                delivery = cur[_DELIVERY]
-                if delivery is None:
-                    inject_t = None  # a stage nothing delivered: no record
-                    break
-                deliver_t, (origin, send_t) = delivery
-                queue_wait += cur[_START] - deliver_t
-                if send_t is not None:
-                    inject_t = send_t
-                if not _is_request(origin):
-                    break
-                cur = origin  # previous pipeline stage
-            if inject_t is None:
-                continue
-            out.append({
-                "kind": "shed" if entry == SHED_ENTRY else "done",
-                "inject_t": inject_t,
-                "complete_t": complete_t,
-                "latency": complete_t - inject_t,
-                "queue_wait": queue_wait,
-                "service": service,
-                "stages": stages,
-            })
-        out.sort(key=lambda r: (r["inject_t"], r["complete_t"]))
-        return out
-
-
-def _is_request(rec: Any) -> bool:
-    """``rec`` is the execution record of a request stage (``ctx`` may also
-    be ``None`` or a delivery when a send happens outside an execution)."""
-    return (type(rec) is list and rec[_CLS] is not None
-            and rec[_CLS].__name__ == REQUEST_NAME)
+        stage = self.ctx
+        if stage is None:
+            return              # not sent by a request stage
+        if stage.dur is None:
+            # The stage still runs, so its end is not stamped yet: keep
+            # the final's place.
+            self._early.append((len(self._requests), env.entry, stage))
+            self._requests.append(None)
+            return
+        request = _request(env.entry, stage)
+        if request is not None:
+            self._requests.append(request)
 
 
 # ===================================================================== summary
 def latency_summary(
-    records: Union[EventLog, "LatencyFold", Iterable[Any]],
+    records: Union[EventLog, LatencyFold, Iterable[Any]],
 ) -> Dict[str, Any]:
     """Scalar latency digest of a serving run's event log or fold.
 
-    ``records`` is anything :func:`request_latencies` walks, or the
-    :class:`LatencyFold` a run recorded into.  Counts plus nearest-rank
-    p50/p95/p99 over *served* requests, and the queue-wait / service /
-    transit decomposition of the mean.  Percentile fields are ``None``
+    ``records`` is anything :func:`request_latencies` reads.  Counts plus
+    nearest-rank p50/p95/p99 over *served* requests, and the queue-wait /
+    service / transit decomposition of the mean (summed in
+    :func:`request_latencies` order).  Percentile fields are ``None``
     when no request completed (an empty summary must stay visibly empty,
     not read as a zero-latency system).
     """
-    if isinstance(records, LatencyFold):
-        reqs = records.requests()
-    else:
-        reqs = request_latencies(records)
-    served = [r for r in reqs if r["kind"] == "done"]
-    shed = [r for r in reqs if r["kind"] == "shed"]
+    # map / compress / itemgetter: the digest reads every request, and
+    # these iterate in C.
+    reqs = _requests(records)
+    served = sorted(compress(reqs, map(DONE_ENTRY.__eq__, map(_kind, reqs))),
+                    key=_by_time)
     summary: Dict[str, Any] = {
         "requests": len(reqs),
         "completed": len(served),
-        "shed": len(shed),
+        "shed": len(reqs) - len(served),
     }
-    latencies = sorted(r["latency"] for r in served)
+    latencies = sorted(map(_latency, served))
     if latencies:
         n = len(latencies)
         for q in _QUANTILES:
@@ -354,8 +319,8 @@ def latency_summary(
         summary["mean"] = sum(latencies) / n
         summary["min"] = latencies[0]
         summary["max"] = latencies[-1]
-        summary["mean_queue_wait"] = sum(r["queue_wait"] for r in served) / n
-        summary["mean_service"] = sum(r["service"] for r in served) / n
+        summary["mean_queue_wait"] = sum(map(_queue_wait, served)) / n
+        summary["mean_service"] = sum(map(_service, served)) / n
         summary["mean_transit"] = (
             summary["mean"] - summary["mean_queue_wait"] - summary["mean_service"]
         )

@@ -21,7 +21,8 @@ Design constraints, in order:
    timers, which is what keeps the schedule unperturbed.
 3. **Off the send path.**  All per-message metrics are derived from the
    PEState send/execute counters ``_deliver`` maintains anyway; telemetry
-   keeps the per-message hooks as no-ops.
+   hears executions only (``Recorder.hears = None``), so the kernel makes
+   no per-message call on it.
 
 The plane keeps fixed fields, not a metric registry: a ``(kind, name)``
 execution count, the execution-duration histogram, one serving-latency

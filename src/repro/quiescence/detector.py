@@ -96,7 +96,7 @@ class QuiescenceService(Service):
         self.waves_run += 1
         kernel = self.kernel
         self._wave_span = kernel.span()
-        events = kernel._events
+        events = kernel._trace
         if events is None:
             self.send(0, 0, "req", (self._wave,))
             return
@@ -196,7 +196,7 @@ class QuiescenceService(Service):
             stable = False
         else:
             stable = idle and sent == processed
-        events = kernel._events
+        events = kernel._trace
         if stable and self._prev_totals == (sent, processed):
             target, entry = self._callback  # type: ignore[misc]
             self._callback = None

@@ -117,16 +117,43 @@ def normalize_kinds(kinds: Union[bool, str, Iterable[str], None]) -> tuple:
 
 
 class Recorder:
-    """The hook surface the kernel calls on its observer slot, as no-ops;
-    a recorder overrides what it keeps (:class:`EventLog`: everything)."""
+    """The base of the recorders the kernel's observer slot holds.
 
+    What the kernel reports to a recorder is declared by :attr:`hears`,
+    which it reads once, when it is built, so what a recorder would throw
+    away costs no call and no allocation:
+
+    * ``None`` — every execution, as ``exec_begin`` / ``exec_end`` (this
+      base's no-ops; telemetry);
+    * ``"all"`` — a full trace (:class:`EventLog`): every execution; every
+      message, stamped with a uid, at its send (``msg_send``) and its
+      delivery (``msg_deliver``); every runtime decision (seed placement
+      and forwarding, balancer steals, QD waves, faults) as a ``record``
+      call; and the chain maps ``send_parent`` / ``deliver_parent``;
+    * ``"seeds"`` — a summary that follows seeds
+      (:class:`~repro.metrics.latency.LatencyFold`), with one call per
+      final.  For each seed of a chare class named in :attr:`follows`, the
+      kernel keeps a :class:`~repro.core.messages.SeedNote` on the
+      envelope (``Envelope.note``), from the send that launches it from
+      an execution across its balancer forwarding legs, and fills it in:
+      the cursor ``ctx`` and the time it was sent, when each leg arrives,
+      when it starts and how long it runs.  While the seed executes its
+      note is the recorder's ``ctx``, and ``None`` otherwise.
+      ``msg_send`` reports the sends of application messages whose entry
+      is in :attr:`finals`.  Nothing is uid-stamped for a summary, and the
+      kernel makes no execution call for it (beside telemetry, the pair's
+      reach these no-op hooks).
+
+    ``ctx`` is the recorder's causal cursor, which the kernel saves and
+    restores around a buffered send's flush.
+    """
+
+    hears: Optional[str] = None
+    #: Under ``hears = "seeds"``: the chare classes, by name, whose seeds
+    #: the kernel follows, and the entries whose sends reach ``msg_send``.
+    follows: frozenset = frozenset()
+    finals: frozenset = frozenset()
     ctx: Any = None
-
-    def msg_send(self, t: float, env) -> None:
-        pass
-
-    def msg_deliver(self, t: float, env) -> None:
-        pass
 
     def exec_begin(self, start: float, pe: int, env, prev_end: float):
         return None
@@ -134,16 +161,6 @@ class Recorder:
     def exec_end(self, end: float, pe: int, env, duration: float,
                  begin, exited: bool) -> None:
         pass
-
-    def record(self, kind, t, pe, name=None, uid=None, parent=None,
-               dur=None, info=None):
-        return parent
-
-    def send_parent(self, uid: int) -> Optional[int]:
-        return None
-
-    def deliver_parent(self, uid: int) -> Optional[int]:
-        return None
 
 
 class EventLog(Recorder):
@@ -161,6 +178,8 @@ class EventLog(Recorder):
     override it around their own deliveries.  Outside any of those
     windows it is ``None`` and sends root a fresh chain.
     """
+
+    hears = "all"
 
     def __init__(
         self,
@@ -305,24 +324,27 @@ class EventLog(Recorder):
 
 
 class RecorderPair:
-    """A causal recorder and telemetry sharing the kernel's observer slot:
-    the execution hooks reach both; ``ctx``, ``record``, the chain maps
-    and the per-message hooks are the recorder's alone, so its rows do
-    not depend on telemetry being there."""
+    """A recorder and telemetry sharing the kernel's observer slot: the
+    execution hooks reach both; ``hears``, ``ctx``, ``record``, the chain
+    maps and the message hooks are the recorder's alone, so what it
+    records does not depend on telemetry being there."""
 
-    __slots__ = ("recorder", "telemetry", "record", "send_parent",
-                 "deliver_parent", "msg_send", "msg_deliver")
+    __slots__ = ("recorder", "telemetry", "hears", "follows", "finals",
+                 "record", "send_parent", "deliver_parent", "msg_send",
+                 "msg_deliver")
 
     def __init__(self, recorder, telemetry) -> None:
         self.recorder = recorder
         self.telemetry = telemetry
-        self.record = recorder.record
-        self.send_parent = recorder.send_parent
-        self.deliver_parent = recorder.deliver_parent
-        # Telemetry's per-message hooks are no-ops (it scrapes the PEState
-        # counters instead): not worth a call per message.
-        self.msg_send = recorder.msg_send
-        self.msg_deliver = recorder.msg_deliver
+        # Telemetry hears executions only (it scrapes the PEState counters
+        # for traffic), so the pair hears what the recorder hears, and has
+        # the recorder's hooks for it (a summary has no record, say).
+        self.hears = recorder.hears
+        self.follows = recorder.follows
+        self.finals = recorder.finals
+        for name in ("record", "send_parent", "deliver_parent", "msg_send",
+                     "msg_deliver"):
+            setattr(self, name, getattr(recorder, name, None))
 
     @property
     def ctx(self):

@@ -47,11 +47,24 @@ def _seed_bytes(value: int) -> bytes:
         return b"\xff" + width.to_bytes(8, "little") + body
 
 
+#: Uniforms :meth:`RngStream.random` draws from its generator at a time.
+BLOCK = 256
+
+
 class RngStream:
     """A named deterministic stream of random numbers.
 
     Thin wrapper over :class:`numpy.random.Generator` that records its
     derivation so child streams can be split off reproducibly.
+
+    :meth:`random` serves uniforms from a block of :data:`BLOCK` drawn
+    ahead: PCG64 yields the same doubles one at a time or in a block, and
+    one numpy call per draw costs ten times a list read.  Mixing draws
+    keeps exact values: :meth:`randint` first gives back the uniforms
+    drawn ahead, and once :attr:`generator` has been handed out (its
+    holder may draw from it at any time) :meth:`random` draws one at a
+    time.  Every draw is the value a stream drawing one at a time would
+    have produced.
     """
 
     def __init__(self, root_seed: int, purpose: str, *keys: int) -> None:
@@ -61,6 +74,9 @@ class RngStream:
         self._gen = np.random.Generator(
             np.random.PCG64(derive_seed(root_seed, purpose, *keys))
         )
+        self._block: list = []
+        self._next = 0          # index of the next uniform to serve
+        self._shared = False    # the generator has been handed out
 
     def child(self, purpose: str, *keys: int) -> "RngStream":
         """Split off an independent stream keyed by an extra purpose label."""
@@ -73,13 +89,45 @@ class RngStream:
     # -- convenience passthroughs -------------------------------------------------
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in ``[low, high)``."""
+        if self._block:
+            self._settle()
         return int(self._gen.integers(low, high))
 
     def random(self) -> float:
         """Uniform float in ``[0, 1)``."""
-        return float(self._gen.random())
+        i = self._next
+        try:
+            u = self._block[i]
+        except IndexError:      # the block is spent (or none was drawn)
+            if self._shared:
+                return float(self._gen.random())
+            self._block = self._gen.random(BLOCK).tolist()
+            u = self._block[0]
+            i = 0
+        self._next = i + 1
+        return u
+
+    def _settle(self) -> None:
+        """Give back the uniforms drawn ahead of :meth:`random`'s callers,
+        so the generator stands where one-at-a-time draws would leave it."""
+        unused = len(self._block) - self._next
+        if unused:
+            bits = self._gen.bit_generator
+            state = bits.state
+            bits.advance(-unused)
+            # advance() also drops the buffered half of a 32-bit draw,
+            # which uniforms never touch: put it back.
+            rewound = bits.state
+            rewound["has_uint32"] = state["has_uint32"]
+            rewound["uinteger"] = state["uinteger"]
+            bits.state = rewound
+        self._block = []
+        self._next = 0
 
     @property
     def generator(self) -> np.random.Generator:
         """The underlying numpy generator, for vectorised draws."""
+        if self._block:
+            self._settle()
+        self._shared = True
         return self._gen

@@ -193,63 +193,190 @@ FOLD_FAULTS = (
 )
 
 
+#: Machines the fold is drawn on: ``(preset, PE counts, sparse)``.  The
+#: cluster shape is S5/S6's: sparse startup, so a central manager
+#: forwards seeds across ranks materialised on first touch.
+FOLD_MACHINES = (
+    ("ncube2", (1, 4, 8, 16), False),
+    ("ncube2", (1, 4, 8, 16), False),
+    ("hetero", (4, 8), False),
+    ("cluster", (64, 1000), True),
+)
+
+
 def _fold_draw(i):
-    """``_draw``'s axes without the kind filter (the fold is a log of the
-    four serving kinds), plus hops = 2, dup / jitter faults and P."""
+    """``_draw``'s axes without the kind filter (the fold hears seeds and
+    finals, not kinds), plus hops = 2, dup / jitter faults and the
+    machine: P on ``ncube2``, heterogeneous PE speeds, and sparse cluster
+    farms balanced centrally."""
     rng = RngStream(20261003, "latency-fold", i)
+    name, sizes, sparse = pick(rng, FOLD_MACHINES)
     kwargs = dict(
         arrivals=Poisson(rate=pick(rng, (1500.0, 4000.0, 9000.0)),
                          count=rng.randint(15, 50)),
         service=ServiceSpec("exp", 300.0),
         hops=pick(rng, (1, 2, 3)),
         shed_above=pick(rng, (None, 1, 4)),
-        balancer=BALANCERS[i % len(BALANCERS)],
+        balancer="central" if sparse else BALANCERS[i % len(BALANCERS)],
         seed=rng.randint(0, 999),
     )
     faults = pick(rng, FOLD_FAULTS)
     if faults is not None:
         kwargs["faults"] = faults
-    return pick(rng, (1, 4, 8, 16)), kwargs
+    return (name, pick(rng, sizes), sparse), kwargs
 
 
 @pytest.mark.parametrize("i", range(120))
 def test_fold_equals_walk_float_for_float(i):
-    num_pes, kwargs = _fold_draw(i)
-    walked, logged = run_serving(make_machine("ncube2", num_pes), **kwargs)
+    machine, kwargs = _fold_draw(i)
+    walked, logged = run_serving(make_machine(*machine), **kwargs)
     fold = LatencyFold()
-    folded, result = run_serving(make_machine("ncube2", num_pes),
-                                 trace_events=fold, **kwargs)
+    folded, result = run_serving(make_machine(*machine), trace_events=fold,
+                                 **kwargs)
     assert result.kernel.events is fold
     # == on dicts of floats: every float equal, no tolerance.
-    assert fold.requests() == request_latencies(logged.kernel.events)
+    assert request_latencies(fold) == request_latencies(logged.kernel.events)
     assert latency_summary(fold) == latency_summary(logged.kernel.events)
     assert folded == walked
     assert result.time.hex() == logged.time.hex()
     assert result.events == logged.events
 
 
-def test_fold_tells_stages_by_class_and_finals_by_entry():
-    """The hand-built chain of the sparse-dict test above, as hook calls."""
-    class Env:
-        def __init__(self, kind, uid, entry=None, chare_cls=None):
-            self.kind, self.uid, self.entry = kind, uid, entry
-            self.chare_cls = chare_cls
+def test_fold_draws_cover_every_machine_shape():
+    shapes = {_fold_draw(i)[0] for i in range(120)}
+    assert {(name, sparse) for name, _, sparse in shapes} == {
+        (name, sparse) for name, _, sparse in FOLD_MACHINES}
+    assert ("cluster", 1000, True) in shapes
 
-    Request = type("Request", (), {})
+
+def test_fold_tells_stages_by_class_and_finals_by_entry():
+    """The hand-built chain of the sparse-dict test above, as a kernel
+    drives a summary recorder: the note it keeps on a followed seed, and
+    one call for the final; then the kernel's side, which notes only the
+    seeds of a followed class."""
+    from repro import Chare, Kernel, entry
+    from repro.core.messages import SeedNote
+
+    class Env:
+        def __init__(self, entry):
+            self.entry = entry
+
     fold = LatencyFold()
-    tick, seed, done = Env(2, 1, "tick"), Env(1, 2, chare_cls=Request), \
-        Env(2, 3, "done")
-    begin = fold.exec_begin(0.0, 0, tick, 0.0)
-    fold.msg_send(0.001, seed)
-    fold.exec_end(0.001, 0, tick, 0.001, begin, False)
-    fold.msg_deliver(0.002, seed)
-    begin = fold.exec_begin(0.003, 1, seed, 0.0)
+    assert (fold.hears, fold.follows, fold.finals) == (
+        "seeds", {"Request"}, {"done", "shed"})
+    done = Env("done")
+    note = SeedNote()                       # a seed a tick sent at 0.001
+    note.origin, note.sent, note.arrived, note.dur = None, 0.001, None, None
+    note.arrived = 0.002
+    note.start = 0.003
+    fold.ctx = note
+    # A final sent while its stage runs keeps its place until read.
+    fold.msg_send(0.0035, done)
+    note.dur = 0.001
     fold.msg_send(0.004, done)
-    fold.exec_end(0.004, 1, seed, 0.001, begin, False)
-    (req,) = fold.requests()
-    assert (req["inject_t"], req["complete_t"], req["stages"]) == (0.001, 0.004, 1)
-    assert (req["queue_wait"], req["service"]) == (0.003 - 0.002, 0.001)
-    assert not fold._sent and not fold._delivered and fold.ctx is None
+    fold.ctx = None
+    first, second = request_latencies(fold)
+    assert first == second
+    assert (first["inject_t"], first["complete_t"], first["stages"]) == (
+        0.001, 0.003 + 0.001, 1)
+    assert (first["queue_wait"], first["service"]) == (0.003 - 0.002, 0.001)
+    fold.msg_send(0.006, done)              # sent outside a request stage
+    assert len(fold.requests) == 2
+
+    class Request(Chare):
+        def __init__(self, main):
+            self.send(main, "done")
+
+    class Other(Chare):
+        def __init__(self):
+            pass
+
+    class Main(Chare):
+        def __init__(self):
+            self.create(Other)
+            self.create(Request, self.thishandle)
+
+        @entry
+        def done(self):
+            self.exit(None)
+
+    kernel = Kernel(make_machine("ncube2", 4), trace_events=LatencyFold())
+    deliver, notes = kernel._deliver, {}
+
+    def spy(env, departure):
+        deliver(env, departure)
+        if env.kind == 1:
+            notes[env.chare_cls.__name__] = env.note
+
+    kernel._deliver = spy
+    kernel.run(Main)
+    assert notes["Other"] is None and type(notes["Request"]) is SeedNote
+    (req,) = request_latencies(kernel.events)
+    assert req["stages"] == 1
+
+
+class CountingFold(LatencyFold):
+    """A fold that counts every hook call the kernel makes on it."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = {}
+
+    def _count(self, name):
+        self.calls[name] = self.calls.get(name, 0) + 1
+
+    def msg_send(self, t, env):
+        self._count("msg_send")
+        super().msg_send(t, env)
+
+    def msg_deliver(self, t, env):
+        self._count("msg_deliver")
+
+    def exec_begin(self, *args):
+        self._count("exec_begin")
+
+    def exec_end(self, *args):
+        self._count("exec_end")
+
+    def record(self, *args, **kwargs):
+        self._count("record")
+
+
+@pytest.mark.parametrize("balancer", ["central", "acwn", "token"])
+def test_summary_costs_one_call_per_final(balancer):
+    """Per final one msg_send, and nothing else: no send of a seed or of
+    any other message, no delivery, execution or decision call and no
+    uid, though forwarding, steals and placements were recorded by a log
+    of the same run."""
+    kwargs = dict(arrivals=Poisson(rate=6000.0, count=120), hops=2,
+                  balancer=balancer, seed=4)
+    fold = CountingFold()
+    summary, result = run_serving(make_machine("ncube2", 8),
+                                  trace_events=fold, **kwargs)
+    assert fold.calls == {"msg_send": summary["offered"]}
+    assert result.kernel._next_uid == 1
+    _, logged = run_serving(make_machine("ncube2", 8), trace_events="all",
+                            **kwargs)
+    decisions = [row for row in logged.kernel.events.rows if row[1] == "lb"]
+    assert decisions and request_latencies(fold) == request_latencies(
+        logged.kernel.events)
+
+
+def test_recorders_declare_what_they_hear():
+    from repro.obs import Telemetry
+    from repro.trace.events import Recorder, RecorderPair
+
+    assert (EventLog.hears, LatencyFold.hears, Telemetry.hears,
+            Recorder.hears) == ("all", "seeds", None, None)
+    pair = RecorderPair(LatencyFold(), Telemetry())
+    assert (pair.hears, pair.follows, pair.finals) == (
+        "seeds", {"Request"}, {"done", "shed"})
+
+    class Loud(Recorder):
+        hears = "everything"
+
+    with pytest.raises(ConfigurationError, match="hears"):
+        run_serving(make_machine("ncube2", 4), trace_events=Loud())
 
 
 # -------------------------------------------------- bounds and filtering

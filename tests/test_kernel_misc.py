@@ -1,5 +1,7 @@
 """Miscellaneous kernel edge cases and cross-cutting behaviors."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -406,6 +408,22 @@ def test_send_at_rejects_a_bad_time(ipsc8, when):
 
     with pytest.raises(ConfigurationError, match="when"):
         Kernel(ipsc8).run(Main)
+
+
+@pytest.mark.parametrize("when", [2, np.float64(2e-3), Fraction(1, 500)])
+def test_send_at_accepts_any_real_time(ipsc8, when):
+    """The in-line float check is a fast path, not a narrower rule: every
+    finite, non-negative real need_real accepts still departs at ``when``."""
+    class Main(Chare):
+        def __init__(self):
+            self.send_at(when, self.thishandle, "tick")
+
+        @entry
+        def tick(self):
+            self.exit(self._kernel.now)
+
+    res = Kernel(ipsc8).run(Main)
+    assert res.result == float(when) + ipsc8.params.local_alpha
 
 
 def test_send_at_unplaced_target_raises(ipsc8):

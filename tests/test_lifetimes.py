@@ -166,22 +166,26 @@ def test_serving_sweep_folds_leave_no_garbage_and_only_their_finals(monkeypatch)
     # S6's scale arm sets trace_events=None itself and keeps it.
     assert any(f is None and "trace_events" in dict(d.params)
                for d, f, _ in seen)
-    stolen = 0
     for desc, fold, row in folds:
-        assert fold.ctx is None and not fold._sent
-        assert len(fold._finals) == row.answer["offered"]
-        # Kept on purpose: the delivery of a seed a work-stealing balancer
-        # then took out of the pool (it runs under the fresh uid of the
-        # steal's re-send) — O(steals), token only.
-        if desc.balancer_label != "token":
-            assert not fold._delivered, desc.label()
-        stolen += len(fold._delivered)
-    assert stolen > 0
+        # No map, no stage: a fold keeps one tuple per request, and a seed
+        # a work-stealing balancer took out of the pool leaves nothing
+        # behind (its stage went with the envelope).
+        assert fold.ctx is None and not fold._early
+        assert len(fold.requests) == row.answer["offered"]
+        assert set(vars(fold)) == {"ctx", "_requests", "_early"}
+    assert any(desc.balancer_label == "token" for desc, _, _ in folds)
 
 
 class DropsAFinal(LatencyFold):
-    def requests(self):
-        return super().requests()[1:]
+    """A fold that loses the first request it folds."""
+
+    dropped = False
+
+    def msg_send(self, t, env):
+        super().msg_send(t, env)
+        if not self.dropped and self._requests:
+            self.dropped = True
+            del self._requests[0]
 
 
 def test_fold_that_disagrees_with_the_collector_is_an_error():

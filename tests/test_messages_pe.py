@@ -39,16 +39,16 @@ def test_forwarded_seed_bumps_hops_and_suppresses_count():
 
 def test_forwarded_copies_every_slot():
     """``forwarded`` writes every slot by hand: each of ``__slots__`` is
-    copied except the five a new hop changes, for envelopes of every kind
+    copied except the six a new hop changes, for envelopes of every kind
     with every slot drawn at random."""
     from repro.util.rng import RngStream
 
     class Worker:
         pass
 
-    hop = {"src_pe", "dst_pe", "hops", "suppress_sent_count", "uid"}
+    hop = {"src_pe", "dst_pe", "hops", "suppress_sent_count", "uid", "note"}
     slots = Envelope.__slots__
-    assert len(slots) == 17 and hop <= set(slots)
+    assert len(slots) == 18 and hop <= set(slots)
     h = ChareHandle(1)
     builds = (
         lambda: Envelope.make_app(0, 1, "go", (), h),
@@ -78,6 +78,7 @@ def test_forwarded_copies_every_slot():
                 "suppress_sent_count": pick(rng, (False, True)),
                 "carried_load": rng.randint(0, 7),
                 "uid": pick(rng, (None, rng.randint(0, 10 ** 6))),
+                "note": pick(rng, (None, object())),
                 "nbytes": rng.randint(32, 999),
             }
             assert set(drawn) == set(slots)
@@ -88,6 +89,7 @@ def test_forwarded_copies_every_slot():
             assert (fwd.src_pe, fwd.dst_pe, fwd.hops) == (
                 env.dst_pe, new_dst, env.hops + 1)
             assert fwd.suppress_sent_count is True and fwd.uid is None
+            assert fwd.note is None
             for name in slots:
                 if name not in hop:
                     assert getattr(fwd, name) == getattr(env, name), name

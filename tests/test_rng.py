@@ -1,8 +1,10 @@
 """Unit tests for deterministic RNG streams."""
 
+import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.rng import RngStream, derive_seed
+from repro.util.rng import BLOCK, RngStream, derive_seed
 
 
 def test_derive_seed_deterministic():
@@ -68,3 +70,45 @@ def test_property_same_keys_same_stream(seed, key):
     a = RngStream(seed, "p", key)
     b = RngStream(seed, "p", key)
     assert a.randint(0, 10**9) == b.randint(0, 10**9)
+
+
+def _one_at_a_time(seed, purpose):
+    """The reference: a bare generator on the stream's seed, drawn one
+    value per call."""
+    return np.random.Generator(np.random.PCG64(derive_seed(seed, purpose)))
+
+
+def test_block_uniforms_equal_scalar_draws_across_block_boundaries():
+    stream = RngStream(11, "uniforms")
+    ref = _one_at_a_time(11, "uniforms")
+    n = 10_000
+    assert n > 2 * BLOCK and n % BLOCK
+    assert [stream.random() for _ in range(n)] == [
+        float(ref.random()) for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mixed_draws_keep_exact_values(seed):
+    """One rule for a stream that mixes random() with randint() and the
+    generator: every value is the one-at-a-time value, wherever in a block
+    the switch falls (randint's small ranges also use numpy's buffered
+    32-bit half-draws)."""
+    stream = RngStream(seed, "mixed")
+    ref = _one_at_a_time(seed, "mixed")
+    plan = np.random.Generator(np.random.PCG64(seed)).integers(0, 4, 3000)
+    got, want = [], []
+    for step in plan:
+        if step < 2:
+            got.append(stream.random())
+            want.append(float(ref.random()))
+        elif step == 2:
+            got.append(stream.randint(0, 7))
+            want.append(int(ref.integers(0, 7)))
+        elif len(got) > 2000:
+            # After the generator is out, it and random() share one stream.
+            got.append(float(stream.generator.random()))
+            want.append(float(ref.random()))
+        else:
+            got.append(stream.randint(0, 2 ** 40))
+            want.append(int(ref.integers(0, 2 ** 40)))
+    assert got == want

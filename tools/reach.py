@@ -147,6 +147,11 @@ ALLOWLIST = {
         "machine/topology.py::TreeTopology.parent",
         "machine/topology.py::TreeTopology.route",
     ),
+    "a name ledger/ calls: the metrics.latency_requests_per_s probe walks "
+    "a log into request records (ledger/probes.py:296); the product "
+    "digests the same walk's tuples": (
+        "metrics/latency.py::request_latencies",
+    ),
     "a name ledger/ calls: the bitprio pool probe builds BitVectorPriority "
     "keys (ledger/probes.py:165)": (
         "util/priority.py::BitVectorPriority.__init__",
@@ -179,6 +184,10 @@ ALLOWLIST = {
     "pool; no experiment pins seeds under the token balancer": (
         "core/pe.py::PEState.requeue_seed",
     ),
+    "a guard path: a stream that mixes random() with randint() gives its "
+    "drawn-ahead uniforms back; every product stream draws one kind": (
+        "util/rng.py::RngStream._settle",
+    ),
     "a base-class default or an abstract method": (
         "balance/base.py::Balancer.handle",
         "balance/base.py::Balancer.on_seed_arrival",
@@ -193,8 +202,6 @@ ALLOWLIST = {
         "queueing/strategies.py::QueueStrategy.__len__",
         "queueing/strategies.py::QueueStrategy.pop",
         "queueing/strategies.py::QueueStrategy.push",
-        "trace/events.py::Recorder.exec_begin",
-        "trace/events.py::Recorder.exec_end",
     ),
     "the strategy protocol: the token balancer takes len() of, and the "
     "kernel truth-tests, whichever pool a run configures": (
