@@ -14,6 +14,12 @@ Load knowledge must come only from :meth:`note_load` (piggybacked sender
 load on every delivered message) and from the balancer's own control
 traffic — strategies never read other PEs' queues directly, so the
 information structure matches a real distributed implementation.
+
+After :meth:`Balancer.bind` a balancer says what the kernel must tell it,
+and the kernel reads these two facts without looking at the class:
+:attr:`Balancer.hears` (which loads reach ``note_load``: ``"all"``,
+``"cross"`` or ``None``) and :attr:`Balancer.forwards_seeds` (whether
+``on_seed_arrival`` is asked).
 """
 
 from __future__ import annotations
@@ -28,20 +34,30 @@ __all__ = ["Balancer"]
 
 
 class Balancer(Service):
-    """Base class: keep-local behavior, piggybacked load table, no control."""
+    """Base class: keep-local behavior, piggybacked load table, no control.
+
+    A subclass declares :attr:`hears` (``None`` when it never reads the
+    load table) and overrides the hooks it needs; :meth:`bind` turns that
+    into the two facts the kernel reads (``hears``, ``forwards_seeds``).
+    """
 
     name = "lb"
     strategy_name = "local"
-    # Whether the strategy ever *reads* the piggybacked neighbor-load table
-    # (``known`` / ``known_load``).  The base ``note_load`` writes the table
-    # on every cross-PE arrival; strategies that never consult it (purely
-    # stateless placement) set this False so the kernel can skip the write
-    # entirely on the per-message hot path.  Strategies that override
-    # ``note_load`` are called regardless of this flag.
-    uses_known_table = True
+    #: Which piggybacked loads reach :meth:`note_load`: ``"cross"`` (the
+    #: base hook keeps the ``known`` table of other PEs' loads) or ``None``
+    #: (a strategy that never reads that table: the kernel then makes no
+    #: call and stamps no load).  :meth:`bind` settles it from the class:
+    #: an overridden ``note_load`` hears ``"all"``, its own PE's loads too.
+    hears: Optional[str] = "cross"
 
     def bind(self, kernel) -> None:
         super().bind(kernel)
+        cls = type(self)
+        if cls.note_load is not Balancer.note_load:
+            self.hears = "all"
+        #: Whether the kernel asks :meth:`on_seed_arrival` about arriving
+        #: seeds (the base hook keeps every seed, so it is skipped).
+        self.forwards_seeds = cls.on_seed_arrival is not Balancer.on_seed_arrival
         self.rng = kernel.rng.child("lb")
         # known[observer][subject] = last load value piggybacked to observer.
         # Default-on-touch: observers materialize a row on first use, so a
@@ -77,7 +93,7 @@ class Balancer(Service):
     def traced(self) -> bool:
         """Whether the kernel keeps a full trace: build a decision's
         ``info`` for :meth:`trace_decision` only then."""
-        return self.kernel._trace is not None
+        return self.kernel.trace is not None
 
     def trace_decision(self, pe: int, name: str, info=None) -> None:
         """Record an ``lb`` event on the kernel's full trace (no-op without
@@ -88,9 +104,9 @@ class Balancer(Service):
         recorded by the kernel itself at its delivery hooks.
         """
         kernel = self.kernel
-        trace = kernel._trace
+        trace = kernel.trace
         if trace is not None:
-            trace.record("lb", kernel.engine._now, pe, name=name,
+            trace.record("lb", kernel.engine.now, pe, name=name,
                          parent=trace.ctx, info=info)
 
     def local_load(self, pe: int) -> int:

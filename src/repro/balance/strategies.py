@@ -27,7 +27,7 @@ class LocalBalancer(Balancer):
     """No balancing: seeds execute where they are created (baseline)."""
 
     strategy_name = "local"
-    uses_known_table = False
+    hears = None
 
 
 class RandomBalancer(Balancer):
@@ -39,7 +39,7 @@ class RandomBalancer(Balancer):
     """
 
     strategy_name = "random"
-    uses_known_table = False
+    hears = None
 
     def bind(self, kernel) -> None:
         super().bind(kernel)
@@ -70,7 +70,7 @@ class RoundRobinBalancer(Balancer):
     """Deterministic cyclic placement (per-creator cursor)."""
 
     strategy_name = "roundrobin"
-    uses_known_table = False
+    hears = None
 
     def bind(self, kernel) -> None:
         super().bind(kernel)
@@ -229,7 +229,7 @@ class TokenBalancer(Balancer):
                 if seed.fixed:
                     pinned.append(seed)  # never migrate pinned seeds
                     continue
-                kernel._deliver(seed.forwarded(thief), kernel.now)
+                kernel.deliver(seed.forwarded(thief), kernel.now)
                 donated += 1
             for seed in pinned:
                 state.requeue_seed(seed)
@@ -439,14 +439,16 @@ BALANCERS = {
 }
 
 
-def make_balancer(name: str, **kwargs) -> Balancer:
-    """Instantiate a balancing strategy by name."""
-    try:
-        cls = BALANCERS[name]
-    except KeyError:
+def make_balancer(name, **kwargs) -> Balancer:
+    """Instantiate a balancing strategy by name; a built :class:`Balancer`
+    (with no ``kwargs``) is returned as it is."""
+    if isinstance(name, Balancer) and not kwargs:
+        return name
+    cls = BALANCERS.get(name) if isinstance(name, str) else None
+    if cls is None:
         raise ConfigurationError(
-            f"unknown balancer {name!r}; options: {sorted(BALANCERS)}"
-        ) from None
+            f"unknown balancer {name!r}; options: {sorted(BALANCERS)} "
+            "or a Balancer")
     if kwargs:
         accepted = inspect.signature(cls).parameters
         for key in kwargs:

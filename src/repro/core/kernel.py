@@ -5,13 +5,10 @@ to the programming model: it owns the event engine, the per-PE schedulers
 and the chare tables, and it schedules, places and routes every message.
 Beside it sit the runtime services it binds and routes service messages
 to: the load balancer, the quiescence detector and the sharing service,
-which owns every sharing mode (read-only, write-once, accumulators,
-monotonic variables, tables) and the branch-office chares (branch
-tables, spans, held branch messages, broadcasts, reductions, barriers).
-The kernel routes BOC envelopes with one service call each: ``_select``
-asks the service to hold one whose branch is not built yet, ``_dispatch``
-asks it for the branch to run.  :class:`~repro.core.chare.Chare` calls
-the last two services directly.  A program is run with::
+which owns every sharing mode and the branch-office chares (``_select``
+asks it to hold a BOC envelope whose branch is not built yet,
+``_dispatch`` for the branch to run).  :class:`~repro.core.chare.Chare`
+calls the last two services directly.  A program is run with::
 
     from repro import Kernel, make_machine
 
@@ -38,7 +35,6 @@ Execution model (normative — see DESIGN.md §5):
 from __future__ import annotations
 
 import time as _host_time
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from types import FunctionType as _FunctionType
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -107,7 +103,18 @@ class RunResult:
 
 
 class Kernel:
-    """One runnable instance of the Chare Kernel on a simulated machine."""
+    """One runnable instance of the Chare Kernel on a simulated machine.
+
+    Each keyword is parsed by the package that owns it: ``balancer`` by
+    :func:`~repro.balance.make_balancer` (a name or a built ``Balancer``),
+    ``faults`` by :class:`~repro.faults.FaultLayer` (a ``FaultConfig``),
+    ``trace_events`` and ``telemetry`` by
+    :func:`~repro.trace.events.make_recorder`.  The services bound here
+    reach the kernel through its public port alone (docs/architecture.md,
+    "Layering"): ``engine.now``, ``trace``, ``post``, ``deliver``,
+    ``send_app_from_service``, ``api_charge``, ``pes``, ``span()`` and the
+    run's parameters.
+    """
 
     def __init__(
         self,
@@ -125,9 +132,10 @@ class Kernel:
     ) -> None:
         from repro.sim.engine import Engine  # local: keep core light
         from repro.balance import make_balancer
-        from repro.balance.base import Balancer
+        from repro.faults import FaultLayer
         from repro.sharing.manager import SharingService
         from repro.quiescence.detector import QuiescenceService
+        from repro.trace.events import make_recorder
 
         self.machine = machine
         self.machine.reset()
@@ -181,24 +189,6 @@ class Kernel:
         # ablation.
         self.tree = make_tree(spanning_tree, machine.num_pes,
                               machine.topology.name)
-        # Structured event tracing (repro.trace.events): accepts True/"all",
-        # a string or iterable of event kinds, or a pre-built recorder (a
-        # Recorder: an EventLog, a LatencyFold; or any object with the
-        # hook surface).
-        self.events = trace_events
-        if trace_events is not None:
-            from repro.trace.events import EventLog, Recorder
-
-            if (isinstance(trace_events, Recorder)
-                    or hasattr(trace_events, "msg_send")):
-                pass
-            elif trace_events is True or isinstance(trace_events, Iterable):
-                self.events = EventLog(kinds=trace_events)
-            else:
-                raise ConfigurationError(
-                    "trace_events must be a recorder, True, or event kinds, "
-                    f"not {type(trace_events).__name__}")
-
         # Sparse startup is a property of the machine.  When on, the init
         # broadcast is skipped (replication is modeled free), PEs are born
         # ungated, and span() hands every collective (quiescence waves,
@@ -213,71 +203,26 @@ class Kernel:
             machine.num_pes, queueing, gated=not self.sparse
         )
 
-        # Fault injection (repro.faults): accepts a FaultConfig or an
-        # already-built FaultLayer; None keeps the fault-free fast path
-        # (the hooks below cost one `is None` check per message each).
-        if faults is None:
-            self.faults = None
-        else:
-            from repro.faults import FaultConfig, FaultLayer
-
-            if isinstance(faults, FaultConfig):
-                faults = FaultLayer(faults)
-            elif not isinstance(faults, FaultLayer):
-                raise ConfigurationError(
-                    "faults must be a FaultConfig or FaultLayer, "
-                    f"not {type(faults).__name__}"
-                )
-            faults.bind(self)
-            self.faults = faults
-        self._faults = self.faults
-        # Online telemetry (repro.obs): a Telemetry plane.  It aggregates at
-        # execution granularity and scrapes the PEState counters, so
-        # schedules are unperturbed.
-        if telemetry is None:
-            self.telemetry = None
-        else:
-            from repro.obs import Telemetry
-
-            if not isinstance(telemetry, Telemetry):
-                raise ConfigurationError(
-                    "telemetry must be a Telemetry, "
-                    f"not {type(telemetry).__name__}"
-                )
-            telemetry.bind(self)
-            self.telemetry = telemetry
-        # The one observer slot every hook site tests: the recorder,
-        # telemetry, or the pair of them; None keeps the unobserved fast
-        # path (one `is None` check per site, as for the fault layer).
-        if self.telemetry is None:
-            self._events = self.events
-        elif self.events is None:
-            self._events = self.telemetry
-        else:
-            from repro.trace.events import RecorderPair
-
-            self._events = RecorderPair(self.events, self.telemetry)
-        # What the slot hears (Recorder.hears; a duck-typed recorder hears
-        # everything), resolved once: _trace is the slot when it takes every
-        # message and decision (a full trace); a seed-following summary
-        # names the chare classes whose seeds it follows (_follows) and
-        # the entries whose sends it takes (_finals), both None without
-        # one.  Uids key only a full trace's chains and the fault layer's
-        # ack/retry/dedup tables.
-        hears = (None if self._events is None
-                 else getattr(self._events, "hears", "all"))
-        if hears not in ("all", "seeds", None):
-            raise ConfigurationError(
-                f"a recorder hears 'all', 'seeds' or None, not {hears!r}")
-        self._trace = self._events if hears == "all" else None
+        # Fault injection (repro.faults) parses its own FaultConfig; None
+        # keeps the fault-free fast path (one `is None` check per hook).
+        self.faults = None if faults is None else FaultLayer(faults)
+        # The observer slot every hook site tests (repro.trace.events parses
+        # both keywords): the recorder, telemetry, or the pair of them; None
+        # keeps the unobserved fast path.  What it hears is resolved once:
+        # `trace` is the slot when it takes every message and decision (a
+        # full trace); a seed-following summary names the chare classes
+        # whose seeds it follows (_follows) and the entries whose sends it
+        # takes (_finals).  Uids key only a full trace's chains and the
+        # fault layer's ack/retry/dedup tables.
+        self.events, self.telemetry, self._events, hears = make_recorder(
+            trace_events, telemetry)
+        self.trace = self._events if hears == "all" else None
         self._finals = self._events.finals if hears == "seeds" else None
         self._follows = self._events.follows if hears == "seeds" else None
-        self._stamp = self._trace is not None or self.faults is not None
+        self._stamp = self.trace is not None or self.faults is not None
         # A summary hears no execution (the kernel stamps the notes of the
         # seeds it follows instead); telemetry beside it hears them all.
         self._every_exec = hears != "seeds" or self.telemetry is not None
-        # Quiescence accounting lives on the PEStates (counted_sent /
-        # counted_processed slots), not here.
         # Network-load accounting: sum over messages of hop count — the
         # link-occupancy metric the topology-aware collectives reduce (A1).
         self.total_message_hops = 0
@@ -310,40 +255,21 @@ class Kernel:
         self.services: Dict[str, Service] = {}
         self.sharing = SharingService()
         self.qd = QuiescenceService()
-        if isinstance(balancer, str):
-            self.balancer = make_balancer(balancer)
-        elif isinstance(balancer, Balancer):
-            self.balancer = balancer
-        else:
-            raise ConfigurationError(
-                f"balancer must be a strategy name or a Balancer, got {balancer!r}")
+        self.balancer = make_balancer(balancer)
         for svc in (self.sharing, self.qd, self.balancer):
             svc.bind(self)
             self.services[svc.name] = svc
-        # Balancer hooks run once per arrival; bind them once, and detect
-        # un-overridden base hooks so _arrive can skip provably-no-op calls:
-        # the base note_load ignores self-loads (observer == subject) and the
-        # base on_seed_arrival always keeps the seed.  Subclassed hooks are
-        # always called.
+        if self.faults is not None:
+            self.faults.bind(self, self._arrive_cb)
+        if self.telemetry is not None:
+            self.telemetry.bind(self)
+        # Balancer hooks run once per arrival: bound once, and asked only
+        # what the bound balancer says it hears (Balancer.hears: which
+        # loads; forwards_seeds: whether arriving seeds).
         self._note_load = self.balancer.note_load
         self._on_seed_arrival = self.balancer.on_seed_arrival
-        balancer_cls = type(self.balancer)
-        self._note_load_is_base = (
-            balancer_cls.note_load is Balancer.note_load
-        )
-        self._seed_hook_is_base = (
-            balancer_cls.on_seed_arrival is Balancer.on_seed_arrival
-        )
-        # _arrive calls note_load either always (overridden hook) or only
-        # for cross-PE messages whose strategy actually reads the ``known``
-        # table the base hook maintains; stateless strategies skip the
-        # table write entirely (one dict store per remote message).
-        self._note_always = not self._note_load_is_base
-        self._note_cross = (
-            self._note_load_is_base and balancer_cls.uses_known_table
-        )
-        # Envelope.carried_load has no other reader: stamp it only then.
-        self._carry_load = self._note_always or self._note_cross
+        self._lb_hears = self.balancer.hears
+        self._lb_forwards = self.balancer.forwards_seeds
 
         # Run state ------------------------------------------------------------
         self._current: Optional[ExecContext] = None
@@ -499,16 +425,16 @@ class Kernel:
         """Hand an envelope to the network; schedule its arrival."""
         src_pe = env.src_pe
         src = self.pes[src_pe]
-        if self._carry_load:
-            # PEState.load, inlined (the property descriptor costs a Python
-            # call per message).
+        if self._lb_hears is not None:
+            # Stamped for note_load alone.  PEState.load, inlined (the
+            # property descriptor costs a Python call per message).
             env.carried_load = (src._app_queued + 1 if src.busy
                                 else src._app_queued)
         src.msgs_sent += 1
         nbytes = env.nbytes
         src.bytes_sent += nbytes
         events = self._events
-        faults = self._faults
+        faults = self.faults
         if events is not None or faults is not None:
             if self._stamp and env.uid is None:
                 env.uid = self._next_uid
@@ -527,7 +453,7 @@ class Kernel:
                         note.arrived = note.dur = None
                 elif env.entry in finals:
                     events.msg_send(departure, env)
-            elif self._trace is not None:
+            elif self.trace is not None:
                 events.msg_send(departure, env)
         if env.counted and not env.suppress_sent_count:
             src.counted_sent += 1
@@ -558,21 +484,19 @@ class Kernel:
         src_pe = env.src_pe
         events = self._events
         if events is not None:
-            if self._trace is not None:
-                events.msg_deliver(self.engine._now, env)
+            if self.trace is not None:
+                events.msg_deliver(self.engine.now, env)
             elif env.note is not None:
-                env.note.arrived = self.engine._now
-        if self._note_always or (self._note_cross and src_pe != dst_pe):
-            # Base note_load ignores self-loads (skipped when not
-            # overridden) and only feeds the ``known`` table (skipped when
-            # the strategy never reads it).
+                env.note.arrived = self.engine.now
+        hears = self._lb_hears
+        if hears is not None and (src_pe != dst_pe or hears == "all"):
             self._note_load(dst_pe, src_pe, env.carried_load)
-        if env.kind == _SEED and not env.fixed and not self._seed_hook_is_base:
+        if self._lb_forwards and env.kind == _SEED and not env.fixed:
             fwd = self._on_seed_arrival(dst_pe, env)
             if fwd is not None and fwd != dst_pe:
                 pe.seeds_forwarded_in += 1
                 leg = env.forwarded(fwd)
-                trace = self._trace
+                trace = self.trace
                 if trace is None:
                     # The seed keeps its note: a summary follows the seed
                     # from the execution that created it, not the leg.
@@ -583,7 +507,7 @@ class Kernel:
                 # event parented on this delivery, so multi-hop seeds stay
                 # one causal chain (each leg gets a fresh uid).
                 decision = trace.record(
-                    "lb", self.engine._now, dst_pe, name="forward",
+                    "lb", self.engine.now, dst_pe, name="forward",
                     uid=env.uid, parent=trace.deliver_parent(env.uid),
                     info={"to": fwd, "hops": env.hops + 1},
                 )
@@ -675,7 +599,7 @@ class Kernel:
         """
         kind = env.kind
         ctx = self._ctx
-        start = ctx.start = self.engine._now
+        start = ctx.start = self.engine.now
         ctx.pe = pe.index
         ctx.charged = 0.0
         ctx.priority = env.priority
@@ -754,7 +678,7 @@ class Kernel:
             duration = base + charged * wut
         else:
             duration = base + self.machine.compute_time(charged, pe.index)
-        faults = self._faults
+        faults = self.faults
         if faults is not None:
             duration = faults.perturb_execution(pe.index, start, duration)
         pe.busy_time += duration
@@ -938,7 +862,7 @@ class Kernel:
             need_real("when", when, strict=False)
         env = Envelope.make_app(ctx.pe, dst, entry_name, args, target,
                                 check_priority(priority))
-        now = self.engine._now
+        now = self.engine.now
         self._deliver(env, when if when > now else now)
 
     def api_create(
@@ -977,10 +901,10 @@ class Kernel:
         else:
             self.placement[gid] = None
             target = self.balancer.on_new_seed(src, chare_cls)
-            trace = self._trace
+            trace = self.trace
             if trace is not None and target != src:
                 trace.record(
-                    "lb", self.engine._now, src, name="place",
+                    "lb", self.engine.now, src, name="place",
                     parent=trace.ctx,
                     info={"to": target, "chare": chare_cls.__name__},
                 )
@@ -1036,7 +960,12 @@ class Kernel:
         if ctx is not None and ctx.pe == env.src_pe:
             ctx.outbox.append((ctx.charged, env))
         else:
-            self._deliver(env, self.engine._now)
+            self._deliver(env, self.engine.now)
+
+    #: :meth:`_deliver` under its public name, for a service that sends
+    #: past the outbox at a departure of its own (a token balancer migrates
+    #: a queued seed now).  An alias, not a wrapper: no extra frame.
+    deliver = _deliver
 
     # ------------------------------------------------------------------ app send
     def send_app_from_service(

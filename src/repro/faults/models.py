@@ -44,11 +44,11 @@ fully determines the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from math import isfinite
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
-from repro.util.errors import FaultError
+from repro.util.errors import (
+    ConfigurationError, FaultError, need_int, need_real)
 from repro.util.rng import RngStream
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -59,6 +59,9 @@ __all__ = ["FaultConfig", "FaultLayer", "ACK_BYTES"]
 
 #: Wire size charged to a kernel-level ack (header-sized control packet).
 ACK_BYTES = 16
+
+#: ``(floor, strict)`` of the float fields whose floor is not ``>= 0``.
+_FLOORS = {"retry_backoff": (1.0, False), "max_backoff": (0.0, True)}
 
 
 @dataclass(frozen=True)
@@ -96,27 +99,28 @@ class FaultConfig:
     seed: Optional[int] = None   # fault RNG root; defaults to the kernel seed
 
     def __post_init__(self) -> None:
-        # NaN is neither < 0 nor >= 1, so it would pass every range check
-        # below; an infinite time or factor is no fault model either.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(f.default, float) and not isfinite(value):
-                raise FaultError(f"{f.name} must be finite, got {value}")
-        for name in ("jitter", "delay_prob", "delay_spike", "drop_prob",
-                     "ack_timeout", "dup_prob", "dup_lag", "stall_prob",
-                     "stall_time"):
-            if getattr(self, name) < 0:
-                raise FaultError(f"{name} must be nonnegative")
+        # need_real / need_int, whose errors name the field: NaN passes any
+        # bare range check, and True, "7" or 2.5 are no rate, seed or rank.
+        try:
+            for f in fields(self):
+                if isinstance(f.default, float):
+                    low, strict = _FLOORS.get(f.name, (0.0, False))
+                    need_real(f.name, getattr(self, f.name), low,
+                              strict=strict)
+            need_int("max_retries", self.max_retries, 1)
+            if self.seed is not None:
+                need_int("seed", self.seed, None)
+            if not isinstance(self.slow_pes, tuple):
+                raise FaultError(f"slow_pes must be a tuple of PE ranks, "
+                                 f"got {self.slow_pes!r}")
+            for pe in self.slow_pes:
+                need_int("slow_pes entry", pe)
+        except ConfigurationError as exc:
+            raise FaultError(str(exc)) from None
         for name in ("delay_prob", "drop_prob", "dup_prob", "stall_prob"):
             if getattr(self, name) >= 1.0:
                 raise FaultError(f"{name} must be < 1 (a certainty is a "
                                  "config error, not a fault model)")
-        if self.retry_backoff < 1.0:
-            raise FaultError("retry_backoff must be >= 1")
-        if self.max_backoff <= 0.0:
-            raise FaultError("max_backoff must be positive")
-        if self.max_retries < 1:
-            raise FaultError("max_retries must be >= 1")
         if self.slow_factor < 1.0:
             raise FaultError("slow_factor must be >= 1 (use machine "
                              "pe_speeds for faster-than-baseline nodes)")
@@ -143,6 +147,11 @@ class FaultLayer:
     """
 
     def __init__(self, config: FaultConfig) -> None:
+        # The kernel builds one layer per run from its faults= argument (a
+        # layer shared between kernels would sum their counters).
+        if not isinstance(config, FaultConfig):
+            raise ConfigurationError(
+                f"faults must be a FaultConfig, not {type(config).__name__}")
         self.config = config
         self.kernel: "Kernel" = None  # type: ignore[assignment]
         # Aggregate counters (per-PE twins live on PEState).
@@ -156,8 +165,9 @@ class FaultLayer:
         self.stalls = 0
 
     # ------------------------------------------------------------------ wiring
-    def bind(self, kernel: "Kernel") -> None:
-        """Attach to a kernel (called from ``Kernel.__init__``)."""
+    def bind(self, kernel: "Kernel", arrive) -> None:
+        """Attach to a kernel (called from ``Kernel.__init__``); every
+        delivery that survives the faults ends in ``arrive(env)``."""
         self.kernel = kernel
         cfg = self.config
         seed = cfg.seed if cfg.seed is not None else kernel.seed
@@ -176,7 +186,7 @@ class FaultLayer:
         # Pre-bound callables: the layer schedules closure-free, like the
         # kernel itself.
         self._schedule = kernel.engine.schedule_call
-        self._arrive = kernel._arrive
+        self._arrive = arrive
         self._arrive_checked_cb = self._arrive_checked
         self._on_timeout_cb = self._on_timeout
         self._on_ack_cb = self._on_ack
@@ -209,7 +219,7 @@ class FaultLayer:
         rng = self._net_rng
         kernel = self.kernel
         pe = kernel.pes[env.dst_pe]
-        events = kernel._trace
+        events = kernel.trace
         if cfg.jitter > 0.0:
             arrival += rng.random() * cfg.jitter
         if cfg.delay_prob > 0.0 and rng.random() < cfg.delay_prob:
@@ -260,11 +270,11 @@ class FaultLayer:
                 pe = kernel.pes[env.dst_pe]
                 pe.dups_suppressed += 1
                 self.dups_suppressed += 1
-                events = kernel._trace
+                events = kernel.trace
                 if events is not None:
                     # The suppressed copy links to the uid's original send:
                     # the logical message stays a single causal chain.
-                    events.record("fault", kernel.engine._now, env.dst_pe,
+                    events.record("fault", kernel.engine.now, env.dst_pe,
                                   name="dup_suppressed", uid=uid,
                                   parent=events.send_parent(uid))
                 if uid in self._pending:
@@ -291,7 +301,7 @@ class FaultLayer:
         kernel = self.kernel
         transit = kernel.machine.control_transit(env.dst_pe, env.src_pe,
                                                  ACK_BYTES)
-        self._schedule(kernel.engine._now + transit, self._on_ack_cb, env.uid)
+        self._schedule(kernel.engine.now + transit, self._on_ack_cb, env.uid)
 
     def _on_ack(self, uid: int) -> None:
         # Late acks for an already-completed uid are no-ops.
@@ -318,8 +328,8 @@ class FaultLayer:
         pe = kernel.pes[env.dst_pe]
         kernel.pes[env.src_pe].retries += 1
         self.retries += 1
-        now = kernel.engine._now
-        events = kernel._trace
+        now = kernel.engine.now
+        events = kernel.trace
         if events is not None:
             # Parent on the *original* send event: the retransmission stays
             # on the logical message's chain instead of rooting a fresh one.
@@ -371,7 +381,7 @@ class FaultLayer:
             pe.stalls += 1
             pe.stall_time += cfg.stall_time
             self.stalls += 1
-            events = kernel._trace
+            events = kernel.trace
             if events is not None:
                 # ctx is the stalled execution's begin event (the kernel
                 # perturbs durations inside the exec window).

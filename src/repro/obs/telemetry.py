@@ -59,7 +59,8 @@ def _series_key(rec: Dict[str, Any]) -> Tuple[Any, ...]:
 
 
 class Telemetry(Recorder):
-    """One kernel's online metric plane (pass as ``Kernel(telemetry=...)``).
+    """One kernel's online metric plane (pass as ``Kernel(trace_events=...)``
+    or ``Kernel(telemetry=...)``; either way it is bound and run-ended).
 
     ``interval`` is the virtual-time snapshot period; ``0.0`` records only
     the final snapshot (cheapest).
@@ -96,6 +97,9 @@ class Telemetry(Recorder):
                 "a Telemetry instance observes one kernel; build a fresh one"
             )
         self._kernel = kernel
+        # The fixed cost of every execution, summed as the kernel sums it.
+        params = kernel.params
+        self._overhead = params.sched_overhead + params.recv_overhead
         self._wall0 = _host_time.perf_counter()
         if self.interval > 0.0:
             self._next_flush = self.interval
@@ -132,8 +136,7 @@ class Telemetry(Recorder):
         the outbox departure collapses to ``start + overhead_base``, the
         exact timestamp the trace walk recovers as ``inject_t``.
         """
-        k = self._kernel
-        self._inject[rid] = k.engine._now + k._overhead_base
+        self._inject[rid] = self._kernel.engine.now + self._overhead
 
     def serving_complete(self, rid: int, kind: str) -> None:
         """Close request ``rid`` (call from the final pipeline stage; the
@@ -192,7 +195,7 @@ class Telemetry(Recorder):
         if k is None:
             raise ConfigurationError("Telemetry.snapshot before bind()")
         engine = k.engine
-        vtime = engine._now
+        vtime = engine.now
         wall = _host_time.perf_counter() - self._wall0
         msgs_executed = seeds = system = 0
         msgs_sent = bytes_sent = 0

@@ -96,7 +96,7 @@ class QuiescenceService(Service):
         self.waves_run += 1
         kernel = self.kernel
         self._wave_span = kernel.span()
-        events = kernel._trace
+        events = kernel.trace
         if events is None:
             self.send(0, 0, "req", (self._wave,))
             return
@@ -105,7 +105,7 @@ class QuiescenceService(Service):
         # from the bare interval timer outside any execution).
         parent = events.ctx if events.ctx is not None else self._trace_parent
         wave_eid = events.record(
-            "qd", kernel.engine._now, 0, name="wave", parent=parent,
+            "qd", kernel.engine.now, 0, name="wave", parent=parent,
             info={"wave": self._wave},
         )
         saved = events.ctx
@@ -196,7 +196,7 @@ class QuiescenceService(Service):
             stable = False
         else:
             stable = idle and sent == processed
-        events = kernel._trace
+        events = kernel.trace
         if stable and self._prev_totals == (sent, processed):
             target, entry = self._callback  # type: ignore[misc]
             self._callback = None
@@ -207,7 +207,7 @@ class QuiescenceService(Service):
             self.work_end_at_detection = kernel.last_counted_exec_time
             if events is not None:
                 events.record(
-                    "qd", kernel.engine._now, 0, name="detect",
+                    "qd", kernel.engine.now, 0, name="detect",
                     parent=events.ctx,
                     info={"sent": sent, "waves": self.waves_run},
                 )
@@ -219,5 +219,5 @@ class QuiescenceService(Service):
             # fires outside any execution, and the next wave's events must
             # still chain back through the decision that scheduled it.
             self._trace_parent = events.ctx
-        kernel.engine.schedule_call(kernel.engine._now + kernel.qd_interval,
+        kernel.engine.schedule_call(kernel.engine.now + kernel.qd_interval,
                                     self._start_wave, None)

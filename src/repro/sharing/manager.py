@@ -294,7 +294,7 @@ class SharingService(Service):
             return
         self._mono_dirty[key] = True
         engine = self.kernel.engine
-        engine.schedule_call(engine._now + self.kernel.lazy_interval,
+        engine.schedule_call(engine.now + self.kernel.lazy_interval,
                              self._lazy_flush, key)
 
     def _lazy_flush(self, key: Tuple[str, int]) -> None:

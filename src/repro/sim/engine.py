@@ -51,26 +51,19 @@ class Engine:
     def __init__(self) -> None:
         self._heap: list = []
         self._seq = 0
-        self._now = 0.0
-        self._events_fired = 0
+        #: Current virtual time in seconds (a plain attribute: every
+        #: service reads it, and a property costs a call per read).
+        self.now = 0.0
+        #: Total number of callbacks executed so far (current during a run).
+        self.events_fired = 0
         self._running = False
         self._stop = False
 
     # ------------------------------------------------------------------ clock
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
-    @property
-    def events_fired(self) -> int:
-        """Total number of callbacks executed so far (current during a run)."""
-        return self._events_fired
-
     def advance_to(self, time: float) -> None:
         """Move the clock forward without firing events (never backward)."""
-        if time > self._now:
-            self._now = time
+        if time > self.now:
+            self.now = time
 
     def clear(self) -> None:
         """Drop every pending event (the clock and counters stay).
@@ -88,9 +81,9 @@ class Engine:
     # -------------------------------------------------------------- scheduling
     def schedule_call(self, time: float, fn: Callable[[Any], None], arg: Any) -> None:
         """At absolute virtual time ``time``, invoke ``fn(arg)``."""
-        if time < self._now:
+        if time < self.now:
             raise SchedulingError(
-                f"cannot schedule event at t={time} before now={self._now}"
+                f"cannot schedule event at t={time} before now={self.now}"
             )
         heapq.heappush(self._heap, (time, self._seq, fn, arg))
         self._seq += 1
@@ -120,8 +113,8 @@ class Engine:
                 if not heap:
                     break
                 time, _, fn, arg = pop(heap)
-                self._now = time
-                self._events_fired += 1
+                self.now = time
+                self.events_fired += 1
                 fired += 1
                 fn(arg)
             return fired, False

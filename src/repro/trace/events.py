@@ -55,7 +55,7 @@ from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
 from repro.util.errors import ConfigurationError, need_int
 
 __all__ = ["EVENT_KINDS", "Event", "EventLog", "Recorder", "RecorderPair",
-           "normalize_kinds", "event_rows", "event_records"]
+           "make_recorder", "normalize_kinds", "event_rows", "event_records"]
 
 #: Every recordable event kind, in schema order.
 EVENT_KINDS = (
@@ -361,6 +361,46 @@ class RecorderPair:
     def exec_end(self, end, pe, env, duration, begin, exited) -> None:
         self.recorder.exec_end(end, pe, env, duration, begin, exited)
         self.telemetry.exec_end(end, pe, env, duration, None, exited)
+
+
+def make_recorder(trace_events, telemetry=None):
+    """Parse ``Kernel(trace_events=, telemetry=)`` into ``(events,
+    telemetry, slot, hears)``: ``trace_events`` is ``None``, ``True`` or
+    event kinds (an :class:`EventLog` is built), a recorder or a
+    ``Telemetry``; telemetry comes from either keyword, never both.
+    ``slot`` is what the kernel's observer slot holds and ``hears`` its
+    :attr:`Recorder.hears` (``"all"`` when undeclared).
+    """
+    if trace_events is None and telemetry is None:
+        return None, None, None, None   # unobserved: no import of repro.obs
+    from repro.obs.telemetry import Telemetry  # obs builds on this module
+
+    if isinstance(trace_events, Telemetry):
+        if telemetry is not None:
+            raise ConfigurationError(
+                "telemetry is given both as trace_events and as telemetry; "
+                "a kernel has one telemetry plane, so pass it once")
+        trace_events, telemetry = None, trace_events
+    elif telemetry is not None and not isinstance(telemetry, Telemetry):
+        raise ConfigurationError(
+            f"telemetry must be a Telemetry, not {type(telemetry).__name__}")
+    events = trace_events
+    if not (events is None or isinstance(events, Recorder)
+            or hasattr(events, "msg_send")):
+        if not (events is True or isinstance(events, Iterable)):
+            raise ConfigurationError(
+                "trace_events must be a recorder, True, or event kinds, "
+                f"not {type(events).__name__}")
+        events = EventLog(kinds=events)
+    if telemetry is None or events is None:
+        slot = telemetry if events is None else events
+    else:
+        slot = RecorderPair(events, telemetry)
+    hears = None if slot is None else getattr(slot, "hears", "all")
+    if hears not in ("all", "seeds", None):
+        raise ConfigurationError(
+            f"a recorder hears 'all', 'seeds' or None, not {hears!r}")
+    return events, telemetry, slot, hears
 
 
 # ------------------------------------------------------------ normalisers

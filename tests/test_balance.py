@@ -137,6 +137,39 @@ def test_note_load_piggyback_updates_table():
     assert known_entries > 0
 
 
+def test_a_bound_balancer_says_what_the_kernel_tells_it():
+    from repro.balance import Balancer, RandomBalancer
+
+    said = {}
+    for strategy in ("local", "random", "roundrobin", "central", "token",
+                     "acwn", "gradient"):
+        bal = Kernel(make_machine("ipsc2", 4), balancer=strategy).balancer
+        said[strategy] = (bal.hears, bal.forwards_seeds)
+    assert said == {
+        "local": (None, False), "random": (None, False),
+        "roundrobin": (None, False), "central": ("all", True),
+        "token": ("cross", True), "acwn": ("cross", True),
+        "gradient": ("cross", True),
+    }
+    assert make_balancer(make_balancer("acwn")).strategy_name == "acwn"
+
+    class Listener(RandomBalancer):
+        """A user hook hears every load, its own PE's too."""
+
+        def bind(self, kernel):
+            super().bind(kernel)
+            self.heard = []
+
+        def note_load(self, observer, subject, load):
+            self.heard.append((observer, subject))
+
+    bal = Listener()
+    result = Kernel(make_machine("ipsc2", 4), balancer=bal).run(FanoutMain, 32)
+    assert len(result.result) == 32 and bal.hears == "all"
+    assert any(o == s for o, s in bal.heard) and any(o != s for o, s in bal.heard)
+    assert Balancer.hears == "cross" and Listener.hears is None
+
+
 def test_explicit_balancer_instance_accepted():
     bal = make_balancer("acwn", threshold=3)
     kernel = Kernel(make_machine("ipsc2", 4), balancer=bal)

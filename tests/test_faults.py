@@ -60,6 +60,25 @@ def test_config_rejects_non_finite_floats(name, value):
         FaultConfig(**{name: value})
 
 
+@pytest.mark.parametrize("name,value", [
+    ("slow_pes", (1.5,)),
+    ("slow_pes", (True,)),
+    ("slow_pes", [1]),
+    ("seed", 1.5),
+    ("seed", "7"),
+    ("max_retries", 2.5),
+    ("max_retries", True),
+    ("jitter", "x"),
+    ("jitter", True),
+])
+def test_config_rejects_what_it_used_to_take_silently(name, value):
+    """A fractional or boolean rank slowed no PE, a seed of 1.5 or "7"
+    passed where Kernel(seed=) refuses it, and jitter="x" was a bare
+    TypeError: each is now a FaultError naming the field."""
+    with pytest.raises(FaultError, match=name):
+        FaultConfig(**{name: value})
+
+
 def test_config_describe():
     assert FaultConfig().describe() == "inert"
     desc = FaultConfig(drop_prob=0.1, jitter=1e-6).describe()
@@ -71,11 +90,16 @@ def test_kernel_rejects_bad_faults_argument(ideal4):
         Kernel(ideal4, faults=42)
 
 
-def test_kernel_accepts_prebuilt_layer(ideal4):
+def test_kernel_rejects_prebuilt_layer(ideal4):
+    # The kernel builds its own layer: one shared between kernels summed
+    # their counters (a second run read twice the first run's drops).
     layer = FaultLayer(FaultConfig(drop_prob=0.05))
-    result = run_echo(ideal4, n=8, faults=layer)
+    with pytest.raises(ConfigurationError, match="faults"):
+        Kernel(ideal4, faults=layer)
+    result = run_echo(ideal4, n=8, faults=FaultConfig(drop_prob=0.05))
     assert result.result is not None
-    assert result.kernel.faults is layer
+    assert isinstance(result.kernel.faults, FaultLayer)
+    assert result.kernel.faults.config == FaultConfig(drop_prob=0.05)
 
 
 def test_slow_pes_out_of_range_rejected(ideal4):

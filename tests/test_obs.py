@@ -219,6 +219,26 @@ class TestNonPerturbation:
         k = Kernel(make_machine("ideal", 1), telemetry=Telemetry(interval=0.5))
         assert k.telemetry.interval == 0.5
 
+    def test_trace_events_is_an_attach_path_too(self):
+        # A Telemetry given as trace_events used to run unbound: no final
+        # snapshot, and serving_inject failed on its missing kernel.
+        from repro.apps.fib import run_fib
+
+        tel = Telemetry()
+        _, result = run_fib(make_machine("ipsc2", 8), n=14, threshold=4,
+                            seed=0, trace_events=tel)
+        assert result.kernel.telemetry is tel and result.kernel.events is None
+        assert [row["label"] for row in tel.snapshots] == ["final"]
+        assert sum(tel.exec_counts.values()) == tel.snapshots[-1]["executions"]
+        summary, _ = _serve(trace_events=Telemetry())
+        assert summary["online"]["count"] == summary["completed"]
+
+    def test_one_plane_in_both_keywords_is_refused(self):
+        # It used to be heard twice: every execution counted double.
+        tel = Telemetry()
+        with pytest.raises(ConfigurationError, match="telemetry"):
+            Kernel(make_machine("ideal", 1), trace_events=tel, telemetry=tel)
+
     @pytest.mark.parametrize("interval",
                              [float("nan"), float("inf"), -1e-3])
     def test_config_rejects_bad_interval(self, interval):
