@@ -126,12 +126,15 @@ class CentralBalancer(Balancer):
         return 0
 
     def note_load(self, observer: int, subject: int, load: int) -> None:
-        super().note_load(observer, subject, load)
-        if observer == 0:
-            # Fresh truth from `subject` supersedes optimistic bookkeeping.
-            self._outstanding[subject] = 0
-            if subject != 0:
-                self._touch(subject)
+        # Only the manager reads the table (its row, in _touch), so only
+        # what PE 0 hears is kept.
+        if observer != 0:
+            return
+        # Fresh truth from `subject` supersedes optimistic bookkeeping.
+        self._outstanding[subject] = 0
+        if subject != 0:
+            self.known[0][subject] = load
+            self._touch(subject)
 
     def on_seed_arrival(self, pe: int, env: Envelope) -> Optional[int]:
         if pe != 0 or env.hops > 0:

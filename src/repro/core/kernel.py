@@ -233,13 +233,16 @@ class Kernel:
         # class -> True when its instances retire as their constructor
         # returns: a class that declares no @entry method can never be sent
         # a message, so nothing can reach the object again (the 1991
-        # programs end such chares with ChareExit).
+        # programs end such chares with ChareExit).  Filled by api_create
+        # and _bootstrap, so every seed's class is here before it runs.
         self._retires: Dict[type, bool] = {}
         # Object tables -----------------------------------------------------
-        # Both hold live chares only (O(live), not O(ever created)): a gid
-        # in placement but not in chares is a seed not yet built (its PE is
-        # None until the balancer settles); a gid below _next_gid in
-        # neither was retired or destroyed (see _no_chare).
+        # Both hold addressable chares only (O(live), not O(ever created)):
+        # a gid in placement but not in chares is a seed not yet built (its
+        # PE is None until the balancer settles).  A seed of a class that
+        # retires is in neither, nor is the chare it builds outside its
+        # constructor; so a gid below _next_gid in neither was retired,
+        # destroyed, or is of an entry-less class (see _no_chare).
         self.chares: Dict[int, Chare] = {}
         self.placement: Dict[int, Optional[int]] = {}
         self._next_gid = 0
@@ -388,7 +391,9 @@ class Kernel:
         gid = self._alloc_gid()
         handle = ChareHandle(gid)
         self.main_handle = handle
-        self.placement[gid] = 0
+        retires = self._retires[main_cls] = not declares_entry(main_cls)
+        if not retires:
+            self.placement[gid] = 0
         env = Envelope.make_seed(0, 0, args, handle, main_cls, fixed=True,
                                  counted=False)
         self.in_main_ctor = True
@@ -643,12 +648,16 @@ class Kernel:
             elif kind == _SEED:
                 handle = env.handle
                 gid = handle.gid
-                placement = self.placement
-                if placement.get(gid) is None:
-                    placement[gid] = pe.index
-                    if gid in self._pending_sends:
-                        self._place(gid, pe.index)
                 cls = env.chare_cls
+                # A seed of a class that retires was given no address, so
+                # nothing can have been buffered against it.
+                retires = self._retires[cls]
+                if not retires:
+                    placement = self.placement
+                    if placement.get(gid) is None:
+                        placement[gid] = pe.index
+                        if gid in self._pending_sends:
+                            self._place(gid, pe.index)
                 obj = cls.__new__(cls)
                 obj._kernel = self
                 obj._handle = handle
@@ -656,12 +665,8 @@ class Kernel:
                 chares = self.chares
                 chares[gid] = obj
                 obj.__init__(*env.args)
-                retires = self._retires.get(cls)
-                if retires is None:
-                    retires = self._retires[cls] = not declares_entry(cls)
-                if retires and gid in chares:   # not already destroy()ed
-                    del chares[gid]
-                    del placement[gid]
+                if retires:
+                    chares.pop(gid, None)   # unless already destroy()ed
                 if self._premature:
                     # Anything that raced ahead of construction is now
                     # runnable (transit already paid).
@@ -880,6 +885,7 @@ class Kernel:
             if issubclass(chare_cls, BranchOfficeChare):
                 raise ConfigurationError("use create_boc for branch-office chares")
             self._validated_chare_classes.add(chare_cls)
+            self._retires[chare_cls] = not declares_entry(chare_cls)
         ctx = self._current
         if ctx is None:
             raise SchedulingError(
@@ -891,15 +897,20 @@ class Kernel:
         src = ctx.pe
         self.pes[src].seeds_created += 1
         priority = check_priority(priority)
+        # A class that retires gets no placement record: nothing can
+        # address its chare, so a send to this handle fails at the call.
+        addressable = not self._retires[chare_cls]
         if pe is not None:
             pe = need_int("pe", pe, None)
             if not 0 <= pe < self.num_pes:
                 raise RoutingError(f"create on invalid PE {pe}")
-            self.placement[gid] = pe
+            if addressable:
+                self.placement[gid] = pe
             env = Envelope.make_seed(src, pe, args, handle, chare_cls,
                                      fixed=True, priority=priority)
         else:
-            self.placement[gid] = None
+            if addressable:
+                self.placement[gid] = None
             target = self.balancer.on_new_seed(src, chare_cls)
             trace = self.trace
             if trace is not None and target != src:
@@ -932,7 +943,8 @@ class Kernel:
                 f"not PE {ctx.pe}"
             )
         del self.chares[gid]
-        del self.placement[gid]
+        # A chare of a class that retires has no placement record.
+        self.placement.pop(gid, None)
 
     def api_exit(self, result: Any) -> None:
         # The run ends when the *exiting execution* completes, so the final
@@ -943,12 +955,16 @@ class Kernel:
     def _no_chare(self, what: str, handle: ChareHandle) -> RoutingError:
         """The error for ``what`` addressed to a gid with no placement.
 
-        The kernel keeps no record of dead chares: a gid it has allocated
-        (``0 <= gid < _next_gid``) but no longer places was retired or
-        destroyed; any other gid was never allocated by this kernel.
+        The kernel keeps no record of dead or unaddressable chares: a gid
+        it has allocated (``0 <= gid < _next_gid``) but does not place was
+        destroyed, retired, or is of a class that declares no entry method
+        (its seed was never given an address); any other gid was never
+        allocated by this kernel.
         """
         if 0 <= handle.gid < self._next_gid:
-            return RoutingError(f"{what} to destroyed chare {handle}")
+            return RoutingError(
+                f"{what} to chare {handle}: destroyed, retired, or its class "
+                "declares no entry method")
         return RoutingError(f"{what} to unknown handle {handle}")
 
     # ------------------------------------------------------------------- send
@@ -978,8 +994,9 @@ class Kernel:
         """Service helper: deliver an application message to a chare handle.
 
         A table reply, the quiescence callback or a reduction result:
-        buffered only while its target is a seed still in flight; an
-        unknown or dead target raises, naming the handle.
+        buffered only while its target is an addressable seed still in
+        flight; an unknown, dead or entry-less target raises, naming the
+        handle.
         """
         dst = self.placement.get(target.gid, _MISSING)
         if dst is _MISSING:

@@ -367,14 +367,22 @@ def make_recorder(trace_events, telemetry=None):
     """Parse ``Kernel(trace_events=, telemetry=)`` into ``(events,
     telemetry, slot, hears)``: ``trace_events`` is ``None``, ``True`` or
     event kinds (an :class:`EventLog` is built), a recorder or a
-    ``Telemetry``; telemetry comes from either keyword, never both.
-    ``slot`` is what the kernel's observer slot holds and ``hears`` its
-    :attr:`Recorder.hears` (``"all"`` when undeclared).
+    ``Telemetry`` or a :class:`RecorderPair` of the two; telemetry comes
+    from either keyword, never both.  ``slot`` is what the kernel's
+    observer slot holds and ``hears`` its :attr:`Recorder.hears`
+    (``"all"`` when undeclared).
     """
     if trace_events is None and telemetry is None:
         return None, None, None, None   # unobserved: no import of repro.obs
     from repro.obs.telemetry import Telemetry  # obs builds on this module
 
+    if isinstance(trace_events, RecorderPair):
+        if telemetry is not None:
+            raise ConfigurationError(
+                "telemetry is given both in a RecorderPair as trace_events "
+                "and as telemetry; a kernel has one telemetry plane, so pass "
+                "it once")
+        trace_events, telemetry = trace_events.recorder, trace_events.telemetry
     if isinstance(trace_events, Telemetry):
         if telemetry is not None:
             raise ConfigurationError(

@@ -23,6 +23,7 @@ _FLOAT_BYTES = 8
 _NONE_BYTES = 1
 # Per-container framing (a length field).
 _FRAME_BYTES = 4
+_ndarray = np.ndarray
 
 
 def payload_nbytes(obj: Any) -> int:
@@ -37,9 +38,10 @@ def payload_nbytes(obj: Any) -> int:
     Every envelope is sized exactly once, when it is built, so this sits
     on the kernel's per-message hot path: exact builtin types dispatch on
     ``type(obj)`` (no subclass ambiguity — ``type(True) is int`` is False)
-    and only subclasses, numpy values and containers of them pay the full
+    and only subclasses, numpy scalars and containers of them pay the full
     isinstance chain in :func:`_general_nbytes`, which returns identical
-    values for the fast-pathed types.
+    values for the fast-pathed types (a plain ``numpy.ndarray`` among
+    them).
     """
     t = type(obj)
     if t is int:
@@ -67,6 +69,8 @@ def payload_nbytes(obj: Any) -> int:
                 total += _NONE_BYTES
             elif tx is bool:
                 total += _BOOL_BYTES
+            elif tx is _ndarray:
+                total += _FRAME_BYTES + x.nbytes
             else:
                 # Fixed-wire-size elements (handles) skip the recursion.
                 w = getattr(x, "__wire_bytes__", None)
@@ -79,6 +83,10 @@ def payload_nbytes(obj: Any) -> int:
         return _BOOL_BYTES
     if obj is None:
         return _NONE_BYTES
+    if t is _ndarray:
+        # Stencil, LU and matmul blocks: a plain array is its buffer plus a
+        # length field (subclasses such as np.matrix take the chain below).
+        return _FRAME_BYTES + obj.nbytes
     # Objects with an explicit wire size (chare/BOC handles ride in almost
     # every seed payload) skip the isinstance chain; builtin subclasses
     # never define __wire_size__/__wire_bytes__, so this cannot shadow the

@@ -64,6 +64,16 @@ def test_central_distributes_beyond_manager():
     assert kernel.balancer.seeds_placed_remote > 0
 
 
+def test_central_keeps_only_the_managers_row():
+    # The manager alone reads the load table; every other PE's row was
+    # written on each arrival there and never read.
+    for machine in ("ipsc2", "hetero"):
+        _, kernel = _run("central", n=64, machine=machine)
+        known = kernel.balancer.known
+        assert list(known) == [0] and len(known[0]) > 0
+        assert 0 not in known[0]
+
+
 def test_token_work_arrives_at_thieves():
     result, kernel = _run("token", n=64)
     used = set(result.result.values())

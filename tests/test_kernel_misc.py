@@ -428,7 +428,13 @@ def test_send_at_accepts_any_real_time(ipsc8, when):
 
 def test_send_at_unplaced_target_raises(ipsc8):
     class Idle(Chare):
+        # An entry method makes it addressable: an entry-less seed has no
+        # placement record at all (tests/test_lifetimes.py covers that).
         def __init__(self):
+            pass
+
+        @entry
+        def anything(self):
             pass
 
     class Main(Chare):

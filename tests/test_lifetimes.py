@@ -32,11 +32,12 @@ from repro.apps.fib import FibNode, run_fib
 from repro.apps.knapsack import KnapsackInstance, KnapsackNode, knapsack_seq
 from repro.apps.nqueens import run_nqueens
 from repro.apps.serving import run_serving
-from repro.apps.tsp import TspInstance, tsp_seq
+from repro.apps.tsp import TspInstance, TspNode, tsp_seq
 from repro.bench.cache import ResultCache
 from repro.bench.experiments import run_experiment
 from repro.bench.harness import describe, execute_descriptor
 from repro.bench.parallel import SweepExecutor, use_executor
+from repro.core.chare import declares_entry
 from repro.core.handles import ChareHandle
 from repro.faults import FaultConfig
 from repro.metrics.latency import LatencyFold
@@ -449,6 +450,31 @@ def test_fifo_tsp_peak_memory_ceiling(monkeypatch):
     assert retired < 0.7 * kept
 
 
+def test_fifo_tsp_frontier_carries_no_placement_records(monkeypatch):
+    """A FIFO search's frontier is entry-less seeds waiting in pools, and
+    such a seed has no placement record.  Quick T7-shaped run (TSP(8),
+    FIFO, propagation off, a loose incumbent, ipsc2 P=8, 1,857 nodes),
+    measured against the same run with every node addressable and
+    destroying itself as its constructor returns (each waiting seed then
+    holds a record, as every entry-less seed once did), in one process so
+    the bound holds on every interpreter's object layouts: on CPython
+    3.11, 0.34 MB traced peak against 0.44 MB.  A record per waiting seed
+    moves the ratio to 1."""
+    desc = describe("tsp", "ipsc2", 8, queueing="fifo", propagation="off",
+                    n=8, instance_seed=0, grain=2, bound_slack=2.0)
+    unaddressed = _traced_peak_mb(lambda: harness.run_descriptor(desc))
+    init = TspNode.__init__
+
+    def init_then_destroy(self, *args):
+        init(self, *args)
+        self.destroy()
+
+    monkeypatch.setattr(kernel_module, "declares_entry", lambda cls: True)
+    monkeypatch.setattr(TspNode, "__init__", init_then_destroy)
+    addressed = _traced_peak_mb(lambda: harness.run_descriptor(desc))
+    assert unaddressed < 0.9 * addressed, (unaddressed, addressed)
+
+
 # ------------------------------------------ dead and unknown targets raise
 class _Gone(Chare):
     """Tells main its handle, then destroys itself."""
@@ -456,6 +482,13 @@ class _Gone(Chare):
     def __init__(self, main):
         self.send(main, "gone", self.thishandle)
         self.destroy()
+
+
+class _Unaddressable(Chare):
+    """Declares no entry method, so its seed is given no address."""
+
+    def __init__(self):
+        pass
 
 
 class _Answer(Chare):
@@ -469,7 +502,8 @@ class _Answer(Chare):
 
 class _AsksAService(Chare):
     """Points a service's reply (table find, QD callback, accumulator
-    collect) at a never-allocated, a destroyed, or an in-flight handle."""
+    collect) at a never-allocated, a destroyed, an entry-less or an
+    in-flight handle."""
 
     def __init__(self, path, target):
         self.path = path
@@ -479,6 +513,8 @@ class _AsksAService(Chare):
             self._ask(ChareHandle(12345))
         elif target == "destroyed":
             self.create(_Gone, self.thishandle, pe=1)
+        elif target == "entry_less":
+            self._ask(self.create(_Unaddressable))
         else:       # a seed still being balanced: the one case that waits
             self._ask(self.create(_Answer, self.thishandle))
 
@@ -501,7 +537,12 @@ class _AsksAService(Chare):
 
 _ANSWERS = {"table": ("k", None), "qd": (), "collect": ("acc:a:1", 0)}
 _TARGETS = [("unknown", "to unknown handle ChareHandle(12345)"),
-            ("destroyed", "to destroyed chare ChareHandle(1)"),
+            ("destroyed", "to chare ChareHandle(1): destroyed"),
+            # Refused at the reply itself, while the seed is still in
+            # flight: it was given no address to buffer the reply against.
+            ("entry_less", "service reply 'got' to chare ChareHandle(1): "
+                           "destroyed, retired, or its class declares no "
+                           "entry method"),
             ("in_flight", None)]
 _TARGET_IDS = [target for target, _ in _TARGETS]
 
@@ -557,7 +598,92 @@ def test_send_to_a_destroyed_chare_raises_at_the_send(ideal4, timed):
     when the message reaches the dead chare's PE."""
     result = Kernel(ideal4).run(_SendsToTheDead, timed)
     what = "timed send" if timed else "send"
-    assert result.result == f"{what} to destroyed chare ChareHandle(1)"
+    assert result.result == (
+        f"{what} to chare ChareHandle(1): destroyed, retired, or its class "
+        "declares no entry method")
+
+
+class _SendsToAnUnaddressableSeed(Chare):
+    def __init__(self, timed):
+        seed = self.create(_Unaddressable)      # balanced: still in flight
+        try:
+            if timed:
+                self.send_at(1e-3, seed, "anything")
+            else:
+                self.send(seed, "anything")
+        except RoutingError as exc:
+            self.exit(str(exc))
+
+
+@pytest.mark.parametrize("timed", [False, True], ids=["send", "send_at"])
+def test_send_to_an_entry_less_seed_raises_at_the_send(ipsc8, timed):
+    """An entry-less seed is given no address, so a send to it fails in the
+    sending execution, while the seed is still being balanced.  It used to
+    be buffered and fail when it reached the retired chare (a send), or to
+    fail as sent "before placement" (a timed send)."""
+    result = Kernel(ipsc8).run(_SendsToAnUnaddressableSeed, timed)
+    what = "timed send" if timed else "send"
+    assert result.result == (
+        f"{what} to chare ChareHandle(1): destroyed, retired, or its class "
+        "declares no entry method")
+
+
+# ------------------------------- (c') an entry-less seed is never addressed
+class _WatchedPlacement(dict):
+    """A placement table that notes every write of an entry-less gid."""
+
+    def __init__(self):
+        super().__init__()
+        self.entry_less = set()
+        self.writes = 0
+        self.violations = []
+
+    def __setitem__(self, gid, pe):
+        self.writes += 1
+        if gid in self.entry_less:
+            self.violations.append(gid)
+        super().__setitem__(gid, pe)
+
+
+class _WatchedKernel(Kernel):
+    """Tells the table which gids belong to entry-less classes, as each is
+    allocated; every write into the table happens after that."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.placement = _WatchedPlacement()
+
+    def api_create(self, chare_cls, args, pe, priority):
+        if not declares_entry(chare_cls):
+            self.placement.entry_less.add(self._next_gid)
+        return super().api_create(chare_cls, args, pe, priority)
+
+
+@pytest.mark.parametrize("app, queueing", [
+    ("nqueens", "fifo"), ("tsp", "fifo"), ("tsp", "prio")])
+def test_placement_never_holds_an_entry_less_gid(monkeypatch, app, queueing):
+    """Every search node is entry-less: across a whole run none of them
+    (537 to 1,258 here), waiting in a pool or running, is ever written
+    into ``Kernel.placement``, while the main chare still is."""
+    machine = make_machine("ipsc2", 8)
+    if app == "nqueens":
+        import repro.apps.nqueens as module
+        monkeypatch.setattr(module, "Kernel", _WatchedKernel)
+        (solutions, _), result = run_nqueens(machine, n=8, grainsize=3,
+                                             queueing=queueing)
+        assert solutions == 92
+    else:
+        import repro.apps.tsp as module
+        monkeypatch.setattr(module, "Kernel", _WatchedKernel)
+        inst = TspInstance.random(8, 0)
+        (best, _, _), result = module.run_tsp(
+            machine, inst=inst, queueing=queueing, grain=2, bound_slack=1.5)
+        assert best == tsp_seq(inst)[0]
+    table = result.kernel.placement
+    assert type(table) is _WatchedPlacement
+    assert len(table.entry_less) >= 500 and table.writes >= 1
+    assert table.violations == []
+    assert list(table) == list(result.kernel.chares)
 
 
 # -------------------------------------------------------------- (d) close()

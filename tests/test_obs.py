@@ -36,6 +36,7 @@ from repro.obs import (
     to_jsonl,
     to_prometheus,
 )
+from repro.trace.events import EventLog, RecorderPair
 from repro.util.errors import ConfigurationError
 from tests.conftest import read_metrics_jsonl
 
@@ -232,6 +233,26 @@ class TestNonPerturbation:
         assert sum(tel.exec_counts.values()) == tel.snapshots[-1]["executions"]
         summary, _ = _serve(trace_events=Telemetry())
         assert summary["online"]["count"] == summary["completed"]
+
+    def test_a_recorder_pair_as_trace_events_binds_its_telemetry(self):
+        # The pair used to be taken for a duck-typed recorder: its
+        # telemetry was never bound or run-ended, so a run took no
+        # snapshot and left kernel.telemetry None.
+        from repro.apps.fib import run_fib
+
+        log, tel = EventLog(), Telemetry()
+        _, result = run_fib(make_machine("ipsc2", 8), n=14, threshold=4,
+                            seed=0, trace_events=RecorderPair(log, tel))
+        kernel = result.kernel
+        assert kernel.telemetry is tel and kernel.events is log
+        assert [row["label"] for row in tel.snapshots] == ["final"]
+        assert tel.snapshots[-1]["executions"] == 939
+        assert sum(tel.exec_counts.values()) == 939
+        assert len(log.rows) > 0
+        with pytest.raises(ConfigurationError, match="telemetry"):
+            Kernel(make_machine("ideal", 1),
+                   trace_events=RecorderPair(EventLog(), Telemetry()),
+                   telemetry=Telemetry())
 
     def test_one_plane_in_both_keywords_is_refused(self):
         # It used to be heard twice: every execution counted double.

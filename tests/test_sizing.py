@@ -30,6 +30,34 @@ def test_numpy_arrays_use_nbytes():
     assert payload_nbytes(np.float32(1.0)) == 4
 
 
+def test_plain_array_fast_path_equals_the_general_model():
+    """A plain ndarray is sized by exact type, alone or in a tuple; a
+    subclass (np.matrix) takes the general chain.  Both read the same."""
+    import warnings
+
+    from repro.util.sizing import _general_nbytes
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PendingDeprecationWarning)
+        matrix = np.matrix([[1.0, 2.0], [3.0, 4.0]])
+    arrays = [
+        np.array(3.5),                                  # 0-d
+        np.zeros(0), np.zeros((3, 0), dtype=np.int8),   # empty
+        np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+        np.arange(10, dtype=np.int32)[::2],             # strided view
+        np.ones((2, 3), dtype=np.complex128),
+        np.array([True, False]), np.array(["ab", "c"]),
+        np.empty(5, dtype=np.float16),
+        matrix,
+    ]
+    for arr in arrays:
+        size = _general_nbytes(arr)
+        assert size == 4 + arr.nbytes
+        assert payload_nbytes(arr) == size
+        assert payload_nbytes((1, arr)) == _general_nbytes((1, arr))
+        assert payload_nbytes([arr, arr]) == 4 + 2 * size
+
+
 def test_containers_sum_recursively():
     assert payload_nbytes((1, 2)) == 4 + 16
     assert payload_nbytes([1, (2, 3)]) == 4 + 8 + 4 + 16
