@@ -2,7 +2,8 @@
 
 :class:`Kernel` binds a simulated :class:`~repro.machine.network.Machine`
 to the programming model: it owns the event engine, the per-PE schedulers
-and the chare tables, and it schedules, places and routes every message.
+and the object table (:mod:`repro.core.objects`: which chares exist and
+where), and it schedules, places and routes every message.
 Beside it sit the runtime services it binds and routes service messages
 to: the load balancer, the quiescence detector and the sharing service,
 which owns every sharing mode and the branch-office chares (``_select``
@@ -39,16 +40,16 @@ from dataclasses import dataclass, field
 from types import FunctionType as _FunctionType
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.chare import BranchOfficeChare, Chare, declares_entry, is_entry
-from repro.core.handles import ChareHandle, mint_chare_handle
+from repro.core.chare import Chare, is_entry
+from repro.core.handles import ChareHandle
 from repro.core.messages import Envelope, Kind, SeedNote
+from repro.core.objects import ObjectTable
 from repro.core.pe import PEPlane, PEState
 from repro.core.services import Service
 from repro.core.tree import Span, make_tree
 from repro.machine.network import Machine
 from repro.queueing.strategies import make_strategy
 from repro.util.errors import (
-    ConfigurationError,
     RoutingError,
     SchedulingError,
     need_int,
@@ -69,8 +70,6 @@ _SEED = Kind.SEED
 _BOC = Kind.BOC
 _SVC = Kind.SVC
 
-# placement.get default: a gid with no entry (never allocated, or dead).
-_MISSING = object()
 _INF = float("inf")
 
 
@@ -113,7 +112,11 @@ class Kernel:
     reach the kernel through its public port alone (docs/architecture.md,
     "Layering"): ``engine.now``, ``trace``, ``post``, ``deliver``,
     ``send_app_from_service``, ``api_charge``, ``pes``, ``span()`` and the
-    run's parameters.
+    run's parameters.  The object table ``objects``
+    (:class:`~repro.core.objects.ObjectTable`) is the kernel's own, not
+    part of that port: it vets chare classes, hands out gids, places seeds
+    and holds what is sent to them, and every send path asks its
+    ``resolve`` where the target is.  The kernel builds and runs chares.
     """
 
     def __init__(
@@ -143,15 +146,13 @@ class Kernel:
         # Hot-path constants: every entry execution pays this fixed cost and
         # every local message this latency, so resolve them once per run
         # instead of via two attribute chains per event.
-        self._overhead_base = (
-            machine.params.sched_overhead + machine.params.recv_overhead
-        )
+        self._overhead_base = (machine.params.sched_overhead
+                               + machine.params.recv_overhead)
         self._local_alpha = machine.params.local_alpha
         # Homogeneous machines skip Machine.compute_time per execution; the
         # multiply below is bitwise the same operation compute_time performs.
-        self._work_unit_time = (
-            None if machine.pe_speeds else machine.params.work_unit_time
-        )
+        self._work_unit_time = (None if machine.pe_speeds
+                                else machine.params.work_unit_time)
         # Pre-bound machine methods used once per remote message.  hops_fn
         # is the topology's unchecked arithmetic metric (no O(P²) memo).
         self._hops = machine.hops_fn
@@ -199,9 +200,8 @@ class Kernel:
         self._all_ranks = Span(range(machine.num_pes), self.tree)
         # The PE plane materializes a PEState on first delivery; untouched
         # ranks cost nothing.
-        self.pes: PEPlane = PEPlane(
-            machine.num_pes, queueing, gated=not self.sparse
-        )
+        self.pes: PEPlane = PEPlane(machine.num_pes, queueing,
+                                    gated=not self.sparse)
 
         # Fault injection (repro.faults) parses its own FaultConfig; None
         # keeps the fault-free fast path (one `is None` check per hook).
@@ -227,32 +227,14 @@ class Kernel:
         # link-occupancy metric the topology-aware collectives reduce (A1).
         self.total_message_hops = 0
 
-        # Chare classes already vetted by api_create (skips two issubclass
-        # walks per creation).
-        self._validated_chare_classes: set = set()
-        # class -> True when its instances retire as their constructor
-        # returns: a class that declares no @entry method can never be sent
-        # a message, so nothing can reach the object again (the 1991
-        # programs end such chares with ChareExit).  Filled by api_create
-        # and _bootstrap, so every seed's class is here before it runs.
-        self._retires: Dict[type, bool] = {}
-        # Object tables -----------------------------------------------------
-        # Both hold addressable chares only (O(live), not O(ever created)):
-        # a gid in placement but not in chares is a seed not yet built (its
-        # PE is None until the balancer settles).  A seed of a class that
-        # retires is in neither, nor is the chare it builds outside its
-        # constructor; so a gid below _next_gid in neither was retired,
-        # destroyed, or is of an entry-less class (see _no_chare).
-        self.chares: Dict[int, Chare] = {}
-        self.placement: Dict[int, Optional[int]] = {}
-        self._next_gid = 0
-        # gid -> [(envelope, trace_parent)] sends buffered against a seed
-        # still being balanced, built (and sized) at the call with no
-        # dst_pe yet; trace_parent is the sending execution's event id
-        # (None when tracing is off), restored around the flush in _place.
-        self._pending_sends: Dict[
-            int, List[Tuple[Envelope, Optional[int]]]] = {}
-        self._premature: Dict[int, List[Envelope]] = {}
+        # The object table (core/objects.py) owns gids, class vetting,
+        # placement and the held sends; the kernel asks it where a chare
+        # is and reads its chare dict, never writing either.
+        objects = self.objects = ObjectTable(self.engine, self._deliver,
+                                             self._events)
+        self._chares = objects.chares
+        self._resolve = objects.resolve
+        self._hold = objects.hold
 
         # Services ------------------------------------------------------------
         self.services: Dict[str, Service] = {}
@@ -314,12 +296,8 @@ class Kernel:
             return Span(ranks, type(self.tree)(len(ranks)))
         return self._all_ranks
 
-    def run(
-        self,
-        main_cls: type,
-        *args: Any,
-        max_events: Optional[int] = DEFAULT_MAX_EVENTS,
-    ) -> RunResult:
+    def run(self, main_cls: type, *args: Any,
+            max_events: Optional[int] = DEFAULT_MAX_EVENTS) -> RunResult:
         """Execute a program from its main chare to completion.
 
         Completion is the first of: the main chare calls :meth:`Chare.exit`,
@@ -328,8 +306,7 @@ class Kernel:
         """
         if self.main_handle is not None:
             raise SchedulingError("a Kernel instance can run only one program")
-        if not issubclass(main_cls, Chare):
-            raise ConfigurationError(f"{main_cls.__name__} is not a Chare subclass")
+        self.objects.vet(main_cls, "main_cls")
         if max_events is not None:
             # Here, not in the drain loop: "10" would fail there as a
             # TypeError, and 2.5 or 0 would pass as a budget.
@@ -362,20 +339,13 @@ class Kernel:
     def close(self) -> None:
         """Let go of everything this kernel holds; it is unusable afterwards.
 
-        The run's object graph is cyclic (the kernel holds its pre-bound
-        callbacks, services, chares and the engine whose heap holds those
-        callbacks; each of them holds the kernel), so a finished kernel
-        that is merely dropped waits for a generation-2 collection.
-        Emptying the kernel — plus the two members that can reach
-        themselves without it: the engine, whose pending heap entries hold
-        bound callbacks, and the fault layer's own callbacks — leaves
-        nothing cyclic, and the whole graph is freed by reference count as
-        the last outside reference goes.
-
-        Idempotent.  :meth:`run` never calls it (``RunResult.kernel`` stays
-        live for whoever ran the program); a caller that has projected what
-        it needs from the run does — see
-        :func:`repro.bench.harness.run_descriptor`.
+        The run's object graph is cyclic (the kernel's pre-bound callbacks,
+        services, object table and engine heap all hold the kernel), so a
+        dropped kernel would wait for a generation-2 collection.  Emptying
+        the kernel, its engine and the fault layer's callbacks leaves
+        nothing cyclic: the graph is freed by reference count.  Idempotent;
+        :meth:`run` never calls it, :func:`repro.bench.harness.run_descriptor`
+        does once it has projected what it needs.
         """
         state = vars(self)
         if not state:
@@ -388,12 +358,7 @@ class Kernel:
     def _bootstrap(self, payload: tuple) -> None:
         """Construct the main chare on PE 0 and open the startup gates."""
         main_cls, args = payload
-        gid = self._alloc_gid()
-        handle = ChareHandle(gid)
-        self.main_handle = handle
-        retires = self._retires[main_cls] = not declares_entry(main_cls)
-        if not retires:
-            self.placement[gid] = 0
+        handle = self.main_handle = self.objects.mint(main_cls, 0)
         env = Envelope.make_seed(0, 0, args, handle, main_cls, fixed=True,
                                  counted=False)
         self.in_main_ctor = True
@@ -411,18 +376,12 @@ class Kernel:
         # Gates open as it arrives; PE 0's opens via a local message.
         self.sharing.broadcast_init()
 
-    # ============================================================== gid / utils
-    def _alloc_gid(self) -> int:
-        gid = self._next_gid
-        self._next_gid += 1
-        return gid
-
+    # ==================================================================== utils
     @property
     def current(self) -> ExecContext:
         if self._current is None:
             raise SchedulingError(
-                "chare API used outside an entry-method execution"
-            )
+                "chare API used outside an entry-method execution")
         return self._current
 
     # ================================================================= delivery
@@ -469,9 +428,8 @@ class Kernel:
             # (Machine.transit_time returns local_alpha unconditionally for
             # src == dst, so virtual time is unchanged).
             if faults is None:
-                self._schedule_call(
-                    departure + self._local_alpha, self._arrive_cb, env
-                )
+                self._schedule_call(departure + self._local_alpha,
+                                    self._arrive_cb, env)
             else:
                 faults.transmit(env, departure, departure + self._local_alpha)
             return
@@ -532,7 +490,7 @@ class Kernel:
             # counts the momentary queue depth of 1.
             kind = env.kind
             if kind == _SEED or (
-                kind == _APP and env.handle.gid in self.chares
+                kind == _APP and env.handle.gid in self._chares
             ) or kind == _SVC:
                 if pe.max_queued == 0:
                     pe.max_queued = 1
@@ -543,24 +501,6 @@ class Kernel:
         if not pe.busy:
             # An idle PE drains exactly as one whose execution just ended.
             self._finish(pe)
-
-    def _place(self, gid: int, pe: int) -> None:
-        """Fix a chare's location; flush sends buffered against its handle."""
-        self.placement[gid] = pe
-        pending = self._pending_sends.pop(gid, None)
-        if pending:
-            events = self._events
-            for out, parent in pending:
-                out.dst_pe = pe
-                if events is None:
-                    self._deliver(out, self.now)
-                else:
-                    # The flush runs inside the *constructing* execution;
-                    # re-parent each send on the execution that buffered it.
-                    saved = events.ctx
-                    events.ctx = parent
-                    self._deliver(out, self.now)
-                    events.ctx = saved
 
     # ================================================================ scheduler
     def _select(self, pe: PEState) -> Optional[Envelope]:
@@ -573,23 +513,17 @@ class Kernel:
         while True:
             env = pe.next_envelope()
             if env is None:
-                if (
-                    not pe.gated
-                    and not pe.has_work()
-                    and not pe.idle_notified
-                ):
+                if (not pe.gated and not pe.has_work()
+                        and not pe.idle_notified):
                     pe.idle_notified = True
                     self.balancer.on_idle(pe.index)
                 return None
             kind = env.kind
             if kind == _APP:
-                gid = env.handle.gid
-                if gid in self.chares:
+                if env.handle.gid in self._chares:
                     return env
-                if gid not in self.placement:
-                    raise self._no_chare(f"message {env.entry!r}", env.handle)
                 # Arrived before its target was constructed; hold until then.
-                self._premature.setdefault(gid, []).append(env)
+                self.objects.park(env)
                 continue
             if kind == _BOC and self.sharing.hold(env):
                 continue
@@ -636,7 +570,7 @@ class Kernel:
             # The two per-message kinds are handled inline; SVC/BOC (and
             # the unknown-kind error) go through the _dispatch router.
             if kind == _APP:
-                chare = self.chares.get(env.handle.gid)
+                chare = self._chares.get(env.handle.gid)
                 if chare is None:
                     raise RoutingError(f"message to unknown chare {env.handle}")
                 fns = self._entry_cache.get(type(chare))
@@ -646,32 +580,18 @@ class Kernel:
                 else:
                     self._invoke(chare, env.entry, env.args)
             elif kind == _SEED:
-                handle = env.handle
-                gid = handle.gid
                 cls = env.chare_cls
-                # A seed of a class that retires was given no address, so
-                # nothing can have been buffered against it.
-                retires = self._retires[cls]
-                if not retires:
-                    placement = self.placement
-                    if placement.get(gid) is None:
-                        placement[gid] = pe.index
-                        if gid in self._pending_sends:
-                            self._place(gid, pe.index)
                 obj = cls.__new__(cls)
                 obj._kernel = self
-                obj._handle = handle
+                obj._handle = handle = env.handle
+                gid = handle.gid
                 obj._pe = pe.index
-                chares = self.chares
-                chares[gid] = obj
+                objects = self.objects
+                retires = objects.enter(obj, gid, pe.index)
                 obj.__init__(*env.args)
-                if retires:
-                    chares.pop(gid, None)   # unless already destroy()ed
-                if self._premature:
-                    # Anything that raced ahead of construction is now
-                    # runnable (transit already paid).
-                    for held in self._premature.pop(gid, ()):
-                        pe.enqueue(held)
+                # Anything that raced ahead of construction is now runnable.
+                for held in objects.built(gid, retires):
+                    pe.enqueue(held)
             else:
                 self._dispatch(env)
         finally:
@@ -706,9 +626,8 @@ class Kernel:
                 if wut is not None:
                     offset = base + charged_at_send * wut
                 else:
-                    offset = base + self.machine.compute_time(
-                        charged_at_send, pe.index
-                    )
+                    offset = base + self.machine.compute_time(charged_at_send,
+                                                              pe.index)
                 self._deliver(out, start + min(offset, duration))
             outbox.clear()
         pe.busy_until = busy_until = start + duration
@@ -729,11 +648,8 @@ class Kernel:
         self._schedule_call(busy_until, self._finish_cb, pe)
 
     def _dispatch(self, env: Envelope) -> None:
-        """Route a SVC or BOC envelope to its handler.
-
-        APP and SEED envelopes never reach here: :meth:`_execute` handles
-        both inline.
-        """
+        """Route a SVC or BOC envelope to its handler (:meth:`_execute`
+        handles APP and SEED inline)."""
         kind = env.kind
         if kind == _SVC:
             self.services[env.service].handle(env.dst_pe, env.entry, env.args)
@@ -755,12 +671,10 @@ class Kernel:
                 method = getattr(obj, entry_name, None)
                 if method is None:
                     raise RoutingError(
-                        f"{cls.__name__} has no entry {entry_name!r}"
-                    )
+                        f"{cls.__name__} has no entry {entry_name!r}")
                 if not is_entry(method):
                     raise RoutingError(
-                        f"{cls.__name__}.{entry_name} is not marked @entry"
-                    )
+                        f"{cls.__name__}.{entry_name} is not marked @entry")
                 method(*args)
                 return
             if fns is None:
@@ -791,69 +705,37 @@ class Kernel:
             ok = False
         if not ok:
             need_real("work_units", units, strict=False)
-        ctx = self._current
-        if ctx is None:
-            raise SchedulingError(
-                "chare API used outside an entry-method execution"
-            )
+        ctx = self._current or self.current     # .current raises
         ctx.charged += units
 
-    def api_send(
-        self,
-        target: ChareHandle,
-        entry_name: str,
-        args: tuple,
-        priority: PriorityLike,
-    ) -> None:
-        # self.current, inlined: send/charge/create are the hot chare APIs
-        # and the property descriptor costs a call frame per use.
-        ctx = self._current
-        if ctx is None:
-            raise SchedulingError(
-                "chare API used outside an entry-method execution"
-            )
-        dst = self.placement.get(target.gid, _MISSING)
-        if dst is _MISSING:
-            raise self._no_chare("send", target)
+    def api_send(self, target: ChareHandle, entry_name: str, args: tuple,
+                 priority: PriorityLike) -> None:
+        # send/charge/create are the hot chare APIs: .current is read only
+        # to raise, as its property descriptor costs a call frame per use.
+        ctx = self._current or self.current
+        dst = self._resolve(target, "send")
         env = Envelope.make_app(ctx.pe, dst, entry_name, args, target,
                                 check_priority(priority))
         if dst is None:
-            # Seed still being balanced: buffer; flushed (and counted) at
-            # placement time.  Quiescence stays safe meanwhile because the
-            # seed itself is in flight (sent > processed).
-            self._buffer(target, env)
+            # Seed still being balanced: held, sent at placement.
+            self._hold(env)
             return
         ctx.outbox.append((ctx.charged, env))
 
-    def api_send_at(
-        self,
-        target: ChareHandle,
-        entry_name: str,
-        args: tuple,
-        when: float,
-        priority: PriorityLike,
-    ) -> None:
+    def api_send_at(self, target: ChareHandle, entry_name: str, args: tuple,
+                    when: float, priority: PriorityLike) -> None:
         """Timed send: the message departs at virtual time ``when``.
 
         The open-loop workloads (:mod:`repro.apps.serving`) use this to
         schedule *future* self-messages — a load generator's next arrival
-        tick — without a kernel timer subsystem.  Unlike :meth:`api_send`,
-        the envelope bypasses the outbox (whose departure is stamped from
-        charged work at execution end) and goes straight to
-        :meth:`_deliver` with ``departure = max(when, execution start)``,
-        so accounting, tracing, fault injection and quiescence counting all
-        see a perfectly ordinary message.  The target must already be
-        placed (the pending-seed buffer has no timestamp slot); in practice
-        timed sends target ``self`` or the main chare.
+        tick — without a kernel timer subsystem.  The envelope bypasses the
+        outbox and goes straight to :meth:`_deliver` at ``max(when,
+        execution start)``, an otherwise ordinary message.  The target must
+        already be placed (a held send has no timestamp slot): in practice
+        ``self``, the main chare or a fixed-PE chare.
         """
-        ctx = self._current
-        if ctx is None:
-            raise SchedulingError(
-                "chare API used outside an entry-method execution"
-            )
-        dst = self.placement.get(target.gid, _MISSING)
-        if dst is _MISSING:
-            raise self._no_chare("timed send", target)
+        ctx = self._current or self.current
+        dst = self._resolve(target, "timed send")
         if dst is None:
             raise RoutingError(
                 f"timed send to {target} before placement; send_at targets "
@@ -870,47 +752,22 @@ class Kernel:
         now = self.engine.now
         self._deliver(env, when if when > now else now)
 
-    def api_create(
-        self,
-        chare_cls: type,
-        args: tuple,
-        pe: Optional[int],
-        priority: PriorityLike,
-    ) -> ChareHandle:
-        if chare_cls not in self._validated_chare_classes:
-            if not issubclass(chare_cls, Chare):
-                raise ConfigurationError(
-                    f"{chare_cls.__name__} is not a Chare subclass"
-                )
-            if issubclass(chare_cls, BranchOfficeChare):
-                raise ConfigurationError("use create_boc for branch-office chares")
-            self._validated_chare_classes.add(chare_cls)
-            self._retires[chare_cls] = not declares_entry(chare_cls)
-        ctx = self._current
-        if ctx is None:
-            raise SchedulingError(
-                "chare API used outside an entry-method execution"
-            )
-        gid = self._next_gid        # _alloc_gid, inlined (one per create)
-        self._next_gid = gid + 1
-        handle = mint_chare_handle(gid)
+    def api_create(self, chare_cls: type, args: tuple, pe: Optional[int],
+                   priority: PriorityLike) -> ChareHandle:
+        ctx = self._current or self.current
         src = ctx.pe
-        self.pes[src].seeds_created += 1
         priority = check_priority(priority)
-        # A class that retires gets no placement record: nothing can
-        # address its chare, so a send to this handle fails at the call.
-        addressable = not self._retires[chare_cls]
         if pe is not None:
             pe = need_int("pe", pe, None)
             if not 0 <= pe < self.num_pes:
                 raise RoutingError(f"create on invalid PE {pe}")
-            if addressable:
-                self.placement[gid] = pe
+        # Vets the class (once) and allocates the gid.
+        handle = self.objects.mint(chare_cls, pe)
+        self.pes[src].seeds_created += 1
+        if pe is not None:
             env = Envelope.make_seed(src, pe, args, handle, chare_cls,
                                      fixed=True, priority=priority)
         else:
-            if addressable:
-                self.placement[gid] = None
             target = self.balancer.on_new_seed(src, chare_cls)
             trace = self.trace
             if trace is not None and target != src:
@@ -925,47 +782,16 @@ class Kernel:
         return handle
 
     def api_destroy(self, handle: ChareHandle) -> None:
-        """Destroy a chare (it must live on the calling PE).
-
-        Mirrors C++ ``delete this`` / deleting a co-located object in the
-        paper's model: destruction is immediate and local, and the kernel
-        keeps nothing of the chare; any later send to it, or message that
-        reaches it, is a program error (:meth:`_no_chare`).
-        """
-        ctx = self.current
-        gid = handle.gid
-        obj = self.chares.get(gid)
-        if obj is None:
-            raise RoutingError(f"destroy of unknown or unbuilt chare {handle}")
-        if obj._pe != ctx.pe:
-            raise RoutingError(
-                f"destroy of {handle} must run on its home PE {obj._pe}, "
-                f"not PE {ctx.pe}"
-            )
-        del self.chares[gid]
-        # A chare of a class that retires has no placement record.
-        self.placement.pop(gid, None)
+        """Destroy a chare on the calling PE, as C++ ``delete this``: at
+        once, keeping nothing, so a later send to it or message reaching it
+        is a program error."""
+        self.objects.destroy(handle, self.current.pe)
 
     def api_exit(self, result: Any) -> None:
         # The run ends when the *exiting execution* completes, so the final
         # virtual time includes the work charged by the exiting entry.
         self._exit_requested = True
         self._exit_result = result
-
-    def _no_chare(self, what: str, handle: ChareHandle) -> RoutingError:
-        """The error for ``what`` addressed to a gid with no placement.
-
-        The kernel keeps no record of dead or unaddressable chares: a gid
-        it has allocated (``0 <= gid < _next_gid``) but does not place was
-        destroyed, retired, or is of a class that declares no entry method
-        (its seed was never given an address); any other gid was never
-        allocated by this kernel.
-        """
-        if 0 <= handle.gid < self._next_gid:
-            return RoutingError(
-                f"{what} to chare {handle}: destroyed, retired, or its class "
-                "declares no entry method")
-        return RoutingError(f"{what} to unknown handle {handle}")
 
     # ------------------------------------------------------------------- send
     def post(self, env: Envelope) -> None:
@@ -984,32 +810,14 @@ class Kernel:
     deliver = _deliver
 
     # ------------------------------------------------------------------ app send
-    def send_app_from_service(
-        self,
-        src_pe: int,
-        target: ChareHandle,
-        entry_name: str,
-        args: tuple,
-    ) -> None:
-        """Service helper: deliver an application message to a chare handle.
-
-        A table reply, the quiescence callback or a reduction result:
-        buffered only while its target is an addressable seed still in
-        flight; an unknown, dead or entry-less target raises, naming the
-        handle.
-        """
-        dst = self.placement.get(target.gid, _MISSING)
-        if dst is _MISSING:
-            raise self._no_chare(f"service reply {entry_name!r}", target)
+    def send_app_from_service(self, src_pe: int, target: ChareHandle,
+                              entry_name: str, args: tuple) -> None:
+        """Service helper: send an application message (a table reply, the
+        quiescence callback, a reduction result) to ``target``; held while
+        its seed is in flight, like any send."""
+        dst = self._resolve(target, f"service reply {entry_name!r}")
         env = Envelope.make_app(src_pe, dst, entry_name, args, target)
         if dst is None:
-            self._buffer(target, env)
+            self._hold(env)
         else:
             self.post(env)
-
-    def _buffer(self, target: ChareHandle, env: Envelope) -> None:
-        """Hold ``env`` (built with ``dst_pe=None``) until ``target``'s seed
-        is placed; :meth:`_place` fills in ``dst_pe`` and sends it."""
-        events = self._events
-        self._pending_sends.setdefault(target.gid, []).append(
-            (env, None if events is None else events.ctx))

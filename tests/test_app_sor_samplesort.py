@@ -114,7 +114,7 @@ def test_samplesort_oversampling_balances_buckets():
         kernel = result.kernel
         sizes = [
             sum(len(piece) for piece in c.received)
-            for c in kernel.chares.values()
+            for c in kernel.objects.chares.values()
             if type(c).__name__ == "SortWorker"
         ]
         return max(sizes) - min(sizes)

@@ -20,7 +20,7 @@ def test_self_destroy_removes_chare(ideal4):
 
         @entry
         def done(self, pe):
-            self.exit(self.h.gid not in self._kernel.chares)
+            self.exit(self.h.gid not in self._kernel.objects.chares)
 
     assert Kernel(ideal4).run(Main).result is True
 

@@ -35,6 +35,25 @@ def test_main_must_be_chare(ideal4):
 
     with pytest.raises(ConfigurationError):
         Kernel(ideal4).run(NotAChare)
+    # Not a class at all: named, not a TypeError out of issubclass().
+    for bad, name in [(5, "5"), ("Main", "'Main'")]:
+        with pytest.raises(ConfigurationError,
+                           match=f"main_cls must be a Chare subclass, "
+                                 f"not {name}"):
+            Kernel(ideal4).run(bad)
+
+
+def test_boc_main_is_rejected_as_create_rejects_it(ideal4):
+    """A branch-office main chare used to be built as one plain chare on
+    PE 0 (no branch anywhere else); run() now vets it as create() does."""
+    class BocMain(BranchOfficeChare):
+        def __init__(self):
+            self.exit(self.my_pe)
+
+    with pytest.raises(ConfigurationError,
+                       match="main_cls BocMain is a branch-office chare: "
+                             "use create_boc"):
+        Kernel(make_machine("ideal", 2)).run(BocMain)
 
 
 def test_echo_program_all_workers_reply(ideal4, echo_runner):
@@ -151,7 +170,7 @@ _MESSAGE_CALLS = {
 def test_sharing_call_outside_execution_raises(ideal4, call):
     res = Kernel(ideal4).run(_SharingMain)
     k = res.kernel
-    main = k.chares[k.main_handle.gid]
+    main = k.objects.chares[k.main_handle.gid]
     branch = k.sharing.branches[0][0]
     with pytest.raises(SchedulingError, match="outside an entry-method"):
         _MESSAGE_CALLS[call](main, branch)
@@ -270,11 +289,17 @@ def test_create_boc_via_create_rejected(ideal4):
             pass
 
     class BadMain(Chare):
-        def __init__(self):
-            self.create(SomeBoc)
+        def __init__(self, cls):
+            self.create(cls)
 
-    with pytest.raises(ConfigurationError):
-        Kernel(ideal4).run(BadMain)
+    with pytest.raises(ConfigurationError, match="use create_boc"):
+        Kernel(ideal4).run(BadMain, SomeBoc)
+    # Not a class at all: named, not a TypeError out of issubclass().
+    for bad, name in [(5, "5"), ([SomeBoc], r"\[.*SomeBoc.*\]")]:
+        with pytest.raises(ConfigurationError,
+                           match=f"chare_cls must be a Chare subclass, "
+                                 f"not {name}"):
+            Kernel(ideal4).run(BadMain, bad)
 
 
 def test_max_events_truncates(ideal4):

@@ -26,7 +26,7 @@ from dataclasses import fields, replace
 import pytest
 
 import repro.bench.harness as harness
-import repro.core.kernel as kernel_module
+import repro.core.objects as objects_module
 from repro import Chare, Kernel, entry, make_machine
 from repro.apps.fib import FibNode, run_fib
 from repro.apps.knapsack import KnapsackInstance, KnapsackNode, knapsack_seq
@@ -38,7 +38,7 @@ from repro.bench.experiments import run_experiment
 from repro.bench.harness import describe, execute_descriptor
 from repro.bench.parallel import SweepExecutor, use_executor
 from repro.core.chare import declares_entry
-from repro.core.handles import ChareHandle
+from repro.core.handles import BocHandle, ChareHandle
 from repro.faults import FaultConfig
 from repro.metrics.latency import LatencyFold
 from repro.trace import PERow
@@ -296,10 +296,11 @@ def test_entryless_node_chares_retire_at_constructor_return():
     seeds = sum(pe.seeds_executed for pe in result.stats.pe_rows)
     assert seeds > 100
     main = kernel.main_handle.gid
-    assert list(kernel.chares) == [main]
-    dead = [gid for gid in range(kernel._next_gid) if gid != main]
+    assert list(kernel.objects.chares) == [main]
+    dead = [gid for gid in range(kernel.objects.next_gid) if gid != main]
     assert len(dead) == seeds - 1
-    assert all(gid not in kernel.placement and gid not in kernel.chares
+    objects = kernel.objects
+    assert all(gid not in objects.placement and gid not in objects.chares
                for gid in dead)
 
 
@@ -362,15 +363,15 @@ def test_message_to_a_retired_chare_is_a_routing_error(ideal4):
 def test_class_with_an_entry_is_kept(ideal4):
     result = Kernel(ideal4).run(Spawner, Listener, True)
     (gid,) = result.result
-    assert gid in result.kernel.chares
-    assert gid in result.kernel.placement
+    assert gid in result.kernel.objects.chares
+    assert gid in result.kernel.objects.placement
 
 
 def test_self_destroying_entryless_chare_is_not_destroyed_twice(ideal4):
     result = Kernel(ideal4).run(Spawner, SelfDestructing, False)
     (gid,) = result.result
-    assert gid not in result.kernel.placement
-    assert gid not in result.kernel.chares
+    assert gid not in result.kernel.objects.placement
+    assert gid not in result.kernel.objects.chares
 
 
 def test_duplicated_seed_of_a_retired_chare_runs_once():
@@ -382,10 +383,11 @@ def test_duplicated_seed_of_a_retired_chare_runs_once():
     assert kernel.faults.msgs_duplicated > 0
     assert kernel.faults.dups_suppressed > 0
     assert kernel.faults.retries > 0
-    assert list(kernel.chares) == [kernel.main_handle.gid]
-    assert all(gid not in kernel.placement and gid not in kernel.chares
+    objects = kernel.objects
+    assert list(objects.chares) == [kernel.main_handle.gid]
+    assert all(gid not in objects.placement and gid not in objects.chares
                for gid in result.result)
-    assert list(kernel.placement) == list(kernel.chares)
+    assert list(objects.placement) == list(objects.chares)
 
 
 def test_kernel_state_is_o_live_after_22k_destroyed_fib_nodes():
@@ -395,9 +397,9 @@ def test_kernel_state_is_o_live_after_22k_destroyed_fib_nodes():
     (fib(16) below pins the kept-to-destroyed memory ratio)."""
     ans, result = run_fib(make_machine("ncube2", 64), n=20, threshold=2)
     kernel = result.kernel
-    assert ans == 6765 and kernel._next_gid == 21_892
-    assert list(kernel.chares) == [kernel.main_handle.gid]
-    assert len(kernel.placement) == len(kernel.chares)
+    assert ans == 6765 and kernel.objects.next_gid == 21_892
+    assert list(kernel.objects.chares) == [kernel.main_handle.gid]
+    assert len(kernel.objects.placement) == len(kernel.objects.chares)
 
 
 def _traced_peak_mb(fn):
@@ -425,7 +427,7 @@ def test_fib_peak_memory_holds_the_waiting_nodes_only(monkeypatch):
     destroyed = _traced_peak_mb(fib16)
     monkeypatch.setattr(FibNode, "destroy", lambda self: None)
     kept = _traced_peak_mb(fib16)
-    assert len(fib16()[1].kernel.chares) == 1 + 3_193      # main + nodes
+    assert len(fib16()[1].kernel.objects.chares) == 1 + 3_193  # main + nodes
     assert destroyed < 0.7 * kept
 
 
@@ -443,9 +445,9 @@ def test_fifo_tsp_peak_memory_ceiling(monkeypatch):
                     lazy_interval=0.05e-3)
     retired = _traced_peak_mb(lambda: harness.run_descriptor(desc))
     kernel = execute_descriptor(desc).result.kernel
-    assert kernel._next_gid > 3_000
-    assert list(kernel.placement) == list(kernel.chares)
-    monkeypatch.setattr(kernel_module, "declares_entry", lambda cls: True)
+    assert kernel.objects.next_gid > 3_000
+    assert list(kernel.objects.placement) == list(kernel.objects.chares)
+    monkeypatch.setattr(objects_module, "declares_entry", lambda cls: True)
     kept = _traced_peak_mb(lambda: harness.run_descriptor(desc))
     assert retired < 0.7 * kept
 
@@ -469,7 +471,7 @@ def test_fifo_tsp_frontier_carries_no_placement_records(monkeypatch):
         init(self, *args)
         self.destroy()
 
-    monkeypatch.setattr(kernel_module, "declares_entry", lambda cls: True)
+    monkeypatch.setattr(objects_module, "declares_entry", lambda cls: True)
     monkeypatch.setattr(TspNode, "__init__", init_then_destroy)
     addressed = _traced_peak_mb(lambda: harness.run_descriptor(desc))
     assert unaddressed < 0.9 * addressed, (unaddressed, addressed)
@@ -503,7 +505,7 @@ class _Answer(Chare):
 class _AsksAService(Chare):
     """Points a service's reply (table find, QD callback, accumulator
     collect) at a never-allocated, a destroyed, an entry-less or an
-    in-flight handle."""
+    in-flight handle, or at something that is not a chare handle."""
 
     def __init__(self, path, target):
         self.path = path
@@ -515,6 +517,8 @@ class _AsksAService(Chare):
             self.create(_Gone, self.thishandle, pe=1)
         elif target == "entry_less":
             self._ask(self.create(_Unaddressable))
+        elif target in _NOT_HANDLES:
+            self._ask(_NOT_HANDLES[target])
         else:       # a seed still being balanced: the one case that waits
             self._ask(self.create(_Answer, self.thishandle))
 
@@ -543,7 +547,14 @@ _TARGETS = [("unknown", "to unknown handle ChareHandle(12345)"),
             ("entry_less", "service reply 'got' to chare ChareHandle(1): "
                            "destroyed, retired, or its class declares no "
                            "entry method"),
-            ("in_flight", None)]
+            ("in_flight", None),
+            # Not a ChareHandle at all: named, where a bare AttributeError
+            # (no attribute 'gid') used to escape.
+            ("boc", "BocHandle(0) is a branch-office chare handle; use "
+                    "send_branch or broadcast_branches"),
+            ("int", "3 is not a ChareHandle"),
+            ("str", "'x' is not a ChareHandle")]
+_NOT_HANDLES = {"boc": BocHandle(0), "int": 3, "str": "x"}
 _TARGET_IDS = [target for target, _ in _TARGETS]
 
 
@@ -576,31 +587,43 @@ def test_accumulator_collect_into_unknown_or_dead_handle_raises(ideal4, target,
 
 
 class _SendsToTheDead(Chare):
-    def __init__(self, timed):
-        self.timed = timed
+    """Sends to (or destroys) a dead handle, then each non-handle target."""
+
+    def __init__(self, how):
+        self.how = how
         self.create(_Gone, self.thishandle, pe=1)
 
     @entry
     def gone(self, handle):
-        try:
-            if self.timed:
-                self.send_at(self._kernel.now, handle, "anything")
-            else:
-                self.send(handle, "anything")
-        except RoutingError as exc:
-            self.exit(str(exc))
+        errors = []
+        for target in (handle, *_NOT_HANDLES.values()):
+            try:
+                if self.how == "send_at":
+                    self.send_at(self._kernel.now, target, "anything")
+                elif self.how == "send":
+                    self.send(target, "anything")
+                else:
+                    self.destroy(target)
+            except RoutingError as exc:
+                errors.append(str(exc))
+        self.exit(errors)
 
 
-@pytest.mark.parametrize("timed", [False, True], ids=["send", "send_at"])
-def test_send_to_a_destroyed_chare_raises_at_the_send(ideal4, timed):
+@pytest.mark.parametrize("how", ["send", "send_at", "destroy"])
+def test_send_to_a_destroyed_chare_raises_at_the_send(ideal4, how):
     """The kernel keeps no record of a dead chare, yet a send to one is
     still an error naming it — raised in the sending entry method now, not
-    when the message reaches the dead chare's PE."""
-    result = Kernel(ideal4).run(_SendsToTheDead, timed)
-    what = "timed send" if timed else "send"
-    assert result.result == (
-        f"{what} to chare ChareHandle(1): destroyed, retired, or its class "
-        "declares no entry method")
+    when the message reaches the dead chare's PE.  A target that is not a
+    chare handle is named too (each used to raise a bare AttributeError)."""
+    result = Kernel(ideal4).run(_SendsToTheDead, how)
+    what = {"send_at": "timed send"}.get(how, how)
+    dead = (f"{what} to chare ChareHandle(1): destroyed, retired, or its "
+            "class declares no entry method")
+    if how == "destroy":
+        dead = "destroy of unknown or unbuilt chare ChareHandle(1)"
+    assert result.result == [dead] + [
+        f"{what}: {error}" for target, error in _TARGETS
+        if target in _NOT_HANDLES]
 
 
 class _SendsToAnUnaddressableSeed(Chare):
@@ -651,11 +674,11 @@ class _WatchedKernel(Kernel):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.placement = _WatchedPlacement()
+        self.objects.placement = _WatchedPlacement()
 
     def api_create(self, chare_cls, args, pe, priority):
         if not declares_entry(chare_cls):
-            self.placement.entry_less.add(self._next_gid)
+            self.objects.placement.entry_less.add(self.objects.next_gid)
         return super().api_create(chare_cls, args, pe, priority)
 
 
@@ -664,7 +687,8 @@ class _WatchedKernel(Kernel):
 def test_placement_never_holds_an_entry_less_gid(monkeypatch, app, queueing):
     """Every search node is entry-less: across a whole run none of them
     (537 to 1,258 here), waiting in a pool or running, is ever written
-    into ``Kernel.placement``, while the main chare still is."""
+    into the object table's ``placement``, while the main chare still is;
+    and the run ends with no send or arrival held for any chare."""
     machine = make_machine("ipsc2", 8)
     if app == "nqueens":
         import repro.apps.nqueens as module
@@ -679,11 +703,13 @@ def test_placement_never_holds_an_entry_less_gid(monkeypatch, app, queueing):
         (best, _, _), result = module.run_tsp(
             machine, inst=inst, queueing=queueing, grain=2, bound_slack=1.5)
         assert best == tsp_seq(inst)[0]
-    table = result.kernel.placement
+    table = result.kernel.objects.placement
     assert type(table) is _WatchedPlacement
     assert len(table.entry_less) >= 500 and table.writes >= 1
     assert table.violations == []
-    assert list(table) == list(result.kernel.chares)
+    assert list(table) == list(result.kernel.objects.chares)
+    assert result.kernel.objects.pending == {}
+    assert result.kernel.objects.premature == {}
 
 
 # -------------------------------------------------------------- (d) close()

@@ -99,8 +99,8 @@ ALLOWLIST = {
     ),
     "a paper feature ROADMAP item 11 will measure: a send to a chare whose "
     "seed is not placed yet is held, then flushed at placement": (
-        "core/kernel.py::Kernel._buffer",
-        "core/kernel.py::Kernel._place",
+        "core/objects.py::ObjectTable._flush",
+        "core/objects.py::ObjectTable.hold",
     ),
     "a paper feature ROADMAP item 11 will measure: bitvector priorities "
     "(the bitprio arm it gives T6)": (
@@ -171,7 +171,7 @@ ALLOWLIST = {
     "an undelivered message, a bad monotonic order, a branch send outside "
     "a sparse BOC's span, a QD wave that read more processed than sent": (
         "bench/parallel.py::SweepRunError.__init__",
-        "core/kernel.py::Kernel._no_chare",
+        "core/objects.py::ObjectTable._no_chare",
         "core/handles.py::ChareHandle.__repr__",
         "core/handles.py::BocHandle.__repr__",
         "core/messages.py::Envelope.__repr__",
