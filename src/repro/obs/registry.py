@@ -12,8 +12,8 @@ and each octave into ``subbuckets`` equal linear sub-buckets, so every
 bucket's relative width is at most ``1/subbuckets`` of its value.  One
 :func:`math.frexp` call and two dict operations per observation; buckets
 materialize sparsely (only octaves that receive samples occupy memory).
-Quantiles use the same *nearest-rank* convention as
-:func:`repro.metrics.latency.percentile` — the bucket containing the
+Quantiles use the same *nearest-rank* rule as the percentiles of
+:func:`repro.metrics.latency.latency_summary` — the bucket containing the
 ``ceil(q/100 * n)``-th smallest sample — and return that bucket's
 midpoint, so a histogram quantile is always within one bucket of the
 exact trace-walked value (the S6 head-to-head contract).

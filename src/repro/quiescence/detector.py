@@ -12,7 +12,9 @@ lineage (Sinha & Kalé):
 1. The root (PE 0) starts a **wave**: a request flows down the wave's span
    (``kernel.span()``, taken as the wave starts); every PE on it replies
    with its (counted-sent, counted-processed, locally-idle) triple; replies
-   combine on the way up.
+   combine on the way up.  The fan-out, the fold and the span table are
+   the :class:`~repro.core.services.TreeService` layer the sharing
+   collectives run on; this module keeps the two-wave decision.
 2. The root declares quiescence only after **two consecutive waves** return
    identical totals with ``sent == processed`` and every PE idle.  One wave
    is not enough: the counts are sampled at different times on different
@@ -34,11 +36,10 @@ wave's span includes the newly materialized rank.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.handles import ChareHandle
-from repro.core.services import Service
-from repro.core.tree import Span
+from repro.core.services import TreeService
 from repro.util.errors import QuiescenceError
 
 __all__ = ["QuiescenceService"]
@@ -46,7 +47,12 @@ __all__ = ["QuiescenceService"]
 _WAVE_WORK = 3.0  # bookkeeping work units per wave handler
 
 
-class QuiescenceService(Service):
+def _add_counts(a: tuple, b: tuple) -> tuple:
+    """Fold two (sent, processed, idle) partials of a wave."""
+    return (a[0] + b[0], a[1] + b[1], a[2] and b[2])
+
+
+class QuiescenceService(TreeService):
     """Per-kernel quiescence detector."""
 
     name = "qd"
@@ -56,10 +62,6 @@ class QuiescenceService(Service):
         self._callback: Optional[Tuple[ChareHandle, str]] = None
         self._wave = 0
         self._prev_totals: Optional[Tuple[int, int]] = None
-        # (wave, pe) -> partial aggregation state
-        self._agg: Dict[Tuple[int, int], dict] = {}
-        # The span the *current* wave runs over; taken at each wave start.
-        self._wave_span: Optional[Span] = None
         self.waves_run = 0
         self.detected_at: Optional[float] = None
         # Event id of the execution that scheduled the next wave timer;
@@ -84,18 +86,14 @@ class QuiescenceService(Service):
         if self._callback is None:  # detection already fired
             return
         self._wave += 1
-        # Purge partial aggregation state left by superseded waves.  A
-        # normal wave drains itself (the root entry is deleted when its
-        # subtree completes), but a wave abandoned mid-flight must not
-        # leak its entries forever — and a late straggler from it must
-        # never fold into the new wave's totals.
-        if self._agg:
-            wave = self._wave
-            for key in [k for k in self._agg if k[0] < wave]:
-                del self._agg[key]
+        # The span table holds the current wave alone, keyed by its number.
+        # A new number is above every key still held, so what a superseded
+        # wave left goes, and its late stragglers find no span.
+        self.partials.clear()
+        self.spans.clear()
         self.waves_run += 1
         kernel = self.kernel
-        self._wave_span = kernel.span()
+        self.span_of(self._wave)
         events = kernel.trace
         if events is None:
             self.send(0, 0, "req", (self._wave,))
@@ -122,58 +120,24 @@ class QuiescenceService(Service):
             if pe != 0:
                 raise QuiescenceError("QD begin must execute on PE 0")
             self._start_wave()
-
-        elif op == "req":
-            (wave,) = args
-            # Stale reqs from superseded waves must not fan out over the
-            # *current* span (their folds are dropped anyway).
-            if wave != self._wave or self._wave_span is None:
-                return
-            for child in self._wave_span.children(pe):
-                self.send(pe, child, "req", (wave,))
-            state = kernel.pes[pe]
-            self._fold(
-                wave,
-                pe,
-                state.counted_sent,
-                state.counted_processed,
-                not state.has_work(),
-            )
-
-        elif op == "up":
-            wave, sent, processed, idle = args
-            self._fold(wave, pe, sent, processed, idle)
-
-        else:  # pragma: no cover - defensive
+            return
+        if op != "req" and op != "up":  # pragma: no cover - defensive
             raise QuiescenceError(f"unknown QD op {op!r}")
-
-    def _fold(self, wave: int, pe: int, sent: int, processed: int, idle: bool) -> None:
-        if wave != self._wave:
-            return  # straggler from a superseded wave: never mix totals
-        span = self._wave_span
-        key = (wave, pe)
-        st = self._agg.get(key)
-        if st is None:
-            st = {
-                "sent": 0,
-                "processed": 0,
-                "idle": True,
-                "have": 0,
-                "need": 1 + len(span.children(pe)),
-            }
-            self._agg[key] = st
-        st["sent"] += sent
-        st["processed"] += processed
-        st["idle"] = st["idle"] and idle
-        st["have"] += 1
-        if st["have"] < st["need"]:
+        span = self.spans.get(args[0])
+        if span is None:
+            # A req or up from a superseded wave: it must neither fan out
+            # over the current span nor mix into the current totals.
             return
-        del self._agg[key]
-        parent = span.parent(pe)
-        if parent is not None:
-            self.send(pe, parent, "up", (wave, st["sent"], st["processed"], st["idle"]))
-            return
-        self._root_decide(st["sent"], st["processed"], st["idle"])
+        if op == "req":
+            self.fan_out(pe, span, "req", args)
+            state = kernel.pes[pe]
+            value = (state.counted_sent, state.counted_processed,
+                     not state.has_work())
+        else:
+            value = args[1:]
+        total = self.fold(args[:1], pe, value, span, _add_counts, "up")
+        if total is not None:
+            self._root_decide(*total)
 
     def _root_decide(self, sent: int, processed: int, idle: bool) -> None:
         kernel = self.kernel
@@ -201,8 +165,8 @@ class QuiescenceService(Service):
             target, entry = self._callback  # type: ignore[misc]
             self._callback = None
             self._prev_totals = None
-            self._agg.clear()
-            self._wave_span = None
+            self.partials.clear()
+            self.spans.clear()
             self.detected_at = kernel.now
             self.work_end_at_detection = kernel.last_counted_exec_time
             if events is not None:

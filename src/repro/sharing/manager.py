@@ -21,6 +21,10 @@ simulated) messages:
   built, and BOC **reductions and barriers** (the tree fold an
   accumulator collect shares).
 
+Every broadcast, collect and reduction here runs on the collective layer of
+:class:`~repro.core.services.TreeService` (fan-out, fold, span table); this
+module keeps what each root does when its collective completes.
+
 The kernel keeps scheduling, placement and routing: its ``_select`` asks
 :meth:`SharingService.hold` about a BOC envelope and its ``_dispatch``
 asks :meth:`SharingService.branch` for the object to run it on.
@@ -35,7 +39,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.chare import BranchOfficeChare
 from repro.core.handles import BocHandle, ChareHandle
 from repro.core.messages import Envelope
-from repro.core.services import Service
+from repro.core.services import TreeService
 from repro.core.tree import Span
 from repro.sharing.ops import check_better, combine, combiner, improves
 from repro.util.errors import ConfigurationError, RoutingError, SharingError, need_int
@@ -66,13 +70,26 @@ def _skip_empty(fn):
     return fold
 
 
+def _merge(a: tuple, b: tuple) -> tuple:
+    """Fold contribution ``b`` into partial ``a`` of a reduction.
+
+    Both are ``(value, op, target, entry, mode)``; the value folds by
+    ``b``'s op, and target, entry and mode keep the last one set (an entry
+    only when truthy, so an unset entry travels as None).
+    """
+    value, op, target, entry, mode = b
+    return (combine(op, a[0], value), op,
+            a[2] if target is None else target, entry or a[3],
+            a[4] if mode == "deliver" else mode)
+
+
 # Work units charged by service handlers (bookkeeping costs, roughly a few
 # dozen instructions each on the reference node).
 _HANDLER_WORK = 5.0
 _TABLE_WORK = 20.0
 
 
-class SharingService(Service):
+class SharingService(TreeService):
     """Per-PE state and message handlers for the sharing abstractions."""
 
     name = "share"
@@ -85,12 +102,13 @@ class SharingService(Service):
         self._readonly: Dict[str, Any] = {}
         self._writeonce: Dict[str, Any] = {}
         self._writeonce_avail: Dict[Tuple[str, int], bool] = {}
-        # name -> the span its one broadcast runs over (taken at the root).
-        self._writeonce_spans: Dict[str, Span] = {}
-        # (boc_id, tag, pe) -> the fold state of that PE's subtree, for BOC
-        # reductions and barriers (boc_id >= 0) and accumulator collects
-        # (boc_id -1); dropped as the subtree completes.
-        self._reductions: Dict[Tuple[int, str, int], dict] = {}
+        # The span table (TreeService.spans) holds three kinds of key: a
+        # write-once name, taken as its broadcast reaches the root and kept;
+        # a boc_id, taken at the BOC's first collective (its create reaching
+        # the root) and kept, since its branches live on those ranks; and an
+        # accumulator collect's (-1, tag), taken as the request reaches PE 0
+        # and dropped when the collect completes.  Reduction keys are
+        # (boc_id, tag), with boc_id -1 for collects.
         # (boc_id, tag, pe) of every branch contribution so far: a branch
         # contributes once per tag.
         self._contributed: set[Tuple[int, str, int]] = set()
@@ -108,17 +126,9 @@ class SharingService(Service):
         self._mono_dirty: Dict[Tuple[str, int], bool] = {}
         self._shards: Dict[Tuple[str, int], dict] = {}
         self._collect_id = 0
-        # Accumulator collects: the span each gather runs over, keyed by
-        # its reduction tag.  Taken when the request reaches PE 0, dropped
-        # when the fold completes.
-        self._collect_snap: Dict[str, Span] = {}
         # boc_id -> {pe -> branch}.  Ids are dense (the next one is the
         # table's length), so an id at or past it was never created.
         self.branches: Dict[int, Dict[int, BranchOfficeChare]] = {}
-        # boc_id -> the write-once span of ranks its branches live on, taken
-        # at the BOC's first collective (its create reaching the tree root);
-        # every later broadcast/reduction for that BOC walks it.
-        self.boc_spans: Dict[int, Span] = {}
         # (boc_id, pe) -> branch messages that reached pe before its branch.
         self._held: Dict[Tuple[int, int], List[Envelope]] = {}
         self.mono_updates_sent = 0
@@ -193,7 +203,7 @@ class SharingService(Service):
         if not self._writeonce_avail.get((name, pe)):
             # A rank outside the broadcast's span holds the value as it
             # does read-only variables: replication is modeled free there.
-            span = self._writeonce_spans.get(name)
+            span = self.spans.get(name)
             if span is None or pe in span:
                 raise SharingError(
                     f"write-once variable {name!r} not yet replicated to "
@@ -342,13 +352,6 @@ class SharingService(Service):
             raise RoutingError(f"unknown BOC {boc}: this kernel never created it")
         return boc.boc_id
 
-    def _boc_span(self, boc_id: int) -> Span:
-        """A BOC's write-once span, taken at its first collective."""
-        span = self.boc_spans.get(boc_id)
-        if span is None:
-            span = self.boc_spans[boc_id] = self.kernel.span()
-        return span
-
     def send_branch(
         self,
         boc: BocHandle,
@@ -362,7 +365,7 @@ class SharingService(Service):
         pe = need_int("pe", pe, None)
         if not 0 <= pe < self.kernel.num_pes:
             raise RoutingError(f"branch send to invalid PE {pe}")
-        span = self.boc_spans.get(boc_id)
+        span = self.spans.get(boc_id)
         if span is not None and pe not in span:
             raise _outside_span(boc, pe, span)
         self.kernel.post(Envelope.make_boc(src_pe, pe, entry_name, args, boc,
@@ -388,7 +391,7 @@ class SharingService(Service):
         pe = env.dst_pe
         if pe in self.branches[boc_id]:
             return False
-        span = self.boc_spans.get(boc_id)
+        span = self.spans.get(boc_id)
         if span is not None and pe not in span:
             # Sent before the root took the span, and pe was not touched
             # by then: no branch will ever be built here.  (The other order
@@ -434,6 +437,7 @@ class SharingService(Service):
         ``"barrier"`` mode it broadcasts ``entry(tag, count)`` to every
         branch instead.
         """
+        combiner(op)  # a bad op fails here, not at the first fold
         boc_id = boc.boc_id
         key = (boc_id, tag, pe)
         if key in self._contributed:
@@ -441,71 +445,26 @@ class SharingService(Service):
                 f"the branch of {boc} on PE {pe} contributed to {tag!r} twice"
             )
         self._contributed.add(key)
-        self._reduce_fold(boc_id, tag, pe, value, op, target, entry, mode,
-                          span=self._boc_span(boc_id))
+        self._reduce((boc_id, tag), pe, (value, op, target, entry or None,
+                                         mode), self.span_of(boc_id))
 
-    def _reduce_fold(
-        self,
-        boc_id: int,
-        tag: str,
-        pe: int,
-        value: Any,
-        op,
-        target: Optional[ChareHandle],
-        entry: str,
-        mode: str = "deliver",
-        *,
-        span: Span,
-    ) -> bool:
-        """Fold one contribution up ``span``; True when its root completed.
-
-        ``span`` is the BOC's write-once span, or the per-collect snapshot
-        of an accumulator gather.  A PE's state wants its own contribution
-        plus one partial per span child.
-        """
-        key = (boc_id, tag, pe)
-        st = self._reductions.get(key)
-        if st is None:
-            st = self._reductions[key] = {
-                "value": None,
-                "have": 0,
-                "need": 1 + len(span.children(pe)),
-                "op": None,
-                "target": None,
-                "entry": None,
-                "mode": "deliver",
-            }
-        if op is not None:
-            st["op"] = op
-        if target is not None:
-            st["target"] = target
-        if entry:
-            st["entry"] = entry
-        if mode != "deliver":
-            st["mode"] = mode
-        st["value"] = value if st["have"] == 0 else combine(st["op"], st["value"], value)
-        st["have"] += 1
-        if st["have"] < st["need"]:
-            return False
-        # Subtree complete: push up, or complete at the root.
-        del self._reductions[key]
-        parent = span.parent(pe)
-        if parent is not None:
-            self.send(
-                pe, parent, "red_up",
-                (boc_id, tag, st["value"], st["op"], st["target"], st["entry"],
-                 st["mode"]),
-                counted=True,
-            )
-            return False
-        if st["mode"] == "barrier":
+    def _reduce(self, key: Tuple[int, str], pe: int, contribution: tuple,
+                span: Span) -> None:
+        """Fold one contribution to reduction ``key``; at its completion the
+        root ends a collect, releases a barrier or delivers the total."""
+        total = self.fold(key, pe, contribution, span, _merge, "red_up", True)
+        if total is None:
+            return
+        boc_id, tag = key
+        value, _, target, entry, mode = total
+        if boc_id == -1:
+            del self.spans[key]
+        if mode == "barrier":
             # Release: every branch gets entry(tag, count) via the tree.
-            self.send(pe, 0, "boc_bcast",
-                      (boc_id, st["entry"], (tag, st["value"])), counted=True)
-            return True
-        self.kernel.send_app_from_service(pe, st["target"], st["entry"],
-                                          (tag, st["value"]))
-        return True
+            self.send(pe, 0, "boc_bcast", (boc_id, entry, (tag, value)),
+                      counted=True)
+        else:
+            self.kernel.send_app_from_service(pe, target, entry, (tag, value))
 
     # ----------------------------------------------------------------- handlers
     def handle(self, pe: int, op: str, args: tuple) -> None:
@@ -515,9 +474,8 @@ class SharingService(Service):
         if op == "init":
             # Values are already in our dicts (the simulation shares host
             # memory); the broadcast models the replication *cost* and
-            # sequencing.
-            for child in kernel.tree.children(pe):
-                self.send(pe, child, "init", args, counted=False)
+            # sequencing, down the machine's tree to every rank.
+            self.fan_out(pe, kernel.tree, "init", args)
             # Work queued behind the gate becomes servable as this (system)
             # execution finishes: Kernel._finish serves it.
             kernel.pes[pe].gated = False
@@ -528,58 +486,42 @@ class SharingService(Service):
             # BOC's write-once span: branches materialize on exactly these
             # ranks, and every later broadcast/reduction for the BOC walks
             # the same tree.
-            for child in self._boc_span(boc_id).children(pe):
-                self.send(pe, child, "boc_create", args, counted=True)
+            self.fan_out(pe, self.span_of(boc_id), "boc_create", args, True)
             self._construct_branch(boc_id, boc_cls, cargs, pe)
 
         elif op in ("boc_bcast", "bcast_down"):
             boc_id, entry, bargs = args
-            for child in self._boc_span(boc_id).children(pe):
-                self.send(pe, child, "bcast_down", args, counted=True)
+            self.fan_out(pe, self.span_of(boc_id), "bcast_down", args, True)
             # The local branch runs as a message of its own.
             kernel.post(Envelope.make_boc(pe, pe, entry, bargs,
                                           BocHandle(boc_id)))
 
         elif op == "red_up":
-            boc_id, tag, value, rop, target, entry, mode = args
-            # boc_id -1 marks accumulator collects (per-collect span);
-            # real BOC reductions fold over the BOC's write-once span.
-            span = (self._collect_snap[tag] if boc_id == -1
-                    else self._boc_span(boc_id))
-            done = self._reduce_fold(boc_id, tag, pe, value, rop, target,
-                                     entry, mode, span=span)
-            if done and boc_id == -1:
-                del self._collect_snap[tag]
+            key = args[:2]
+            # A collect's span is keyed by its reduction key, a BOC's by id.
+            self._reduce(key, pe, args[2:],
+                         self.spans[key if key[0] == -1 else key[0]])
 
         elif op == "wonce_bcast":
             name, value = args
             # One broadcast per name (it is write-once), over the span
             # taken as the message reaches the root.
-            span = self._writeonce_spans.get(name)
-            if span is None:
-                span = self._writeonce_spans[name] = kernel.span()
+            span = self.span_of(name)
             self._writeonce.setdefault(name, value)
             self._writeonce_avail[(name, pe)] = True
-            for child in span.children(pe):
-                self.send(pe, child, "wonce_bcast", args, counted=True)
+            self.fan_out(pe, span, "wonce_bcast", args, True)
 
         elif op == "acc_req":
             name, cid, target, entry = args
-            tag = f"acc:{name}:{cid}"
             # The request reaches PE 0 first, which takes the gather's
             # span; ranks outside it (untouched, on a sparse machine) hold
             # _EMPTY and contribute nothing by construction.
-            span = self._collect_snap.get(tag)
-            if span is None:
-                span = self._collect_snap[tag] = kernel.span()
-            for child in span.children(pe):
-                self.send(pe, child, "acc_req", args, counted=True)
-            done = self._reduce_fold(
-                -1, tag, pe, self._acc_get(name, pe),
-                self._acc_fn[name][1], target, entry, span=span,
-            )
-            if done:
-                del self._collect_snap[tag]
+            key = (-1, f"acc:{name}:{cid}")
+            span = self.span_of(key)
+            self.fan_out(pe, span, "acc_req", args, True)
+            self._reduce(key, pe, (self._acc_get(name, pe),
+                                   self._acc_fn[name][1], target,
+                                   entry or None, "deliver"), span)
 
         elif op == "mono_update":
             name, value, src = args

@@ -178,6 +178,35 @@ def test_second_contribution_under_a_tag_raises(P):
         Kernel(make_machine("ipsc2", P)).run(Main)
 
 
+class _BogusOp(BranchOfficeChare):
+    def __init__(self):
+        pass
+
+    @entry
+    def go(self, target):
+        self.contribute("t", 7, "bogus", target, "got")
+
+
+@pytest.mark.parametrize("P", [1, 2, 4])
+def test_contribute_checks_its_op_at_the_call(P):
+    """An unknown op raises in the contributing entry on every P, not at
+    the first fold (which P=1 never reaches: it would return 7)."""
+
+    class Main(Chare):
+        def __init__(self):
+            boc = self.create_boc(_BogusOp)
+            self.broadcast_branches(boc, "go", self.thishandle)
+
+        @entry
+        def got(self, tag, total):
+            self.exit(total)
+
+    with pytest.raises(SharingError,
+                       match="unknown combiner op='bogus'") as excinfo:
+        Kernel(make_machine("ideal", P)).run(Main)
+    assert any(tb.name == "go" for tb in excinfo.traceback)
+
+
 def test_messages_to_branches_before_construction_buffered():
     """send_branch racing ahead of the replication broadcast must be held."""
 

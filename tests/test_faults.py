@@ -182,7 +182,7 @@ def test_drop_retry_converges_and_answer_survives():
     assert result.stats.counted_sent == result.stats.counted_processed
     assert k.faults.msgs_dropped > 0 and k.faults.retries > 0
     assert k.faults.acks_sent > 0
-    assert k.qd._agg == {}                   # no stale wave state leaked
+    assert k.qd.partials == {}               # no stale wave state leaked
 
 
 def test_duplicates_are_suppressed():

@@ -166,7 +166,8 @@ def test_agg_drained_at_shutdown(machine_name, pes):
     kernel = Kernel(make_machine(machine_name, pes), seed=2)
     result = kernel.run(QdMain, 3, 3)
     assert result.result is not None
-    assert kernel.qd._agg == {}
+    assert kernel.qd.partials == {}
+    assert kernel.qd.spans == {}
 
 
 def test_stale_wave_contributions_ignored(ideal4):
@@ -175,16 +176,20 @@ def test_stale_wave_contributions_ignored(ideal4):
     kernel = Kernel(ideal4, seed=0)
     kernel.run(QdMain, 2, 2)
     qd = kernel.qd
+    kernel.api_charge = lambda units: None  # handle() outside an execution
     # A late 'up' carrying an old wave number is dropped outright.
-    qd._fold(qd._wave - 1, 0, 5, 5, True)
-    assert qd._agg == {}
+    qd.handle(0, "up", (qd._wave - 1, 5, 5, True))
+    assert qd.partials == {}
     # Leaked partial state from an abandoned wave is purged on wave start.
-    qd._agg[(qd._wave - 2, 1)] = {"sent": 1, "processed": 0, "idle": False,
-                                  "have": 1, "need": 2}
+    qd.partials[(qd._wave - 2, 1)] = [(1, 0, False), 1]
     qd._callback = (None, "quiet")   # re-arm so _start_wave proceeds
     qd._start_wave()
-    assert (qd._wave - 3, 1) not in qd._agg
-    assert all(w == qd._wave for w, _ in qd._agg)
+    assert (qd._wave - 3, 1) not in qd.partials
+    assert all(w == qd._wave for w, _ in qd.partials)
+    assert list(qd.spans) == [qd._wave]
+    # With the new wave live, an old wave's 'up' is still dropped.
+    qd.handle(1, "up", (qd._wave - 1, 5, 5, True))
+    assert qd.partials == {}
 
 
 @pytest.mark.parametrize("where,params,expected", [

@@ -308,8 +308,8 @@ def test_sparse_boc_span_is_o_active():
     # ...the barrier released with the span's branch count...
     assert barrier_count == len(span_ranks)
     # ...branches were constructed on exactly the span ranks...
-    boc_id = next(iter(k.sharing.boc_spans))
-    span = k.sharing.boc_spans[boc_id]
+    boc_id = next(iter(k.sharing.branches))
+    span = k.sharing.spans[boc_id]
     assert span.ranks == span_ranks and all(pe in span for pe in span_ranks)
     assert 1 not in span and P - 1 not in span
     assert sorted(k.sharing.branches[boc_id]) == span_ranks
@@ -369,7 +369,7 @@ def test_dense_kernels_have_no_boc_spans():
 
     res = Kernel(make_machine("ideal", 8)).run(Main)
     assert list(res.result) == list(range(8))
-    assert list(res.kernel.sharing.boc_spans[0].ranks) == list(range(8))
+    assert list(res.kernel.sharing.spans[0].ranks) == list(range(8))
     assert sorted(res.kernel.sharing.branches[0]) == list(range(8))
 
 
@@ -417,7 +417,7 @@ def test_sparse_write_once_span_rank_still_waits_for_its_broadcast():
     k = Kernel(make_machine("cluster", 100_000, sparse=True))
     with pytest.raises(SharingError, match="not yet replicated to PE 5"):
         k.run(Main)
-    assert k.sharing._writeonce_spans["x"].ranks == [0, 5]
+    assert k.sharing.spans["x"].ranks == [0, 5]
 
 
 # -------------------------------------------------- CentralBalancer heap oracle

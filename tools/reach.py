@@ -83,7 +83,6 @@ ALLOWLIST = {
         "core/chare.py::Chare.write_once",
         "core/messages.py::Envelope.make_boc",
         "core/tree.py::Span.__contains__",
-        "sharing/manager.py::SharingService._boc_span",
         "sharing/manager.py::SharingService._construct_branch",
         "sharing/manager.py::SharingService._known",
         "sharing/manager.py::SharingService.branch",
