@@ -21,6 +21,7 @@ import time
 from repro.bench.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.bench.parallel import SweepExecutor, default_jobs, use_executor
+from repro.util.errors import ConfigurationError
 
 
 def main(argv=None) -> int:
@@ -138,26 +139,21 @@ def main(argv=None) -> int:
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     progress = None if args.no_progress else _progress_printer()
     started = time.perf_counter()
-    tracing = args.trace_out is not None or args.trace_events is not None
-    trace_kinds = args.trace_events if args.trace_events is not None else "all"
-    metrics = (args.metrics_out is not None
-               or args.metrics_interval is not None)
-    metrics_interval = (args.metrics_interval
-                        if args.metrics_interval is not None else 0.0)
-    executor = SweepExecutor(jobs=jobs, cache=cache, progress=progress,
-                             trace_out=args.trace_out,
-                             metrics_out=args.metrics_out)
-    from contextlib import ExitStack
-
-    from repro.bench.harness import use_telemetry, use_tracing
-
-    with ExitStack() as stack:
-        stack.enter_context(executor)
-        stack.enter_context(use_executor(executor))
-        if tracing:
-            stack.enter_context(use_tracing(trace_kinds))
-        if metrics:
-            stack.enter_context(use_telemetry(metrics_interval))
+    trace_kinds = args.trace_events
+    if trace_kinds is None and args.trace_out is not None:
+        trace_kinds = "all"
+    metrics = args.metrics_interval
+    if metrics is None and args.metrics_out is not None:
+        metrics = 0.0
+    try:
+        executor = SweepExecutor(jobs=jobs, cache=cache, progress=progress,
+                                 trace_out=args.trace_out,
+                                 metrics_out=args.metrics_out,
+                                 trace_events=trace_kinds, metrics=metrics)
+    except ConfigurationError as exc:
+        # The other arguments are checked above; only a kind is left.
+        parser.error(f"--trace-events: {exc}")
+    with executor, use_executor(executor):
         for exp_id in ids:
             result = run_experiment(exp_id, scale=args.scale)
             print(f"\n== {result.exp_id}: {result.title} ==")

@@ -15,6 +15,11 @@ the executor:
   :func:`repro.balance.make_balancer` at execution time.
 * ``machine_scaled={"link_bandwidth": 2.8e6}`` — applied to the machine's
   cost model via ``MachineParams.scaled`` at execution time.
+
+What a run records is two params and nothing else: ``trace_events``
+(event kinds to log and export, or ``None`` for no recorder at all) and
+``metrics`` (the telemetry snapshot interval).  An unobserved descriptor
+has neither, so its key is the one it always had.
 """
 
 from __future__ import annotations
@@ -73,10 +78,6 @@ class RunDescriptor:
     params: Tuple[Tuple[str, Any], ...] = ()
     #: ``MachineParams.scaled`` overrides applied after ``make_machine``.
     machine_scaled: Tuple[Tuple[str, Any], ...] = ()
-    #: Structured-event kinds to record (sorted; empty = tracing off).
-    #: Part of the cache key: a traced row carries its event payload, so it
-    #: must never be replayed for an untraced request (or vice versa).
-    trace: Tuple[str, ...] = ()
 
     # ------------------------------------------------------------- display
     @property
@@ -103,7 +104,7 @@ class RunDescriptor:
     # ------------------------------------------------------------- hashing
     def canonical(self) -> Tuple[Any, ...]:
         """Stable, hashable projection of the full configuration."""
-        base = (
+        return (
             "run-v1",
             self.app,
             self.machine,
@@ -112,11 +113,6 @@ class RunDescriptor:
             tuple((k, canonical_value(v)) for k, v in self.params),
             tuple((k, canonical_value(v)) for k, v in self.machine_scaled),
         )
-        # Untraced descriptors keep the historical "run-v1" shape so the
-        # existing cache population stays valid.
-        if self.trace:
-            return base + (("@trace", tuple(self.trace)),)
-        return base
 
     def key(self, fingerprint: str = "") -> str:
         """Content-addressed cache key: descriptor plus code fingerprint."""

@@ -18,7 +18,6 @@ through :func:`measure_many` so independent runs can overlap.
 from __future__ import annotations
 
 import gc
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -46,11 +45,12 @@ from repro.workloads.arrivals import Poisson, ServiceSpec
 from repro.core.kernel import RunResult
 from repro.machine.presets import MACHINE_PRESETS, make_machine
 from repro.metrics.latency import LatencyFold
+from repro.trace.events import EventLog, normalize_kinds
 from repro.util.errors import ConfigurationError, need_int, need_interval
 
 __all__ = ["AppSpec", "APPS", "describe", "measure_many",
            "execute_descriptor", "run_descriptor", "sweep_from_rows",
-           "SweepResult", "use_tracing", "use_telemetry"]
+           "SweepResult"]
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,6 @@ class AppSpec:
     name: str
     runner: Callable[..., Tuple[Any, RunResult]]
     defaults: Dict[str, Any]
-    #: Which strategies make sense: apps with pinned placement ignore balancers.
-    uses_balancer: bool = True
     #: Projection of the answer that must be invariant across P/strategies.
     #: Speculative searches (B&B) legitimately expand different node counts
     #: in different schedules; only the optimum is checked.
@@ -84,7 +82,6 @@ APPS: Dict[str, AppSpec] = {
                         canon=lambda a: a[0]),
     "jacobi": AppSpec(
         "jacobi", run_jacobi, {"n": 32, "blocks": 4, "iterations": 8},
-        uses_balancer=False,
     ),
     "matmul": AppSpec("matmul", run_matmul, {"n": 48, "g": 4}),
     "tree": AppSpec(
@@ -102,7 +99,6 @@ APPS: Dict[str, AppSpec] = {
     ),
     "sor": AppSpec(
         "sor", run_sor, {"n": 32, "blocks": 4, "tol": 1e-2, "max_iters": 200},
-        uses_balancer=False,
     ),
     "samplesort": AppSpec(
         "samplesort", run_samplesort, {"n": 4096, "workers": 16},
@@ -112,9 +108,8 @@ APPS: Dict[str, AppSpec] = {
         "md",
         run_md,
         {"params": MdParams(cells=4, n_particles=64, steps=10, seed=1)},
-        uses_balancer=False,
     ),
-    "lu": AppSpec("lu", run_lu, {"n": 64, "blocks": 16}, uses_balancer=False),
+    "lu": AppSpec("lu", run_lu, {"n": 64, "blocks": 16}),
     "serving": AppSpec(
         "serving",
         run_serving,
@@ -125,61 +120,6 @@ APPS: Dict[str, AppSpec] = {
         fold=LatencyFold,
     ),
 }
-
-
-# ------------------------------------------------------- ambient tracing
-#: Event kinds every subsequently-described run should record, installed
-#: by the bench CLI's ``--trace-events`` flag; () means tracing off.
-_tracing: Tuple[str, ...] = ()
-
-
-@contextmanager
-def use_tracing(kinds: Any):
-    """Trace every run described in this block with the given event kinds.
-
-    ``kinds`` accepts the same spellings as ``Kernel(trace_events=...)``:
-    ``True``/``"all"``, an iterable of kind names, or a comma-joined
-    string.  Tracing becomes part of each run's descriptor (and therefore
-    of its cache key) — it never silently alters untraced measurements.
-    """
-    from repro.trace.events import normalize_kinds
-
-    global _tracing
-    previous = _tracing
-    _tracing = normalize_kinds(kinds)
-    try:
-        yield _tracing
-    finally:
-        _tracing = previous
-
-
-# ----------------------------------------------------- ambient telemetry
-#: Snapshot interval (virtual seconds) every subsequently-described run
-#: should attach a telemetry plane with, installed by the bench CLI's
-#: ``--metrics-*`` flags; ``None`` means telemetry off, ``0.0`` means a
-#: final snapshot only.
-_ambient_metrics: Optional[float] = None
-
-
-@contextmanager
-def use_telemetry(interval: float = 0.0):
-    """Attach a telemetry plane to every run described in this block.
-
-    ``interval`` is the virtual-time snapshot period (``0.0`` = final
-    snapshot only).  Telemetry becomes part of each run's descriptor (and
-    therefore of its cache key) — untelemetered measurements never replay
-    telemetered rows or vice versa.  The plane itself is inert on the
-    simulated run: answers, virtual times and event counts are identical
-    with it on or off.
-    """
-    interval = need_interval("telemetry interval", interval)
-    global _ambient_metrics
-    previous = _ambient_metrics
-    _ambient_metrics = interval
-    try:
-        yield _ambient_metrics
-    finally:
-        _ambient_metrics = previous
 
 
 @dataclass
@@ -243,15 +183,13 @@ def describe(
 ) -> RunDescriptor:
     """Normalise one configuration into a declarative run descriptor.
 
-    ``trace`` selects structured-event kinds for this run (same spellings
-    as ``Kernel(trace_events=...)``); ``None`` inherits the ambient
-    :func:`use_tracing` setting, ``()``/``""`` forces tracing off.
-
-    ``metrics`` attaches a telemetry plane: a snapshot interval in virtual
-    seconds (``0.0`` = final snapshot only).  ``None`` inherits the
-    ambient :func:`use_telemetry` setting, ``False`` forces telemetry off.
-    Telemetry joins ``params`` only when enabled, preserving historical
-    cache keys.
+    What the run records lives in ``params`` and nowhere else.  ``trace``
+    selects structured-event kinds (same spellings as
+    ``Kernel(trace_events=...)``), stored normalised as
+    ``params["trace_events"]``.  ``metrics`` attaches a telemetry plane:
+    a snapshot interval in virtual seconds (``0.0`` = final snapshot
+    only), stored as ``params["metrics"]``.  ``None`` leaves either out,
+    which keeps an unobserved descriptor's historical cache key.
     """
     try:
         spec = APPS[app]
@@ -275,26 +213,12 @@ def describe(
         params["queueing"] = queueing
     params.setdefault("queueing", "fifo")
     params.setdefault("balancer", balancer)
-    if metrics is None:
-        metrics_interval = _ambient_metrics
-    elif metrics is False:
-        metrics_interval = None
-    else:
+    if metrics is not None:
         # Here, not in the run: the interval goes into the descriptor and
         # its cache key, and a pool worker would report it as a failed run.
-        metrics_interval = need_interval("metrics", metrics)
-    if metrics_interval is not None:
-        params["metrics"] = metrics_interval
-    else:
-        params.pop("metrics", None)
-    if trace is None:
-        trace_kinds = _tracing
-    elif not trace:  # explicit off: (), "", False
-        trace_kinds = ()
-    else:
-        from repro.trace.events import normalize_kinds
-
-        trace_kinds = normalize_kinds(trace)
+        params["metrics"] = need_interval("metrics", metrics)
+    if trace is not None:
+        params["trace_events"] = normalize_kinds(trace)
     return RunDescriptor(
         app=app,
         machine=machine_name,
@@ -304,7 +228,6 @@ def describe(
         machine_scaled=tuple(
             sorted((machine_scaled or {}).items(), key=lambda kv: kv[0])
         ),
-        trace=trace_kinds,
     )
 
 
@@ -339,10 +262,6 @@ def execute_descriptor(desc: RunDescriptor) -> MeasureRow:
                                sparse=params.pop("sparse", False))
         if desc.machine_scaled:
             machine.params = machine.params.scaled(**dict(desc.machine_scaled))
-        if desc.trace:
-            # Forwarded to Kernel(trace_events=...) via the runner's
-            # **kernel_kwargs passthrough (every registered app supports it).
-            params["trace_events"] = list(desc.trace)
         metrics_interval = params.pop("metrics", None)
         tel = None
         if metrics_interval is not None:
@@ -353,35 +272,23 @@ def execute_descriptor(desc: RunDescriptor) -> MeasureRow:
             params["telemetry"] = tel
         answer, result = spec.runner(machine, seed=desc.seed, **params)
         kernel = result.kernel
+        meta = {"app": desc.app, "machine": desc.machine,
+                "num_pes": desc.num_pes, "seed": desc.seed,
+                "queueing": desc.queueing, "balancer": desc.balancer_label,
+                "total_time": result.time}
+        # A descriptor that states trace_events exports the log it built
+        # (not a fold or recorder, and never a runner's default log).
+        log = (kernel.events if kernel is not None and "trace_events" in params
+               else None)
         trace_payload = None
-        if desc.trace and kernel is not None and kernel.events is not None:
-            log = kernel.events
+        if isinstance(log, EventLog):
             trace_payload = {
                 "format": "repro-trace-v1",
-                "meta": {
-                    "app": desc.app,
-                    "machine": desc.machine,
-                    "num_pes": desc.num_pes,
-                    "seed": desc.seed,
-                    "queueing": desc.queueing,
-                    "balancer": desc.balancer_label,
-                    "total_time": result.time,
-                    "kinds": list(log.kinds),
-                },
+                "meta": {**meta, "kinds": list(log.kinds)},
                 "events": log.as_records(),
                 "dropped": log.dropped,
             }
-        telemetry_payload = None
-        if tel is not None:
-            telemetry_payload = tel.payload(meta={
-                "app": desc.app,
-                "machine": desc.machine,
-                "num_pes": desc.num_pes,
-                "seed": desc.seed,
-                "queueing": desc.queueing,
-                "balancer": desc.balancer_label,
-                "total_time": result.time,
-            })
+        telemetry_payload = None if tel is None else tel.payload(meta=meta)
         return MeasureRow(
             app=desc.app,
             machine=desc.machine,
@@ -414,16 +321,15 @@ def run_descriptor(desc: RunDescriptor) -> MeasureRow:
     once the row is projected the run is detached from it and its kernel
     closed, so no kernel outlives the call that simulated it — and nobody
     can read an event log off it.  So where the app digests its answer
-    from a recorder (``AppSpec.fold``) and the descriptor neither exports
-    a trace nor sets ``trace_events`` itself (S6's ``None``), the run
+    from a recorder (``AppSpec.fold``) and the descriptor does not set
+    ``trace_events`` (to event kinds, or S6's ``None``), the run
     records into a fresh fold instead of the runner's default log; the
     answer is the same float for float (``tests/test_event_rows.py``).
     The fold rides in a private copy of the descriptor, through the
     ``**kernel_kwargs`` passthrough every ``trace_events`` setting takes.
     """
     fold = APPS[desc.app].fold
-    if (fold is not None and not desc.trace
-            and "trace_events" not in dict(desc.params)):
+    if fold is not None and "trace_events" not in dict(desc.params):
         desc = replace(desc, params=desc.params + (("trace_events", fold()),))
     row = execute_descriptor(desc)
     result, row.result = row.result, None

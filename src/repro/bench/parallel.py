@@ -32,11 +32,13 @@ import os
 import time
 import traceback
 from contextlib import contextmanager
+from dataclasses import replace
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.bench.cache import ResultCache
 from repro.bench.descriptors import RunDescriptor
-from repro.util.errors import ConfigurationError, need_int
+from repro.util.errors import ConfigurationError, need_int, need_interval
 
 __all__ = ["SweepExecutor", "SweepRunError", "current_executor",
            "use_executor", "default_jobs"]
@@ -93,6 +95,8 @@ class SweepExecutor:
         progress: Optional[Callable[[Dict[str, Any]], None]] = None,
         trace_out: Optional[str] = None,
         metrics_out: Optional[str] = None,
+        trace_events: Any = None,
+        metrics: Optional[float] = None,
     ) -> None:
         # Not max(1, int(jobs)): 0 or 2.7 workers is a mistake to report,
         # not a number to round.
@@ -116,6 +120,17 @@ class SweepExecutor:
         #: ``.metrics.jsonl`` stream plus a ``.prom`` scrape twin, with a
         #: one-line run-health digest on stderr.
         self.metrics_out = metrics_out
+        #: The ``trace_events`` kinds and ``metrics`` interval every
+        #: descriptor of a batch records with, each added only where the
+        #: descriptor does not state its own (the bench CLI's ``--trace-*``
+        #: and ``--metrics-*`` flags).  Checked here, not in a pool worker.
+        self.observe: Dict[str, Any] = {}
+        if trace_events is not None:
+            from repro.trace.events import normalize_kinds
+
+            self.observe["trace_events"] = normalize_kinds(trace_events)
+        if metrics is not None:
+            self.observe["metrics"] = need_interval("metrics", metrics)
         self._pool = None
         # Lifetime totals, for the CLI/CI summary.
         self.runs_executed = 0
@@ -159,6 +174,8 @@ class SweepExecutor:
         """Execute a batch; results are returned in input order."""
         started = time.perf_counter()
         self.batches += 1
+        if self.observe:
+            descs = [self.observed(desc) for desc in descs]
         rows: List[Any] = [None] * len(descs)
         pending: List[int] = []
         cached = 0
@@ -178,77 +195,75 @@ class SweepExecutor:
             else:
                 self._run_pooled(descs, rows, pending, label, cached)
             self.runs_executed += len(pending)
-        if self.trace_out is not None:
-            self._write_traces(descs, rows)
-        if self.metrics_out is not None:
-            self._write_metrics(descs, rows)
+        if self.trace_out is not None or self.metrics_out is not None:
+            self._export(descs, rows)
         self.wall_s += time.perf_counter() - started
         return rows
 
-    def _write_traces(self, descs, rows) -> None:
-        """Export every traced row of the batch under ``trace_out``.
+    def observed(self, desc: RunDescriptor) -> RunDescriptor:
+        """What this executor runs for ``desc``: ``desc`` plus each of
+        :attr:`observe`'s params that it does not state itself."""
+        params = dict(desc.params)
+        missing = {k: v for k, v in self.observe.items() if k not in params}
+        if not missing:
+            return desc
+        params.update(missing)
+        return replace(desc, params=tuple(sorted(params.items(),
+                                                 key=itemgetter(0))))
 
-        Cached replays are exported too (their payload travels with the
-        row), so re-running a traced sweep always regenerates its files.
+    def _export(self, descs, rows) -> None:
+        """Write every observed row of the batch, under one file stem.
+
+        A row with a trace payload gets ``<stem>.run.json`` (its events and
+        the metrics sampled from them) and a ``.perfetto.json`` twin under
+        ``trace_out``; one with a telemetry payload gets the archival
+        ``.metrics.jsonl`` stream, a ``.prom`` scrape and one health line on
+        stderr under ``metrics_out``.  Cached replays export too: the
+        payloads are plain data on the row, so re-running an observed
+        sweep always regenerates its files.
         """
         import json
         import re
-
-        os.makedirs(self.trace_out, exist_ok=True)
-        for desc, row in zip(descs, rows):
-            trace = getattr(row, "trace", None)
-            if trace is None:
-                continue
-            from repro.metrics import sample_metrics
-            from repro.trace.perfetto import write_perfetto
-
-            doc = dict(trace)
-            doc["metrics"] = sample_metrics(
-                doc["events"],
-                num_pes=doc["meta"].get("num_pes"),
-                t_end=doc["meta"].get("total_time"),
-            )
-            stem = re.sub(r"[^A-Za-z0-9._-]+", "-", desc.label()).strip("-")
-            stem = f"{stem}-{desc.key()[:8]}"
-            run_path = os.path.join(self.trace_out, stem + ".run.json")
-            with open(run_path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
-                fh.write("\n")
-            write_perfetto(
-                os.path.join(self.trace_out, stem + ".perfetto.json"),
-                doc["events"], meta=doc["meta"], metrics=doc["metrics"],
-            )
-            self.traces_written += 1
-
-    def _write_metrics(self, descs, rows) -> None:
-        """Export every telemetered row of the batch under ``metrics_out``.
-
-        Like traces, cached replays export too — the payload is plain data
-        riding on the row.  Each run gets the archival JSONL stream, a
-        Prometheus text scrape, and one health line on stderr (the live
-        watchdog view of how the run ended).
-        """
-        import re
         import sys
 
-        from repro.obs import RunHealth, to_jsonl, to_prometheus
-
-        os.makedirs(self.metrics_out, exist_ok=True)
+        for out in (self.trace_out, self.metrics_out):
+            if out is not None:
+                os.makedirs(out, exist_ok=True)
         for desc, row in zip(descs, rows):
-            payload = getattr(row, "telemetry", None)
-            if payload is None:
+            trace = row.trace if self.trace_out is not None else None
+            payload = row.telemetry if self.metrics_out is not None else None
+            if trace is None and payload is None:
                 continue
             stem = re.sub(r"[^A-Za-z0-9._-]+", "-", desc.label()).strip("-")
             stem = f"{stem}-{desc.key()[:8]}"
-            path = os.path.join(self.metrics_out, stem + ".metrics.jsonl")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(to_jsonl(payload))
-            with open(os.path.join(self.metrics_out, stem + ".prom"),
-                      "w", encoding="utf-8") as fh:
-                fh.write(to_prometheus(payload))
-            print(f"[{desc.label()}] {RunHealth(payload).format()}",
-                  file=sys.stderr)
-            self.metrics_written += 1
+            if trace is not None:
+                from repro.metrics import sample_metrics
+                from repro.trace.perfetto import write_perfetto
+
+                doc = dict(trace)
+                doc["metrics"] = sample_metrics(
+                    doc["events"],
+                    num_pes=doc["meta"].get("num_pes"),
+                    t_end=doc["meta"].get("total_time"),
+                )
+                base = os.path.join(self.trace_out, stem)
+                with open(base + ".run.json", "w", encoding="utf-8") as fh:
+                    json.dump(doc, fh)
+                    fh.write("\n")
+                write_perfetto(base + ".perfetto.json", doc["events"],
+                               meta=doc["meta"], metrics=doc["metrics"])
+                self.traces_written += 1
+            if payload is not None:
+                from repro.obs import RunHealth, to_jsonl, to_prometheus
+
+                base = os.path.join(self.metrics_out, stem)
+                with open(base + ".metrics.jsonl", "w", encoding="utf-8") as fh:
+                    fh.write(to_jsonl(payload))
+                with open(base + ".prom", "w", encoding="utf-8") as fh:
+                    fh.write(to_prometheus(payload))
+                print(f"[{desc.label()}] {RunHealth(payload).format()}",
+                      file=sys.stderr)
+                self.metrics_written += 1
 
     def _run_inline(self, descs, rows, pending, label, cached) -> None:
         """The historical serial path: same process, same submission order."""

@@ -397,8 +397,9 @@ def exp_s6(scale: str = "paper") -> ExperimentResult:  # noqa: F821
         for pes in pes_list
     ] + [
         # Scale arm: telemetry only.  ``trace_events=None`` reaches
-        # run_serving through the descriptor params and suppresses both
-        # its default log and the sweep's fold — no recorder exists anywhere.
+        # run_serving through the descriptor params and suppresses its
+        # default log, the sweep's fold and any kinds a tracing executor
+        # adds — no recorder exists anywhere.
         describe("serving", machine, demo_pes, metrics=interval,
                  trace_events=None, **common)
     ]

@@ -97,11 +97,19 @@ class Event(NamedTuple):
 
 
 def normalize_kinds(kinds: Union[bool, str, Iterable[str], None]) -> tuple:
-    """Canonicalise a kind selection to a sorted tuple of valid kinds."""
+    """Canonicalise a kind selection to a sorted tuple of valid kinds.
+
+    A selection of no kind is refused: it would build a log that records
+    nothing, where the caller most likely meant no tracing (``None``).
+    """
     if kinds is None or kinds is True or kinds == "all":
         return tuple(EVENT_KINDS)
     if isinstance(kinds, str):
         kinds = [k.strip() for k in kinds.split(",") if k.strip()]
+    elif not isinstance(kinds, Iterable):
+        raise ConfigurationError(
+            f"trace event kinds must be True, 'all', a comma-joined string "
+            f"or an iterable of kind names, not {kinds!r}")
     selected = []
     for kind in kinds:
         if kind == "all":
@@ -113,6 +121,9 @@ def normalize_kinds(kinds: Union[bool, str, Iterable[str], None]) -> tuple:
             )
         if kind not in selected:
             selected.append(kind)
+    if not selected:
+        raise ConfigurationError(
+            "no trace event kind selected; leave tracing off with None")
     return tuple(sorted(selected))
 
 

@@ -41,8 +41,10 @@ def _feed(h, obj: Any) -> None:
         h.update(b"I")
         h.update(str(obj).encode())
     elif kind is float:
+        # ``obj or 0.0``: -0.0 == 0.0 is one key (a dict's too), so it must
+        # land on one shard.
         h.update(b"F")
-        h.update(obj.hex().encode())
+        h.update((obj or 0.0).hex().encode())
     elif obj is None:
         h.update(b"N")
     elif isinstance(obj, bool):
@@ -52,7 +54,7 @@ def _feed(h, obj: Any) -> None:
         h.update(str(obj).encode())
     elif isinstance(obj, float):
         h.update(b"F")
-        h.update(obj.hex().encode())
+        h.update((obj or 0.0).hex().encode())
     elif isinstance(obj, str):
         h.update(b"S")
         h.update(obj.encode("utf-8"))

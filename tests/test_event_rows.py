@@ -70,6 +70,12 @@ def _parent_cases():
     }
 
 
+def _untraced(desc):
+    """``desc`` without the ``trace_events`` kinds it states."""
+    return replace(desc, params=tuple(kv for kv in desc.params
+                                      if kv[0] != "trace_events"))
+
+
 def _capture(run=execute_descriptor):
     out = {}
     for name, desc in _parent_cases().items():
@@ -92,7 +98,7 @@ def test_records_and_answers_equal_parent_commit():
     assert _capture(run_descriptor) == expected
     for name, desc in _parent_cases().items():
         if desc.app == "serving":
-            untraced = replace(desc, trace=())
+            untraced = _untraced(desc)
             assert repr(run_descriptor(untraced).answer) == expected[name]["answer"]
 
 
@@ -104,7 +110,7 @@ def test_latency_fold_with_telemetry_keeps_the_pinned_answer(name):
     those of the fold alone."""
     with open(FIXTURE) as fh:
         expected = json.load(fh)[name]["answer"]
-    desc = replace(_parent_cases()[name], trace=())
+    desc = _untraced(_parent_cases()[name])
     folded = run_descriptor(desc)
     assert repr(folded.answer) == expected
     observed = run_descriptor(replace(

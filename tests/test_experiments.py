@@ -250,6 +250,40 @@ def test_a5_link_contention_hurts_all_to_all_most(results):
     assert sort > jacobi, "all-to-all must suffer more than a stencil"
 
 
+def test_tracing_the_sweep_leaves_s6_unchanged(tmp_path, monkeypatch):
+    """``--trace-out`` observes a sweep and never changes a table.
+
+    S6's scale arm states ``trace_events=None``, so a tracing sweep leaves
+    it without a recorder: it keeps ``validated: false`` and its ``-``
+    bucket column, and both of S6's outputs equal the untraced ones byte
+    for byte once host seconds are zeroed.  Only the validation arm is
+    traced and exported."""
+    from repro.bench import harness
+    from repro.bench.__main__ import main
+
+    run = harness.run_descriptor
+
+    def host_free(desc):
+        row = run(desc)
+        row.host_seconds = 0.0
+        return row
+
+    monkeypatch.setattr(harness, "run_descriptor", host_free)
+    traces = tmp_path / "traces"
+    outputs = {}
+    for name, extra in (("plain", []), ("traced", ["--trace-out", str(traces)])):
+        tables = tmp_path / name
+        assert main(["--exp", "s6", "--scale", "quick", "--jobs", "1",
+                     "--no-cache", "--no-progress", "--output", str(tables),
+                     *extra]) == 0
+        outputs[name] = [(tables / f"s6.{ext}").read_text()
+                         for ext in ("txt", "json")]
+    assert outputs["traced"] == outputs["plain"]
+    series = json.loads(outputs["traced"][1])["data"]["series"]
+    assert [row["validated"] for row in series] == [True, False]
+    assert len(list(traces.glob("*.run.json"))) == 1
+
+
 def test_s1_cli_exports_parse_and_rederive_the_folded_digests(results,
                                                                tmp_path):
     """``python -m repro.bench --exp s1 --trace-out --metrics-out``: every

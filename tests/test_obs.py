@@ -558,12 +558,11 @@ def _described(metrics):
     return describe("fib", "ipsc2", 8, metrics=metrics).key()
 
 
-def _ambient(interval):
-    """The interval ``use_telemetry(interval)`` installs."""
-    from repro.bench.harness import use_telemetry
+def _executor(interval):
+    """The interval ``SweepExecutor(metrics=interval)`` adds."""
+    from repro.bench.parallel import SweepExecutor
 
-    with use_telemetry(interval) as installed:
-        return installed
+    return SweepExecutor(jobs=1, metrics=interval).observe["metrics"]
 
 
 def _observed(value):
@@ -584,40 +583,43 @@ class TestBenchTelemetry:
         assert dict(with_metrics.params)["metrics"] == 0.0
         assert desc.key() != with_metrics.key()
 
-    def test_ambient_use_telemetry(self):
-        from repro.bench.harness import describe, use_telemetry
+    def test_executor_interval_fills_only_unset_descriptors(self):
+        from repro.bench.harness import describe
+        from repro.bench.parallel import SweepExecutor
 
-        assert "metrics" not in dict(describe("fib", "ipsc2", 8).params)
-        with use_telemetry(2e-3):
-            inherited = describe("fib", "ipsc2", 8)
-            forced_off = describe("fib", "ipsc2", 8, metrics=False)
-        assert "metrics" not in dict(describe("fib", "ipsc2", 8).params)
-        assert dict(inherited.params)["metrics"] == 2e-3
-        assert "metrics" not in dict(forced_off.params)
+        plain = describe("fib", "ipsc2", 8)
+        own = describe("fib", "ipsc2", 8, metrics=0.0)
+        with SweepExecutor(jobs=1, metrics=2e-3) as ex:
+            assert ex.observed(plain) == describe("fib", "ipsc2", 8,
+                                                  metrics=2e-3)
+            assert ex.observed(own) is own
+            rows = ex.run_many([plain, own])
+        assert [row.telemetry["meta"]["interval"] for row in rows] == [
+            2e-3, 0.0]
+        assert "metrics" not in dict(plain.params)
 
-    def test_use_telemetry_rejects_negative(self):
-        from repro.bench.harness import use_telemetry
+    def test_executor_rejects_negative_interval(self):
+        from repro.bench.parallel import SweepExecutor
 
         with pytest.raises(ConfigurationError):
-            with use_telemetry(-1.0):
-                pass
+            SweepExecutor(jobs=1, metrics=-1.0)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1.0"])
-    @pytest.mark.parametrize("entry", ["describe", "use_telemetry", "cli"])
+    @pytest.mark.parametrize("entry", ["describe", "executor", "cli"])
     def test_bad_interval_fails_at_the_call_naming_the_field(
             self, entry, value, capsys):
         # Not later, inside the run's Telemetry: by then the value is
         # in a descriptor and its cache key, possibly in a pool worker.
         from repro.bench.__main__ import main
-        from repro.bench.harness import describe, use_telemetry
+        from repro.bench.harness import describe
+        from repro.bench.parallel import SweepExecutor
 
         if entry == "describe":
             with pytest.raises(ConfigurationError, match="metrics"):
                 describe("fib", "ipsc2", 8, metrics=float(value))
-        elif entry == "use_telemetry":
-            with pytest.raises(ConfigurationError, match="interval"):
-                with use_telemetry(float(value)):
-                    pass
+        elif entry == "executor":
+            with pytest.raises(ConfigurationError, match="metrics"):
+                SweepExecutor(jobs=1, metrics=float(value))
         else:
             with pytest.raises(SystemExit) as exit_info:
                 main(["--exp", "t9", "--scale", "quick", "--no-cache",
@@ -633,9 +635,9 @@ class TestBenchTelemetry:
         (lambda: _described("0.5"), "metrics",
          lambda: _described(0.5), "58c0365afcba5ce0dec88abe78cde382"),
         # A bare ValueError / TypeError, and True as 1.0.
-        (lambda: _ambient("abc"), "interval", lambda: _ambient(1.0), 1.0),
-        (lambda: _ambient(None), "interval", lambda: _ambient(0), 0.0),
-        (lambda: _ambient(True), "interval",
+        (lambda: _executor("abc"), "metrics", lambda: _executor(1.0), 1.0),
+        (lambda: _executor(False), "metrics", lambda: _executor(0), 0.0),
+        (lambda: _executor(True), "metrics",
          lambda: _described(np_float(1e-3)),
          "26ebe3ff2d1f334ac99f35364f24b90b"),
         (lambda: Telemetry(interval=True), "interval",
@@ -645,8 +647,8 @@ class TestBenchTelemetry:
          lambda: _observed(1e300), {"31919": 1}),
         (lambda: Histogram().observe(float("inf")), "finite",
          lambda: _observed(1.7976931348623157e308), {"32799": 1}),
-    ], ids=["describe-true", "describe-str", "ambient-str", "ambient-none",
-            "ambient-true", "telemetry-true", "observe-nan", "observe-inf"])
+    ], ids=["describe-true", "describe-str", "executor-str", "executor-false",
+            "executor-true", "telemetry-true", "observe-nan", "observe-inf"])
     def test_one_interval_check_names_the_field(self, bad, field, good,
                                                 answer):
         with pytest.raises(ConfigurationError, match=field):
@@ -655,13 +657,14 @@ class TestBenchTelemetry:
 
     @pytest.mark.parametrize("value", [0.0, 0.005])
     def test_zero_and_positive_intervals_still_pass(self, value):
-        from repro.bench.harness import describe, use_telemetry
+        from repro.bench.harness import describe
+        from repro.bench.parallel import SweepExecutor
 
         explicit = describe("fib", "ipsc2", 8, metrics=value)
-        with use_telemetry(value):
-            ambient = describe("fib", "ipsc2", 8)
+        added = SweepExecutor(jobs=1, metrics=value).observed(
+            describe("fib", "ipsc2", 8))
         assert dict(explicit.params)["metrics"] == value
-        assert ambient == explicit
+        assert added == explicit
 
     def test_execute_descriptor_attaches_payload(self):
         from repro.bench.harness import describe, execute_descriptor

@@ -370,6 +370,25 @@ def test_table_find_missing_returns_none(ideal4):
     assert Kernel(ideal4).run(Main).result == (("no", "such"), None)
 
 
+def test_table_find_under_negative_zero_finds_a_zero_key(ipsc8):
+    """0.0 == -0.0 is one key, as in a dict, so it has one home PE."""
+    class Main(Chare):
+        def __init__(self):
+            self.new_table("t")
+            self.table_insert("t", 0.0, "zero", reply_to=self.thishandle,
+                              reply_entry="acked")
+
+        @entry
+        def acked(self, key):
+            self.table_find("t", -0.0, self.thishandle, "found")
+
+        @entry
+        def found(self, key, value):
+            self.exit(value)
+
+    assert Kernel(ipsc8).run(Main).result == "zero"
+
+
 def test_table_unknown_name_raises(ideal4):
     class Main(Chare):
         def __init__(self):

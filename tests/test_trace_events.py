@@ -5,9 +5,8 @@ from collections import Counter
 
 import pytest
 
-from repro.bench.descriptors import RunDescriptor
-from repro.bench.harness import (describe, execute_descriptor, measure_many,
-                                 use_tracing)
+from repro.bench.cache import ResultCache
+from repro.bench.harness import describe, execute_descriptor, measure_many
 from repro.bench.parallel import SweepExecutor, use_executor
 from repro.faults import FaultConfig
 from repro.machine.presets import make_machine
@@ -57,6 +56,13 @@ def test_normalize_kinds_spellings():
     assert normalize_kinds(["qd", "qd", "lb"]) == ("lb", "qd")
     with pytest.raises(ConfigurationError):
         normalize_kinds("sends")
+    # No kind at all is refused, not a log that records nothing; a bool
+    # other than True is not a selection.
+    for nothing in ("", " , ", (), [], False):
+        with pytest.raises(ConfigurationError, match="kind"):
+            normalize_kinds(nothing)
+        with pytest.raises(ConfigurationError, match="kind"):
+            describe("fib", "ipsc2", 8, trace=nothing)
 
 
 def test_log_structure(traced_run, records):
@@ -365,25 +371,46 @@ def test_descriptor_key_includes_trace():
     traced = describe("queens", "ipsc2", 4, n=6, grainsize=2, trace="all")
     subset = describe("queens", "ipsc2", 4, n=6, grainsize=2,
                       trace="send,deliver")
-    assert plain.trace == ()
-    assert traced.trace == EVENT_KINDS
+    assert "trace_events" not in dict(plain.params)
+    assert dict(traced.params)["trace_events"] == EVENT_KINDS
+    assert dict(subset.params)["trace_events"] == ("deliver", "send")
     assert len({plain.key(), traced.key(), subset.key()}) == 3
-    # Untraced descriptors keep the historical canonical shape.
-    assert plain.canonical() == RunDescriptor(
-        app=plain.app, machine=plain.machine, num_pes=plain.num_pes,
-        seed=plain.seed, params=plain.params,
-    ).canonical()
+    # The kinds are a param like any other: no field, no extra tag.
+    assert traced.canonical()[:5] == plain.canonical()[:5]
+    assert len(traced.canonical()) == len(plain.canonical()) == 7
 
 
-def test_ambient_use_tracing():
-    with use_tracing("qd,lb"):
-        desc = describe("queens", "ipsc2", 4, n=6, grainsize=2)
-        assert desc.trace == ("lb", "qd")
-        # An explicit trace= wins over the ambient setting.
-        off = describe("queens", "ipsc2", 4, n=6, grainsize=2, trace=())
-        assert off.trace == ()
-    after = describe("queens", "ipsc2", 4, n=6, grainsize=2)
-    assert after.trace == ()
+def test_executor_trace_kinds_fill_only_unset_descriptors(tmp_path):
+    """A tracing executor adds its kinds to a descriptor that states no
+    ``trace_events``; one that states kinds, or ``None``, keeps them."""
+    plain = describe("queens", "ipsc2", 4, n=6, grainsize=2)
+    own = describe("queens", "ipsc2", 4, n=6, grainsize=2, trace="send")
+    off = describe("queens", "ipsc2", 4, n=6, grainsize=2, trace_events=None)
+    cache = ResultCache(str(tmp_path))
+    with SweepExecutor(jobs=1, cache=cache, trace_events="qd,lb") as ex:
+        assert ex.observed(plain) == describe(
+            "queens", "ipsc2", 4, n=6, grainsize=2, trace="lb,qd")
+        assert ex.observed(own) is own and ex.observed(off) is off
+        rows = ex.run_many([plain, own, off])
+    assert [row.trace and row.trace["meta"]["kinds"] for row in rows] == [
+        ["lb", "qd"], ["send"], None]
+    # Stored under the observed descriptor's key, not the bare one's.
+    assert cache.get(ex.observed(plain)) is not None
+    assert cache.get(plain) is None
+
+
+@pytest.mark.parametrize("kinds, says", [
+    ("send,bogus", "unknown trace event kind 'bogus'"),
+    ("", "no trace event kind selected"),
+], ids=["unknown", "empty"])
+def test_cli_bad_trace_kinds_are_a_usage_error(kinds, says, capsys):
+    from repro.bench.__main__ import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--exp", "t9", "--scale", "quick", "--no-cache",
+              "--trace-events", kinds])
+    assert exit_info.value.code == 2
+    assert f"--trace-events: {says}" in capsys.readouterr().err
 
 
 def test_traced_measure_row_payload(tmp_path):

@@ -5,8 +5,8 @@
 It runs the S-series experiments (``s1``–``s6``) at paper scale once,
 through an in-process executor that keeps every descriptor they submit.
 Then, for ``ROUNDS`` rounds, it runs each descriptor the sweep would fold
-(one that neither exports a trace nor sets ``trace_events`` itself) three
-ways, back to back and in a rotating order:
+(one whose params do not set ``trace_events``) three ways, back to back
+and in a rotating order:
 
 * ``fold``: as the sweep runs it, recording into a fresh
   :class:`~repro.metrics.latency.LatencyFold`;
@@ -67,7 +67,7 @@ def collect():
         for exp in SERVING:
             run_experiment(exp, "paper")
     return [desc for desc in keep.descs
-            if not desc.trace and "trace_events" not in dict(desc.params)]
+            if "trace_events" not in dict(desc.params)]
 
 
 def way(desc, name: str):
