@@ -28,20 +28,13 @@ from typing import Any, Dict
 from repro.apps.tree import TreeParams
 from repro.apps.tsp import TspInstance, tsp_seq
 from repro.bench.harness import describe, measure_many
-from repro.bench.tables import format_table
+from repro.bench.tables import ExperimentResult, format_table
 
 __all__ = ["exp_a1", "exp_a2", "exp_a3", "exp_a4", "exp_a5"]
 
 
-def _result_cls():
-    from repro.bench.experiments import ExperimentResult
-
-    return ExperimentResult
-
-
-def exp_a1(scale: str = "paper"):
+def exp_a1(scale: str = "paper") -> ExperimentResult:
     """Spanning-tree shape ablation on a hypercube."""
-    ExperimentResult = _result_cls()
     pes = 16 if scale == "quick" else 64
     params = (
         TreeParams(seed=11, max_depth=10, max_fanout=5, branch_bias=0.96)
@@ -78,9 +71,8 @@ def exp_a1(scale: str = "paper"):
     )
 
 
-def exp_a2(scale: str = "paper"):
+def exp_a2(scale: str = "paper") -> ExperimentResult:
     """Monotonic lazy-batching interval ablation (TSP bound sharing)."""
-    ExperimentResult = _result_cls()
     pes = 8 if scale == "quick" else 16
     n = 8 if scale == "quick" else 10
     # Same instance the descriptors will rebuild (n + instance_seed=0).
@@ -114,9 +106,8 @@ def exp_a2(scale: str = "paper"):
     )
 
 
-def exp_a3(scale: str = "paper"):
+def exp_a3(scale: str = "paper") -> ExperimentResult:
     """Quiescence wave-interval ablation: latency vs probe traffic."""
-    ExperimentResult = _result_cls()
     pes = 8 if scale == "quick" else 16
     n = 7 if scale == "quick" else 8
     intervals = [0.1e-3, 0.5e-3, 2e-3, 10e-3]
@@ -148,14 +139,13 @@ def exp_a3(scale: str = "paper"):
     )
 
 
-def exp_a5(scale: str = "paper"):
+def exp_a5(scale: str = "paper") -> ExperimentResult:
     """Link-contention ablation: uncontended links vs per-link queuing.
 
     All-to-all traffic (sample sort) suffers from link serialization far
     more than nearest-neighbor traffic (jacobi) — the reason contention
     modelling matters when comparing communication patterns.
     """
-    ExperimentResult = _result_cls()
     pes = 8 if scale == "quick" else 16
     n_sort = 2048 if scale == "quick" else 8192
     n_grid = 16 if scale == "quick" else 32
@@ -189,9 +179,8 @@ def exp_a5(scale: str = "paper"):
     )
 
 
-def exp_a4(scale: str = "paper"):
+def exp_a4(scale: str = "paper") -> ExperimentResult:
     """ACWN parameter ablation: threshold and hop budget."""
-    ExperimentResult = _result_cls()
     pes = 8 if scale == "quick" else 16
     params = (
         TreeParams(seed=11, max_depth=10, max_fanout=5, branch_bias=0.96)

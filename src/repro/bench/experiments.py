@@ -11,29 +11,23 @@ experiment's claim shape in the tier-1 suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Sequence
 
 from repro.apps import TreeParams
+from repro.bench.ablations import exp_a1, exp_a2, exp_a3, exp_a4, exp_a5
 from repro.bench.harness import (
     APPS,
     describe,
     measure_many,
     sweep_from_rows,
 )
-from repro.bench.tables import format_series, format_table
+from repro.bench.serving import (exp_s1, exp_s2, exp_s3, exp_s4, exp_s5,
+                                 exp_s6)
+from repro.bench.tables import ExperimentResult, format_series, format_table
 from repro.faults import FaultConfig
 from repro.util.errors import ConfigurationError
 
 __all__ = ["ExperimentResult", "EXPERIMENTS", "run_experiment"]
-
-
-@dataclass
-class ExperimentResult:
-    exp_id: str
-    title: str
-    text: str
-    data: Dict[str, Any] = field(default_factory=dict)
 
 
 # --------------------------------------------------------------------- scales
@@ -733,30 +727,12 @@ def exp_r2(scale: str = "paper") -> ExperimentResult:
     )
 
 
-def _ablation(name: str) -> Callable[..., ExperimentResult]:
-    def runner(scale: str = "paper") -> ExperimentResult:
-        from repro.bench import ablations
-
-        return getattr(ablations, name)(scale=scale)
-
-    return runner
-
-
-def _serving(name: str) -> Callable[..., ExperimentResult]:
-    def runner(scale: str = "paper") -> ExperimentResult:
-        from repro.bench import serving
-
-        return getattr(serving, name)(scale=scale)
-
-    return runner
-
-
 EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    "a1": _ablation("exp_a1"),
-    "a2": _ablation("exp_a2"),
-    "a3": _ablation("exp_a3"),
-    "a4": _ablation("exp_a4"),
-    "a5": _ablation("exp_a5"),
+    "a1": exp_a1,
+    "a2": exp_a2,
+    "a3": exp_a3,
+    "a4": exp_a4,
+    "a5": exp_a5,
     "t1": exp_t1,
     "t2": exp_t2,
     "t3": exp_t3,
@@ -773,12 +749,12 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "f3": exp_f3,
     "r1": exp_r1,
     "r2": exp_r2,
-    "s1": _serving("exp_s1"),
-    "s2": _serving("exp_s2"),
-    "s3": _serving("exp_s3"),
-    "s4": _serving("exp_s4"),
-    "s5": _serving("exp_s5"),
-    "s6": _serving("exp_s6"),
+    "s1": exp_s1,
+    "s2": exp_s2,
+    "s3": exp_s3,
+    "s4": exp_s4,
+    "s5": exp_s5,
+    "s6": exp_s6,
 }
 
 

@@ -238,11 +238,13 @@ class SweepExecutor:
             stem = f"{stem}-{desc.key()[:8]}"
             if trace is not None:
                 from repro.metrics import sample_metrics
+                from repro.trace.events import EventIndex
                 from repro.trace.perfetto import write_perfetto
 
                 doc = dict(trace)
+                index = EventIndex(doc["events"])
                 doc["metrics"] = sample_metrics(
-                    doc["events"],
+                    index,
                     num_pes=doc["meta"].get("num_pes"),
                     t_end=doc["meta"].get("total_time"),
                 )
@@ -250,7 +252,7 @@ class SweepExecutor:
                 with open(base + ".run.json", "w", encoding="utf-8") as fh:
                     json.dump(doc, fh)
                     fh.write("\n")
-                write_perfetto(base + ".perfetto.json", doc["events"],
+                write_perfetto(base + ".perfetto.json", index,
                                meta=doc["meta"], metrics=doc["metrics"])
                 self.traces_written += 1
             if payload is not None:

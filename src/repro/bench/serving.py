@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro.bench.harness import describe, measure_many
-from repro.bench.tables import format_table
+from repro.bench.tables import ExperimentResult, format_table
 from repro.faults import FaultConfig
 from repro.machine.presets import make_machine
 from repro.workloads.arrivals import Bursty, Diurnal, Poisson, ServiceSpec
@@ -39,12 +39,6 @@ __all__ = ["exp_s1", "exp_s2", "exp_s3", "exp_s4", "exp_s5", "exp_s6"]
 #: mean of 400 work units ≈ 1.2 ms on ncube2).
 SERVICE = ServiceSpec("exp", 400.0)
 MACHINE = "ncube2"
-
-
-def _result_cls():
-    from repro.bench.experiments import ExperimentResult
-
-    return ExperimentResult
 
 
 def _request_cost(pes: int) -> float:
@@ -82,7 +76,7 @@ def _series(ans: Dict[str, Any]) -> Dict[str, Any]:
 
 
 # ------------------------------------------------------------------------ S1
-def exp_s1(scale: str = "paper") -> ExperimentResult:  # noqa: F821
+def exp_s1(scale: str = "paper") -> ExperimentResult:
     """Arrival-rate sweep to saturation (the tail-latency knee).
 
     An open-loop Poisson stream against a central-manager farm — the
@@ -120,7 +114,7 @@ def exp_s1(scale: str = "paper") -> ExperimentResult:  # noqa: F821
     data = {"machine": MACHINE, "pes": pes, "count": count,
             "balancer": "central", "service_mean_units": SERVICE.mean,
             "series": series}
-    return _result_cls()(
+    return ExperimentResult(
         "S1",
         "open-loop saturation sweep (tail-latency knee)",
         format_table(
@@ -134,7 +128,7 @@ def exp_s1(scale: str = "paper") -> ExperimentResult:  # noqa: F821
 
 
 # ------------------------------------------------------------------------ S2
-def exp_s2(scale: str = "paper") -> ExperimentResult:  # noqa: F821
+def exp_s2(scale: str = "paper") -> ExperimentResult:
     """Burst tolerance: same mean rate, increasingly bursty arrivals.
 
     All four processes offer the same long-run rate (75% utilization);
@@ -179,7 +173,7 @@ def exp_s2(scale: str = "paper") -> ExperimentResult:  # noqa: F821
                        "spec": type(spec).__name__, **_series(ans)})
     data = {"machine": MACHINE, "pes": pes, "count": count, "util": util,
             "rate": rate, "series": series}
-    return _result_cls()(
+    return ExperimentResult(
         "S2",
         "burst tolerance at fixed mean load",
         format_table(
@@ -193,7 +187,7 @@ def exp_s2(scale: str = "paper") -> ExperimentResult:  # noqa: F821
 
 
 # ------------------------------------------------------------------------ S3
-def exp_s3(scale: str = "paper") -> ExperimentResult:  # noqa: F821
+def exp_s3(scale: str = "paper") -> ExperimentResult:
     """Balancer comparison serving the identical request stream.
 
     The paper's central question — adaptive load balancing — restated for
@@ -228,7 +222,7 @@ def exp_s3(scale: str = "paper") -> ExperimentResult:  # noqa: F821
                        **_series(ans)})
     data = {"machine": MACHINE, "pes": pes, "count": count, "utils": utils,
             "series": series}
-    return _result_cls()(
+    return ExperimentResult(
         "S3",
         "balancer comparison under live traffic",
         format_table(
@@ -241,7 +235,7 @@ def exp_s3(scale: str = "paper") -> ExperimentResult:  # noqa: F821
 
 
 # ------------------------------------------------------------------------ S4
-def exp_s4(scale: str = "paper") -> ExperimentResult:  # noqa: F821
+def exp_s4(scale: str = "paper") -> ExperimentResult:
     """Serving under faults: drop/stall/slow-PE models beneath live load.
 
     The resilience claim (R-series) restated for a service: message loss
@@ -286,7 +280,7 @@ def exp_s4(scale: str = "paper") -> ExperimentResult:  # noqa: F821
                        "stalls": st.stalls, **_series(ans)})
     data = {"machine": MACHINE, "pes": pes, "count": count, "util": util,
             "rate": rate, "series": series}
-    return _result_cls()(
+    return ExperimentResult(
         "S4",
         "serving under injected faults",
         format_table(
@@ -300,7 +294,7 @@ def exp_s4(scale: str = "paper") -> ExperimentResult:  # noqa: F821
 
 
 # ------------------------------------------------------------------------ S5
-def exp_s5(scale: str = "paper") -> ExperimentResult:  # noqa: F821
+def exp_s5(scale: str = "paper") -> ExperimentResult:
     """Serving on sparse large-P farms: machine size is free.
 
     The sparse-PE kernel's serving claim: a fixed request stream against
@@ -345,7 +339,7 @@ def exp_s5(scale: str = "paper") -> ExperimentResult:  # noqa: F821
                        "host_seconds": row.host_seconds, **_series(ans)})
     data = {"machine": machine, "pes": pes_list, "count": count,
             "rate": rate, "series": series}
-    return _result_cls()(
+    return ExperimentResult(
         "S5",
         "serving on sparse large-P farms",
         format_table(
@@ -358,7 +352,7 @@ def exp_s5(scale: str = "paper") -> ExperimentResult:  # noqa: F821
 
 
 # ------------------------------------------------------------------------ S6
-def exp_s6(scale: str = "paper") -> ExperimentResult:  # noqa: F821
+def exp_s6(scale: str = "paper") -> ExperimentResult:
     """Trace-free tail latency from the online telemetry plane.
 
     Two claims in one table.  **Validation** (P ≤ 10⁴): runs carrying both
@@ -451,7 +445,7 @@ def exp_s6(scale: str = "paper") -> ExperimentResult:  # noqa: F821
     data = {"machine": machine, "pes": pes_list, "demo_pes": demo_pes,
             "count": count, "rate": rate, "interval": interval,
             "subbuckets": probe.subbuckets, "series": series}
-    return _result_cls()(
+    return ExperimentResult(
         "S6",
         "online tail latency vs the trace walk, then trace-free at scale",
         format_table(

@@ -1,10 +1,20 @@
-"""Plain-text table/series formatting for experiment output."""
+"""Experiment output: the result record and plain-text table/series
+formatting."""
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable, List, Sequence
 
-__all__ = ["format_table", "format_series"]
+__all__ = ["ExperimentResult", "format_table", "format_series"]
+
+
+@dataclass
+class ExperimentResult:
+    exp_id: str
+    title: str
+    text: str
+    data: Dict[str, Any] = field(default_factory=dict)
 
 
 def _fmt(value: Any) -> str:

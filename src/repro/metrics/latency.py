@@ -6,8 +6,9 @@ recorder seam (``Kernel(trace_events=...)``), by either of two readers that
 give float-for-float the same per-request records:
 
 * :func:`request_latencies` — the **walk**: reads a finished
-  :class:`~repro.trace.events.EventLog` (or its exported records) and
-  follows parent chains backwards.  The analysis tool for exported logs,
+  :class:`~repro.trace.events.EventLog` (or its exported records, or an
+  :class:`~repro.trace.events.EventIndex` of either) and follows parent
+  chains backwards.  The analysis tool for exported logs,
   and the fold's oracle;
 * :class:`LatencyFold` — the **fold**: is itself the recorder, a summary
   that follows seeds (``hears = "seeds"``), keeps no rows, and folds each
@@ -50,10 +51,11 @@ from __future__ import annotations
 import math
 from itertools import compress
 from operator import itemgetter
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.messages import SeedNote
-from repro.trace.events import Event, EventLog, Recorder, event_rows
+from repro.trace.events import (DUR, EID, KIND, NAME, PARENT, T,
+                                EventIndex, Recorder)
 
 __all__ = ["request_latencies", "latency_summary",
            "LatencyFold"]
@@ -66,6 +68,9 @@ SHED_ENTRY = "shed"
 
 #: The percentiles a latency digest reports (p50 / p95 / p99).
 _QUANTILES = (50.0, 95.0, 99.0)
+#: A digest's fields past the counts, each ``None`` when nothing was served.
+_DIGEST_FIELDS = tuple(f"p{q:g}" for q in _QUANTILES) + (
+    "mean", "min", "max", "mean_queue_wait", "mean_service", "mean_transit")
 
 #: The fields of one request's record, in the order of the per-request
 #: tuples both readers build (:func:`request_latencies` names them).
@@ -79,14 +84,10 @@ _kind, _latency, _queue_wait, _service = (
 #: keep the order their finals were sent in.
 _by_time = itemgetter(1, 2)
 
-# Row positions the walk reads (rows are tuples in Event field order).
-_EID, _KIND, _T, _PARENT, _NAME, _DUR = (
-    Event._fields.index(f) for f in ("eid", "kind", "t", "parent", "name", "dur"))
-
 
 # ========================================================= chain reconstruction
 def _walk_to_origin(
-    deliver: tuple, by_eid: Dict[int, tuple]
+    deliver: tuple, index: EventIndex
 ) -> Tuple[Optional[tuple], Optional[float]]:
     """Walk a delivery's parent chain to the execution that originated it.
 
@@ -94,108 +95,78 @@ def _walk_to_origin(
     Crosses balancer forwarding legs (``send -> lb -> deliver -> send ...``)
     and fault retransmissions, keeping the *earliest* send seen — that is
     the injection point.  A parent cycle (impossible in a kernel-produced
-    log, but hand-built or corrupted logs are legal inputs) terminates the
-    walk instead of hanging it.
+    log, but hand-built or corrupted logs are legal inputs) ends the walk
+    (:meth:`~repro.trace.events.EventIndex.ancestors`).
     """
     origin_send_t: Optional[float] = None
-    cur = deliver
-    seen = {cur[_EID]}
-    while True:
-        parent_eid = cur[_PARENT]
-        parent = by_eid.get(parent_eid) if parent_eid is not None else None
-        if parent is None or parent[_EID] in seen:
-            return None, origin_send_t
-        seen.add(parent[_EID])
-        kind = parent[_KIND]
+    for row in index.ancestors(deliver):
+        kind = row[KIND]
         if kind == "exec_begin":
-            return parent, origin_send_t
+            return row, origin_send_t
         if kind == "send":
-            origin_send_t = parent[_T]
-        cur = parent
+            origin_send_t = row[T]
+    return None, origin_send_t
 
 
-def _walk(records: Union[EventLog, Iterable[Any]]) -> List[tuple]:
-    """One request tuple (:data:`REQUEST_FIELDS`) per finished request of
-    an event log, in the order its ``done``/``shed`` sends were logged."""
-    # One pass: the eid index, each execution's exec_end, and the
-    # completion sends the walks start from.
-    by_eid: Dict[int, tuple] = {}
-    end_of: Dict[int, tuple] = {}
-    finals: List[tuple] = []
-    final_names = (DONE_ENTRY, SHED_ENTRY)
-    for row in event_rows(records):
-        by_eid[row[_EID]] = row
-        kind = row[_KIND]
-        if kind == "exec_end":
-            if row[_PARENT] is not None:
-                end_of[row[_PARENT]] = row
-        elif kind == "send" and row[_NAME] in final_names:
-            finals.append(row)
-
-    out: List[tuple] = []
-    for e in finals:
-        begin = by_eid.get(e[_PARENT])
-        if begin is None or begin[_KIND] != "exec_begin":
-            continue
-        # Walk the pipeline backwards from the final stage's execution.
-        stages = 0
-        queue_wait = 0.0
-        service = 0.0
-        inject_t: Optional[float] = None
-        final_end = end_of.get(begin[_EID])
-        complete_t = final_end[_T] if final_end is not None else e[_T]
-        cur = begin
-        valid = True
-        visited = set()
-        while True:
-            if cur[_NAME] != REQUEST_NAME:
-                valid = False  # a completion sent by a non-request execution
-                break
-            if cur[_EID] in visited:
-                valid = False  # parent cycle in a hand-built/corrupted log
-                break
-            visited.add(cur[_EID])
-            stages += 1
-            stage_end = end_of.get(cur[_EID])
-            if stage_end is not None and stage_end[_DUR] is not None:
-                service += stage_end[_DUR]
-            deliver = by_eid.get(cur[_PARENT])
-            if deliver is None or deliver[_KIND] != "deliver":
-                valid = False  # truncated log
-                break
-            queue_wait += cur[_T] - deliver[_T]
-            origin, send_t = _walk_to_origin(deliver, by_eid)
-            if send_t is not None:
-                inject_t = send_t
-            if origin is not None and origin[_NAME] == REQUEST_NAME:
-                cur = origin  # previous pipeline stage
-                continue
-            break
-        if not valid or inject_t is None:
-            continue
-        out.append((SHED_ENTRY if e[_NAME] == SHED_ENTRY else DONE_ENTRY,
-                    inject_t, complete_t, complete_t - inject_t,
-                    queue_wait, service, stages))
-    return out
+def _walk_request(final: tuple, index: EventIndex) -> Optional[tuple]:
+    """The request tuple of one ``done``/``shed`` send, walked backwards
+    through the pipeline from the stage execution that sent it; ``None``
+    when no request stage sent it, or the chain is truncated or cyclic."""
+    row_of = index.by_eid.get
+    end_of = index.end_of
+    begin = row_of(final[PARENT])
+    if (begin is None or begin[KIND] != "exec_begin"
+            or begin[NAME] != REQUEST_NAME):
+        return None  # not sent by a request stage's execution
+    final_end = end_of.get(begin[EID])
+    complete_t = final_end[T] if final_end is not None else final[T]
+    stages = 0
+    queue_wait = 0.0
+    service = 0.0
+    inject_t: Optional[float] = None
+    visited = set()
+    cur = begin
+    while cur is not None and cur[NAME] == REQUEST_NAME:
+        if cur[EID] in visited:
+            return None  # parent cycle in a hand-built/corrupted log
+        visited.add(cur[EID])
+        stages += 1
+        stage_end = end_of.get(cur[EID])
+        if stage_end is not None and stage_end[DUR] is not None:
+            service += stage_end[DUR]
+        deliver = row_of(cur[PARENT])
+        if deliver is None or deliver[KIND] != "deliver":
+            return None  # truncated log
+        queue_wait += cur[T] - deliver[T]
+        # The origin: the previous pipeline stage, or where the chain ends.
+        cur, send_t = _walk_to_origin(deliver, index)
+        if send_t is not None:
+            inject_t = send_t
+    if inject_t is None:
+        return None
+    return (SHED_ENTRY if final[NAME] == SHED_ENTRY else DONE_ENTRY,
+            inject_t, complete_t, complete_t - inject_t,
+            queue_wait, service, stages)
 
 
-def _requests(records: Union[EventLog, "LatencyFold", Iterable[Any]]
-              ) -> List[tuple]:
+def _requests(source: Any) -> List[tuple]:
     """The request tuples of a fold (folded as the run went) or of a log
-    (walked now)."""
-    if isinstance(records, LatencyFold):
-        return records.requests
-    return _walk(records)
+    (walked now, in the order the ``done``/``shed`` sends were logged)."""
+    if isinstance(source, LatencyFold):
+        return source.requests
+    index = EventIndex.of(source)
+    finals = [row for row in index.rows
+              if row[KIND] == "send" and row[NAME] in (DONE_ENTRY, SHED_ENTRY)]
+    return [r for r in (_walk_request(e, index) for e in finals)
+            if r is not None]
 
 
-def request_latencies(
-    records: Union[EventLog, "LatencyFold", Iterable[Any]],
-) -> List[Dict[str, Any]]:
+def request_latencies(source: Any) -> List[Dict[str, Any]]:
     """One record per finished request, from an event log or a fold.
 
-    ``records`` is an :class:`~repro.trace.events.EventLog` (its rows are
-    read in place), a sequence of event dicts / :class:`Event` views, or
-    the :class:`LatencyFold` a run recorded into.  Each output record has
+    ``source`` is an :class:`~repro.trace.events.EventIndex` or anything
+    it reads (a live log's rows are read in place), or the
+    :class:`LatencyFold` a run recorded into.  Each output record has
     ``kind`` ("done" for served, "shed" for requests the admission
     controller turned away), ``inject_t``, ``complete_t``, ``latency``,
     ``queue_wait``, ``service`` and ``stages``.  Output is sorted by
@@ -204,7 +175,7 @@ def request_latencies(
     log interleaving.
     """
     return [dict(zip(REQUEST_FIELDS, r))
-            for r in sorted(_requests(records), key=_by_time)]
+            for r in sorted(_requests(source), key=_by_time)]
 
 
 # ======================================================================== fold
@@ -289,12 +260,10 @@ class LatencyFold(Recorder):
 
 
 # ===================================================================== summary
-def latency_summary(
-    records: Union[EventLog, LatencyFold, Iterable[Any]],
-) -> Dict[str, Any]:
+def latency_summary(source: Any) -> Dict[str, Any]:
     """Scalar latency digest of a serving run's event log or fold.
 
-    ``records`` is anything :func:`request_latencies` reads.  Counts plus
+    ``source`` is anything :func:`request_latencies` reads.  Counts plus
     nearest-rank p50/p95/p99 over *served* requests, and the queue-wait /
     service / transit decomposition of the mean (summed in
     :func:`request_latencies` order).  Percentile fields are ``None``
@@ -303,13 +272,14 @@ def latency_summary(
     """
     # map / compress / itemgetter: the digest reads every request, and
     # these iterate in C.
-    reqs = _requests(records)
+    reqs = _requests(source)
     served = sorted(compress(reqs, map(DONE_ENTRY.__eq__, map(_kind, reqs))),
                     key=_by_time)
     summary: Dict[str, Any] = {
         "requests": len(reqs),
         "completed": len(served),
         "shed": len(reqs) - len(served),
+        **dict.fromkeys(_DIGEST_FIELDS),
     }
     latencies = sorted(map(_latency, served))
     if latencies:
@@ -324,11 +294,4 @@ def latency_summary(
         summary["mean_transit"] = (
             summary["mean"] - summary["mean_queue_wait"] - summary["mean_service"]
         )
-    else:
-        for q in _QUANTILES:
-            summary[f"p{q:g}"] = None
-        summary["mean"] = summary["min"] = summary["max"] = None
-        summary["mean_queue_wait"] = None
-        summary["mean_service"] = None
-        summary["mean_transit"] = None
     return summary

@@ -11,7 +11,7 @@ end-of-run :class:`~repro.trace.report.TraceReport` aggregates:
   delivered but not yet begun executing) and which PE held it,
 * ``msgs_sent`` / ``msgs_executed`` — event counts binned by time.
 
-Pure function of the records: identical whether the run executed inline,
+Pure function of the event log: identical whether the run executed inline,
 in a pool worker, or came back from the result cache.  Buckets are
 half-open ``[t0, t1)`` except the last, which closes at ``t_end``.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.trace.events import event_records
+from repro.trace.events import DUR, INFO, KIND, PARENT, PE, T, EventIndex
 from repro.util.errors import need_int, need_real
 
 __all__ = ["sample_metrics", "metrics_summary"]
@@ -75,12 +75,13 @@ def _peaks(
 
 
 def sample_metrics(
-    records: Sequence[Any],
+    source: Any,
     buckets: int = 60,
     num_pes: Optional[int] = None,
     t_end: Optional[float] = None,
 ) -> List[Dict[str, Any]]:
-    """Bucket a run's event records into time-series metric rows."""
+    """Bucket a run's event log (anything ``EventIndex.of`` takes) into
+    time-series metric rows."""
     buckets = need_int("buckets", buckets, 1)
     if num_pes is not None:
         # util divides by num_pes; 0 would raise ZeroDivisionError deep in
@@ -89,25 +90,19 @@ def sample_metrics(
     if t_end is not None:
         # NaN would otherwise surface as a bare ValueError in bucket_of.
         need_real("t_end", t_end, strict=False)
-    events = event_records(records)
-    if not events:
+    index = EventIndex.of(source)
+    rows = index.rows
+    if not rows:
         return []
-    by_eid = {e["eid"]: e for e in events}
 
-    # exec_end events are stamped at their end time and idle_gap events at
-    # their start, so the run's extent is max(t, t + idle dur).
-    max_t = 0.0
-    max_pe = 0
-    for e in events:
-        end = e["t"] + ((e["dur"] or 0.0) if e["kind"] == "idle_gap" else 0.0)
-        if end > max_t:
-            max_t = end
-        if e["pe"] > max_pe:
-            max_pe = e["pe"]
     if t_end is None:
-        t_end = max_t
+        # exec_end events are stamped at their end time and idle_gap events
+        # at their start, so the run's extent is max(t, t + idle dur).
+        t_end = max([0.0] + [
+            row[T] + (row[DUR] or 0.0) if row[KIND] == "idle_gap" else row[T]
+            for row in rows])
     if num_pes is None:
-        num_pes = max_pe + 1
+        num_pes = max([0] + [row[PE] for row in rows]) + 1
     lo = 0.0
     span = t_end - lo
     if span <= 0.0:
@@ -120,44 +115,35 @@ def sample_metrics(
     msgs_executed = [0] * buckets
     flight_edges: List[Tuple[float, float]] = []
     wire_edges: List[Tuple[float, float]] = []
-    # pool edges per PE: uid delivered -> +1, its exec_begin -> -1.
-    pool_edges: Dict[int, List[Tuple[float, float]]] = {}
-    delivered_t: Dict[int, Tuple[float, int]] = {}
-    begun: Dict[int, float] = {}
-
-    for e in events:
-        kind = e["kind"]
-        t = e["t"]
+    for row in rows:
+        kind = row[KIND]
+        t = row[T]
         if kind == "send":
             msgs_sent[bucket_of(t, lo, width, buckets)] += 1
             # Undelivered sends (dropped without retry success) simply
             # never close: for per-bucket peaks that is the same as
             # closing at t_end.
             flight_edges.append((t, 1.0))
-            nbytes = (e.get("info") or {}).get("nbytes", 0)
+            nbytes = (row[INFO] or {}).get("nbytes", 0)
             wire_edges.append((t, float(nbytes)))
         elif kind == "deliver":
-            send = by_eid.get(e.get("parent"))
-            if send is not None and send["kind"] == "send":
+            send = index.by_eid.get(row[PARENT])
+            if send is not None and send[KIND] == "send":
                 flight_edges.append((t, -1.0))
-                nbytes = (send.get("info") or {}).get("nbytes", 0)
+                nbytes = (send[INFO] or {}).get("nbytes", 0)
                 wire_edges.append((t, -float(nbytes)))
-            uid = e.get("uid")
-            if uid is not None and uid not in delivered_t:
-                delivered_t[uid] = (t, e["pe"])
-        elif kind == "exec_begin":
-            uid = e.get("uid")
-            if uid is not None and uid not in begun:
-                begun[uid] = t
         elif kind == "exec_end":
             msgs_executed[bucket_of(t, lo, width, buckets)] += 1
-            busy_spans.append((t - (e.get("dur") or 0.0), t))
+            busy_spans.append((t - (row[DUR] or 0.0), t))
 
-    # Pool occupancy: delivery opens, first execution closes (or t_end).
-    for uid, (t_del, pe) in delivered_t.items():
-        edges = pool_edges.setdefault(pe, [])
-        edges.append((t_del, 1.0))
-        edges.append((begun.get(uid, t_end), -1.0))
+    # Pool occupancy per PE: a message's first delivery opens, its first
+    # execution closes (or t_end).
+    pool_edges: Dict[int, List[Tuple[float, float]]] = {}
+    for uid, deliver in index.first_deliver.items():
+        begin = index.first_begin.get(uid)
+        edges = pool_edges.setdefault(deliver[PE], [])
+        edges.append((deliver[T], 1.0))
+        edges.append((t_end if begin is None else begin[T], -1.0))
 
     util = busy_fractions(busy_spans, lo, width, buckets, num_pes)
     in_flight = _peaks(flight_edges, lo, width, buckets)

@@ -12,21 +12,42 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from repro.metrics import metrics_summary, sample_metrics
 from repro.trace.critical_path import critical_path
+from repro.trace.events import EVENT_KINDS, EventIndex
 from repro.trace.perfetto import write_perfetto
 
 
 def load_run(path: str) -> dict:
-    """Load a ``*.run.json`` document (or a bare event-record list)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Load a ``*.run.json`` document (or a bare event-record list); a
+    ``ValueError`` names the file and its fault when it is not a trace."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # JSON syntax, or bytes that are not UTF-8
+        raise ValueError(f"{path}: not JSON: {exc}") from None
     if isinstance(doc, list):  # bare records
         doc = {"format": "repro-trace-v1", "meta": {}, "events": doc,
                "dropped": 0}
-    if "events" not in doc:
-        raise SystemExit(f"{path}: not a repro trace (no 'events' key)")
+    if not (isinstance(doc, dict) and isinstance(doc.get("events"), list)
+            and isinstance(doc.get("meta") or {}, dict)):
+        raise ValueError(f"{path}: not a repro trace (an object with a list "
+                         "of 'events' and an object of 'meta')")
+    for i, record in enumerate(doc["events"]):
+        kind = record.get("kind") if isinstance(record, dict) else None
+        if kind not in EVENT_KINDS:
+            raise ValueError(
+                f"{path}: event {i} is not a record of a known kind "
+                f"({', '.join(EVENT_KINDS)}): {record!r:.80}")
+        for key, types in (("eid", (int,)), ("t", (int, float)),
+                           ("pe", (int,))):
+            if type(record.get(key)) not in types:
+                raise ValueError(f"{path}: event {i} has {key} "
+                                 f"{record.get(key)!r}, not a number")
     return doc
 
 
@@ -56,8 +77,12 @@ def main(argv=None) -> int:
     if args.top < 0:
         parser.error(f"--top must be >= 0, got {args.top}")
 
-    doc = load_run(args.run)
+    try:
+        doc = load_run(args.run)
+    except ValueError as exc:
+        parser.error(str(exc))
     events = doc["events"]
+    index = EventIndex(events)
     meta = doc.get("meta") or {}
 
     if meta:
@@ -67,9 +92,7 @@ def main(argv=None) -> int:
         print("run:", " ".join(bits) if bits else "(no metadata)")
         if "total_time" in meta:
             print(f"total virtual time: {meta['total_time'] * 1e3:.3f} ms")
-    counts: dict = {}
-    for e in events:
-        counts[e["kind"]] = counts.get(e["kind"], 0) + 1
+    counts = Counter(e["kind"] for e in events)
     kinds = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     print(f"events: {len(events)} ({kinds or 'none'})", end="")
     dropped = doc.get("dropped", 0)
@@ -79,11 +102,11 @@ def main(argv=None) -> int:
     # them: inferring num_pes as max_pe + 1 overstates utilization on a
     # sparse machine where only low-ranked PEs happened to be touched.
     metrics = doc.get("metrics") or sample_metrics(
-        events, buckets=args.buckets,
+        index, buckets=args.buckets,
         num_pes=meta.get("num_pes"), t_end=meta.get("total_time"))
     print(metrics_summary(metrics))
 
-    path = critical_path(events)
+    path = critical_path(index)
     if path is None:
         print("critical path: (no completed executions in this trace)")
     else:
@@ -94,7 +117,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
 
     if args.perfetto:
-        n = write_perfetto(args.perfetto, events, meta=meta, metrics=metrics)
+        n = write_perfetto(args.perfetto, index, meta=meta, metrics=metrics)
         print(f"perfetto: wrote {n} trace entries to {args.perfetto}")
     return 0
 

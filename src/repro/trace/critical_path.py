@@ -9,19 +9,21 @@ length is the run's inherent sequential span — when the measured
 dependency-bound, not resource-bound, which is the number that actually
 explains the speedup plateaus in the T-series tables.
 
-The analyzer is a pure function of the event records (live
-:class:`~repro.trace.events.EventLog` objects or the dicts loaded back
-from a ``*.run.json``), so its output is identical whether the run
-executed inline, in a pool worker, or was replayed from the result
-cache.
+The analyzer is a pure function of the event log (a live
+:class:`~repro.trace.events.EventLog`, the dicts loaded back from a
+``*.run.json``, or anything else :class:`~repro.trace.events.EventIndex`
+reads), so its output is identical whether the run executed inline, in a
+pool worker, or was replayed from the result cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from operator import itemgetter
+from typing import Any, Dict, List, Optional
 
-from repro.trace.events import event_records
+from repro.trace.events import (EID, INFO, KIND, NAME, PARENT, PE, T, UID,
+                                EventIndex)
 
 __all__ = ["PathStep", "CriticalPath", "critical_path"]
 
@@ -91,86 +93,56 @@ class CriticalPath:
         return "\n".join(lines)
 
 
-def critical_path(records: Sequence[Any]) -> Optional[CriticalPath]:
+def critical_path(source: Any) -> Optional[CriticalPath]:
     """Walk parent links from the exit event back to bootstrap.
 
-    ``records`` is a sequence of event dicts (or :class:`Event` objects).
-    Returns ``None`` when the log holds no completed execution to anchor
-    the walk (e.g. a send/deliver-only filtered trace).
+    ``source`` is an :class:`~repro.trace.events.EventIndex` or anything
+    it reads.  Returns ``None`` when the log holds no completed execution
+    to anchor the walk (e.g. a send/deliver-only filtered trace).
     """
-    events = event_records(records)
-    by_eid: Dict[int, Dict[str, Any]] = {e["eid"]: e for e in events}
+    index = EventIndex.of(source)
 
-    # Terminal: the exec_end flagged as the exit, else the latest one.
-    terminal = None
-    latest = None
-    for e in events:
-        if e["kind"] != "exec_end":
-            continue
-        info = e.get("info")
-        if info and info.get("exit"):
-            terminal = e
-        if latest is None or (e["t"], e["eid"]) > (latest["t"], latest["eid"]):
-            latest = e
-    if terminal is None:
-        terminal = latest
-    if terminal is None:
+    # Terminal: the (last) exec_end flagged as the exit, else the latest.
+    ends = [row for row in index.rows if row[KIND] == "exec_end"]
+    if not ends:
         return None
+    exits = [row for row in ends if row[INFO] and row[INFO].get("exit")]
+    terminal = exits[-1] if exits else max(ends, key=itemgetter(T, EID))
 
-    chain: List[Dict[str, Any]] = []
-    seen = set()
-    truncated = False
-    cur: Optional[Dict[str, Any]] = terminal
-    while cur is not None:
-        eid = cur["eid"]
-        if eid in seen:  # defensive: parent links are acyclic by design
-            truncated = True
-            break
-        seen.add(eid)
-        chain.append(cur)
-        parent = cur.get("parent")
-        if parent is None:
-            break
-        nxt = by_eid.get(parent)
-        if nxt is None:
-            # The parent was dropped (bounded log) or filtered out.
-            truncated = True
-            break
-        cur = nxt
+    chain = list(index.ancestors(terminal))
+    # A parent link left the log (bounded log / filtered kinds), or the
+    # chain met itself (parent links are acyclic by design).
+    truncated = chain[-1][PARENT] is not None
     chain.reverse()
 
-    exec_time = transit = wait = other = 0.0
+    # Each step's time goes to what follows it: an execution, a transit
+    # (send), a wait (deliver) or a runtime decision (anything else).
+    spent = dict.fromkeys(("exec_begin", "send", "deliver", None), 0.0)
     attribution: Dict[str, float] = {}
     steps: List[PathStep] = []
-    for i, e in enumerate(chain):
-        dt = max(0.0, chain[i + 1]["t"] - e["t"]) if i + 1 < len(chain) else 0.0
-        kind = e["kind"]
+    for i, row in enumerate(chain):
+        dt = max(0.0, chain[i + 1][T] - row[T]) if i + 1 < len(chain) else 0.0
+        kind = row[KIND]
+        spent[kind if kind in spent else None] += dt
         if kind == "exec_begin":
-            exec_time += dt
-            name = e.get("name") or "?"
+            name = row[NAME] or "?"
             attribution[name] = attribution.get(name, 0.0) + dt
-        elif kind == "send":
-            transit += dt
-        elif kind == "deliver":
-            wait += dt
-        else:
-            other += dt
         steps.append(PathStep(
-            eid=e["eid"], kind=kind, t=e["t"], pe=e["pe"],
-            uid=e.get("uid"), name=e.get("name"), dt=dt,
+            eid=row[EID], kind=kind, t=row[T], pe=row[PE],
+            uid=row[UID], name=row[NAME], dt=dt,
         ))
 
-    start_time = chain[0]["t"]
-    end_time = chain[-1]["t"]
+    start_time = chain[0][T]
+    end_time = chain[-1][T]
     return CriticalPath(
         steps=steps,
         length=max(0.0, end_time - start_time),
         start_time=start_time,
         end_time=end_time,
-        exec_time=exec_time,
-        transit_time=transit,
-        wait_time=wait,
-        other_time=other,
+        exec_time=spent["exec_begin"],
+        transit_time=spent["send"],
+        wait_time=spent["deliver"],
+        other_time=spent[None],
         attribution=attribution,
         truncated=truncated,
     )

@@ -28,10 +28,9 @@ runtime decision) that emitted it.  The critical-path analyzer
 The store is one list of **plain tuples in schema order** —
 ``(eid, kind, t, pe, uid, parent, name, dur, info)``, :attr:`EventLog.rows`
 — because a traced serving run records ~20 k events and recording must
-cost an append, not an object.  :class:`Event` names those nine positions;
-it is a view for readers, never built while recording.  Consumers take
-their input through :func:`event_rows` (the latency walk, which indexes
-rows in place) or :func:`event_records` (the export-side dict consumers).
+cost an append, not an object.  :class:`Event` names those nine positions
+(:data:`EID` … :data:`INFO`); it is a view, never built while recording.
+Every reader takes its input through one :class:`EventIndex`.
 
 The log is **bounded** (``max_events``): once full, further events are
 counted in ``dropped`` instead of appended, and their *parent* id is
@@ -49,13 +48,13 @@ and telemetry.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
-                    Sequence, Union)
+from typing import (Any, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Union)
 
 from repro.util.errors import ConfigurationError, need_int
 
-__all__ = ["EVENT_KINDS", "Event", "EventLog", "Recorder", "RecorderPair",
-           "make_recorder", "normalize_kinds", "event_rows", "event_records"]
+__all__ = ["EVENT_KINDS", "Event", "EventIndex", "EventLog", "Recorder",
+           "RecorderPair", "make_recorder", "normalize_kinds"]
 
 #: Every recordable event kind, in schema order.
 EVENT_KINDS = (
@@ -72,6 +71,9 @@ EVENT_KINDS = (
 #: Default log bound: ~2M events covers every paper-scale run while keeping
 #: a runaway trace under a few hundred MB of host memory.
 DEFAULT_MAX_EVENTS = 2_000_000
+
+#: The kinds :meth:`EventLog.record` takes: runtime decisions.
+_CONTROL_KINDS = frozenset(("lb", "qd", "fault"))
 
 # Envelope kind tag for seeds (avoids importing repro.core.messages here).
 _SEED_KIND = 1
@@ -94,6 +96,10 @@ class Event(NamedTuple):
     name: Optional[str]
     dur: Optional[float]
     info: Optional[Dict[str, Any]]
+
+
+#: The position of each :class:`Event` field in a row.
+EID, KIND, T, PE, UID, PARENT, NAME, DUR, INFO = range(len(Event._fields))
 
 
 def normalize_kinds(kinds: Union[bool, str, Iterable[str], None]) -> tuple:
@@ -214,9 +220,7 @@ class EventLog(Recorder):
         self._rec_begin = "exec_begin" in kindset
         self._rec_end = "exec_end" in kindset
         self._rec_idle = "idle_gap" in kindset
-        self._rec_lb = "lb" in kindset
-        self._rec_qd = "qd" in kindset
-        self._rec_fault = "fault" in kindset
+        self._rec_control = kindset & _CONTROL_KINDS
 
     # -------------------------------------------------------------- recording
     def _append(self, kind, t, pe, uid, parent, name, dur, info):
@@ -299,17 +303,11 @@ class EventLog(Recorder):
         Returns the new event id (or the forwarded parent when the kind
         is filtered out or the log is full).
         """
-        if kind == "lb":
-            enabled = self._rec_lb
-        elif kind == "qd":
-            enabled = self._rec_qd
-        elif kind == "fault":
-            enabled = self._rec_fault
-        else:
+        if kind not in _CONTROL_KINDS:
             raise ConfigurationError(
                 f"record() is for control-plane kinds, not {kind!r}"
             )
-        if not enabled:
+        if kind not in self._rec_control:
             return parent
         return self._append(kind, t, pe, uid, parent, name, dur, info)
 
@@ -422,34 +420,68 @@ def make_recorder(trace_events, telemetry=None):
     return events, telemetry, slot, hears
 
 
-# ------------------------------------------------------------ normalisers
+# ------------------------------------------------------------------ reading
 _row_of = itemgetter(*Event._fields)
 
 
-def event_rows(source: Union[EventLog, Iterable[Any]]) -> Sequence[tuple]:
-    """``source`` as tuples in :class:`Event` field order.
+class EventIndex:
+    """One pass over an event log's rows, and the maps its readers share.
 
-    An :class:`EventLog` answers with its own rows (no copy).  Any other
-    iterable may mix record dicts — JSON-loaded or hand-built; an absent
-    key reads as ``None`` — with :class:`Event` views or bare rows.
+    ``source`` is an :class:`EventLog` (its rows are read in place) or an
+    iterable of record dicts, :class:`Event` views or bare rows.
+    :attr:`end_of` maps an ``exec_begin`` eid to the first ``exec_end``
+    after it that names it as parent; :attr:`first_begin` and
+    :attr:`first_deliver` map an envelope uid to its first row of the kind.
     """
-    if isinstance(source, EventLog):
-        return source.rows
-    rows = []
-    for item in source:
-        if isinstance(item, tuple):
-            rows.append(item)
+
+    __slots__ = ("rows", "by_eid", "end_of", "first_begin", "first_deliver")
+
+    def __init__(self, source: Union[EventLog, Iterable[Any]]) -> None:
+        if isinstance(source, EventLog):
+            self.rows = source.rows
         else:
+            items = list(source)
             try:
-                rows.append(_row_of(item))
-            except KeyError:
-                rows.append(tuple(map(item.get, Event._fields)))
-    return rows
+                self.rows = [i if isinstance(i, tuple) else _row_of(i)
+                             for i in items]
+            except KeyError:  # a hand-built record: absent keys read None
+                self.rows = [i if isinstance(i, tuple)
+                             else tuple(map(i.get, Event._fields))
+                             for i in items]
+        self.by_eid = by_eid = {}
+        self.end_of = end_of = {}
+        self.first_begin = first_begin = {}
+        self.first_deliver = first_deliver = {}
+        for row in self.rows:
+            by_eid[row[EID]] = row
+            kind = row[KIND]
+            if kind == "exec_end":
+                begin = by_eid.get(row[PARENT], row)
+                if begin[KIND] == "exec_begin" and begin[EID] not in end_of:
+                    end_of[begin[EID]] = row
+            elif row[UID] is not None and kind in ("exec_begin", "deliver"):
+                firsts = first_begin if kind == "exec_begin" else first_deliver
+                firsts.setdefault(row[UID], row)
 
+    @classmethod
+    def of(cls, source: Any) -> "EventIndex":
+        """``source`` itself when it is an index, else its index."""
+        return source if isinstance(source, cls) else cls(source)
 
-def event_records(source: Iterable[Any]) -> List[Dict[str, Any]]:
-    """An iterable of record dicts, :class:`Event` views or bare rows as
-    record dicts; dicts pass through untouched."""
-    fields = Event._fields
-    return [item if isinstance(item, dict) else dict(zip(fields, item))
-            for item in source]
+    def ancestors(self, row: tuple) -> Iterator[tuple]:
+        """``row``, its parent, and so on up the chain.
+
+        Stops at a root, at a parent missing from the log (dropped at the
+        bound or filtered out) or where the chain meets itself (a cycle,
+        which only a hand-built or corrupted log has).  In the last two
+        cases the last row yielded still names a parent.
+        """
+        by_eid = self.by_eid
+        seen = set()
+        while True:
+            yield row
+            seen.add(row[EID])
+            parent = row[PARENT]
+            row = None if parent is None else by_eid.get(parent)
+            if row is None or row[EID] in seen:
+                return

@@ -1,6 +1,7 @@
 """Chrome trace-event / Perfetto JSON export.
 
-Converts an event-log record list into the `Trace Event Format
+Converts an event log (anything :class:`~repro.trace.events.EventIndex`
+reads) into the `Trace Event Format
 <https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU>`_
 consumed by ``ui.perfetto.dev`` and ``chrome://tracing``:
 
@@ -15,16 +16,17 @@ consumed by ``ui.perfetto.dev`` and ``chrome://tracing``:
 * optional time-series rows from :mod:`repro.metrics` become ``"C"``
   counter tracks.
 
-The exporter is a pure function of the records; times are virtual
-seconds scaled to integral-friendly microseconds.
+The exporter is a pure function of the log; times are virtual seconds
+scaled to integral-friendly microseconds.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional
 
-from repro.trace.events import event_records
+from repro.trace.events import (DUR, EID, INFO, KIND, NAME, PARENT, PE, T,
+                                UID, EventIndex)
 
 __all__ = ["to_perfetto", "write_perfetto"]
 
@@ -35,83 +37,87 @@ TID_EXEC = 0
 TID_IDLE = 1
 TID_EVENTS = 2
 
+#: Counter tracks: (track name, argument name, sampler column, default).
+_COUNTERS = (
+    ("messages in flight", "msgs", "in_flight_max", 0),
+    ("bytes on wire", "bytes", "bytes_on_wire_max", 0),
+    ("utilization", "util", "util", 0.0),
+    ("pool depth high-water", "depth", "pool_max", 0),
+)
+
+
+def _args(row: tuple) -> Dict[str, Any]:
+    """A slice's or instant's arguments: its eid, uid and info."""
+    args: Dict[str, Any] = {"eid": row[EID]}
+    if row[UID] is not None:
+        args["uid"] = row[UID]
+    if row[INFO]:
+        args.update(row[INFO])
+    return args
+
 
 def to_perfetto(
-    records: Sequence[Any],
+    source: Any,
     meta: Optional[Dict[str, Any]] = None,
     metrics: Optional[Iterable[Dict[str, Any]]] = None,
 ) -> Dict[str, Any]:
-    """Build the trace-event JSON document for one run's records."""
-    events = event_records(records)
-    by_eid = {e["eid"]: e for e in events}
+    """The trace-event JSON document of one run's event log."""
+    index = EventIndex.of(source)
+    row_of = index.by_eid.get
+    # Flow arrows land on the first consuming execution, not on the
+    # (possibly queued) delivery instant.
+    first_begin = index.first_begin
     trace: List[Dict[str, Any]] = []
     pids = set()
 
-    # First consuming execution per uid: flow arrows should land on the
-    # execution slice, not on the (possibly queued) delivery instant.
-    begin_by_uid: Dict[int, Dict[str, Any]] = {}
-    for e in events:
-        if e["kind"] == "exec_begin" and e.get("uid") is not None:
-            begin_by_uid.setdefault(e["uid"], e)
-
-    for e in events:
-        kind = e["kind"]
-        pe = e["pe"]
+    for row in index.rows:
+        kind = row[KIND]
+        pe = row[PE]
         pids.add(pe)
         if kind == "exec_end":
-            begin = by_eid.get(e.get("parent"))
-            if begin is not None and begin["kind"] == "exec_begin":
-                name = begin.get("name") or e.get("name") or "?"
-                start = begin["t"]
+            begin = row_of(row[PARENT])
+            if begin is not None and begin[KIND] == "exec_begin":
+                name = begin[NAME] or row[NAME] or "?"
+                start = begin[T]
             else:  # begin filtered out: reconstruct from the end event
-                name = e.get("name") or "?"
-                start = e["t"] - (e.get("dur") or 0.0)
-            args: Dict[str, Any] = {"eid": e["eid"]}
-            if e.get("uid") is not None:
-                args["uid"] = e["uid"]
-            if e.get("info"):
-                args.update(e["info"])
+                name = row[NAME] or "?"
+                start = row[T] - (row[DUR] or 0.0)
             trace.append({
                 "name": name, "cat": "exec", "ph": "X",
                 "pid": pe, "tid": TID_EXEC,
-                "ts": start * _US, "dur": (e.get("dur") or 0.0) * _US,
-                "args": args,
+                "ts": start * _US, "dur": (row[DUR] or 0.0) * _US,
+                "args": _args(row),
             })
         elif kind == "idle_gap":
             trace.append({
                 "name": "idle", "cat": "idle", "ph": "X",
                 "pid": pe, "tid": TID_IDLE,
-                "ts": e["t"] * _US, "dur": (e.get("dur") or 0.0) * _US,
-                "args": {"eid": e["eid"]},
+                "ts": row[T] * _US, "dur": (row[DUR] or 0.0) * _US,
+                "args": {"eid": row[EID]},
             })
         elif kind == "deliver":
-            send = by_eid.get(e.get("parent"))
-            if send is None or send["kind"] != "send":
+            send = row_of(row[PARENT])
+            if send is None or send[KIND] != "send":
                 continue  # send filtered out: no flow to draw
-            uid = e.get("uid")
-            target = begin_by_uid.get(uid, e)
-            pids.add(send["pe"])
-            pids.add(target["pe"])
+            uid = row[UID]
+            target = first_begin.get(uid, row)
+            pids.add(send[PE])
+            pids.add(target[PE])
             trace.append({
-                "name": send.get("name") or "msg", "cat": "msg", "ph": "s",
-                "id": uid, "pid": send["pe"], "tid": TID_EXEC,
-                "ts": send["t"] * _US,
+                "name": send[NAME] or "msg", "cat": "msg", "ph": "s",
+                "id": uid, "pid": send[PE], "tid": TID_EXEC,
+                "ts": send[T] * _US,
             })
             trace.append({
-                "name": send.get("name") or "msg", "cat": "msg", "ph": "f",
-                "bp": "e", "id": uid, "pid": target["pe"], "tid": TID_EXEC,
-                "ts": target["t"] * _US,
+                "name": send[NAME] or "msg", "cat": "msg", "ph": "f",
+                "bp": "e", "id": uid, "pid": target[PE], "tid": TID_EXEC,
+                "ts": target[T] * _US,
             })
         elif kind in ("lb", "qd", "fault"):
-            args = {"eid": e["eid"]}
-            if e.get("uid") is not None:
-                args["uid"] = e["uid"]
-            if e.get("info"):
-                args.update(e["info"])
             trace.append({
-                "name": f"{kind}:{e.get('name') or '?'}", "cat": kind,
+                "name": f"{kind}:{row[NAME] or '?'}", "cat": kind,
                 "ph": "i", "s": "t", "pid": pe, "tid": TID_EVENTS,
-                "ts": e["t"] * _US, "args": args,
+                "ts": row[T] * _US, "args": _args(row),
             })
         # send / exec_begin events carry no standalone track entry: sends
         # are drawn as flow starts, begins as the slice built from the end.
@@ -121,22 +127,9 @@ def to_perfetto(
         pids.add(0)
         for row in metrics:
             ts = row["t0"] * _US
-            trace.append({
-                "name": "messages in flight", "ph": "C", "pid": 0,
-                "ts": ts, "args": {"msgs": row.get("in_flight_max", 0)},
-            })
-            trace.append({
-                "name": "bytes on wire", "ph": "C", "pid": 0,
-                "ts": ts, "args": {"bytes": row.get("bytes_on_wire_max", 0)},
-            })
-            trace.append({
-                "name": "utilization", "ph": "C", "pid": 0,
-                "ts": ts, "args": {"util": row.get("util", 0.0)},
-            })
-            trace.append({
-                "name": "pool depth high-water", "ph": "C", "pid": 0,
-                "ts": ts, "args": {"depth": row.get("pool_max", 0)},
-            })
+            for name, arg, column, default in _COUNTERS:
+                trace.append({"name": name, "ph": "C", "pid": 0, "ts": ts,
+                              "args": {arg: row.get(column, default)}})
 
     # Process/thread naming metadata, stable order for reproducible files.
     names = []
@@ -168,15 +161,15 @@ def to_perfetto(
 
 def write_perfetto(
     path: str,
-    records: Sequence[Any],
+    source: Any,
     meta: Optional[Dict[str, Any]] = None,
     metrics: Optional[Iterable[Dict[str, Any]]] = None,
 ) -> int:
-    """Write the Perfetto JSON for ``records`` to ``path``.
+    """Write the Perfetto JSON of ``source``'s event log to ``path``.
 
     Returns the number of trace entries written (incl. metadata).
     """
-    doc = to_perfetto(records, meta=meta, metrics=metrics)
+    doc = to_perfetto(source, meta=meta, metrics=metrics)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     return len(doc["traceEvents"])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
-from repro.trace.events import event_rows
+from repro.trace.events import DUR, NAME, PE, T, EventIndex
 from repro.util.errors import need_int
 
 __all__ = ["Timeline"]
@@ -23,24 +23,22 @@ __all__ = ["Timeline"]
 class Timeline:
     """Execution intervals of one run, read from its event rows.
 
-    ``source`` is an :class:`~repro.trace.events.EventLog` or its records.
-    Each ``exec_end`` row names its ``exec_begin`` row as ``parent``; the
-    interval starts at the begin row's ``t`` and lasts the end row's
-    ``dur``, the floats the kernel passed.  A service execution (begin
-    name ``service:entry``) renders as ``+``.  Executions whose begin row
-    was filtered out or dropped at the log bound are not shown.
+    ``source`` is an :class:`~repro.trace.events.EventIndex` or anything it
+    reads.  Each ``exec_end`` row names its ``exec_begin`` row as
+    ``parent``; the interval starts at the begin row's ``t`` and lasts the
+    end row's ``dur``, the floats the kernel passed.  A service execution
+    (begin name ``service:entry``) renders as ``+``.  Executions whose
+    begin row was filtered out or dropped at the log bound are not shown.
     """
 
     def __init__(self, source: Any) -> None:
-        begins = {}
+        index = EventIndex.of(source)
         #: ``(pe, start, end, is_service)`` per execution, in end order.
         self._spans: List[Tuple[int, float, float, bool]] = []
-        for eid, kind, t, pe, _, parent, name, dur, _ in event_rows(source):
-            if kind == "exec_begin":
-                begins[eid] = (t, ":" in (name or ""))
-            elif kind == "exec_end" and parent in begins:
-                start, service = begins.pop(parent)
-                self._spans.append((pe, start, start + dur, service))
+        for begin_eid, end in index.end_of.items():
+            begin = index.by_eid[begin_eid]
+            self._spans.append((end[PE], begin[T], begin[T] + end[DUR],
+                                ":" in (begin[NAME] or "")))
 
     def span(self) -> Tuple[float, float]:
         """(first start, last end) over all intervals; (0, 0) if empty."""
@@ -48,9 +46,6 @@ class Timeline:
             return (0.0, 0.0)
         spans = self._spans
         return (min(s[1] for s in spans), max(s[2] for s in spans))
-
-    def _num_pes(self) -> int:
-        return max((s[0] for s in self._spans), default=0) + 1
 
     def render(self, width: int = 72, pes: Optional[List[int]] = None) -> str:
         """ASCII Gantt: one row per PE, '#' busy / '.' idle per time cell.
@@ -63,10 +58,11 @@ class Timeline:
         if not self._spans:
             return "(empty timeline)"
         lo, hi = self.span()
-        rows = pes if pes is not None else list(range(self._num_pes()))
+        if pes is None:
+            pes = range(max(s[0] for s in self._spans) + 1)
         zero = hi <= lo
         cell = (hi - lo) / width
-        grid = {pe: ["."] * (1 if zero else width) for pe in rows}
+        grid = {pe: ["."] * (1 if zero else width) for pe in pes}
         for pe, start, end, service in self._spans:
             cells = grid.get(pe)
             if cells is None:
@@ -86,6 +82,6 @@ class Timeline:
                      f"{len(self._spans)} instantaneous executions)"]
         else:
             lines = [f"timeline {lo * 1e3:.3f}..{hi * 1e3:.3f} ms"]
-        for pe in rows:
+        for pe in pes:
             lines.append(f"PE{pe:3d} |{''.join(grid[pe])}|")
         return "\n".join(lines)

@@ -357,6 +357,18 @@ def test_sample_metrics_zero_span_run():
     assert all(r["util"] == 0.0 for r in rows)
 
 
+def test_sample_metrics_reads_absent_keys_as_none():
+    """A hand-built record without ``dur`` (or ``uid``, ``parent``,
+    ``name``, ``info``) reads it as None, as the walk and the timeline
+    do."""
+    full = [_rec(0, "idle_gap", 0.0), _rec(1, "exec_end", 1e-3, pe=1)]
+    sparse = [{k: v for k, v in rec.items() if v is not None}
+              for rec in full]
+    assert "dur" not in sparse[0]
+    assert sample_metrics(sparse, buckets=2) == sample_metrics(full,
+                                                               buckets=2)
+
+
 def test_metrics_summary_edge_inputs():
     assert metrics_summary([]) == "metrics: (no samples)"
     rows = sample_metrics([_rec(0, "exec_end", 1e-3, dur=1e-3)],
@@ -499,6 +511,38 @@ def test_trace_cli_rejects_non_trace(tmp_path):
     bogus.write_text(json.dumps({"nope": 1}))
     with pytest.raises(SystemExit):
         main([str(bogus)])
+
+
+_RECORD = {"eid": 0, "kind": "send", "t": 0.0, "pe": 0}
+
+
+@pytest.mark.parametrize("content, fault", [
+    (None, "No such file"),
+    ("{not json", "not JSON"),
+    (json.dumps({"events": 5}), "not a repro trace"),
+    (json.dumps([{"eid": 0, "t": 0.0, "pe": 0}]),
+     "event 0 is not a record of a known kind"),
+    (json.dumps("events"), "not a repro trace"),
+    (json.dumps([_RECORD, dict(_RECORD, eid=1, kind="bogus")]),
+     "event 1 is not a record of a known kind"),
+    (json.dumps([_RECORD, dict(_RECORD, eid=1, t=None)]),
+     "event 1 has t None, not a number"),
+], ids=["missing", "not-json", "events-not-list", "no-kind", "json-string",
+        "unknown-kind", "no-time"])
+def test_trace_cli_malformed_file_is_a_usage_error(tmp_path, capsys,
+                                                   content, fault):
+    """Outside input: each fault exits 2 naming the file and the fault,
+    not with a traceback (or, for an unknown kind, a report)."""
+    from repro.trace.__main__ import main
+
+    path = tmp_path / "bad.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main([str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and fault in err
 
 
 # ------------------------------------------------------------- aggregates
