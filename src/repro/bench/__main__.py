@@ -1,12 +1,12 @@
 """CLI: ``python -m repro.bench --exp t2[,t6,...] [--scale quick] [--jobs N]``.
 
 Regenerates the paper's tables/figures through the parallel sweep
-executor: independent runs are sharded across ``--jobs`` warm worker
-processes and backed by a content-addressed on-disk result cache keyed
-by (run descriptor, source fingerprint), so a re-run after an unrelated
-edit replays cached rows.  ``--jobs 1`` is the historical serial path;
-``--no-cache`` bypasses the cache entirely.  Results are bit-identical
-at any job count — the simulator is deterministic virtual time.
+executor: the ``--exp`` plans go out as one batch, each distinct run once,
+sharded across ``--jobs`` warm worker processes and backed by a
+content-addressed on-disk result cache keyed by (run descriptor, source
+fingerprint), so a re-run after an unrelated edit replays cached rows.
+``--jobs 1`` is the historical serial path; ``--no-cache`` bypasses the
+cache entirely.  Results are bit-identical at any job count.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import tempfile
 import time
 
 from repro.bench.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.bench.experiments import EXPERIMENTS, run_experiment
-from repro.bench.parallel import SweepExecutor, default_jobs, use_executor
+from repro.bench.experiments import EXPERIMENTS, run_experiments
+from repro.bench.parallel import SweepExecutor, default_jobs
 from repro.util.errors import ConfigurationError
 
 
@@ -153,13 +153,13 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         # The other arguments are checked above; only a kind is left.
         parser.error(f"--trace-events: {exc}")
-    with executor, use_executor(executor):
-        for exp_id in ids:
-            result = run_experiment(exp_id, scale=args.scale)
-            print(f"\n== {result.exp_id}: {result.title} ==")
-            print(result.text)
-            if args.output:
-                _write(args.output, result, args.scale)
+    with executor:
+        results = run_experiments(ids, args.scale, executor)
+    for result in results:
+        print(f"\n== {result.exp_id}: {result.title} ==")
+        print(result.text)
+        if args.output:
+            _write(args.output, result, args.scale)
     wall = time.perf_counter() - started
     _summarize(executor, wall, args.stats_json)
     return 0

@@ -8,11 +8,9 @@ diagnostic.
 
 Measurements are expressed as declarative
 :class:`~repro.bench.descriptors.RunDescriptor`\\ s (:func:`describe`)
-and executed through the ambient sweep executor
-(:mod:`repro.bench.parallel`), which adds result caching and process-pool
-parallelism without changing any virtual-time result.  :func:`measure`
-is the one-run convenience wrapper; experiments batch descriptors
-through :func:`measure_many` so independent runs can overlap.
+and executed by a sweep executor (:mod:`repro.bench.parallel`), which
+adds result caching and process-pool parallelism without changing any
+virtual-time result.
 """
 
 from __future__ import annotations
@@ -48,9 +46,8 @@ from repro.metrics.latency import LatencyFold
 from repro.trace.events import EventLog, normalize_kinds
 from repro.util.errors import ConfigurationError, need_int, need_interval
 
-__all__ = ["AppSpec", "APPS", "describe", "measure_many",
-           "execute_descriptor", "run_descriptor", "sweep_from_rows",
-           "SweepResult"]
+__all__ = ["AppSpec", "APPS", "describe", "execute_descriptor",
+           "run_descriptor", "sweep_from_rows", "SweepResult"]
 
 
 @dataclass(frozen=True)
@@ -336,13 +333,6 @@ def run_descriptor(desc: RunDescriptor) -> MeasureRow:
     if result.kernel is not None:
         result.kernel.close()
     return row
-
-
-def measure_many(descs: Sequence[RunDescriptor], label: str = "") -> List[MeasureRow]:
-    """Execute a batch of descriptors through the ambient sweep executor."""
-    from repro.bench.parallel import current_executor
-
-    return current_executor().run_many(descs, label=label)
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Process-pool sweep executor for the experiment suite.
 
-The experiment registry decomposes each table/figure into a batch of
-independent :class:`~repro.bench.descriptors.RunDescriptor`\\ s and
-submits them here.  The executor:
+The experiment registry plans each table/figure as independent
+:class:`~repro.bench.descriptors.RunDescriptor`\\ s, and
+``run_experiments`` submits the union of a sweep's plans here as one
+batch.  The executor:
 
 * replays every descriptor already present in the result cache,
 * runs the misses either inline (``jobs=1`` — bit-for-bit the historical
@@ -17,11 +18,10 @@ Because every run is deterministic virtual time, the parallel schedule
 cannot change any result — the determinism-guard tests assert the
 ``--jobs N`` tables are byte-identical to serial.
 
-The module-level *current executor* (see :func:`use_executor`) is how the
-experiments' ``measure_many()`` calls route through the pool
-without threading an executor argument through every experiment: the
-default is a plain serial executor, so library users and tests keep
-today's behaviour unless a CLI (or test) installs a parallel one.
+The module-level *current executor* (see :func:`use_executor`) is what
+``run_experiment`` submits to: a plain serial executor unless a caller
+installs another.  The performance ledger's passes install theirs this
+way; the bench CLI hands its executor to ``run_experiments`` directly.
 """
 
 from __future__ import annotations
@@ -388,9 +388,9 @@ class SweepExecutor:
 
 
 # -------------------------------------------------------- ambient executor
-#: Installed by the bench CLI (or tests); ``None`` means plain serial.
+#: Installed by ``use_executor``; ``None`` means plain serial.
 _current: Optional[SweepExecutor] = None
-#: The fallback serial executor: ``measure_many()`` outside any
+#: The fallback serial executor: ``run_experiment()`` outside any
 #: ``use_executor`` block runs its batch inline.
 _default = SweepExecutor(jobs=1)
 
@@ -401,7 +401,7 @@ def current_executor() -> SweepExecutor:
 
 @contextmanager
 def use_executor(executor: SweepExecutor):
-    """Route ``measure_many`` through ``executor`` in this block."""
+    """Route ``run_experiment`` through ``executor`` in this block."""
     global _current
     previous = _current
     _current = executor

@@ -17,18 +17,18 @@ causal event log when a trace is exported — the same numbers either way.
 * **S4** — serving under faults: the PR-2 drop/stall models underneath a
   live request stream; every offered request must still complete.
 
-Every arm is a declarative run descriptor through the ambient sweep
-executor, so the S-series parallelises (``--jobs``) and caches exactly
-like the paper tables; latency digests ride inside each run's answer, so
-cache replay is byte-identical.
+Each experiment is a plan of declarative run descriptors and a report
+over their rows, so the S-series parallelises (``--jobs``) and caches
+exactly like the paper tables; latency digests ride inside each run's
+answer, so cache replay is byte-identical.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.bench.harness import describe, measure_many
-from repro.bench.tables import ExperimentResult, format_table
+from repro.bench.harness import describe
+from repro.bench.tables import ExperimentResult, Plan, format_table
 from repro.faults import FaultConfig
 from repro.machine.presets import make_machine
 from repro.workloads.arrivals import Bursty, Diurnal, Poisson, ServiceSpec
@@ -41,15 +41,15 @@ SERVICE = ServiceSpec("exp", 400.0)
 MACHINE = "ncube2"
 
 
-def _request_cost(pes: int) -> float:
+def _request_cost(pes: int, machine: str = MACHINE) -> float:
     """Mean busy-time one request costs its serving PE (seconds)."""
-    p = make_machine(MACHINE, pes).params
+    p = make_machine(machine, pes).params
     return SERVICE.mean * p.work_unit_time + p.sched_overhead + p.recv_overhead
 
 
-def _rate(util: float, pes: int) -> float:
+def _rate(util: float, pes: int, machine: str = MACHINE) -> float:
     """Offered arrival rate that loads a P-PE farm to ``util``."""
-    return util * pes / _request_cost(pes)
+    return util * pes / _request_cost(pes, machine)
 
 
 def _ms(value: Any) -> Any:
@@ -76,7 +76,7 @@ def _series(ans: Dict[str, Any]) -> Dict[str, Any]:
 
 
 # ------------------------------------------------------------------------ S1
-def exp_s1(scale: str = "paper") -> ExperimentResult:
+def exp_s1(scale: str = "paper") -> Plan:
     """Arrival-rate sweep to saturation (the tail-latency knee).
 
     An open-loop Poisson stream against a central-manager farm — the
@@ -98,37 +98,40 @@ def exp_s1(scale: str = "paper") -> ExperimentResult:
         )
         for u in utils
     ]
-    rows_out = measure_many(descs, label="s1")
-    headers = ["util %", "rate/s", "reqs", "done", "p50 (ms)", "p95 (ms)",
-               "p99 (ms)", "mean (ms)", "max (ms)", "wait %"]
-    table_rows = []
-    series = []
-    for util, row in zip(utils, rows_out):
-        ans = row.answer
-        assert ans["completed"] == ans["offered"], (
-            f"S1 lost requests at util={util}: {ans}")
-        table_rows.append(
-            [round(util * 100, 1), round(_rate(util, pes), 1),
-             ans["offered"], ans["completed"]] + _digest_cells(ans))
-        series.append({"util": util, "rate": _rate(util, pes), **_series(ans)})
-    data = {"machine": MACHINE, "pes": pes, "count": count,
-            "balancer": "central", "service_mean_units": SERVICE.mean,
-            "series": series}
-    return ExperimentResult(
-        "S1",
-        "open-loop saturation sweep (tail-latency knee)",
-        format_table(
-            headers, table_rows,
-            title=f"Request latency vs offered load on {MACHINE}, P={pes}, "
-            f"central balancer, {count} Poisson arrivals "
-            f"(exp service, mean {SERVICE.mean:g} units)",
-        ),
-        data,
-    )
+
+    def report(rows_out) -> ExperimentResult:
+        headers = ["util %", "rate/s", "reqs", "done", "p50 (ms)", "p95 (ms)",
+                   "p99 (ms)", "mean (ms)", "max (ms)", "wait %"]
+        table_rows = []
+        series = []
+        for util, row in zip(utils, rows_out):
+            ans = row.answer
+            assert ans["completed"] == ans["offered"], (
+                f"S1 lost requests at util={util}: {ans}")
+            table_rows.append(
+                [round(util * 100, 1), round(_rate(util, pes), 1),
+                 ans["offered"], ans["completed"]] + _digest_cells(ans))
+            series.append({"util": util, "rate": _rate(util, pes),
+                           **_series(ans)})
+        data = {"machine": MACHINE, "pes": pes, "count": count,
+                "balancer": "central", "service_mean_units": SERVICE.mean,
+                "series": series}
+        return ExperimentResult(
+            "S1",
+            "open-loop saturation sweep (tail-latency knee)",
+            format_table(
+                headers, table_rows,
+                title=f"Request latency vs offered load on {MACHINE}, P={pes}, "
+                f"central balancer, {count} Poisson arrivals "
+                f"(exp service, mean {SERVICE.mean:g} units)",
+            ),
+            data,
+        )
+    return descs, report
 
 
 # ------------------------------------------------------------------------ S2
-def exp_s2(scale: str = "paper") -> ExperimentResult:
+def exp_s2(scale: str = "paper") -> Plan:
     """Burst tolerance: same mean rate, increasingly bursty arrivals.
 
     All four processes offer the same long-run rate (75% utilization);
@@ -157,37 +160,39 @@ def exp_s2(scale: str = "paper") -> ExperimentResult:
                  arrivals=spec, service=SERVICE, shed_above=shed)
         for _, spec, shed in combos
     ]
-    rows_out = dict(zip(combos, measure_many(descs, label="s2")))
-    headers = ["arrivals", "admission", "done", "shed", "p50 (ms)",
-               "p95 (ms)", "p99 (ms)", "mean (ms)", "max (ms)", "wait %"]
-    table_rows = []
-    series = []
-    for (label, spec, shed), row in rows_out.items():
-        ans = row.answer
-        assert ans["completed"] + ans["shed"] == ans["offered"], (
-            f"S2 lost requests for {label}: {ans}")
-        table_rows.append(
-            [label, "-" if shed is None else f"q<={shed}",
-             ans["completed"], ans["shed"]] + _digest_cells(ans))
-        series.append({"arrivals": label, "shed_above": shed,
-                       "spec": type(spec).__name__, **_series(ans)})
-    data = {"machine": MACHINE, "pes": pes, "count": count, "util": util,
-            "rate": rate, "series": series}
-    return ExperimentResult(
-        "S2",
-        "burst tolerance at fixed mean load",
-        format_table(
-            headers, table_rows,
-            title=f"Same mean rate ({util * 100:.0f}% utilization), "
-            f"increasing burstiness on {MACHINE}, P={pes}; admission "
-            "bound sheds when the landing PE's queue exceeds 6",
-        ),
-        data,
-    )
+
+    def report(rows_out) -> ExperimentResult:
+        headers = ["arrivals", "admission", "done", "shed", "p50 (ms)",
+                   "p95 (ms)", "p99 (ms)", "mean (ms)", "max (ms)", "wait %"]
+        table_rows = []
+        series = []
+        for (label, spec, shed), row in zip(combos, rows_out):
+            ans = row.answer
+            assert ans["completed"] + ans["shed"] == ans["offered"], (
+                f"S2 lost requests for {label}: {ans}")
+            table_rows.append(
+                [label, "-" if shed is None else f"q<={shed}",
+                 ans["completed"], ans["shed"]] + _digest_cells(ans))
+            series.append({"arrivals": label, "shed_above": shed,
+                           "spec": type(spec).__name__, **_series(ans)})
+        data = {"machine": MACHINE, "pes": pes, "count": count, "util": util,
+                "rate": rate, "series": series}
+        return ExperimentResult(
+            "S2",
+            "burst tolerance at fixed mean load",
+            format_table(
+                headers, table_rows,
+                title=f"Same mean rate ({util * 100:.0f}% utilization), "
+                f"increasing burstiness on {MACHINE}, P={pes}; admission "
+                "bound sheds when the landing PE's queue exceeds 6",
+            ),
+            data,
+        )
+    return descs, report
 
 
 # ------------------------------------------------------------------------ S3
-def exp_s3(scale: str = "paper") -> ExperimentResult:
+def exp_s3(scale: str = "paper") -> Plan:
     """Balancer comparison serving the identical request stream.
 
     The paper's central question — adaptive load balancing — restated for
@@ -206,36 +211,38 @@ def exp_s3(scale: str = "paper") -> ExperimentResult:
                  service=SERVICE)
         for u, bal in combos
     ]
-    rows_out = dict(zip(combos, measure_many(descs, label="s3")))
-    headers = ["balancer", "util %", "p50 (ms)", "p95 (ms)", "p99 (ms)",
-               "mean (ms)", "max (ms)", "wait %", "remote seeds"]
-    table_rows = []
-    series = []
-    for (util, bal), row in rows_out.items():
-        ans = row.answer
-        assert ans["completed"] == ans["offered"], (
-            f"S3 lost requests for {bal}: {ans}")
-        table_rows.append([bal, round(util * 100, 1)] + _digest_cells(ans)
-                          + [row.stats.lb_seeds_remote])
-        series.append({"balancer": bal, "util": util,
-                       "remote_seeds": row.stats.lb_seeds_remote,
-                       **_series(ans)})
-    data = {"machine": MACHINE, "pes": pes, "count": count, "utils": utils,
-            "series": series}
-    return ExperimentResult(
-        "S3",
-        "balancer comparison under live traffic",
-        format_table(
-            headers, table_rows,
-            title=f"Identical Poisson stream, every balancer, {MACHINE} "
-            f"P={pes} ({count} requests per cell)",
-        ),
-        data,
-    )
+
+    def report(rows_out) -> ExperimentResult:
+        headers = ["balancer", "util %", "p50 (ms)", "p95 (ms)", "p99 (ms)",
+                   "mean (ms)", "max (ms)", "wait %", "remote seeds"]
+        table_rows = []
+        series = []
+        for (util, bal), row in zip(combos, rows_out):
+            ans = row.answer
+            assert ans["completed"] == ans["offered"], (
+                f"S3 lost requests for {bal}: {ans}")
+            table_rows.append([bal, round(util * 100, 1)] + _digest_cells(ans)
+                              + [row.stats.lb_seeds_remote])
+            series.append({"balancer": bal, "util": util,
+                           "remote_seeds": row.stats.lb_seeds_remote,
+                           **_series(ans)})
+        data = {"machine": MACHINE, "pes": pes, "count": count,
+                "utils": utils, "series": series}
+        return ExperimentResult(
+            "S3",
+            "balancer comparison under live traffic",
+            format_table(
+                headers, table_rows,
+                title=f"Identical Poisson stream, every balancer, {MACHINE} "
+                f"P={pes} ({count} requests per cell)",
+            ),
+            data,
+        )
+    return descs, report
 
 
 # ------------------------------------------------------------------------ S4
-def exp_s4(scale: str = "paper") -> ExperimentResult:
+def exp_s4(scale: str = "paper") -> Plan:
     """Serving under faults: drop/stall/slow-PE models beneath live load.
 
     The resilience claim (R-series) restated for a service: message loss
@@ -264,37 +271,39 @@ def exp_s4(scale: str = "paper") -> ExperimentResult:
         if faults is not None:
             kwargs["faults"] = faults
         descs.append(describe("serving", MACHINE, pes, **kwargs))
-    rows_out = measure_many(descs, label="s4")
-    headers = ["faults", "done", "p50 (ms)", "p95 (ms)", "p99 (ms)",
-               "mean (ms)", "max (ms)", "wait %", "retries", "stalls"]
-    table_rows = []
-    series = []
-    for (label, faults), row in zip(severities, rows_out):
-        ans = row.answer
-        assert ans["completed"] == ans["offered"], (
-            f"S4 lost requests under {label}: {ans}")
-        st = row.stats
-        table_rows.append([label, ans["completed"]] + _digest_cells(ans)
-                          + [st.retries, st.stalls])
-        series.append({"faults": label, "retries": st.retries,
-                       "stalls": st.stalls, **_series(ans)})
-    data = {"machine": MACHINE, "pes": pes, "count": count, "util": util,
-            "rate": rate, "series": series}
-    return ExperimentResult(
-        "S4",
-        "serving under injected faults",
-        format_table(
-            headers, table_rows,
-            title=f"Live stream at {util * 100:.0f}% utilization under "
-            f"fault models, {MACHINE} P={pes} (every offered request "
-            "completes in every arm)",
-        ),
-        data,
-    )
+
+    def report(rows_out) -> ExperimentResult:
+        headers = ["faults", "done", "p50 (ms)", "p95 (ms)", "p99 (ms)",
+                   "mean (ms)", "max (ms)", "wait %", "retries", "stalls"]
+        table_rows = []
+        series = []
+        for (label, faults), row in zip(severities, rows_out):
+            ans = row.answer
+            assert ans["completed"] == ans["offered"], (
+                f"S4 lost requests under {label}: {ans}")
+            st = row.stats
+            table_rows.append([label, ans["completed"]] + _digest_cells(ans)
+                              + [st.retries, st.stalls])
+            series.append({"faults": label, "retries": st.retries,
+                           "stalls": st.stalls, **_series(ans)})
+        data = {"machine": MACHINE, "pes": pes, "count": count, "util": util,
+                "rate": rate, "series": series}
+        return ExperimentResult(
+            "S4",
+            "serving under injected faults",
+            format_table(
+                headers, table_rows,
+                title=f"Live stream at {util * 100:.0f}% utilization under "
+                f"fault models, {MACHINE} P={pes} (every offered request "
+                "completes in every arm)",
+            ),
+            data,
+        )
+    return descs, report
 
 
 # ------------------------------------------------------------------------ S5
-def exp_s5(scale: str = "paper") -> ExperimentResult:
+def exp_s5(scale: str = "paper") -> Plan:
     """Serving on sparse large-P farms: machine size is free.
 
     The sparse-PE kernel's serving claim: a fixed request stream against
@@ -311,48 +320,48 @@ def exp_s5(scale: str = "paper") -> ExperimentResult:
     machine = "cluster"
     # Fixed offered rate, sized against the smallest farm at low load so
     # every arm sees the identical stream (same seeds, same timestamps).
-    p = make_machine(machine, pes_list[0]).params
-    cost = SERVICE.mean * p.work_unit_time + p.sched_overhead + p.recv_overhead
-    rate = 0.3 * pes_list[0] / cost
+    rate = _rate(0.3, pes_list[0], machine)
     descs = [
         describe("serving", machine, pes, sparse=True, balancer="central",
                  arrivals=Poisson(rate=rate, count=count), service=SERVICE)
         for pes in pes_list
     ]
-    rows_out = measure_many(descs, label="s5")
-    headers = ["P", "done", "touched PEs", "p50 (ms)", "p95 (ms)",
-               "p99 (ms)", "mean (ms)", "host (s)"]
-    table_rows = []
-    series = []
-    for pes, row in zip(pes_list, rows_out):
-        ans = row.answer
-        assert ans["completed"] == ans["offered"], (
-            f"S5 lost requests at P={pes}: {ans}")
-        touched = len(row.stats.pe_rows)
-        assert touched <= count + 2, (
-            f"S5 touched {touched} ranks for {count} requests at P={pes}")
-        table_rows.append([pes, ans["completed"], touched,
-                           _ms(ans["p50"]), _ms(ans["p95"]),
-                           _ms(ans["p99"]), _ms(ans["mean"]),
-                           round(row.host_seconds, 3)])
-        series.append({"pes": pes, "touched": touched,
-                       "host_seconds": row.host_seconds, **_series(ans)})
-    data = {"machine": machine, "pes": pes_list, "count": count,
-            "rate": rate, "series": series}
-    return ExperimentResult(
-        "S5",
-        "serving on sparse large-P farms",
-        format_table(
-            headers, table_rows,
-            title=f"Fixed {count}-request stream against sparse cluster "
-            "farms (touched = materialized PE ranks)",
-        ),
-        data,
-    )
+
+    def report(rows_out) -> ExperimentResult:
+        headers = ["P", "done", "touched PEs", "p50 (ms)", "p95 (ms)",
+                   "p99 (ms)", "mean (ms)", "host (s)"]
+        table_rows = []
+        series = []
+        for pes, row in zip(pes_list, rows_out):
+            ans = row.answer
+            assert ans["completed"] == ans["offered"], (
+                f"S5 lost requests at P={pes}: {ans}")
+            touched = len(row.stats.pe_rows)
+            assert touched <= count + 2, (
+                f"S5 touched {touched} ranks for {count} requests at P={pes}")
+            table_rows.append([pes, ans["completed"], touched,
+                               _ms(ans["p50"]), _ms(ans["p95"]),
+                               _ms(ans["p99"]), _ms(ans["mean"]),
+                               round(row.host_seconds, 3)])
+            series.append({"pes": pes, "touched": touched,
+                           "host_seconds": row.host_seconds, **_series(ans)})
+        data = {"machine": machine, "pes": pes_list, "count": count,
+                "rate": rate, "series": series}
+        return ExperimentResult(
+            "S5",
+            "serving on sparse large-P farms",
+            format_table(
+                headers, table_rows,
+                title=f"Fixed {count}-request stream against sparse cluster "
+                "farms (touched = materialized PE ranks)",
+            ),
+            data,
+        )
+    return descs, report
 
 
 # ------------------------------------------------------------------------ S6
-def exp_s6(scale: str = "paper") -> ExperimentResult:
+def exp_s6(scale: str = "paper") -> Plan:
     """Trace-free tail latency from the online telemetry plane.
 
     Two claims in one table.  **Validation** (P ≤ 10⁴): runs carrying both
@@ -373,9 +382,7 @@ def exp_s6(scale: str = "paper") -> ExperimentResult:
     else:
         pes_list, count, demo_pes = [1_000, 10_000], 1000, 100_000
     machine = "cluster"
-    p = make_machine(machine, pes_list[0]).params
-    cost = SERVICE.mean * p.work_unit_time + p.sched_overhead + p.recv_overhead
-    rate = 0.3 * pes_list[0] / cost
+    rate = _rate(0.3, pes_list[0], machine)
     # Snapshot every eighth of the arrival span.  The run's virtual time is
     # drain-dominated (in-flight requests outlive the stream), so the
     # stream itself gets ~8 snapshots and the drain tail streams more —
@@ -397,62 +404,64 @@ def exp_s6(scale: str = "paper") -> ExperimentResult:
         describe("serving", machine, demo_pes, metrics=interval,
                  trace_events=None, **common)
     ]
-    rows_out = measure_many(descs, label="s6")
-    probe = Histogram()  # bucket geometry only (default subbuckets)
-    headers = ["P", "done", "lens", "p50 (ms)", "p95 (ms)", "p99 (ms)",
-               "mean (ms)", "max \N{GREEK CAPITAL LETTER DELTA}bucket",
-               "snaps", "host (s)"]
-    table_rows = []
-    series = []
-    for pes, row in zip(pes_list + [demo_pes], rows_out):
-        ans = row.answer
-        online = ans["online"]
-        assert ans["completed"] == ans["offered"] == online["count"], (
-            f"S6 online digest disagrees with the collector at P={pes}: {ans}")
-        payload = row.telemetry
-        assert payload is not None, f"S6 row lost its telemetry at P={pes}"
-        snaps = len(payload["snapshots"])
-        validated = ans["p50"] is not None
-        max_diff = None
-        if validated:
-            diffs = []
-            for q in ("p50", "p95", "p99"):
-                exact, est = ans[q], online[q]
-                diffs.append(abs(probe.bucket_index(exact)
-                                 - probe.bucket_index(est)))
-            max_diff = max(diffs)
-            assert max_diff <= 1, (
-                f"S6 online quantile strayed {max_diff} buckets from the "
-                f"trace walk at P={pes}")
+
+    def report(rows_out) -> ExperimentResult:
+        probe = Histogram()  # bucket geometry only (default subbuckets)
+        headers = ["P", "done", "lens", "p50 (ms)", "p95 (ms)", "p99 (ms)",
+                   "mean (ms)", "max \N{GREEK CAPITAL LETTER DELTA}bucket",
+                   "snaps", "host (s)"]
+        table_rows = []
+        series = []
+        for pes, row in zip(pes_list + [demo_pes], rows_out):
+            ans = row.answer
+            online = ans["online"]
+            assert ans["completed"] == ans["offered"] == online["count"], (
+                f"S6 online digest disagrees with the collector at P={pes}: {ans}")
+            payload = row.telemetry
+            assert payload is not None, f"S6 row lost its telemetry at P={pes}"
+            snaps = len(payload["snapshots"])
+            validated = ans["p50"] is not None
+            max_diff = None
+            if validated:
+                diffs = []
+                for q in ("p50", "p95", "p99"):
+                    exact, est = ans[q], online[q]
+                    diffs.append(abs(probe.bucket_index(exact)
+                                     - probe.bucket_index(est)))
+                max_diff = max(diffs)
+                assert max_diff <= 1, (
+                    f"S6 online quantile strayed {max_diff} buckets from the "
+                    f"trace walk at P={pes}")
+                table_rows.append(
+                    [pes, ans["completed"], "trace", _ms(ans["p50"]),
+                     _ms(ans["p95"]), _ms(ans["p99"]), _ms(ans["mean"]),
+                     "", "", ""])
             table_rows.append(
-                [pes, ans["completed"], "trace", _ms(ans["p50"]),
-                 _ms(ans["p95"]), _ms(ans["p99"]), _ms(ans["mean"]),
-                 "", "", ""])
-        table_rows.append(
-            [pes, ans["completed"], "online", _ms(online["p50"]),
-             _ms(online["p95"]), _ms(online["p99"]), _ms(online["mean"]),
-             max_diff if validated else "-", snaps,
-             round(row.host_seconds, 3)])
-        series.append({
-            "pes": pes, "validated": validated, "max_bucket_diff": max_diff,
-            "snapshots": snaps, "host_seconds": row.host_seconds,
-            "online": {k: online[k] for k in
-                       ("p50", "p95", "p99", "count", "mean", "min", "max")},
-            **({"trace": {k: ans[k] for k in ("p50", "p95", "p99", "mean")}}
-               if validated else {}),
-            "offered": ans["offered"], "completed": ans["completed"],
-        })
-    data = {"machine": machine, "pes": pes_list, "demo_pes": demo_pes,
-            "count": count, "rate": rate, "interval": interval,
-            "subbuckets": probe.subbuckets, "series": series}
-    return ExperimentResult(
-        "S6",
-        "online tail latency vs the trace walk, then trace-free at scale",
-        format_table(
-            headers, table_rows,
-            title=f"Telemetry-plane latency digests, {count}-request stream "
-            f"on sparse {machine} farms; P={demo_pes} runs with tracing "
-            "disabled (online histogram is the only lens)",
-        ),
-        data,
-    )
+                [pes, ans["completed"], "online", _ms(online["p50"]),
+                 _ms(online["p95"]), _ms(online["p99"]), _ms(online["mean"]),
+                 max_diff if validated else "-", snaps,
+                 round(row.host_seconds, 3)])
+            series.append({
+                "pes": pes, "validated": validated, "max_bucket_diff": max_diff,
+                "snapshots": snaps, "host_seconds": row.host_seconds,
+                "online": {k: online[k] for k in
+                           ("p50", "p95", "p99", "count", "mean", "min", "max")},
+                **({"trace": {k: ans[k] for k in ("p50", "p95", "p99", "mean")}}
+                   if validated else {}),
+                "offered": ans["offered"], "completed": ans["completed"],
+            })
+        data = {"machine": machine, "pes": pes_list, "demo_pes": demo_pes,
+                "count": count, "rate": rate, "interval": interval,
+                "subbuckets": probe.subbuckets, "series": series}
+        return ExperimentResult(
+            "S6",
+            "online tail latency vs the trace walk, then trace-free at scale",
+            format_table(
+                headers, table_rows,
+                title=f"Telemetry-plane latency digests, {count}-request stream "
+                f"on sparse {machine} farms; P={demo_pes} runs with tracing "
+                "disabled (online histogram is the only lens)",
+            ),
+            data,
+        )
+    return descs, report

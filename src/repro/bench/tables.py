@@ -4,9 +4,9 @@ formatting."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
-__all__ = ["ExperimentResult", "format_table", "format_series"]
+__all__ = ["ExperimentResult", "Plan", "format_table", "format_series"]
 
 
 @dataclass
@@ -15,6 +15,11 @@ class ExperimentResult:
     title: str
     text: str
     data: Dict[str, Any] = field(default_factory=dict)
+
+
+#: What an experiment function returns: the run descriptors it needs, and
+#: the report that turns their rows (in the same order) into its result.
+Plan = Tuple[List[Any], Callable[[Sequence[Any]], ExperimentResult]]
 
 
 def _fmt(value: Any) -> str:

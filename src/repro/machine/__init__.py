@@ -14,7 +14,6 @@ from repro.machine.topology import (
     FullyConnectedTopology,
     Mesh2DTopology,
     HypercubeTopology,
-    TreeTopology,
 )
 from repro.machine.network import Machine, MachineParams
 from repro.machine.presets import (
@@ -35,7 +34,6 @@ __all__ = [
     "FullyConnectedTopology",
     "Mesh2DTopology",
     "HypercubeTopology",
-    "TreeTopology",
     "Machine",
     "MachineParams",
     "MACHINE_PRESETS",

@@ -13,8 +13,8 @@ Every machine preset is built on one of the first three:
   power of two, hops = popcount(i XOR j).
 * :class:`FullyConnectedTopology` — idealised crossbar.
 
-:class:`Mesh2DTopology` (a ledger probe's machine) and
-:class:`TreeTopology` are not used by any preset.
+:class:`Mesh2DTopology` (a ledger probe's machine) is not used by any
+preset.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "FullyConnectedTopology",
     "Mesh2DTopology",
     "HypercubeTopology",
-    "TreeTopology",
 ]
 
 
@@ -207,105 +206,6 @@ class HypercubeTopology(Topology):
                 cur = nxt
             diff >>= 1
             d += 1
-        return links
-
-
-class TreeTopology(Topology):
-    """Complete k-ary tree numbered level-order (PE 0 is the root)."""
-
-    name = "tree"
-
-    def __init__(self, num_pes: int, arity: int = 2) -> None:
-        super().__init__(num_pes)
-        if arity < 2:
-            raise TopologyError(f"tree arity must be >= 2, got {arity}")
-        self.arity = arity
-
-    def parent(self, pe: int) -> int | None:
-        self._check(pe)
-        return None if pe == 0 else (pe - 1) // self.arity
-
-    def children(self, pe: int) -> List[int]:
-        self._check(pe)
-        lo = pe * self.arity + 1
-        return [c for c in range(lo, lo + self.arity) if c < self.num_pes]
-
-    def _path_to_root(self, pe: int) -> List[int]:
-        path = [pe]
-        while pe != 0:
-            pe = (pe - 1) // self.arity
-            path.append(pe)
-        return path
-
-    def distance(self, src: int, dst: int) -> int:
-        """Climb to the lowest common ancestor.  In level order a larger
-        index is never shallower, so stepping the larger end up walks
-        both paths to the meeting node, one hop per step."""
-        arity = self.arity
-        hops = 0
-        while src != dst:
-            if src > dst:
-                src = (src - 1) // arity
-            else:
-                dst = (dst - 1) // arity
-            hops += 1
-        return hops
-
-    def neighbors(self, pe: int) -> List[int]:
-        self._check(pe)
-        out = self.children(pe)
-        p = self.parent(pe)
-        if p is not None:
-            out.append(p)
-        return sorted(out)
-
-    def diameter(self) -> int:
-        """O(log n) closed form.
-
-        Level-order numbering fills each level left to right, so the last
-        node ``n-1`` is a deepest node (depth D).  The diameter pairs a
-        depth-D node with the deepest node in a *different* root subtree:
-        2D when depth D reaches past the root's first subtree (some
-        depth-D node lives under child 2), else 2D-1 (the other subtrees
-        stop at depth D-1, which is fully populated whenever depth D
-        exists beyond n=1).
-        """
-        n = self.num_pes
-        if n == 1:
-            return 0
-        if n == 2:
-            return 1
-        depth = 0
-        node = n - 1
-        while node != 0:
-            node = (node - 1) // self.arity
-            depth += 1
-        # Leftmost descendant of root child 2 at depth ``depth``.
-        node = 2
-        for _ in range(depth - 1):
-            node = node * self.arity + 1
-        return 2 * depth if node < n else 2 * depth - 1
-
-    def route(self, src: int, dst: int) -> List[Tuple[int, int]]:
-        """Up to the lowest common ancestor, then down."""
-        self._check(src)
-        self._check(dst)
-        up = self._path_to_root(src)
-        down = self._path_to_root(dst)
-        common = set(up) & set(down)
-        links = []
-        cur = src
-        while cur not in common:
-            parent = self.parent(cur)
-            links.append((cur, parent))
-            cur = parent
-        lca = cur
-        descent = []
-        cur = dst
-        while cur != lca:
-            descent.append((self.parent(cur), cur))
-            cur = self.parent(cur)
-        links.extend(reversed(descent))
         return links
 
 

@@ -98,10 +98,12 @@ def main(argv=None) -> int:
     dropped = doc.get("dropped", 0)
     print(f", {dropped} dropped at the log bound" if dropped else "")
 
-    # Pass the machine's true PE count and span when the trace carries
-    # them: inferring num_pes as max_pe + 1 overstates utilization on a
-    # sparse machine where only low-ranked PEs happened to be touched.
-    metrics = doc.get("metrics") or sample_metrics(
+    # Always from the events, at --buckets: a stored "metrics" field is
+    # the exporter's default sampling, not this command's.  Pass the
+    # machine's true PE count and span when the trace carries them:
+    # inferring num_pes as max_pe + 1 overstates utilization on a sparse
+    # machine where only low-ranked PEs happened to be touched.
+    metrics = sample_metrics(
         index, buckets=args.buckets,
         num_pes=meta.get("num_pes"), t_end=meta.get("total_time"))
     print(metrics_summary(metrics))

@@ -11,7 +11,7 @@ import pickle
 
 from repro.bench.cache import ResultCache
 from repro.bench.harness import describe
-from repro.bench.parallel import SweepExecutor, use_executor
+from repro.bench.parallel import SweepExecutor
 from repro.util.hashing import source_fingerprint
 
 
@@ -76,14 +76,14 @@ def test_source_edit_forces_reexecution(tmp_path):
     desc = describe("fib", "ideal", 2, n=10, threshold=5)
 
     old = ResultCache(cache_dir, fingerprint=source_fingerprint(str(src)))
-    with SweepExecutor(jobs=1, cache=old) as ex, use_executor(ex):
+    with SweepExecutor(jobs=1, cache=old) as ex:
         row = ex.run_many([desc])[0]
     assert old.stores == 1
 
     (src / "mod.py").write_text("X = 99\n")
     edited = ResultCache(cache_dir, fingerprint=source_fingerprint(str(src)))
     assert edited.fingerprint != old.fingerprint
-    with SweepExecutor(jobs=1, cache=edited) as ex, use_executor(ex):
+    with SweepExecutor(jobs=1, cache=edited) as ex:
         rerun = ex.run_many([desc])[0]
     assert edited.misses == 1 and edited.hits == 0 and edited.stores == 1
     assert rerun.vtime == row.vtime  # same config → same virtual time
@@ -99,7 +99,7 @@ def test_source_edit_forces_reexecution(tmp_path):
 def test_corrupt_cache_file_is_miss_not_crash(tmp_path):
     cache = ResultCache(str(tmp_path), fingerprint="fp")
     desc = describe("fib", "ideal", 1, n=10, threshold=5)
-    with SweepExecutor(jobs=1, cache=cache) as ex, use_executor(ex):
+    with SweepExecutor(jobs=1, cache=cache) as ex:
         row = ex.run_many([desc])[0]
     path = _path(cache, desc)
 
@@ -117,7 +117,7 @@ def test_corrupt_cache_file_is_miss_not_crash(tmp_path):
 def test_truncated_cache_file_is_miss(tmp_path):
     cache = ResultCache(str(tmp_path), fingerprint="fp")
     desc = describe("fib", "ideal", 1, n=10, threshold=5)
-    with SweepExecutor(jobs=1, cache=cache) as ex, use_executor(ex):
+    with SweepExecutor(jobs=1, cache=cache) as ex:
         ex.run_many([desc])[0]
     path = _path(cache, desc)
     blob = open(path, "rb").read()
@@ -201,7 +201,7 @@ def test_hit_rate_accounting(tmp_path):
     desc = describe("fib", "ideal", 1, n=10, threshold=5)
     assert cache.hit_rate == 0.0
     assert cache.get(desc) is None          # no such file: not "corrupt"
-    with SweepExecutor(jobs=1, cache=cache) as ex, use_executor(ex):
+    with SweepExecutor(jobs=1, cache=cache) as ex:
         ex.run_many([desc])[0]
     assert cache.get(desc) is not None
     stats = cache.stats()

@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.bench.harness import (APPS, MeasureRow, describe, measure_many,
-                                 sweep_from_rows)
+from repro.bench.harness import APPS, MeasureRow, describe, sweep_from_rows
+from repro.bench.parallel import SweepExecutor
 from repro.bench.tables import format_series, format_table
 from repro.util.errors import ConfigurationError
+
+#: Runs a batch inline, in submission order (never starts a pool).
+SERIAL = SweepExecutor(jobs=1)
 
 
 # --------------------------------------------------------------------- tables
@@ -42,7 +45,7 @@ def test_all_app_specs_have_runners():
 
 
 def test_measure_returns_row():
-    row = measure_many([describe("fib", "ideal", 2, n=12, threshold=6)])[0]
+    row = SERIAL.run_many([describe("fib", "ideal", 2, n=12, threshold=6)])[0]
     assert isinstance(row, MeasureRow)
     assert row.answer == 144
     assert row.vtime_ms > 0
@@ -50,20 +53,20 @@ def test_measure_returns_row():
 
 
 def test_measure_override_wins_over_default():
-    row = measure_many([describe("queens", "ideal", 1, n=5, grainsize=2)])[0]
+    row = SERIAL.run_many([describe("queens", "ideal", 1, n=5, grainsize=2)])[0]
     assert row.answer[0] == 10  # 5-queens, not the default 8-queens (92)
 
 
 def test_measure_queueing_kwarg():
-    row = measure_many([describe("fib", "ideal", 2, queueing="lifo", n=10,
-                                 threshold=5)])[0]
+    row = SERIAL.run_many([describe("fib", "ideal", 2, queueing="lifo", n=10,
+                                    threshold=5)])[0]
     assert row.queueing == "lifo"
 
 
 def test_speedup_sweep_shapes():
     pes = [1, 2, 4]
-    rows = measure_many([describe("fib", "ipsc2", p, n=14, threshold=7)
-                         for p in pes])
+    rows = SERIAL.run_many([describe("fib", "ipsc2", p, n=14, threshold=7)
+                            for p in pes])
     sweep = sweep_from_rows("fib", "ipsc2", pes, rows)
     assert sweep.pes == [1, 2, 4]
     assert len(sweep.times) == 3
@@ -116,7 +119,7 @@ def test_bench_cli_checks_output_before_the_sweep(capsys, tmp_path, monkeypatch)
     def no_sweep(*args, **kwargs):
         raise AssertionError("the sweep started before --output was checked")
 
-    monkeypatch.setattr(cli, "run_experiment", no_sweep)
+    monkeypatch.setattr(cli, "run_experiments", no_sweep)
     occupied = tmp_path / "a-file"
     occupied.write_text("")
     for bad in ("/proc/nope/x", str(occupied), str(occupied / "below")):

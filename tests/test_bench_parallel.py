@@ -14,15 +14,15 @@ import pytest
 
 from repro.bench.cache import ResultCache
 from repro.bench.descriptors import RunDescriptor
-from repro.bench.experiments import run_experiment
-from repro.bench.harness import APPS, AppSpec, describe, measure_many
-from repro.bench.parallel import SweepExecutor, SweepRunError, use_executor
+from repro.bench.experiments import EXPERIMENTS, run_experiments
+from repro.bench.harness import APPS, AppSpec, describe
+from repro.bench.parallel import SweepExecutor, SweepRunError
 from repro.util.errors import ConfigurationError
 
 
 def _run(exp_id, **executor_kwargs):
-    with SweepExecutor(**executor_kwargs) as ex, use_executor(ex):
-        return run_experiment(exp_id, scale="quick")
+    with SweepExecutor(**executor_kwargs) as ex:
+        return run_experiments([exp_id], "quick", ex)[0]
 
 
 def _payload(result):
@@ -56,12 +56,12 @@ def test_jobs2_byte_identical_with_memoised_tree_shape(exp_id):
 
 def test_cache_hit_replays_identical_row(tmp_path):
     cache = ResultCache(str(tmp_path), fingerprint="pinned")
-    with SweepExecutor(jobs=1, cache=cache) as ex, use_executor(ex):
-        first = measure_many([describe("fib", "ipsc2", 4, n=12, threshold=6)])[0]
+    with SweepExecutor(jobs=1, cache=cache) as ex:
+        first = ex.run_many([describe("fib", "ipsc2", 4, n=12, threshold=6)])[0]
     assert cache.stores == 1 and cache.hits == 0
     replay_cache = ResultCache(str(tmp_path), fingerprint="pinned")
-    with SweepExecutor(jobs=1, cache=replay_cache) as ex, use_executor(ex):
-        second = measure_many([describe("fib", "ipsc2", 4, n=12, threshold=6)])[0]
+    with SweepExecutor(jobs=1, cache=replay_cache) as ex:
+        second = ex.run_many([describe("fib", "ipsc2", 4, n=12, threshold=6)])[0]
     assert replay_cache.hits == 1 and replay_cache.stores == 0
     # The replayed row equals the executed one in every projected field
     # (the live RunResult is inline-only by design).
@@ -91,9 +91,9 @@ def exploding_app(monkeypatch):
 def test_inline_failure_names_descriptor(exploding_app):
     good = describe("fib", "ideal", 1, n=10, threshold=5)
     bad = describe(exploding_app, "ideal", 2)
-    with SweepExecutor(jobs=1) as ex, use_executor(ex):
+    with SweepExecutor(jobs=1) as ex:
         with pytest.raises(SweepRunError) as err:
-            measure_many([good, bad, good])
+            ex.run_many([good, bad, good])
     assert "exploding@ideal P=2" in str(err.value)
     assert "deliberate kaboom" in str(err.value)
 
@@ -105,27 +105,67 @@ def test_pooled_failure_names_descriptor_and_batch_survives(exploding_app):
         pytest.skip("monkeypatched app registry needs fork start method")
     good = describe("fib", "ideal", 1, n=10, threshold=5)
     bad = describe(exploding_app, "ideal", 2)
-    with SweepExecutor(jobs=2) as ex, use_executor(ex):
+    with SweepExecutor(jobs=2) as ex:
         with pytest.raises(SweepRunError) as err:
-            measure_many([good, bad, good])
+            ex.run_many([good, bad, good])
     assert "exploding@ideal P=2" in str(err.value)
     # Exactly the one bad descriptor failed; the good runs completed.
     assert len(err.value.failures) == 1
 
 
+def test_multi_experiment_sweep_names_every_failed_run(exploding_app,
+                                                       monkeypatch):
+    """One batch for the whole sweep: a failing run in the first
+    experiment no longer hides the second experiment's failure."""
+    good = describe("fib", "ideal", 1, n=10, threshold=5)
+
+    def plan(bad_pes):
+        def experiment(scale):
+            descs = [good, describe(exploding_app, "ideal", bad_pes)]
+            return descs, lambda rows: pytest.fail("a report ran")
+        return experiment
+
+    monkeypatch.setitem(EXPERIMENTS, "x1", plan(2))
+    monkeypatch.setitem(EXPERIMENTS, "x2", plan(3))
+    with SweepExecutor(jobs=1) as ex:
+        with pytest.raises(SweepRunError) as err:
+            run_experiments(["x1", "x2"], "quick", ex)
+        assert ex.batches == 1
+    assert sorted(desc.num_pes for desc, _ in err.value.failures) == [2, 3]
+    assert "exploding@ideal P=2" in str(err.value)
+    assert "exploding@ideal P=3" in str(err.value)
+
+
+def test_multi_experiment_cli_output_identical_at_jobs2(tmp_path):
+    """``--exp t2,f1,t9``: one batch whose repeats (T2 and F1 share runs)
+    are run once, pooled or not; every ``--output`` file is the same."""
+    from repro.bench.__main__ import main
+
+    outputs = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["--exp", "t2,f1,t9", "--scale", "quick", "--jobs", jobs,
+                     "--no-cache", "--no-progress", "--output", str(out)]) == 0
+        outputs[jobs] = {path.name: path.read_bytes()
+                         for path in sorted(out.iterdir())}
+    assert sorted(outputs["1"]) == ["f1.json", "f1.txt", "t2.json", "t2.txt",
+                                    "t9.json", "t9.txt"]
+    assert outputs["2"] == outputs["1"]
+
+
 def test_pool_reused_warm_across_batches():
     descs = [describe("fib", "ideal", p, n=10, threshold=5) for p in (1, 2)]
-    with SweepExecutor(jobs=2) as ex, use_executor(ex):
-        measure_many(descs)
+    with SweepExecutor(jobs=2) as ex:
+        ex.run_many(descs)
         pool_first = ex._pool
-        measure_many(descs)
+        ex.run_many(descs)
         assert ex._pool is pool_first
         assert pool_first is not None
 
 
 def test_jobs1_never_creates_pool():
-    with SweepExecutor(jobs=1) as ex, use_executor(ex):
-        measure_many([describe("fib", "ideal", 1, n=10, threshold=5)])
+    with SweepExecutor(jobs=1) as ex:
+        ex.run_many([describe("fib", "ideal", 1, n=10, threshold=5)])
         assert ex._pool is None
 
 
@@ -154,9 +194,9 @@ def test_executor_jobs_none_still_means_all_cores():
 def test_executor_summary_counts(tmp_path):
     cache = ResultCache(str(tmp_path), fingerprint="pinned")
     descs = [describe("fib", "ideal", p, n=10, threshold=5) for p in (1, 2)]
-    with SweepExecutor(jobs=1, cache=cache) as ex, use_executor(ex):
-        measure_many(descs)
-        measure_many(descs)  # replayed
+    with SweepExecutor(jobs=1, cache=cache) as ex:
+        ex.run_many(descs)
+        ex.run_many(descs)  # replayed
         summary = ex.summary()
     assert summary["runs_executed"] == 2
     assert summary["runs_cached"] == 2

@@ -6,7 +6,8 @@ degenerate (flat/single-point) chart ranges.
 """
 
 from repro.bench.figures import render_chart
-from repro.bench.harness import describe, measure_many, sweep_from_rows
+from repro.bench.harness import describe, sweep_from_rows
+from repro.bench.parallel import SweepExecutor
 from repro.bench.tables import format_series, format_table
 
 
@@ -54,7 +55,7 @@ def test_format_series_mismatched_lengths_zip_truncates():
 # ----------------------------------------------------------- single-P sweep
 def test_single_p_sweep_is_well_defined():
     descs = [describe("fib", "ideal", 1, n=10, threshold=5)]
-    rows = measure_many(descs)
+    rows = SweepExecutor(jobs=1).run_many(descs)
     sweep = sweep_from_rows("fib", "ideal", [1], rows)
     assert sweep.pes == [1]
     assert sweep.speedups == [1.0]

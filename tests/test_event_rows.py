@@ -32,9 +32,8 @@ from dataclasses import replace
 import pytest
 
 from repro.apps.serving import SERVING_TRACE_KINDS, run_serving
-from repro.bench.harness import (describe, execute_descriptor, measure_many,
-                                 run_descriptor)
-from repro.bench.parallel import SweepExecutor, use_executor
+from repro.bench.harness import describe, execute_descriptor, run_descriptor
+from repro.bench.parallel import SweepExecutor
 from repro.faults import FaultConfig
 from repro.machine.presets import make_machine
 from repro.metrics.latency import (LatencyFold, latency_summary,
@@ -428,10 +427,10 @@ def test_event_round_trip(ipsc8):
 def test_log_bearing_rows_pickle_identically_across_jobs():
     descs = [describe("serving", "ncube2", 8, balancer="acwn", seed=s,
                       trace="all") for s in (1, 2)]
-    with SweepExecutor(jobs=1) as ex1, use_executor(ex1):
-        serial = measure_many(descs)
-    with SweepExecutor(jobs=2) as ex2, use_executor(ex2):
-        pooled = measure_many(descs)
+    with SweepExecutor(jobs=1) as ex1:
+        serial = ex1.run_many(descs)
+    with SweepExecutor(jobs=2) as ex2:
+        pooled = ex2.run_many(descs)
     for desc, a, b in zip(descs, serial, pooled):
         assert a.answer == b.answer
         assert json.dumps(a.trace) == json.dumps(b.trace)

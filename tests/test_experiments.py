@@ -8,8 +8,9 @@ import os
 import pytest
 
 from repro.bench.cache import ResultCache
-from repro.bench.experiments import EXPERIMENTS, run_experiment
-from repro.bench.harness import describe, measure_many, sweep_from_rows
+from repro.bench.experiments import (EXPERIMENTS, run_experiment,
+                                     run_experiments)
+from repro.bench.harness import describe, sweep_from_rows
 from repro.bench.parallel import SweepExecutor, use_executor
 from repro.metrics.latency import latency_summary
 from repro.obs import RunHealth
@@ -34,11 +35,12 @@ class Recording(SweepExecutor):
 
 @pytest.fixture(scope="module")
 def sweep(tmp_path_factory):
-    """Run every experiment once at quick scale, storing every row in a
-    fresh result cache; share across tests."""
+    """Run every experiment once at quick scale, one batch each (as the
+    performance ledger does), storing every row in a fresh result cache;
+    share across tests."""
     cache_dir = tmp_path_factory.mktemp("bench_cache")
-    with Recording(ResultCache(str(cache_dir))) as ex, use_executor(ex):
-        results = {exp_id: run_experiment(exp_id, scale="quick")
+    with Recording(ResultCache(str(cache_dir))) as ex:
+        results = {exp_id: run_experiments([exp_id], "quick", ex)[0]
                    for exp_id in EXPERIMENTS}
     return results, ex.descs, cache_dir
 
@@ -87,6 +89,30 @@ def test_all_experiments_produce_tables(results):
 def test_unknown_experiment_rejected():
     with pytest.raises(ConfigurationError):
         run_experiment("t99")
+
+
+def test_one_sweep_runs_each_distinct_descriptor_once():
+    """``run_experiments(["t2", "f1"])`` reports what two ``run_experiment``
+    calls report, from one batch in which every canonical key appears
+    once, in first-occurrence order: T2 and F1 share their symmetry runs."""
+    with SweepExecutor(jobs=1) as ex, use_executor(ex):
+        alone = [run_experiment(exp_id, scale="quick")
+                 for exp_id in ("t2", "f1")]
+    with Recording(None) as ex:
+        together = run_experiments(["t2", "f1"], "quick", ex)
+    assert ex.batches == 1
+    planned = EXPERIMENTS["t2"]("quick")[0] + EXPERIMENTS["f1"]("quick")[0]
+    first = {}
+    for desc in planned:
+        first.setdefault(desc.canonical(), desc)
+    assert ex.descs == list(first.values())
+    assert len(ex.descs) < len(planned)
+
+    def payload(res):
+        return res.text, json.dumps(res.data, default=repr, sort_keys=True)
+
+    assert [payload(res) for res in together] == [payload(res)
+                                                   for res in alone]
 
 
 def test_t1_every_app_charges_work_and_sends_messages(results):
@@ -343,8 +369,8 @@ def test_measure_unknown_app():
 
 
 def test_sweep_consistency_flag():
-    rows = measure_many([describe("queens", "ideal", p, n=6, grainsize=2)
-                         for p in (1, 2)])
+    rows = SweepExecutor(jobs=1).run_many(
+        [describe("queens", "ideal", p, n=6, grainsize=2) for p in (1, 2)])
     sweep = sweep_from_rows("queens", "ideal", [1, 2], rows)
     assert sweep.consistent()
     assert sweep.speedups[0] == pytest.approx(1.0)

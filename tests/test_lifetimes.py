@@ -34,9 +34,9 @@ from repro.apps.nqueens import run_nqueens
 from repro.apps.serving import run_serving
 from repro.apps.tsp import TspInstance, TspNode, tsp_seq
 from repro.bench.cache import ResultCache
-from repro.bench.experiments import run_experiment
+from repro.bench.experiments import run_experiments
 from repro.bench.harness import describe, execute_descriptor
-from repro.bench.parallel import SweepExecutor, use_executor
+from repro.bench.parallel import SweepExecutor
 from repro.core.chare import declares_entry
 from repro.core.handles import BocHandle, ChareHandle
 from repro.faults import FaultConfig
@@ -153,9 +153,8 @@ def test_serving_sweep_folds_leave_no_garbage_and_only_their_finals(monkeypatch)
     series = ("s1", "s2", "s3", "s4", "s5", "s6")
 
     def sweep():
-        with SweepExecutor(jobs=1) as ex, use_executor(ex):
-            for exp_id in series:
-                run_experiment(exp_id, scale="quick")
+        with SweepExecutor(jobs=1) as ex:
+            run_experiments(series, "quick", ex)
 
     sweep()                         # warm imports, memos and lazy properties
     seen.clear()
@@ -282,8 +281,8 @@ def test_row_events_equal_the_live_runs_event_counts():
             self.seen.extend(zip(descs, rows))
             return rows
 
-    with Recording(jobs=1) as ex, use_executor(ex):
-        run_experiment("t9", scale="quick")
+    with Recording(jobs=1) as ex:
+        run_experiments(["t9"], "quick", ex)
     assert ex.seen
     assert sum(row.events for _, row in ex.seen) == sum(
         execute_descriptor(desc).result.events for desc, _ in ex.seen)

@@ -11,13 +11,11 @@ from repro.machine.topology import (
     BusTopology,
     HypercubeTopology,
     Mesh2DTopology,
-    TreeTopology,
 )
 
 ROUTED = [
     HypercubeTopology(16),
     Mesh2DTopology(12, rows=3, cols=4),
-    TreeTopology(13, arity=3),
 ]
 
 

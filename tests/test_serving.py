@@ -13,8 +13,8 @@ import json
 import pytest
 
 from repro.apps.serving import run_serving
-from repro.bench.experiments import run_experiment
-from repro.bench.parallel import SweepExecutor, use_executor
+from repro.bench.experiments import run_experiments
+from repro.bench.parallel import SweepExecutor
 from repro.machine.presets import make_machine
 from repro.metrics.latency import latency_summary, request_latencies
 from repro.util.errors import ConfigurationError
@@ -263,8 +263,8 @@ def test_boundary_serving_inputs_still_run():
 
 # --------------------------------------------------- S1 table byte-identity
 def _s1(**executor_kwargs):
-    with SweepExecutor(**executor_kwargs) as ex, use_executor(ex):
-        return run_experiment("s1", scale="quick")
+    with SweepExecutor(**executor_kwargs) as ex:
+        return run_experiments(["s1"], "quick", ex)[0]
 
 
 def _payload(result):
@@ -281,12 +281,12 @@ def test_s1_cache_replay_byte_identical(tmp_path):
     from repro.bench.cache import ResultCache
 
     cache = ResultCache(str(tmp_path), fingerprint="pinned-s1")
-    with SweepExecutor(jobs=1, cache=cache) as ex, use_executor(ex):
-        cold = run_experiment("s1", scale="quick")
+    with SweepExecutor(jobs=1, cache=cache) as ex:
+        cold = run_experiments(["s1"], "quick", ex)[0]
     assert cache.stores > 0
     with SweepExecutor(jobs=1, cache=ResultCache(
-            str(tmp_path), fingerprint="pinned-s1")) as ex, use_executor(ex):
-        warm = run_experiment("s1", scale="quick")
+            str(tmp_path), fingerprint="pinned-s1")) as ex:
+        warm = run_experiments(["s1"], "quick", ex)[0]
     assert _payload(warm) == _payload(cold)
 
 

@@ -8,7 +8,6 @@ from repro.machine.topology import (
     FullyConnectedTopology,
     HypercubeTopology,
     Mesh2DTopology,
-    TreeTopology,
 )
 from repro.util.errors import TopologyError
 
@@ -17,7 +16,6 @@ FAMILIES = {
     "full": FullyConnectedTopology,
     "mesh2d": Mesh2DTopology,
     "hypercube": HypercubeTopology,
-    "tree": TreeTopology,
 }
 
 # Explicit ids: each family keeps the test id it has always had.
@@ -26,7 +24,6 @@ ALL = [
     pytest.param("full", {}, id="full-kwargs1"),
     pytest.param("mesh2d", {}, id="mesh2d-kwargs3"),
     pytest.param("hypercube", {}, id="hypercube-kwargs5"),
-    pytest.param("tree", {}, id="tree-kwargs6"),
 ]
 
 
@@ -99,18 +96,6 @@ def test_hypercube_requires_power_of_two():
     HypercubeTopology(1)  # 2^0 is fine
 
 
-def test_tree_structure():
-    topo = TreeTopology(7, arity=2)
-    assert topo.parent(0) is None
-    assert topo.children(0) == [1, 2]
-    assert topo.children(2) == [5, 6]
-    assert topo.distance(5, 6) == 2
-    assert topo.distance(3, 6) == 4
-    assert sorted(topo.neighbors(1)) == [0, 3, 4]
-    with pytest.raises(TopologyError):
-        TreeTopology(4, arity=1)
-
-
 def test_out_of_range_pe_raises():
     topo = HypercubeTopology(4)
     with pytest.raises(TopologyError):
@@ -174,19 +159,6 @@ def test_closed_form_diameter_matches_brute_force(name, kwargs):
         assert topo.diameter() == brute, (name, n)
 
 
-@pytest.mark.parametrize("n", list(range(1, 64)) + [100, 121, 341])
-@pytest.mark.parametrize("max_arity", [4])
-def test_tree_diameter_closed_form_vs_brute_force(n, max_arity):
-    """Every arity from 2 to ``max_arity`` at ``n`` nodes."""
-    for arity in range(2, max_arity + 1):
-        topo = TreeTopology(n, arity=arity)
-        brute = max(
-            (topo.distance(i, j) for i in range(n) for j in range(n)),
-            default=0,
-        )
-        assert topo.diameter() == brute, (n, arity)
-
-
 def test_diameter_is_constant_time_at_100k_pes():
     """No O(P^2) tables: diameter and hops at P=100k finish instantly."""
     big = 100_000
@@ -194,7 +166,6 @@ def test_diameter_is_constant_time_at_100k_pes():
         Mesh2DTopology(big, rows=250, cols=400),
         HypercubeTopology(2**17),
         BusTopology(big),
-        TreeTopology(big, arity=2),
     ]
     expected = {
         "mesh2d": 249 + 399,
@@ -202,25 +173,8 @@ def test_diameter_is_constant_time_at_100k_pes():
         "bus": 1,
     }
     for topo in cases:
-        d = topo.diameter()
-        if topo.name in expected:
-            assert d == expected[topo.name]
-        else:  # tree of 100k nodes: 2*depth or 2*depth-1
-            assert d in (2 * 16, 2 * 16 - 1)
+        assert topo.diameter() == expected[topo.name]
         assert topo.distance(0, big - 1) == topo.distance(big - 1, 0)
-
-
-@given(st.integers(min_value=2, max_value=40), st.integers(min_value=2, max_value=4))
-def test_property_tree_every_node_reaches_root(n, arity):
-    topo = TreeTopology(n, arity=arity)
-    for pe in range(n):
-        depth = 0
-        cur = pe
-        while topo.parent(cur) is not None:
-            cur = topo.parent(cur)
-            depth += 1
-            assert depth < n
-        assert topo.distance(pe, 0) == depth
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))

@@ -6,8 +6,8 @@ from collections import Counter
 import pytest
 
 from repro.bench.cache import ResultCache
-from repro.bench.harness import describe, execute_descriptor, measure_many
-from repro.bench.parallel import SweepExecutor, use_executor
+from repro.bench.harness import describe, execute_descriptor
+from repro.bench.parallel import SweepExecutor
 from repro.faults import FaultConfig
 from repro.machine.presets import make_machine
 from repro.metrics import metrics_summary, sample_metrics
@@ -430,8 +430,8 @@ def test_traced_measure_row_payload(tmp_path):
                     trace="all")
     out = tmp_path / "traces"
     executor = SweepExecutor(jobs=1, trace_out=str(out))
-    with executor, use_executor(executor):
-        (row,) = measure_many([desc], label="trace-test")
+    with executor:
+        (row,) = executor.run_many([desc], label="trace-test")
     trace = row.trace
     assert trace["format"] == "repro-trace-v1"
     assert trace["meta"]["app"] == "queens"
@@ -453,10 +453,10 @@ def test_traced_measure_row_payload(tmp_path):
 def test_traced_rows_identical_across_jobs(tmp_path):
     descs = [describe("queens", "ipsc2", 4, n=6, grainsize=2, seed=s,
                       trace="all") for s in (1, 2)]
-    with SweepExecutor(jobs=1) as ex1, use_executor(ex1):
-        serial = measure_many(descs)
-    with SweepExecutor(jobs=2) as ex2, use_executor(ex2):
-        pooled = measure_many(descs)
+    with SweepExecutor(jobs=1) as ex1:
+        serial = ex1.run_many(descs)
+    with SweepExecutor(jobs=2) as ex2:
+        pooled = ex2.run_many(descs)
     for a, b in zip(serial, pooled):
         assert a.vtime == b.vtime
         assert a.trace["events"] == b.trace["events"]
@@ -464,8 +464,8 @@ def test_traced_rows_identical_across_jobs(tmp_path):
 
 def test_untraced_rows_have_no_payload():
     desc = describe("queens", "ipsc2", 4, n=6, grainsize=2)
-    with SweepExecutor(jobs=1) as ex, use_executor(ex):
-        (row,) = measure_many([desc])
+    with SweepExecutor(jobs=1) as ex:
+        (row,) = ex.run_many([desc])
     assert row.trace is None
     live = execute_descriptor(desc)
     assert live.trace is None
@@ -641,6 +641,41 @@ def test_trace_cli_smallest_sizes(tmp_path, capsys, records, traced_run):
     assert "metrics: 1 buckets" in out
     attributed = critical_path(records).summary(top=0).splitlines()[-1]
     assert attributed.strip().startswith("... and ") and attributed in out
+
+
+def _stored_metrics_run(tmp_path, records, traced_run, metrics):
+    """What ``--trace-out`` writes: the events plus a stored ``metrics``."""
+    path = _cli_run(tmp_path, records, traced_run)
+    doc = json.loads(open(path).read())
+    doc["metrics"] = metrics
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+def test_trace_cli_buckets_resample_a_stored_export(tmp_path, capsys,
+                                                    records, traced_run):
+    """``--buckets`` used to be ignored on every exported ``.run.json``:
+    the CLI printed the 60 buckets the exporter had stored."""
+    from repro.trace.__main__ import main
+
+    stored = sample_metrics(records, num_pes=8, t_end=traced_run.time)
+    path = _stored_metrics_run(tmp_path, records, traced_run, stored)
+    perfetto = tmp_path / "five.perfetto.json"
+    assert main([path, "--buckets", "5", "--perfetto", str(perfetto)]) == 0
+    assert "metrics: 5 buckets" in capsys.readouterr().out
+    assert main([path]) == 0
+    assert "metrics: 60 buckets" in capsys.readouterr().out
+
+
+def test_trace_cli_never_reads_a_stored_metrics_field(tmp_path, capsys,
+                                                      records, traced_run):
+    """A stored ``"metrics": 5`` used to end in a ``TypeError``."""
+    from repro.trace.__main__ import main
+
+    path = _stored_metrics_run(tmp_path, records, traced_run, 5)
+    assert main([path]) == 0
+    assert "metrics: 60 buckets" in capsys.readouterr().out
 
 
 def test_recorder_pair_answers_causal_calls_from_the_recorder():

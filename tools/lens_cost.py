@@ -2,9 +2,8 @@
 
     PYTHONPATH=src python3 tools/lens_cost.py
 
-It runs the S-series experiments (``s1``–``s6``) at paper scale once,
-through an in-process executor that keeps every descriptor they submit.
-Then, for ``ROUNDS`` rounds, it runs each descriptor the sweep would fold
+It takes the descriptors of the S-series plans (``s1``–``s6``) at paper
+scale.  Then, for ``ROUNDS`` rounds, it runs each descriptor the sweep would fold
 (one whose params do not set ``trace_events``) three ways, back to back
 and in a rotating order:
 
@@ -34,9 +33,8 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 
-from repro.bench.experiments import run_experiment
+from repro.bench.experiments import EXPERIMENTS
 from repro.bench.harness import run_descriptor
-from repro.bench.parallel import use_executor
 from repro.trace.events import Recorder
 
 #: The ``serving`` workload's experiments (``ledger/workloads.py``).
@@ -47,26 +45,9 @@ ROUNDS = 5
 WAYS = ("fold", "noop", "none")
 
 
-class Keep:
-    """An executor that runs every batch inline and keeps its descriptors."""
-
-    cache = None
-
-    def __init__(self) -> None:
-        self.descs = []
-
-    def run_many(self, descs, label: str = ""):
-        self.descs.extend(descs)
-        return [run_descriptor(desc) for desc in descs]
-
-
 def collect():
     """The S-series paper descriptors a sweep's serving runs fold."""
-    keep = Keep()
-    with use_executor(keep):
-        for exp in SERVING:
-            run_experiment(exp, "paper")
-    return [desc for desc in keep.descs
+    return [desc for exp in SERVING for desc in EXPERIMENTS[exp]("paper")[0]
             if "trace_events" not in dict(desc.params)]
 
 

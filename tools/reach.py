@@ -135,16 +135,13 @@ ALLOWLIST = {
         "machine/topology.py::Mesh2DTopology.route",
         "machine/topology.py::_near_square_rows",
     ),
-    "another item's queue: ROADMAP item 10 (TreeTopology goes with the "
-    "~200 parametrized cases that pin its diameter)": (
-        "machine/topology.py::TreeTopology.__init__",
-        "machine/topology.py::TreeTopology._path_to_root",
-        "machine/topology.py::TreeTopology.children",
-        "machine/topology.py::TreeTopology.diameter",
-        "machine/topology.py::TreeTopology.distance",
-        "machine/topology.py::TreeTopology.neighbors",
-        "machine/topology.py::TreeTopology.parent",
-        "machine/topology.py::TreeTopology.route",
+    "a name ledger/ calls: a pass runs one experiment at a time through "
+    "the ambient executor (ledger/passes.py:186, :190, :227) until ROADMAP "
+    "1(j) hands it a plan; run_experiment reads current_executor, and the "
+    "bench CLI calls run_experiments with its own executor": (
+        "bench/experiments.py::run_experiment",
+        "bench/parallel.py::current_executor",
+        "bench/parallel.py::use_executor",
     ),
     "a name ledger/ calls: the metrics.latency_requests_per_s probe walks "
     "a log into request records (ledger/probes.py:296); the product "

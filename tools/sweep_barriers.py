@@ -3,9 +3,11 @@
     PYTHONPATH=src python3 tools/sweep_barriers.py
     PYTHONPATH=src python3 tools/sweep_barriers.py --side-by-side
 
-The first form runs the ``tables`` experiments at paper scale through a
-two-worker :class:`~repro.bench.parallel.SweepExecutor` with a cold result
-cache (what the ledger's ``sweep_jobs2`` pass runs) and records the
+The first form runs the ``tables`` experiments at paper scale, one batch
+per experiment, through a two-worker
+:class:`~repro.bench.parallel.SweepExecutor` with a cold result cache (what
+the ledger's ``sweep_jobs2`` pass runs; ``python -m repro.bench`` submits
+its whole ``--exp`` list as one batch instead) and records the
 wall time of every batch and the host time of every run it executes (the
 cold cache still answers a descriptor an earlier experiment ran).  It replays
 those run times through list schedules on the same number of workers:
@@ -40,8 +42,8 @@ import sys
 import tempfile
 import time
 from repro.bench.cache import ResultCache
-from repro.bench.experiments import run_experiment
-from repro.bench.parallel import SweepExecutor, use_executor
+from repro.bench.experiments import run_experiments
+from repro.bench.parallel import SweepExecutor
 
 #: The ``tables`` workload's experiments (``ledger/workloads.py``).
 TABLES = ("a1", "a3", "a4", "a5", "f1", "f2", "f3", "r1", "r2", "t1", "t10",
@@ -80,7 +82,7 @@ class HitCache(ResultCache):
 
 
 class BatchTimer:
-    """Stands in for the ambient executor: times each batch, keeps the
+    """Wraps the sweep executor: times each batch, keeps the
     host seconds and executions of each run it executed (a cache hit
     replays a row of an earlier batch and costs no run)."""
 
@@ -110,9 +112,9 @@ def sweep(jobs: int, cached: bool) -> BatchTimer:
         jobs=jobs, cache=HitCache(cache_dir) if cached else None)
     timer = BatchTimer(executor)
     try:
-        with executor, use_executor(timer):
+        with executor:
             for exp_id in TABLES:
-                run_experiment(exp_id, scale="paper")
+                run_experiments([exp_id], "paper", timer)
     finally:
         for worker in multiprocessing.active_children():
             worker.join()
