@@ -64,10 +64,10 @@ class SweepRunError(RuntimeError):
 
 
 def _run_descriptor_guarded(desc: RunDescriptor):
-    """Worker-side entry point: execute one descriptor, never raise.
+    """Execute one descriptor, inline or in a pool worker; never raise.
 
     Returns ``("ok", row)``, or ``("err", message, traceback)`` so the
-    parent can report the failing descriptor without losing the rest of
+    executor can report the failing descriptor without losing the rest of
     the batch.
     """
     try:
@@ -174,30 +174,35 @@ class SweepExecutor:
         """Execute a batch; results are returned in input order."""
         started = time.perf_counter()
         self.batches += 1
-        if self.observe:
-            descs = [self.observed(desc) for desc in descs]
-        rows: List[Any] = [None] * len(descs)
-        pending: List[int] = []
-        cached = 0
-        for i, desc in enumerate(descs):
-            row = self.cache.get(desc) if self.cache is not None else None
-            if row is not None:
-                rows[i] = row
-                cached += 1
-            else:
-                pending.append(i)
-        self.runs_cached += cached
-        self._report(label, done=cached, total=len(descs), cached=cached,
-                     eta_s=None, final=not pending)
-        if pending:
-            if self.jobs == 1 or len(pending) == 1:
-                self._run_inline(descs, rows, pending, label, cached)
-            else:
-                self._run_pooled(descs, rows, pending, label, cached)
-            self.runs_executed += len(pending)
-        if self.trace_out is not None or self.metrics_out is not None:
-            self._export(descs, rows)
-        self.wall_s += time.perf_counter() - started
+        try:
+            if self.observe:
+                descs = [self.observed(desc) for desc in descs]
+            rows: List[Any] = [None] * len(descs)
+            pending: List[int] = []
+            cached = 0
+            for i, desc in enumerate(descs):
+                row = self.cache.get(desc) if self.cache is not None else None
+                if row is not None:
+                    rows[i] = row
+                    cached += 1
+                else:
+                    pending.append(i)
+            self.runs_cached += cached
+            self._report(label, done=cached, total=len(descs), cached=cached,
+                         eta_s=None, final=not pending)
+            if pending:
+                inline = self.jobs == 1 or len(pending) == 1
+                # Inline is the historical serial path: same process, same
+                # submission order.
+                outcomes = (((i, _run_descriptor_guarded(descs[i]))
+                             for i in pending) if inline
+                            else self._pooled(descs, pending))
+                self._collect(outcomes, descs, rows, len(pending), label,
+                              cached, 1 if inline else self.jobs)
+            if self.trace_out is not None or self.metrics_out is not None:
+                self._export(descs, rows)
+        finally:
+            self.wall_s += time.perf_counter() - started
         return rows
 
     def observed(self, desc: RunDescriptor) -> RunDescriptor:
@@ -267,46 +272,47 @@ class SweepExecutor:
                       file=sys.stderr)
                 self.metrics_written += 1
 
-    def _run_inline(self, descs, rows, pending, label, cached) -> None:
-        """The historical serial path: same process, same submission order."""
-        from repro.bench.harness import run_descriptor
-
+    def _collect(self, outcomes, descs, rows, total, label, cached,
+                 workers) -> None:
+        """Store each ``(index, outcome)`` as it completes: the row, its
+        cache entry, the run count and a progress event; then raise one
+        :class:`SweepRunError` naming every failed run."""
         started = time.perf_counter()
         failures = []
-        for n, i in enumerate(pending, start=1):
-            try:
-                row = run_descriptor(descs[i])
-            except Exception as exc:
-                failures.append((descs[i], f"{type(exc).__name__}: {exc}"))
-                continue
-            rows[i] = row
-            if self.cache is not None:
-                self.cache.put(descs[i], row)
+        for n, (i, outcome) in enumerate(outcomes, start=1):
+            if outcome[0] == "ok":
+                rows[i] = outcome[1]
+                if self.cache is not None:
+                    self.cache.put(descs[i], outcome[1])
+                self.runs_executed += 1
+            else:
+                failures.append((descs[i], outcome[1]))
             elapsed = time.perf_counter() - started
-            eta = elapsed / n * (len(pending) - n)
+            eta = elapsed / n * (total - n) / workers
             self._report(label, done=cached + n, total=len(rows),
-                         cached=cached, eta_s=eta, final=n == len(pending))
+                         cached=cached, eta_s=eta, final=n == total)
         if failures:
             raise SweepRunError(failures)
 
-    def _run_pooled(self, descs, rows, pending, label, cached) -> None:
+    def _pooled(self, descs, pending):
+        """Submit every run to the pool; yield outcomes as runs complete.
+
+        A broken pool or a stuck batch ends the stream with error
+        outcomes for the runs it takes down.
+        """
         from concurrent.futures import FIRST_COMPLETED, wait
         from concurrent.futures.process import BrokenProcessPool
 
         pool = self._ensure_pool()
-        started = time.perf_counter()
         futures = {}
         try:
             for i in pending:
                 futures[pool.submit(_run_descriptor_guarded, descs[i])] = i
         except BrokenProcessPool:
             self.close()
-            raise SweepRunError(
-                [(descs[i], "worker pool broke before submission")
-                 for i in pending]
-            ) from None
-        failures = []
-        done_count = 0
+            for i in pending:
+                yield i, ("err", "worker pool broke before submission")
+            return
         remaining = set(futures)
         while remaining:
             finished, remaining = wait(remaining, timeout=self.timeout,
@@ -314,38 +320,22 @@ class SweepExecutor:
             if not finished:
                 # Per-run budget exhausted with nothing completing: report
                 # exactly which descriptors are stuck instead of hanging.
-                stuck = [(descs[futures[f]],
-                          f"no completion within {self.timeout:.0f}s")
-                         for f in remaining]
                 for f in remaining:
                     f.cancel()
                 self.close()
-                raise SweepRunError(failures + stuck)
+                for f in remaining:
+                    yield futures[f], (
+                        "err", f"no completion within {self.timeout:.0f}s")
+                return
             for future in finished:
-                i = futures[future]
                 try:
                     outcome = future.result()
                 except BrokenProcessPool:
                     # A worker died hard (segfault/OOM): name the run it held.
                     self.close()
-                    raise SweepRunError(
-                        failures + [(descs[i], "worker process died")]
-                    ) from None
-                if outcome[0] == "ok":
-                    rows[i] = outcome[1]
-                    if self.cache is not None:
-                        self.cache.put(descs[i], outcome[1])
-                else:
-                    failures.append((descs[i], outcome[1]))
-                done_count += 1
-                elapsed = time.perf_counter() - started
-                rate = elapsed / done_count
-                eta = rate * (len(pending) - done_count) / self.jobs
-                self._report(label, done=cached + done_count, total=len(rows),
-                             cached=cached, eta_s=eta,
-                             final=done_count == len(pending))
-        if failures:
-            raise SweepRunError(failures)
+                    yield futures[future], ("err", "worker process died")
+                    return
+                yield futures[future], outcome
 
     # -------------------------------------------------------------- reporting
     def _report(self, label, *, done, total, cached, eta_s, final) -> None:

@@ -426,12 +426,10 @@ class Kernel:
             # Local fast path: zero hops and a fixed enqueue latency — skip
             # the topology/hop accounting and the contention machinery
             # (Machine.transit_time returns local_alpha unconditionally for
-            # src == dst, so virtual time is unchanged).
-            if faults is None:
-                self._schedule_call(departure + self._local_alpha,
-                                    self._arrive_cb, env)
-            else:
-                faults.transmit(env, departure, departure + self._local_alpha)
+            # src == dst, so virtual time is unchanged).  A local message
+            # never touches the network, so no fault model sees it.
+            self._schedule_call(departure + self._local_alpha,
+                                self._arrive_cb, env)
             return
         self.total_message_hops += self._hops(src_pe, dst_pe)
         transit = self._transit_time(src_pe, dst_pe, nbytes, departure)

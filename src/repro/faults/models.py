@@ -2,7 +2,7 @@
 
 :class:`FaultConfig` is a frozen description of which faults to inject;
 :class:`FaultLayer` is the per-kernel runtime that executes them.  The
-kernel routes every delivery through :meth:`FaultLayer.transmit` and every
+kernel routes every remote delivery through :meth:`FaultLayer.transmit` and every
 execution duration through :meth:`FaultLayer.perturb_execution` when a
 layer is installed — and pays exactly one ``is None`` check per hook when
 it is not.
@@ -140,29 +140,24 @@ class FaultConfig:
 class FaultLayer:
     """Runtime fault injector for one kernel.
 
-    Sits between :meth:`Kernel._deliver` and the event engine: the kernel
-    computes the unperturbed arrival time (so all accounting — hops,
-    bytes, counted_sent — happens exactly once, exactly as without
-    faults), then hands the envelope here for perturbation and scheduling.
+    Sits between :meth:`Kernel._deliver` and the event engine for remote
+    messages only (a local message never touches the network): the
+    kernel computes the unperturbed arrival time (so all accounting —
+    hops, bytes, counted_sent — happens exactly once, exactly as without
+    faults), then hands the envelope here for perturbation and
+    scheduling.  Every perturbation is counted once, on the PE it
+    concerns, and leaves one ``fault`` event in a traced run; the layer
+    itself counts only the acks, which no PE sees.
     """
 
     def __init__(self, config: FaultConfig) -> None:
-        # The kernel builds one layer per run from its faults= argument (a
-        # layer shared between kernels would sum their counters).
         if not isinstance(config, FaultConfig):
             raise ConfigurationError(
                 f"faults must be a FaultConfig, not {type(config).__name__}")
         self.config = config
         self.kernel: "Kernel" = None  # type: ignore[assignment]
-        # Aggregate counters (per-PE twins live on PEState).
-        self.msgs_dropped = 0
-        self.msgs_delayed = 0
-        self.msgs_duplicated = 0
-        self.dups_suppressed = 0
-        self.retries = 0
         self.acks_sent = 0
         self.acks_lost = 0
-        self.stalls = 0
 
     # ------------------------------------------------------------------ wiring
     def bind(self, kernel: "Kernel", arrive) -> None:
@@ -196,66 +191,69 @@ class FaultLayer:
 
         The pre-bound callbacks make the layer reach itself; with them,
         the kernel and the scheduler gone it is freed by reference count.
-        Config and counters stay readable.
+        The config and the ack counts stay readable; the PEs' counts
+        went with the kernel (the run's ``TraceReport`` holds them).
         """
         self.kernel = None  # type: ignore[assignment]
         self._schedule = self._arrive = None
         self._arrive_checked_cb = self._on_timeout_cb = self._on_ack_cb = None
         self._pending.clear()
 
-    # --------------------------------------------------------------- transmit
-    def transmit(self, env: "Envelope", departure: float, arrival: float) -> None:
-        """Schedule one delivery, applying the configured network faults.
+    def _record(self, name: str, t: float, pe: int, uid: int,
+                **extra) -> None:
+        """Trace one network fault, parented on the uid's original send:
+        retransmissions and suppressed copies stay on the logical
+        message's causal chain instead of rooting fresh ones."""
+        events = self.kernel.trace
+        if events is not None:
+            events.record("fault", t, pe, name=name, uid=uid,
+                          parent=events.send_parent(uid), **extra)
 
-        ``arrival`` is the fault-free arrival time the kernel computed
-        (memoized transit incl. any contention), so the inert config
-        reproduces the fault-free schedule bit-for-bit.
+    # --------------------------------------------------------------- transmit
+    def transmit(self, env: "Envelope", t: float, arrival: float,
+                 attempt: int = 0) -> None:
+        """Put one wire attempt of a remote ``env`` (sent at ``t``) on the
+        network, applying the configured network faults.
+
+        ``arrival`` is the fault-free arrival time: for the first attempt
+        the one the kernel computed (memoized transit incl. any
+        contention), so the inert config reproduces the fault-free
+        schedule bit-for-bit.  Jitter and the delay spike apply to every
+        attempt; the first one alone may be duplicated and registers the
+        reliability protocol; a counted message under loss may then be
+        dropped.  The RNG draws and engine schedules happen in this order
+        on every attempt.
         """
-        if env.src_pe == env.dst_pe:
-            # Local messages never touch the network; no faults apply.
-            self._schedule(arrival, self._arrive, env)
-            return
         cfg = self.config
         rng = self._net_rng
-        kernel = self.kernel
-        pe = kernel.pes[env.dst_pe]
-        events = kernel.trace
+        uid = env.uid
+        dst_pe = env.dst_pe
+        pe = self.kernel.pes[dst_pe]
         if cfg.jitter > 0.0:
             arrival += rng.random() * cfg.jitter
         if cfg.delay_prob > 0.0 and rng.random() < cfg.delay_prob:
             arrival += cfg.delay_spike
             pe.msgs_delayed += 1
-            self.msgs_delayed += 1
-            if events is not None:
-                events.record("fault", departure, env.dst_pe, name="delay",
-                              uid=env.uid, parent=events.send_parent(env.uid),
-                              dur=cfg.delay_spike)
-        duplicated = cfg.dup_prob > 0.0 and rng.random() < cfg.dup_prob
-        if duplicated:
-            self._tracked.add(env.uid)
-            pe.msgs_duplicated += 1
-            self.msgs_duplicated += 1
-            if events is not None:
-                events.record("fault", departure, env.dst_pe, name="dup",
-                              uid=env.uid, parent=events.send_parent(env.uid),
-                              dur=cfg.dup_lag)
-            self._schedule(arrival + cfg.dup_lag, self._arrive_checked_cb, env)
-        if cfg.drop_prob > 0.0 and env.counted:
-            # Reliable-delivery protocol: remember the envelope, arm the
-            # retransmission timer, then risk the first attempt.
-            self._tracked.add(env.uid)
-            self._pending[env.uid] = [env, 0]
-            self._schedule(departure + cfg.ack_timeout,
-                           self._on_timeout_cb, (env.uid, 0))
-            if rng.random() < cfg.drop_prob:
-                pe.msgs_dropped += 1
-                self.msgs_dropped += 1
-                if events is not None:
-                    events.record("fault", departure, env.dst_pe, name="drop",
-                                  uid=env.uid,
-                                  parent=events.send_parent(env.uid),
-                                  info={"attempt": 0})
-                return
+            self._record("delay", t, dst_pe, uid, dur=cfg.delay_spike)
+        reliable = cfg.drop_prob > 0.0 and env.counted
+        if attempt == 0:
+            if cfg.dup_prob > 0.0 and rng.random() < cfg.dup_prob:
+                self._tracked.add(uid)
+                pe.msgs_duplicated += 1
+                self._record("dup", t, dst_pe, uid, dur=cfg.dup_lag)
+                self._schedule(arrival + cfg.dup_lag, self._arrive_checked_cb,
+                               env)
+            if reliable:
+                # Reliable-delivery protocol: remember the envelope and arm
+                # the retransmission timer before risking the first attempt.
+                self._tracked.add(uid)
+                self._pending[uid] = [env, 0]
+                self._schedule(t + cfg.ack_timeout, self._on_timeout_cb,
+                               (uid, 0))
+        if reliable and rng.random() < cfg.drop_prob:
+            pe.msgs_dropped += 1
+            self._record("drop", t, dst_pe, uid, info={"attempt": attempt})
+            return
         self._schedule(arrival, self._arrive_checked_cb, env)
 
     def _arrive_checked(self, env: "Envelope") -> None:
@@ -267,16 +265,9 @@ class FaultLayer:
                 # from the first copy; suppress, but re-ack in case the
                 # sender is retransmitting because our ack was lost.
                 kernel = self.kernel
-                pe = kernel.pes[env.dst_pe]
-                pe.dups_suppressed += 1
-                self.dups_suppressed += 1
-                events = kernel.trace
-                if events is not None:
-                    # The suppressed copy links to the uid's original send:
-                    # the logical message stays a single causal chain.
-                    events.record("fault", kernel.engine.now, env.dst_pe,
-                                  name="dup_suppressed", uid=uid,
-                                  parent=events.send_parent(uid))
+                kernel.pes[env.dst_pe].dups_suppressed += 1
+                self._record("dup_suppressed", kernel.engine.now, env.dst_pe,
+                             uid)
                 if uid in self._pending:
                     self._send_ack(env)
                 return
@@ -324,40 +315,15 @@ class FaultLayer:
         st[1] = attempt
         kernel = self.kernel
         cfg = self.config
-        rng = self._net_rng
-        pe = kernel.pes[env.dst_pe]
         kernel.pes[env.src_pe].retries += 1
-        self.retries += 1
         now = kernel.engine.now
-        events = kernel.trace
-        if events is not None:
-            # Parent on the *original* send event: the retransmission stays
-            # on the logical message's chain instead of rooting a fresh one.
-            events.record("fault", now, env.src_pe, name="retry", uid=uid,
-                          parent=events.send_parent(uid),
-                          info={"attempt": attempt})
+        self._record("retry", now, env.src_pe, uid, info={"attempt": attempt})
         # The retransmitted copy is a real data message: it pays transit
         # again (including contention) and faces the same perturbations.
         # It does NOT re-increment counted_sent / msgs_sent — quiescence
         # and the trace count logical messages, not wire attempts.
-        arrival = now + kernel.machine.transit_time(
-            env.src_pe, env.dst_pe, env.nbytes, now
-        )
-        if cfg.jitter > 0.0:
-            arrival += rng.random() * cfg.jitter
-        if cfg.delay_prob > 0.0 and rng.random() < cfg.delay_prob:
-            arrival += cfg.delay_spike
-            pe.msgs_delayed += 1
-            self.msgs_delayed += 1
-        if rng.random() < cfg.drop_prob:
-            pe.msgs_dropped += 1
-            self.msgs_dropped += 1
-            if events is not None:
-                events.record("fault", now, env.dst_pe, name="drop", uid=uid,
-                              parent=events.send_parent(uid),
-                              info={"attempt": attempt})
-        else:
-            self._schedule(arrival, self._arrive_checked_cb, env)
+        self.transmit(env, now, now + kernel.machine.transit_time(
+            env.src_pe, env.dst_pe, env.nbytes, now), attempt)
         # Exponential backoff with a ceiling: uncapped doubling compounds
         # with long PE stalls — a handful of unlucky retries can push the
         # retransmission delay past the entire run's span and dominate
@@ -380,7 +346,6 @@ class FaultLayer:
             pe = kernel.pes[pe_index]
             pe.stalls += 1
             pe.stall_time += cfg.stall_time
-            self.stalls += 1
             events = kernel.trace
             if events is not None:
                 # ctx is the stalled execution's begin event (the kernel
@@ -391,13 +356,19 @@ class FaultLayer:
 
     # ------------------------------------------------------------ inspection
     def counters(self) -> Dict[str, int]:
+        """The run's fault totals: the PEs' counts summed, plus the acks."""
+        states = self.kernel.pes.values()
+
+        def total(name: str) -> int:
+            return sum(getattr(pe, name) for pe in states)
+
         return {
-            "msgs_dropped": self.msgs_dropped,
-            "msgs_delayed": self.msgs_delayed,
-            "msgs_duplicated": self.msgs_duplicated,
-            "dups_suppressed": self.dups_suppressed,
-            "retries": self.retries,
+            "msgs_dropped": total("msgs_dropped"),
+            "msgs_delayed": total("msgs_delayed"),
+            "msgs_duplicated": total("msgs_duplicated"),
+            "dups_suppressed": total("dups_suppressed"),
+            "retries": total("retries"),
             "acks_sent": self.acks_sent,
             "acks_lost": self.acks_lost,
-            "stalls": self.stalls,
+            "stalls": total("stalls"),
         }

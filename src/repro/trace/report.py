@@ -125,18 +125,8 @@ class TraceReport:
         faults = getattr(kernel, "faults", None)
         fault_kwargs = {}
         if faults is not None:
-            fault_kwargs = dict(
-                faults_enabled=True,
-                fault_config=faults.config.describe(),
-                msgs_dropped=faults.msgs_dropped,
-                msgs_delayed=faults.msgs_delayed,
-                msgs_duplicated=faults.msgs_duplicated,
-                dups_suppressed=faults.dups_suppressed,
-                retries=faults.retries,
-                acks_sent=faults.acks_sent,
-                acks_lost=faults.acks_lost,
-                stalls=faults.stalls,
-            )
+            fault_kwargs = dict(faults.counters(), faults_enabled=True,
+                                fault_config=faults.config.describe())
         return cls(
             machine=kernel.machine.name,
             num_pes=kernel.num_pes,

@@ -113,6 +113,59 @@ def test_pooled_failure_names_descriptor_and_batch_survives(exploding_app):
     assert len(err.value.failures) == 1
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_batch_counts_the_runs_that_finished(exploding_app, jobs):
+    """A batch that raises still books its finished runs and its time:
+    ``ledger/passes.py::run_sweep`` reads both after catching the error."""
+    import multiprocessing
+
+    if jobs > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("monkeypatched app registry needs fork start method")
+    good = describe("fib", "ideal", 1, n=10, threshold=5)
+    bad = describe(exploding_app, "ideal", 2)
+    with SweepExecutor(jobs=jobs) as ex:
+        with pytest.raises(SweepRunError):
+            ex.run_many([good, bad, good])
+        assert ex.runs_executed == 2
+        assert ex.wall_s > 0
+
+
+@pytest.mark.parametrize("fault", ["dies", "stuck"])
+def test_pool_breakdown_is_reported_by_descriptor(monkeypatch, fault):
+    """A worker that dies hard, or a batch in which nothing completes
+    within the timeout, ends the batch with a ``SweepRunError`` that
+    says why, and the executor lets the pool go."""
+    import multiprocessing
+    import os
+    import time
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("monkeypatched app registry needs fork start method")
+
+    def misbehave(machine, seed=0, **params):
+        if fault == "dies":
+            os._exit(3)
+        time.sleep(3.0)
+
+    monkeypatch.setitem(APPS, "misbehaving", AppSpec("misbehaving",
+                                                     misbehave, {}))
+    bad = describe("misbehaving", "ideal", 2)
+    good = describe("fib", "ideal", 1, n=10, threshold=5)
+    with SweepExecutor(jobs=2, timeout=1.0) as ex:
+        with pytest.raises(SweepRunError) as err:
+            ex.run_many([bad, good])
+        assert ex._pool is None     # the broken or stuck pool was let go
+    # A dead worker breaks every future still pending, so the run named
+    # may be either.  A stuck batch names the run that hangs, and the good
+    # run too if a loaded host has not finished it within the window.
+    if fault == "dies":
+        assert "worker process died" in str(err.value)
+    else:
+        failures = {(desc.label(), error) for desc, error in err.value.failures}
+        assert ("misbehaving@ideal P=2", "no completion within 1s") in failures
+        assert {error for _, error in failures} == {"no completion within 1s"}
+
+
 def test_multi_experiment_sweep_names_every_failed_run(exploding_app,
                                                        monkeypatch):
     """One batch for the whole sweep: a failing run in the first

@@ -15,6 +15,7 @@ Three claims are pinned here:
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -180,7 +181,7 @@ def test_drop_retry_converges_and_answer_survives():
     assert result.time > base.time           # loss costs latency...
     assert k.qd.detected_at is not None      # ...but QD still terminates
     assert result.stats.counted_sent == result.stats.counted_processed
-    assert k.faults.msgs_dropped > 0 and k.faults.retries > 0
+    assert result.stats.msgs_dropped > 0 and result.stats.retries > 0
     assert k.faults.acks_sent > 0
     assert k.qd.partials == {}               # no stale wave state leaked
 
@@ -188,13 +189,12 @@ def test_drop_retry_converges_and_answer_survives():
 def test_duplicates_are_suppressed():
     base_answer, _ = _queens(3)
     answer, result = _queens(3, dup_prob=0.25)
-    f = result.kernel.faults
+    f = result.stats
     assert answer == base_answer
     assert f.msgs_duplicated > 0
     # Every duplicate that arrived before exit was deduplicated; none
     # executed twice (the answer and counted totals would diverge).
     assert f.dups_suppressed <= f.msgs_duplicated
-    k = result.kernel
     assert result.stats.counted_sent == result.stats.counted_processed
 
 
@@ -229,7 +229,7 @@ def test_backoff_cap_engages_and_bounds_retry_delay():
     a_loose, r_loose = _queens(3, max_backoff=1e9, **heavy)
     base_answer, _ = _queens(3)
     assert a_tight == a_loose == base_answer
-    assert r_tight.kernel.faults.retries > 0
+    assert r_tight.stats.retries > 0
     # Same loss schedule, same retries needed — but the capped run pays a
     # bounded delay per attempt and finishes strictly sooner.
     assert r_tight.time < r_loose.time
@@ -237,8 +237,9 @@ def test_backoff_cap_engages_and_bounds_retry_delay():
 
 def test_per_pe_counters_sum_to_aggregates():
     _, result = _queens(3, **DROPPY)
-    f = result.kernel.faults
-    rows = result.stats.pe_rows
+    f = result.stats
+    rows = f.pe_rows
+    assert f.msgs_dropped and f.retries and f.dups_suppressed and f.stalls
     assert sum(r.msgs_dropped for r in rows) == f.msgs_dropped
     assert sum(r.retries for r in rows) == f.retries
     assert sum(r.dups_suppressed for r in rows) == f.dups_suppressed
@@ -249,7 +250,7 @@ def test_per_pe_counters_sum_to_aggregates():
 def test_delay_and_jitter_perturb_timing():
     _, base = _queens(3)
     _, result = _queens(3, delay_prob=0.2, jitter=50e-6)
-    f = result.kernel.faults
+    f = result.stats
     assert f.msgs_delayed > 0 and f.msgs_dropped == 0
     assert float(result.time).hex() != float(base.time).hex()
 
@@ -267,7 +268,7 @@ def test_slow_pe_stretches_execution():
 def test_stalls_counted_and_charged():
     a0, _ = _queens(3)
     a1, result = _queens(3, stall_prob=0.3, stall_time=2e-3)
-    f = result.kernel.faults
+    f = result.stats
     assert a1 == a0
     assert f.stalls > 0
     assert sum(r.stall_time for r in result.stats.pe_rows) == pytest.approx(
@@ -280,16 +281,15 @@ def test_report_roundtrips_through_json():
     d = result.stats.as_dict()
     blob = json.loads(json.dumps(d))
     assert blob["faults"]["enabled"] is True
-    assert blob["faults"]["retries"] == result.kernel.faults.retries
+    assert blob["faults"]["retries"] == result.stats.retries > 0
     assert "faults [" in result.stats.summary()
 
 
 def test_counters_accessor_and_repr():
     _, result = _queens(3, drop_prob=0.05)
-    f = result.kernel.faults
-    c = f.counters()
-    assert c["msgs_dropped"] == f.msgs_dropped
-    assert c["retries"] == f.retries
+    c = result.kernel.faults.counters()
+    assert c["msgs_dropped"] == result.stats.msgs_dropped > 0
+    assert c["retries"] == result.stats.retries
 
 
 # ------------------------------------------------------- local immunity
@@ -302,5 +302,40 @@ def test_local_messages_unperturbed(ideal4):
                       jitter=1e-3)
     a1, r1 = run_fib(machine, n=10, threshold=4, seed=0, faults=cfg)
     assert (a0, float(r0.time).hex()) == (a1, float(r1.time).hex())
-    f = r1.kernel.faults
+    f = r1.stats
     assert f.msgs_dropped == f.msgs_duplicated == f.msgs_delayed == 0
+
+
+def test_only_remote_messages_reach_the_layer(monkeypatch):
+    """The kernel's local path schedules a self-send itself: the layer
+    perturbs the network and nothing else."""
+    seen = []
+    transmit = FaultLayer.transmit
+
+    def spy(self, env, t, arrival, attempt=0):
+        seen.append(env.src_pe != env.dst_pe)
+        transmit(self, env, t, arrival, attempt)
+
+    monkeypatch.setattr(FaultLayer, "transmit", spy)
+    run_fib(make_machine("ncube2", 4), n=12, threshold=4, seed=0,
+            faults=FaultConfig(drop_prob=0.05, dup_prob=0.05))
+    assert seen and all(seen)
+
+
+# ------------------------------------------------------- one set of books
+def test_every_counted_fault_has_its_event():
+    """Each perturbation leaves one ``fault`` event, retransmissions
+    included: per name, the trace and the report's totals agree."""
+    cfg = FaultConfig(drop_prob=0.15, delay_prob=0.2, dup_prob=0.1,
+                      stall_prob=0.05)
+    _, result = run_fib(make_machine("ncube2", 16), n=14, threshold=4,
+                        seed=0, faults=cfg, trace_events=True)
+    names = Counter(e["name"] for e in result.kernel.events.as_records()
+                    if e["kind"] == "fault")
+    st = result.stats
+    assert dict(names) == {
+        "drop": st.msgs_dropped, "delay": st.msgs_delayed,
+        "dup": st.msgs_duplicated, "dup_suppressed": st.dups_suppressed,
+        "retry": st.retries, "stall": st.stalls,
+    }
+    assert all(names.values())

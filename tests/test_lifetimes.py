@@ -379,9 +379,9 @@ def test_duplicated_seed_of_a_retired_chare_runs_once():
     kernel = Kernel(make_machine("ncube2", 8), faults=faults, seed=3)
     result = kernel.run(Spawner, Leaf, False, 60)
     assert Leaf.built == 60
-    assert kernel.faults.msgs_duplicated > 0
-    assert kernel.faults.dups_suppressed > 0
-    assert kernel.faults.retries > 0
+    assert result.stats.msgs_duplicated > 0
+    assert result.stats.dups_suppressed > 0
+    assert result.stats.retries > 0
     objects = kernel.objects
     assert list(objects.chares) == [kernel.main_handle.gid]
     assert all(gid not in objects.placement and gid not in objects.chares

@@ -209,8 +209,8 @@ def faulty_run():
 
 def test_faults_exactly_one_deliver_per_uid(faulty_run):
     recs = faulty_run.kernel.events.as_records()
-    layer = faulty_run.kernel.faults
-    assert layer.retries > 0 and layer.dups_suppressed > 0  # faults fired
+    stats = faulty_run.stats
+    assert stats.retries > 0 and stats.dups_suppressed > 0  # faults fired
     deliveries = Counter(e["uid"] for e in recs if e["kind"] == "deliver")
     assert all(c == 1 for c in deliveries.values())
 

@@ -20,9 +20,8 @@ functions and class methods; a nested function counts as part of the
 function that defines it) that none of those calls entered, grouped by
 module, with its line count and the reason it may stay::
 
-    bench/parallel.py  (2 functions, 20 lines)
+    bench/parallel.py  (1 function, 7 lines)
            7  SweepRunError.__init__  [ok: an error path: ...]
-          13  _run_descriptor_guarded  [ok: an entry point that runs only in pool workers]
 
 An entry whose reason reads ``NOT ALLOWLISTED`` is code that only tests
 call: delete it, move its test onto the call the product makes, or add it
@@ -31,7 +30,9 @@ exits 1 while any such entry is left.  An allowlisted function the run did
 reach is reported too, so its entry can go.
 
 Functions that run only in pool workers are not seen: the workers are
-other processes.  Their entries are allowlisted under that reason.
+other processes.  A function that runs there would need an allowlist
+entry under that reason; none does today (the one worker entry point,
+``_run_descriptor_guarded``, also runs inline).
 """
 
 from __future__ import annotations
@@ -159,9 +160,6 @@ ALLOWLIST = {
         "queueing/strategies.py::FifoStrategy.__bool__",
         "queueing/strategies.py::FifoStrategy.push",
         "queueing/strategies.py::_PriorityHeap.__bool__",
-    ),
-    "an entry point that runs only in pool workers": (
-        "bench/parallel.py::_run_descriptor_guarded",
     ),
     "an error path: a run that raised, a send to a dead or unknown chare, "
     "an undelivered message, a bad monotonic order, a branch send outside "
