@@ -7,20 +7,30 @@ content-addressed on-disk result cache keyed by (run descriptor, source
 fingerprint), so a re-run after an unrelated edit replays cached rows.
 ``--jobs 1`` is the historical serial path; ``--no-cache`` bypasses the
 cache entirely.  Results are bit-identical at any job count.
+
+The ``--trace-*`` and ``--metrics-*`` flags are this CLI's alone: it
+stamps what the sweep records onto the planned descriptors, and after
+the batch writes each observed row's exports.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
+import json
 import os
+import re
 import sys
 import tempfile
 import time
 
 from repro.bench.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.bench.experiments import EXPERIMENTS, run_experiments
+from repro.bench.experiments import EXPERIMENTS, plan_experiments
+from repro.bench.harness import observation, observed
 from repro.bench.parallel import SweepExecutor, default_jobs
+from repro.metrics import sample_metrics
+from repro.obs import RunHealth, to_jsonl, to_prometheus
+from repro.trace.events import EventIndex
+from repro.trace.perfetto import write_perfetto
 from repro.util.errors import ConfigurationError
 
 
@@ -118,11 +128,20 @@ def main(argv=None) -> int:
             if exp_id not in EXPERIMENTS:
                 parser.error(f"unknown experiment {exp_id!r}; options: "
                              f"{', '.join(sorted(EXPERIMENTS))}")
-    interval = args.metrics_interval
-    if interval is not None and not (math.isfinite(interval)
-                                     and interval >= 0.0):
-        parser.error("--metrics-interval must be a finite number of virtual "
-                     f"seconds >= 0, got {interval}")
+    trace = args.trace_events
+    if trace is None and args.trace_out is not None:
+        trace = "all"
+    metrics = args.metrics_interval
+    if metrics is None and args.metrics_out is not None:
+        metrics = 0.0
+    # What every planned descriptor records with, unless it states its own.
+    observe = {}
+    for flag, key, value in (("--trace-events", "trace", trace),
+                             ("--metrics-interval", "metrics", metrics)):
+        try:
+            observe.update(observation(**{key: value}))
+        except ConfigurationError as exc:
+            parser.error(f"{flag}: {exc}")
     if args.jobs is not None and args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.output is not None:
@@ -139,30 +158,68 @@ def main(argv=None) -> int:
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     progress = None if args.no_progress else _progress_printer()
     started = time.perf_counter()
-    trace_kinds = args.trace_events
-    if trace_kinds is None and args.trace_out is not None:
-        trace_kinds = "all"
-    metrics = args.metrics_interval
-    if metrics is None and args.metrics_out is not None:
-        metrics = 0.0
-    try:
-        executor = SweepExecutor(jobs=jobs, cache=cache, progress=progress,
-                                 trace_out=args.trace_out,
-                                 metrics_out=args.metrics_out,
-                                 trace_events=trace_kinds, metrics=metrics)
-    except ConfigurationError as exc:
-        # The other arguments are checked above; only a kind is left.
-        parser.error(f"--trace-events: {exc}")
-    with executor:
-        results = run_experiments(ids, args.scale, executor)
-    for result in results:
+    descs, finish = plan_experiments(ids, args.scale)
+    if observe:
+        descs = [observed(desc, observe) for desc in descs]
+    with SweepExecutor(jobs=jobs, cache=cache, progress=progress) as executor:
+        rows = executor.run_many(descs, label=",".join(ids))
+    written = _export(descs, rows, args.trace_out, args.metrics_out)
+    for result in finish(rows):
         print(f"\n== {result.exp_id}: {result.title} ==")
         print(result.text)
         if args.output:
             _write(args.output, result, args.scale)
     wall = time.perf_counter() - started
-    _summarize(executor, wall, args.stats_json)
+    _summarize(executor, written, wall, args.stats_json)
     return 0
+
+
+def _export(descs, rows, trace_out, metrics_out):
+    """Write every observed row of the sweep under one file stem; return
+    the counts written, for ``--stats-json``.
+
+    A row with a trace payload gets ``<stem>.run.json`` (its events and
+    the metrics sampled from them) and a ``.perfetto.json`` twin under
+    ``trace_out``; one with a telemetry payload gets the archival
+    ``.metrics.jsonl`` stream, a ``.prom`` scrape and one health line on
+    stderr under ``metrics_out``.  Cached replays export too: the
+    payloads are plain data on the row.
+    """
+    written = {}
+    for key, out in (("traces_written", trace_out),
+                     ("metrics_written", metrics_out)):
+        if out is not None:
+            os.makedirs(out, exist_ok=True)
+            written[key] = 0
+    for desc, row in zip(descs, rows):
+        trace = row.trace if trace_out is not None else None
+        payload = row.telemetry if metrics_out is not None else None
+        if trace is None and payload is None:
+            continue
+        stem = re.sub(r"[^A-Za-z0-9._-]+", "-", desc.label()).strip("-")
+        stem = f"{stem}-{desc.key()[:8]}"
+        if trace is not None:
+            index, meta = EventIndex(trace["events"]), trace["meta"]
+            doc = dict(trace, metrics=sample_metrics(
+                index, num_pes=meta.get("num_pes"),
+                t_end=meta.get("total_time")))
+            base = os.path.join(trace_out, stem)
+            with open(base + ".run.json", "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+                fh.write("\n")
+            write_perfetto(base + ".perfetto.json", index, meta=meta,
+                           metrics=doc["metrics"])
+            written["traces_written"] += 1
+        if payload is not None:
+            base = os.path.join(metrics_out, stem)
+            with open(base + ".metrics.jsonl", "w", encoding="utf-8") as fh:
+                fh.write(to_jsonl(payload))
+            with open(base + ".prom", "w", encoding="utf-8") as fh:
+                fh.write(to_prometheus(payload))
+            print(f"[{desc.label()}] {RunHealth(payload).format()}",
+                  file=sys.stderr)
+            written["metrics_written"] += 1
+    return written
 
 
 def _progress_printer():
@@ -184,8 +241,9 @@ def _progress_printer():
     return show
 
 
-def _summarize(executor, wall: float, stats_json) -> None:
+def _summarize(executor, written, wall: float, stats_json) -> None:
     stats = executor.summary()
+    stats.update(written)
     stats["total_wall_s"] = round(wall, 3)
     cache = stats.get("cache")
     line = (f"sweep: {stats['runs_executed']} runs executed, "
@@ -199,8 +257,6 @@ def _summarize(executor, wall: float, stats_json) -> None:
         line += f", {stats['metrics_written']} metric streams written"
     print(line, file=sys.stderr)
     if stats_json:
-        import json
-
         directory = os.path.dirname(stats_json)
         if directory:
             os.makedirs(directory, exist_ok=True)
@@ -210,8 +266,6 @@ def _summarize(executor, wall: float, stats_json) -> None:
 
 
 def _write(directory: str, result, scale: str) -> None:
-    import json
-
     base = os.path.join(directory, result.exp_id.lower())
     with open(base + ".txt", "w", encoding="utf-8") as fh:
         fh.write(f"== {result.exp_id}: {result.title} (scale={scale}) ==\n")

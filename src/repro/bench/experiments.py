@@ -4,8 +4,9 @@ Experiment ids follow DESIGN.md §4 (T1–T9, F1–F3).  Every function returns
 a :data:`~repro.bench.tables.Plan`: the run descriptors the experiment
 needs, and a report that turns their rows into an :class:`ExperimentResult`
 whose ``text`` is the printable table(s)/series and whose ``data`` holds
-the raw numbers for tests and EXPERIMENTS.md.  :func:`run_experiments`
-runs any set of plans as one batch, each distinct descriptor once.
+the raw numbers for tests and EXPERIMENTS.md.  :func:`plan_experiments`
+joins any set of plans into one batch, each distinct descriptor once, and
+:func:`run_experiments` runs that batch through an executor.
 
 Sizes here are the "paper scale" defaults; ``scale='quick'`` runs reduced
 sizes, which ``tests/test_experiments.py`` uses to assert every
@@ -14,7 +15,7 @@ experiment's claim shape in the tier-1 suite.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.apps import TreeParams
 from repro.bench.ablations import exp_a1, exp_a2, exp_a3, exp_a4, exp_a5
@@ -27,8 +28,8 @@ from repro.bench.tables import (ExperimentResult, Plan, format_series,
 from repro.faults import FaultConfig
 from repro.util.errors import ConfigurationError
 
-__all__ = ["ExperimentResult", "EXPERIMENTS", "run_experiment",
-           "run_experiments"]
+__all__ = ["ExperimentResult", "EXPERIMENTS", "plan_experiments",
+           "run_experiment", "run_experiments"]
 
 
 # --------------------------------------------------------------------- scales
@@ -727,14 +728,15 @@ EXPERIMENTS: Dict[str, Callable[[str], Plan]] = {
 }
 
 
-def run_experiments(exp_ids: Sequence[str], scale: str,
-                    executor: SweepExecutor) -> List[ExperimentResult]:
-    """Run experiments as one sweep, results in ``exp_ids`` order.
+def plan_experiments(exp_ids: Sequence[str], scale: str) -> Tuple[
+        List[Any], Callable[[Sequence[Any]], List[ExperimentResult]]]:
+    """Plan experiments as one sweep: ``(batch, finish)``.
 
-    Every plan's descriptors go to ``executor`` in one batch, each distinct
-    run once (keyed by ``RunDescriptor.canonical()``, in first-occurrence
-    order) however many plans ask for it; each report then gets its own
-    rows in its own order.
+    ``batch`` holds every plan's descriptors, each distinct run once
+    (keyed by ``RunDescriptor.canonical()``, in first-occurrence order)
+    however many plans ask for it.  ``finish(rows)`` takes the batch's
+    rows in batch order, gives each report its own rows in its own order
+    and returns the results in ``exp_ids`` order.
     """
     for exp_id in exp_ids:
         if exp_id.lower() not in EXPERIMENTS:
@@ -746,10 +748,20 @@ def run_experiments(exp_ids: Sequence[str], scale: str,
     for (descs, _), plan_keys in zip(plans, keys):
         for key, desc in zip(plan_keys, descs):
             batch.setdefault(key, desc)
-    rows = dict(zip(batch, executor.run_many(list(batch.values()),
-                                             label=",".join(exp_ids))))
-    return [report([rows[key] for key in plan_keys])
-            for (_, report), plan_keys in zip(plans, keys)]
+
+    def finish(batch_rows: Sequence[Any]) -> List[ExperimentResult]:
+        rows = dict(zip(batch, batch_rows))
+        return [report([rows[key] for key in plan_keys])
+                for (_, report), plan_keys in zip(plans, keys)]
+    return list(batch.values()), finish
+
+
+def run_experiments(exp_ids: Sequence[str], scale: str,
+                    executor: SweepExecutor) -> List[ExperimentResult]:
+    """Run experiments as one sweep through ``executor``, results in
+    ``exp_ids`` order (:func:`plan_experiments`)."""
+    batch, finish = plan_experiments(exp_ids, scale)
+    return finish(executor.run_many(batch, label=",".join(exp_ids)))
 
 
 def run_experiment(exp_id: str, scale: str = "paper") -> ExperimentResult:

@@ -46,8 +46,8 @@ from repro.metrics.latency import LatencyFold
 from repro.trace.events import EventLog, normalize_kinds
 from repro.util.errors import ConfigurationError, need_int, need_interval
 
-__all__ = ["AppSpec", "APPS", "describe", "execute_descriptor",
-           "run_descriptor", "sweep_from_rows", "SweepResult"]
+__all__ = ["AppSpec", "APPS", "describe", "execute_descriptor", "observation",
+           "observed", "run_descriptor", "sweep_from_rows", "SweepResult"]
 
 
 @dataclass(frozen=True)
@@ -210,12 +210,8 @@ def describe(
         params["queueing"] = queueing
     params.setdefault("queueing", "fifo")
     params.setdefault("balancer", balancer)
-    if metrics is not None:
-        # Here, not in the run: the interval goes into the descriptor and
-        # its cache key, and a pool worker would report it as a failed run.
-        params["metrics"] = need_interval("metrics", metrics)
-    if trace is not None:
-        params["trace_events"] = normalize_kinds(trace)
+    if trace is not None or metrics is not None:
+        params.update(observation(trace, metrics))
     return RunDescriptor(
         app=app,
         machine=machine_name,
@@ -226,6 +222,31 @@ def describe(
             sorted((machine_scaled or {}).items(), key=lambda kv: kv[0])
         ),
     )
+
+
+def observation(trace: Any = None, metrics: Any = None) -> Dict[str, Any]:
+    """The params that make a run record ``trace`` event kinds and a
+    ``metrics`` snapshot interval (``None``: neither), checked once for
+    :func:`describe` and the bench CLI's flags.  Here, not in the run: a
+    bad value would be in a cache key, and a pool worker would report it
+    as a failed run."""
+    params: Dict[str, Any] = {}
+    if metrics is not None:
+        params["metrics"] = need_interval("metrics", metrics)
+    if trace is not None:
+        params["trace_events"] = normalize_kinds(trace)
+    return params
+
+
+def observed(desc: RunDescriptor, params: Dict[str, Any]) -> RunDescriptor:
+    """``desc`` plus each of :func:`observation`'s ``params`` that it does
+    not state itself: a stated ``trace_events=None`` stays untraced."""
+    own = dict(desc.params)
+    missing = tuple((k, v) for k, v in params.items() if k not in own)
+    if not missing:
+        return desc
+    return replace(desc, params=tuple(sorted(desc.params + missing,
+                                             key=lambda kv: kv[0])))
 
 
 def execute_descriptor(desc: RunDescriptor) -> MeasureRow:

@@ -14,6 +14,10 @@ batch.  The executor:
   single :class:`SweepRunError` names every casualty,
 * emits progress/ETA events for the bench CLI.
 
+It runs what it is given and nothing else: what a run records is in its
+descriptor's params, and the bench CLI writes a sweep's exports from the
+rows it returns.
+
 Because every run is deterministic virtual time, the parallel schedule
 cannot change any result — the determinism-guard tests assert the
 ``--jobs N`` tables are byte-identical to serial.
@@ -21,7 +25,7 @@ cannot change any result — the determinism-guard tests assert the
 The module-level *current executor* (see :func:`use_executor`) is what
 ``run_experiment`` submits to: a plain serial executor unless a caller
 installs another.  The performance ledger's passes install theirs this
-way; the bench CLI hands its executor to ``run_experiments`` directly.
+way; the bench CLI submits its sweep's batch to its own executor.
 """
 
 from __future__ import annotations
@@ -32,13 +36,11 @@ import os
 import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import replace
-from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.bench.cache import ResultCache
 from repro.bench.descriptors import RunDescriptor
-from repro.util.errors import ConfigurationError, need_int, need_interval
+from repro.util.errors import ConfigurationError, need_int
 
 __all__ = ["SweepExecutor", "SweepRunError", "current_executor",
            "use_executor", "default_jobs"]
@@ -93,10 +95,6 @@ class SweepExecutor:
         cache: Optional[ResultCache] = None,
         timeout: float = DEFAULT_TIMEOUT,
         progress: Optional[Callable[[Dict[str, Any]], None]] = None,
-        trace_out: Optional[str] = None,
-        metrics_out: Optional[str] = None,
-        trace_events: Any = None,
-        metrics: Optional[float] = None,
     ) -> None:
         # Not max(1, int(jobs)): 0 or 2.7 workers is a mistake to report,
         # not a number to round.
@@ -111,34 +109,12 @@ class SweepExecutor:
             )
         self.timeout = timeout
         self.progress = progress
-        #: Directory for structured-event exports: every completed row that
-        #: carries a trace payload is written there as a ``.run.json``
-        #: (events + sampled metrics) plus a ``.perfetto.json`` twin.
-        self.trace_out = trace_out
-        #: Directory for telemetry exports: every completed row that
-        #: carries a telemetry payload is written there as a
-        #: ``.metrics.jsonl`` stream plus a ``.prom`` scrape twin, with a
-        #: one-line run-health digest on stderr.
-        self.metrics_out = metrics_out
-        #: The ``trace_events`` kinds and ``metrics`` interval every
-        #: descriptor of a batch records with, each added only where the
-        #: descriptor does not state its own (the bench CLI's ``--trace-*``
-        #: and ``--metrics-*`` flags).  Checked here, not in a pool worker.
-        self.observe: Dict[str, Any] = {}
-        if trace_events is not None:
-            from repro.trace.events import normalize_kinds
-
-            self.observe["trace_events"] = normalize_kinds(trace_events)
-        if metrics is not None:
-            self.observe["metrics"] = need_interval("metrics", metrics)
         self._pool = None
         # Lifetime totals, for the CLI/CI summary.
         self.runs_executed = 0
         self.runs_cached = 0
         self.batches = 0
         self.wall_s = 0.0
-        self.traces_written = 0
-        self.metrics_written = 0
         # The collector's counters when the sweep began; summary() reports
         # what it did since (reading them costs nothing per collection,
         # which a gc.callbacks hook would).
@@ -175,8 +151,6 @@ class SweepExecutor:
         started = time.perf_counter()
         self.batches += 1
         try:
-            if self.observe:
-                descs = [self.observed(desc) for desc in descs]
             rows: List[Any] = [None] * len(descs)
             pending: List[int] = []
             cached = 0
@@ -199,78 +173,9 @@ class SweepExecutor:
                             else self._pooled(descs, pending))
                 self._collect(outcomes, descs, rows, len(pending), label,
                               cached, 1 if inline else self.jobs)
-            if self.trace_out is not None or self.metrics_out is not None:
-                self._export(descs, rows)
         finally:
             self.wall_s += time.perf_counter() - started
         return rows
-
-    def observed(self, desc: RunDescriptor) -> RunDescriptor:
-        """What this executor runs for ``desc``: ``desc`` plus each of
-        :attr:`observe`'s params that it does not state itself."""
-        params = dict(desc.params)
-        missing = {k: v for k, v in self.observe.items() if k not in params}
-        if not missing:
-            return desc
-        params.update(missing)
-        return replace(desc, params=tuple(sorted(params.items(),
-                                                 key=itemgetter(0))))
-
-    def _export(self, descs, rows) -> None:
-        """Write every observed row of the batch, under one file stem.
-
-        A row with a trace payload gets ``<stem>.run.json`` (its events and
-        the metrics sampled from them) and a ``.perfetto.json`` twin under
-        ``trace_out``; one with a telemetry payload gets the archival
-        ``.metrics.jsonl`` stream, a ``.prom`` scrape and one health line on
-        stderr under ``metrics_out``.  Cached replays export too: the
-        payloads are plain data on the row, so re-running an observed
-        sweep always regenerates its files.
-        """
-        import json
-        import re
-        import sys
-
-        for out in (self.trace_out, self.metrics_out):
-            if out is not None:
-                os.makedirs(out, exist_ok=True)
-        for desc, row in zip(descs, rows):
-            trace = row.trace if self.trace_out is not None else None
-            payload = row.telemetry if self.metrics_out is not None else None
-            if trace is None and payload is None:
-                continue
-            stem = re.sub(r"[^A-Za-z0-9._-]+", "-", desc.label()).strip("-")
-            stem = f"{stem}-{desc.key()[:8]}"
-            if trace is not None:
-                from repro.metrics import sample_metrics
-                from repro.trace.events import EventIndex
-                from repro.trace.perfetto import write_perfetto
-
-                doc = dict(trace)
-                index = EventIndex(doc["events"])
-                doc["metrics"] = sample_metrics(
-                    index,
-                    num_pes=doc["meta"].get("num_pes"),
-                    t_end=doc["meta"].get("total_time"),
-                )
-                base = os.path.join(self.trace_out, stem)
-                with open(base + ".run.json", "w", encoding="utf-8") as fh:
-                    json.dump(doc, fh)
-                    fh.write("\n")
-                write_perfetto(base + ".perfetto.json", index,
-                               meta=doc["meta"], metrics=doc["metrics"])
-                self.traces_written += 1
-            if payload is not None:
-                from repro.obs import RunHealth, to_jsonl, to_prometheus
-
-                base = os.path.join(self.metrics_out, stem)
-                with open(base + ".metrics.jsonl", "w", encoding="utf-8") as fh:
-                    fh.write(to_jsonl(payload))
-                with open(base + ".prom", "w", encoding="utf-8") as fh:
-                    fh.write(to_prometheus(payload))
-                print(f"[{desc.label()}] {RunHealth(payload).format()}",
-                      file=sys.stderr)
-                self.metrics_written += 1
 
     def _collect(self, outcomes, descs, rows, total, label, cached,
                  workers) -> None:
@@ -368,10 +273,6 @@ class SweepExecutor:
                 for key in ("collections", "collected")
             },
         }
-        if self.trace_out is not None:
-            out["traces_written"] = self.traces_written
-        if self.metrics_out is not None:
-            out["metrics_written"] = self.metrics_written
         if self.cache is not None:
             out["cache"] = self.cache.stats()
         return out

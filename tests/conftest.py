@@ -10,6 +10,44 @@ from repro import Chare, Kernel, entry
 from repro.machine.presets import make_machine
 
 
+#: Tier-1's budget for one run that sets none: about eleven times the
+#: largest run tier-1 makes (87,693 events, the 22 k-node fib of
+#: ``test_lifetimes.py``).  A run whose protocol never settles (a QD wave
+#: repeated forever) then fails in seconds instead of running to the
+#: kernel's own 30 M-event safety valve, which takes minutes per run.
+TIER1_MAX_EVENTS = 1_000_000
+
+_UNSET = object()
+
+
+class EventBudgetSpent(BaseException):
+    """A run spent :data:`TIER1_MAX_EVENTS`.  Not an ``Exception``, so
+    Hypothesis does not catch it and shrink: every shrink candidate would
+    run to the budget again, for minutes."""
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _tier1_event_budget():
+    """Every ``Kernel.run`` that states no ``max_events`` gets
+    :data:`TIER1_MAX_EVENTS`, and raises if it spends it."""
+    run = Kernel.run
+
+    def budgeted(self, main_cls, *args, max_events=_UNSET):
+        if max_events is not _UNSET:
+            return run(self, main_cls, *args, max_events=max_events)
+        result = run(self, main_cls, *args, max_events=TIER1_MAX_EVENTS)
+        if result.truncated:
+            raise EventBudgetSpent(
+                f"{main_cls.__name__} on {self.num_pes} PEs fired "
+                f"{TIER1_MAX_EVENTS:,} events, tier-1's per-run budget, "
+                f"by virtual time {result.time:.6g} s without finishing")
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Kernel, "run", budgeted)
+        yield
+
+
 @pytest.fixture
 def ideal4():
     """Zero-overhead 4-PE machine (pure algorithm checks)."""

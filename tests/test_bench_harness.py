@@ -119,7 +119,7 @@ def test_bench_cli_checks_output_before_the_sweep(capsys, tmp_path, monkeypatch)
     def no_sweep(*args, **kwargs):
         raise AssertionError("the sweep started before --output was checked")
 
-    monkeypatch.setattr(cli, "run_experiments", no_sweep)
+    monkeypatch.setattr(cli, "plan_experiments", no_sweep)
     occupied = tmp_path / "a-file"
     occupied.write_text("")
     for bad in ("/proc/nope/x", str(occupied), str(occupied / "below")):

@@ -5,8 +5,8 @@ The committed ``results/`` is what ``python -m repro.bench --exp all
 under a ``## <ID> —`` heading is a copy of part of ``results/<id>.txt``
 (under a ``## A-series —`` heading, of one of ``results/a1.txt``,
 ``a2.txt``, ...): when its header line is in that file, every one of its
-lines must be too, byte for byte.  Hand-typed figures drift (T4, T6 and
-T7 once did by a few hundredths); a copy does not.
+lines must be too, byte for byte.  Hand-typed figures drift (T4, T6, T7
+and F1 once did by a few hundredths); a copy does not.
 """
 
 import os
@@ -61,7 +61,7 @@ def test_every_quoted_table_is_a_copy_of_its_results_file():
         if stray:
             drifted[exp_id.upper()] = stray
     assert not drifted, f"EXPERIMENTS.md lines not in results/: {drifted}"
-    # Every T table and both R tables are quoted as copies; a broken
-    # parser must not pass.
-    assert {f"t{i}" for i in range(1, 12)} | {"r1", "r2"} <= checked, \
-        sorted(checked)
+    # Every T table, both R tables and the F1 and F2 series are quoted as
+    # copies; a broken parser must not pass.
+    assert {f"t{i}" for i in range(1, 12)} | {"r1", "r2", "f1", "f2"} \
+        <= checked, sorted(checked)

@@ -558,11 +558,12 @@ def _described(metrics):
     return describe("fib", "ipsc2", 8, metrics=metrics).key()
 
 
-def _executor(interval):
-    """The interval ``SweepExecutor(metrics=interval)`` adds."""
-    from repro.bench.parallel import SweepExecutor
+def _stamped(interval):
+    """The interval the bench CLI stamps onto a descriptor stating none."""
+    from repro.bench.harness import describe, observation, observed
 
-    return SweepExecutor(jobs=1, metrics=interval).observe["metrics"]
+    desc = observed(describe("fib", "ipsc2", 8), observation(metrics=interval))
+    return dict(desc.params)["metrics"]
 
 
 def _observed(value):
@@ -583,43 +584,37 @@ class TestBenchTelemetry:
         assert dict(with_metrics.params)["metrics"] == 0.0
         assert desc.key() != with_metrics.key()
 
-    def test_executor_interval_fills_only_unset_descriptors(self):
-        from repro.bench.harness import describe
+    def test_stamped_interval_fills_only_unset_descriptors(self):
+        from repro.bench.harness import describe, observation, observed
         from repro.bench.parallel import SweepExecutor
 
         plain = describe("fib", "ipsc2", 8)
         own = describe("fib", "ipsc2", 8, metrics=0.0)
-        with SweepExecutor(jobs=1, metrics=2e-3) as ex:
-            assert ex.observed(plain) == describe("fib", "ipsc2", 8,
+        stamp = observation(metrics=2e-3)
+        assert observed(plain, stamp) == describe("fib", "ipsc2", 8,
                                                   metrics=2e-3)
-            assert ex.observed(own) is own
-            rows = ex.run_many([plain, own])
+        assert observed(own, stamp) is own
+        with SweepExecutor(jobs=1) as ex:
+            rows = ex.run_many([observed(plain, stamp), own])
         assert [row.telemetry["meta"]["interval"] for row in rows] == [
             2e-3, 0.0]
         assert "metrics" not in dict(plain.params)
 
-    def test_executor_rejects_negative_interval(self):
-        from repro.bench.parallel import SweepExecutor
-
-        with pytest.raises(ConfigurationError):
-            SweepExecutor(jobs=1, metrics=-1.0)
-
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1.0"])
-    @pytest.mark.parametrize("entry", ["describe", "executor", "cli"])
+    @pytest.mark.parametrize("entry", ["describe", "stamp", "cli"])
     def test_bad_interval_fails_at_the_call_naming_the_field(
             self, entry, value, capsys):
         # Not later, inside the run's Telemetry: by then the value is
         # in a descriptor and its cache key, possibly in a pool worker.
         from repro.bench.__main__ import main
-        from repro.bench.harness import describe
-        from repro.bench.parallel import SweepExecutor
+        from repro.bench.harness import describe, observation
 
         if entry == "describe":
             with pytest.raises(ConfigurationError, match="metrics"):
                 describe("fib", "ipsc2", 8, metrics=float(value))
-        elif entry == "executor":
+        elif entry == "stamp":
             with pytest.raises(ConfigurationError, match="metrics"):
-                SweepExecutor(jobs=1, metrics=float(value))
+                observation(metrics=float(value))
         else:
             with pytest.raises(SystemExit) as exit_info:
                 main(["--exp", "t9", "--scale", "quick", "--no-cache",
@@ -635,9 +630,9 @@ class TestBenchTelemetry:
         (lambda: _described("0.5"), "metrics",
          lambda: _described(0.5), "58c0365afcba5ce0dec88abe78cde382"),
         # A bare ValueError / TypeError, and True as 1.0.
-        (lambda: _executor("abc"), "metrics", lambda: _executor(1.0), 1.0),
-        (lambda: _executor(False), "metrics", lambda: _executor(0), 0.0),
-        (lambda: _executor(True), "metrics",
+        (lambda: _stamped("abc"), "metrics", lambda: _stamped(1.0), 1.0),
+        (lambda: _stamped(False), "metrics", lambda: _stamped(0), 0.0),
+        (lambda: _stamped(True), "metrics",
          lambda: _described(np_float(1e-3)),
          "26ebe3ff2d1f334ac99f35364f24b90b"),
         (lambda: Telemetry(interval=True), "interval",
@@ -647,8 +642,8 @@ class TestBenchTelemetry:
          lambda: _observed(1e300), {"31919": 1}),
         (lambda: Histogram().observe(float("inf")), "finite",
          lambda: _observed(1.7976931348623157e308), {"32799": 1}),
-    ], ids=["describe-true", "describe-str", "executor-str", "executor-false",
-            "executor-true", "telemetry-true", "observe-nan", "observe-inf"])
+    ], ids=["describe-true", "describe-str", "stamp-str", "stamp-false",
+            "stamp-true", "telemetry-true", "observe-nan", "observe-inf"])
     def test_one_interval_check_names_the_field(self, bad, field, good,
                                                 answer):
         with pytest.raises(ConfigurationError, match=field):
@@ -657,12 +652,11 @@ class TestBenchTelemetry:
 
     @pytest.mark.parametrize("value", [0.0, 0.005])
     def test_zero_and_positive_intervals_still_pass(self, value):
-        from repro.bench.harness import describe
-        from repro.bench.parallel import SweepExecutor
+        from repro.bench.harness import describe, observation, observed
 
         explicit = describe("fib", "ipsc2", 8, metrics=value)
-        added = SweepExecutor(jobs=1, metrics=value).observed(
-            describe("fib", "ipsc2", 8))
+        added = observed(describe("fib", "ipsc2", 8),
+                         observation(metrics=value))
         assert dict(explicit.params)["metrics"] == value
         assert added == explicit
 
@@ -681,19 +675,19 @@ class TestBenchTelemetry:
         assert (row.answer, row.vtime, row.qd_work_end) == \
             (base.answer, base.vtime, base.qd_work_end)
 
-    def test_sweep_executor_writes_metric_streams(self, tmp_path, capsys):
-        from repro.bench.harness import describe
-        from repro.bench.parallel import SweepExecutor
+    def test_cli_writes_metric_streams(self, tmp_path, capsys):
+        from repro.bench.__main__ import main
 
-        out = tmp_path / "metrics"
-        with SweepExecutor(jobs=1, metrics_out=str(out)) as ex:
-            rows = ex.run_many([describe("fib", "ipsc2", 8, metrics=0.0)])
-        assert rows[0].telemetry is not None
-        jsonl = list(out.glob("*.metrics.jsonl"))
-        prom = list(out.glob("*.prom"))
-        assert len(jsonl) == 1 and len(prom) == 1
-        parsed = read_metrics_jsonl(jsonl[0].read_text())
-        assert parsed == rows[0].telemetry
-        assert to_prometheus(parsed).startswith("# TYPE")
-        assert "health: final" in capsys.readouterr().err
-        assert ex.summary()["metrics_written"] == 1
+        out, stats = tmp_path / "metrics", tmp_path / "stats.json"
+        assert main(["--exp", "t9", "--scale", "quick", "--jobs", "1",
+                     "--no-cache", "--no-progress", "--metrics-out", str(out),
+                     "--stats-json", str(stats)]) == 0
+        jsonl = sorted(out.glob("*.metrics.jsonl"))
+        prom = sorted(out.glob("*.prom"))
+        written = json.loads(stats.read_text())["metrics_written"]
+        assert len(jsonl) == len(prom) == written > 0
+        for stream, scrape in zip(jsonl, prom):
+            parsed = read_metrics_jsonl(stream.read_text())
+            assert parsed["snapshots"][-1]["label"] == "final"
+            assert to_prometheus(parsed) == scrape.read_text()
+        assert capsys.readouterr().err.count("health: final") == written

@@ -5,8 +5,10 @@ from collections import Counter
 
 import pytest
 
+from repro.bench.__main__ import _export
 from repro.bench.cache import ResultCache
-from repro.bench.harness import describe, execute_descriptor
+from repro.bench.harness import (describe, execute_descriptor, observation,
+                                 observed)
 from repro.bench.parallel import SweepExecutor
 from repro.faults import FaultConfig
 from repro.machine.presets import make_machine
@@ -392,22 +394,24 @@ def test_descriptor_key_includes_trace():
     assert len(traced.canonical()) == len(plain.canonical()) == 7
 
 
-def test_executor_trace_kinds_fill_only_unset_descriptors(tmp_path):
-    """A tracing executor adds its kinds to a descriptor that states no
+def test_stamped_trace_kinds_fill_only_unset_descriptors(tmp_path):
+    """The bench CLI's stamp adds its kinds to a descriptor that states no
     ``trace_events``; one that states kinds, or ``None``, keeps them."""
     plain = describe("queens", "ipsc2", 4, n=6, grainsize=2)
     own = describe("queens", "ipsc2", 4, n=6, grainsize=2, trace="send")
     off = describe("queens", "ipsc2", 4, n=6, grainsize=2, trace_events=None)
+    stamp = observation(trace="qd,lb")
+    traced = observed(plain, stamp)
+    assert traced == describe(
+        "queens", "ipsc2", 4, n=6, grainsize=2, trace="lb,qd")
+    assert observed(own, stamp) is own and observed(off, stamp) is off
     cache = ResultCache(str(tmp_path))
-    with SweepExecutor(jobs=1, cache=cache, trace_events="qd,lb") as ex:
-        assert ex.observed(plain) == describe(
-            "queens", "ipsc2", 4, n=6, grainsize=2, trace="lb,qd")
-        assert ex.observed(own) is own and ex.observed(off) is off
-        rows = ex.run_many([plain, own, off])
+    with SweepExecutor(jobs=1, cache=cache) as ex:
+        rows = ex.run_many([observed(d, stamp) for d in (plain, own, off)])
     assert [row.trace and row.trace["meta"]["kinds"] for row in rows] == [
         ["lb", "qd"], ["send"], None]
-    # Stored under the observed descriptor's key, not the bare one's.
-    assert cache.get(ex.observed(plain)) is not None
+    # Stored under the stamped descriptor's key, not the bare one's.
+    assert cache.get(traced) is not None
     assert cache.get(plain) is None
 
 
@@ -429,8 +433,7 @@ def test_traced_measure_row_payload(tmp_path):
     desc = describe("queens", "ipsc2", 4, n=6, grainsize=2, seed=1,
                     trace="all")
     out = tmp_path / "traces"
-    executor = SweepExecutor(jobs=1, trace_out=str(out))
-    with executor:
+    with SweepExecutor(jobs=1) as executor:
         (row,) = executor.run_many([desc], label="trace-test")
     trace = row.trace
     assert trace["format"] == "repro-trace-v1"
@@ -439,7 +442,7 @@ def test_traced_measure_row_payload(tmp_path):
     assert trace["meta"]["total_time"] == row.vtime
     assert trace["dropped"] == 0
     assert all(isinstance(e, dict) for e in trace["events"])
-    assert executor.traces_written == 1
+    assert _export([desc], [row], str(out), None) == {"traces_written": 1}
     run_files = sorted(p.name for p in out.iterdir())
     assert len(run_files) == 2  # .run.json + .perfetto.json
     doc = json.loads((out / [f for f in run_files

@@ -107,6 +107,30 @@ CATALOG = [
      "        if stable:\n",
      "protocol: quiescence declared on the first stable wave, without the "
      "second wave that rules out sampling skew"),
+    ("src/repro/bench/harness.py",
+     "    missing = tuple((k, v) for k, v in params.items() if k not in own)\n",
+     "    missing = tuple((k, v) for k, v in params.items()\n"
+     "                    if own.get(k) is None)\n",
+     "recorded defect: a tracing sweep traced S6's scale arm, whose "
+     "descriptor states trace_events=None"),
+    ("src/repro/core/objects.py",
+     "        if not retires:\n"
+     "            self.placement[gid] = pe\n",
+     "        self.placement[gid] = pe\n",
+     "recorded defect: a seed of a class with no entry method kept a "
+     "placement record, so a send to it was held instead of refused"),
+    ("src/repro/faults/models.py",
+     "            if uid in self._pending:\n"
+     "                self._send_ack(env)\n"
+     "        self._arrive(env)\n",
+     "        self._arrive(env)\n",
+     "protocol: the first copy of a tracked message is never acked, so "
+     "every reliable send is retransmitted at least once"),
+    ("src/repro/faults/models.py",
+     "            self._seen.add(uid)\n",
+     "            self._seen.add(uid + 1)\n",
+     "protocol: dedup keyed off by one, so a duplicate runs twice and the "
+     "next uid's first copy is suppressed"),
 ]
 
 #: The tier-1 run inside the copy.  Verbose, so a hung run's output names

@@ -138,9 +138,11 @@ ALLOWLIST = {
     ),
     "a name ledger/ calls: a pass runs one experiment at a time through "
     "the ambient executor (ledger/passes.py:186, :190, :227) until ROADMAP "
-    "1(j) hands it a plan; run_experiment reads current_executor, and the "
-    "bench CLI calls run_experiments with its own executor": (
+    "1(j) hands it a plan; run_experiment runs its plan through "
+    "run_experiments and current_executor, while the bench CLI plans, runs "
+    "and finishes its sweep itself": (
         "bench/experiments.py::run_experiment",
+        "bench/experiments.py::run_experiments",
         "bench/parallel.py::current_executor",
         "bench/parallel.py::use_executor",
     ),
