@@ -27,7 +27,7 @@ from typing import Any, Dict
 from repro.apps.tree import TreeParams
 from repro.apps.tsp import TspInstance, tsp_seq
 from repro.bench.harness import describe
-from repro.bench.tables import ExperimentResult, Plan, format_table
+from repro.bench.tables import ExperimentResult, Plan, arms_table, format_table
 
 __all__ = ["exp_a1", "exp_a2", "exp_a3", "exp_a4", "exp_a5"]
 
@@ -43,109 +43,72 @@ def exp_a1(scale: str = "paper") -> Plan:
     """Spanning-tree shape ablation on a hypercube."""
     pes = 16 if scale == "quick" else 64
     params = _tree_params(scale)
-    tree_names = ("rank", "binomial")
-    descs = [
-        describe("tree", "ncube2", pes, balancer="acwn",
-                 spanning_tree=tree_name, params=params)
-        for tree_name in tree_names
-    ]
 
-    def report(measured) -> ExperimentResult:
-        headers = ["tree", "time (ms)", "msg hops", "bytes sent"]
-        rows = []
-        data: Dict[str, Any] = {}
-        for tree_name, row in zip(tree_names, measured):
-            rows.append([tree_name, row.vtime * 1e3,
-                         row.stats.total_message_hops,
-                         row.stats.total_bytes_sent])
-            data[tree_name] = {
-                "time": row.vtime,
-                "hops": row.stats.total_message_hops,
-                "bytes": row.stats.total_bytes_sent,
-            }
-        assert len({row.answer for row in measured}) == 1
-        return ExperimentResult(
-            "A1",
-            "collective spanning tree: rank vs binomial",
-            format_table(headers, rows,
-                         title=f"Unbalanced tree on ncube2 hypercube, P={pes}"),
-            data,
-        )
-    return descs, report
+    def cells(tree_name, row):
+        return ([tree_name, row.vtime * 1e3, row.stats.total_message_hops,
+                 row.stats.total_bytes_sent],
+                {"time": row.vtime, "hops": row.stats.total_message_hops,
+                 "bytes": row.stats.total_bytes_sent})
+    return arms_table(
+        "A1", "collective spanning tree: rank vs binomial",
+        f"Unbalanced tree on ncube2 hypercube, P={pes}",
+        ["tree", "time (ms)", "msg hops", "bytes sent"],
+        [(tree_name, describe("tree", "ncube2", pes, balancer="acwn",
+                              spanning_tree=tree_name, params=params))
+         for tree_name in ("rank", "binomial")],
+        cells, same_answer=True,
+    )
 
 
 def exp_a2(scale: str = "paper") -> Plan:
     """Monotonic lazy-batching interval ablation (TSP bound sharing)."""
     pes = 8 if scale == "quick" else 16
     n = 8 if scale == "quick" else 10
-    intervals = [0.05e-3, 0.2e-3, 1e-3, 5e-3]
-    descs = [
-        describe("tsp", "ipsc2", pes, queueing="fifo", propagation="lazy",
-                 n=n, instance_seed=0, grain=2, bound_slack=1.6,
-                 lazy_interval=interval)
-        for interval in intervals
-    ]
+    # Same instance the descriptors rebuild (n + instance_seed=0).
+    best_ref, _ = tsp_seq(TspInstance.random(n, 0))
 
-    def report(measured) -> ExperimentResult:
-        # Same instance the descriptors rebuild (n + instance_seed=0).
-        best_ref, _ = tsp_seq(TspInstance.random(n, 0))
-        headers = ["lazy interval (ms)", "nodes", "time (ms)", "bound msgs"]
-        rows = []
-        data: Dict[str, Any] = {}
-        for interval, row in zip(intervals, measured):
-            best, nodes, _ = row.answer
-            assert best == best_ref
-            rows.append([interval * 1e3, nodes, row.vtime * 1e3,
-                         row.stats.mono_updates_sent])
-            data[interval] = {
-                "nodes": nodes,
-                "time": row.vtime,
-                "msgs": row.stats.mono_updates_sent,
-            }
-        return ExperimentResult(
-            "A2",
-            "monotonic lazy-propagation batching interval",
-            format_table(headers, rows,
-                         title=f"TSP({n}) B&B, fifo queueing, loose incumbent, P={pes}"),
-            data,
-        )
-    return descs, report
+    def cells(interval, row):
+        best, nodes, _ = row.answer
+        assert best == best_ref
+        return ([interval * 1e3, nodes, row.vtime * 1e3,
+                 row.stats.mono_updates_sent],
+                {"nodes": nodes, "time": row.vtime,
+                 "msgs": row.stats.mono_updates_sent})
+    return arms_table(
+        "A2", "monotonic lazy-propagation batching interval",
+        f"TSP({n}) B&B, fifo queueing, loose incumbent, P={pes}",
+        ["lazy interval (ms)", "nodes", "time (ms)", "bound msgs"],
+        [(interval, describe("tsp", "ipsc2", pes, queueing="fifo",
+                             propagation="lazy", n=n, instance_seed=0, grain=2,
+                             bound_slack=1.6, lazy_interval=interval))
+         for interval in (0.05e-3, 0.2e-3, 1e-3, 5e-3)],
+        cells,
+    )
 
 
 def exp_a3(scale: str = "paper") -> Plan:
     """Quiescence wave-interval ablation: latency vs probe traffic."""
     pes = 8 if scale == "quick" else 16
     n = 7 if scale == "quick" else 8
-    intervals = [0.1e-3, 0.5e-3, 2e-3, 10e-3]
-    descs = [
-        describe("queens", "ipsc2", pes, n=n, grainsize=3,
-                 qd_interval=interval)
-        for interval in intervals
-    ]
 
-    def report(measured) -> ExperimentResult:
-        headers = ["qd interval (ms)", "waves", "system msgs",
-                   "detect latency (ms)", "total time (ms)"]
-        rows = []
-        data: Dict[str, Any] = {}
-        for interval, row in zip(intervals, measured):
-            detected = row.stats.qd_detected_at or row.vtime
-            latency = detected - (row.qd_work_end or 0.0)
-            rows.append([interval * 1e3, row.stats.qd_waves,
-                         row.stats.total_system_executed, latency * 1e3,
-                         row.vtime * 1e3])
-            data[interval] = {
-                "waves": row.stats.qd_waves,
-                "latency": latency,
-                "system": row.stats.total_system_executed,
-            }
-        return ExperimentResult(
-            "A3",
-            "quiescence wave interval: latency vs probe traffic",
-            format_table(headers, rows, title=f"N-queens({n}) on ipsc2, P={pes}"),
-            data,
-        )
-    return descs, report
+    def cells(interval, row):
+        detected = row.stats.qd_detected_at or row.vtime
+        latency = detected - (row.qd_work_end or 0.0)
+        return ([interval * 1e3, row.stats.qd_waves,
+                 row.stats.total_system_executed, latency * 1e3,
+                 row.vtime * 1e3],
+                {"waves": row.stats.qd_waves, "latency": latency,
+                 "system": row.stats.total_system_executed})
+    return arms_table(
+        "A3", "quiescence wave interval: latency vs probe traffic",
+        f"N-queens({n}) on ipsc2, P={pes}",
+        ["qd interval (ms)", "waves", "system msgs", "detect latency (ms)",
+         "total time (ms)"],
+        [(interval, describe("queens", "ipsc2", pes, n=n, grainsize=3,
+                             qd_interval=interval))
+         for interval in (0.1e-3, 0.5e-3, 2e-3, 10e-3)],
+        cells,
+    )
 
 
 def exp_a5(scale: str = "paper") -> Plan:
@@ -192,35 +155,21 @@ def exp_a4(scale: str = "paper") -> Plan:
     """ACWN parameter ablation: threshold and hop budget."""
     pes = 8 if scale == "quick" else 16
     params = _tree_params(scale)
-    combos = [(threshold, max_hops) for threshold in (1, 2, 4, 8)
-              for max_hops in (1, 4)]
-    descs = [
-        describe("tree", "ipsc2", pes, params=params,
-                 balancer={"name": "acwn", "threshold": threshold,
-                           "max_hops": max_hops})
-        for threshold, max_hops in combos
-    ]
 
-    def report(measured) -> ExperimentResult:
-        headers = ["threshold", "max hops", "time (ms)", "util %",
-                   "remote seeds"]
-        rows = []
-        data: Dict[str, Any] = {}
-        for (threshold, max_hops), row in zip(combos, measured):
-            rows.append([threshold, max_hops, row.vtime * 1e3,
-                         round(row.stats.mean_utilization * 100, 1),
-                         row.stats.lb_seeds_remote])
-            data[(threshold, max_hops)] = {
-                "time": row.vtime,
-                "util": row.stats.mean_utilization,
-                "remote": row.stats.lb_seeds_remote,
-            }
-        assert len({row.answer for row in measured}) == 1
-        return ExperimentResult(
-            "A4",
-            "ACWN threshold / hop-budget sweep",
-            format_table(headers, rows,
-                         title=f"Unbalanced tree on ipsc2, P={pes}"),
-            {str(k): v for k, v in data.items()},
-        )
-    return descs, report
+    def cells(combo, row):
+        return ([*combo, row.vtime * 1e3,
+                 round(row.stats.mean_utilization * 100, 1),
+                 row.stats.lb_seeds_remote],
+                {"time": row.vtime, "util": row.stats.mean_utilization,
+                 "remote": row.stats.lb_seeds_remote})
+    return arms_table(
+        "A4", "ACWN threshold / hop-budget sweep",
+        f"Unbalanced tree on ipsc2, P={pes}",
+        ["threshold", "max hops", "time (ms)", "util %", "remote seeds"],
+        [((threshold, max_hops),
+          describe("tree", "ipsc2", pes, params=params,
+                   balancer={"name": "acwn", "threshold": threshold,
+                             "max_hops": max_hops}))
+         for threshold in (1, 2, 4, 8) for max_hops in (1, 4)],
+        cells, same_answer=True,
+    )

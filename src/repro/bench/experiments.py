@@ -23,8 +23,8 @@ from repro.bench.harness import APPS, describe, sweep_from_rows
 from repro.bench.parallel import SweepExecutor, current_executor
 from repro.bench.serving import (exp_s1, exp_s2, exp_s3, exp_s4, exp_s5,
                                  exp_s6)
-from repro.bench.tables import (ExperimentResult, Plan, format_series,
-                                format_table)
+from repro.bench.tables import (ExperimentResult, Plan, arms_table,
+                                format_series, format_table)
 from repro.faults import FaultConfig
 from repro.util.errors import ConfigurationError
 
@@ -102,6 +102,46 @@ def _speedup_table(
     return descs, report
 
 
+def _per_program(exp_id: str, title: str, caption: str,
+                 headers: Sequence[str], arms, cell,
+                 data: Dict[str, Any]) -> Plan:
+    """:func:`arms_table` for programs each run at several levels.
+
+    ``arms`` is ``[((program, level), RunDescriptor)]``, each program's
+    arms contiguous and equal in number, its reference level first.  The
+    report checks that no run hung and that every answer equals the
+    program's reference answer, asks ``cell(level, row, slowdown)`` (the
+    time against the reference run's) for each run's table cells after
+    the program name and its record, and lists the records per program
+    under ``data["apps"]``.
+    """
+    apps = list(dict.fromkeys(app for (app, _), _ in arms))
+    n = len(arms) // len(apps)
+    base: Dict[str, Any] = {}  # program -> its reference (time, answer)
+
+    def cells(arm, row):
+        app, level = arm
+        assert not row.truncated, f"{app} hung at {level!r} (run truncated)"
+        base_time, base_answer = base.setdefault(app, (row.vtime, row.answer))
+        assert row.answer == base_answer, (
+            f"{app} answer at {level!r} differs from its reference: "
+            f"{row.answer!r} != {base_answer!r}")
+        slowdown = row.vtime / base_time if base_time > 0 else 0.0
+        row_cells, record = cell(level, row, slowdown)
+        return [app] + row_cells, record
+    descs, report = arms_table(exp_id, title, caption, headers, arms, cells,
+                               data=data)
+
+    def by_program(rows) -> ExperimentResult:
+        base.clear()  # each program's first row sets its reference again
+        result = report(rows)
+        series = result.data.pop("series")
+        result.data["apps"] = {app: series[i * n:(i + 1) * n]
+                               for i, app in enumerate(apps)}
+        return result
+    return descs, by_program
+
+
 # ------------------------------------------------------------------------ T1
 def exp_t1(scale: str = "paper") -> Plan:
     """Benchmark-suite characteristics (1 PE, ideal machine)."""
@@ -110,40 +150,25 @@ def exp_t1(scale: str = "paper") -> Plan:
         ["knapsack", "matmul", "histogram", "sor", "lu"]
         if scale != "quick" else []
     )
-    descs = [describe(app, "ideal", 1, **sizes.get(app, {})) for app in apps]
 
-    def report(measured) -> ExperimentResult:
-        headers = ["program", "work (units)", "app msgs", "grain (units/msg)",
-                   "bytes sent", "T1 ideal (ms)"]
-        rows = []
-        data = {}
-        for app, row in zip(apps, measured):
-            stats = row.stats
-            msgs = max(1, stats.total_msgs_executed)
-            rows.append(
-                [
-                    app,
-                    round(stats.total_charged),
-                    stats.total_msgs_executed,
-                    round(stats.total_charged / msgs, 1),
-                    stats.total_bytes_sent,
-                    row.vtime_ms,
-                ]
-            )
-            data[app] = {
-                "work": stats.total_charged,
-                "msgs": stats.total_msgs_executed,
-                "bytes": stats.total_bytes_sent,
-                "t1": row.vtime,
-            }
-        return ExperimentResult(
-            "T1",
-            "benchmark suite characteristics",
-            format_table(headers, rows,
-                         title="Suite characteristics (P=1, ideal machine)"),
-            data,
-        )
-    return descs, report
+    def cells(app, row):
+        stats = row.stats
+        msgs = max(1, stats.total_msgs_executed)
+        return ([app, round(stats.total_charged), stats.total_msgs_executed,
+                 round(stats.total_charged / msgs, 1), stats.total_bytes_sent,
+                 row.vtime_ms],
+                {"work": stats.total_charged,
+                 "msgs": stats.total_msgs_executed,
+                 "bytes": stats.total_bytes_sent, "t1": row.vtime})
+    return arms_table(
+        "T1", "benchmark suite characteristics",
+        "Suite characteristics (P=1, ideal machine)",
+        ["program", "work (units)", "app msgs", "grain (units/msg)",
+         "bytes sent", "T1 ideal (ms)"],
+        [(app, describe(app, "ideal", 1, **sizes.get(app, {})))
+         for app in apps],
+        cells,
+    )
 
 
 # --------------------------------------------------------------------- T2-T4
@@ -188,52 +213,29 @@ def exp_t5(scale: str = "paper") -> Plan:
                   "acwn", "gradient"]
     pes = 8 if scale == "quick" else 16
     sizes = _sizes(scale)
-    descs = [
-        describe("tree", "ipsc2", pes, balancer=strat, **sizes.get("tree", {}))
-        for strat in strategies
-    ]
 
-    def report(measured) -> ExperimentResult:
-        headers = ["strategy", "time (ms)", "mean util %", "imbalance",
-                   "max gap (ms)", "pool hw", "remote seeds", "control msgs"]
-        rows = []
-        data: Dict[str, Any] = {}
-        for strat, row in zip(strategies, measured):
-            st = row.stats
-            rows.append(
-                [
-                    strat,
-                    row.vtime_ms,
-                    round(st.mean_utilization * 100, 1),
-                    round(st.load_imbalance, 2),
-                    round(st.max_idle_gap * 1e3, 3),
-                    st.pool_high_water,
-                    st.lb_seeds_remote,
-                    st.lb_control_msgs,
-                ]
-            )
-            data[strat] = {
-                "time": row.vtime,
-                "util": st.mean_utilization,
-                "imbalance": st.load_imbalance,
-                "idle_time": st.total_idle_time,
-                "max_idle_gap": st.max_idle_gap,
-                "pool_high_water": st.pool_high_water,
-                "remote_seeds": st.lb_seeds_remote,
-                "control": st.lb_control_msgs,
-            }
-        assert len({row.answer for row in measured}) == 1, (
-            "tree answer depends on balancer (bug)")
-        return ExperimentResult(
-            "T5",
-            "dynamic load-balancing strategies",
-            format_table(
-                headers, rows,
-                title=f"Unbalanced tree on ipsc2, P={pes} (same tree for all)",
-            ),
-            data,
-        )
-    return descs, report
+    def cells(strat, row):
+        st = row.stats
+        return ([strat, row.vtime_ms, round(st.mean_utilization * 100, 1),
+                 round(st.load_imbalance, 2), round(st.max_idle_gap * 1e3, 3),
+                 st.pool_high_water, st.lb_seeds_remote, st.lb_control_msgs],
+                {"time": row.vtime, "util": st.mean_utilization,
+                 "imbalance": st.load_imbalance,
+                 "idle_time": st.total_idle_time,
+                 "max_idle_gap": st.max_idle_gap,
+                 "pool_high_water": st.pool_high_water,
+                 "remote_seeds": st.lb_seeds_remote,
+                 "control": st.lb_control_msgs})
+    return arms_table(
+        "T5", "dynamic load-balancing strategies",
+        f"Unbalanced tree on ipsc2, P={pes} (same tree for all)",
+        ["strategy", "time (ms)", "mean util %", "imbalance", "max gap (ms)",
+         "pool hw", "remote seeds", "control msgs"],
+        [(strat, describe("tree", "ipsc2", pes, balancer=strat,
+                          **sizes.get("tree", {})))
+         for strat in strategies],
+        cells, same_answer=True,
+    )
 
 
 # ------------------------------------------------------------------------ T6
@@ -241,34 +243,20 @@ def exp_t6(scale: str = "paper") -> Plan:
     """Queueing strategies on speculative search (B&B anomalies)."""
     pes = 8 if scale == "quick" else 16
     sizes = _sizes(scale)
-    combos = [(app, strat) for app in ("tsp", "knapsack")
-              for strat in ("fifo", "lifo", "prio")]
-    descs = [
-        describe(app, "ipsc2", pes, queueing=strat, **sizes.get(app, {}))
-        for app, strat in combos
-    ]
 
-    def report(measured) -> ExperimentResult:
-        headers = ["program", "queueing", "nodes expanded", "time (ms)",
-                   "best"]
-        rows = []
-        data: Dict[str, Any] = {}
-        for (app, strat), row in zip(combos, measured):
-            best, nodes = row.answer[0], row.answer[1]
-            rows.append([app, strat, nodes, row.vtime_ms, best])
-            data[(app, strat)] = {"nodes": nodes, "time": row.vtime,
-                                  "best": best}
-        return ExperimentResult(
-            "T6",
-            "queueing strategies and search anomalies",
-            format_table(
-                headers, rows,
-                title=f"Branch & bound on ipsc2, P={pes} "
-                "(node counts depend on pool order)",
-            ),
-            {str(k): v for k, v in data.items()},
-        )
-    return descs, report
+    def cells(combo, row):
+        best, nodes = row.answer[0], row.answer[1]
+        return ([*combo, nodes, row.vtime_ms, best],
+                {"nodes": nodes, "time": row.vtime, "best": best})
+    return arms_table(
+        "T6", "queueing strategies and search anomalies",
+        f"Branch & bound on ipsc2, P={pes} (node counts depend on pool order)",
+        ["program", "queueing", "nodes expanded", "time (ms)", "best"],
+        [((app, strat), describe(app, "ipsc2", pes, queueing=strat,
+                                 **sizes.get(app, {})))
+         for app in ("tsp", "knapsack") for strat in ("fifo", "lifo", "prio")],
+        cells,
+    )
 
 
 # ------------------------------------------------------------------------ T7
@@ -287,38 +275,23 @@ def exp_t7(scale: str = "paper") -> Plan:
     else:
         tsp_params = {"n": 10, "grain": 2, "bound_slack": 1.6,
                       "queueing": "fifo"}
-    props = ("eager", "lazy", "off")
-    descs = [
-        describe("tsp", "ipsc2", pes, propagation=prop, **tsp_params)
-        for prop in props
-    ]
 
-    def report(measured) -> ExperimentResult:
-        headers = ["propagation", "nodes expanded", "time (ms)",
-                   "bound msgs", "updates applied"]
-        rows = []
-        data: Dict[str, Any] = {}
-        for prop, row in zip(props, measured):
-            best, nodes, _ = row.answer
-            st = row.stats
-            rows.append([prop, nodes, row.vtime_ms, st.mono_updates_sent,
-                         st.mono_updates_applied])
-            data[prop] = {
-                "nodes": nodes,
-                "time": row.vtime,
-                "msgs": st.mono_updates_sent,
-                "best": best,
-            }
-        return ExperimentResult(
-            "T7",
-            "monotonic bound propagation ablation",
-            format_table(
-                headers, rows,
-                title=f"TSP B&B on ipsc2, P={pes} (answer identical in all arms)",
-            ),
-            data,
-        )
-    return descs, report
+    def cells(prop, row):
+        best, nodes, _ = row.answer
+        st = row.stats
+        return ([prop, nodes, row.vtime_ms, st.mono_updates_sent,
+                 st.mono_updates_applied],
+                {"nodes": nodes, "time": row.vtime,
+                 "msgs": st.mono_updates_sent, "best": best})
+    return arms_table(
+        "T7", "monotonic bound propagation ablation",
+        f"TSP B&B on ipsc2, P={pes} (answer identical in all arms)",
+        ["propagation", "nodes expanded", "time (ms)", "bound msgs",
+         "updates applied"],
+        [(prop, describe("tsp", "ipsc2", pes, propagation=prop, **tsp_params))
+         for prop in ("eager", "lazy", "off")],
+        cells,
+    )
 
 
 # ------------------------------------------------------------------------ T8
@@ -326,28 +299,20 @@ def exp_t8(scale: str = "paper") -> Plan:
     """Distributed-table throughput."""
     pes_list = [1, 2, 4, 8] if scale == "quick" else [1, 2, 4, 8, 16, 32]
     sizes = _sizes(scale)
-    descs = [
-        describe("histogram", "ipsc2", p, **sizes.get("histogram", {}))
-        for p in pes_list
-    ]
 
-    def report(measured) -> ExperimentResult:
-        headers = ["P", "ops", "time (ms)", "ops/ms"]
-        rows = []
-        data: Dict[str, Any] = {}
-        for p, row in zip(pes_list, measured):
-            inserted, found, bad = row.answer
-            assert bad == 0, "table round-trip mismatches"
-            ops = inserted + found
-            rows.append([p, ops, row.vtime_ms, round(ops / row.vtime_ms, 1)])
-            data[p] = {"ops": ops, "time": row.vtime}
-        return ExperimentResult(
-            "T8",
-            "distributed table throughput",
-            format_table(headers, rows, title="Histogram workload on ipsc2"),
-            data,
-        )
-    return descs, report
+    def cells(p, row):
+        inserted, found, bad = row.answer
+        assert bad == 0, "table round-trip mismatches"
+        ops = inserted + found
+        return ([p, ops, row.vtime_ms, round(ops / row.vtime_ms, 1)],
+                {"ops": ops, "time": row.vtime})
+    return arms_table(
+        "T8", "distributed table throughput", "Histogram workload on ipsc2",
+        ["P", "ops", "time (ms)", "ops/ms"],
+        [(p, describe("histogram", "ipsc2", p, **sizes.get("histogram", {})))
+         for p in pes_list],
+        cells,
+    )
 
 
 # ------------------------------------------------------------------------ T9
@@ -355,43 +320,24 @@ def exp_t9(scale: str = "paper") -> Plan:
     """Quiescence-detection overhead and latency."""
     pes_list = [2, 8] if scale == "quick" else [2, 8, 32]
     sizes = _sizes(scale)
-    descs = [
-        describe("queens", "ipsc2", p, **sizes.get("queens", {}))
-        for p in pes_list
-    ]
 
-    def report(measured) -> ExperimentResult:
-        headers = ["P", "QD waves", "system msgs", "app msgs",
-                   "work end (ms)", "detected (ms)", "latency (ms)"]
-        rows = []
-        data: Dict[str, Any] = {}
-        for p, row in zip(pes_list, measured):
-            st = row.stats
-            work_end = row.qd_work_end or row.last_counted_exec_time
-            detected = st.qd_detected_at or row.vtime
-            rows.append(
-                [
-                    p,
-                    st.qd_waves,
-                    st.total_system_executed,
-                    st.total_msgs_executed,
-                    work_end * 1e3,
-                    detected * 1e3,
-                    (detected - work_end) * 1e3,
-                ]
-            )
-            data[p] = {
-                "waves": st.qd_waves,
-                "latency": detected - work_end,
-                "system": st.total_system_executed,
-            }
-        return ExperimentResult(
-            "T9",
-            "quiescence detection overhead",
-            format_table(headers, rows, title="N-queens on ipsc2"),
-            data,
-        )
-    return descs, report
+    def cells(p, row):
+        st = row.stats
+        work_end = row.qd_work_end or row.last_counted_exec_time
+        detected = st.qd_detected_at or row.vtime
+        return ([p, st.qd_waves, st.total_system_executed,
+                 st.total_msgs_executed, work_end * 1e3, detected * 1e3,
+                 (detected - work_end) * 1e3],
+                {"waves": st.qd_waves, "latency": detected - work_end,
+                 "system": st.total_system_executed})
+    return arms_table(
+        "T9", "quiescence detection overhead", "N-queens on ipsc2",
+        ["P", "QD waves", "system msgs", "app msgs", "work end (ms)",
+         "detected (ms)", "latency (ms)"],
+        [(p, describe("queens", "ipsc2", p, **sizes.get("queens", {})))
+         for p in pes_list],
+        cells,
+    )
 
 
 # ----------------------------------------------------------------------- T10
@@ -405,40 +351,28 @@ def exp_t10(scale: str = "paper") -> Plan:
     """
     pes = 8 if scale == "quick" else 16
     sizes = _sizes(scale)
-    configs = [
-        ("roundrobin (static-ish)", "roundrobin"),
-        ("random", "random"),
-        ("token (stealing)", "token"),
-        ("acwn (adaptive)", "acwn"),
-    ]
-    descs = [
-        describe("tree", "hetero", pes, balancer=balancer,
-                 **sizes.get("tree", {}))
-        for _, balancer in configs
-    ]
+    placements = {
+        "roundrobin": "roundrobin (static-ish)",
+        "random": "random",
+        "token": "token (stealing)",
+        "acwn": "acwn (adaptive)",
+    }
 
-    def report(measured) -> ExperimentResult:
-        headers = ["placement", "time (ms)", "mean util %", "imbalance (busy)"]
-        rows = []
-        data: Dict[str, Any] = {}
-        for (label, balancer), row in zip(configs, measured):
-            st = row.stats
-            rows.append([label, row.vtime_ms,
-                         round(st.mean_utilization * 100, 1),
-                         round(st.load_imbalance, 2)])
-            data[balancer] = {"time": row.vtime, "util": st.mean_utilization}
-        assert len({row.answer for row in measured}) == 1
-        return ExperimentResult(
-            "T10",
-            "heterogeneous workstation network",
-            format_table(
-                headers, rows,
-                title=f"Unbalanced tree on hetero (1x/1.5x/2x/4x node speeds), "
-                f"P={pes}",
-            ),
-            data,
-        )
-    return descs, report
+    def cells(balancer, row):
+        st = row.stats
+        return ([placements[balancer], row.vtime_ms,
+                 round(st.mean_utilization * 100, 1),
+                 round(st.load_imbalance, 2)],
+                {"time": row.vtime, "util": st.mean_utilization})
+    return arms_table(
+        "T10", "heterogeneous workstation network",
+        f"Unbalanced tree on hetero (1x/1.5x/2x/4x node speeds), P={pes}",
+        ["placement", "time (ms)", "mean util %", "imbalance (busy)"],
+        [(balancer, describe("tree", "hetero", pes, balancer=balancer,
+                             **sizes.get("tree", {})))
+         for balancer in placements],
+        cells, same_answer=True,
+    )
 
 
 # ----------------------------------------------------------------------- T11
@@ -457,52 +391,29 @@ def exp_t11(scale: str = "paper") -> Plan:
                 else [1_000, 10_000, 100_000, 1_000_000])
     apps = ["fib", "tree"]
     sizes = _sizes("quick")  # fixed problem: the sweep scales P, not work
-    descs = [
-        describe(app, "cluster", p, sparse=True, **sizes.get(app, {}))
-        for app in apps
-        for p in pes_list
-    ]
 
-    def report(all_rows) -> ExperimentResult:
-        headers = ["program", "P", "time (ms)", "executions", "touched PEs",
-                   "host (s)"]
-        rows = []
-        data: Dict[str, Any] = {"machine": "cluster", "pes": pes_list,
-                                "apps": {}}
-        for idx, app in enumerate(apps):
-            chunk = all_rows[idx * len(pes_list):(idx + 1) * len(pes_list)]
-            answers = {repr(r.answer) for r in chunk}
-            assert len(answers) == 1, f"{app} answer depends on machine size"
-            series = []
-            for p, row in zip(pes_list, chunk):
-                st = row.stats
-                touched = len(st.pe_rows)
-                if p >= 100_000:
-                    assert touched < p // 100, (
-                        f"{app}@P={p} touched {touched} ranks — not O(active)")
-                rows.append([app, p, row.vtime_ms,
-                             st.total_msgs_executed + st.total_system_executed,
-                             touched, round(row.host_seconds, 3)])
-                series.append({
-                    "pes": p,
-                    "time": row.vtime,
-                    "executions": (st.total_msgs_executed
-                                   + st.total_system_executed),
-                    "touched": touched,
-                    "host_seconds": row.host_seconds,
-                })
-            data["apps"][app] = series
-        return ExperimentResult(
-            "T11",
-            "sparse-PE machines: fixed work, P to 10\N{SUPERSCRIPT SIX}",
-            format_table(
-                headers, rows,
-                title="Fixed problem on sparse cluster machines "
-                      "(touched = materialized PE ranks)",
-            ),
-            data,
-        )
-    return descs, report
+    def cell(p, row, _slowdown):
+        st = row.stats
+        touched = len(st.pe_rows)
+        if p >= 100_000:
+            assert touched < p // 100, (
+                f"{row.app}@P={p} touched {touched} ranks — not O(active)")
+        executions = st.total_msgs_executed + st.total_system_executed
+        return ([p, row.vtime_ms, executions, touched,
+                 round(row.host_seconds, 3)],
+                {"pes": p, "time": row.vtime, "executions": executions,
+                 "touched": touched, "host_seconds": row.host_seconds})
+    return _per_program(
+        "T11", "sparse-PE machines: fixed work, P to 10\N{SUPERSCRIPT SIX}",
+        "Fixed problem on sparse cluster machines "
+        "(touched = materialized PE ranks)",
+        ["program", "P", "time (ms)", "executions", "touched PEs",
+         "host (s)"],
+        [((app, p), describe(app, "cluster", p, sparse=True,
+                             **sizes.get(app, {})))
+         for app in apps for p in pes_list],
+        cell, {"machine": "cluster", "pes": pes_list},
+    )
 
 
 # ------------------------------------------------------------------------ F1
@@ -551,36 +462,24 @@ def exp_f2(scale: str = "paper") -> Plan:
     grains = [1, 2, 3, 4, 5]
     thresholds = [4, 6, 8, 10] if scale == "quick" else [5, 7, 9, 11, 13]
     fn = 15 if scale == "quick" else 18
-    descs = []
-    for g in grains:
-        descs.append(describe("queens", "ipsc2", 1, n=n, grainsize=g))
-        descs.append(describe("queens", "ipsc2", p, n=n, grainsize=g))
-    for th in thresholds:
-        descs.append(describe("fib", "ipsc2", 1, n=fn, threshold=th))
-        descs.append(describe("fib", "ipsc2", p, n=fn, threshold=th))
+    # (program, its fixed size, the grain knob, the knob's values, series name)
+    knobs = [("queens", {"n": n}, "grainsize", grains,
+              f"queens(n={n}) efficiency vs grainsize"),
+             ("fib", {"n": fn}, "threshold", thresholds,
+              f"fib(n={fn}) efficiency vs threshold")]
+    descs = [describe(app, "ipsc2", pes, **size, **{knob: x})
+             for app, size, knob, xs, _ in knobs for x in xs for pes in (1, p)]
 
     def report(measured) -> ExperimentResult:
         lines = []
-        data: Dict[str, Any] = {"queens": {}, "fib": {}}
+        data: Dict[str, Any] = {}
         rows = iter(measured)
-        xs, ys = [], []
-        for g in grains:
-            t1, tp = next(rows).vtime, next(rows).vtime
-            eff = t1 / tp / p
-            xs.append(g)
-            ys.append(round(eff, 3))
-            data["queens"][g] = eff
-        lines.append(format_series(f"queens(n={n}) efficiency vs grainsize",
-                                   xs, ys))
-        xs, ys = [], []
-        for th in thresholds:
-            t1, tp = next(rows).vtime, next(rows).vtime
-            eff = t1 / tp / p
-            xs.append(th)
-            ys.append(round(eff, 3))
-            data["fib"][th] = eff
-        lines.append(format_series(f"fib(n={fn}) efficiency vs threshold",
-                                   xs, ys))
+        for app, _, _, xs, name in knobs:
+            # Each x's rows are (P = 1, P = p): its efficiency is T1 / Tp / p.
+            data[app] = {x: next(rows).vtime / next(rows).vtime / p
+                         for x in xs}
+            lines.append(format_series(
+                name, xs, [round(eff, 3) for eff in data[app].values()]))
         return ExperimentResult(
             "F2", f"grain size vs efficiency (P={p}, ipsc2)", "\n".join(lines),
             data,
@@ -615,42 +514,17 @@ def exp_f3(scale: str = "paper") -> Plan:
 def _fault_sweep(exp_id: str, title: str, caption: str, scale: str,
                  levels, headers: List[str], cell,
                  data: Dict[str, Any]) -> Plan:
-    """The R-series plan: fib and queens on ncube2 once per fault level.
-
-    ``levels`` is ``[(level, FaultConfig or None)]``, fault-free first.
-    The report checks that no run hung and that every answer equals the
-    fault-free one, then asks ``cell(level, row, slowdown)`` for each
-    run's table cells after the program name and its series record.
-    """
+    """The R-series plan: fib and queens on ncube2 once per fault level
+    (``[(level, FaultConfig or None)]``, fault-free first), through
+    :func:`_per_program`."""
     pes = 8 if scale == "quick" else 16
     sizes = _sizes(scale)
-    combos = [(app, level, cfg) for app in ("fib", "queens")
-              for level, cfg in levels]
-    descs = []
-    for app, _, cfg in combos:
-        kwargs = dict(sizes.get(app, {}))
-        if cfg is not None:
-            kwargs["faults"] = cfg
-        descs.append(describe(app, "ncube2", pes, **kwargs))
-
-    def report(measured) -> ExperimentResult:
-        rows = []
-        out = {"machine": "ncube2", "pes": pes, **data, "apps": {}}
-        for (app, level, _), row in zip(combos, measured):
-            assert not row.truncated, f"{app} hung at {level!r} (run truncated)"
-            if level == levels[0][0]:
-                base_time, base_answer = row.vtime, row.answer
-                out["apps"][app] = []
-            assert row.answer == base_answer, (
-                f"{app} answer corrupted at {level!r}: "
-                f"{row.answer!r} != {base_answer!r}")
-            slowdown = row.vtime / base_time if base_time > 0 else 0.0
-            cells, record = cell(level, row, slowdown)
-            rows.append([app] + cells)
-            out["apps"][app].append(record)
-        return ExperimentResult(exp_id, title, format_table(
-            headers, rows, title=caption.format(pes=pes)), out)
-    return descs, report
+    return _per_program(
+        exp_id, title, caption.format(pes=pes), headers,
+        [((app, level), describe(app, "ncube2", pes, **sizes.get(app, {}),
+                                 **({} if cfg is None else {"faults": cfg})))
+         for app in ("fib", "queens") for level, cfg in levels],
+        cell, {"machine": "ncube2", "pes": pes, **data})
 
 
 def exp_r1(scale: str = "paper") -> Plan:

@@ -377,8 +377,7 @@ class SweepResult:
 
     def consistent(self) -> bool:
         """True if every P produced the same answer (determinism check)."""
-        first = _comparable(self.answers[0])
-        return all(_comparable(a) == first for a in self.answers[1:])
+        return all(a == self.answers[0] for a in self.answers[1:])
 
 
 def sweep_from_rows(
@@ -394,17 +393,6 @@ def sweep_from_rows(
         answers=[_strip_arrays(canon(r.answer)) for r in rows],
         rows=list(rows),
     )
-
-
-def _comparable(answer: Any) -> Any:
-    """Answers compare with ``==`` (ndarray -> its bytes)."""
-    import numpy as np
-
-    if isinstance(answer, tuple):
-        return tuple(_comparable(a) for a in answer)
-    if isinstance(answer, np.ndarray):
-        return answer.tobytes()
-    return answer
 
 
 def _strip_arrays(answer: Any) -> Any:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro.bench.harness import describe
-from repro.bench.tables import ExperimentResult, Plan, format_table
+from repro.bench.tables import ExperimentResult, Plan, arms_table, format_table
 from repro.faults import FaultConfig
 from repro.machine.presets import make_machine
 from repro.workloads.arrivals import Bursty, Diurnal, Poisson, ServiceSpec
@@ -75,6 +75,22 @@ def _series(ans: Dict[str, Any]) -> Dict[str, Any]:
     )}
 
 
+def _serving_table(exp_id: str, title: str, caption: str, headers, arms,
+                   cells, data: Dict[str, Any]) -> Plan:
+    """:func:`arms_table` for an S experiment: the report checks that every
+    offered request was served or shed, and adds the run's :func:`_series`
+    digest to the record ``cells`` returns."""
+    def served(label, row):
+        ans = row.answer
+        assert ans["completed"] + ans["shed"] == ans["offered"], (
+            f"{exp_id} lost requests at {label}: {ans}")
+        row_cells, record = cells(label, row)
+        record.update(_series(ans))
+        return row_cells, record
+    return arms_table(exp_id, title, caption, headers, arms, served,
+                      data=data)
+
+
 # ------------------------------------------------------------------------ S1
 def exp_s1(scale: str = "paper") -> Plan:
     """Arrival-rate sweep to saturation (the tail-latency knee).
@@ -90,44 +106,28 @@ def exp_s1(scale: str = "paper") -> Plan:
     count = 400 if scale == "quick" else 2000
     utils = ([0.4, 0.7, 0.9, 1.05] if scale == "quick"
              else [0.3, 0.5, 0.7, 0.8, 0.9, 1.0, 1.1])
-    descs = [
-        describe(
-            "serving", MACHINE, pes, balancer="central",
-            arrivals=Poisson(rate=_rate(u, pes), count=count),
-            service=SERVICE,
-        )
-        for u in utils
-    ]
+    rates = {u: _rate(u, pes) for u in utils}
 
-    def report(rows_out) -> ExperimentResult:
-        headers = ["util %", "rate/s", "reqs", "done", "p50 (ms)", "p95 (ms)",
-                   "p99 (ms)", "mean (ms)", "max (ms)", "wait %"]
-        table_rows = []
-        series = []
-        for util, row in zip(utils, rows_out):
-            ans = row.answer
-            assert ans["completed"] == ans["offered"], (
-                f"S1 lost requests at util={util}: {ans}")
-            table_rows.append(
-                [round(util * 100, 1), round(_rate(util, pes), 1),
-                 ans["offered"], ans["completed"]] + _digest_cells(ans))
-            series.append({"util": util, "rate": _rate(util, pes),
-                           **_series(ans)})
-        data = {"machine": MACHINE, "pes": pes, "count": count,
-                "balancer": "central", "service_mean_units": SERVICE.mean,
-                "series": series}
-        return ExperimentResult(
-            "S1",
-            "open-loop saturation sweep (tail-latency knee)",
-            format_table(
-                headers, table_rows,
-                title=f"Request latency vs offered load on {MACHINE}, P={pes}, "
-                f"central balancer, {count} Poisson arrivals "
-                f"(exp service, mean {SERVICE.mean:g} units)",
-            ),
-            data,
-        )
-    return descs, report
+    def cells(util, row):
+        ans = row.answer
+        return ([round(util * 100, 1), round(rates[util], 1), ans["offered"],
+                 ans["completed"]] + _digest_cells(ans),
+                {"util": util, "rate": rates[util]})
+    return _serving_table(
+        "S1", "open-loop saturation sweep (tail-latency knee)",
+        f"Request latency vs offered load on {MACHINE}, P={pes}, central "
+        f"balancer, {count} Poisson arrivals (exp service, mean "
+        f"{SERVICE.mean:g} units)",
+        ["util %", "rate/s", "reqs", "done", "p50 (ms)", "p95 (ms)",
+         "p99 (ms)", "mean (ms)", "max (ms)", "wait %"],
+        [(u, describe("serving", MACHINE, pes, balancer="central",
+                      arrivals=Poisson(rate=rate, count=count),
+                      service=SERVICE))
+         for u, rate in rates.items()],
+        cells,
+        {"machine": MACHINE, "pes": pes, "count": count, "balancer": "central",
+         "service_mean_units": SERVICE.mean},
+    )
 
 
 # ------------------------------------------------------------------------ S2
@@ -153,42 +153,29 @@ def exp_s2(scale: str = "paper") -> Plan:
         ("diurnal", Diurnal(rate_mean=rate, count=count, amplitude=0.8,
                             period=20e-3)),
     ]
-    combos = [(label, spec, shed) for label, spec in processes
-              for shed in (None, 6)]
-    descs = [
-        describe("serving", MACHINE, pes, balancer="central",
-                 arrivals=spec, service=SERVICE, shed_above=shed)
-        for _, spec, shed in combos
-    ]
 
-    def report(rows_out) -> ExperimentResult:
-        headers = ["arrivals", "admission", "done", "shed", "p50 (ms)",
-                   "p95 (ms)", "p99 (ms)", "mean (ms)", "max (ms)", "wait %"]
-        table_rows = []
-        series = []
-        for (label, spec, shed), row in zip(combos, rows_out):
-            ans = row.answer
-            assert ans["completed"] + ans["shed"] == ans["offered"], (
-                f"S2 lost requests for {label}: {ans}")
-            table_rows.append(
-                [label, "-" if shed is None else f"q<={shed}",
-                 ans["completed"], ans["shed"]] + _digest_cells(ans))
-            series.append({"arrivals": label, "shed_above": shed,
-                           "spec": type(spec).__name__, **_series(ans)})
-        data = {"machine": MACHINE, "pes": pes, "count": count, "util": util,
-                "rate": rate, "series": series}
-        return ExperimentResult(
-            "S2",
-            "burst tolerance at fixed mean load",
-            format_table(
-                headers, table_rows,
-                title=f"Same mean rate ({util * 100:.0f}% utilization), "
-                f"increasing burstiness on {MACHINE}, P={pes}; admission "
-                "bound sheds when the landing PE's queue exceeds 6",
-            ),
-            data,
-        )
-    return descs, report
+    def cells(arm, row):
+        label, spec, shed = arm
+        ans = row.answer
+        return ([label, "-" if shed is None else f"q<={shed}",
+                 ans["completed"], ans["shed"]] + _digest_cells(ans),
+                {"arrivals": label, "shed_above": shed,
+                 "spec": type(spec).__name__})
+    return _serving_table(
+        "S2", "burst tolerance at fixed mean load",
+        f"Same mean rate ({util * 100:.0f}% utilization), increasing "
+        f"burstiness on {MACHINE}, P={pes}; admission bound sheds when the "
+        "landing PE's queue exceeds 6",
+        ["arrivals", "admission", "done", "shed", "p50 (ms)", "p95 (ms)",
+         "p99 (ms)", "mean (ms)", "max (ms)", "wait %"],
+        [((label, spec, shed),
+          describe("serving", MACHINE, pes, balancer="central", arrivals=spec,
+                   service=SERVICE, shed_above=shed))
+         for label, spec in processes for shed in (None, 6)],
+        cells,
+        {"machine": MACHINE, "pes": pes, "count": count, "util": util,
+         "rate": rate},
+    )
 
 
 # ------------------------------------------------------------------------ S3
@@ -204,41 +191,26 @@ def exp_s3(scale: str = "paper") -> Plan:
     count = 300 if scale == "quick" else 1500
     balancers = ["random", "roundrobin", "central", "acwn", "token"]
     utils = [0.7] if scale == "quick" else [0.7, 0.95]
-    combos = [(u, b) for u in utils for b in balancers]
-    descs = [
-        describe("serving", MACHINE, pes, balancer=bal,
-                 arrivals=Poisson(rate=_rate(u, pes), count=count),
-                 service=SERVICE)
-        for u, bal in combos
-    ]
 
-    def report(rows_out) -> ExperimentResult:
-        headers = ["balancer", "util %", "p50 (ms)", "p95 (ms)", "p99 (ms)",
-                   "mean (ms)", "max (ms)", "wait %", "remote seeds"]
-        table_rows = []
-        series = []
-        for (util, bal), row in zip(combos, rows_out):
-            ans = row.answer
-            assert ans["completed"] == ans["offered"], (
-                f"S3 lost requests for {bal}: {ans}")
-            table_rows.append([bal, round(util * 100, 1)] + _digest_cells(ans)
-                              + [row.stats.lb_seeds_remote])
-            series.append({"balancer": bal, "util": util,
-                           "remote_seeds": row.stats.lb_seeds_remote,
-                           **_series(ans)})
-        data = {"machine": MACHINE, "pes": pes, "count": count,
-                "utils": utils, "series": series}
-        return ExperimentResult(
-            "S3",
-            "balancer comparison under live traffic",
-            format_table(
-                headers, table_rows,
-                title=f"Identical Poisson stream, every balancer, {MACHINE} "
-                f"P={pes} ({count} requests per cell)",
-            ),
-            data,
-        )
-    return descs, report
+    def cells(arm, row):
+        util, bal = arm
+        return ([bal, round(util * 100, 1)] + _digest_cells(row.answer)
+                + [row.stats.lb_seeds_remote],
+                {"balancer": bal, "util": util,
+                 "remote_seeds": row.stats.lb_seeds_remote})
+    return _serving_table(
+        "S3", "balancer comparison under live traffic",
+        f"Identical Poisson stream, every balancer, {MACHINE} P={pes} "
+        f"({count} requests per cell)",
+        ["balancer", "util %", "p50 (ms)", "p95 (ms)", "p99 (ms)",
+         "mean (ms)", "max (ms)", "wait %", "remote seeds"],
+        [((u, bal), describe("serving", MACHINE, pes, balancer=bal,
+                             arrivals=Poisson(rate=_rate(u, pes), count=count),
+                             service=SERVICE))
+         for u in utils for bal in balancers],
+        cells,
+        {"machine": MACHINE, "pes": pes, "count": count, "utils": utils},
+    )
 
 
 # ------------------------------------------------------------------------ S4
@@ -262,44 +234,27 @@ def exp_s4(scale: str = "paper") -> Plan:
         ("stalls", FaultConfig(stall_prob=0.02, stall_time=1e-3)),
         ("slow PE", FaultConfig(slow_pes=(1,), slow_factor=4.0)),
     ]
-    descs = []
-    for _, faults in severities:
-        kwargs: Dict[str, Any] = dict(
-            balancer="central",
-            arrivals=Poisson(rate=rate, count=count), service=SERVICE,
-        )
-        if faults is not None:
-            kwargs["faults"] = faults
-        descs.append(describe("serving", MACHINE, pes, **kwargs))
+    arms = [(label, describe("serving", MACHINE, pes, balancer="central",
+                             arrivals=Poisson(rate=rate, count=count),
+                             service=SERVICE,
+                             **({} if faults is None else {"faults": faults})))
+            for label, faults in severities]
 
-    def report(rows_out) -> ExperimentResult:
-        headers = ["faults", "done", "p50 (ms)", "p95 (ms)", "p99 (ms)",
-                   "mean (ms)", "max (ms)", "wait %", "retries", "stalls"]
-        table_rows = []
-        series = []
-        for (label, faults), row in zip(severities, rows_out):
-            ans = row.answer
-            assert ans["completed"] == ans["offered"], (
-                f"S4 lost requests under {label}: {ans}")
-            st = row.stats
-            table_rows.append([label, ans["completed"]] + _digest_cells(ans)
-                              + [st.retries, st.stalls])
-            series.append({"faults": label, "retries": st.retries,
-                           "stalls": st.stalls, **_series(ans)})
-        data = {"machine": MACHINE, "pes": pes, "count": count, "util": util,
-                "rate": rate, "series": series}
-        return ExperimentResult(
-            "S4",
-            "serving under injected faults",
-            format_table(
-                headers, table_rows,
-                title=f"Live stream at {util * 100:.0f}% utilization under "
-                f"fault models, {MACHINE} P={pes} (every offered request "
-                "completes in every arm)",
-            ),
-            data,
-        )
-    return descs, report
+    def cells(label, row):
+        st = row.stats
+        return ([label, row.answer["completed"]] + _digest_cells(row.answer)
+                + [st.retries, st.stalls],
+                {"faults": label, "retries": st.retries, "stalls": st.stalls})
+    return _serving_table(
+        "S4", "serving under injected faults",
+        f"Live stream at {util * 100:.0f}% utilization under fault models, "
+        f"{MACHINE} P={pes} (every offered request completes in every arm)",
+        ["faults", "done", "p50 (ms)", "p95 (ms)", "p99 (ms)", "mean (ms)",
+         "max (ms)", "wait %", "retries", "stalls"],
+        arms, cells,
+        {"machine": MACHINE, "pes": pes, "count": count, "util": util,
+         "rate": rate},
+    )
 
 
 # ------------------------------------------------------------------------ S5
@@ -321,43 +276,31 @@ def exp_s5(scale: str = "paper") -> Plan:
     # Fixed offered rate, sized against the smallest farm at low load so
     # every arm sees the identical stream (same seeds, same timestamps).
     rate = _rate(0.3, pes_list[0], machine)
-    descs = [
-        describe("serving", machine, pes, sparse=True, balancer="central",
-                 arrivals=Poisson(rate=rate, count=count), service=SERVICE)
-        for pes in pes_list
-    ]
 
-    def report(rows_out) -> ExperimentResult:
-        headers = ["P", "done", "touched PEs", "p50 (ms)", "p95 (ms)",
-                   "p99 (ms)", "mean (ms)", "host (s)"]
-        table_rows = []
-        series = []
-        for pes, row in zip(pes_list, rows_out):
-            ans = row.answer
-            assert ans["completed"] == ans["offered"], (
-                f"S5 lost requests at P={pes}: {ans}")
-            touched = len(row.stats.pe_rows)
-            assert touched <= count + 2, (
-                f"S5 touched {touched} ranks for {count} requests at P={pes}")
-            table_rows.append([pes, ans["completed"], touched,
-                               _ms(ans["p50"]), _ms(ans["p95"]),
-                               _ms(ans["p99"]), _ms(ans["mean"]),
-                               round(row.host_seconds, 3)])
-            series.append({"pes": pes, "touched": touched,
-                           "host_seconds": row.host_seconds, **_series(ans)})
-        data = {"machine": machine, "pes": pes_list, "count": count,
-                "rate": rate, "series": series}
-        return ExperimentResult(
-            "S5",
-            "serving on sparse large-P farms",
-            format_table(
-                headers, table_rows,
-                title=f"Fixed {count}-request stream against sparse cluster "
-                "farms (touched = materialized PE ranks)",
-            ),
-            data,
-        )
-    return descs, report
+    def cells(pes, row):
+        ans = row.answer
+        touched = len(row.stats.pe_rows)
+        assert touched <= count + 2, (
+            f"S5 touched {touched} ranks for {count} requests at P={pes}")
+        return ([pes, ans["completed"], touched, _ms(ans["p50"]),
+                 _ms(ans["p95"]), _ms(ans["p99"]), _ms(ans["mean"]),
+                 round(row.host_seconds, 3)],
+                {"pes": pes, "touched": touched,
+                 "host_seconds": row.host_seconds})
+    return _serving_table(
+        "S5", "serving on sparse large-P farms",
+        f"Fixed {count}-request stream against sparse cluster farms "
+        "(touched = materialized PE ranks)",
+        ["P", "done", "touched PEs", "p50 (ms)", "p95 (ms)", "p99 (ms)",
+         "mean (ms)", "host (s)"],
+        [(pes, describe("serving", machine, pes, sparse=True,
+                        balancer="central",
+                        arrivals=Poisson(rate=rate, count=count),
+                        service=SERVICE))
+         for pes in pes_list],
+        cells,
+        {"machine": machine, "pes": pes_list, "count": count, "rate": rate},
+    )
 
 
 # ------------------------------------------------------------------------ S6

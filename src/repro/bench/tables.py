@@ -4,9 +4,11 @@ formatting."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
-__all__ = ["ExperimentResult", "Plan", "format_table", "format_series"]
+__all__ = ["ExperimentResult", "Plan", "arms_table", "format_table",
+           "format_series"]
 
 
 @dataclass
@@ -20,6 +22,44 @@ class ExperimentResult:
 #: What an experiment function returns: the run descriptors it needs, and
 #: the report that turns their rows (in the same order) into its result.
 Plan = Tuple[List[Any], Callable[[Sequence[Any]], ExperimentResult]]
+
+
+def arms_table(
+    exp_id: str,
+    title: str,
+    caption: str,
+    headers: Sequence[str],
+    arms: Sequence[Tuple[Any, Any]],
+    cells: Callable[[Any, Any], Tuple[List[Any], Dict[str, Any]]],
+    same_answer: bool = False,
+    data: Optional[Dict[str, Any]] = None,
+) -> Plan:
+    """The plan of a table with one row per arm.
+
+    ``arms`` is ``[(label, RunDescriptor)]``.  The report asks
+    ``cells(label, row)`` for each run's table cells and data record, in
+    arm order.  The records are keyed by label (a tuple label by its
+    ``str``), or, given top-level ``data``, listed after it as
+    ``"series"``.  ``same_answer`` asserts that every arm computed the
+    same answer.
+    """
+    labels = [label for label, _ in arms]
+    keys = [str(label) if isinstance(label, tuple) else label
+            for label in labels]
+
+    def report(rows: Sequence[Any]) -> ExperimentResult:
+        assert not same_answer or len({row.answer for row in rows}) == 1, (
+            f"{exp_id}: the answer depends on the arm (bug)")
+        table, records = [], []
+        for label, row in zip(labels, rows):
+            row_cells, record = cells(label, row)
+            table.append(row_cells)
+            records.append(record)
+        out = (dict(zip(keys, records)) if data is None
+               else {**data, "series": records})
+        text = format_table(headers, table, title=caption)
+        return ExperimentResult(exp_id, title, text, out)
+    return [desc for _, desc in arms], report
 
 
 def _fmt(value: Any) -> str:

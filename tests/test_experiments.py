@@ -219,6 +219,16 @@ def test_s5_serving_latency_independent_of_farm_size(results):
         assert row["touched"] <= d["count"] + 2
 
 
+@pytest.mark.parametrize("exp_id", ["s1", "s2", "s3", "s4", "s5"])
+def test_serving_arms_shed_only_under_an_admission_bound(results, exp_id):
+    """The S reports check completed + shed == offered; only S2's
+    ``q<=6`` arms set a bound, so every other arm serves every request."""
+    for row in results[exp_id].data["series"]:
+        assert row["completed"] + row["shed"] == row["offered"]
+        if row.get("shed_above") is None:
+            assert row["shed"] == 0 and row["completed"] == row["offered"]
+
+
 def test_f1_series_complete(results):
     data = results["f1"].data
     assert any(k.startswith("queens@") for k in data)

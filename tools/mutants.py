@@ -131,6 +131,19 @@ CATALOG = [
      "            self._seen.add(uid + 1)\n",
      "protocol: dedup keyed off by one, so a duplicate runs twice and the "
      "next uid's first copy is suppressed"),
+    ("src/repro/core/kernel.py",
+     "        dst = self._resolve(target, f\"service reply {entry_name!r}\")\n",
+     "        dst = self.objects.placement.get(getattr(target, \"gid\", None))\n",
+     "PR 30: a service reply to a dead or unknown handle was parked in the "
+     "held-send buffer forever instead of raising RoutingError"),
+    ("src/repro/core/kernel.py",
+     "        nbytes = env.nbytes\n",
+     "        from repro.core.messages import HEADER_BYTES\n"
+     "        from repro.util.sizing import payload_nbytes\n"
+     "        nbytes = env.nbytes = HEADER_BYTES + payload_nbytes(env.args) + (\n"
+     "            len(env.chare_cls.__name__) if env.kind == _SEED else 0)\n",
+     "PR 35: an envelope was sized at delivery, after its sender had "
+     "mutated the payload, instead of at the send"),
 ]
 
 #: The tier-1 run inside the copy.  Verbose, so a hung run's output names
